@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-query bench-archive bench-federation bench-storage bench-feed bench-replication bench-load
+.PHONY: check fmt vet build test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-query bench-archive bench-federation bench-merge bench-storage bench-feed bench-replication bench-load fuzz
 
 # The full gate: formatting, static checks, build, race-enabled tests,
 # the fault-injection suite, the telemetry smoke, the multi-process
@@ -30,7 +30,8 @@ chaos:
 	$(GO) test -race -run 'TestChaos|TestSpool|TestReliableSink' -count=1 ./internal/wire/ ./internal/agent/
 
 # Telemetry gate (DESIGN.md §5e): drive the full pipeline with one shared
-# registry and lint the /metrics exposition for every stage's instruments.
+# registry and lint the /metrics exposition for every stage's instruments;
+# TestMetricsSmokeRouter does the same for the federation router's registry.
 metrics-smoke:
 	$(GO) test -race -run TestMetricsSmoke -count=1 .
 
@@ -86,6 +87,21 @@ bench-archive:
 # machine-readable result written to BENCH_federation.json.
 bench-federation:
 	$(GO) run ./cmd/inca-bench -experiment federation -json .
+
+# Merge tier (DESIGN.md §5f): the whole-cache and whole-report-list merges
+# at the benchmark of record's working set (1024 x 851 B over two shards) —
+# the byte-level plan, the plan concatenated, and the encoding/xml oracle.
+bench-merge:
+	$(GO) test -run=NONE -bench='BenchmarkMergeCache|BenchmarkMergeReports' -benchmem ./internal/federation/
+
+# Ten seconds of coverage-guided fuzzing per target: the canonical scanner
+# against encoding/xml, and the merge and the reports parser against the
+# tokenising oracle. The seed corpora (f.Add plus testdata/fuzz) run under
+# plain `go test`; `go test -fuzz` takes one target per invocation.
+fuzz:
+	$(GO) test -run=NONE -fuzz='^FuzzScan$$' -fuzztime=10s ./internal/xmlscan/
+	$(GO) test -run=NONE -fuzz='^FuzzMergeCache$$' -fuzztime=10s ./internal/federation/
+	$(GO) test -run=NONE -fuzz='^FuzzParseReports$$' -fuzztime=10s ./internal/federation/
 
 # Storage tier (DESIGN.md §5g): memory vs disk engine across report
 # ingest, archive updates at 10k/100k series (with the heap staying flat

@@ -167,7 +167,7 @@ func main() {
 	if *allow != "" {
 		allowlist = strings.Split(*allow, ",")
 	}
-	ctl := controller.New(d, controller.Options{Allowlist: allowlist, Mode: envMode, Metrics: reg})
+	ctl := controller.New(d, controller.Options{Allowlist: allowlist, Mode: envMode, Metrics: reg, MaxResponses: responseWindow})
 
 	srv, err := wire.ServeOptions(*tcpAddr, ctl.Handle, wire.ServerOptions{IdleTimeout: *idleTimeout, Metrics: reg})
 	if err != nil {
@@ -317,6 +317,12 @@ func hasPolicy(d *depot.Depot, name string) bool {
 	return false
 }
 
+// responseWindow is how many per-report responses the controller keeps.
+// Nothing in the server reads the log (only the experiments do, and they
+// build their own unbounded controllers); without a bound it grew by one
+// entry per report for the life of the process.
+const responseWindow = 4096
+
 // runFederated runs the binary as a federation router: the same wire
 // listener agents already point at, but every accepted message forwards
 // to the shard owning its branch (and tees to the shard's follower when
@@ -393,6 +399,7 @@ func runFederated(topology, replicate, tcpAddr, httpAddr string, replicas, depth
 			fmt.Println("shutting down")
 			httpSrv.Close()
 			ffeed.Close()
+			fed.Close()
 			// Stop accepting before the drain so the barrier is final.
 			srv.Close()
 			if err := router.Drain(); err != nil {

@@ -223,14 +223,23 @@ func (w *WireSink) deliverBatched() {
 	attempts := 0
 	for {
 		if _, ok := w.spool.Peek(w.stop); !ok {
-			// Final best-effort drain of messages already in custody.
-			w.Batch.Drain()
+			// Final best-effort drain of messages already in custody: the
+			// sink is stopping, nothing is left to act on a failure, and
+			// the batch client's counters still account for every message.
+			_ = w.Batch.Drain()
 			w.syncBatchStats()
 			return
 		}
 		chunk := w.spool.PeekBatch(maxChunk)
+		// The batch client reports an asynchronous failure once, to
+		// whichever call sees it first — an Enqueue as readily as the
+		// Drain below — so the first error of the whole hand-over drives
+		// the backoff.
+		var failed error
 		for _, m := range chunk {
-			w.Batch.Enqueue(m)
+			if err := w.Batch.Enqueue(m); err != nil && failed == nil {
+				failed = err
+			}
 		}
 		// Custody transferred: the batch client now owns these messages
 		// and never discards them uncounted (see wire.BatchStats).
@@ -238,6 +247,9 @@ func (w *WireSink) deliverBatched() {
 		for {
 			err := w.Batch.Drain()
 			w.syncBatchStats()
+			if err == nil {
+				err, failed = failed, nil
+			}
 			if err == nil {
 				attempts = 0
 				break

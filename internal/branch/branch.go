@@ -38,9 +38,10 @@ func Parse(s string) (ID, error) {
 	if s == "" {
 		return ID{}, nil
 	}
-	parts := strings.Split(s, ",")
-	id := ID{Pairs: make([]Pair, 0, len(parts))}
-	for _, part := range parts {
+	id := ID{Pairs: make([]Pair, 0, strings.Count(s, ",")+1)}
+	for rest, more := s, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
 		part = strings.TrimSpace(part)
 		if part == "" {
 			return ID{}, fmt.Errorf("branch: empty component in %q", s)
@@ -57,7 +58,9 @@ func Parse(s string) (ID, error) {
 		if value == "" {
 			return ID{}, fmt.Errorf("branch: empty value in component %q", part)
 		}
-		if strings.ContainsAny(name, "=,") || strings.ContainsAny(value, "=,") {
+		// part holds no ',' and name ends before the first '=', so a second
+		// '=' in value is the only reserved character left to find.
+		if strings.IndexByte(value, '=') >= 0 {
 			return ID{}, fmt.Errorf("branch: component %q contains reserved character", part)
 		}
 		id.Pairs = append(id.Pairs, Pair{Name: name, Value: value})

@@ -9,6 +9,7 @@ import (
 	"inca/internal/branch"
 	"inca/internal/depot"
 	"inca/internal/envelope"
+	"inca/internal/metrics"
 	"inca/internal/report"
 	"inca/internal/wire"
 )
@@ -236,6 +237,31 @@ func TestMaxResponsesRingBuffer(t *testing.T) {
 	accepted, rejected, errs := c.Counters()
 	if accepted != 7 || rejected != 0 || errs != 0 {
 		t.Fatalf("counters = %d/%d/%d, want 7/0/0", accepted, rejected, errs)
+	}
+}
+
+// A production server runs with a bounded log for days: both accepted
+// totals — Counters() and the registry's — must keep counting however many
+// times the window has wrapped.
+func TestAcceptedCountsPastResponseWindow(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c, _ := newTestController(Options{MaxResponses: 4, Metrics: reg})
+	reportXML := sampleReportXML(t)
+	const n = 4*3 + 1 // three full wraps and one into the fourth
+	for i := 0; i < n; i++ {
+		if _, err := c.Submit(branch.MustParse(fmt.Sprintf("probe=p%d", i)), "h", reportXML); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if accepted, _, _ := c.Counters(); accepted != n {
+		t.Fatalf("Counters() accepted = %d after %d submits past a window of 4", accepted, n)
+	}
+	if got := reg.Counter("inca_controller_accepted_total", "").Value(); got != n {
+		t.Fatalf("inca_controller_accepted_total = %d, want %d", got, n)
+	}
+	log := c.Responses()
+	if len(log) != 4 || log[0].Branch.String() != fmt.Sprintf("probe=p%d", n-4) || log[3].Branch.String() != fmt.Sprintf("probe=p%d", n-1) {
+		t.Fatalf("log = %d entries, %v … %v", len(log), log[0].Branch, log[len(log)-1].Branch)
 	}
 }
 

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/xml"
 	"fmt"
-	"strconv"
 
 	"inca/internal/branch"
+	"inca/internal/xmlscan"
 )
 
 // This file implements the byte-level splice path for StreamCache.
@@ -14,139 +14,14 @@ import (
 // The cache document is canonical: every byte of it was produced by this
 // package through encoding/xml, which escapes '<' and '>' everywhere
 // outside tag delimiters (character data and attribute values alike). That
-// guarantee lets updates scan tags directly — the same single-pass
-// streaming discipline as the paper's SAX cache, minus a general-purpose
-// parser's overhead — and splice the new entry in with one copy.
+// guarantee lets updates scan tags directly with internal/xmlscan — the
+// same single-pass streaming discipline as the paper's SAX cache, minus a
+// general-purpose parser's overhead — and splice the new entry in with one
+// copy. The canonical renderer never self-closes an element, so an Empty
+// tag at branch level is a structural surprise like any other.
 //
 // spliceUpdate (cache.go) is the generic-token reference implementation;
 // property tests assert the two agree.
-
-// tagInfo describes one tag found by the scanner.
-type tagInfo struct {
-	start, end int // byte offsets: old[start:end] covers "<...>"
-	name       []byte
-	closing    bool
-	attrs      []byte // raw bytes after the name, inside the tag
-}
-
-// scanTag finds the next tag at or after pos. ok=false at end of input.
-func scanTag(data []byte, pos int) (tagInfo, bool, error) {
-	lt := bytes.IndexByte(data[pos:], '<')
-	if lt < 0 {
-		return tagInfo{}, false, nil
-	}
-	start := pos + lt
-	gt := bytes.IndexByte(data[start:], '>')
-	if gt < 0 {
-		return tagInfo{}, false, fmt.Errorf("depot: unterminated tag at %d", start)
-	}
-	end := start + gt + 1
-	inner := data[start+1 : end-1]
-	t := tagInfo{start: start, end: end}
-	if len(inner) > 0 && inner[0] == '/' {
-		t.closing = true
-		t.name = bytes.TrimSpace(inner[1:])
-		return t, true, nil
-	}
-	if sp := bytes.IndexByte(inner, ' '); sp >= 0 {
-		t.name = inner[:sp]
-		t.attrs = inner[sp+1:]
-	} else {
-		t.name = inner
-	}
-	return t, true, nil
-}
-
-// skipSubtree returns the offset just past the matching close of the open
-// tag t. This is the scan's hot path, so it only looks at tag delimiters
-// (every '<' in a canonical document opens a tag; '/' marks a close).
-func skipSubtree(data []byte, t tagInfo) (int, error) {
-	depth := 1
-	pos := t.end
-	for depth > 0 {
-		lt := bytes.IndexByte(data[pos:], '<')
-		if lt < 0 {
-			return 0, fmt.Errorf("depot: unbalanced document while skipping <%s>", t.name)
-		}
-		p := pos + lt
-		gt := bytes.IndexByte(data[p:], '>')
-		if gt < 0 {
-			return 0, fmt.Errorf("depot: unterminated tag at %d", p)
-		}
-		if p+1 < len(data) && data[p+1] == '/' {
-			depth--
-		} else {
-			depth++
-		}
-		pos = p + gt + 1
-	}
-	return pos, nil
-}
-
-// attrValue extracts and unescapes the named attribute from raw attr bytes.
-func attrValue(attrs []byte, name string) (string, bool) {
-	key := []byte(name + `="`)
-	i := bytes.Index(attrs, key)
-	if i < 0 {
-		return "", false
-	}
-	rest := attrs[i+len(key):]
-	j := bytes.IndexByte(rest, '"')
-	if j < 0 {
-		return "", false
-	}
-	return unescapeXML(rest[:j]), true
-}
-
-// unescapeXML resolves the entity references encoding/xml emits.
-func unescapeXML(s []byte) string {
-	if bytes.IndexByte(s, '&') < 0 {
-		return string(s)
-	}
-	var out []byte
-	for i := 0; i < len(s); {
-		if s[i] != '&' {
-			out = append(out, s[i])
-			i++
-			continue
-		}
-		semi := bytes.IndexByte(s[i:], ';')
-		if semi < 0 {
-			out = append(out, s[i:]...)
-			break
-		}
-		ent := string(s[i+1 : i+semi])
-		switch {
-		case ent == "lt":
-			out = append(out, '<')
-		case ent == "gt":
-			out = append(out, '>')
-		case ent == "amp":
-			out = append(out, '&')
-		case ent == "quot":
-			out = append(out, '"')
-		case ent == "apos":
-			out = append(out, '\'')
-		case len(ent) > 1 && ent[0] == '#':
-			var code int64
-			var err error
-			if ent[1] == 'x' || ent[1] == 'X' {
-				code, err = strconv.ParseInt(ent[2:], 16, 32)
-			} else {
-				code, err = strconv.ParseInt(ent[1:], 10, 32)
-			}
-			if err != nil {
-				out = append(out, s[i:i+semi+1]...)
-			} else {
-				out = append(out, string(rune(code))...)
-			}
-		default:
-			out = append(out, s[i:i+semi+1]...)
-		}
-		i += semi + 1
-	}
-	return string(out)
-}
 
 // renderFragment builds the bytes for the remaining path components
 // wrapping the report entry (or just the entry when comps is empty).
@@ -178,45 +53,48 @@ func collectReportsFast(data []byte, prefix branch.ID) ([]Stored, error) {
 	pos := 0
 	sawRoot := false
 	for {
-		t, ok, err := scanTag(data, pos)
+		t, ok, err := xmlscan.ScanTag(data, pos)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			break
 		}
-		if t.closing {
-			if string(t.name) == "branch" {
+		if t.Kind == xmlscan.Empty {
+			return nil, fmt.Errorf("depot: self-closed <%s> at %d", t.Name, t.Start)
+		}
+		if t.Kind == xmlscan.Close {
+			if string(t.Name) == "branch" {
 				if len(stack) == 0 {
-					return nil, fmt.Errorf("depot: unbalanced branch close at %d", t.start)
+					return nil, fmt.Errorf("depot: unbalanced branch close at %d", t.Start)
 				}
 				stack = stack[:len(stack)-1]
 			}
-			pos = t.end
+			pos = t.End
 			continue
 		}
-		switch string(t.name) {
+		switch string(t.Name) {
 		case "cache":
 			sawRoot = true
-			pos = t.end
+			pos = t.End
 		case "branch":
-			name, ok1 := attrValue(t.attrs, "name")
-			value, ok2 := attrValue(t.attrs, "value")
+			name, ok1 := xmlscan.AttrValue(t.Attrs, "name")
+			value, ok2 := xmlscan.AttrValue(t.Attrs, "value")
 			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("depot: branch element without name/value at %d", t.start)
+				return nil, fmt.Errorf("depot: branch element without name/value at %d", t.Start)
 			}
 			stack = append(stack, branch.Pair{Name: name, Value: value})
-			pos = t.end
+			pos = t.End
 		case "entry":
-			end, err := skipSubtree(data, t)
+			end, err := xmlscan.SkipSubtree(data, t)
 			if err != nil {
 				return nil, err
 			}
 			const closeLen = len("</entry>")
-			if end-closeLen < t.end {
-				return nil, fmt.Errorf("depot: malformed entry at %d", t.start)
+			if end-closeLen < t.End {
+				return nil, fmt.Errorf("depot: malformed entry at %d", t.Start)
 			}
-			payload := data[t.end : end-closeLen]
+			payload := data[t.End : end-closeLen]
 			pairs := make([]branch.Pair, len(stack))
 			for i, p := range stack {
 				pairs[len(stack)-1-i] = p
@@ -228,7 +106,7 @@ func collectReportsFast(data []byte, prefix branch.ID) ([]Stored, error) {
 			pos = end
 		default:
 			// Foreign element preserved in the cache: skip it wholesale.
-			if pos, err = skipSubtree(data, t); err != nil {
+			if pos, err = xmlscan.SkipSubtree(data, t); err != nil {
 				return nil, err
 			}
 		}
@@ -255,66 +133,69 @@ func fastSplice(old []byte, path []branch.Pair, reportXML []byte) ([]byte, bool,
 	var fragComps []branch.Pair
 
 	for insertAt < 0 {
-		t, ok, err := scanTag(old, pos)
+		t, ok, err := xmlscan.ScanTag(old, pos)
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
 			return nil, false, fmt.Errorf("depot: cache document has no root element")
 		}
-		if t.closing {
+		if t.Kind == xmlscan.Empty {
+			return nil, false, fmt.Errorf("depot: self-closed <%s> at %d", t.Name, t.Start)
+		}
+		if t.Kind == xmlscan.Close {
 			// Leaving the deepest matched node (or the cache root):
 			// everything still unmatched nests here, before the close.
-			insertAt = t.start
+			insertAt = t.Start
 			fragComps = path[matched:]
 			break
 		}
-		switch string(t.name) {
+		switch string(t.Name) {
 		case "cache":
-			pos = t.end
+			pos = t.End
 		case "branch":
 			if matched < len(path) {
-				name, _ := attrValue(t.attrs, "name")
-				value, _ := attrValue(t.attrs, "value")
+				name, _ := xmlscan.AttrValue(t.Attrs, "name")
+				value, _ := xmlscan.AttrValue(t.Attrs, "value")
 				comp := path[matched]
 				if name == comp.Name && value == comp.Value {
 					matched++
-					pos = t.end
+					pos = t.End
 					continue
 				}
 				if pairBefore(comp, name, value) {
-					insertAt = t.start
+					insertAt = t.Start
 					fragComps = path[matched:]
 					break
 				}
 			} else {
 				// Target fully matched; its entry slot precedes branch
 				// children.
-				insertAt = t.start
+				insertAt = t.Start
 				fragComps = nil
 				break
 			}
 			// Unrelated sibling: skip it wholesale.
-			if pos, err = skipSubtree(old, t); err != nil {
+			if pos, err = xmlscan.SkipSubtree(old, t); err != nil {
 				return nil, false, err
 			}
 		case "entry":
 			if matched == len(path) {
-				end, err := skipSubtree(old, t)
+				end, err := xmlscan.SkipSubtree(old, t)
 				if err != nil {
 					return nil, false, err
 				}
-				insertAt = t.start
+				insertAt = t.Start
 				replaceEnd = end
 				fragComps = nil
 				break
 			}
-			if pos, err = skipSubtree(old, t); err != nil {
+			if pos, err = xmlscan.SkipSubtree(old, t); err != nil {
 				return nil, false, err
 			}
 		default:
 			// Foreign element at branch level: preserve it untouched.
-			if pos, err = skipSubtree(old, t); err != nil {
+			if pos, err = xmlscan.SkipSubtree(old, t); err != nil {
 				return nil, false, err
 			}
 		}

@@ -143,53 +143,6 @@ func TestFastSpliceRandomizedEquivalenceProperty(t *testing.T) {
 	}
 }
 
-func TestUnescapeXML(t *testing.T) {
-	cases := map[string]string{
-		"plain":          "plain",
-		"&lt;&gt;&amp;":  "<>&",
-		"&quot;q&quot;":  `"q"`,
-		"&apos;a&apos;":  "'a'",
-		"&#34;num&#34;":  `"num"`,
-		"&#x9;tab":       "\ttab",
-		"broken&ent":     "broken&ent",
-		"unknown&zz;ref": "unknown&zz;ref",
-		"bad&#xZZ;code":  "bad&#xZZ;code",
-	}
-	for in, want := range cases {
-		if got := unescapeXML([]byte(in)); got != want {
-			t.Errorf("unescapeXML(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestScanTagBasics(t *testing.T) {
-	doc := []byte(`<cache><branch name="a" value="b"></branch></cache>`)
-	t1, ok, err := scanTag(doc, 0)
-	if err != nil || !ok || string(t1.name) != "cache" || t1.closing {
-		t.Fatalf("t1 = %+v %v %v", t1, ok, err)
-	}
-	t2, ok, _ := scanTag(doc, t1.end)
-	if !ok || string(t2.name) != "branch" {
-		t.Fatalf("t2 = %+v", t2)
-	}
-	if v, found := attrValue(t2.attrs, "value"); !found || v != "b" {
-		t.Fatalf("attr = %q %v", v, found)
-	}
-	if _, found := attrValue(t2.attrs, "missing"); found {
-		t.Fatal("phantom attribute")
-	}
-	t3, ok, _ := scanTag(doc, t2.end)
-	if !ok || !t3.closing || string(t3.name) != "branch" {
-		t.Fatalf("t3 = %+v", t3)
-	}
-	if _, ok, _ := scanTag(doc, len(doc)); ok {
-		t.Fatal("tag found past end")
-	}
-	if _, _, err := scanTag([]byte("<unterminated"), 0); err == nil {
-		t.Fatal("unterminated tag accepted")
-	}
-}
-
 func TestFastSplicePerformanceScalesRoughlyLinearly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")

@@ -16,28 +16,25 @@ type StoredReport struct {
 }
 
 // ParseReports decodes a /reports response body into its stored reports.
-// The branch attribute is XML-escaped by the producer (so '>' cannot
-// appear before the open tag closes), which makes the inner report XML
-// exactly the bytes between the open tag's '>' and the closing
-// </stored>.
+// The inner report XML is exactly the bytes between the <stored> open tag
+// and the closing </stored>; it aliases body.
 func ParseReports(body []byte) ([]StoredReport, error) {
-	chunks, err := splitReports(body, "")
+	chunks, err := splitReports(body, 0)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]StoredReport, 0, len(chunks))
 	for _, c := range chunks {
-		gt := bytes.IndexByte(c.raw, '>')
-		if gt < 0 || !bytes.HasSuffix(c.raw, []byte("</stored>")) {
+		end := c.raw.end - len("</stored>")
+		if end < c.inner || !bytes.HasSuffix(body[:c.raw.end], []byte("</stored>")) {
 			return nil, fmt.Errorf("federation: malformed stored element")
 		}
-		inner := c.raw[gt+1 : len(c.raw)-len("</stored>")]
 		// c.path is general→specific; ID.Pairs lead with the most specific.
 		pairs := make([]branch.Pair, len(c.path))
 		for i, p := range c.path {
 			pairs[len(c.path)-1-i] = p
 		}
-		out = append(out, StoredReport{ID: branch.New(pairs...), XML: inner})
+		out = append(out, StoredReport{ID: branch.New(pairs...), XML: body[c.inner:end]})
 	}
 	return out, nil
 }

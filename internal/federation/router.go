@@ -483,6 +483,7 @@ func (r *Router) backoffSleep(d time.Duration) (next time.Duration) {
 // reads. Returns the moved count.
 func (r *Router) rerouteOrphans(from string, orphans []*wire.Message) int {
 	moved, dropped, bad := 0, 0, 0
+	var flushErr error
 	deadline := r.clock.Now().Add(rerouteDeadline)
 	for _, m := range orphans {
 		id, err := branch.Parse(m.Branch)
@@ -512,8 +513,12 @@ func (r *Router) rerouteOrphans(from string, orphans []*wire.Message) int {
 			}
 			// Backlog full (or the successor left concurrently): kick a
 			// flush to open space, back off, and retry; a closed client
-			// re-resolves to the new owner on the next pass.
-			next.Flush()
+			// re-resolves to the new owner on the next pass. Flush reports
+			// a collected delivery failure only once, so it is kept for
+			// the summary line rather than dropped here.
+			if err := next.Flush(); err != nil && flushErr == nil {
+				flushErr = err
+			}
 			backoff = r.backoffSleep(backoff)
 		}
 	}
@@ -523,6 +528,9 @@ func (r *Router) rerouteOrphans(from string, orphans []*wire.Message) int {
 	if bad+dropped > 0 {
 		log.Printf("federation: re-route from %s lost %d of %d harvested messages (%d unroutable, %d dropped after %s of backlog refusals)",
 			from, bad+dropped, len(orphans), bad, dropped, rerouteDeadline)
+	}
+	if flushErr != nil {
+		log.Printf("federation: re-route from %s: successor delivery failing: %v", from, flushErr)
 	}
 	return moved
 }

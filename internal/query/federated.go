@@ -37,6 +37,7 @@ import (
 type Federated struct {
 	router         *federation.Router
 	httpc          *http.Client
+	transport      *http.Transport // the tier's own, nil when the caller supplied the client
 	reg            *metrics.Registry
 	feed           *FederatedFeed // composed change feed; set by AttachFeed
 	preferFollower bool
@@ -47,6 +48,8 @@ type Federated struct {
 	notModified *metrics.Counter // answered 304 (all shards unchanged)
 	merges      *metrics.Counter // responses rebuilt by a document merge
 	shardErrors *metrics.Counter // shard requests that failed in transport
+	mergeTime   *metrics.Histogram
+	mergeBytes  *metrics.Counter
 
 	followerReads       *metrics.Counter // read requests served by a follower
 	followerFallbacks   *metrics.Counter // follower unreachable; primary answered
@@ -71,20 +74,32 @@ type FederatedOptions struct {
 	PreferFollower bool
 }
 
-// NewFederated builds the query tier over router's shards.
+// scatterIdleConns is how many idle connections the tier keeps to each
+// shard. Every concurrent reader holds one connection per shard for the
+// length of a scatter; http.DefaultTransport keeps only two per host, so
+// with more readers than that every further scatter re-dialled.
+const scatterIdleConns = 64
+
+// NewFederated builds the query tier over router's shards. Close releases
+// the connections it keeps to them.
 func NewFederated(router *federation.Router, opt FederatedOptions) *Federated {
 	httpc := opt.Client
+	var transport *http.Transport
 	if httpc == nil {
 		to := opt.Timeout
 		if to <= 0 {
 			to = 30 * time.Second
 		}
-		httpc = &http.Client{Timeout: to}
+		transport = http.DefaultTransport.(*http.Transport).Clone()
+		transport.MaxIdleConns = 0 // bounded per host, and the ring bounds the hosts
+		transport.MaxIdleConnsPerHost = scatterIdleConns
+		httpc = &http.Client{Timeout: to, Transport: transport}
 	}
 	reg := opt.Metrics
 	return &Federated{
 		router:         router,
 		httpc:          httpc,
+		transport:      transport,
 		reg:            reg,
 		preferFollower: opt.PreferFollower,
 		fanouts:        reg.Counter("inca_federated_fanouts_total", "Requests scattered to every shard."),
@@ -93,6 +108,8 @@ func NewFederated(router *federation.Router, opt FederatedOptions) *Federated {
 		notModified:    reg.Counter("inca_federated_not_modified_total", "Requests answered 304 — every shard unchanged."),
 		merges:         reg.Counter("inca_federated_merges_total", "Responses rebuilt by a cross-shard document merge."),
 		shardErrors:    reg.Counter("inca_federated_shard_errors_total", "Per-shard requests failed in transport."),
+		mergeTime:      reg.Histogram("inca_federated_merge_seconds", "Time to plan one cross-shard /cache or /reports merge.", nil),
+		mergeBytes:     reg.Counter("inca_federated_merge_bytes_total", "Bytes of merged /cache and /reports documents planned."),
 
 		followerReads:       reg.Counter("inca_federated_follower_reads_total", "Read requests served by a shard's follower."),
 		followerFallbacks:   reg.Counter("inca_federated_follower_fallbacks_total", "Follower reads that fell back to the primary on a transport error."),
@@ -100,20 +117,30 @@ func NewFederated(router *federation.Router, opt FederatedOptions) *Federated {
 	}
 }
 
+// Close drops the idle connections the tier keeps to its shards. A tier
+// built over a caller's Client leaves that client alone.
+func (f *Federated) Close() {
+	if f.transport != nil {
+		f.transport.CloseIdleConnections()
+	}
+}
+
 // Handler returns the federated HTTP mux. The read surface matches
-// Server's; /shards and /federation/* administer membership.
+// Server's, scatter-gather endpoints timed in the same
+// inca_query_request_seconds{handler=…} family; /shards and /federation/*
+// administer membership.
 func (f *Federated) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/store", f.handleStore)
 	mux.HandleFunc("/policy", f.handlePolicy)
-	mux.HandleFunc("/cache", readOnly(f.handleCache))
-	mux.HandleFunc("/reports", readOnly(f.handleReports))
+	mux.HandleFunc("/cache", timed(f.reg, "cache", readOnly(f.handleCache)))
+	mux.HandleFunc("/reports", timed(f.reg, "reports", readOnly(f.handleReports)))
 	mux.HandleFunc("/archive", readOnly(f.handleForwarded))
 	mux.HandleFunc("/graph", readOnly(f.handleForwarded))
-	mux.HandleFunc("/availability", readOnly(f.handleAvailability))
+	mux.HandleFunc("/availability", timed(f.reg, "availability", readOnly(f.handleAvailability)))
 	mux.HandleFunc("/stats", readOnly(f.handleStats))
 	mux.HandleFunc("/debug/vars", readOnly(f.handleDebugVars))
-	mux.HandleFunc("/feed", readOnly(f.handleFeed))
+	mux.HandleFunc("/feed", timed(f.reg, "feed", readOnly(f.handleFeed)))
 	mux.HandleFunc("/shards", readOnly(f.handleShards))
 	mux.HandleFunc("/federation/join", f.handleJoin)
 	mux.HandleFunc("/federation/leave", f.handleLeave)
@@ -179,6 +206,59 @@ type shardResp struct {
 	body   []byte
 	etag   string
 	err    error
+	buf    *[]byte // pooled backing of body; see release
+}
+
+// bodyPool recycles shard response bodies: a whole-cache read moves about
+// a megabyte per shard, and without reuse every read is that much garbage.
+var bodyPool sync.Pool
+
+// readBody reads a shard response into a pooled buffer sized from its
+// Content-Length (the shards always send one; a body of unknown length
+// grows the buffer as it arrives).
+func readBody(resp *http.Response) (body []byte, buf *[]byte, err error) {
+	n := resp.ContentLength
+	if n == 0 {
+		return nil, nil, nil
+	}
+	buf, _ = bodyPool.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if n > 0 {
+		if int64(cap(*buf)) < n {
+			*buf = make([]byte, n)
+		}
+		body = (*buf)[:n]
+		_, err = io.ReadFull(resp.Body, body)
+	} else {
+		b := bytes.NewBuffer((*buf)[:0])
+		_, err = b.ReadFrom(resp.Body)
+		body = b.Bytes()
+	}
+	*buf = body[:cap(body)]
+	if err != nil {
+		bodyPool.Put(buf)
+		return nil, nil, err
+	}
+	return body, buf, nil
+}
+
+// release returns the response's body to the pool. The body — and any
+// merge plan cut from it — must not be touched afterwards, so handlers
+// release after their last Write returns (net/http has copied the bytes
+// by then). A response that is never released is simply collected.
+func (r *shardResp) release() {
+	if r.buf != nil {
+		bodyPool.Put(r.buf)
+		r.buf, r.body = nil, nil
+	}
+}
+
+func releaseAll(resps []shardResp) {
+	for i := range resps {
+		resps[i].release()
+	}
 }
 
 // fetchShard asks the shard's primary — the authoritative replica.
@@ -228,6 +308,7 @@ func (f *Federated) fetchShardRead(s federation.Shard, path string, params url.V
 		if seen, ok := tagGen(inm); ok {
 			if got, ok2 := tagGen(resp.etag); ok2 && got < seen {
 				f.followerRegressions.Inc()
+				resp.release()
 				return f.fetchShard(s, path, params, inm)
 			}
 		}
@@ -254,7 +335,7 @@ func (f *Federated) fetchURL(s federation.Shard, base, path string, params url.V
 		return shardResp{shard: s, err: err}
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, buf, err := readBody(resp)
 	if err != nil {
 		f.shardErrors.Inc()
 		return shardResp{shard: s, err: err}
@@ -265,6 +346,7 @@ func (f *Federated) fetchURL(s federation.Shard, base, path string, params url.V
 		header: resp.Header,
 		body:   body,
 		etag:   resp.Header.Get("ETag"),
+		buf:    buf,
 	}
 }
 
@@ -299,7 +381,9 @@ func (f *Federated) scatter(shards []federation.Shard, path string, params url.V
 // the caller can answer 304 without touching a byte of data. Otherwise a
 // second round fetches bodies from the shards that revalidated (their
 // bytes are needed for the merge), and the composed tag is rebuilt from
-// the validators actually served.
+// the validators actually served. The caller owns the returned responses
+// and releases their bodies once it has written its answer; when none are
+// returned they have been released here.
 func (f *Federated) scatterConditional(r *http.Request, path string, params url.Values) (resps []shardResp, composed string, unchanged bool, err error) {
 	shards := f.router.Shards()
 	sig := f.router.Signature()
@@ -311,6 +395,7 @@ func (f *Federated) scatterConditional(r *http.Request, path string, params url.
 	resps = f.scatter(shards, path, params, perTags, true)
 	for i := range resps {
 		if resps[i].err != nil {
+			releaseAll(resps)
 			return nil, "", false, fmt.Errorf("shard %s: %w", resps[i].shard.Name(), resps[i].err)
 		}
 	}
@@ -333,6 +418,7 @@ func (f *Federated) scatterConditional(r *http.Request, path string, params url.
 		}
 		if all && sawTag {
 			f.notModified.Inc()
+			releaseAll(resps)
 			return nil, composeTag(sig, perTags), true, nil
 		}
 	}
@@ -352,6 +438,7 @@ func (f *Federated) scatterConditional(r *http.Request, path string, params url.
 	tags := make([]string, len(resps))
 	for i := range resps {
 		if resps[i].err != nil {
+			releaseAll(resps)
 			return nil, "", false, fmt.Errorf("shard %s: %w", resps[i].shard.Name(), resps[i].err)
 		}
 		if resps[i].status == http.StatusOK {
@@ -367,15 +454,32 @@ func (f *Federated) writeNotModified(w http.ResponseWriter, tag string) {
 }
 
 func (f *Federated) writeBody(w http.ResponseWriter, r *http.Request, contentType, tag string, body []byte) {
+	f.writePlan(w, r, contentType, tag, federation.Plan{Parts: [][]byte{body}, Len: len(body)})
+}
+
+// writePlan answers with a merge plan: Content-Length from the plan's
+// total, then the shard-body slices straight to the connection — the
+// merged document never exists as one buffer.
+func (f *Federated) writePlan(w http.ResponseWriter, r *http.Request, contentType, tag string, plan federation.Plan) {
 	w.Header().Set("Content-Type", contentType)
 	if tag != "" {
 		w.Header().Set("ETag", tag)
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Header().Set("Content-Length", strconv.Itoa(plan.Len))
 	if r.Method == http.MethodHead {
 		return
 	}
-	w.Write(body)
+	plan.WriteTo(w) // a failed write is the client gone; nothing to report to
+}
+
+// planned runs one merge under the tier's merge instruments.
+func (f *Federated) planned(merge func() (federation.Plan, error)) (federation.Plan, error) {
+	f.merges.Inc()
+	start := time.Now()
+	plan, err := merge()
+	f.mergeTime.ObserveSince(start)
+	f.mergeBytes.Add(uint64(plan.Len))
+	return plan, err
 }
 
 // --- owner forwarding (requests a single shard can answer) ---
@@ -402,6 +506,7 @@ func (f *Federated) forwardOwner(w http.ResponseWriter, r *http.Request, id bran
 		http.Error(w, "shard "+shard.Name()+": "+resp.err.Error(), http.StatusBadGateway)
 		return
 	}
+	defer resp.release()
 	if resp.status == http.StatusNotModified {
 		f.notModified.Inc()
 		f.writeNotModified(w, composeTag(sig, perTags))
@@ -457,6 +562,7 @@ func (f *Federated) handleCache(w http.ResponseWriter, r *http.Request) {
 		f.writeNotModified(w, tag)
 		return
 	}
+	defer releaseAll(resps)
 	var docs []federation.ShardDoc
 	for _, resp := range resps {
 		switch resp.status {
@@ -474,13 +580,12 @@ func (f *Federated) handleCache(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no data at branch "+id.String(), http.StatusNotFound)
 		return
 	}
-	f.merges.Inc()
-	merged, err := federation.MergeCache(docs, id, ring)
+	plan, err := f.planned(func() (federation.Plan, error) { return federation.PlanCache(docs, id, ring) })
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	f.writeBody(w, r, "text/xml", tag, merged)
+	f.writePlan(w, r, "text/xml", tag, plan)
 }
 
 func (f *Federated) handleReports(w http.ResponseWriter, r *http.Request) {
@@ -504,6 +609,7 @@ func (f *Federated) handleReports(w http.ResponseWriter, r *http.Request) {
 		f.writeNotModified(w, tag)
 		return
 	}
+	defer releaseAll(resps)
 	var docs []federation.ShardDoc
 	for _, resp := range resps {
 		if resp.status != http.StatusOK {
@@ -512,13 +618,12 @@ func (f *Federated) handleReports(w http.ResponseWriter, r *http.Request) {
 		}
 		docs = append(docs, federation.ShardDoc{Shard: resp.shard.Name(), Body: resp.body})
 	}
-	f.merges.Inc()
-	merged, err := federation.MergeReports(docs, ring)
+	plan, err := f.planned(func() (federation.Plan, error) { return federation.PlanReports(docs, ring) })
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	f.writeBody(w, r, "text/xml", tag, merged)
+	f.writePlan(w, r, "text/xml", tag, plan)
 }
 
 // handleAvailability scatters the overview as structured rows
@@ -566,6 +671,7 @@ func (f *Federated) handleAvailability(w http.ResponseWriter, r *http.Request) {
 		f.writeNotModified(w, tag)
 		return
 	}
+	defer releaseAll(resps) // the rows below are decoded copies
 	// Merge rows in request order: resources outer, categories inner —
 	// the order BuildAvailabilityPage emits. The first shard (in ring
 	// order) with a row for the pair wins; duplicates only exist

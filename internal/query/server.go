@@ -102,10 +102,11 @@ func NewServerMetrics(d *depot.Depot, reg *metrics.Registry) *Server {
 }
 
 // timed wraps a handler with the per-endpoint latency histogram
-// inca_query_request_seconds{handler=name}. Observation covers the full
-// handler, 304s and errors included — the consumer-visible response time.
-func (s *Server) timed(name string, h http.HandlerFunc) http.HandlerFunc {
-	hist := s.reg.Histogram("inca_query_request_seconds", "Query HTTP request latency by endpoint.", nil, "handler", name)
+// inca_query_request_seconds{handler=name} on reg. Observation covers the
+// full handler, 304s and errors included — the consumer-visible response
+// time. The single depot and the federated tier share it.
+func timed(reg *metrics.Registry, name string, h http.HandlerFunc) http.HandlerFunc {
+	hist := reg.Histogram("inca_query_request_seconds", "Query HTTP request latency by endpoint.", nil, "handler", name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		h(w, r)
@@ -133,20 +134,20 @@ func (s *Server) timed(name string, h http.HandlerFunc) http.HandlerFunc {
 //	GET  /debug/pprof/* — runtime profiles (Pprof field set only)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/store", s.timed("store", s.handleStore))
-	mux.HandleFunc("/policy", s.timed("policy", s.handlePolicy))
-	mux.HandleFunc("/cache", s.timed("cache", readOnly(s.handleCache)))
-	mux.HandleFunc("/reports", s.timed("reports", readOnly(s.handleReports)))
-	mux.HandleFunc("/archive", s.timed("archive", readOnly(s.handleArchive)))
-	mux.HandleFunc("/graph", s.timed("graph", readOnly(s.handleGraph)))
-	mux.HandleFunc("/stats", s.timed("stats", readOnly(s.handleStats)))
-	mux.HandleFunc("/spec", s.timed("spec", s.handleSpec))
-	mux.HandleFunc("/availability", s.timed("availability", readOnly(s.handleAvailability)))
-	mux.HandleFunc("/debug/vars", s.timed("debug_vars", readOnly(s.handleDebugVars)))
+	mux.HandleFunc("/store", timed(s.reg, "store", s.handleStore))
+	mux.HandleFunc("/policy", timed(s.reg, "policy", s.handlePolicy))
+	mux.HandleFunc("/cache", timed(s.reg, "cache", readOnly(s.handleCache)))
+	mux.HandleFunc("/reports", timed(s.reg, "reports", readOnly(s.handleReports)))
+	mux.HandleFunc("/archive", timed(s.reg, "archive", readOnly(s.handleArchive)))
+	mux.HandleFunc("/graph", timed(s.reg, "graph", readOnly(s.handleGraph)))
+	mux.HandleFunc("/stats", timed(s.reg, "stats", readOnly(s.handleStats)))
+	mux.HandleFunc("/spec", timed(s.reg, "spec", s.handleSpec))
+	mux.HandleFunc("/availability", timed(s.reg, "availability", readOnly(s.handleAvailability)))
+	mux.HandleFunc("/debug/vars", timed(s.reg, "debug_vars", readOnly(s.handleDebugVars)))
 	if s.Feed != nil {
-		mux.HandleFunc("/feed", s.timed("feed", readOnly(s.handleFeed)))
+		mux.HandleFunc("/feed", timed(s.reg, "feed", readOnly(s.handleFeed)))
 		if s.Feed.status != nil {
-			mux.HandleFunc("/summary", s.timed("summary", readOnly(s.handleSummary)))
+			mux.HandleFunc("/summary", timed(s.reg, "summary", readOnly(s.handleSummary)))
 		}
 	}
 	if s.reg != nil {

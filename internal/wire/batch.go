@@ -202,8 +202,19 @@ func (o *BatchOptions) fill() {
 // the first ack vector is awaited, so the paper's one-report-per-round-trip
 // serialization disappears from the ingest path. Because acknowledgements
 // arrive after Enqueue returns, a rejection or transport failure surfaces
-// on a later Enqueue, Flush, or Drain call — the trade the protocol makes
-// for keeping the pipe full. It is safe for concurrent use.
+// on a later call — the trade the protocol makes for keeping the pipe
+// full. It is safe for concurrent use.
+//
+// The asynchronous-error contract is report-once: the first failure
+// collected since the last report is returned, and cleared, by whichever
+// of Enqueue, Flush, Drain or Close observes it first — possibly the very
+// Enqueue whose full batch triggered the flush, when the server's nack
+// beats that call's return. A caller that wants to know about failures
+// therefore checks the error of every one of those calls; a later Drain
+// or Close returning nil does not mean an earlier Enqueue returned nil.
+// The calls that are documented not to report — EnqueueCustody and the
+// FlushInterval timer — never consume an error either: it stays for the
+// next reporting call.
 //
 // Delivery is at-least-once up to MaxPending: a batch stays on the
 // in-flight list until its ack vector arrives, and when a connection dies
@@ -264,8 +275,9 @@ func NewBatchClient(addr string, opt BatchOptions) *BatchClient {
 func (c *BatchClient) Options() BatchOptions { return c.opt }
 
 // Enqueue buffers one message, flushing if the batch is full. The returned
-// error reports previously collected asynchronous failures (server
-// rejections or transport errors from earlier batches), not the fate of m.
+// error reports — once, see the type's contract — previously collected
+// asynchronous failures (server rejections or transport errors from
+// earlier batches), not the fate of m.
 func (c *BatchClient) Enqueue(m *Message) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -288,9 +300,7 @@ func (c *BatchClient) Enqueue(m *Message) error {
 	if len(c.pending) >= c.opt.MaxBatch {
 		return c.flushLocked()
 	}
-	if c.opt.FlushInterval > 0 && c.timer == nil {
-		c.timer = time.AfterFunc(c.opt.FlushInterval, func() { c.Flush() })
-	}
+	c.armTimerLocked()
 	return c.takeErr()
 }
 
@@ -322,28 +332,48 @@ func (c *BatchClient) EnqueueCustody(m *Message) error {
 	}
 	c.pending = append(c.pending, m)
 	if len(c.pending) >= c.opt.MaxBatch {
-		c.flushLocked()
+		c.writePendingLocked()
 		return nil
 	}
-	if c.opt.FlushInterval > 0 && c.timer == nil {
-		c.timer = time.AfterFunc(c.opt.FlushInterval, func() { c.Flush() })
-	}
+	c.armTimerLocked()
 	return nil
 }
 
-// Flush sends the pending partial batch without waiting for its ack.
+// armTimerLocked schedules the FlushInterval flush of a partial batch. The
+// timer has no caller to report to, so it writes without consuming the
+// collected error.
+func (c *BatchClient) armTimerLocked() {
+	if c.opt.FlushInterval > 0 && c.timer == nil {
+		c.timer = time.AfterFunc(c.opt.FlushInterval, func() {
+			c.mu.Lock()
+			c.writePendingLocked()
+			c.mu.Unlock()
+		})
+	}
+}
+
+// Flush sends the pending partial batch without waiting for its ack, and
+// reports the first collected asynchronous failure.
 func (c *BatchClient) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.flushLocked()
 }
 
-// flushLocked writes the pending buffer as MaxBatch-sized chunks. On any
-// failure the unwritten remainder stays in pending and unacknowledged
+// flushLocked writes the pending buffer and reports, once, the first
+// collected asynchronous failure — its own or an earlier batch's.
+func (c *BatchClient) flushLocked() error {
+	c.writePendingLocked()
+	return c.takeErr()
+}
+
+// writePendingLocked writes the pending buffer as MaxBatch-sized chunks. On
+// any failure the unwritten remainder stays in pending and unacknowledged
 // in-flight batches are requeued ahead of it — nothing is discarded (the
 // pre-fix code dropped the whole buffer on a dial or write error, the
-// silent-loss bug this PR exists to kill).
-func (c *BatchClient) flushLocked() error {
+// silent-loss bug this PR exists to kill). Failures are recorded, not
+// returned: reporting them is flushLocked's job.
+func (c *BatchClient) writePendingLocked() {
 	if c.timer != nil {
 		c.timer.Stop()
 		c.timer = nil
@@ -352,7 +382,7 @@ func (c *BatchClient) flushLocked() error {
 		if err := c.ensureConnLocked(); err != nil {
 			// pending is kept: the next Enqueue/Flush/Drain retries.
 			c.recordErr(err)
-			return c.takeErr()
+			return
 		}
 		// Claim an in-flight slot; blocks when Window batches await acks,
 		// which is the backpressure that keeps a slow server from unbounded
@@ -363,7 +393,7 @@ func (c *BatchClient) flushLocked() error {
 		case <-c.gone:
 			c.resetConnLocked()
 			c.recordErr(fmt.Errorf("wire: connection lost"))
-			return c.takeErr()
+			return
 		}
 		n := len(c.pending)
 		if n > c.opt.MaxBatch {
@@ -392,11 +422,10 @@ func (c *BatchClient) flushLocked() error {
 		if err != nil {
 			c.resetConnLocked()
 			c.recordErr(err)
-			return c.takeErr()
+			return
 		}
 		c.armAckDeadlineLocked()
 	}
-	return c.takeErr()
 }
 
 func (c *BatchClient) setWriteDeadlineLocked() error {

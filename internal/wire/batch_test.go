@@ -148,15 +148,66 @@ func TestBatchClientSurfacesRejection(t *testing.T) {
 	}
 	defer srv.Close()
 
+	// The rejection is reported once, by whichever call sees it first: the
+	// second Enqueue fills the batch and flushes, and when the server's
+	// nack beats that call's return it is Enqueue, not Close, that reports.
 	c := NewBatchClient(srv.Addr(), BatchOptions{MaxBatch: 2, Window: 2})
-	c.Enqueue(&Message{Hostname: "good", Report: []byte("<r/>")})
-	c.Enqueue(&Message{Hostname: "evil", Report: []byte("<r/>")})
-	err = c.Close()
-	if err == nil {
+	var first error
+	for _, err := range []error{
+		c.Enqueue(&Message{Hostname: "good", Report: []byte("<r/>")}),
+		c.Enqueue(&Message{Hostname: "evil", Report: []byte("<r/>")}),
+		c.Close(),
+	} {
+		if first == nil {
+			first = err
+		}
+	}
+	if first == nil {
 		t.Fatal("rejection not surfaced")
 	}
 	if st := c.Stats(); st.Rejected != 1 {
 		t.Fatalf("rejected = %d, want 1", st.Rejected)
+	}
+}
+
+// The calls that cannot report a failure must not consume one: a rejection
+// collected while only EnqueueCustody and the FlushInterval timer are
+// running stays for the next Drain. (The timer used to call Flush and drop
+// its result, so the second timer flush below swallowed the rejection.)
+func TestBatchClientTimerKeepsRejectionForDrain(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", func(m *Message, remote string) *Ack {
+		return &Ack{OK: m.Hostname != "evil", Message: "host evil not in allowlist"}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	c := NewBatchClient(srv.Addr(), BatchOptions{MaxBatch: 100, Window: 2, FlushInterval: 5 * time.Millisecond})
+	defer c.Close()
+	await := func(what string, done func(BatchStats) bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !done(c.Stats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, c.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if err := c.EnqueueCustody(&Message{Hostname: "evil", Report: []byte("<r/>")}); err != nil {
+		t.Fatal(err)
+	}
+	await("the rejection", func(st BatchStats) bool { return st.Rejected == 1 })
+	if err := c.EnqueueCustody(&Message{Hostname: "good", Report: []byte("<r/>")}); err != nil {
+		t.Fatal(err)
+	}
+	await("the second timer flush", func(st BatchStats) bool { return st.Acked == 1 })
+	if err := c.Drain(); err == nil {
+		t.Fatal("the timer flush swallowed the rejection")
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatalf("rejection reported twice: %v", err)
 	}
 }
 

@@ -10,10 +10,12 @@ import (
 	"time"
 
 	"inca/internal/agent"
+	"inca/internal/branch"
 	"inca/internal/consumer"
 	"inca/internal/controller"
 	"inca/internal/core"
 	"inca/internal/depot"
+	"inca/internal/federation"
 	"inca/internal/metrics"
 	"inca/internal/query"
 	"inca/internal/simtime"
@@ -135,5 +137,96 @@ func TestMetricsSmoke(t *testing.T) {
 		if !strings.Contains(text, line+" "+strconv.Itoa(wantRuns)) {
 			t.Errorf("%s != %d in exposition", line, wantRuns)
 		}
+	}
+}
+
+// TestMetricsSmokeRouter is the same gate for the federated tier's own
+// registry: a router over two in-process shards answers one scatter-merge
+// read per endpoint, and its /metrics must lint and carry the per-endpoint
+// latency histogram and the merge instruments.
+func TestMetricsSmokeRouter(t *testing.T) {
+	reg := metrics.NewRegistry()
+	shards := make([]federation.Shard, 2)
+	depots := map[string]*depot.Depot{}
+	for i := range shards {
+		d := depot.New(depot.NewIndexedCache())
+		hs := httptest.NewServer(query.NewServer(d).Handler())
+		defer hs.Close()
+		shards[i] = federation.Shard{Wire: "shard" + strconv.Itoa(i), HTTP: hs.URL}
+		depots[shards[i].Name()] = d
+	}
+	router, err := federation.NewRouter(shards, federation.RouterOptions{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	holding := map[string]bool{}
+	for s := 0; len(holding) < len(shards); s++ {
+		if s == 64 {
+			t.Fatal("ring never split 64 sites over both shards")
+		}
+		id := branch.MustParse("probe=p,site=s" + strconv.Itoa(s) + ",vo=tg")
+		owner := router.Ring().Owner(id)
+		if _, err := depots[owner].Cache().Update(id, []byte("<r><v>1</v></r>")); err != nil {
+			t.Fatal(err)
+		}
+		holding[owner] = true
+	}
+	tier := query.NewFederated(router, query.FederatedOptions{Metrics: reg})
+	defer tier.Close()
+	hs := httptest.NewServer(tier.Handler())
+	defer hs.Close()
+
+	merged := 0
+	for _, path := range []string{"/cache", "/reports"} {
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || n == 0 {
+			t.Fatalf("%s: status %d, %d bytes", path, resp.StatusCode, n)
+		}
+		merged += int(n)
+	}
+	resp, err := http.Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(body)
+	families, err := metrics.Lint(text)
+	if err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, text)
+	}
+	for _, name := range []string{
+		"inca_query_request_seconds",
+		"inca_federated_fanouts_total",
+		"inca_federated_merges_total",
+		"inca_federated_merge_seconds",
+		"inca_federated_merge_bytes_total",
+		"inca_federation_routed_total",
+	} {
+		if _, ok := families[name]; !ok {
+			t.Errorf("family %s missing from the router's /metrics", name)
+		}
+	}
+	for _, line := range []string{
+		`inca_query_request_seconds_count{handler="cache"} 1`,
+		`inca_query_request_seconds_count{handler="reports"} 1`,
+		"inca_federated_merge_seconds_count 2",
+		"inca_federated_merge_bytes_total " + strconv.Itoa(merged),
+	} {
+		if !strings.Contains(text, line) {
+			t.Errorf("%q not in the router's exposition", line)
+		}
+	}
+	if t.Failed() {
+		t.Logf("exposition:\n%s", text)
 	}
 }
