@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-query bench-archive bench-federation bench-merge bench-storage bench-feed bench-replication bench-load fuzz
+.PHONY: check fmt vet build test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-query bench-archive bench-federation bench-merge bench-ingest bench-storage bench-feed bench-replication bench-load fuzz
 
 # The full gate: formatting, static checks, build, race-enabled tests,
 # the fault-injection suite, the telemetry smoke, the multi-process
@@ -94,14 +94,27 @@ bench-federation:
 bench-merge:
 	$(GO) test -run=NONE -bench='BenchmarkMergeCache|BenchmarkMergeReports' -benchmem ./internal/federation/
 
+# Ingest tier (DESIGN.md §5b, §5c): the cache insert of a report already in
+# canonical form against one the insert must tokenise, and the archive's
+# value extraction by scanner against the tokenising extractor it replaced,
+# at the paper's smallest and largest report sizes (851 B, 45 527 B).
+bench-ingest:
+	$(GO) test -run=NONE -bench='BenchmarkUpdateCanonical|BenchmarkUpdateFallback' -benchmem ./internal/depot/
+	$(GO) test -run=NONE -bench='BenchmarkExtractValues' -benchmem ./internal/report/
+
 # Ten seconds of coverage-guided fuzzing per target: the canonical scanner
-# against encoding/xml, and the merge and the reports parser against the
-# tokenising oracle. The seed corpora (f.Add plus testdata/fuzz) run under
+# against encoding/xml, the merge and the reports parser against the
+# tokenising oracle, the insert's admission against the tokenising insert,
+# the extractor against Parse + Find, and the envelope escaper against
+# xml.EscapeText. The seed corpora (f.Add plus testdata/fuzz) run under
 # plain `go test`; `go test -fuzz` takes one target per invocation.
 fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzScan$$' -fuzztime=10s ./internal/xmlscan/
 	$(GO) test -run=NONE -fuzz='^FuzzMergeCache$$' -fuzztime=10s ./internal/federation/
 	$(GO) test -run=NONE -fuzz='^FuzzParseReports$$' -fuzztime=10s ./internal/federation/
+	$(GO) test -run=NONE -fuzz='^FuzzCanonical$$' -fuzztime=10s ./internal/depot/
+	$(GO) test -run=NONE -fuzz='^FuzzExtractValues$$' -fuzztime=10s ./internal/report/
+	$(GO) test -run=NONE -fuzz='^FuzzEncode$$' -fuzztime=10s ./internal/envelope/
 
 # Storage tier (DESIGN.md §5g): memory vs disk engine across report
 # ingest, archive updates at 10k/100k series (with the heap staying flat

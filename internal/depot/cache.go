@@ -39,6 +39,7 @@ import (
 	"sync"
 
 	"inca/internal/branch"
+	"inca/internal/metrics"
 )
 
 // Cache stores the latest report per branch identifier.
@@ -85,6 +86,9 @@ type StreamCache struct {
 	count   int
 	gen     uint64
 	generic bool // use the generic token-based splice (benchmarks only)
+	// fallbacks counts reports the fast splice had to tokenise; nil until
+	// a depot asks for the count.
+	fallbacks *metrics.Counter
 }
 
 // NewStreamCache returns an empty cache document.
@@ -108,11 +112,14 @@ func NewStreamCacheGeneric() *StreamCache {
 func (c *StreamCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	splice := fastSplice
+	var out []byte
+	var added bool
+	var err error
 	if c.generic {
-		splice = spliceUpdate
+		out, added, err = spliceUpdate(c.data, id.Path(), reportXML)
+	} else {
+		out, added, err = fastSplice(c.data, id.Path(), reportXML, c.fallbacks)
 	}
-	out, added, err := splice(c.data, id.Path(), reportXML)
 	if err != nil {
 		return false, err
 	}
@@ -123,6 +130,8 @@ func (c *StreamCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 	}
 	return added, nil
 }
+
+func (c *StreamCache) countFallbacks(n *metrics.Counter) { c.fallbacks = n }
 
 // Query implements Cache.
 func (c *StreamCache) Query(id branch.ID) ([]byte, bool, error) {
@@ -251,7 +260,9 @@ func copySubtree(dec *xml.Decoder, enc *xml.Encoder, start xml.StartElement) err
 	return nil
 }
 
-// writeEntry writes <entry> wrapping the report's token stream.
+// writeEntry writes <entry> wrapping the report's token stream. A leading
+// XML declaration is dropped with the whitespace around it: inside <entry>
+// it is no longer the start of a document, and the encoder refuses it there.
 func writeEntry(enc *xml.Encoder, reportXML []byte) error {
 	entry := xml.StartElement{Name: xml.Name{Local: "entry"}}
 	if err := enc.EncodeToken(entry); err != nil {
@@ -267,9 +278,16 @@ func writeEntry(enc *xml.Encoder, reportXML []byte) error {
 		if err != nil {
 			return fmt.Errorf("depot: report is not well-formed XML: %w", err)
 		}
-		if _, isCD := tok.(xml.CharData); isCD && !wrote {
-			// Skip leading whitespace outside the root element.
-			continue
+		if !wrote {
+			switch t := tok.(type) {
+			case xml.CharData:
+				// Skip leading whitespace outside the root element.
+				continue
+			case xml.ProcInst:
+				if t.Target == "xml" {
+					continue
+				}
+			}
 		}
 		if err := enc.EncodeToken(tok); err != nil {
 			return err

@@ -6,14 +6,16 @@ import (
 	"fmt"
 
 	"inca/internal/branch"
+	"inca/internal/metrics"
 	"inca/internal/xmlscan"
 )
 
 // This file implements the byte-level splice path for StreamCache.
 //
-// The cache document is canonical: every byte of it was produced by this
-// package through encoding/xml, which escapes '<' and '>' everywhere
-// outside tag delimiters (character data and attribute values alike). That
+// The cache document is canonical: every byte of it is what encoding/xml
+// writes — rendered by it, or admitted by xmlscan.Canonical as already in
+// that form — and encoding/xml escapes '<' and '>' everywhere outside tag
+// delimiters (character data and attribute values alike). That
 // guarantee lets updates scan tags directly with internal/xmlscan — the
 // same single-pass streaming discipline as the paper's SAX cache, minus a
 // general-purpose parser's overhead — and splice the new entry in with one
@@ -23,22 +25,54 @@ import (
 // spliceUpdate (cache.go) is the generic-token reference implementation;
 // property tests assert the two agree.
 
-// renderFragment builds the bytes for the remaining path components
-// wrapping the report entry (or just the entry when comps is empty).
-func renderFragment(comps []branch.Pair, reportXML []byte) ([]byte, error) {
+// entryPayload returns the bytes a report occupies between <entry> and
+// </entry>: what writeEntry's decode and re-encode round trip makes of it.
+// A report already in the encoder's own form (xmlscan.Canonical: one
+// byte-level pass, no allocation) is its own payload, and the returned
+// slice aliases reportXML. Anything else, every malformed report included,
+// is tokenised by writeEntry exactly as before and counted in fallbacks —
+// so which bytes are stored, and which error rejects a report, never
+// depends on the path taken.
+func entryPayload(reportXML []byte, fallbacks *metrics.Counter) ([]byte, error) {
+	if payload, ok := xmlscan.Canonical(reportXML); ok {
+		return payload, nil
+	}
+	if fallbacks != nil {
+		fallbacks.Inc()
+	}
 	var buf bytes.Buffer
 	enc := xml.NewEncoder(&buf)
-	var err error
-	if len(comps) == 0 {
-		err = writeEntry(enc, reportXML)
-	} else {
-		err = writeNewSubtree(enc, comps, reportXML)
-	}
-	if err != nil {
+	if err := writeEntry(enc, reportXML); err != nil {
 		return nil, err
 	}
 	if err := enc.Flush(); err != nil {
 		return nil, err
+	}
+	frag := buf.Bytes()
+	return frag[entryOpenLen : len(frag)-entryCloseLenIx], nil
+}
+
+// renderFragment builds the bytes for the remaining path components
+// wrapping the report entry (or just the entry when comps is empty).
+func renderFragment(comps []branch.Pair, reportXML []byte, fallbacks *metrics.Counter) ([]byte, error) {
+	payload, err := entryPayload(reportXML, fallbacks)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	buf.Grow(entryWrapLen + len(payload))
+	for _, p := range comps {
+		open, err := renderBranchOpen(p)
+		if err != nil {
+			return nil, err
+		}
+		buf.Write(open)
+	}
+	buf.WriteString("<entry>")
+	buf.Write(payload)
+	buf.WriteString("</entry>")
+	for range comps {
+		buf.WriteString("</branch>")
 	}
 	return buf.Bytes(), nil
 }
@@ -122,9 +156,13 @@ func collectReportsFast(data []byte, prefix branch.ID) ([]Stored, error) {
 
 // fastSplice performs the spliceUpdate operation on a canonical document
 // with a single byte-level pass and one copy.
-func fastSplice(old []byte, path []branch.Pair, reportXML []byte) ([]byte, bool, error) {
-	if err := wellFormed(reportXML); err != nil {
-		return nil, false, err
+func fastSplice(old []byte, path []branch.Pair, reportXML []byte, fallbacks *metrics.Counter) ([]byte, bool, error) {
+	// A canonical report has passed a stricter check than wellFormed's; the
+	// rest are held to it before anything is scanned, as spliceUpdate does.
+	if _, ok := xmlscan.Canonical(reportXML); !ok {
+		if err := wellFormed(reportXML); err != nil {
+			return nil, false, err
+		}
 	}
 	matched := 0
 	pos := 0
@@ -201,7 +239,7 @@ func fastSplice(old []byte, path []branch.Pair, reportXML []byte) ([]byte, bool,
 		}
 	}
 
-	frag, err := renderFragment(fragComps, reportXML)
+	frag, err := renderFragment(fragComps, reportXML, fallbacks)
 	if err != nil {
 		return nil, false, err
 	}

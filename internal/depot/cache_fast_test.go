@@ -15,7 +15,7 @@ import (
 // the same document and checks they yield semantically identical caches.
 func applyBoth(t *testing.T, fastDoc, slowDoc []byte, id branch.ID, payload []byte) ([]byte, []byte) {
 	t.Helper()
-	fast, addedF, errF := fastSplice(fastDoc, id.Path(), payload)
+	fast, addedF, errF := fastSplice(fastDoc, id.Path(), payload, nil)
 	slow, addedS, errS := spliceUpdate(slowDoc, id.Path(), payload)
 	if (errF == nil) != (errS == nil) {
 		t.Fatalf("error divergence: fast=%v slow=%v", errF, errS)
@@ -125,7 +125,7 @@ func TestFastSpliceRandomizedEquivalenceProperty(t *testing.T) {
 			payload := []byte(fmt.Sprintf("<rep><v>%d &amp; stuff</v></rep>", r.Intn(100)))
 			var errF, errS error
 			var addF, addS bool
-			fastDoc, addF, errF = fastSplice(fastDoc, id.Path(), payload)
+			fastDoc, addF, errF = fastSplice(fastDoc, id.Path(), payload, nil)
 			slowDoc, addS, errS = spliceUpdate(slowDoc, id.Path(), payload)
 			if errF != nil || errS != nil || addF != addS {
 				return false

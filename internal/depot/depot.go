@@ -161,6 +161,7 @@ type Depot struct {
 	blocked  *metrics.Counter
 	applied  *metrics.Counter
 	matched  *metrics.Counter
+	fallback *metrics.Counter
 
 	unpackH  *metrics.Histogram // envelope decode
 	insertH  *metrics.Histogram // cache update
@@ -197,6 +198,10 @@ func newDepot(cache Cache, opts Options, store archiveStore) *Depot {
 	d.blocked = reg.Counter("inca_depot_archive_blocked_total", "Archive enqueues that had to wait for queue space.")
 	d.applied = reg.Counter("inca_depot_archive_applied_total", "Samples consolidated into archives.")
 	d.matched = reg.Counter("inca_depot_archive_matched_total", "Stores that matched at least one archival policy.")
+	d.fallback = reg.Counter("inca_depot_insert_fallback_total", "Reports the cache insert tokenised with encoding/xml because they were not in the encoder's own form.")
+	if fc, ok := cache.(fallbackCounting); ok {
+		fc.countFallbacks(d.fallback)
+	}
 	d.unpackH = reg.Histogram("inca_depot_unpack_seconds", "Envelope decode latency.", nil)
 	d.insertH = reg.Histogram("inca_depot_insert_seconds", "Cache insert latency.", nil)
 	d.archiveH = reg.Histogram("inca_depot_archive_seconds", "Archive phase latency on the store path (enqueue only in async mode).", nil)
@@ -219,6 +224,14 @@ func newDepot(cache Cache, opts Options, store archiveStore) *Depot {
 		d.pipeline.start(d)
 	}
 	return d
+}
+
+// fallbackCounting is implemented by the caches whose insert admits a
+// report already in canonical form without tokenising it (entryPayload).
+// newDepot hands them the counter of the reports that were tokenised after
+// all, before it stores anything: the call is not safe alongside Update.
+type fallbackCounting interface {
+	countFallbacks(*metrics.Counter)
 }
 
 // Cache exposes the underlying cache for queries.

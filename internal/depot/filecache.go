@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"inca/internal/branch"
+	"inca/internal/metrics"
 )
 
 // FileCache is the write-through variant of the stream cache: the document
@@ -64,6 +65,8 @@ func (fc *FileCache) flushLocked() error {
 	return os.Rename(tmp.Name(), fc.path)
 }
 
+func (fc *FileCache) countFallbacks(n *metrics.Counter) { fc.inner.countFallbacks(n) }
+
 // Update implements Cache with write-through persistence.
 func (fc *FileCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 	fc.mu.Lock()
@@ -77,6 +80,7 @@ func (fc *FileCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 		// Roll back the in-memory copy so memory and disk stay consistent.
 		restored, lerr := LoadDump(before)
 		if lerr == nil {
+			restored.fallbacks = fc.inner.fallbacks
 			fc.inner = restored
 		}
 		return false, fmt.Errorf("depot: cache write-through: %w", err)

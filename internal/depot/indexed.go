@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"inca/internal/branch"
+	"inca/internal/metrics"
 )
 
 // IndexedCache is the read-path answer to Section 5.2's scaling wall. The
@@ -21,8 +22,9 @@ import (
 //
 // Costs:
 //
-//   - Update: O(report) — render the canonical entry fragment, hang it on
-//     the trie, bump the generation. No document splice.
+//   - Update: O(report) — settle the canonical entry payload (one scan for
+//     a report already canonical), hang it on the trie, bump the
+//     generation. No document splice.
 //   - Query(exact id): O(subtree) — serialize just that node; O(report)
 //     for a leaf.
 //   - Reports(prefix): O(results) — walk only the prefix subtree.
@@ -31,10 +33,9 @@ import (
 //
 // The materialized document is byte-identical to what a StreamCache
 // produces for the same insert sequence: node children are kept in the
-// same (name, value) order, entry payloads are rendered through the same
-// encoding/xml path (writeEntry), and branch open tags are rendered
-// through the same encoder, so equivalence tests can compare dumps
-// byte-for-byte.
+// same (name, value) order, entry payloads come from the same admission
+// (entryPayload), and branch open tags are rendered through the same
+// encoder, so equivalence tests can compare dumps byte-for-byte.
 type IndexedCache struct {
 	mu    sync.RWMutex
 	root  *idxNode
@@ -45,6 +46,10 @@ type IndexedCache struct {
 
 	doc    []byte // lazily materialized canonical document
 	docGen uint64 // generation doc was built at
+
+	// fallbacks counts reports Update had to tokenise; nil until a depot
+	// asks for the count.
+	fallbacks *metrics.Counter
 }
 
 // idxNode is one branch element in the trie.
@@ -146,14 +151,14 @@ func (n *idxNode) child(p branch.Pair, create bool) (*idxNode, bool, error) {
 }
 
 // Update implements Cache: O(report) — no document splice. The canonical
-// entry fragment is rendered up front so a malformed report never mutates
-// the index.
+// payload is settled up front so a malformed report never mutates the
+// index; for a report already canonical that is one scan, and the copy
+// onto the trie below is the only time its bytes are touched.
 func (c *IndexedCache) Update(id branch.ID, reportXML []byte) (bool, error) {
-	frag, err := renderFragment(nil, reportXML) // "<entry>payload</entry>"
+	payload, err := entryPayload(reportXML, c.fallbacks)
 	if err != nil {
 		return false, err
 	}
-	payload := frag[entryOpenLen : len(frag)-entryCloseLenIx]
 	path := id.Path()
 
 	c.mu.Lock()
@@ -194,6 +199,8 @@ func (c *IndexedCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 	c.byKey[pathKey(path)] = n
 	return added, nil
 }
+
+func (c *IndexedCache) countFallbacks(n *metrics.Counter) { c.fallbacks = n }
 
 // writeTo appends the canonical serialization of n's subtree.
 func (n *idxNode) writeTo(buf *bytes.Buffer) {

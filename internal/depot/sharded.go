@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"inca/internal/branch"
+	"inca/internal/metrics"
 )
 
 // ShardedCache hashes each branch identifier onto one of N independent
@@ -77,6 +78,12 @@ func (c *ShardedCache) shardFor(id branch.ID) int {
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
 	return int(h % uint64(len(c.shards)))
+}
+
+func (c *ShardedCache) countFallbacks(n *metrics.Counter) {
+	for _, s := range c.shards {
+		s.countFallbacks(n)
+	}
 }
 
 // Update implements Cache. Writers for identifiers on different shards

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"inca/internal/branch"
+	"inca/internal/metrics"
 )
 
 // SplitCache shards the cache by its most general branch components —
@@ -17,6 +18,8 @@ type SplitCache struct {
 	mu     sync.RWMutex
 	depth  int
 	shards map[string]*StreamCache
+	// fallbacks is handed to every shard, those created later included.
+	fallbacks *metrics.Counter
 }
 
 // NewSplitCache returns an empty cache sharded on the single most general
@@ -52,9 +55,17 @@ func (c *SplitCache) shard(id branch.ID, create bool) *StreamCache {
 	s, ok := c.shards[key]
 	if !ok && create {
 		s = NewStreamCache()
+		s.fallbacks = c.fallbacks
 		c.shards[key] = s
 	}
 	return s
+}
+
+func (c *SplitCache) countFallbacks(n *metrics.Counter) {
+	c.fallbacks = n
+	for _, s := range c.shards {
+		s.countFallbacks(n)
+	}
 }
 
 // Update implements Cache.

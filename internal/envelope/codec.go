@@ -18,28 +18,49 @@ import (
 // to the generic XML decoder, so foreign or hand-written envelopes keep
 // working.
 
+// escapes are the replacements xml.EscapeText writes; escClass maps a byte
+// to the one it takes (0: the byte stands as it is). Only a byte that opens
+// a multi-byte sequence, escMulti, needs a rune decoded to decide.
+var escapes = [...]string{1: "&#34;", "&#39;", "&amp;", "&lt;", "&gt;", "&#x9;", "&#xA;", "&#xD;", "\uFFFD"}
+
+const (
+	escReplace = 9    // index of U+FFFD in escapes
+	escMulti   = 0xFF // not an index: decode the sequence, then decide
+)
+
+var escClass = func() (t [256]uint8) {
+	for b := 0; b < 0x20; b++ {
+		t[b] = escReplace // a control character outside XML's range
+	}
+	for b := 0x80; b < 0x100; b++ {
+		t[b] = escMulti
+	}
+	t['"'], t['\''], t['&'], t['<'], t['>'], t['\t'], t['\n'], t['\r'] = 1, 2, 3, 4, 5, 6, 7, 8
+	return t
+}()
+
+// multiByte decodes the sequence at the start of s (its first byte is of
+// class escMulti) and reports whether it must be replaced by U+FFFD.
+func multiByte(s []byte) (width int, replace bool) {
+	r, width := utf8.DecodeRune(s)
+	return width, !xmlCharOK(r) || (r == utf8.RuneError && width == 1)
+}
+
 // escapedLen prices appendEscaped's output without writing it, so the
 // encoder can allocate the result exactly once.
 func escapedLen(s []byte) int {
-	n := 0
-	for i := 0; i < len(s); {
-		r, width := utf8.DecodeRune(s[i:])
-		i += width
-		switch r {
-		case '"', '\'':
-			n += 5 // &#34; &#39;
-		case '&':
-			n += 5 // &amp;
-		case '<', '>':
-			n += 4 // &lt; &gt;
-		case '\t', '\n', '\r':
-			n += 5 // &#x9; &#xA; &#xD;
-		default:
-			if !xmlCharOK(r) || (r == utf8.RuneError && width == 1) {
-				n += len("�")
-			} else {
-				n += width
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		switch c := escClass[s[i]]; c {
+		case 0:
+		case escMulti:
+			width, replace := multiByte(s[i:])
+			if replace {
+				n += len("\uFFFD") - width
 			}
+			i += width - 1
+		default:
+			n += len(escapes[c]) - 1
 		}
 	}
 	return n
@@ -49,35 +70,23 @@ func escapedLen(s []byte) int {
 func appendEscaped(dst, s []byte) []byte {
 	last := 0
 	for i := 0; i < len(s); {
-		r, width := utf8.DecodeRune(s[i:])
-		i += width
-		var esc string
-		switch r {
-		case '"':
-			esc = "&#34;"
-		case '\'':
-			esc = "&#39;"
-		case '&':
-			esc = "&amp;"
-		case '<':
-			esc = "&lt;"
-		case '>':
-			esc = "&gt;"
-		case '\t':
-			esc = "&#x9;"
-		case '\n':
-			esc = "&#xA;"
-		case '\r':
-			esc = "&#xD;"
-		default:
-			if !xmlCharOK(r) || (r == utf8.RuneError && width == 1) {
-				esc = "�"
-				break
-			}
+		c := escClass[s[i]]
+		if c == 0 {
+			i++
 			continue
 		}
-		dst = append(dst, s[last:i-width]...)
-		dst = append(dst, esc...)
+		width := 1
+		if c == escMulti {
+			var replace bool
+			if width, replace = multiByte(s[i:]); !replace {
+				i += width
+				continue
+			}
+			c = escReplace
+		}
+		dst = append(dst, s[last:i]...)
+		dst = append(dst, escapes[c]...)
+		i += width
 		last = i
 	}
 	return append(dst, s[last:]...)

@@ -227,3 +227,30 @@ func BenchmarkDecodeBodyFastPath(b *testing.B) {
 		}
 	}
 }
+
+// FuzzEncode holds the body-mode encoder to xml.EscapeText byte for byte,
+// and its sizing pass to the bytes actually written, on arbitrary reports:
+// valid and invalid UTF-8, every escaped byte, control characters.
+func FuzzEncode(f *testing.F) {
+	f.Add([]byte(`<a href="x">&'quoted'</a>` + "\t\n\r"))
+	f.Add([]byte("é ☃ 中文 \U0001F600 \xef\xbf\xbd \xef\xbf\xbe \xed\xa0\x80 \xff \xc0\xaf \xf4\x90\x80\x80 \x00\x01\x7f"))
+	f.Add([]byte("truncated \xe4\xb8"))
+	f.Fuzz(func(t *testing.T, report []byte) {
+		got, err := Encode(Body, testID, report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		want.WriteString(bodyPrefix)
+		xml.EscapeText(&want, []byte(testID.String()))
+		want.WriteString(bodyMid)
+		xml.EscapeText(&want, report)
+		want.WriteString(bodySuffix)
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("Encode(%q) =\n%q, want\n%q", report, got, want.Bytes())
+		}
+		if len(got) != cap(got) {
+			t.Fatalf("Encode(%q): sized %d bytes, wrote %d", report, cap(got), len(got))
+		}
+	})
+}

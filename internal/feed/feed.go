@@ -69,6 +69,11 @@ type Event struct {
 	// policy name for KindPolicy/KindManual, a status-delta JSON
 	// document for KindStatus.
 	Data []byte
+	// Render, when set, produces Data instead: the hub calls it at most
+	// once, under its lock, and only if some subscriber wants the event —
+	// a publisher nobody listens to never pays for the payload. It may
+	// read buffers that are only valid until Publish returns.
+	Render func() []byte
 	// Cursor is the event's position in the stream. Publish assigns it;
 	// PublishExternal requires the caller to (federated composition).
 	Cursor string
@@ -154,8 +159,9 @@ func (h *Hub) render(stamp uint64) string {
 }
 
 // Publish stamps the event with the next cursor and offers it to every
-// matching subscriber. Data is copied once (shared read-only) when anyone
-// is listening, so callers may reuse their buffer after Publish returns.
+// matching subscriber. Data is copied (or rendered) once, shared read-only,
+// when anyone is listening, so callers may reuse their buffer after Publish
+// returns.
 func (h *Hub) Publish(e Event) string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -202,14 +208,18 @@ func (h *Hub) SetCursor(c string) {
 func (h *Hub) offerLocked(e Event) {
 	h.published.Inc()
 	e.at = time.Now()
-	copied := false
+	owned := false // e.Data is the hub's own copy, shared by every subscriber
 	for s := range h.subs {
 		if !s.wants(e) {
 			continue
 		}
-		if !copied && e.Data != nil {
-			e.Data = append([]byte(nil), e.Data...)
-			copied = true
+		if !owned {
+			if e.Render != nil {
+				e.Data, e.Render = e.Render(), nil
+			} else if e.Data != nil {
+				e.Data = append([]byte(nil), e.Data...)
+			}
+			owned = true
 		}
 		s.offer(e, h)
 	}

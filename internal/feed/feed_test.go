@@ -192,6 +192,43 @@ func TestPublishCopiesData(t *testing.T) {
 	}
 }
 
+// TestPublishRendersOnDemand: a Render event costs nothing while nobody
+// wants it, and one rendering, shared, however many do.
+func TestPublishRendersOnDemand(t *testing.T) {
+	h := NewHub(Options{})
+	res := mustParse(t, "host=a.example.org,site=sdsc")
+	renders := 0
+	event := Event{Branch: res, Kind: KindReport, Render: func() []byte {
+		renders++
+		return []byte("rendered")
+	}}
+
+	h.Publish(event)
+	other, _, _ := h.Subscribe(mustParse(t, "site=ncsa"), "")
+	defer other.Close()
+	h.Publish(event)
+	if renders != 0 {
+		t.Fatalf("rendered %d times with no subscriber wanting the event", renders)
+	}
+
+	subA, _, _ := h.Subscribe(mustParse(t, "site=sdsc"), "")
+	defer subA.Close()
+	subB, _, _ := h.Subscribe(branch.ID{}, "")
+	defer subB.Close()
+	h.Publish(event)
+	if renders != 1 {
+		t.Fatalf("rendered %d times for two subscribers, want 1", renders)
+	}
+	evA, _ := drainWait(t, subA, time.Second)
+	evB, _ := drainWait(t, subB, time.Second)
+	if string(evA[0].Data) != "rendered" || &evA[0].Data[0] != &evB[0].Data[0] {
+		t.Fatalf("subscribers got %q and %q, want one shared rendering", evA[0].Data, evB[0].Data)
+	}
+	if ev, _ := other.Drain(); len(ev) != 0 {
+		t.Fatalf("non-matching subscriber got %d events", len(ev))
+	}
+}
+
 func TestHubCloseEndsSubscribers(t *testing.T) {
 	h := NewHub(Options{})
 	sub, _, _ := h.Subscribe(branch.ID{}, "")

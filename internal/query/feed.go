@@ -90,31 +90,34 @@ type changeEvent struct {
 	Policy string `json:"policy,omitempty"`
 }
 
-// publish is the depot's post-commit hook.
+// publish is the depot's post-commit hook. It runs on every store, so the
+// JSON body is left to the hub to render at the first subscriber that
+// wants the event: with nobody listening a commit costs a cursor stamp.
 func (f *Feed) publish(c depot.Change) {
 	ev := feed.Event{Branch: c.Branch}
-	ce := changeEvent{Branch: c.Branch.String()}
 	switch c.Kind {
 	case depot.ChangeReport:
 		ev.Kind = feed.KindReport
-		ce.Report = string(c.Report)
 	case depot.ChangePolicy:
 		ev.Kind = feed.KindPolicy
-		ce.Policy = string(c.Report)
 		// Coalesce per policy, not per prefix: two policies on one
 		// prefix are distinct events.
-		ev.Key = "policy|" + ce.Policy
+		ev.Key = "policy|" + string(c.Report)
 	case depot.ChangeManual:
 		ev.Kind = feed.KindManual
-		ce.Policy = string(c.Report)
-		ev.Key = c.Branch.String() + "|" + ce.Policy
+		ev.Key = c.Branch.String() + "|" + string(c.Report)
 	}
-	ce.Kind = ev.Kind.String()
-	data, err := json.Marshal(ce)
-	if err != nil {
-		return
+	kind := ev.Kind
+	ev.Render = func() []byte {
+		ce := changeEvent{Branch: c.Branch.String(), Kind: kind.String()}
+		if c.Kind == depot.ChangeReport {
+			ce.Report = string(c.Report)
+		} else {
+			ce.Policy = string(c.Report)
+		}
+		data, _ := json.Marshal(ce) // strings only: cannot fail
+		return data
 	}
-	ev.Data = data
 	f.hub.Publish(ev)
 }
 

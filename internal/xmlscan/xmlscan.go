@@ -2,14 +2,15 @@
 // renders: cache documents, /reports bodies and the report payloads inside
 // them.
 //
-// Every byte of those documents was produced through encoding/xml, which
-// emits no inter-element whitespace and escapes '<' everywhere outside
-// markup, so every '<' opens a tag, comment, processing instruction, CDATA
-// section or directive. That lets readers walk a document with
-// bytes.IndexByte instead of a general-purpose tokenizer — the streaming
-// discipline of the paper's SAX cache (§5.2.1) minus the parser's
-// per-token cost. The depot splices and collects with it; the federation
-// tier splits shard documents with it.
+// Every byte of those documents is what encoding/xml writes (rendered by
+// it, or admitted by Canonical as already in that form): no inter-element
+// whitespace, '<' escaped everywhere outside markup, so every '<' opens a
+// tag, comment, processing instruction, CDATA section or directive. That
+// lets readers walk a document with bytes.IndexByte instead of a
+// general-purpose tokenizer — the streaming discipline of the paper's SAX
+// cache (§5.2.1) minus the parser's per-token cost. The depot admits
+// reports, splices and collects with it; the archive extracts values with
+// its Cursor; the federation tier splits shard documents with it.
 //
 // The scanner checks structure, not content: tags must terminate, close
 // tags must match their open tag by name, and comments, PIs, CDATA and
@@ -23,6 +24,7 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
+	"unicode/utf8"
 )
 
 // Kind classifies one piece of markup.
@@ -299,37 +301,45 @@ func Unescape(s []byte) string {
 	if bytes.IndexByte(s, '&') < 0 && bytes.IndexByte(s, '\r') < 0 {
 		return string(s)
 	}
-	var out []byte
+	return string(appendText(nil, s, true))
+}
+
+// appendText appends s to dst with line ends folded and, when refs is set
+// (character data and attribute values, not CDATA), references resolved.
+func appendText(dst, s []byte, refs bool) []byte {
+	if bytes.IndexByte(s, '\r') < 0 && (!refs || bytes.IndexByte(s, '&') < 0) {
+		return append(dst, s...)
+	}
 	for i := 0; i < len(s); {
 		if s[i] == '\r' {
-			out = append(out, '\n')
+			dst = append(dst, '\n')
 			if i++; i < len(s) && s[i] == '\n' {
 				i++
 			}
 			continue
 		}
-		if s[i] != '&' {
-			out = append(out, s[i])
+		if s[i] != '&' || !refs {
+			dst = append(dst, s[i])
 			i++
 			continue
 		}
 		semi := bytes.IndexByte(s[i:], ';')
 		if semi < 0 {
-			out = append(out, s[i:]...)
+			dst = append(dst, s[i:]...)
 			break
 		}
 		ent := string(s[i+1 : i+semi])
 		switch {
 		case ent == "lt":
-			out = append(out, '<')
+			dst = append(dst, '<')
 		case ent == "gt":
-			out = append(out, '>')
+			dst = append(dst, '>')
 		case ent == "amp":
-			out = append(out, '&')
+			dst = append(dst, '&')
 		case ent == "quot":
-			out = append(out, '"')
+			dst = append(dst, '"')
 		case ent == "apos":
-			out = append(out, '\'')
+			dst = append(dst, '\'')
 		case len(ent) > 1 && ent[0] == '#':
 			var code int64
 			var err error
@@ -339,14 +349,14 @@ func Unescape(s []byte) string {
 				code, err = strconv.ParseInt(ent[1:], 10, 32)
 			}
 			if err != nil {
-				out = append(out, s[i:i+semi+1]...)
+				dst = append(dst, s[i:i+semi+1]...)
 			} else {
-				out = append(out, string(rune(code))...)
+				dst = utf8.AppendRune(dst, rune(code))
 			}
 		default:
-			out = append(out, s[i:i+semi+1]...)
+			dst = append(dst, s[i:i+semi+1]...)
 		}
 		i += semi + 1
 	}
-	return string(out)
+	return dst
 }

@@ -111,6 +111,7 @@ func TestMetricsSmoke(t *testing.T) {
 		// depot, including the async archive pipeline
 		"inca_depot_received_total",
 		"inca_depot_insert_seconds",
+		"inca_depot_insert_fallback_total",
 		"inca_depot_archive_seconds",
 		"inca_depot_archive_lag_seconds",
 		"inca_depot_archive_applied_total",
@@ -137,6 +138,11 @@ func TestMetricsSmoke(t *testing.T) {
 		if !strings.Contains(text, line+" "+strconv.Itoa(wantRuns)) {
 			t.Errorf("%s != %d in exposition", line, wantRuns)
 		}
+	}
+	// Every reporter here marshals with encoding/xml, so no insert should
+	// have needed the tokenising path.
+	if !strings.Contains(text, "inca_depot_insert_fallback_total 0\n") {
+		t.Errorf("inca_depot_insert_fallback_total != 0 in exposition")
 	}
 }
 
