@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet build test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-query bench-archive bench-federation bench-merge bench-ingest bench-storage bench-feed bench-replication bench-load fuzz
+.PHONY: check fmt vet build fence test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-query bench-archive bench-federation bench-merge bench-ingest bench-storage bench-feed bench-replication bench-load fuzz
 
-# The full gate: formatting, static checks, build, race-enabled tests,
-# the fault-injection suite, the telemetry smoke, the multi-process
-# federation, storage, feed and load smokes, and a one-iteration smoke
-# of the parallel ingest benchmark tier.
-check: fmt vet build test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke
+# The full gate: formatting, static checks, build, the import fence,
+# race-enabled tests, the fault-injection suite, the telemetry smoke, the
+# multi-process federation, storage, feed and load smokes, and a
+# one-iteration smoke of the parallel ingest benchmark tier.
+check: fmt vet build fence test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -19,6 +19,15 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Import fence: the binaries a deployment runs must not link the ablation
+# caches (internal/experiments/ablation) — only inca-bench, the experiments
+# and the tests may.
+fence:
+	@deps="$$($(GO) list -deps ./cmd/inca-server ./cmd/inca-agent ./cmd/inca-consumer ./cmd/inca-reporter)" || exit 1; \
+	if echo "$$deps" | grep -qx 'inca/internal/experiments/ablation'; then \
+		echo "a deployed binary imports inca/internal/experiments/ablation"; exit 1; \
+	fi
 
 test:
 	$(GO) test -race ./...

@@ -32,13 +32,12 @@ import (
 
 func main() {
 	var (
-		tcpAddr   = flag.String("tcp", "127.0.0.1:6323", "address for distributed-controller connections")
-		httpAddr  = flag.String("http", "127.0.0.1:8080", "address for the querying interface")
-		allow     = flag.String("allow", "", "comma-separated hostname allowlist (empty = allow all)")
-		mode      = flag.String("mode", "body", "envelope mode: body or attachment")
-		cacheImp  = flag.String("cache", "stream", "cache implementation: stream, file, dom, split, or indexed")
-		cacheFile = flag.String("cache-file", "inca-cache.xml", "backing file for -cache file")
-		snapshot  = flag.String("snapshot", "", "depot snapshot file: loaded at startup if present, written at shutdown")
+		tcpAddr  = flag.String("tcp", "127.0.0.1:6323", "address for distributed-controller connections")
+		httpAddr = flag.String("http", "127.0.0.1:8080", "address for the querying interface")
+		allow    = flag.String("allow", "", "comma-separated hostname allowlist (empty = allow all)")
+		mode     = flag.String("mode", "body", "envelope mode: body or attachment")
+		cacheImp = flag.String("cache", "indexed", "cache implementation: indexed, or stream (the paper's single XML document, kept for its figures); a disk depot or snapshot is restored into the same kind")
+		snapshot = flag.String("snapshot", "", "depot snapshot file: loaded at startup if present, written at shutdown")
 
 		storage    = flag.String("storage", "memory", "depot storage engine: memory (resident archives) or disk (paged archive files + WAL under -data)")
 		dataDir    = flag.String("data", "inca-data", "storage directory for -storage disk")
@@ -80,6 +79,26 @@ func main() {
 		os.Exit(2)
 	}
 
+	var envMode envelope.Mode
+	switch *mode {
+	case "body":
+		envMode = envelope.Body
+	case "attachment":
+		envMode = envelope.Attachment
+	default:
+		fmt.Fprintf(os.Stderr, "unknown envelope mode %q\n", *mode)
+		os.Exit(2)
+	}
+	var cache depot.Cache
+	switch *cacheImp {
+	case "indexed":
+		cache = depot.NewIndexedCache()
+	case "stream":
+		cache = depot.NewStreamCache()
+	default:
+		fmt.Fprintf(os.Stderr, "unknown cache %q\n", *cacheImp)
+		os.Exit(2)
+	}
 	var opts depot.Options
 	opts.Metrics = reg
 	switch *archiveMode {
@@ -97,7 +116,7 @@ func main() {
 	var d *depot.Depot
 	switch *storage {
 	case "disk":
-		dd, err := depot.OpenDisk(depot.DiskOptions{Options: opts, Dir: *dataDir, OpenFiles: *openFiles})
+		dd, err := depot.OpenDisk(depot.DiskOptions{Options: opts, Cache: cache, Dir: *dataDir, OpenFiles: *openFiles})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "storage %s: %v\n", *dataDir, err)
 			os.Exit(1)
@@ -109,7 +128,7 @@ func main() {
 	case "memory":
 		if *snapshot != "" {
 			if f, err := os.Open(*snapshot); err == nil {
-				restored, rerr := depot.ReadSnapshotOptions(f, opts)
+				restored, rerr := depot.ReadSnapshotOptions(f, cache, opts)
 				f.Close()
 				if rerr != nil {
 					fmt.Fprintf(os.Stderr, "snapshot %s: %v\n", *snapshot, rerr)
@@ -122,28 +141,6 @@ func main() {
 			}
 		}
 		if d == nil {
-			var cache depot.Cache
-			switch *cacheImp {
-			case "stream":
-				cache = depot.NewStreamCache()
-			case "file":
-				fc, err := depot.OpenFileCache(*cacheFile)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Printf("cache file %s: %d entries\n", fc.Path(), fc.Count())
-				cache = fc
-			case "dom":
-				cache = depot.NewDOMCache()
-			case "split":
-				cache = depot.NewSplitCacheDepth(2)
-			case "indexed":
-				cache = depot.NewIndexedCache()
-			default:
-				fmt.Fprintf(os.Stderr, "unknown cache %q\n", *cacheImp)
-				os.Exit(2)
-			}
 			d = depot.NewWithOptions(cache, opts)
 		}
 	default:
@@ -159,10 +156,6 @@ func main() {
 		}
 	}
 
-	envMode := envelope.Body
-	if *mode == "attachment" {
-		envMode = envelope.Attachment
-	}
 	var allowlist []string
 	if *allow != "" {
 		allowlist = strings.Split(*allow, ",")

@@ -1,0 +1,59 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestMain lets the tests below run this binary as inca-server itself:
+// re-executed with INCA_SERVER_MAIN=1 it is main() with the arguments given.
+func TestMain(m *testing.M) {
+	if os.Getenv("INCA_SERVER_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUnknownFlagValuesExit2: every flag that names one of a fixed set of
+// values refuses anything else with exit status 2 before it opens a port or
+// a directory, and the flags this server no longer has are unknown.
+func TestUnknownFlagValuesExit2(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // on standard error
+	}{
+		{[]string{"-cache", "dom"}, `unknown cache "dom"`},
+		{[]string{"-cache", "split"}, `unknown cache "split"`},
+		{[]string{"-cache", "file"}, `unknown cache "file"`},
+		{[]string{"-archive", "lazy"}, `unknown archive mode "lazy"`},
+		{[]string{"-storage", "tape"}, `unknown storage "tape"`},
+		{[]string{"-mode", "Attachment"}, `unknown envelope mode "Attachment"`},
+		{[]string{"-mode", ""}, `unknown envelope mode ""`},
+		{[]string{"-cache-file", "inca-cache.xml"}, "flag provided but not defined: -cache-file"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			// A value that got through would start a server: bound the wait.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, os.Args[0], tc.args...)
+			cmd.Env = append(os.Environ(), "INCA_SERVER_MAIN=1")
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("exit: %v, want status 2; stderr: %s", err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Fatalf("stderr lacks %q: %s", tc.want, stderr.String())
+			}
+		})
+	}
+}

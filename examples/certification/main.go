@@ -61,7 +61,7 @@ func main() {
 	}
 
 	// Standard Inca plumbing under the certification account.
-	d := depot.New(depot.NewStreamCache())
+	d := depot.New(nil)
 	ctl := controller.New(d, controller.Options{Allowlist: hosts, Now: clock.Now})
 	var agents []*agent.Agent
 	for _, host := range hosts {

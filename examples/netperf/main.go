@@ -43,7 +43,7 @@ func main() {
 
 	// Depot with an archival policy for pathload's lower bound, served
 	// over HTTP.
-	d := depot.New(depot.NewStreamCache())
+	d := depot.New(nil)
 	if err := d.AddPolicy(depot.Policy{
 		Name: "bw-lower",
 		Path: "value,statistic=lowerBound,metric=bandwidth",

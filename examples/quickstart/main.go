@@ -33,7 +33,7 @@ func main() {
 
 	// 2. The server side: depot (cache + archive) behind the centralized
 	//    controller.
-	d := depot.New(depot.NewStreamCache())
+	d := depot.New(nil)
 	ctl := controller.New(d, controller.Options{
 		Allowlist: []string{"login.sitea.example.org", "login.siteb.example.org"},
 		Now:       clock.Now,

@@ -18,7 +18,6 @@ import (
 
 	"inca/internal/consumer"
 	"inca/internal/core"
-	"inca/internal/depot"
 	"inca/internal/gridsim"
 )
 
@@ -28,9 +27,8 @@ func main() {
 		// Quiet grid: the only failures are the ones this scenario injects.
 	}
 	d, err := core.NewTeraGridDeployment(core.Options{
-		Seed:  7,
-		Grid:  &gridOpt,
-		Cache: depot.NewDOMCache(),
+		Seed: 7,
+		Grid: &gridOpt,
 	})
 	if err != nil {
 		log.Fatal(err)

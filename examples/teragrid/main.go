@@ -16,7 +16,6 @@ import (
 	"inca/internal/agreement"
 	"inca/internal/consumer"
 	"inca/internal/core"
-	"inca/internal/depot"
 	"inca/internal/gridsim"
 )
 
@@ -28,7 +27,6 @@ func main() {
 
 	d, err := core.NewTeraGridDeployment(core.Options{
 		Seed:         *seed,
-		Cache:        depot.NewDOMCache(),
 		Availability: true,
 	})
 	if err != nil {

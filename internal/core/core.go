@@ -36,7 +36,7 @@ type Options struct {
 	Start time.Time
 	// Mode is the envelope encoding (Body reproduces the deployed system).
 	Mode envelope.Mode
-	// Cache overrides the depot cache implementation (default StreamCache).
+	// Cache overrides the depot cache implementation (nil: depot.New's default).
 	Cache depot.Cache
 	// Grid overrides the grid options (default DefaultTeraGridOptions with
 	// the stack installed 30 days before Start).
@@ -90,11 +90,7 @@ func NewTeraGridDeployment(opt Options) (*Deployment, error) {
 	clock := simtime.NewSim(opt.Start)
 	grid := gridsim.NewTeraGrid(opt.Seed, gridOpt)
 
-	cache := opt.Cache
-	if cache == nil {
-		cache = depot.NewStreamCache()
-	}
-	dep := depot.New(cache)
+	dep := depot.New(opt.Cache)
 	if opt.Availability {
 		if err := dep.AddPolicy(consumer.AvailabilityPolicy()); err != nil {
 			return nil, err

@@ -19,7 +19,7 @@ import (
 func tokenisedEntry(reportXML []byte) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := xml.NewEncoder(&buf)
-	if err := writeEntry(enc, reportXML); err != nil {
+	if err := WriteEntry(enc, reportXML); err != nil {
 		return nil, err
 	}
 	if err := enc.Flush(); err != nil {
@@ -157,73 +157,6 @@ func TestAdmissionKeepsDumpsIdentical(t *testing.T) {
 	}
 	if line := fmt.Sprintf("inca_depot_insert_fallback_total %d\n", want); !strings.Contains(text.String(), line) {
 		t.Errorf("exposition lacks %q", line)
-	}
-}
-
-// TestFallbackCounterReachesEveryShard: the wrappers hand the depot's
-// counter to the StreamCaches behind them, those made later included.
-func TestFallbackCounterReachesEveryShard(t *testing.T) {
-	for name, mk := range map[string]func() Cache{
-		"split":   func() Cache { return NewSplitCache() },
-		"sharded": func() Cache { return NewShardedCache(4) },
-		"file": func() Cache {
-			fc, err := OpenFileCache(t.TempDir() + "/cache.xml")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fc
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			d := New(mk())
-			for i := 0; i < 8; i++ {
-				id := branch.MustParse(fmt.Sprintf("probe=p,site=s%d,vo=v%d", i, i))
-				if _, err := d.Store(id, []byte(`<r><v>1</v></r>`)); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := d.Store(id, []byte(`<r><v/></r>`)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := d.fallback.Value(); got != 8 {
-				t.Errorf("counted %d tokenised inserts, want 8", got)
-			}
-		})
-	}
-}
-
-// TestXMLDeclarationAccepted: a reporter that opens with an XML declaration
-// (anything not built on Go's marshaller) is stored as if it had not.
-func TestXMLDeclarationAccepted(t *testing.T) {
-	caches := allCaches()
-	caches["generic"] = func() Cache { return NewStreamCacheGeneric() }
-	caches["file"] = func() Cache {
-		fc, err := OpenFileCache(t.TempDir() + "/cache.xml")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fc
-	}
-	body := `<rep><v>1</v><?keep this?></rep>`
-	for name, mk := range caches {
-		t.Run(name, func(t *testing.T) {
-			plain, declared := mk(), mk()
-			for i, decl := range []string{
-				`<?xml version="1.0"?>`,
-				`<?xml version="1.0" encoding="UTF-8"?>` + "\n",
-				"\n" + `<?xml version="1.0"?>` + "\n  ",
-			} {
-				id := fmt.Sprintf("probe=p%d,site=s,vo=tg", i)
-				mustUpdate(t, plain, id, []byte(body))
-				mustUpdate(t, declared, id, []byte(decl+body))
-			}
-			if got, want := declared.Dump(), plain.Dump(); !bytes.Equal(got, want) {
-				t.Fatalf("dumps differ:\ndeclared %s\nplain    %s", got, want)
-			}
-			if !bytes.Contains(plain.Dump(), []byte(`<?keep this?>`)) {
-				t.Fatal("a processing instruction that is not the declaration was dropped")
-			}
-		})
 	}
 }
 

@@ -321,7 +321,7 @@ func TestAsyncPersistRestoreRoundTrip(t *testing.T) {
 
 	// Restore into an async depot and keep storing: the reloaded archives
 	// must accept the continuation.
-	re, err := ReadSnapshotOptions(bytes.NewReader(buf.Bytes()), Options{AsyncArchive: true})
+	re, err := ReadSnapshotOptions(bytes.NewReader(buf.Bytes()), nil, Options{AsyncArchive: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,27 +8,28 @@
 // the branch identifier alone determines a unique location, and a later
 // report for the same identifier replaces the previous one.
 //
-// Several cache implementations are provided:
+// Three cache implementations live here, each because production code or
+// a test of it needs it:
 //
-//   - StreamCache — the deployed design: one XML document updated and
-//     queried with a streaming (SAX-style) scan. Update cost grows with
+//   - IndexedCache — what a depot runs on unless told otherwise (New,
+//     NewWithOptions and OpenDisk build it when given no cache, and a
+//     checkpoint or snapshot is restored into it): a sorted component trie
+//     indexed by branch identifier, O(report) updates and exact queries,
+//     O(results) prefix collection, and a lazily materialized canonical
+//     document gated by a generation counter (see indexed.go).
+//   - StreamCache — the paper's deployed design: one XML document updated
+//     and queried with a streaming (SAX-style) scan. Update cost grows with
 //     document size, which is exactly the scaling behaviour Section 5.2
-//     measures. (NewStreamCacheGeneric keeps the generic-token variant for
-//     parser ablations.)
-//   - FileCache — StreamCache with the document write-through persisted to
-//     "a single XML file", as the deployed system kept it.
-//   - DOMCache — the design the authors tried first and abandoned ("the
-//     memory requirements of the DOM parser grew too rapidly"): a parsed
-//     in-memory tree, fast to update, serialized on demand.
-//   - SplitCache — the planned improvement ("the cache will be split into
-//     multiple smaller files to minimize XML parsing time"): one
-//     StreamCache per most-general branch component group.
-//   - ShardedCache — hash-sharded StreamCaches for concurrent ingest
-//     (see sharded.go).
-//   - IndexedCache — the read-path counterpart (see indexed.go): a sorted
-//     component trie indexed by branch identifier, O(report) updates and
-//     exact queries, O(results) prefix collection, and a lazily
-//     materialized canonical document gated by a generation counter.
+//     measures, so `inca-server -cache stream` keeps it selectable for the
+//     paper's figures; LoadDump builds one from a fetched document on the
+//     consumer side; and its tokenising variant (NewStreamCacheGeneric) is
+//     the oracle the admission tests and FuzzCanonical compare against.
+//   - NullCache — stores nothing: archive-only depots and the benchmarks
+//     that time the archive pipeline apart from the cache.
+//
+// The designs the paper tried, deployed as a file, or planned (DOM, file,
+// split) and the hash-sharded variant live in internal/experiments/ablation,
+// built on StreamCache's exported methods.
 package depot
 
 import (
@@ -60,16 +61,10 @@ type Cache interface {
 	Size() int
 	// Count returns the number of stored reports.
 	Count() int
-}
-
-// Versioned is implemented by caches that expose a generation counter
-// incremented on every successful update. Read layers derive cheap
-// freshness checks from it: the HTTP querying interface turns it into
-// ETags (so an unchanged cache answers conditional requests in O(1)) and
-// IndexedCache uses it to invalidate its lazily materialized document.
-type Versioned interface {
 	// Generation returns a counter that strictly increases with every
-	// successful Update.
+	// successful Update: equal generations mean a byte-identical Dump. The
+	// HTTP querying interface turns it into ETags, so an unchanged cache
+	// answers a conditional request with one comparison.
 	Generation() uint64
 }
 
@@ -177,7 +172,7 @@ func (c *StreamCache) Count() int {
 	return c.count
 }
 
-// Generation implements Versioned.
+// Generation implements Cache.
 func (c *StreamCache) Generation() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -189,17 +184,27 @@ func (c *StreamCache) Generation() uint64 {
 // that retrieving the whole cache "tasks the data consumer with a large
 // amount of XML processing"; this is that processing).
 func LoadDump(data []byte) (*StreamCache, error) {
-	stored, err := collectReports(data, branch.ID{})
-	if err != nil {
-		return nil, fmt.Errorf("depot: bad cache dump: %w", err)
-	}
 	c := NewStreamCache()
-	for _, s := range stored {
-		if _, err := c.Update(s.ID, s.XML); err != nil {
-			return nil, err
-		}
+	if err := restoreDump(c, data); err != nil {
+		return nil, err
 	}
 	return c, nil
+}
+
+// restoreDump stores every report of a dumped cache document into c, one
+// Update each: how a checkpoint or snapshot comes back into whichever
+// cache the depot was configured with.
+func restoreDump(c Cache, data []byte) error {
+	stored, err := collectReports(data, branch.ID{})
+	if err != nil {
+		return fmt.Errorf("depot: bad cache dump: %w", err)
+	}
+	for _, s := range stored {
+		if _, err := c.Update(s.ID, s.XML); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // --- streaming machinery ---
@@ -260,10 +265,12 @@ func copySubtree(dec *xml.Decoder, enc *xml.Encoder, start xml.StartElement) err
 	return nil
 }
 
-// writeEntry writes <entry> wrapping the report's token stream. A leading
+// WriteEntry writes <entry> wrapping the report's token stream. A leading
 // XML declaration is dropped with the whitespace around it: inside <entry>
 // it is no longer the start of a document, and the encoder refuses it there.
-func writeEntry(enc *xml.Encoder, reportXML []byte) error {
+// It is exported for the one cache outside this package that serializes
+// entries itself (ablation.DOMCache), so its documents stay byte-identical.
+func WriteEntry(enc *xml.Encoder, reportXML []byte) error {
 	entry := xml.StartElement{Name: xml.Name{Local: "entry"}}
 	if err := enc.EncodeToken(entry); err != nil {
 		return err
@@ -308,7 +315,7 @@ func writeNewSubtree(enc *xml.Encoder, comps []branch.Pair, reportXML []byte) er
 			return err
 		}
 	}
-	if err := writeEntry(enc, reportXML); err != nil {
+	if err := WriteEntry(enc, reportXML); err != nil {
 		return err
 	}
 	for i := len(comps) - 1; i >= 0; i-- {
@@ -370,7 +377,7 @@ func spliceUpdate(old []byte, path []branch.Pair, reportXML []byte) ([]byte, boo
 				} else if !inserted && matched == len(path) {
 					// Target node's branch children begin; the entry slot
 					// precedes them.
-					if err := writeEntry(enc, reportXML); err != nil {
+					if err := WriteEntry(enc, reportXML); err != nil {
 						return nil, false, err
 					}
 					inserted = true
@@ -383,7 +390,7 @@ func spliceUpdate(old []byte, path []branch.Pair, reportXML []byte) ([]byte, boo
 					if err := dec.Skip(); err != nil {
 						return nil, false, err
 					}
-					if err := writeEntry(enc, reportXML); err != nil {
+					if err := WriteEntry(enc, reportXML); err != nil {
 						return nil, false, err
 					}
 					inserted = true
@@ -399,7 +406,7 @@ func spliceUpdate(old []byte, path []branch.Pair, reportXML []byte) ([]byte, boo
 		case xml.EndElement:
 			if !inserted {
 				if matched == len(path) {
-					if err := writeEntry(enc, reportXML); err != nil {
+					if err := WriteEntry(enc, reportXML); err != nil {
 						return nil, false, err
 					}
 					inserted = true
@@ -577,24 +584,4 @@ func collectReports(data []byte, prefix branch.ID) ([]Stored, error) {
 			}
 		}
 	}
-}
-
-// Merge copies every stored report from the given caches into a fresh
-// StreamCache — how a data consumer reassembles a distributed depot's
-// shards (see controller.ShardedDepot) into one verifiable view. Later
-// caches win on identifier collisions.
-func Merge(caches ...Cache) (*StreamCache, error) {
-	out := NewStreamCache()
-	for _, c := range caches {
-		stored, err := c.Reports(branch.ID{})
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range stored {
-			if _, err := out.Update(s.ID, s.XML); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
 }

@@ -26,11 +26,11 @@ import (
 // property tests assert the two agree.
 
 // entryPayload returns the bytes a report occupies between <entry> and
-// </entry>: what writeEntry's decode and re-encode round trip makes of it.
+// </entry>: what WriteEntry's decode and re-encode round trip makes of it.
 // A report already in the encoder's own form (xmlscan.Canonical: one
 // byte-level pass, no allocation) is its own payload, and the returned
 // slice aliases reportXML. Anything else, every malformed report included,
-// is tokenised by writeEntry exactly as before and counted in fallbacks —
+// is tokenised by WriteEntry exactly as before and counted in fallbacks —
 // so which bytes are stored, and which error rejects a report, never
 // depends on the path taken.
 func entryPayload(reportXML []byte, fallbacks *metrics.Counter) ([]byte, error) {
@@ -42,7 +42,7 @@ func entryPayload(reportXML []byte, fallbacks *metrics.Counter) ([]byte, error) 
 	}
 	var buf bytes.Buffer
 	enc := xml.NewEncoder(&buf)
-	if err := writeEntry(enc, reportXML); err != nil {
+	if err := WriteEntry(enc, reportXML); err != nil {
 		return nil, err
 	}
 	if err := enc.Flush(); err != nil {

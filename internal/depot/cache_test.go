@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -21,163 +20,6 @@ func mustUpdate(t *testing.T, c Cache, id string, payload []byte) {
 	t.Helper()
 	if _, err := c.Update(branch.MustParse(id), payload); err != nil {
 		t.Fatalf("Update(%s): %v", id, err)
-	}
-}
-
-func allCaches() map[string]func() Cache {
-	return map[string]func() Cache{
-		"stream":      func() Cache { return NewStreamCache() },
-		"dom":         func() Cache { return NewDOMCache() },
-		"split":       func() Cache { return NewSplitCache() },
-		"sharded4":    func() Cache { return NewShardedCache(4) },
-		"sharded3-d2": func() Cache { return NewShardedCacheDepth(3, 2) },
-		"indexed":     func() Cache { return NewIndexedCache() },
-	}
-}
-
-func TestCacheInsertAndQuery(t *testing.T) {
-	for name, mk := range allCaches() {
-		t.Run(name, func(t *testing.T) {
-			c := mk()
-			mustUpdate(t, c, "resource=r1,site=sdsc,vo=tg", reportXMLFor("rep", "one"))
-			if c.Count() != 1 {
-				t.Fatalf("Count = %d", c.Count())
-			}
-			sub, ok, err := c.Query(branch.MustParse("resource=r1,site=sdsc,vo=tg"))
-			if err != nil || !ok {
-				t.Fatalf("Query: %v %v", ok, err)
-			}
-			if !bytes.Contains(sub, []byte("one")) {
-				t.Fatalf("subtree missing payload: %s", sub)
-			}
-			// Prefix query returns the containing subtree.
-			sub, ok, err = c.Query(branch.MustParse("site=sdsc,vo=tg"))
-			if err != nil || !ok || !bytes.Contains(sub, []byte("one")) {
-				t.Fatalf("prefix query failed: %v %v %s", ok, err, sub)
-			}
-			// Miss.
-			if _, ok, _ := c.Query(branch.MustParse("site=ncsa,vo=tg")); ok {
-				t.Fatal("phantom subtree")
-			}
-		})
-	}
-}
-
-func TestCacheReplaceSemantics(t *testing.T) {
-	// "Further updates of the report will result in the replacement of the
-	// previous copy." (Section 3.2.2)
-	for name, mk := range allCaches() {
-		t.Run(name, func(t *testing.T) {
-			c := mk()
-			id := "resource=r1,vo=tg"
-			mustUpdate(t, c, id, reportXMLFor("rep", "old"))
-			mustUpdate(t, c, id, reportXMLFor("rep", "new"))
-			if c.Count() != 1 {
-				t.Fatalf("Count = %d after replacement", c.Count())
-			}
-			dump := c.Dump()
-			if bytes.Contains(dump, []byte("old")) {
-				t.Fatalf("old payload survived: %s", dump)
-			}
-			if !bytes.Contains(dump, []byte("new")) {
-				t.Fatalf("new payload missing: %s", dump)
-			}
-		})
-	}
-}
-
-func TestCacheNoConfigurationForNewSchemas(t *testing.T) {
-	// Arbitrary well-formed XML with unknown schema must be accepted.
-	for name, mk := range allCaches() {
-		t.Run(name, func(t *testing.T) {
-			c := mk()
-			weird := []byte(`<wholeNewThing attr="x"><nested><deep>1</deep></nested></wholeNewThing>`)
-			mustUpdate(t, c, "kind=unknown,vo=tg", weird)
-			got, err := c.Reports(branch.ID{})
-			if err != nil || len(got) != 1 {
-				t.Fatalf("Reports: %v %d", err, len(got))
-			}
-			if !bytes.Contains(got[0].XML, []byte("wholeNewThing")) {
-				t.Fatalf("payload mangled: %s", got[0].XML)
-			}
-		})
-	}
-}
-
-func TestCacheRejectsMalformedPayload(t *testing.T) {
-	for name, mk := range allCaches() {
-		t.Run(name, func(t *testing.T) {
-			c := mk()
-			mustUpdate(t, c, "a=1", reportXMLFor("rep", "keep"))
-			before := c.Dump()
-			for _, bad := range [][]byte{nil, []byte(""), []byte("not xml"), []byte("<open>")} {
-				if _, err := c.Update(branch.MustParse("b=2"), bad); err == nil {
-					t.Fatalf("accepted %q", bad)
-				}
-			}
-			if !bytes.Equal(c.Dump(), before) {
-				t.Fatal("failed update corrupted the cache")
-			}
-		})
-	}
-}
-
-func TestCacheSiblingsAndNesting(t *testing.T) {
-	for name, mk := range allCaches() {
-		t.Run(name, func(t *testing.T) {
-			c := mk()
-			ids := []string{
-				"resource=r1,site=sdsc,vo=tg",
-				"resource=r2,site=sdsc,vo=tg",
-				"resource=r1,site=ncsa,vo=tg",
-				"site=sdsc,vo=tg", // entry at an interior node
-				"vo=tg",           // entry nearer the root
-			}
-			for i, id := range ids {
-				mustUpdate(t, c, id, reportXMLFor("rep", fmt.Sprintf("p%d", i)))
-			}
-			if c.Count() != len(ids) {
-				t.Fatalf("Count = %d, want %d", c.Count(), len(ids))
-			}
-			for i, id := range ids {
-				all, err := c.Reports(branch.MustParse(id))
-				if err != nil {
-					t.Fatal(err)
-				}
-				found := false
-				for _, s := range all {
-					if s.ID.Equal(branch.MustParse(id)) && bytes.Contains(s.XML, []byte(fmt.Sprintf("p%d", i))) {
-						found = true
-					}
-				}
-				if !found {
-					t.Fatalf("report %s not found (got %d under prefix)", id, len(all))
-				}
-			}
-			// Prefix site=sdsc collects r1, r2 and the interior entry.
-			got, _ := c.Reports(branch.MustParse("site=sdsc,vo=tg"))
-			if len(got) != 3 {
-				t.Fatalf("prefix reports = %d, want 3", len(got))
-			}
-		})
-	}
-}
-
-func TestCacheRootEntry(t *testing.T) {
-	for name, mk := range allCaches() {
-		if name == "split" {
-			continue // split cache has no root shard by design
-		}
-		t.Run(name, func(t *testing.T) {
-			c := mk()
-			if _, err := c.Update(branch.ID{}, reportXMLFor("rep", "root")); err != nil {
-				t.Fatal(err)
-			}
-			got, err := c.Reports(branch.ID{})
-			if err != nil || len(got) != 1 || !got[0].ID.IsRoot() {
-				t.Fatalf("root entry: %v %v", got, err)
-			}
-		})
 	}
 }
 
@@ -205,54 +47,6 @@ func TestStreamCacheGrowsWithData(t *testing.T) {
 	mustUpdate(t, c, "r=1", []byte("<rep>"+string(payload)+"</rep>"))
 	if c.Size() < initial+500 {
 		t.Fatalf("Size = %d after 500-byte payload", c.Size())
-	}
-}
-
-func TestCacheEscapedContentSurvives(t *testing.T) {
-	for name, mk := range allCaches() {
-		t.Run(name, func(t *testing.T) {
-			c := mk()
-			payload := []byte("<rep><msg>a &lt;b&gt; &amp; c</msg></rep>")
-			mustUpdate(t, c, "r=1", payload)
-			got, _ := c.Reports(branch.ID{})
-			if len(got) != 1 {
-				t.Fatal("report lost")
-			}
-			if !bytes.Contains(got[0].XML, []byte("&lt;b&gt;")) {
-				t.Fatalf("escaping lost: %s", got[0].XML)
-			}
-		})
-	}
-}
-
-func TestCacheImplementationsAgreeProperty(t *testing.T) {
-	names := []string{"alpha", "beta", "gamma", "delta"}
-	f := func(seed int64, n uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		stream, dom, split := NewStreamCache(), NewDOMCache(), NewSplitCache()
-		ops := int(n%40) + 5
-		for i := 0; i < ops; i++ {
-			depth := 1 + r.Intn(3)
-			parts := make([]string, depth)
-			for d := 0; d < depth; d++ {
-				parts[d] = fmt.Sprintf("l%d=%s", d, names[r.Intn(len(names))])
-			}
-			id := branch.MustParse(strings.Join(parts, ","))
-			payload := reportXMLFor("rep", fmt.Sprintf("v%d", r.Intn(10)))
-			for _, c := range []Cache{stream, dom, split} {
-				if _, err := c.Update(id, payload); err != nil {
-					return false
-				}
-			}
-		}
-		rs, _ := stream.Reports(branch.ID{})
-		rd, _ := dom.Reports(branch.ID{})
-		rp, _ := split.Reports(branch.ID{})
-		return reportsEqual(rs, rd) && reportsEqual(rs, rp) &&
-			stream.Count() == dom.Count() && stream.Count() == split.Count()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -291,35 +85,6 @@ func TestStreamCacheIdempotentReplaceProperty(t *testing.T) {
 	}
 }
 
-func TestSplitCacheSharding(t *testing.T) {
-	c := NewSplitCache()
-	mustUpdate(t, c, "r=1,vo=tg", reportXMLFor("rep", "a"))
-	mustUpdate(t, c, "r=1,vo=other", reportXMLFor("rep", "b"))
-	if c.Shards() != 2 {
-		t.Fatalf("Shards = %d, want 2", c.Shards())
-	}
-	got, _ := c.Reports(branch.MustParse("vo=tg"))
-	if len(got) != 1 || !bytes.Contains(got[0].XML, []byte(">a<")) {
-		t.Fatalf("shard query wrong: %v", got)
-	}
-	dump := c.Dump()
-	if !bytes.Contains(dump, []byte(">a<")) || !bytes.Contains(dump, []byte(">b<")) {
-		t.Fatalf("dump incomplete: %s", dump)
-	}
-	if !bytes.HasPrefix(dump, []byte("<cache>")) || !bytes.HasSuffix(dump, []byte("</cache>")) {
-		t.Fatalf("dump not wrapped: %s", dump)
-	}
-}
-
-func TestDOMCacheMemoryFootprint(t *testing.T) {
-	c := NewDOMCache()
-	empty := c.MemoryFootprint()
-	mustUpdate(t, c, "r=1,s=2", bytes.Repeat([]byte("<r>x</r>"), 1))
-	if c.MemoryFootprint() <= empty {
-		t.Fatal("footprint did not grow")
-	}
-}
-
 func TestStreamCacheDumpIsParseable(t *testing.T) {
 	c := NewStreamCache()
 	for i := 0; i < 10; i++ {
@@ -338,33 +103,5 @@ func TestQueryReturnsCopies(t *testing.T) {
 	d1[0] = '!'
 	if c.Dump()[0] == '!' {
 		t.Fatal("Dump aliases internal buffer")
-	}
-}
-
-func TestMergeCaches(t *testing.T) {
-	a := NewStreamCache()
-	b := NewStreamCache()
-	mustUpdate(t, a, "r=1,site=x", reportXMLFor("rep", "A1"))
-	mustUpdate(t, a, "r=2,site=x", reportXMLFor("rep", "A2"))
-	mustUpdate(t, b, "r=1,site=y", reportXMLFor("rep", "B1"))
-	// Collision: b's copy wins (later cache).
-	mustUpdate(t, b, "r=1,site=x", reportXMLFor("rep", "B-override"))
-	merged, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Count() != 3 {
-		t.Fatalf("count = %d", merged.Count())
-	}
-	got, _ := merged.Reports(branch.MustParse("r=1,site=x"))
-	if len(got) != 1 || !bytes.Contains(got[0].XML, []byte("B-override")) {
-		t.Fatalf("collision resolution: %+v", got)
-	}
-	// Merging different implementations works too.
-	dom := NewDOMCache()
-	mustUpdate(t, dom, "r=9,site=z", reportXMLFor("rep", "D"))
-	merged, err = Merge(merged, dom)
-	if err != nil || merged.Count() != 4 {
-		t.Fatalf("cross-impl merge: %v count=%d", err, merged.Count())
 	}
 }

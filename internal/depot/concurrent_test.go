@@ -11,8 +11,9 @@ import (
 
 // hammerCache drives concurrent writers and readers against a cache and
 // then asserts every writer's final payload is stored under its identifier
-// exactly once. Run under -race this exercises the per-shard locking of
-// ShardedCache and the single RWMutex of StreamCache.
+// exactly once. Run under -race this exercises the single RWMutex of
+// StreamCache and IndexedCache, and (from sharded_test.go) the per-shard
+// locking of ablation.ShardedCache.
 func hammerCache(t *testing.T, c Cache) {
 	t.Helper()
 	const (
@@ -99,16 +100,6 @@ func hammerCache(t *testing.T, c Cache) {
 
 func TestStreamCacheConcurrent(t *testing.T) {
 	hammerCache(t, NewStreamCache())
-}
-
-func TestShardedCacheConcurrent(t *testing.T) {
-	hammerCache(t, NewShardedCacheDepth(8, 2))
-}
-
-func TestShardedCacheConcurrentSingleShard(t *testing.T) {
-	// The degenerate 1-shard case funnels every writer through one lock —
-	// the contention shape the tentpole removes — and must still be safe.
-	hammerCache(t, NewShardedCache(1))
 }
 
 func TestIndexedCacheConcurrent(t *testing.T) {

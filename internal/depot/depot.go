@@ -169,8 +169,9 @@ type Depot struct {
 	lagH     *metrics.Histogram // async enqueue -> consolidation lag
 }
 
-// New creates a depot over the given cache implementation (use
-// NewStreamCache for the deployed design) with default options.
+// New creates a depot over the given cache with default options. A nil
+// cache means the IndexedCache, here and wherever else a depot is built or
+// restored (NewWithOptions, OpenDisk, ReadSnapshot).
 func New(cache Cache) *Depot {
 	return NewWithOptions(cache, Options{})
 }
@@ -185,6 +186,9 @@ func NewWithOptions(cache Cache, opts Options) *Depot {
 // the paged-file backend). opts must already have defaults applied.
 func newDepot(cache Cache, opts Options, store archiveStore) *Depot {
 	opts = opts.withDefaults()
+	if cache == nil {
+		cache = NewIndexedCache()
+	}
 	d := &Depot{
 		cache:    cache,
 		opts:     opts,
@@ -498,18 +502,12 @@ func (d *Depot) ArchivedSeries() []string {
 	return d.archives.keys()
 }
 
-// CacheGeneration returns the cache's generation counter and whether the
-// cache is versioned at all. It is the validator the read layers build
-// ETags from — and what the federation query tier composes across shards:
-// each shard exports its generation here, and the scatter-gather tier
-// concatenates them into one end-to-end validator.
-func (d *Depot) CacheGeneration() (uint64, bool) {
-	v, ok := d.cache.(Versioned)
-	if !ok {
-		return 0, false
-	}
-	return v.Generation(), true
-}
+// CacheGeneration returns the cache's generation counter. It is the
+// validator the read layers build ETags from — and what the federation
+// query tier composes across shards: each shard exports its generation
+// here, and the scatter-gather tier concatenates them into one end-to-end
+// validator.
+func (d *Depot) CacheGeneration() uint64 { return d.cache.Generation() }
 
 // ArchiveGeneration returns a counter that advances on every applied
 // archive sample, depot-wide (surfaced in /debug/vars).

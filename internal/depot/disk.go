@@ -44,8 +44,9 @@ type DiskOptions struct {
 	Options
 	// Dir is the storage directory, created if absent.
 	Dir string
-	// Cache overrides the fresh-start cache implementation (default
-	// StreamCache). A cache image restored from a checkpoint always wins.
+	// Cache overrides the cache implementation (nil for the default, as in
+	// New). A checkpoint's cache image is restored into it, one Update per
+	// stored report.
 	Cache Cache
 	// OpenFiles caps the archive handle LRU (default 64).
 	OpenFiles int
@@ -70,17 +71,16 @@ func OpenDisk(do DiskOptions) (*Depot, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache, policies, firstSeq, err := readCheckpoint(filepath.Join(do.Dir, checkpointFile))
+	dump, policies, firstSeq, err := readCheckpoint(filepath.Join(do.Dir, checkpointFile))
 	if err != nil {
 		return nil, err
 	}
-	if cache == nil {
-		cache = do.Cache
+	d := newDepot(do.Cache, do.Options, store)
+	if dump != nil {
+		if err := restoreDump(d.cache, dump); err != nil {
+			return nil, fmt.Errorf("depot: checkpoint cache: %w", err)
+		}
 	}
-	if cache == nil {
-		cache = NewStreamCache()
-	}
-	d := newDepot(cache, do.Options, store)
 	d.dataDir = do.Dir
 	d.walDir = filepath.Join(do.Dir, "wal")
 	for _, p := range policies {
@@ -219,10 +219,12 @@ func (d *Depot) writeCheckpoint(firstSeq uint64) error {
 	})
 }
 
-// readCheckpoint loads a checkpoint image; a missing file is a fresh
-// depot, not an error. The image shares the snapshot section format, so a
-// checkpoint without WSEQ (or even a plain snapshot) restores too.
-func readCheckpoint(path string) (Cache, []Policy, uint64, error) {
+// readCheckpoint loads a checkpoint image — the cache document (nil when
+// the image has none), the policies and the first live WAL segment; a
+// missing file is a fresh depot, not an error. The image shares the
+// snapshot section format, so a checkpoint without WSEQ (or even a plain
+// snapshot) restores too.
+func readCheckpoint(path string) ([]byte, []Policy, uint64, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, nil, 0, nil
@@ -237,25 +239,21 @@ func readCheckpoint(path string) (Cache, []Policy, uint64, error) {
 		return nil, nil, 0, fmt.Errorf("depot: bad checkpoint header")
 	}
 	var (
-		cache    Cache
+		dump     []byte
 		policies []Policy
 		firstSeq uint64
 	)
 	for {
 		tag, data, err := readSection(br)
 		if err == io.EOF {
-			return cache, policies, firstSeq, nil
+			return dump, policies, firstSeq, nil
 		}
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("depot: checkpoint section: %w", err)
 		}
 		switch tag {
 		case "CACH":
-			c, err := LoadDump(data)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			cache = c
+			dump = data
 		case "POLS":
 			var pols xmlPolicies
 			if err := xml.Unmarshal(data, &pols); err != nil {

@@ -337,3 +337,64 @@ func TestCheckpointOnMemoryDepotFails(t *testing.T) {
 		t.Fatal("Checkpoint succeeded on a memory depot")
 	}
 }
+
+// TestRestoreKeepsConfiguredCache: whichever cache a depot is configured
+// with is the one it still runs on after a checkpoint restart and after a
+// snapshot round trip, holding the same document; with none configured that
+// is the IndexedCache throughout.
+func TestRestoreKeepsConfiguredCache(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func() Cache // nil result: take the default
+		want string
+	}{
+		{"indexed", func() Cache { return NewIndexedCache() }, "*depot.IndexedCache"},
+		{"stream", func() Cache { return NewStreamCache() }, "*depot.StreamCache"},
+		{"default", func() Cache { return nil }, "*depot.IndexedCache"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(step string, d *Depot, wantDump []byte) {
+				t.Helper()
+				if got := fmt.Sprintf("%T", d.Cache()); got != tc.want {
+					t.Fatalf("%s: depot runs on %s, want %s", step, got, tc.want)
+				}
+				if wantDump != nil && !bytes.Equal(d.Cache().Dump(), wantDump) {
+					t.Fatalf("%s: document changed:\n%s\nwant\n%s", step, d.Cache().Dump(), wantDump)
+				}
+			}
+			dir := t.TempDir()
+			d := diskDepot(t, dir, DiskOptions{Cache: tc.mk()})
+			check("fresh", d, nil)
+			for i, doc := range []string{
+				`<r><v>1</v></r>`,
+				`<r><v/><?keep this?></r>`, // tokenised on insert and again on restore
+				`<r a="x &amp; y"><v>&lt;3</v></r>`,
+				`<r><v>replaced</v></r>`,
+			} {
+				id := branch.MustParse(fmt.Sprintf("probe=p%d,site=s%d,vo=tg", i%3, i%2))
+				if _, err := d.Store(id, []byte(doc)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := d.Cache().Dump()
+			if err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			d.Close()
+
+			re := diskDepot(t, dir, DiskOptions{Cache: tc.mk()})
+			defer re.Close()
+			check("checkpoint restart", re, want)
+
+			var img bytes.Buffer
+			if err := re.WriteSnapshot(&img); err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadSnapshotOptions(&img, tc.mk(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("snapshot round trip", back, want)
+		})
+	}
+}

@@ -1,4 +1,4 @@
-package depot
+package depot_test
 
 import (
 	"bytes"
@@ -7,11 +7,13 @@ import (
 	"testing"
 
 	"inca/internal/branch"
+	"inca/internal/depot"
+	"inca/internal/experiments/ablation"
 )
 
 func TestFileCacheCreateAndPersist(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.xml")
-	fc, err := OpenFileCache(path)
+	fc, err := ablation.OpenFileCache(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +35,7 @@ func TestFileCacheCreateAndPersist(t *testing.T) {
 		t.Fatal("disk and memory diverge")
 	}
 	// A new process (fresh open) sees everything.
-	fc2, err := OpenFileCache(path)
+	fc2, err := ablation.OpenFileCache(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,18 +56,18 @@ func TestFileCacheRejectsCorruptFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("<cache><broken"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFileCache(path); err == nil {
+	if _, err := ablation.OpenFileCache(path); err == nil {
 		t.Fatal("corrupt file accepted")
 	}
 }
 
 func TestFileCacheBehavesLikeStreamCache(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.xml")
-	fc, err := OpenFileCache(path)
+	fc, err := ablation.OpenFileCache(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := NewStreamCache()
+	sc := depot.NewStreamCache()
 	ids := []string{"r=1,s=a", "r=2,s=a", "r=1,s=b", "r=1,s=a"} // includes replace
 	for i, id := range ids {
 		payload := []byte("<rep><v>" + string(rune('0'+i)) + "</v></rep>")
@@ -78,7 +80,7 @@ func TestFileCacheBehavesLikeStreamCache(t *testing.T) {
 	}
 	a, _ := fc.Reports(branch.ID{})
 	b, _ := sc.Reports(branch.ID{})
-	if !reportsEqual(a, b) {
+	if !depot.ReportsEqual(a, b) {
 		t.Fatal("file cache diverges from stream cache")
 	}
 	sub, ok, err := fc.Query(branch.MustParse("s=a"))
@@ -92,7 +94,7 @@ func TestFileCacheBehavesLikeStreamCache(t *testing.T) {
 
 func TestFileCacheMalformedUpdateLeavesFileIntact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.xml")
-	fc, err := OpenFileCache(path)
+	fc, err := ablation.OpenFileCache(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,19 +113,19 @@ func TestFileCacheMalformedUpdateLeavesFileIntact(t *testing.T) {
 
 func TestFileCacheWorksAsDepotBackend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.xml")
-	fc, err := OpenFileCache(path)
+	fc, err := ablation.OpenFileCache(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(fc)
-	if _, err := d.Store(branch.MustParse("probe=x,vo=tg"), reportWithValue(t, dt0, 990, true)); err != nil {
+	d := depot.New(fc)
+	if _, err := d.Store(branch.MustParse("probe=x,vo=tg"), []byte("<rep><v>990</v></rep>")); err != nil {
 		t.Fatal(err)
 	}
 	if d.Cache().Count() != 1 {
 		t.Fatal("not stored")
 	}
 	// Reload as if the depot restarted, keeping the cache file.
-	fc2, err := OpenFileCache(path)
+	fc2, err := ablation.OpenFileCache(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -332,7 +332,7 @@ func (c *IndexedCache) Count() int {
 	return c.count
 }
 
-// Generation implements Versioned: it increases on every successful
+// Generation implements Cache: it increases on every successful
 // Update. The HTTP layer derives ETags from it; equal generations imply a
 // byte-identical canonical document.
 func (c *IndexedCache) Generation() uint64 {

@@ -9,10 +9,7 @@ import (
 	"inca/internal/branch"
 )
 
-var (
-	_ Cache     = (*IndexedCache)(nil)
-	_ Versioned = (*IndexedCache)(nil)
-)
+var _ Cache = (*IndexedCache)(nil)
 
 // TestIndexedCacheDumpByteIdentical is the core equivalence property: for
 // the same insert sequence the materialized document must match the

@@ -29,3 +29,7 @@ func (NullCache) Size() int { return 0 }
 
 // Count returns 0.
 func (NullCache) Count() int { return 0 }
+
+// Generation returns 0: the document never changes, so one validator is
+// correct forever.
+func (NullCache) Generation() uint64 { return 0 }

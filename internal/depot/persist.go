@@ -141,15 +141,16 @@ func heartbeatString(d time.Duration) string {
 	return d.String()
 }
 
-// ReadSnapshot reconstructs a depot (over a StreamCache, default options)
-// from an image written by WriteSnapshot.
+// ReadSnapshot reconstructs a depot (default cache, default options) from
+// an image written by WriteSnapshot.
 func ReadSnapshot(r io.Reader) (*Depot, error) {
-	return ReadSnapshotOptions(r, Options{})
+	return ReadSnapshotOptions(r, nil, Options{})
 }
 
-// ReadSnapshotOptions is ReadSnapshot with explicit archive-pipeline
-// options for the reconstructed depot.
-func ReadSnapshotOptions(r io.Reader, opts Options) (*Depot, error) {
+// ReadSnapshotOptions is ReadSnapshot into the given cache (nil for the
+// default, as in New), which receives one Update per stored report, and
+// with explicit archive-pipeline options for the reconstructed depot.
+func ReadSnapshotOptions(r io.Reader, cache Cache, opts Options) (*Depot, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -158,7 +159,7 @@ func ReadSnapshotOptions(r io.Reader, opts Options) (*Depot, error) {
 	if string(magic) != snapshotMagic {
 		return nil, fmt.Errorf("depot: bad snapshot magic %q", magic)
 	}
-	d := NewWithOptions(NewStreamCache(), opts)
+	d := NewWithOptions(cache, opts)
 	for {
 		tag, data, err := readSection(br)
 		if err == io.EOF {
@@ -169,11 +170,9 @@ func ReadSnapshotOptions(r io.Reader, opts Options) (*Depot, error) {
 		}
 		switch tag {
 		case "CACH":
-			cache, err := LoadDump(data)
-			if err != nil {
+			if err := restoreDump(d.cache, data); err != nil {
 				return nil, err
 			}
-			d.cache = cache
 		case "POLS":
 			var pols xmlPolicies
 			if err := xml.Unmarshal(data, &pols); err != nil {

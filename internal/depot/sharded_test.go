@@ -1,4 +1,4 @@
-package depot
+package depot_test
 
 import (
 	"bytes"
@@ -6,22 +6,19 @@ import (
 	"testing"
 
 	"inca/internal/branch"
+	"inca/internal/depot"
+	"inca/internal/experiments/ablation"
 )
 
-var _ Cache = (*ShardedCache)(nil)
-
 func TestShardedCacheSpreadsAcrossShards(t *testing.T) {
-	c := NewShardedCacheDepth(8, 2)
+	c := ablation.NewShardedCacheDepth(8, 2)
 	for site := 0; site < 32; site++ {
 		id := fmt.Sprintf("probe=p,site=s%02d,vo=tg", site)
-		mustUpdate(t, c, id, reportXMLFor("rep", id))
+		depot.MustUpdate(t, c, id, depot.ReportXMLFor("rep", id))
 	}
-	populated := 0
-	for _, s := range c.shards {
-		if s.Count() > 0 {
-			populated++
-		}
-	}
+	// Dump stitches the shard documents under one root, so every shard
+	// holding a site contributes its own vo=tg element.
+	populated := bytes.Count(c.Dump(), []byte(`<branch name="vo" value="tg">`))
 	if populated < 4 {
 		t.Fatalf("32 sites landed on only %d of 8 shards", populated)
 	}
@@ -31,23 +28,26 @@ func TestShardedCacheSpreadsAcrossShards(t *testing.T) {
 }
 
 func TestShardedCacheRoutingIsStable(t *testing.T) {
-	c := NewShardedCacheDepth(16, 2)
-	id := branch.MustParse("probe=p1,site=sdsc,vo=tg")
-	want := c.shardFor(id)
-	// Identifiers sharing the most-general depth components co-locate.
-	sibling := branch.MustParse("probe=p2,site=sdsc,vo=tg")
-	if got := c.shardFor(sibling); got != want {
-		t.Fatalf("sibling routed to shard %d, want %d", got, want)
+	c := ablation.NewShardedCacheDepth(16, 2)
+	// Identifiers sharing the most-general depth components co-locate: a
+	// query at the shard depth reads one shard, and must find all three.
+	ids := []string{
+		"probe=p1,site=sdsc,vo=tg",
+		"probe=p2,site=sdsc,vo=tg",
+		"run=r9,probe=p1,site=sdsc,vo=tg",
 	}
-	deeper := branch.MustParse("run=r9,probe=p1,site=sdsc,vo=tg")
-	if got := c.shardFor(deeper); got != want {
-		t.Fatalf("descendant routed to shard %d, want %d", got, want)
+	for _, id := range ids {
+		depot.MustUpdate(t, c, id, depot.ReportXMLFor("rep", id))
+	}
+	got, err := c.Reports(branch.MustParse("site=sdsc,vo=tg"))
+	if err != nil || len(got) != len(ids) {
+		t.Fatalf("site query found %d of %d reports (err %v): sibling or descendant routed to another shard", len(got), len(ids), err)
 	}
 }
 
 func TestShardedCacheDeepQueryTouchesOneShard(t *testing.T) {
-	c := NewShardedCacheDepth(4, 2)
-	mustUpdate(t, c, "probe=p1,site=sdsc,vo=tg", reportXMLFor("rep", "one"))
+	c := ablation.NewShardedCacheDepth(4, 2)
+	depot.MustUpdate(t, c, "probe=p1,site=sdsc,vo=tg", depot.ReportXMLFor("rep", "one"))
 	sub, ok, err := c.Query(branch.MustParse("probe=p1,site=sdsc,vo=tg"))
 	if err != nil || !ok || !bytes.Contains(sub, []byte("one")) {
 		t.Fatalf("deep query: ok=%v err=%v %s", ok, err, sub)
@@ -55,7 +55,7 @@ func TestShardedCacheDeepQueryTouchesOneShard(t *testing.T) {
 	// A shallow prefix merges subtrees from every shard holding children.
 	for site := 0; site < 8; site++ {
 		id := fmt.Sprintf("probe=p1,site=s%d,vo=tg", site)
-		mustUpdate(t, c, id, reportXMLFor("rep", fmt.Sprintf("s%d", site)))
+		depot.MustUpdate(t, c, id, depot.ReportXMLFor("rep", fmt.Sprintf("s%d", site)))
 	}
 	sub, ok, err = c.Query(branch.MustParse("vo=tg"))
 	if err != nil || !ok {
@@ -69,17 +69,17 @@ func TestShardedCacheDeepQueryTouchesOneShard(t *testing.T) {
 }
 
 func TestShardedCacheDumpMergesToCanonical(t *testing.T) {
-	c := NewShardedCacheDepth(5, 1)
+	c := ablation.NewShardedCacheDepth(5, 1)
 	ids := []string{
 		"r=a,vo=one", "r=b,vo=one", "r=a,vo=two",
 		"r=a,vo=three", "r=a,vo=four", "r=a,vo=five",
 	}
 	for _, id := range ids {
-		mustUpdate(t, c, id, reportXMLFor("rep", id))
+		depot.MustUpdate(t, c, id, depot.ReportXMLFor("rep", id))
 	}
 	// The stitched dump reloads into a canonical single document holding
 	// every entry exactly once.
-	re, err := LoadDump(c.Dump())
+	re, err := depot.LoadDump(c.Dump())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,37 +94,26 @@ func TestShardedCacheDumpMergesToCanonical(t *testing.T) {
 	}
 }
 
-func TestShardedCacheMergeInterop(t *testing.T) {
-	// A sharded cache merges with other cache kinds through depot.Merge.
-	sharded := NewShardedCache(4)
-	stream := NewStreamCache()
-	mustUpdate(t, sharded, "r=a,vo=x", reportXMLFor("rep", "fromShards"))
-	mustUpdate(t, stream, "r=b,vo=y", reportXMLFor("rep", "fromStream"))
-	merged, err := Merge(sharded, stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Count() != 2 {
-		t.Fatalf("merged count = %d", merged.Count())
-	}
-	dump := merged.Dump()
-	for _, want := range []string{"fromShards", "fromStream"} {
-		if !bytes.Contains(dump, []byte(want)) {
-			t.Fatalf("merged dump missing %s: %s", want, dump)
-		}
-	}
-}
-
 func TestShardedCacheSingleShardDegeneratesToStream(t *testing.T) {
-	sharded := NewShardedCache(1)
-	stream := NewStreamCache()
+	sharded := ablation.NewShardedCache(1)
+	stream := depot.NewStreamCache()
 	ids := []string{"r=b,s=2", "r=a,s=1", "r=c,s=1"}
 	for _, id := range ids {
-		mustUpdate(t, sharded, id, reportXMLFor("rep", id))
-		mustUpdate(t, stream, id, reportXMLFor("rep", id))
+		depot.MustUpdate(t, sharded, id, depot.ReportXMLFor("rep", id))
+		depot.MustUpdate(t, stream, id, depot.ReportXMLFor("rep", id))
 	}
 	if !bytes.Equal(sharded.Dump(), stream.Dump()) {
 		t.Fatalf("1-shard dump diverges from StreamCache:\n%s\nvs\n%s",
 			sharded.Dump(), stream.Dump())
 	}
+}
+
+func TestShardedCacheConcurrent(t *testing.T) {
+	depot.HammerCache(t, ablation.NewShardedCacheDepth(8, 2))
+}
+
+func TestShardedCacheConcurrentSingleShard(t *testing.T) {
+	// The degenerate 1-shard case funnels every writer through one lock —
+	// the contention shape the tentpole removes — and must still be safe.
+	depot.HammerCache(t, ablation.NewShardedCache(1))
 }

@@ -1,13 +1,18 @@
-package depot
+package ablation
 
 import (
 	"bytes"
 	"encoding/xml"
+	"fmt"
+	"io"
 	"sort"
 	"sync"
 
 	"inca/internal/branch"
+	"inca/internal/depot"
 )
+
+var _ depot.Cache = (*DOMCache)(nil)
 
 // DOMCache keeps the cache as a parsed in-memory tree — the design the
 // paper's authors tried first and abandoned because "the memory
@@ -51,6 +56,29 @@ func (n *domNode) child(p branch.Pair, create bool) *domNode {
 
 // NewDOMCache returns an empty tree cache.
 func NewDOMCache() *DOMCache { return &DOMCache{root: &domNode{}} }
+
+// wellFormed checks that data is one balanced XML element tree, as the
+// stream cache's tokenising insert does before it touches the document.
+func wellFormed(data []byte) error {
+	dec := xml.NewDecoder(bytes.NewReader(data))
+	elements := 0
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("depot: report is not well-formed XML: %w", err)
+		}
+		if _, ok := tok.(xml.StartElement); ok {
+			elements++
+		}
+	}
+	if elements == 0 {
+		return fmt.Errorf("depot: empty report payload")
+	}
+	return nil
+}
 
 // Update implements Cache.
 func (c *DOMCache) Update(id branch.ID, reportXML []byte) (bool, error) {
@@ -126,7 +154,7 @@ func (n *domNode) encode(enc *xml.Encoder, tag string) error {
 		return err
 	}
 	if n.entry != nil {
-		if err := writeEntry(enc, n.entry); err != nil {
+		if err := depot.WriteEntry(enc, n.entry); err != nil {
 			return err
 		}
 	}
@@ -139,14 +167,14 @@ func (n *domNode) encode(enc *xml.Encoder, tag string) error {
 }
 
 // Reports implements Cache.
-func (c *DOMCache) Reports(prefix branch.ID) ([]Stored, error) {
+func (c *DOMCache) Reports(prefix branch.ID) ([]depot.Stored, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var out []Stored
+	var out []depot.Stored
 	var walk func(n *domNode, id branch.ID)
 	walk = func(n *domNode, id branch.ID) {
 		if n.entry != nil && id.HasSuffix(prefix) {
-			out = append(out, Stored{ID: id, XML: append([]byte(nil), n.entry...)})
+			out = append(out, depot.Stored{ID: id, XML: append([]byte(nil), n.entry...)})
 		}
 		for _, ch := range n.children {
 			walk(ch, id.Child(ch.pair.Name, ch.pair.Value))
@@ -181,7 +209,7 @@ func (c *DOMCache) Count() int {
 	return c.count
 }
 
-// Generation implements Versioned.
+// Generation implements Cache.
 func (c *DOMCache) Generation() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

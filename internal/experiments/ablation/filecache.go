@@ -1,4 +1,4 @@
-package depot
+package ablation
 
 import (
 	"fmt"
@@ -7,8 +7,10 @@ import (
 	"sync"
 
 	"inca/internal/branch"
-	"inca/internal/metrics"
+	"inca/internal/depot"
 )
+
+var _ depot.Cache = (*FileCache)(nil)
 
 // FileCache is the write-through variant of the stream cache: the document
 // lives in "a single XML file" exactly as in the deployed system (Section
@@ -18,7 +20,7 @@ import (
 type FileCache struct {
 	mu    sync.Mutex
 	path  string
-	inner *StreamCache
+	inner *depot.StreamCache
 }
 
 // OpenFileCache loads (or creates) the cache file at path.
@@ -27,13 +29,13 @@ func OpenFileCache(path string) (*FileCache, error) {
 	data, err := os.ReadFile(path)
 	switch {
 	case err == nil:
-		inner, lerr := LoadDump(data)
+		inner, lerr := depot.LoadDump(data)
 		if lerr != nil {
 			return nil, fmt.Errorf("depot: cache file %s: %w", path, lerr)
 		}
 		fc.inner = inner
 	case os.IsNotExist(err):
-		fc.inner = NewStreamCache()
+		fc.inner = depot.NewStreamCache()
 		if werr := fc.flushLocked(); werr != nil {
 			return nil, werr
 		}
@@ -65,8 +67,6 @@ func (fc *FileCache) flushLocked() error {
 	return os.Rename(tmp.Name(), fc.path)
 }
 
-func (fc *FileCache) countFallbacks(n *metrics.Counter) { fc.inner.countFallbacks(n) }
-
 // Update implements Cache with write-through persistence.
 func (fc *FileCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 	fc.mu.Lock()
@@ -78,9 +78,8 @@ func (fc *FileCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 	}
 	if err := fc.flushLocked(); err != nil {
 		// Roll back the in-memory copy so memory and disk stay consistent.
-		restored, lerr := LoadDump(before)
+		restored, lerr := depot.LoadDump(before)
 		if lerr == nil {
-			restored.fallbacks = fc.inner.fallbacks
 			fc.inner = restored
 		}
 		return false, fmt.Errorf("depot: cache write-through: %w", err)
@@ -96,7 +95,7 @@ func (fc *FileCache) Query(id branch.ID) ([]byte, bool, error) {
 }
 
 // Reports implements Cache.
-func (fc *FileCache) Reports(prefix branch.ID) ([]Stored, error) {
+func (fc *FileCache) Reports(prefix branch.ID) ([]depot.Stored, error) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	return fc.inner.Reports(prefix)
@@ -123,7 +122,7 @@ func (fc *FileCache) Count() int {
 	return fc.inner.Count()
 }
 
-// Generation implements Versioned.
+// Generation implements Cache.
 func (fc *FileCache) Generation() uint64 {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()

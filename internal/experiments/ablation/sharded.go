@@ -1,11 +1,13 @@
-package depot
+package ablation
 
 import (
 	"bytes"
 
 	"inca/internal/branch"
-	"inca/internal/metrics"
+	"inca/internal/depot"
 )
+
+var _ depot.Cache = (*ShardedCache)(nil)
 
 // ShardedCache hashes each branch identifier onto one of N independent
 // StreamCache shards, each with its own lock — the concurrent-ingest
@@ -22,7 +24,7 @@ import (
 // shard and queries at or below the shard depth touch a single document.
 // Shallower queries and Dump stitch the shards back into one view.
 type ShardedCache struct {
-	shards []*StreamCache
+	shards []*depot.StreamCache
 	depth  int
 }
 
@@ -39,9 +41,9 @@ func NewShardedCacheDepth(n, depth int) *ShardedCache {
 	if depth < 1 {
 		depth = 1
 	}
-	c := &ShardedCache{shards: make([]*StreamCache, n), depth: depth}
+	c := &ShardedCache{shards: make([]*depot.StreamCache, n), depth: depth}
 	for i := range c.shards {
-		c.shards[i] = NewStreamCache()
+		c.shards[i] = depot.NewStreamCache()
 	}
 	return c
 }
@@ -80,12 +82,6 @@ func (c *ShardedCache) shardFor(id branch.ID) int {
 	return int(h % uint64(len(c.shards)))
 }
 
-func (c *ShardedCache) countFallbacks(n *metrics.Counter) {
-	for _, s := range c.shards {
-		s.countFallbacks(n)
-	}
-}
-
 // Update implements Cache. Writers for identifiers on different shards
 // proceed in parallel; only same-shard writers serialize.
 func (c *ShardedCache) Update(id branch.ID, reportXML []byte) (bool, error) {
@@ -107,11 +103,11 @@ func (c *ShardedCache) Query(id branch.ID) ([]byte, bool, error) {
 }
 
 // Reports implements Cache.
-func (c *ShardedCache) Reports(prefix branch.ID) ([]Stored, error) {
+func (c *ShardedCache) Reports(prefix branch.ID) ([]depot.Stored, error) {
 	if prefix.Depth() >= c.depth {
 		return c.shards[c.shardFor(prefix)].Reports(prefix)
 	}
-	var out []Stored
+	var out []depot.Stored
 	for _, s := range c.shards {
 		part, err := s.Reports(prefix)
 		if err != nil {
@@ -124,7 +120,7 @@ func (c *ShardedCache) Reports(prefix branch.ID) ([]Stored, error) {
 
 // Dump implements Cache: the shards' documents stitched under one root,
 // in shard-index order (the same stitching SplitCache performs; consumers
-// reassemble a canonical single document with Merge or LoadDump).
+// reassemble a canonical single document with depot.LoadDump).
 func (c *ShardedCache) Dump() []byte {
 	var buf bytes.Buffer
 	buf.WriteString("<cache>")
@@ -156,7 +152,7 @@ func (c *ShardedCache) Count() int {
 	return total
 }
 
-// Generation implements Versioned: the sum of the shard generations, which
+// Generation implements Cache: the sum of the shard generations, which
 // strictly increases with every successful update.
 func (c *ShardedCache) Generation() uint64 {
 	var total uint64

@@ -1,4 +1,4 @@
-package depot
+package ablation
 
 import (
 	"bytes"
@@ -7,8 +7,10 @@ import (
 	"sync"
 
 	"inca/internal/branch"
-	"inca/internal/metrics"
+	"inca/internal/depot"
 )
+
+var _ depot.Cache = (*SplitCache)(nil)
 
 // SplitCache shards the cache by its most general branch components —
 // the paper's planned scalability improvement: "the cache will be split
@@ -17,9 +19,7 @@ import (
 type SplitCache struct {
 	mu     sync.RWMutex
 	depth  int
-	shards map[string]*StreamCache
-	// fallbacks is handed to every shard, those created later included.
-	fallbacks *metrics.Counter
+	shards map[string]*depot.StreamCache
 }
 
 // NewSplitCache returns an empty cache sharded on the single most general
@@ -32,7 +32,7 @@ func NewSplitCacheDepth(depth int) *SplitCache {
 	if depth < 1 {
 		depth = 1
 	}
-	return &SplitCache{depth: depth, shards: make(map[string]*StreamCache)}
+	return &SplitCache{depth: depth, shards: make(map[string]*depot.StreamCache)}
 }
 
 // shardKey derives the shard from the identifier's most general components.
@@ -48,24 +48,16 @@ func (c *SplitCache) shardKey(id branch.ID) string {
 	return strings.Join(parts, "/")
 }
 
-func (c *SplitCache) shard(id branch.ID, create bool) *StreamCache {
+func (c *SplitCache) shard(id branch.ID, create bool) *depot.StreamCache {
 	key := c.shardKey(id)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.shards[key]
 	if !ok && create {
-		s = NewStreamCache()
-		s.fallbacks = c.fallbacks
+		s = depot.NewStreamCache()
 		c.shards[key] = s
 	}
 	return s
-}
-
-func (c *SplitCache) countFallbacks(n *metrics.Counter) {
-	c.fallbacks = n
-	for _, s := range c.shards {
-		s.countFallbacks(n)
-	}
 }
 
 // Update implements Cache.
@@ -76,7 +68,7 @@ func (c *SplitCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 // shardsForPrefix returns the shards that can hold data under prefix, in
 // shard-key order. A prefix shallower than the shard depth spans several
 // shards.
-func (c *SplitCache) shardsForPrefix(prefix branch.ID) []*StreamCache {
+func (c *SplitCache) shardsForPrefix(prefix branch.ID) []*depot.StreamCache {
 	if prefix.IsRoot() {
 		return c.orderedShards()
 	}
@@ -85,7 +77,7 @@ func (c *SplitCache) shardsForPrefix(prefix branch.ID) []*StreamCache {
 	defer c.mu.RUnlock()
 	if prefix.Depth() >= c.depth {
 		if s, ok := c.shards[key]; ok {
-			return []*StreamCache{s}
+			return []*depot.StreamCache{s}
 		}
 		return nil
 	}
@@ -96,7 +88,7 @@ func (c *SplitCache) shardsForPrefix(prefix branch.ID) []*StreamCache {
 		}
 	}
 	sort.Strings(keys)
-	out := make([]*StreamCache, len(keys))
+	out := make([]*depot.StreamCache, len(keys))
 	for i, k := range keys {
 		out[i] = c.shards[k]
 	}
@@ -117,7 +109,7 @@ func (c *SplitCache) Query(id branch.ID) ([]byte, bool, error) {
 // shard holds a disjoint set of children under the queried node, so the
 // merged answer emits the node's branch element once with every shard's
 // children inside.
-func mergeShardQuery(shards []*StreamCache, id branch.ID) ([]byte, bool, error) {
+func mergeShardQuery(shards []*depot.StreamCache, id branch.ID) ([]byte, bool, error) {
 	if len(shards) == 0 {
 		return nil, false, nil
 	}
@@ -158,8 +150,8 @@ func mergeShardQuery(shards []*StreamCache, id branch.ID) ([]byte, bool, error) 
 }
 
 // Reports implements Cache.
-func (c *SplitCache) Reports(prefix branch.ID) ([]Stored, error) {
-	var out []Stored
+func (c *SplitCache) Reports(prefix branch.ID) ([]depot.Stored, error) {
+	var out []depot.Stored
 	for _, s := range c.shardsForPrefix(prefix) {
 		part, err := s.Reports(prefix)
 		if err != nil {
@@ -170,7 +162,7 @@ func (c *SplitCache) Reports(prefix branch.ID) ([]Stored, error) {
 	return out, nil
 }
 
-func (c *SplitCache) orderedShards() []*StreamCache {
+func (c *SplitCache) orderedShards() []*depot.StreamCache {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	keys := make([]string, 0, len(c.shards))
@@ -178,7 +170,7 @@ func (c *SplitCache) orderedShards() []*StreamCache {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]*StreamCache, len(keys))
+	out := make([]*depot.StreamCache, len(keys))
 	for i, k := range keys {
 		out[i] = c.shards[k]
 	}
@@ -225,7 +217,7 @@ func (c *SplitCache) Shards() int {
 	return len(c.shards)
 }
 
-// Generation implements Versioned: the sum of the shard generations, which
+// Generation implements Cache: the sum of the shard generations, which
 // strictly increases with every successful update.
 func (c *SplitCache) Generation() uint64 {
 	var total uint64

@@ -9,6 +9,7 @@ import (
 	"inca/internal/controller"
 	"inca/internal/depot"
 	"inca/internal/envelope"
+	"inca/internal/experiments/ablation"
 	"inca/internal/loadgen"
 	"inca/internal/stats"
 )
@@ -104,10 +105,10 @@ func Fig9(opt Fig9Options) Result {
 			}{
 				{"body envelope + single cache (paper)", envelope.Body, func() (depot.Cache, error) { return depot.NewStreamCache(), nil }},
 				{"attachment envelope (paper's fix)", envelope.Attachment, func() (depot.Cache, error) { return depot.NewStreamCache(), nil }},
-				{"split cache (paper's fix)", envelope.Body, func() (depot.Cache, error) { return depot.NewSplitCacheDepth(2), nil }},
-				{"DOM cache (design rejected in §3.2.2)", envelope.Body, func() (depot.Cache, error) { return depot.NewDOMCache(), nil }},
+				{"split cache (paper's fix)", envelope.Body, func() (depot.Cache, error) { return ablation.NewSplitCacheDepth(2), nil }},
+				{"DOM cache (design rejected in §3.2.2)", envelope.Body, func() (depot.Cache, error) { return ablation.NewDOMCache(), nil }},
 				{"write-through file cache (deployed §3.2.2)", envelope.Body, func() (depot.Cache, error) {
-					return depot.OpenFileCache(tmpDir + "/cache.xml")
+					return ablation.OpenFileCache(tmpDir + "/cache.xml")
 				}},
 			}
 			for _, v := range variants {

@@ -101,7 +101,6 @@ func Fig5(opt Fig5Options) Result {
 		d, err := core.NewTeraGridDeployment(core.Options{
 			Seed:         opt.Seed,
 			Start:        start,
-			Cache:        depot.NewDOMCache(), // response fidelity not needed here; see DESIGN.md
 			Availability: true,
 		})
 		if err != nil {
@@ -203,7 +202,7 @@ func Fig6(opt Fig6Options) Result {
 		g := gridsim.NewTeraGrid(opt.Seed, gridsim.TeraGridOptions{InstallTime: start.Add(-24 * time.Hour)})
 		src, _ := g.Resource("tg-login1.sdsc.teragrid.org")
 		const dst = "tg-login1.caltech.teragrid.org"
-		d := depot.New(depot.NewStreamCache())
+		d := depot.New(nil)
 		if err := d.AddPolicy(depot.Policy{
 			Name:    "pathload-lower",
 			Path:    "value,statistic=lowerBound,metric=bandwidth",

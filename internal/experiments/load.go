@@ -79,6 +79,7 @@ func Load(opt LoadOptions) (Result, error) {
 	var runErr error
 	r := timed("load", "Closed-loop capacity ramp to the saturation knee (DiPerF methodology)", func(r *Result) {
 		r.Notes = append(r.Notes,
+			"every spawned inca-server (the single depot and each federated shard) runs with its default flags, so on the indexed cache (-cache indexed)",
 			fmt.Sprintf("closed-loop ramp %v, %s per stage after %s warmup", opt.Stages, opt.StageDuration, warmupNote(opt.Warmup)),
 			"mixed workload per worker: batched wire writes, conditional /cache+/reports revalidations, cold site-prefix deep reads")
 		var sections []string

@@ -9,6 +9,7 @@ import (
 
 	"inca/internal/branch"
 	"inca/internal/depot"
+	"inca/internal/experiments/ablation"
 	"inca/internal/loadgen"
 )
 
@@ -43,7 +44,7 @@ func buildQueryCache(name string, ids []branch.ID, dump []byte, data []byte) (de
 	case "stream":
 		return depot.LoadDump(dump)
 	case "sharded16":
-		c := depot.NewShardedCacheDepth(16, 2)
+		c := ablation.NewShardedCacheDepth(16, 2)
 		for _, id := range ids {
 			if _, err := c.Update(id, data); err != nil {
 				return nil, err

@@ -11,6 +11,7 @@ import (
 	"inca/internal/controller"
 	"inca/internal/depot"
 	"inca/internal/envelope"
+	"inca/internal/experiments/ablation"
 	"inca/internal/loadgen"
 )
 
@@ -33,7 +34,7 @@ func shardsCell(shards, workers, updates int) (cell cellStats, err error) {
 	if shards == 1 {
 		cache = depot.NewStreamCache()
 	} else {
-		cache = depot.NewShardedCacheDepth(shards, 2)
+		cache = ablation.NewShardedCacheDepth(shards, 2)
 	}
 	d := depot.New(cache)
 	ctl := controller.New(d, controller.Options{Mode: envelope.Attachment, MaxResponses: 256})

@@ -7,7 +7,7 @@
 // back into the single-depot document shape.
 //
 // The ring hashes only a branch identifier's most-general components
-// (the same prefix affinity as depot.ShardedCache and
+// (the same prefix affinity as ablation.ShardedCache and
 // controller.ShardedDepot), so a reporter's whole vo/site subtree lands
 // on one shard: exact queries touch a single process, and membership
 // changes move whole subtrees rather than scattering a site's reports.
@@ -103,7 +103,7 @@ func NewRing(members []string, opt RingOptions) *Ring {
 }
 
 // hashString is FNV-1a 64 with a murmur-style avalanche finalizer — the
-// same construction depot.ShardedCache uses, because FNV's trailing-byte
+// same construction ablation.ShardedCache uses, because FNV's trailing-byte
 // linearity correlates badly when keys differ only near the end
 // (site=s0, site=s1, ...).
 func hashString(s string) uint64 {

@@ -47,17 +47,10 @@ type Feed struct {
 
 // NewFeed attaches a change feed to the depot. Call Close to detach.
 func NewFeed(d *depot.Depot, opts FeedOptions) *Feed {
-	var source func() uint64
-	if _, ok := d.CacheGeneration(); ok {
-		source = func() uint64 {
-			g, _ := d.CacheGeneration()
-			return g
-		}
-	}
 	f := &Feed{d: d}
 	f.hub = feed.NewHub(feed.Options{
 		QueueLimit:   opts.QueueLimit,
-		CursorSource: source,
+		CursorSource: d.CacheGeneration,
 		Name:         "depot",
 		Metrics:      opts.Metrics,
 	})

@@ -100,39 +100,6 @@ func TestReportsETagAndContentLength(t *testing.T) {
 	}
 }
 
-func TestUnversionedCacheServesWithoutETags(t *testing.T) {
-	// A depot over a cache without Generation still answers, just without
-	// conditional semantics.
-	d := depot.New(unversionedCache{depot.NewStreamCache()})
-	srv := httptest.NewServer(NewServer(d).Handler())
-	defer srv.Close()
-	c := NewClient(srv.URL)
-	if _, err := c.StoreEnvelope(sampleEnvelope(t, "a=1", t0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	body, tag, notMod, err := c.CacheConditional("", `"0"`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if notMod || tag != "" || len(body) == 0 {
-		t.Fatalf("unversioned fetch: notMod=%v tag=%q len=%d", notMod, tag, len(body))
-	}
-}
-
-// unversionedCache hides the inner cache's Generation method.
-type unversionedCache struct{ inner *depot.StreamCache }
-
-func (u unversionedCache) Update(id branch.ID, reportXML []byte) (bool, error) {
-	return u.inner.Update(id, reportXML)
-}
-func (u unversionedCache) Query(id branch.ID) ([]byte, bool, error) { return u.inner.Query(id) }
-func (u unversionedCache) Reports(prefix branch.ID) ([]depot.Stored, error) {
-	return u.inner.Reports(prefix)
-}
-func (u unversionedCache) Dump() []byte { return u.inner.Dump() }
-func (u unversionedCache) Size() int    { return u.inner.Size() }
-func (u unversionedCache) Count() int   { return u.inner.Count() }
-
 func TestReadEndpointsRejectWrites(t *testing.T) {
 	ts, _ := newIndexedServer(t)
 	for _, path := range []string{"/cache", "/reports", "/archive", "/graph", "/stats", "/availability", "/debug/vars"} {

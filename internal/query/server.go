@@ -4,9 +4,9 @@
 // both current data from the cache (by branch identifier, or the whole
 // cache when none is supplied) and archived time series.
 //
-// The read side is cache-aware: when the depot's cache implements
-// depot.Versioned, /cache and /reports responses carry an ETag derived
-// from the cache generation, and conditional requests (If-None-Match)
+// The read side is cache-aware: /cache and /reports responses carry an
+// ETag derived from the cache generation (depot.Cache.Generation), and
+// conditional requests (If-None-Match)
 // short-circuit to 304 Not Modified before any cache work happens — the
 // cheapest possible answer to the most common consumer poll ("anything
 // new since last time?"). The availability overview is memoized on
@@ -175,12 +175,6 @@ func readOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// generation returns the cache generation when the underlying cache is
-// versioned.
-func (s *Server) generation() (uint64, bool) {
-	return s.d.CacheGeneration()
-}
-
 // etagFor renders a generation as a strong entity tag. Each endpoint has
 // per-URL semantics, so the bare generation is a sufficient validator:
 // equal generation implies a byte-identical cache, hence byte-identical
@@ -250,22 +244,19 @@ func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad end: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	gen, versioned := s.generation()
-	var tag, key string
-	if versioned {
-		tag = etagFor(gen)
-		if s.checkNotModified(w, r, tag) {
-			return
-		}
-		key = q.Encode()
-		s.availMu.Lock()
-		e, ok := s.avail[key]
-		s.availMu.Unlock()
-		if ok && e.gen == gen {
-			s.availHits.Inc()
-			s.writeAvailability(w, r, contentType, tag, e.body)
-			return
-		}
+	gen := s.d.CacheGeneration()
+	tag := etagFor(gen)
+	if s.checkNotModified(w, r, tag) {
+		return
+	}
+	key := q.Encode()
+	s.availMu.Lock()
+	e, ok := s.avail[key]
+	s.availMu.Unlock()
+	if ok && e.gen == gen {
+		s.availHits.Inc()
+		s.writeAvailability(w, r, contentType, tag, e.body)
+		return
 	}
 	page, err := consumer.BuildAvailabilityPage(s.d, "Availability overview", resources, cats, start, end)
 	if err != nil {
@@ -288,22 +279,18 @@ func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.availMisses.Inc()
-	if versioned {
-		s.availMu.Lock()
-		if len(s.avail) >= availMemoCap {
-			s.avail = make(map[string]*availEntry)
-		}
-		s.avail[key] = &availEntry{gen: gen, body: body}
-		s.availMu.Unlock()
+	s.availMu.Lock()
+	if len(s.avail) >= availMemoCap {
+		s.avail = make(map[string]*availEntry)
 	}
+	s.avail[key] = &availEntry{gen: gen, body: body}
+	s.availMu.Unlock()
 	s.writeAvailability(w, r, contentType, tag, body)
 }
 
 func (s *Server) writeAvailability(w http.ResponseWriter, r *http.Request, contentType, tag string, body []byte) {
 	w.Header().Set("Content-Type", contentType)
-	if tag != "" {
-		w.Header().Set("ETag", tag)
-	}
+	w.Header().Set("ETag", tag)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	if r.Method == http.MethodHead {
 		return
@@ -441,12 +428,9 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var tag string
-	if gen, ok := s.generation(); ok {
-		tag = etagFor(gen)
-		if s.checkNotModified(w, r, tag) {
-			return
-		}
+	tag := etagFor(s.d.CacheGeneration())
+	if s.checkNotModified(w, r, tag) {
+		return
 	}
 	sub, ok, err := s.d.Cache().Query(id)
 	if err != nil {
@@ -460,9 +444,7 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	}
 	s.queryHits.Inc()
 	w.Header().Set("Content-Type", "text/xml")
-	if tag != "" {
-		w.Header().Set("ETag", tag)
-	}
+	w.Header().Set("ETag", tag)
 	w.Header().Set("Content-Length", strconv.Itoa(len(sub)))
 	if r.Method == http.MethodHead {
 		return
@@ -481,12 +463,9 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var tag string
-	if gen, ok := s.generation(); ok {
-		tag = etagFor(gen)
-		if s.checkNotModified(w, r, tag) {
-			return
-		}
+	tag := etagFor(s.d.CacheGeneration())
+	if s.checkNotModified(w, r, tag) {
+		return
 	}
 	stored, err := s.d.Cache().Reports(id)
 	if err != nil {
@@ -512,9 +491,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		total += len(openTag) + (offs[i+1] - offs[i]) + len(closeAttr) + len(st.XML) + len(closeTag)
 	}
 	w.Header().Set("Content-Type", "text/xml")
-	if tag != "" {
-		w.Header().Set("ETag", tag)
-	}
+	w.Header().Set("ETag", tag)
 	w.Header().Set("Content-Length", strconv.Itoa(total))
 	if r.Method == http.MethodHead {
 		return
@@ -703,6 +680,8 @@ func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
 		CacheSize:           st.CacheSize,
 		CacheCount:          st.CacheCount,
 		Archives:            st.Archives,
+		Versioned:           true, // every cache has a generation; the key stays for readers of the page
+		Generation:          s.d.CacheGeneration(),
 		ArchiveGeneration:   s.d.ArchiveGeneration(),
 		ArchiveMatched:      st.Archive.Matched,
 		ArchiveEnqueued:     st.Archive.Enqueued,
@@ -716,7 +695,6 @@ func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
 		AvailabilityHits:    s.availHits.Value(),
 		AvailabilityMisses:  s.availMisses.Value(),
 	}
-	v.Generation, v.Versioned = s.generation()
 	if s.WireStats != nil {
 		ws := s.WireStats()
 		v.DeliveryWired = true

@@ -14,7 +14,9 @@ package inca_test
 // `make check`) rather than on every plain `go test ./...`.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -141,6 +143,7 @@ func TestStorageSmoke(t *testing.T) {
 		t.Fatalf("after mid-stream SIGKILL: %d reports, want at least the %d previously acked", got, acked)
 	}
 	t.Logf("mid-stream kill: %d of up to %d extra reports survived", got-acked, 200)
+	document := fetchCacheDocument(t, httpAddr)
 
 	if err := srv.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
@@ -159,6 +162,28 @@ func TestStorageSmoke(t *testing.T) {
 	if a := fetchStatsArchives(t, httpAddr); a < acked {
 		t.Fatalf("checkpoint restart: %d archives, want >= %d", a, acked)
 	}
+	// The checkpoint is restored into the cache the server was started with
+	// (no endpoint names its kind; internal/depot's
+	// TestRestoreKeepsConfiguredCache does): the document it serves is the
+	// one it served before the restart, byte for byte.
+	if again := fetchCacheDocument(t, httpAddr); !bytes.Equal(again, document) {
+		t.Fatalf("checkpoint restart: /cache changed (%d bytes, was %d)", len(again), len(document))
+	}
+}
+
+// fetchCacheDocument returns the whole cache document, GET /cache.
+func fetchCacheDocument(t *testing.T, httpAddr string) []byte {
+	t.Helper()
+	resp, err := http.Get("http://" + httpAddr + "/cache")
+	if err != nil {
+		t.Fatalf("GET /cache: %v", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /cache: status %d, %v", resp.StatusCode, err)
+	}
+	return body
 }
 
 // newestWALSegment returns the path of the highest-numbered WAL segment.
