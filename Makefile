@@ -1,12 +1,19 @@
 GO ?= go
 
-.PHONY: check fmt vet build fence test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-query bench-archive bench-federation bench-merge bench-ingest bench-storage bench-feed bench-replication bench-load fuzz
+.PHONY: check loc fmt vet build fence test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-query bench-archive bench-federation bench-merge bench-ingest bench-storage bench-feed bench-replication bench-load fuzz
 
 # The full gate: formatting, static checks, build, the import fence,
 # race-enabled tests, the fault-injection suite, the telemetry smoke, the
 # multi-process federation, storage, feed and load smokes, and a
 # one-iteration smoke of the parallel ingest benchmark tier.
 check: fmt vet build fence test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke
+
+# Non-test Go lines per package and in total, bench/ excluded: the figure
+# ROADMAP item 3 ("One core, fewer forks") tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | \
+		awk '$$2 != "total" { sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -220,17 +220,74 @@ func main() {
 		}
 	}
 
+	// Periodic checkpoints bound both WAL replay time after a crash and the
+	// page-cache durability window (DESIGN.md §5g).
+	checkpointEvery := *checkpoint
+	if !d.DiskBacked() {
+		checkpointEvery = 0
+	}
+	serve(*httpAddr, "querying interface on http://%s (/cache /reports /archive /graph /feed /stats /metrics)\n", qsrv.Handler(), func() {
+		st := d.Stats()
+		accepted, rejected, errs := ctl.Counters()
+		fmt.Printf("depot: %d reports (%d bytes), cache %d entries / %d bytes; controller: %d ok, %d rejected, %d errors\n",
+			st.Received, st.Bytes, st.CacheCount, st.CacheSize, accepted, rejected, errs)
+	}, checkpointEvery, func() {
+		if err := d.Checkpoint(); err != nil {
+			fmt.Fprintln(os.Stderr, "checkpoint:", err)
+		}
+	})
+
+	// Stop ingest before depot teardown: srv.Close returns only after
+	// every in-flight connection handler has finished, so no store can
+	// race the archive pipeline shutdown.
+	srv.Close()
+	if qfeed != nil {
+		// Detach the publisher and end subscribers before the depot
+		// closes underneath them.
+		qfeed.Close()
+	}
+	if d.DiskBacked() {
+		// Fold the WAL into the checkpoint so the next start replays
+		// nothing; the WAL still covers us if this fails mid-way.
+		if err := d.Checkpoint(); err != nil {
+			fmt.Fprintln(os.Stderr, "checkpoint:", err)
+		} else {
+			fmt.Println("depot checkpoint written")
+		}
+	}
+	if *snapshot != "" {
+		// Written atomically (temp + fsync + rename): a crash here leaves
+		// the previous snapshot intact, never a torn image.
+		err := depot.AtomicWriteFile(*snapshot, func(w io.Writer) error {
+			return d.WriteSnapshot(w)
+		})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "snapshot %s: %v\n", *snapshot, err)
+			os.Exit(1)
+		}
+		fmt.Printf("depot snapshot written to %s\n", *snapshot)
+	}
+	// Drains any queued archive work and, on disk, closes every archive
+	// handle and the live WAL segment.
+	d.Close()
+}
+
+// serve runs the querying interface h on addr until SIGINT or SIGTERM,
+// then closes it and returns for the caller to tear its tier down. banner
+// is printed with the address bound; report runs once a minute, and
+// periodic every `every` when that is positive.
+func serve(addr, banner string, h http.Handler, report func(), every time.Duration, periodic func()) {
 	// Listen before serving so ":0" reports the port actually bound —
 	// smoke tests (and operators) read it off stdout.
-	httpLn, err := net.Listen("tcp", *httpAddr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "http listen:", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Handler: qsrv.Handler()}
+	httpSrv := &http.Server{Handler: h}
 	go func() {
-		fmt.Printf("querying interface on http://%s (/cache /reports /archive /graph /feed /stats /metrics)\n", httpLn.Addr())
-		if err := httpSrv.Serve(httpLn); err != nil && err != http.ErrServerClosed {
+		fmt.Printf(banner, ln.Addr())
+		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			fmt.Fprintln(os.Stderr, "http:", err)
 			os.Exit(1)
 		}
@@ -238,63 +295,23 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	ticker := time.NewTicker(60 * time.Second)
-	defer ticker.Stop()
-	// Periodic checkpoints bound both WAL replay time after a crash and the
-	// page-cache durability window (DESIGN.md §5g).
-	var ckptC <-chan time.Time
-	if d.DiskBacked() && *checkpoint > 0 {
-		ckptTicker := time.NewTicker(*checkpoint)
-		defer ckptTicker.Stop()
-		ckptC = ckptTicker.C
+	minute := time.NewTicker(60 * time.Second)
+	defer minute.Stop()
+	var periodicC <-chan time.Time // nil, so never ready, without a period
+	if every > 0 {
+		t := time.NewTicker(every)
+		defer t.Stop()
+		periodicC = t.C
 	}
 	for {
 		select {
-		case <-ticker.C:
-			st := d.Stats()
-			accepted, rejected, errs := ctl.Counters()
-			fmt.Printf("depot: %d reports (%d bytes), cache %d entries / %d bytes; controller: %d ok, %d rejected, %d errors\n",
-				st.Received, st.Bytes, st.CacheCount, st.CacheSize, accepted, rejected, errs)
-		case <-ckptC:
-			if err := d.Checkpoint(); err != nil {
-				fmt.Fprintln(os.Stderr, "checkpoint:", err)
-			}
+		case <-minute.C:
+			report()
+		case <-periodicC:
+			periodic()
 		case <-sig:
 			fmt.Println("shutting down")
 			httpSrv.Close()
-			// Stop ingest before depot teardown: srv.Close returns only
-			// after every in-flight connection handler has finished, so no
-			// store can race the archive pipeline shutdown.
-			srv.Close()
-			if qfeed != nil {
-				// Detach the publisher and end subscribers before the
-				// depot closes underneath them.
-				qfeed.Close()
-			}
-			if d.DiskBacked() {
-				// Fold the WAL into the checkpoint so the next start replays
-				// nothing; the WAL still covers us if this fails mid-way.
-				if err := d.Checkpoint(); err != nil {
-					fmt.Fprintln(os.Stderr, "checkpoint:", err)
-				} else {
-					fmt.Println("depot checkpoint written")
-				}
-			}
-			if *snapshot != "" {
-				// Written atomically (temp + fsync + rename): a crash here
-				// leaves the previous snapshot intact, never a torn image.
-				err := depot.AtomicWriteFile(*snapshot, func(w io.Writer) error {
-					return d.WriteSnapshot(w)
-				})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "snapshot %s: %v\n", *snapshot, err)
-					os.Exit(1)
-				}
-				fmt.Printf("depot snapshot written to %s\n", *snapshot)
-			}
-			// Drains any queued archive work and, on disk, closes every
-			// archive handle and the live WAL segment.
-			d.Close()
 			return
 		}
 	}
@@ -364,42 +381,18 @@ func runFederated(topology, replicate, tcpAddr, httpAddr string, replicas, depth
 	// stream with composed cursors; shards without /feed turn the tier's
 	// /feed into a 503 until they are upgraded.
 	ffeed := fed.AttachFeed(query.FeedOptions{Metrics: reg})
-	httpLn, err := net.Listen("tcp", httpAddr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "http listen:", err)
-		os.Exit(1)
-	}
-	httpSrv := &http.Server{Handler: fed.Handler()}
-	go func() {
-		fmt.Printf("federated querying interface on http://%s (/cache /reports /archive /availability /feed /shards /metrics)\n", httpLn.Addr())
-		if err := httpSrv.Serve(httpLn); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintln(os.Stderr, "http:", err)
-			os.Exit(1)
-		}
-	}()
+	serve(httpAddr, "federated querying interface on http://%s (/cache /reports /archive /availability /feed /shards /metrics)\n", fed.Handler(), func() {
+		st := router.Stats()
+		fmt.Printf("router: %d routed, %d rerouted, %d unroutable, %d refused, %d reroute-dropped, %d promotions across %d shards\n",
+			st.Routed, st.Rerouted, st.Unroutable, st.Refused, st.RerouteDropped, st.Promotions, len(st.Shards))
+	}, 0, nil)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	ticker := time.NewTicker(60 * time.Second)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			st := router.Stats()
-			fmt.Printf("router: %d routed, %d rerouted, %d unroutable, %d refused, %d reroute-dropped, %d promotions across %d shards\n",
-				st.Routed, st.Rerouted, st.Unroutable, st.Refused, st.RerouteDropped, st.Promotions, len(st.Shards))
-		case <-sig:
-			fmt.Println("shutting down")
-			httpSrv.Close()
-			ffeed.Close()
-			fed.Close()
-			// Stop accepting before the drain so the barrier is final.
-			srv.Close()
-			if err := router.Drain(); err != nil {
-				fmt.Fprintln(os.Stderr, "drain:", err)
-			}
-			router.Close()
-			return
-		}
+	ffeed.Close()
+	fed.Close()
+	// Stop accepting before the drain so the barrier is final.
+	srv.Close()
+	if err := router.Drain(); err != nil {
+		fmt.Fprintln(os.Stderr, "drain:", err)
 	}
+	router.Close()
 }

@@ -116,7 +116,6 @@ func NewWireSinkReliable(addr string, opt DeliveryOptions) (*WireSink, error) {
 	if err != nil {
 		return nil, err
 	}
-	fillBackoff(&opt.Backoff)
 	w := &WireSink{
 		spool: spool,
 		opt:   opt,
@@ -130,17 +129,6 @@ func NewWireSinkReliable(addr string, opt DeliveryOptions) (*WireSink, error) {
 	}
 	go w.deliver()
 	return w, nil
-}
-
-// fillBackoff is RetryPolicy defaulting without the Max floor (the
-// delivery loop's horizon is DeliveryOptions.MaxAttempts, not Retry.Max).
-func fillBackoff(p *wire.RetryPolicy) {
-	if p.Base <= 0 {
-		p.Base = 100 * time.Millisecond
-	}
-	if p.Cap <= 0 {
-		p.Cap = 5 * time.Second
-	}
 }
 
 // Submit implements Sink.

@@ -3,7 +3,6 @@ package federation
 import (
 	"fmt"
 	"log"
-	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
@@ -166,11 +165,6 @@ type Router struct {
 	opt   RouterOptions
 	clock simtime.Clock
 
-	// backoffMu guards backoffRNG: concurrent Leave/Promote calls
-	// re-route orphans in parallel, each jittering its own ladder.
-	backoffMu  sync.Mutex
-	backoffRNG *rand.Rand
-
 	mu       sync.RWMutex
 	ring     *Ring
 	shards   map[string]Shard             // by ring name
@@ -205,7 +199,6 @@ func NewRouter(shards []Shard, opt RouterOptions) (*Router, error) {
 	r := &Router{
 		opt:            opt,
 		clock:          clock,
-		backoffRNG:     rand.New(rand.NewSource(2004)),
 		shards:         make(map[string]Shard, len(shards)),
 		clients:        make(map[string]*wire.BatchClient, len(shards)),
 		replicas:       make(map[string]*wire.BatchClient),
@@ -448,29 +441,13 @@ const rerouteDeadline = 10 * time.Second
 // polling on a fixed short sleep: a successor refusing because its
 // backlog is full needs time to drain, and hammering it every few
 // milliseconds burns CPU (and, with many concurrent re-routes,
-// synchronizes the retries into thundering herds). The ladder starts at
-// rerouteBackoffBase, doubles per refusal, caps at rerouteBackoffCap,
-// and each sleep adds up to half its length in jitter.
+// synchronizes the retries into thundering herds). The ladder is
+// simtime.Backoff from rerouteBackoffBase up to rerouteBackoffCap, slept
+// on the router's clock.
 const (
 	rerouteBackoffBase = 5 * time.Millisecond
 	rerouteBackoffCap  = 250 * time.Millisecond
 )
-
-// backoffSleep sleeps on the router's clock for d plus jitter in
-// [0, d/2], and returns the next rung of the ladder.
-func (r *Router) backoffSleep(d time.Duration) (next time.Duration) {
-	r.backoffMu.Lock()
-	jitter := time.Duration(r.backoffRNG.Int63n(int64(d/2) + 1))
-	r.backoffMu.Unlock()
-	r.clock.Sleep(d + jitter)
-	if d >= rerouteBackoffCap {
-		return rerouteBackoffCap
-	}
-	if d *= 2; d > rerouteBackoffCap {
-		return rerouteBackoffCap
-	}
-	return d
-}
 
 // rerouteOrphans re-enqueues harvested messages through the current ring
 // with full accounting: every orphan ends as exactly one of rerouted
@@ -493,8 +470,7 @@ func (r *Router) rerouteOrphans(from string, orphans []*wire.Message) int {
 			bad++
 			continue
 		}
-		backoff := rerouteBackoffBase
-		for {
+		for refusals := 1; ; refusals++ {
 			r.mu.RLock()
 			next := r.clients[r.ring.Owner(id)]
 			r.mu.RUnlock()
@@ -519,7 +495,7 @@ func (r *Router) rerouteOrphans(from string, orphans []*wire.Message) int {
 			if err := next.Flush(); err != nil && flushErr == nil {
 				flushErr = err
 			}
-			backoff = r.backoffSleep(backoff)
+			r.clock.Sleep(simtime.Backoff(rerouteBackoffBase, rerouteBackoffCap, refusals))
 		}
 	}
 	r.rerouted.Add(uint64(moved))

@@ -23,9 +23,9 @@ import (
 )
 
 // Federated is the scatter-gather query tier over a federation of depot
-// shards: it exposes the same HTTP surface as Server, but answers by
-// fanning requests across the shards behind a federation.Router and
-// merging the responses back into the single-depot shape (DESIGN.md §5f).
+// shards: the Server's handler set, over a backend that answers by fanning
+// requests across the shards behind a federation.Router and merging the
+// responses back into the single-depot shape (DESIGN.md §5f).
 //
 // Conditional requests work end-to-end: each response's ETag composes
 // the ring signature with every shard's own validator, a client's
@@ -35,11 +35,11 @@ import (
 // at or below the ring's affinity depth skip the fan-out entirely and
 // proxy to the one owning shard.
 type Federated struct {
+	srv            *Server // the handler set, with this tier as its backend
 	router         *federation.Router
 	httpc          *http.Client
 	transport      *http.Transport // the tier's own, nil when the caller supplied the client
-	reg            *metrics.Registry
-	feed           *FederatedFeed // composed change feed; set by AttachFeed
+	ff             *FederatedFeed  // composed change feed; set by AttachFeed
 	preferFollower bool
 
 	fanouts     *metrics.Counter // requests scattered to every shard
@@ -96,11 +96,10 @@ func NewFederated(router *federation.Router, opt FederatedOptions) *Federated {
 		httpc = &http.Client{Timeout: to, Transport: transport}
 	}
 	reg := opt.Metrics
-	return &Federated{
+	f := &Federated{
 		router:         router,
 		httpc:          httpc,
 		transport:      transport,
-		reg:            reg,
 		preferFollower: opt.PreferFollower,
 		fanouts:        reg.Counter("inca_federated_fanouts_total", "Requests scattered to every shard."),
 		forwards:       reg.Counter("inca_federated_forwards_total", "Requests proxied to the single owning shard."),
@@ -115,6 +114,8 @@ func NewFederated(router *federation.Router, opt FederatedOptions) *Federated {
 		followerFallbacks:   reg.Counter("inca_federated_follower_fallbacks_total", "Follower reads that fell back to the primary on a transport error."),
 		followerRegressions: reg.Counter("inca_federated_follower_regressions_total", "Follower reads discarded by the generation gate — the follower was behind the client's validator."),
 	}
+	f.srv = &Server{b: f, reg: reg}
+	return f
 }
 
 // Close drops the idle connections the tier keeps to its shards. A tier
@@ -125,31 +126,28 @@ func (f *Federated) Close() {
 	}
 }
 
-// Handler returns the federated HTTP mux. The read surface matches
-// Server's, scatter-gather endpoints timed in the same
-// inca_query_request_seconds{handler=…} family; /shards and /federation/*
-// administer membership.
-func (f *Federated) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/store", f.handleStore)
-	mux.HandleFunc("/policy", f.handlePolicy)
-	mux.HandleFunc("/cache", timed(f.reg, "cache", readOnly(f.handleCache)))
-	mux.HandleFunc("/reports", timed(f.reg, "reports", readOnly(f.handleReports)))
-	mux.HandleFunc("/archive", readOnly(f.handleForwarded))
-	mux.HandleFunc("/graph", readOnly(f.handleForwarded))
-	mux.HandleFunc("/availability", timed(f.reg, "availability", readOnly(f.handleAvailability)))
-	mux.HandleFunc("/stats", readOnly(f.handleStats))
-	mux.HandleFunc("/debug/vars", readOnly(f.handleDebugVars))
-	mux.HandleFunc("/feed", timed(f.reg, "feed", readOnly(f.handleFeed)))
-	mux.HandleFunc("/shards", readOnly(f.handleShards))
-	mux.HandleFunc("/federation/join", f.handleJoin)
-	mux.HandleFunc("/federation/leave", f.handleLeave)
-	mux.HandleFunc("/federation/promote", f.handlePromote)
-	mux.HandleFunc("/federation/replicate", f.handleReplicate)
-	if f.reg != nil {
-		mux.Handle("/metrics", f.reg.Handler())
+// Handler returns the federated HTTP mux: the Server's handler set plus
+// the router's own endpoints (see routes).
+func (f *Federated) Handler() http.Handler { return f.srv.Handler() }
+
+// routes are the router's own endpoints: /archive and /graph go to the
+// shard owning the branch, /shards and /federation/* administer
+// membership.
+func (f *Federated) routes() []route {
+	return []route{
+		{"/archive", "archive", readOnly(f.handleForwarded)},
+		{"/graph", "graph", readOnly(f.handleForwarded)},
+		{"/shards", "shards", readOnly(f.handleShards)},
+		{"/federation/join", "federation_join", postOnly(f.handleJoin)},
+		{"/federation/leave", "federation_leave", postOnly(f.handleLeave)},
+		{"/federation/promote", "federation_promote", postOnly(f.handlePromote)},
+		{"/federation/replicate", "federation_replicate", postOnly(f.handleReplicate)},
 	}
-	return mux
+}
+
+// badGateway is the error of a shard that failed the tier.
+func badGateway(format string, args ...any) error {
+	return httpError{http.StatusBadGateway, fmt.Sprintf(format, args...)}
 }
 
 // --- composed validators ---
@@ -263,11 +261,7 @@ func releaseAll(resps []shardResp) {
 
 // fetchShard asks the shard's primary — the authoritative replica.
 func (f *Federated) fetchShard(s federation.Shard, path string, params url.Values, inm string) shardResp {
-	base := s.BaseURL()
-	if base == "" {
-		return shardResp{shard: s, err: fmt.Errorf("shard %s has no querying interface", s.Name())}
-	}
-	return f.fetchURL(s, base, path, params, inm)
+	return f.fetchURL(s, s.BaseURL(), path, params, inm)
 }
 
 // tagGen extracts the numeric generation from a shard validator (the
@@ -318,6 +312,9 @@ func (f *Federated) fetchShardRead(s federation.Shard, path string, params url.V
 }
 
 func (f *Federated) fetchURL(s federation.Shard, base, path string, params url.Values, inm string) shardResp {
+	if base == "" {
+		return shardResp{shard: s, err: fmt.Errorf("shard %s has no querying interface", s.Name())}
+	}
 	u := base + path
 	if len(params) > 0 {
 		u += "?" + params.Encode()
@@ -329,6 +326,21 @@ func (f *Federated) fetchURL(s federation.Shard, base, path string, params url.V
 	if inm != "" {
 		req.Header.Set("If-None-Match", inm)
 	}
+	return f.do(s, req)
+}
+
+// post sends body to a depot's write endpoint at base+path on behalf of
+// shard s.
+func (f *Federated) post(s federation.Shard, base, path string, body []byte) shardResp {
+	req, err := http.NewRequest(http.MethodPost, base+path, bytes.NewReader(body))
+	if err != nil {
+		return shardResp{shard: s, err: err}
+	}
+	req.Header.Set("Content-Type", "text/xml")
+	return f.do(s, req)
+}
+
+func (f *Federated) do(s federation.Shard, req *http.Request) shardResp {
 	resp, err := f.httpc.Do(req)
 	if err != nil {
 		f.shardErrors.Inc()
@@ -348,6 +360,34 @@ func (f *Federated) fetchURL(s federation.Shard, base, path string, params url.V
 		etag:   resp.Header.Get("ETag"),
 		buf:    buf,
 	}
+}
+
+// relay is the shard's answer passed on as it came: status, type and
+// body, no validator.
+func (r *shardResp) relay() document {
+	d := bytesDoc(r.header.Get("Content-Type"), "", r.body)
+	d.status, d.release = r.status, r.release
+	return d
+}
+
+// gather collects the bodies of the shards that answered 200. A shard
+// answering absent (0: none may) holds nothing under the branch and
+// contributes nothing; an unreachable shard or any other status fails the
+// whole answer.
+func gather(resps []shardResp, absent int) ([]federation.ShardDoc, error) {
+	var docs []federation.ShardDoc
+	for _, resp := range resps {
+		switch {
+		case resp.err != nil:
+			return nil, badGateway("shard %s: %v", resp.shard.Name(), resp.err)
+		case resp.status == http.StatusOK:
+			docs = append(docs, federation.ShardDoc{Shard: resp.shard.Name(), Body: resp.body})
+		case resp.status == absent:
+		default:
+			return nil, badGateway("shard %s: status %d: %s", resp.shard.Name(), resp.status, bytes.TrimSpace(resp.body))
+		}
+	}
+	return docs, nil
 }
 
 // scatter fans one request to shards in parallel; perTags (when non-nil)
@@ -381,24 +421,19 @@ func (f *Federated) scatter(shards []federation.Shard, path string, params url.V
 // the caller can answer 304 without touching a byte of data. Otherwise a
 // second round fetches bodies from the shards that revalidated (their
 // bytes are needed for the merge), and the composed tag is rebuilt from
-// the validators actually served. The caller owns the returned responses
-// and releases their bodies once it has written its answer; when none are
-// returned they have been released here.
-func (f *Federated) scatterConditional(r *http.Request, path string, params url.Values) (resps []shardResp, composed string, unchanged bool, err error) {
+// the validators actually served. The caller owns the returned responses —
+// gather tells it whether a shard failed — and releases their bodies once
+// it has written its answer; when none are returned they have been
+// released here.
+func (f *Federated) scatterConditional(inm, path string, params url.Values) (resps []shardResp, composed string, unchanged bool) {
 	shards := f.router.Shards()
 	sig := f.router.Signature()
-	perTags := decomposeTag(r.Header.Get("If-None-Match"), sig, len(shards))
+	perTags := decomposeTag(inm, sig, len(shards))
 	if perTags != nil {
 		f.conditional.Inc()
 	}
 	f.fanouts.Inc()
 	resps = f.scatter(shards, path, params, perTags, true)
-	for i := range resps {
-		if resps[i].err != nil {
-			releaseAll(resps)
-			return nil, "", false, fmt.Errorf("shard %s: %w", resps[i].shard.Name(), resps[i].err)
-		}
-	}
 	if perTags != nil {
 		all, sawTag := true, false
 		for i := range resps {
@@ -419,7 +454,7 @@ func (f *Federated) scatterConditional(r *http.Request, path string, params url.
 		if all && sawTag {
 			f.notModified.Inc()
 			releaseAll(resps)
-			return nil, composeTag(sig, perTags), true, nil
+			return nil, composeTag(sig, perTags), true
 		}
 	}
 	// Refetch the shards that revalidated — the merge needs their bodies.
@@ -437,49 +472,11 @@ func (f *Federated) scatterConditional(r *http.Request, path string, params url.
 	wg.Wait()
 	tags := make([]string, len(resps))
 	for i := range resps {
-		if resps[i].err != nil {
-			releaseAll(resps)
-			return nil, "", false, fmt.Errorf("shard %s: %w", resps[i].shard.Name(), resps[i].err)
-		}
 		if resps[i].status == http.StatusOK {
 			tags[i] = resps[i].etag
 		}
 	}
-	return resps, composeTag(sig, tags), false, nil
-}
-
-func (f *Federated) writeNotModified(w http.ResponseWriter, tag string) {
-	w.Header().Set("ETag", tag)
-	w.WriteHeader(http.StatusNotModified)
-}
-
-func (f *Federated) writeBody(w http.ResponseWriter, r *http.Request, contentType, tag string, body []byte) {
-	f.writePlan(w, r, contentType, tag, federation.Plan{Parts: [][]byte{body}, Len: len(body)})
-}
-
-// writePlan answers with a merge plan: Content-Length from the plan's
-// total, then the shard-body slices straight to the connection — the
-// merged document never exists as one buffer.
-func (f *Federated) writePlan(w http.ResponseWriter, r *http.Request, contentType, tag string, plan federation.Plan) {
-	w.Header().Set("Content-Type", contentType)
-	if tag != "" {
-		w.Header().Set("ETag", tag)
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(plan.Len))
-	if r.Method == http.MethodHead {
-		return
-	}
-	plan.WriteTo(w) // a failed write is the client gone; nothing to report to
-}
-
-// planned runs one merge under the tier's merge instruments.
-func (f *Federated) planned(merge func() (federation.Plan, error)) (federation.Plan, error) {
-	f.merges.Inc()
-	start := time.Now()
-	plan, err := merge()
-	f.mergeTime.ObserveSince(start)
-	f.mergeBytes.Add(uint64(plan.Len))
-	return plan, err
+	return resps, composeTag(sig, tags), false
 }
 
 // --- owner forwarding (requests a single shard can answer) ---
@@ -487,191 +484,118 @@ func (f *Federated) planned(merge func() (federation.Plan, error)) (federation.P
 // forwardOwner proxies the request to the shard owning id, re-wrapping
 // the shard's validator in a composed tag so a topology change can never
 // revalidate a stale answer.
-func (f *Federated) forwardOwner(w http.ResponseWriter, r *http.Request, id branch.ID, path string, params url.Values) {
+func (f *Federated) forwardOwner(id branch.ID, path string, params url.Values, inm string) (document, error) {
 	shard, ok := f.router.Owner(id)
 	if !ok {
-		http.Error(w, "no shard owns "+id.String(), http.StatusBadGateway)
-		return
+		return document{}, badGateway("no shard owns %s", id)
 	}
 	f.forwards.Inc()
 	sig := f.router.Signature()
-	perTags := decomposeTag(r.Header.Get("If-None-Match"), sig, 1)
-	inm := ""
+	perTags := decomposeTag(inm, sig, 1)
+	shardTag := ""
 	if perTags != nil {
 		f.conditional.Inc()
-		inm = perTags[0]
+		shardTag = perTags[0]
 	}
-	resp := f.fetchShardRead(shard, path, params, inm)
+	resp := f.fetchShardRead(shard, path, params, shardTag)
 	if resp.err != nil {
-		http.Error(w, "shard "+shard.Name()+": "+resp.err.Error(), http.StatusBadGateway)
-		return
+		return document{}, badGateway("shard %s: %v", shard.Name(), resp.err)
 	}
-	defer resp.release()
 	if resp.status == http.StatusNotModified {
 		f.notModified.Inc()
-		f.writeNotModified(w, composeTag(sig, perTags))
-		return
+		resp.release()
+		return document{tag: composeTag(sig, perTags), notModified: true}, nil
 	}
-	if ct := resp.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
+	d := resp.relay()
 	if resp.status == http.StatusOK && resp.etag != "" {
-		w.Header().Set("ETag", composeTag(sig, []string{resp.etag}))
+		d.tag = composeTag(sig, []string{resp.etag})
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(resp.body)))
-	w.WriteHeader(resp.status)
-	if r.Method != http.MethodHead {
-		w.Write(resp.body)
-	}
+	return d, nil
 }
 
 // handleForwarded serves the endpoints whose branch parameter names a
 // single owner regardless of depth (/archive, /graph: an archived series
 // lives wholly on the shard owning its branch).
 func (f *Federated) handleForwarded(w http.ResponseWriter, r *http.Request) {
-	id, err := branch.Parse(r.URL.Query().Get("branch"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	f.forwardOwner(w, r, id, r.URL.Path, r.URL.Query())
+	subtree(w, r, func(id branch.ID, inm string) (document, error) {
+		return f.forwardOwner(id, r.URL.Path, r.URL.Query(), inm)
+	})
 }
 
 // --- scatter-gather reads ---
 
-func (f *Federated) handleCache(w http.ResponseWriter, r *http.Request) {
-	idStr := r.URL.Query().Get("branch")
-	id, err := branch.Parse(idStr)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+// read answers /cache or /reports at id: from its owner at or below the
+// affinity depth, where the subtree has one (no fan-out, no merge), else
+// by planning the merge of what every shard holds under it. absent is the
+// status of a shard that holds nothing there (see gather).
+func (f *Federated) read(path string, id branch.ID, inm string, absent int, plan func([]federation.ShardDoc, *federation.Ring) (federation.Plan, error)) (document, error) {
+	params := url.Values{"branch": {id.String()}}
 	ring := f.router.Ring()
 	if !id.IsRoot() && id.Depth() >= ring.Depth() {
-		// At or below the affinity depth the subtree has one owner; no
-		// fan-out, no merge.
-		f.forwardOwner(w, r, id, "/cache", url.Values{"branch": {idStr}})
-		return
+		return f.forwardOwner(id, path, params, inm)
 	}
-	resps, tag, unchanged, err := f.scatterConditional(r, "/cache", url.Values{"branch": {idStr}})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
+	resps, tag, unchanged := f.scatterConditional(inm, path, params)
 	if unchanged {
-		f.writeNotModified(w, tag)
-		return
+		return document{tag: tag, notModified: true}, nil
 	}
-	defer releaseAll(resps)
-	var docs []federation.ShardDoc
-	for _, resp := range resps {
-		switch resp.status {
-		case http.StatusOK:
-			docs = append(docs, federation.ShardDoc{Shard: resp.shard.Name(), Body: resp.body})
-		case http.StatusNotFound:
-			// This shard holds nothing under the branch; it contributes
-			// nothing to the merge.
-		default:
-			http.Error(w, fmt.Sprintf("shard %s: status %d: %s", resp.shard.Name(), resp.status, bytes.TrimSpace(resp.body)), http.StatusBadGateway)
-			return
-		}
+	docs, err := gather(resps, absent)
+	if err == nil && len(docs) == 0 {
+		err = httpError{http.StatusNotFound, "no data at branch " + id.String()}
 	}
-	if len(docs) == 0 {
-		http.Error(w, "no data at branch "+id.String(), http.StatusNotFound)
-		return
-	}
-	plan, err := f.planned(func() (federation.Plan, error) { return federation.PlanCache(docs, id, ring) })
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
+		releaseAll(resps)
+		return document{}, err
 	}
-	f.writePlan(w, r, "text/xml", tag, plan)
+	// The merge runs under the tier's merge instruments; the plan aliases
+	// the shard bodies, which go back to the pool once it is written.
+	f.merges.Inc()
+	start := time.Now()
+	merged, err := plan(docs, ring)
+	f.mergeTime.ObserveSince(start)
+	f.mergeBytes.Add(uint64(merged.Len))
+	if err != nil {
+		releaseAll(resps)
+		return document{}, badGateway("%v", err)
+	}
+	return document{
+		contentType: "text/xml",
+		tag:         tag,
+		len:         merged.Len,
+		write:       func(w io.Writer) { merged.WriteTo(w) },
+		release:     func() { releaseAll(resps) },
+	}, nil
 }
 
-func (f *Federated) handleReports(w http.ResponseWriter, r *http.Request) {
-	idStr := r.URL.Query().Get("branch")
-	id, err := branch.Parse(idStr)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ring := f.router.Ring()
-	if !id.IsRoot() && id.Depth() >= ring.Depth() {
-		f.forwardOwner(w, r, id, "/reports", url.Values{"branch": {idStr}})
-		return
-	}
-	resps, tag, unchanged, err := f.scatterConditional(r, "/reports", url.Values{"branch": {idStr}})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	if unchanged {
-		f.writeNotModified(w, tag)
-		return
-	}
-	defer releaseAll(resps)
-	var docs []federation.ShardDoc
-	for _, resp := range resps {
-		if resp.status != http.StatusOK {
-			http.Error(w, fmt.Sprintf("shard %s: status %d: %s", resp.shard.Name(), resp.status, bytes.TrimSpace(resp.body)), http.StatusBadGateway)
-			return
-		}
-		docs = append(docs, federation.ShardDoc{Shard: resp.shard.Name(), Body: resp.body})
-	}
-	plan, err := f.planned(func() (federation.Plan, error) { return federation.PlanReports(docs, ring) })
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	f.writePlan(w, r, "text/xml", tag, plan)
+func (f *Federated) cache(id branch.ID, inm string) (document, error) {
+	return f.read("/cache", id, inm, http.StatusNotFound, func(docs []federation.ShardDoc, ring *federation.Ring) (federation.Plan, error) {
+		return federation.PlanCache(docs, id, ring)
+	})
 }
 
-// handleAvailability scatters the overview as structured rows
-// (format=json against each shard), merges them into request order, and
-// renders the page exactly as a single depot would — each resource's
+func (f *Federated) reports(id branch.ID, inm string) (document, error) {
+	return f.read("/reports", id, inm, 0, federation.PlanReports)
+}
+
+// availability scatters the overview as structured rows (format=json
+// against each shard) and merges them into request order; the page then
+// renders exactly as a single depot's would — each resource's
 // availability archives live wholly on one shard, so the union of shard
 // rows is the single-depot row set.
-func (f *Federated) handleAvailability(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	resources := q["resource"]
-	if len(resources) == 0 {
-		http.Error(w, "at least one resource parameter required", http.StatusBadRequest)
-		return
-	}
-	var cats []agreement.Category
-	for _, c := range q["category"] {
-		cats = append(cats, agreement.Category(c))
-	}
-	if len(cats) == 0 {
-		cats = append(agreement.Categories[:0:0], agreement.Categories...)
-		cats = append(cats, "Total")
-	}
-	start, err := time.Parse(time.RFC3339, q.Get("start"))
-	if err != nil {
-		http.Error(w, "bad start: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	end, err := time.Parse(time.RFC3339, q.Get("end"))
-	if err != nil {
-		http.Error(w, "bad end: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	format := q.Get("format")
+func (f *Federated) availability(q *availQuery, inm string) (document, error) {
 	params := url.Values{}
-	for k, v := range q {
+	for k, v := range q.values {
 		params[k] = v
 	}
 	params.Set("format", "json")
-	resps, tag, unchanged, err := f.scatterConditional(r, "/availability", params)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
+	resps, tag, unchanged := f.scatterConditional(inm, "/availability", params)
 	if unchanged {
-		f.writeNotModified(w, tag)
-		return
+		return document{tag: tag, notModified: true}, nil
 	}
 	defer releaseAll(resps) // the rows below are decoded copies
+	docs, err := gather(resps, 0)
+	if err != nil {
+		return document{}, err
+	}
 	// Merge rows in request order: resources outer, categories inner —
 	// the order BuildAvailabilityPage emits. The first shard (in ring
 	// order) with a row for the pair wins; duplicates only exist
@@ -681,15 +605,10 @@ func (f *Federated) handleAvailability(w http.ResponseWriter, r *http.Request) {
 		cat agreement.Category
 	}
 	rows := make(map[pair]consumer.AvailabilityRow)
-	for _, resp := range resps {
-		if resp.status != http.StatusOK {
-			http.Error(w, fmt.Sprintf("shard %s: status %d: %s", resp.shard.Name(), resp.status, bytes.TrimSpace(resp.body)), http.StatusBadGateway)
-			return
-		}
-		page, err := unmarshalAvailabilityPage(resp.body)
+	for _, doc := range docs {
+		page, err := unmarshalAvailabilityPage(doc.Body)
 		if err != nil {
-			http.Error(w, fmt.Sprintf("shard %s: %v", resp.shard.Name(), err), http.StatusBadGateway)
-			return
+			return document{}, badGateway("shard %s: %v", doc.Shard, err)
 		}
 		for _, row := range page.Rows {
 			key := pair{row.Resource, row.Category}
@@ -698,126 +617,71 @@ func (f *Federated) handleAvailability(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	page := &consumer.AvailabilityPage{Title: "Availability overview", Start: start, End: end}
-	for _, res := range resources {
-		for _, cat := range cats {
+	page := &consumer.AvailabilityPage{Title: availabilityTitle, Start: q.start, End: q.end}
+	for _, res := range q.resources {
+		for _, cat := range q.cats {
 			if row, ok := rows[pair{res, cat}]; ok {
 				page.Rows = append(page.Rows, row)
 			}
 		}
 	}
-	var body []byte
-	contentType := "text/html; charset=utf-8"
-	switch format {
-	case "text":
-		contentType = "text/plain; charset=utf-8"
-		body = []byte(page.Text())
-	case "json":
-		contentType = "application/json; charset=utf-8"
-		if body, err = marshalAvailabilityPage(page); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	default:
-		if body, err = page.HTML(); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	}
 	f.merges.Inc()
-	f.writeBody(w, r, contentType, tag, body)
+	return q.render(page, tag)
 }
 
 // --- writes ---
 
-// handleStore routes an envelope to the shard owning its address — the
-// HTTP counterpart of the router's wire path.
-func (f *Federated) handleStore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 32<<20))
+// store routes an envelope to the shard owning its address — the HTTP
+// counterpart of the router's wire path.
+func (f *Federated) store(env []byte) (document, error) {
+	id, err := envelope.Address(env)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	id, err := envelope.Address(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return document{}, httpError{http.StatusBadRequest, err.Error()}
 	}
 	shard, ok := f.router.Owner(id)
 	if !ok || shard.BaseURL() == "" {
-		http.Error(w, "no shard owns "+id.String(), http.StatusBadGateway)
-		return
+		return document{}, badGateway("no shard owns %s", id)
 	}
-	resp, err := f.httpc.Post(shard.BaseURL()+"/store", "text/xml", bytes.NewReader(body))
-	if err != nil {
-		f.shardErrors.Inc()
-		http.Error(w, "shard "+shard.Name()+": "+err.Error(), http.StatusBadGateway)
-		return
+	resp := f.post(shard, shard.BaseURL(), "/store", env)
+	if resp.err != nil {
+		return document{}, badGateway("shard %s: %v", shard.Name(), resp.err)
 	}
-	defer resp.Body.Close()
-	relayResponse(w, resp)
+	return resp.relay(), nil
 }
 
-// handlePolicy broadcasts an archival policy to every shard — any shard
-// may own branches the policy matches.
-func (f *Federated) handlePolicy(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+// policy broadcasts an archival policy to every shard — any shard may own
+// branches the policy matches. The first refusal is the answer.
+func (f *Federated) policy(policyXML []byte) (document, error) {
 	for _, s := range f.router.Shards() {
 		if s.BaseURL() == "" {
-			http.Error(w, "shard "+s.Name()+" has no querying interface", http.StatusBadGateway)
-			return
+			return document{}, badGateway("shard %s has no querying interface", s.Name())
 		}
-		resp, err := f.httpc.Post(s.BaseURL()+"/policy", "text/xml", bytes.NewReader(body))
-		if err != nil {
-			f.shardErrors.Inc()
-			http.Error(w, "shard "+s.Name()+": "+err.Error(), http.StatusBadGateway)
-			return
+		resp := f.post(s, s.BaseURL(), "/policy", policyXML)
+		if resp.err != nil {
+			return document{}, badGateway("shard %s: %v", s.Name(), resp.err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			relayResponse(w, resp)
-			resp.Body.Close()
-			return
+		if resp.status != http.StatusOK {
+			return resp.relay(), nil
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		resp.release()
 	}
-	w.WriteHeader(http.StatusOK)
-}
-
-func relayResponse(w http.ResponseWriter, resp *http.Response) {
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	return document{}, nil
 }
 
 // --- aggregates and administration ---
 
-func (f *Federated) handleStats(w http.ResponseWriter, r *http.Request) {
-	resps := f.scatter(f.router.Shards(), "/stats", nil, nil, false)
+func (f *Federated) stats() (xmlStats, error) {
 	var total xmlStats
-	for _, resp := range resps {
-		if resp.err != nil {
-			http.Error(w, "shard "+resp.shard.Name()+": "+resp.err.Error(), http.StatusBadGateway)
-			return
-		}
+	resps := f.scatter(f.router.Shards(), "/stats", nil, nil, false)
+	defer releaseAll(resps)
+	docs, err := gather(resps, 0)
+	if err != nil {
+		return total, err
+	}
+	for _, doc := range docs {
 		var xs xmlStats
-		if err := xml.Unmarshal(resp.body, &xs); err != nil {
-			http.Error(w, "shard "+resp.shard.Name()+": "+err.Error(), http.StatusBadGateway)
-			return
+		if err := xml.Unmarshal(doc.Body, &xs); err != nil {
+			return total, badGateway("shard %s: %v", doc.Shard, err)
 		}
 		total.Received += xs.Received
 		total.Bytes += xs.Bytes
@@ -825,8 +689,7 @@ func (f *Federated) handleStats(w http.ResponseWriter, r *http.Request) {
 		total.CacheCount += xs.CacheCount
 		total.Archives += xs.Archives
 	}
-	w.Header().Set("Content-Type", "text/xml")
-	xml.NewEncoder(w).Encode(total)
+	return total, nil
 }
 
 // FederatedVars is the JSON shape of the router's /debug/vars.
@@ -878,7 +741,7 @@ type FederatedShardVars struct {
 	ReplicaDropped  uint64 `json:"replica_dropped,omitempty"`
 }
 
-func (f *Federated) vars() FederatedVars {
+func (f *Federated) vars() any {
 	ring := f.router.Ring()
 	st := f.router.Stats()
 	v := FederatedVars{
@@ -927,13 +790,6 @@ func (f *Federated) vars() FederatedVars {
 	return v
 }
 
-func (f *Federated) handleDebugVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(f.vars())
-}
-
 // shardTopology is the JSON shape of /shards.
 type shardTopology struct {
 	Signature    string      `json:"signature"`
@@ -957,10 +813,7 @@ func (f *Federated) handleShards(w http.ResponseWriter, r *http.Request) {
 	for _, s := range f.router.Shards() {
 		top.Shards = append(top.Shards, shardSpec{Name: s.Name(), Wire: s.Wire, HTTP: s.HTTP, ReplicaWire: s.ReplicaWire, ReplicaHTTP: s.ReplicaHTTP})
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(top)
+	writeJSON(w, top)
 }
 
 // handleJoin adds a shard: POST /federation/join?shard=wire/http[&migrate=1].
@@ -971,10 +824,6 @@ func (f *Federated) handleShards(w http.ResponseWriter, r *http.Request) {
 // reach the new owner on the reporter's next cycle (the cache keeps
 // latest-per-branch, so convergence is automatic).
 func (f *Federated) handleJoin(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	s, err := federation.ParseShard(r.URL.Query().Get("shard"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -983,20 +832,25 @@ func (f *Federated) handleJoin(w http.ResponseWriter, r *http.Request) {
 	migrated := 0
 	if r.URL.Query().Get("migrate") == "1" {
 		target := f.router.Ring().With(s.Name())
-		n, err := f.migrate(f.router.Shards(), target, map[string]federation.Shard{s.Name(): s}, s.Name())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
+		for _, src := range f.router.Shards() {
+			n, err := f.copyReports(src, func(id branch.ID) (string, string) {
+				if target.Owner(id) != s.Name() {
+					return "", ""
+				}
+				return s.Name(), s.BaseURL()
+			})
+			if err != nil {
+				fail(w, err)
+				return
+			}
+			migrated += n
 		}
-		migrated = n
 	}
 	if err := f.router.Join(s); err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	if f.feed != nil {
-		f.feed.rewire()
-	}
+	f.rewireFeed()
 	fmt.Fprintf(w, "joined %s (migrated %d reports)\n", s.Name(), migrated)
 }
 
@@ -1014,16 +868,13 @@ func (f *Federated) handleJoin(w http.ResponseWriter, r *http.Request) {
 // either way, though data only the dead shard stored is gone until
 // reporters re-send. Any re-route loss is reported, never silent.
 func (f *Federated) handleLeave(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	name := r.URL.Query().Get("shard")
 	if name == "" {
 		http.Error(w, "shard parameter required", http.StatusBadRequest)
 		return
 	}
-	if s, ok := f.router.Shard(name); ok && s.HasReplica() && r.URL.Query().Get("promote") != "0" {
+	leaving, known := f.router.Shard(name)
+	if known && leaving.HasReplica() && r.URL.Query().Get("promote") != "0" {
 		f.promote(w, name)
 		return
 	}
@@ -1033,28 +884,18 @@ func (f *Federated) handleLeave(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "drain "+name+": "+err.Error(), http.StatusBadGateway)
 			return
 		}
-		var leaving *federation.Shard
-		for _, s := range f.router.Shards() {
-			if s.Name() == name {
-				s := s
-				leaving = &s
-				break
-			}
-		}
-		if leaving == nil {
+		if !known {
 			http.Error(w, "unknown shard "+name, http.StatusNotFound)
 			return
 		}
 		target := f.router.Ring().Without(name)
-		survivors := make(map[string]federation.Shard)
-		for _, s := range f.router.Shards() {
-			if s.Name() != name {
-				survivors[s.Name()] = s
-			}
-		}
-		n, err := f.migrate([]federation.Shard{*leaving}, target, survivors, "")
+		n, err := f.copyReports(leaving, func(id branch.ID) (string, string) {
+			owner := target.Owner(id)
+			s, _ := f.router.Shard(owner)
+			return owner, s.BaseURL()
+		})
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
+			fail(w, err)
 			return
 		}
 		migrated = n
@@ -1064,9 +905,7 @@ func (f *Federated) handleLeave(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	if f.feed != nil {
-		f.feed.rewire()
-	}
+	f.rewireFeed()
 	fmt.Fprintf(w, "left %s (migrated %d reports, re-routed %d queued messages, lost %d)\n", name, migrated, moved, lost)
 }
 
@@ -1079,9 +918,7 @@ func (f *Federated) promote(w http.ResponseWriter, name string) {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	if f.feed != nil {
-		f.feed.rewire()
-	}
+	f.rewireFeed()
 	fmt.Fprintf(w, "promoted follower %s for shard %s (re-enqueued %d queued messages)\n", s.Wire, name, moved)
 }
 
@@ -1089,10 +926,6 @@ func (f *Federated) promote(w http.ResponseWriter, name string) {
 // leave: POST /federation/promote?shard=name. The ring does not move;
 // the slice's reads and ingest switch to the follower process.
 func (f *Federated) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	name := r.URL.Query().Get("shard")
 	if name == "" {
 		http.Error(w, "shard parameter required", http.StatusBadRequest)
@@ -1108,11 +941,9 @@ func (f *Federated) handlePromote(w http.ResponseWriter, r *http.Request) {
 // gap — the primary's stored reports are fetched and re-stored through
 // the follower — so a late-joining follower (or a fresh follower after a
 // promotion consumed the old one) converges on the primary's full state.
+// Reports tee'd live while the copy runs are simply stored twice; the
+// cache keeps latest-per-branch, so convergence is automatic.
 func (f *Federated) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	q := r.URL.Query()
 	name := q.Get("shard")
 	if name == "" {
@@ -1135,106 +966,71 @@ func (f *Federated) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "unknown shard "+name, http.StatusNotFound)
 			return
 		}
-		n, err := f.catchUp(s)
+		var err error
+		if s.ReplicaBaseURL() == "" {
+			err = fmt.Errorf("follower of %s has no querying interface for catch-up", name)
+		} else {
+			copied, err = f.copyReports(s, func(branch.ID) (string, string) { return "follower", s.ReplicaBaseURL() })
+		}
 		if err != nil {
-			http.Error(w, fmt.Sprintf("follower attached but catch-up failed after %d reports: %v", n, err), http.StatusBadGateway)
+			http.Error(w, fmt.Sprintf("follower attached but catch-up failed after %d reports: %v", copied, err), http.StatusBadGateway)
 			return
 		}
-		copied = n
 	}
-	if f.feed != nil {
-		f.feed.rewire()
-	}
+	f.rewireFeed()
 	fmt.Fprintf(w, "replicating %s to %s (caught up %d reports)\n", name, fw, copied)
 }
 
-// catchUp copies the primary's stored reports onto its follower — the
-// §5f migration path pointed at the replica instead of a new ring owner.
-// Reports tee'd live while the copy runs are simply stored twice; the
-// cache keeps latest-per-branch, so convergence is automatic.
-func (f *Federated) catchUp(s federation.Shard) (int, error) {
-	dest := s.ReplicaBaseURL()
-	if dest == "" {
-		return 0, fmt.Errorf("follower of %s has no querying interface for catch-up", s.Name())
-	}
-	resp := f.fetchShard(s, "/reports", url.Values{"branch": {""}}, "")
+// copyReports re-stores the reports src holds on the depots to names: for
+// each report a label for the destination and its base URL, an empty label
+// leaving the report where it is. It is how a join or a graceful leave
+// moves ranges to their new owners and how a follower catches up on its
+// primary's history.
+func (f *Federated) copyReports(src federation.Shard, to func(branch.ID) (label, base string)) (int, error) {
+	resp := f.fetchShard(src, "/reports", url.Values{"branch": {""}}, "")
 	if resp.err != nil {
-		return 0, fmt.Errorf("fetch %s reports: %w", s.Name(), resp.err)
+		return 0, badGateway("fetch %s reports: %v", src.Name(), resp.err)
 	}
+	defer resp.release()
 	if resp.status != http.StatusOK {
-		return 0, fmt.Errorf("fetch %s reports: status %d", s.Name(), resp.status)
+		return 0, badGateway("fetch %s reports: status %d", src.Name(), resp.status)
 	}
 	stored, err := federation.ParseReports(resp.body)
 	if err != nil {
-		return 0, fmt.Errorf("parse %s reports: %w", s.Name(), err)
+		return 0, badGateway("parse %s reports: %v", src.Name(), err)
 	}
 	copied := 0
 	for _, st := range stored {
+		label, base := to(st.ID)
+		if label == "" {
+			continue
+		}
+		if base == "" {
+			return copied, badGateway("no reachable destination %s for %s", label, st.ID)
+		}
 		env, err := envelope.Encode(envelope.Body, st.ID, st.XML)
 		if err != nil {
-			return copied, fmt.Errorf("encode %s: %w", st.ID, err)
+			return copied, badGateway("encode %s: %v", st.ID, err)
 		}
-		put, err := f.httpc.Post(dest+"/store", "text/xml", bytes.NewReader(env))
-		if err != nil {
-			return copied, fmt.Errorf("store %s on follower: %w", st.ID, err)
+		put := f.post(src, base, "/store", env)
+		put.release()
+		if put.err != nil {
+			return copied, badGateway("store %s on %s: %v", st.ID, label, put.err)
 		}
-		io.Copy(io.Discard, put.Body)
-		put.Body.Close()
-		if put.StatusCode != http.StatusOK {
-			return copied, fmt.Errorf("store %s on follower: status %d", st.ID, put.StatusCode)
+		if put.status != http.StatusOK {
+			return copied, badGateway("store %s on %s: status %d", st.ID, label, put.status)
 		}
 		copied++
 	}
 	return copied, nil
 }
 
-// migrate copies stored reports from the sources to their owner under the
-// target ring, restricted to onlyTo when non-empty (a join migrates only
-// onto the joining shard). dests maps ring names to shards reachable for
-// the copy.
-func (f *Federated) migrate(sources []federation.Shard, target *federation.Ring, dests map[string]federation.Shard, onlyTo string) (int, error) {
-	copied := 0
-	for _, src := range sources {
-		resp := f.fetchShard(src, "/reports", url.Values{"branch": {""}}, "")
-		if resp.err != nil {
-			return copied, fmt.Errorf("fetch %s reports: %w", src.Name(), resp.err)
-		}
-		if resp.status != http.StatusOK {
-			return copied, fmt.Errorf("fetch %s reports: status %d", src.Name(), resp.status)
-		}
-		stored, err := federation.ParseReports(resp.body)
-		if err != nil {
-			return copied, fmt.Errorf("parse %s reports: %w", src.Name(), err)
-		}
-		for _, st := range stored {
-			owner := target.Owner(st.ID)
-			if owner == src.Name() {
-				continue
-			}
-			if onlyTo != "" && owner != onlyTo {
-				continue
-			}
-			dest, ok := dests[owner]
-			if !ok || dest.BaseURL() == "" {
-				return copied, fmt.Errorf("no reachable destination %s for %s", owner, st.ID)
-			}
-			env, err := envelope.Encode(envelope.Body, st.ID, st.XML)
-			if err != nil {
-				return copied, fmt.Errorf("encode %s: %w", st.ID, err)
-			}
-			put, err := f.httpc.Post(dest.BaseURL()+"/store", "text/xml", bytes.NewReader(env))
-			if err != nil {
-				return copied, fmt.Errorf("store %s on %s: %w", st.ID, owner, err)
-			}
-			io.Copy(io.Discard, put.Body)
-			put.Body.Close()
-			if put.StatusCode != http.StatusOK {
-				return copied, fmt.Errorf("store %s on %s: status %d", st.ID, owner, put.StatusCode)
-			}
-			copied++
-		}
+// rewireFeed points the composed feed, when one is attached, at the
+// topology an administrative change just made.
+func (f *Federated) rewireFeed() {
+	if f.ff != nil {
+		f.ff.rewire()
 	}
-	return copied, nil
 }
 
 // --- availability page JSON codec ---

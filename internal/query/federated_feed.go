@@ -12,6 +12,7 @@ import (
 	"inca/internal/branch"
 	"inca/internal/federation"
 	"inca/internal/feed"
+	"inca/internal/simtime"
 )
 
 // FederatedFeed composes the shards' change feeds into one stream on the
@@ -47,7 +48,7 @@ func (f *Federated) AttachFeed(opts FeedOptions) *FederatedFeed {
 		Name:       "federated",
 		Metrics:    opts.Metrics,
 	})
-	f.feed = ff
+	f.ff = ff
 	ff.rewire()
 	return ff
 }
@@ -68,18 +69,11 @@ func (ff *FederatedFeed) Close() {
 	ff.hub.Close()
 }
 
-// composeLocked renders the composed cursor from the per-shard cursors;
-// a shard that has not reported a position yet contributes "-", which
-// never matches a real cursor.
+// composeLocked renders the composed cursor from the per-shard cursors,
+// as composeTag does a validator: a shard that has not reported a position
+// yet contributes "-", which never matches a real cursor.
 func (ff *FederatedFeed) composeLocked() string {
-	parts := make([]string, len(ff.cursors))
-	for i, c := range ff.cursors {
-		if c == "" {
-			c = "-"
-		}
-		parts[i] = c
-	}
-	return "f" + ff.sig + "-" + strings.Join(parts, ".")
+	return strings.Trim(composeTag(ff.sig, ff.cursors), `"`)
 }
 
 // rewire tears down the watchers and restarts them against the current
@@ -166,6 +160,14 @@ func (ff *FederatedFeed) unsupportedShard() string {
 	return ff.unsupported[0]
 }
 
+// A watcher re-dials a shard it cannot subscribe to on the jittered
+// simtime.Backoff ladder between these bounds, so the watchers of a
+// restarted shard do not all come back at once.
+const (
+	watchBackoffBase = 250 * time.Millisecond
+	watchBackoffCap  = 5 * time.Second
+)
+
 func sleepOrStop(stop chan struct{}, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -195,7 +197,7 @@ func (ff *FederatedFeed) watch(i int, s federation.Shard, gen string, stop chan 
 	c := NewClient(base)
 	cursor := ""
 	live := false
-	backoff := 250 * time.Millisecond
+	failures := 0
 	for {
 		select {
 		case <-stop:
@@ -207,11 +209,9 @@ func (ff *FederatedFeed) watch(i int, s federation.Shard, gen string, stop chan 
 			if errors.Is(err, ErrFeedUnsupported) {
 				ff.setUnsupported(gen, s.Name(), true)
 			}
-			if !sleepOrStop(stop, backoff) {
+			failures++
+			if !sleepOrStop(stop, simtime.Backoff(watchBackoffBase, watchBackoffCap, failures)) {
 				return
-			}
-			if backoff *= 2; backoff > 5*time.Second {
-				backoff = 5 * time.Second
 			}
 			continue
 		}
@@ -235,7 +235,7 @@ func (ff *FederatedFeed) watch(i int, s federation.Shard, gen string, stop chan 
 			return
 		default:
 		}
-		backoff = 250 * time.Millisecond
+		failures = 0
 	}
 }
 
@@ -324,55 +324,26 @@ func (f *Federated) mergedSnapshot(prefix branch.ID) ([]byte, error) {
 	shards := f.router.Shards()
 	ring := f.router.Ring()
 	resps := f.scatter(shards, "/cache", url.Values{"branch": {prefix.String()}}, nil, false)
-	var docs []federation.ShardDoc
-	for _, resp := range resps {
-		if resp.err != nil {
-			return nil, fmt.Errorf("shard %s: %w", resp.shard.Name(), resp.err)
-		}
-		switch resp.status {
-		case http.StatusOK:
-			docs = append(docs, federation.ShardDoc{Shard: resp.shard.Name(), Body: resp.body})
-		case http.StatusNotFound:
-			// Nothing under the prefix on this shard.
-		default:
-			return nil, fmt.Errorf("shard %s: status %d", resp.shard.Name(), resp.status)
-		}
-	}
-	if len(docs) == 0 {
-		return nil, nil
+	docs, err := gather(resps, http.StatusNotFound)
+	if err != nil || len(docs) == 0 {
+		return nil, err
 	}
 	f.merges.Inc()
 	return federation.MergeCache(docs, prefix, ring)
 }
 
-// handleFeed serves GET /feed on the federated tier — the same wire
-// protocol as Server.handleFeed, backed by the composed hub and the
-// merged-cache snapshot.
-func (f *Federated) handleFeed(w http.ResponseWriter, r *http.Request) {
-	if f.feed == nil {
-		http.Error(w, "feed disabled", http.StatusNotFound)
-		return
+// feed is the composed hub and the merged-cache snapshot. While a shard
+// does not stream, no subscription is taken (unsupportedShard says why);
+// the agreement status stream is a single depot's.
+func (f *Federated) feed(status bool) (*feed.Hub, func(branch.ID) ([]byte, error), error) {
+	switch {
+	case f.ff == nil:
+		return nil, nil, httpError{http.StatusNotFound, "feed disabled"}
+	case status:
+		return nil, nil, httpError{http.StatusNotFound, "status stream unavailable on the federated tier; subscribe to a shard"}
 	}
-	q := r.URL.Query()
-	prefix, err := branch.Parse(q.Get("branch"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	if name := f.ff.unsupportedShard(); name != "" {
+		return nil, nil, httpError{http.StatusServiceUnavailable, "shard " + name + " does not serve /feed"}
 	}
-	switch q.Get("stream") {
-	case "", "changes":
-	case "status":
-		http.Error(w, "status stream unavailable on the federated tier; subscribe to a shard", http.StatusNotFound)
-		return
-	default:
-		http.Error(w, "unknown stream "+q.Get("stream"), http.StatusBadRequest)
-		return
-	}
-	if name := f.feed.unsupportedShard(); name != "" {
-		http.Error(w, "shard "+name+" does not serve /feed", http.StatusServiceUnavailable)
-		return
-	}
-	serveFeed(w, r, prefix, f.feed.hub, func() ([]byte, error) {
-		return f.mergedSnapshot(prefix)
-	})
+	return f.ff.hub, f.mergedSnapshot, nil
 }

@@ -6,6 +6,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -84,7 +86,48 @@ func federationPopulation(t *testing.T, tf *testFederation, sites, probes int) {
 
 func get(t *testing.T, base, path string, inm string) (int, string, []byte) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, base+path, nil)
+	status, hdr, body := fetch(t, http.MethodGet, base+path, inm)
+	return status, hdr.Get("ETag"), []byte(body)
+}
+
+// availabilityPopulation archives availability percentages the way an
+// evaluation cycle does, each series on the shard owning its branch and
+// mirrored into the reference depot. r3 has been evaluated in one category
+// only, so its other rows are absent on both tiers.
+func availabilityPopulation(t *testing.T, tf *testFederation) {
+	t.Helper()
+	for _, d := range tf.depots {
+		if err := d.AddPolicy(consumer.AvailabilityPolicy()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tf.single.AddPolicy(consumer.AvailabilityPolicy()); err != nil {
+		t.Fatal(err)
+	}
+	cats := append(append([]agreement.Category(nil), agreement.Categories...), "Total")
+	for r, res := range []string{"r1", "r2", "r3"} {
+		for c, cat := range cats {
+			if res == "r3" && c > 0 {
+				break
+			}
+			id := branch.MustParse(fmt.Sprintf("category=%s,resource=%s", cat, res))
+			for i := 1; i <= 6; i++ {
+				at, pct := t0.Add(time.Duration(i)*10*time.Minute), float64(100-10*r-c-i)
+				for _, d := range []*depot.Depot{tf.depots[tf.router.Ring().Owner(id)], tf.single} {
+					if err := d.ArchiveUpdate(id, consumer.AvailabilityPolicyName, at, pct); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// fetch is one request's status, headers and body; inm, when set, is its
+// If-None-Match.
+func fetch(t *testing.T, method, target, inm string) (int, http.Header, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, target, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,37 +143,76 @@ func get(t *testing.T, base, path string, inm string) (int, string, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, resp.Header.Get("ETag"), body
+	return resp.StatusCode, resp.Header, string(body)
 }
 
-// TestFederatedByteIdentity is the acceptance check: the federated answer
-// must be byte-identical to the single depot's for the root, a shallow
-// interior branch (scatter-merge), and a deep branch (owner-forward).
+// TestFederatedByteIdentity is the acceptance check: on every endpoint
+// both tiers serve from data, the federated answer — status, Content-Type,
+// Content-Length and body, for GET and for HEAD — must be the single
+// depot's: /cache and /reports at the root, a shallow interior branch
+// (scatter-merge) and a deep branch (owner-forward), /availability in its
+// three formats, /stats, and the requests either tier refuses.
 func TestFederatedByteIdentity(t *testing.T) {
+	window := "start=" + t0.Format(time.RFC3339) + "&end=" + t0.Add(2*time.Hour).Format(time.RFC3339)
+	avail := "/availability?resource=r1&resource=r2&resource=r3&resource=r4&" + window
+	// A depot's cacheSize is the length of its cache document, and n shard
+	// documents repeat the wrapper and the interior nodes one document has
+	// once: the sum is the single depot's only when n is 1.
+	cacheSize := regexp.MustCompile(`cacheSize="\d+"`)
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			tf := newTestFederation(t, n)
 			federationPopulation(t, tf, 12, 4)
-			paths := []string{
-				"/cache?branch=",
-				"/cache?branch=vo%3Dtg",
-				"/cache?branch=site%3Ds03%2Cvo%3Dtg",
-				"/cache?branch=probe%3Dp01%2Csite%3Ds05%2Cvo%3Dtg",
-				"/reports?branch=",
-				"/reports?branch=vo%3Dtg",
-				"/reports?branch=site%3Ds07%2Cvo%3Dtg",
-			}
-			for _, p := range paths {
-				wantStatus, _, want := get(t, tf.sts.URL, p, "")
-				gotStatus, tag, got := get(t, tf.fed.URL, p, "")
-				if gotStatus != wantStatus {
-					t.Fatalf("%s: status %d, single depot %d", p, gotStatus, wantStatus)
-				}
-				if string(got) != string(want) {
-					t.Fatalf("%s: federated answer differs from single depot\nfed:    %.200s\nsingle: %.200s", p, got, want)
-				}
-				if tag == "" {
-					t.Fatalf("%s: no composed ETag", p)
+			availabilityPopulation(t, tf)
+			for _, p := range []struct {
+				path   string
+				status int
+				tagged bool // the answer carries a composed ETag
+			}{
+				{"/cache?branch=", http.StatusOK, true},
+				{"/cache?branch=vo%3Dtg", http.StatusOK, true},
+				{"/cache?branch=site%3Ds03%2Cvo%3Dtg", http.StatusOK, true},
+				{"/cache?branch=probe%3Dp01%2Csite%3Ds05%2Cvo%3Dtg", http.StatusOK, true},
+				{"/reports?branch=", http.StatusOK, true},
+				{"/reports?branch=vo%3Dtg", http.StatusOK, true},
+				{"/reports?branch=site%3Ds07%2Cvo%3Dtg", http.StatusOK, true},
+				{avail, http.StatusOK, true},
+				{avail + "&format=text", http.StatusOK, true},
+				{avail + "&format=json", http.StatusOK, true},
+				{"/stats", http.StatusOK, false},
+				{"/cache?branch=nonsense", http.StatusBadRequest, false},
+				{"/reports?branch=nonsense", http.StatusBadRequest, false},
+				{"/availability?" + window, http.StatusBadRequest, false},
+				{"/availability?resource=r1&start=yesterday&end=" + t0.Format(time.RFC3339), http.StatusBadRequest, false},
+			} {
+				for _, method := range []string{http.MethodGet, http.MethodHead} {
+					wantStatus, wantHdr, want := fetch(t, method, tf.sts.URL+p.path, "")
+					gotStatus, gotHdr, got := fetch(t, method, tf.fed.URL+p.path, "")
+					if wantStatus != p.status {
+						t.Fatalf("%s %s: single depot status %d, want %d", method, p.path, wantStatus, p.status)
+					}
+					if gotStatus != wantStatus {
+						t.Fatalf("%s %s: status %d, single depot %d", method, p.path, gotStatus, wantStatus)
+					}
+					if method == http.MethodHead && (got != "" || gotHdr.Get("Content-Length") == "") {
+						t.Fatalf("HEAD %s: %d body bytes, Content-Length %q", p.path, len(got), gotHdr.Get("Content-Length"))
+					}
+					if p.path == "/stats" && n > 1 {
+						got, want = cacheSize.ReplaceAllString(got, ""), cacheSize.ReplaceAllString(want, "")
+						gotHdr.Del("Content-Length")
+						wantHdr.Del("Content-Length")
+					}
+					if got != want {
+						t.Fatalf("%s %s: federated answer differs from single depot\nfed:    %.200s\nsingle: %.200s", method, p.path, got, want)
+					}
+					for _, h := range []string{"Content-Type", "Content-Length"} {
+						if gotHdr.Get(h) != wantHdr.Get(h) {
+							t.Fatalf("%s %s: %s %q, single depot %q", method, p.path, h, gotHdr.Get(h), wantHdr.Get(h))
+						}
+					}
+					if tag := gotHdr.Get("ETag"); p.tagged && !strings.HasPrefix(tag, `"f`) {
+						t.Fatalf("%s %s: ETag %q is not a composed validator", method, p.path, tag)
+					}
 				}
 			}
 		})
@@ -339,5 +421,76 @@ func TestFederatedConditionalPartial404(t *testing.T) {
 	}
 	if tag3 == tag {
 		t.Fatal("validator unchanged after the empty shard gained data")
+	}
+}
+
+// TestFederatedMembershipCopiesReports drives the three administrative
+// calls that move stored reports between depots: a join that migrates the
+// ranges the new shard claims, a graceful leave that hands a shard's
+// reports to their new owners, and a follower attach that catches up on
+// its primary's history. After each, the federated answer is still the
+// single depot's.
+func TestFederatedMembershipCopiesReports(t *testing.T) {
+	tf := newTestFederation(t, 2)
+	federationPopulation(t, tf, 12, 4)
+	admin := func(path, want string) string {
+		t.Helper()
+		resp, err := http.Post(tf.fed.URL+path, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.HasPrefix(string(body), want) {
+			t.Fatalf("POST %s: %s: %s", path, resp.Status, body)
+		}
+		return string(body)
+	}
+	identical := func(when string) {
+		t.Helper()
+		for _, p := range []string{"/cache?branch=", "/reports?branch="} {
+			_, _, want := get(t, tf.sts.URL, p, "")
+			if _, _, got := get(t, tf.fed.URL, p, ""); string(got) != string(want) {
+				t.Fatalf("%s: federated %s differs from the single depot", when, p)
+			}
+		}
+	}
+	newDepot := func() (*depot.Depot, string) {
+		d := depot.New(depot.NewStreamCache())
+		ts := httptest.NewServer(NewServer(d).Handler())
+		t.Cleanup(ts.Close)
+		return d, ts.URL
+	}
+
+	// Join: exactly the reports the new ring gives shard9 are copied to it.
+	joined, joinedURL := newDepot()
+	tf.depots["shard9"] = joined
+	admin("/federation/join?migrate=1&shard="+url.QueryEscape("shard9/"+joinedURL), "joined shard9 (migrated ")
+	owned := 0
+	for _, d := range []*depot.Depot{tf.depots["shard0"], tf.depots["shard1"]} {
+		stored, err := d.Cache().Reports(branch.ID{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range stored {
+			if tf.router.Ring().Owner(st.ID) == "shard9" {
+				owned++
+			}
+		}
+	}
+	if got := joined.Cache().Count(); got != owned || owned == 0 {
+		t.Fatalf("join migrated %d reports, the new ring gives shard9 %d", got, owned)
+	}
+	identical("after join")
+
+	// Graceful leave: shard0's reports move to their new owners first.
+	admin("/federation/leave?migrate=1&shard=shard0", "left shard0 (migrated ")
+	identical("after leave")
+
+	// Follower catch-up: the follower ends with its primary's history.
+	follower, followerURL := newDepot()
+	admin("/federation/replicate?catchup=1&shard=shard1&follower="+url.QueryEscape("follower1/"+followerURL), "replicating shard1 to follower1 (caught up ")
+	if got, want := follower.Cache().Count(), tf.depots["shard1"].Cache().Count(); got != want || want == 0 {
+		t.Fatalf("follower holds %d reports after catch-up, its primary %d", got, want)
 	}
 }

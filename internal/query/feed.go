@@ -61,10 +61,6 @@ func NewFeed(d *depot.Depot, opts FeedOptions) *Feed {
 	return f
 }
 
-// Hub exposes the depot-change hub (the federated tier composes
-// per-shard hubs into one).
-func (f *Feed) Hub() *feed.Hub { return f.hub }
-
 // Close detaches the feed from the depot and ends every subscriber.
 func (f *Feed) Close() {
 	f.d.SetPublisher(nil)
@@ -128,62 +124,9 @@ func (f *Feed) snapshot(prefix branch.ID) ([]byte, error) {
 	return sub, nil
 }
 
-// handleFeed serves GET /feed?branch=&cursor=[&stream=status][&mode=poll&wait=30s].
-func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
-	if s.Feed == nil {
-		http.Error(w, "feed disabled", http.StatusNotFound)
-		return
-	}
-	q := r.URL.Query()
-	prefix, err := branch.Parse(q.Get("branch"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var hub *feed.Hub
-	var snap func() ([]byte, error)
-	switch q.Get("stream") {
-	case "", "changes":
-		hub = s.Feed.hub
-		snap = func() ([]byte, error) { return s.Feed.snapshot(prefix) }
-	case "status":
-		if s.Feed.status == nil {
-			http.Error(w, "status stream disabled", http.StatusNotFound)
-			return
-		}
-		hub = s.Feed.status.hub
-		snap = s.Feed.status.snapshot
-	default:
-		http.Error(w, "unknown stream "+q.Get("stream"), http.StatusBadRequest)
-		return
-	}
-	serveFeed(w, r, prefix, hub, snap)
-}
-
-// handleSummary serves the status stream's current full state as JSON —
-// the paper's Figure 4 page, machine-readable, without subscribing.
-func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	if s.Feed == nil || s.Feed.status == nil {
-		http.Error(w, "status stream disabled", http.StatusNotFound)
-		return
-	}
-	body, err := s.Feed.status.snapshot()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Content-Length", fmt.Sprint(len(body)))
-	if r.Method == http.MethodHead {
-		return
-	}
-	w.Write(body)
-}
-
-// serveFeed is the transport layer shared by the single-depot server and
-// the federated tier: subscribe, catch up with a snapshot when the
-// presented cursor is not current, then stream coalesced events. SSE by
-// default; mode=poll does one long-poll exchange.
+// serveFeed is the transport under /feed: subscribe, catch up with a
+// snapshot when the presented cursor is not current, then stream coalesced
+// events. SSE by default; mode=poll does one long-poll exchange.
 func serveFeed(w http.ResponseWriter, r *http.Request, prefix branch.ID, hub *feed.Hub, snap func() ([]byte, error)) {
 	cursor := r.URL.Query().Get("cursor")
 	if r.URL.Query().Get("mode") == "poll" {

@@ -101,18 +101,41 @@ func TestReportsETagAndContentLength(t *testing.T) {
 }
 
 func TestReadEndpointsRejectWrites(t *testing.T) {
-	ts, _ := newIndexedServer(t)
-	for _, path := range []string{"/cache", "/reports", "/archive", "/graph", "/stats", "/availability", "/debug/vars"} {
-		resp, err := http.Post(ts.URL+path, "text/xml", strings.NewReader("<x/>"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Fatalf("POST %s: status %d, want 405", path, resp.StatusCode)
-		}
-		if allow := resp.Header.Get("Allow"); !strings.Contains(allow, "GET") {
-			t.Fatalf("POST %s: Allow = %q", path, allow)
+	srv := NewServer(depot.New(depot.NewIndexedCache()))
+	srv.EnableSpecs()
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	tf := newTestFederation(t, 2)
+	reads := []string{"/cache", "/reports", "/archive", "/graph", "/stats", "/availability", "/debug/vars", "/feed"}
+	writes := []string{"/store", "/policy"}
+	for _, c := range []struct {
+		tier, base, method string
+		paths              []string
+		allow              string
+	}{
+		{"depot", ts.URL, http.MethodGet, writes, "POST"},
+		{"depot", ts.URL, http.MethodDelete, []string{"/spec"}, "GET, POST"},
+		{"depot", ts.URL, http.MethodPost, reads, "GET, HEAD"},
+		{"router", tf.fed.URL, http.MethodPost, append(reads[:len(reads):len(reads)], "/shards"), "GET, HEAD"},
+		{"router", tf.fed.URL, http.MethodGet, append(writes[:len(writes):len(writes)],
+			"/federation/join", "/federation/leave", "/federation/promote", "/federation/replicate"), "POST"},
+	} {
+		for _, path := range c.paths {
+			req, err := http.NewRequest(c.method, c.base+path, strings.NewReader("<x/>"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusMethodNotAllowed {
+				t.Fatalf("%s: %s %s: status %d, want 405", c.tier, c.method, path, resp.StatusCode)
+			}
+			if allow := resp.Header.Get("Allow"); allow != c.allow {
+				t.Fatalf("%s: %s %s: Allow = %q, want %q", c.tier, c.method, path, allow, c.allow)
+			}
 		}
 	}
 }
@@ -220,37 +243,56 @@ func TestAvailabilityMemoization(t *testing.T) {
 		t.Fatalf("memo: misses=%d hits=%d", v.AvailabilityMisses, v.AvailabilityHits)
 	}
 
-	// A depot write invalidates the memo (generation moved).
-	if _, err := d.Store(branch.MustParse("tool=x,site=s"), []byte("<rep><v>1</v></rep>")); err != nil {
-		t.Fatal(err)
+	// An archive write alone — an evaluation cycle recording availability,
+	// no report stored — changes the page, so it must move the memo and the
+	// validator: both key on the archive generation, the only counter an
+	// ArchiveUpdate advances.
+	for i := 7; i <= 8; i++ {
+		if err := d.ArchiveUpdate(id, consumer.AvailabilityPolicyName,
+			t0.Add(time.Duration(i)*10*time.Minute), 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	third, tag3 := fetch()
 	if tag3 == tag {
-		t.Fatal("ETag unchanged after depot write")
+		t.Fatal("ETag unchanged after an archive write")
 	}
-	if third != first {
-		// Same underlying data, freshly rendered — content matches even
-		// though the validator moved.
-		t.Fatalf("re-render differs:\n%s\nvs\n%s", third, first)
+	if third == first {
+		t.Fatalf("stale page after an archive write:\n%s", third)
 	}
 	v, err = c.DebugVars()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.AvailabilityMisses != 2 {
-		t.Fatalf("memo after write: misses=%d", v.AvailabilityMisses)
+		t.Fatalf("memo after archive write: misses=%d", v.AvailabilityMisses)
 	}
 
-	// Conditional availability fetch revalidates too.
-	req, _ := http.NewRequest(http.MethodGet, u, nil)
-	req.Header.Set("If-None-Match", tag3)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
+	// Conditional availability fetch: the old validator no longer holds,
+	// the current one revalidates.
+	for _, c := range []struct {
+		inm  string
+		want int
+	}{{tag, http.StatusOK}, {tag3, http.StatusNotModified}} {
+		req, _ := http.NewRequest(http.MethodGet, u, nil)
+		req.Header.Set("If-None-Match", c.inm)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("conditional availability with %s: status %d, want %d", c.inm, resp.StatusCode, c.want)
+		}
+	}
+
+	// A report store touches no archive the page reads: same validator,
+	// same bytes, from the memo.
+	if _, err := d.Store(branch.MustParse("tool=x,site=s"), []byte("<rep><v>1</v></rep>")); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("conditional availability: status %d", resp.StatusCode)
+	if fourth, tag4 := fetch(); tag4 != tag3 || fourth != third {
+		t.Fatalf("report store moved the page: tag %q -> %q", tag3, tag4)
 	}
 }
 

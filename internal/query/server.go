@@ -4,42 +4,41 @@
 // both current data from the cache (by branch identifier, or the whole
 // cache when none is supplied) and archived time series.
 //
+// There is one handler set. Server parses requests and writes responses;
+// a backend says where the bytes come from — the local depot (local.go)
+// or the scatter-gather over a ring of shards (federated.go).
+//
 // The read side is cache-aware: /cache and /reports responses carry an
-// ETag derived from the cache generation (depot.Cache.Generation), and
-// conditional requests (If-None-Match)
-// short-circuit to 304 Not Modified before any cache work happens — the
-// cheapest possible answer to the most common consumer poll ("anything
-// new since last time?"). The availability overview is memoized on
-// (query parameters, generation) for the same reason: between depot
-// writes, repeat renders are free.
+// ETag derived from the cache generation, and conditional requests
+// (If-None-Match) short-circuit to 304 Not Modified before any cache work
+// happens — the cheapest possible answer to the most common consumer poll
+// ("anything new since last time?").
 package query
 
 import (
-	"bytes"
 	"encoding/json"
 	"encoding/xml"
-	"fmt"
+	"errors"
 	"io"
-	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"inca/internal/agreement"
 	"inca/internal/branch"
 	"inca/internal/consumer"
 	"inca/internal/depot"
+	"inca/internal/feed"
 	"inca/internal/metrics"
-	"inca/internal/rrd"
 	"inca/internal/wire"
 )
 
-// Server exposes a depot over HTTP.
+// Server is the querying interface over HTTP.
 type Server struct {
-	d     *depot.Depot
+	b     backend
 	specs *SpecStore
 	reg   *metrics.Registry // nil: instruments stay private, no /metrics route
 
@@ -52,35 +51,44 @@ type Server struct {
 	// profiling endpoints under /debug/pprof/ (inca-server -pprof).
 	Pprof bool
 
-	// Feed, when set before Handler is called, mounts the change feed
-	// on /feed (and, when the feed evaluates an agreement, the status
+	// Feed, when set before Handler is called, is the change feed /feed
+	// serves (and, when the feed evaluates an agreement, the status
 	// snapshot on /summary). See NewFeed.
 	Feed *Feed
-
-	// Read-path counters, exposed on /debug/vars (and, with a registry,
-	// on /metrics).
-	queryHits   *metrics.Counter // /cache and /reports queries that found data
-	queryMisses *metrics.Counter // queries for absent branches (404)
-	conditional *metrics.Counter // requests carrying If-None-Match
-	notModified *metrics.Counter // conditional requests answered 304
-	availHits   *metrics.Counter // availability pages served from the memo
-	availMisses *metrics.Counter // availability pages rendered fresh
-
-	availMu sync.Mutex
-	avail   map[string]*availEntry // canonical query params → rendered page
 }
 
-// availEntry is one memoized availability rendering; valid while the
-// cache generation is unchanged.
-type availEntry struct {
-	gen  uint64
-	body []byte
+// backend is where a Server's bytes come from. It answers in documents
+// and errors; the Server owns the mux, the request parsing and every byte
+// of the response.
+type backend interface {
+	// cache and reports are the /cache and /reports documents for the
+	// subtree at id. inm is the client's If-None-Match: a validator that
+	// still holds comes back as a notModified document, before any
+	// document work.
+	cache(id branch.ID, inm string) (document, error)
+	reports(id branch.ID, inm string) (document, error)
+	// availability is the page q asks for, rendered by q.
+	availability(q *availQuery, inm string) (document, error)
+	// stats is the depot's totals (summed over the shards on a router).
+	stats() (xmlStats, error)
+	// store and policy hand a POST body to the depot that must hold it and
+	// return that depot's answer.
+	store(envelope []byte) (document, error)
+	policy(policyXML []byte) (document, error)
+	// feed is the hub /feed subscribes to (the agreement status hub when
+	// status is set) and the snapshot a subscriber catches up from.
+	feed(status bool) (*feed.Hub, func(prefix branch.ID) ([]byte, error), error)
+	// vars is the value /debug/vars renders.
+	vars() any
+	// routes are the endpoints only this tier has.
+	routes() []route
 }
 
-// availMemoCap bounds the memo; the map resets once it is exceeded (the
-// parameter space is small in practice — consumers poll a handful of
-// dashboards — so eviction sophistication buys nothing).
-const availMemoCap = 128
+// route is one mux entry; name labels its latency series.
+type route struct {
+	pattern, name string
+	h             http.HandlerFunc
+}
 
 // NewServer wraps d.
 func NewServer(d *depot.Depot) *Server {
@@ -91,20 +99,15 @@ func NewServer(d *depot.Depot) *Server {
 // in reg and a Prometheus text endpoint mounted at /metrics. A nil reg
 // keeps the instruments private and omits the route.
 func NewServerMetrics(d *depot.Depot, reg *metrics.Registry) *Server {
-	s := &Server{d: d, reg: reg, avail: make(map[string]*availEntry)}
-	s.queryHits = reg.Counter("inca_query_hits_total", "Cache and report queries that found data.")
-	s.queryMisses = reg.Counter("inca_query_misses_total", "Queries for absent branches (404).")
-	s.conditional = reg.Counter("inca_query_conditional_total", "Requests carrying If-None-Match.")
-	s.notModified = reg.Counter("inca_query_not_modified_total", "Conditional requests answered 304.")
-	s.availHits = reg.Counter("inca_query_availability_memo_hits_total", "Availability pages served from the memo.")
-	s.availMisses = reg.Counter("inca_query_availability_renders_total", "Availability pages rendered fresh.")
+	s := &Server{reg: reg}
+	s.b = newLocal(s, d, reg)
 	return s
 }
 
 // timed wraps a handler with the per-endpoint latency histogram
 // inca_query_request_seconds{handler=name} on reg. Observation covers the
 // full handler, 304s and errors included — the consumer-visible response
-// time. The single depot and the federated tier share it.
+// time.
 func timed(reg *metrics.Registry, name string, h http.HandlerFunc) http.HandlerFunc {
 	hist := reg.Histogram("inca_query_request_seconds", "Query HTTP request latency by endpoint.", nil, "handler", name)
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -114,7 +117,7 @@ func timed(reg *metrics.Registry, name string, h http.HandlerFunc) http.HandlerF
 	}
 }
 
-// Handler returns the HTTP mux:
+// Handler returns the HTTP mux, every route timed. Both tiers serve:
 //
 //	POST /store       — envelope in the body; returns an XML receipt
 //	POST /policy      — archival policy XML
@@ -123,32 +126,30 @@ func timed(reg *metrics.Registry, name string, h http.HandlerFunc) http.HandlerF
 //	GET  /archive     — ?branch=&policy=&cf=&start=&end= CSV series
 //	GET  /graph       — same params plus &title=&ylabel=; ASCII plot
 //	GET  /stats       — depot counters as XML
-//	GET  /availability — VO-wide availability overview (memoized)
-//	GET  /feed        — SSE/long-poll change feed (servers with Feed set;
-//	                    ?branch=&cursor=&stream=&mode=&wait=)
-//	GET  /summary     — live agreement status as JSON (feed servers
-//	                    evaluating an agreement only)
-//	GET  /debug/vars  — read-path counters as JSON
-//	GET  /metrics     — Prometheus text exposition (servers built with
-//	                    NewServerMetrics only)
-//	GET  /debug/pprof/* — runtime profiles (Pprof field set only)
+//	GET  /availability — VO-wide availability overview
+//	GET  /feed        — SSE/long-poll change feed
+//	                    (?branch=&cursor=&stream=&mode=&wait=)
+//	GET  /debug/vars  — the tier's counters as JSON
+//	GET  /metrics     — Prometheus text exposition (tiers built with a
+//	                    registry only)
+//
+// A depot adds /spec, /summary (feeds evaluating an agreement only) and
+// /debug/pprof/* (Pprof field set only); a router adds /shards and
+// POST /federation/{join,leave,promote,replicate}.
 func (s *Server) Handler() http.Handler {
+	routes := append([]route{
+		{"/store", "store", postOnly(s.handleStore)},
+		{"/policy", "policy", postOnly(s.handlePolicy)},
+		{"/cache", "cache", readOnly(s.handleCache)},
+		{"/reports", "reports", readOnly(s.handleReports)},
+		{"/availability", "availability", readOnly(s.handleAvailability)},
+		{"/stats", "stats", readOnly(s.handleStats)},
+		{"/debug/vars", "debug_vars", readOnly(s.handleDebugVars)},
+		{"/feed", "feed", readOnly(s.handleFeed)},
+	}, s.b.routes()...)
 	mux := http.NewServeMux()
-	mux.HandleFunc("/store", timed(s.reg, "store", s.handleStore))
-	mux.HandleFunc("/policy", timed(s.reg, "policy", s.handlePolicy))
-	mux.HandleFunc("/cache", timed(s.reg, "cache", readOnly(s.handleCache)))
-	mux.HandleFunc("/reports", timed(s.reg, "reports", readOnly(s.handleReports)))
-	mux.HandleFunc("/archive", timed(s.reg, "archive", readOnly(s.handleArchive)))
-	mux.HandleFunc("/graph", timed(s.reg, "graph", readOnly(s.handleGraph)))
-	mux.HandleFunc("/stats", timed(s.reg, "stats", readOnly(s.handleStats)))
-	mux.HandleFunc("/spec", timed(s.reg, "spec", s.handleSpec))
-	mux.HandleFunc("/availability", timed(s.reg, "availability", readOnly(s.handleAvailability)))
-	mux.HandleFunc("/debug/vars", timed(s.reg, "debug_vars", readOnly(s.handleDebugVars)))
-	if s.Feed != nil {
-		mux.HandleFunc("/feed", timed(s.reg, "feed", readOnly(s.handleFeed)))
-		if s.Feed.status != nil {
-			mux.HandleFunc("/summary", timed(s.reg, "summary", readOnly(s.handleSummary)))
-		}
+	for _, rt := range routes {
+		mux.HandleFunc(rt.pattern, timed(s.reg, rt.name, rt.h))
 	}
 	if s.reg != nil {
 		mux.Handle("/metrics", s.reg.Handler())
@@ -163,15 +164,92 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// readOnly rejects anything but GET and HEAD on a read endpoint.
-func readOnly(h http.HandlerFunc) http.HandlerFunc {
+// only admits the methods allow lists (an Allow header value) and refuses
+// the rest with 405 and that header, naming the first.
+func only(allow string, h http.HandlerFunc) http.HandlerFunc {
+	methods := strings.Split(allow, ", ")
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
+		for _, m := range methods {
+			if r.Method == m {
+				h(w, r)
+				return
+			}
 		}
-		h(w, r)
+		w.Header().Set("Allow", allow)
+		http.Error(w, methods[0]+" required", http.StatusMethodNotAllowed)
+	}
+}
+
+// readOnly rejects anything but GET and HEAD on a read endpoint.
+func readOnly(h http.HandlerFunc) http.HandlerFunc { return only("GET, HEAD", h) }
+
+// postOnly rejects anything but POST on a write endpoint.
+func postOnly(h http.HandlerFunc) http.HandlerFunc { return only("POST", h) }
+
+// httpError is an error that names the status it is answered with; any
+// other error from a backend is a 500.
+type httpError struct {
+	status int
+	msg    string
+}
+
+func (e httpError) Error() string { return e.msg }
+
+// document is one answer from a backend: a body of known length with the
+// validator it is served under.
+type document struct {
+	status      int    // 0 is 200; a relayed answer keeps the depot's own
+	contentType string // "" sets none
+	tag         string // entity tag; "" sends none
+	notModified bool   // the client's validator holds: 304 under tag, no body
+	len         int
+	write       func(io.Writer) // writes the len body bytes
+	release     func()          // returns pooled bytes the body aliases; may be nil
+}
+
+// bytesDoc is a document whose body is one slice.
+func bytesDoc(contentType, tag string, body []byte) document {
+	return document{contentType: contentType, tag: tag, len: len(body), write: func(w io.Writer) { w.Write(body) }}
+}
+
+// fail answers with a backend's error under the status it names.
+func fail(w http.ResponseWriter, err error) {
+	status := http.StatusInternalServerError
+	var he httpError
+	if errors.As(err, &he) {
+		status = he.status
+	}
+	http.Error(w, err.Error(), status)
+}
+
+// answer is the one writer of a backend's answer: the error, or the
+// document's ETag, 304, Content-Length and a body that HEAD omits. A
+// failed body write is the client gone; there is nobody to report it to.
+func answer(w http.ResponseWriter, r *http.Request, d document, err error) {
+	if err != nil {
+		fail(w, err)
+		return
+	}
+	if d.release != nil {
+		defer d.release()
+	}
+	h := w.Header()
+	if d.tag != "" {
+		h.Set("ETag", d.tag)
+	}
+	if d.notModified {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	if d.contentType != "" {
+		h.Set("Content-Type", d.contentType)
+	}
+	h.Set("Content-Length", strconv.Itoa(d.len))
+	if d.status != 0 {
+		w.WriteHeader(d.status)
+	}
+	if r.Method != http.MethodHead && d.write != nil {
+		d.write(w)
 	}
 }
 
@@ -183,436 +261,108 @@ func etagFor(gen uint64) string {
 	return `"` + strconv.FormatUint(gen, 10) + `"`
 }
 
-// checkNotModified answers a conditional request with 304 when the
-// client's validator still matches. It runs before any cache query — the
-// point of the generation-derived ETag is that an up-to-date consumer
-// costs one integer comparison, not one document scan.
-func (s *Server) checkNotModified(w http.ResponseWriter, r *http.Request, tag string) bool {
-	inm := r.Header.Get("If-None-Match")
-	if inm == "" {
-		return false
-	}
-	s.conditional.Inc()
-	for _, cand := range strings.Split(inm, ",") {
-		if c := strings.TrimSpace(cand); c == tag || c == "*" {
-			w.Header().Set("ETag", tag)
-			w.WriteHeader(http.StatusNotModified)
-			s.notModified.Inc()
-			return true
-		}
-	}
-	return false
-}
-
-// handleAvailability renders the VO-wide availability overview page:
-// GET /availability?resource=a&resource=b&category=Grid&start=&end=[&format=text]
-//
-// Renders are memoized per (canonical query string, cache generation):
-// building the page walks every requested resource's archives, so
-// between depot writes the repeat cost collapses to a map lookup.
-func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	contentType := "text/html; charset=utf-8"
-	switch q.Get("format") {
-	case "text":
-		contentType = "text/plain; charset=utf-8"
-	case "json":
-		// Structured rows — the interchange the federated query tier
-		// scatters and merges (see internal/query/federated.go).
-		contentType = "application/json; charset=utf-8"
-	}
-	resources := q["resource"]
-	if len(resources) == 0 {
-		http.Error(w, "at least one resource parameter required", http.StatusBadRequest)
-		return
-	}
-	var cats []agreement.Category
-	for _, c := range q["category"] {
-		cats = append(cats, agreement.Category(c))
-	}
-	if len(cats) == 0 {
-		cats = append(agreement.Categories[:0:0], agreement.Categories...)
-		cats = append(cats, "Total")
-	}
-	start, err := time.Parse(time.RFC3339, q.Get("start"))
+// post reads a write request's body, at most limit bytes, and relays the
+// answer of the depot it went to.
+func post(w http.ResponseWriter, r *http.Request, limit int64, to func([]byte) (document, error)) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, limit))
 	if err != nil {
-		http.Error(w, "bad start: "+err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	end, err := time.Parse(time.RFC3339, q.Get("end"))
-	if err != nil {
-		http.Error(w, "bad end: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	gen := s.d.CacheGeneration()
-	tag := etagFor(gen)
-	if s.checkNotModified(w, r, tag) {
-		return
-	}
-	key := q.Encode()
-	s.availMu.Lock()
-	e, ok := s.avail[key]
-	s.availMu.Unlock()
-	if ok && e.gen == gen {
-		s.availHits.Inc()
-		s.writeAvailability(w, r, contentType, tag, e.body)
-		return
-	}
-	page, err := consumer.BuildAvailabilityPage(s.d, "Availability overview", resources, cats, start, end)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	var body []byte
-	switch q.Get("format") {
-	case "text":
-		body = []byte(page.Text())
-	case "json":
-		if body, err = marshalAvailabilityPage(page); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	default:
-		if body, err = page.HTML(); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	}
-	s.availMisses.Inc()
-	s.availMu.Lock()
-	if len(s.avail) >= availMemoCap {
-		s.avail = make(map[string]*availEntry)
-	}
-	s.avail[key] = &availEntry{gen: gen, body: body}
-	s.availMu.Unlock()
-	s.writeAvailability(w, r, contentType, tag, body)
-}
-
-func (s *Server) writeAvailability(w http.ResponseWriter, r *http.Request, contentType, tag string, body []byte) {
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("ETag", tag)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	if r.Method == http.MethodHead {
-		return
-	}
-	w.Write(body)
-}
-
-// xmlReceipt is the wire form of a depot.Receipt.
-type xmlReceipt struct {
-	XMLName    xml.Name `xml:"receipt"`
-	Branch     string   `xml:"branch,attr"`
-	ReportSize int      `xml:"reportSize,attr"`
-	CacheSize  int      `xml:"cacheSize,attr"`
-	UnpackNs   int64    `xml:"unpackNs,attr"`
-	InsertNs   int64    `xml:"insertNs,attr"`
-	ArchiveNs  int64    `xml:"archiveNs,attr"`
-	Added      bool     `xml:"added,attr"`
+	d, err := to(body)
+	answer(w, r, d, err)
 }
 
 func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 32<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	rec, err := s.d.StoreEnvelope(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.Header().Set("Content-Type", "text/xml")
-	xml.NewEncoder(w).Encode(xmlReceipt{
-		Branch:     rec.Branch.String(),
-		ReportSize: rec.ReportSize,
-		CacheSize:  rec.CacheSize,
-		UnpackNs:   rec.Unpack.Nanoseconds(),
-		InsertNs:   rec.Insert.Nanoseconds(),
-		ArchiveNs:  rec.Archive.Nanoseconds(),
-		Added:      rec.Added,
-	})
-}
-
-// xmlPolicy is the wire form of a depot.Policy.
-type xmlPolicy struct {
-	XMLName     xml.Name `xml:"archivalPolicy"`
-	Name        string   `xml:"name,attr"`
-	Prefix      string   `xml:"prefix,attr"`
-	Path        string   `xml:"path,attr"`
-	Step        string   `xml:"step,attr"`
-	Granularity int      `xml:"granularity,attr"`
-	History     string   `xml:"history,attr"`
-	Heartbeat   string   `xml:"heartbeat,attr"`
-	// CFs is a comma-separated consolidation function list (default
-	// AVERAGE).
-	CFs string `xml:"cfs,attr"`
+	post(w, r, 32<<20, s.b.store)
 }
 
 func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var xp xmlPolicy
-	if err := xml.Unmarshal(body, &xp); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	p, err := policyFromXML(xp)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := s.d.AddPolicy(p); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
+	post(w, r, 1<<20, s.b.policy)
 }
 
-func policyFromXML(xp xmlPolicy) (depot.Policy, error) {
-	prefix, err := branch.Parse(xp.Prefix)
+// subtree answers a read addressed by ?branch= from the backend's document.
+func subtree(w http.ResponseWriter, r *http.Request, read func(branch.ID, string) (document, error)) {
+	id, err := branch.Parse(r.URL.Query().Get("branch"))
 	if err != nil {
-		return depot.Policy{}, fmt.Errorf("bad prefix: %w", err)
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	step, err := time.ParseDuration(xp.Step)
-	if err != nil {
-		return depot.Policy{}, fmt.Errorf("bad step: %w", err)
-	}
-	history, err := time.ParseDuration(xp.History)
-	if err != nil {
-		return depot.Policy{}, fmt.Errorf("bad history: %w", err)
-	}
-	var hb time.Duration
-	if xp.Heartbeat != "" {
-		if hb, err = time.ParseDuration(xp.Heartbeat); err != nil {
-			return depot.Policy{}, fmt.Errorf("bad heartbeat: %w", err)
-		}
-	}
-	var cfs []rrd.CF
-	if xp.CFs != "" {
-		for _, s := range strings.Split(xp.CFs, ",") {
-			cf, err := parseCF(strings.TrimSpace(s))
-			if err != nil {
-				return depot.Policy{}, err
-			}
-			cfs = append(cfs, cf)
-		}
-	}
-	return depot.Policy{
-		Name:   xp.Name,
-		Prefix: prefix,
-		Path:   xp.Path,
-		Archive: rrd.ArchivalPolicy{
-			Step:        step,
-			Granularity: xp.Granularity,
-			History:     history,
-			Heartbeat:   hb,
-			CFs:         cfs,
-		},
-	}, nil
+	d, err := read(id, r.Header.Get("If-None-Match"))
+	answer(w, r, d, err)
 }
 
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
-	id, err := branch.Parse(r.URL.Query().Get("branch"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	tag := etagFor(s.d.CacheGeneration())
-	if s.checkNotModified(w, r, tag) {
-		return
-	}
-	sub, ok, err := s.d.Cache().Query(id)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if !ok {
-		s.queryMisses.Inc()
-		http.Error(w, "no data at branch "+id.String(), http.StatusNotFound)
-		return
-	}
-	s.queryHits.Inc()
-	w.Header().Set("Content-Type", "text/xml")
-	w.Header().Set("ETag", tag)
-	w.Header().Set("Content-Length", strconv.Itoa(len(sub)))
-	if r.Method == http.MethodHead {
-		return
-	}
-	w.Write(sub)
+	subtree(w, r, s.b.cache)
 }
 
-// handleReports streams the report list: branch identifiers are escaped
-// into one reused buffer (no per-identifier string allocation) and the
-// pieces are written straight to the response — the exact Content-Length
-// is known up front from the piece lengths, so no second full-response
-// buffer is built.
 func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
-	id, err := branch.Parse(r.URL.Query().Get("branch"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	tag := etagFor(s.d.CacheGeneration())
-	if s.checkNotModified(w, r, tag) {
-		return
-	}
-	stored, err := s.d.Cache().Reports(id)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if len(stored) == 0 {
-		s.queryMisses.Inc()
-	} else {
-		s.queryHits.Inc()
-	}
-	const (
-		openTag   = `<stored branch="`
-		closeAttr = `">`
-		closeTag  = `</stored>`
-	)
-	var esc bytes.Buffer
-	offs := make([]int, len(stored)+1)
-	total := len("<reports></reports>")
-	for i, st := range stored {
-		xml.EscapeText(&esc, []byte(st.ID.String()))
-		offs[i+1] = esc.Len()
-		total += len(openTag) + (offs[i+1] - offs[i]) + len(closeAttr) + len(st.XML) + len(closeTag)
-	}
-	w.Header().Set("Content-Type", "text/xml")
-	w.Header().Set("ETag", tag)
-	w.Header().Set("Content-Length", strconv.Itoa(total))
-	if r.Method == http.MethodHead {
-		return
-	}
-	escaped := esc.Bytes()
-	io.WriteString(w, "<reports>")
-	for i, st := range stored {
-		io.WriteString(w, openTag)
-		w.Write(escaped[offs[i]:offs[i+1]])
-		io.WriteString(w, closeAttr)
-		w.Write(st.XML)
-		io.WriteString(w, closeTag)
-	}
-	io.WriteString(w, "</reports>")
+	subtree(w, r, s.b.reports)
 }
 
-func parseCF(s string) (rrd.CF, error) {
-	switch strings.ToUpper(s) {
-	case "", "AVERAGE":
-		return rrd.Average, nil
-	case "MIN":
-		return rrd.Min, nil
-	case "MAX":
-		return rrd.Max, nil
-	case "LAST":
-		return rrd.Last, nil
+// availQuery is a parsed /availability request:
+// ?resource=a&resource=b&category=Grid&start=&end=[&format=text|json].
+type availQuery struct {
+	values     url.Values // every parameter as sent
+	resources  []string
+	cats       []agreement.Category // all of them plus Total when none is named
+	start, end time.Time
+	format     string // "" is html
+}
+
+const availabilityTitle = "Availability overview"
+
+func parseAvailability(r *http.Request) (*availQuery, error) {
+	v := r.URL.Query()
+	q := &availQuery{values: v, resources: v["resource"], format: v.Get("format")}
+	if len(q.resources) == 0 {
+		return nil, errors.New("at least one resource parameter required")
+	}
+	for _, c := range v["category"] {
+		q.cats = append(q.cats, agreement.Category(c))
+	}
+	if len(q.cats) == 0 {
+		q.cats = append(agreement.Categories[:0:0], agreement.Categories...)
+		q.cats = append(q.cats, "Total")
+	}
+	var err error
+	if q.start, err = time.Parse(time.RFC3339, v.Get("start")); err != nil {
+		return nil, errors.New("bad start: " + err.Error())
+	}
+	if q.end, err = time.Parse(time.RFC3339, v.Get("end")); err != nil {
+		return nil, errors.New("bad end: " + err.Error())
+	}
+	return q, nil
+}
+
+// render is the page in the requested format under tag. The json form is
+// the structured rows a router scatters for and merges.
+func (q *availQuery) render(page *consumer.AvailabilityPage, tag string) (document, error) {
+	var body []byte
+	var err error
+	contentType := "text/html; charset=utf-8"
+	switch q.format {
+	case "text":
+		contentType = "text/plain; charset=utf-8"
+		body = []byte(page.Text())
+	case "json":
+		contentType = "application/json; charset=utf-8"
+		body, err = marshalAvailabilityPage(page)
 	default:
-		return 0, fmt.Errorf("unknown consolidation function %q", s)
+		body, err = page.HTML()
 	}
+	return bytesDoc(contentType, tag, body), err
 }
 
-func (s *Server) archiveParams(r *http.Request) (branch.ID, string, rrd.CF, time.Time, time.Time, error) {
-	q := r.URL.Query()
-	id, err := branch.Parse(q.Get("branch"))
-	if err != nil {
-		return branch.ID{}, "", 0, time.Time{}, time.Time{}, err
-	}
-	policy := q.Get("policy")
-	if policy == "" {
-		return branch.ID{}, "", 0, time.Time{}, time.Time{}, fmt.Errorf("policy parameter required")
-	}
-	cf, err := parseCF(q.Get("cf"))
-	if err != nil {
-		return branch.ID{}, "", 0, time.Time{}, time.Time{}, err
-	}
-	start, err := time.Parse(time.RFC3339, q.Get("start"))
-	if err != nil {
-		return branch.ID{}, "", 0, time.Time{}, time.Time{}, fmt.Errorf("bad start: %w", err)
-	}
-	end, err := time.Parse(time.RFC3339, q.Get("end"))
-	if err != nil {
-		return branch.ID{}, "", 0, time.Time{}, time.Time{}, fmt.Errorf("bad end: %w", err)
-	}
-	return id, policy, cf, start, end, nil
-}
-
-func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
-	id, policy, cf, start, end, err := s.archiveParams(r)
+// handleAvailability renders the VO-wide availability overview page.
+func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
+	q, err := parseAvailability(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Each archived series validates with its own update counter, so a
-	// poller's ETag stays good while *other* series ingest — a depot-wide
-	// generation would invalidate every /archive client on every applied
-	// sample. An up-to-date poller costs one integer comparison, no fetch
-	// and no CSV rendering.
-	var tag string
-	if gen, ok := s.d.ArchiveSeriesGeneration(id, policy); ok {
-		tag = etagFor(gen)
-		if s.checkNotModified(w, r, tag) {
-			return
-		}
-	}
-	series, err := s.d.FetchArchive(id, policy, cf, start, end)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	var body bytes.Buffer
-	body.WriteString("time,value\n")
-	for _, p := range series.Points {
-		v := "nan"
-		if !math.IsNaN(p.Values[0]) {
-			v = strconv.FormatFloat(p.Values[0], 'g', -1, 64)
-		}
-		fmt.Fprintf(&body, "%s,%s\n", p.Time.Format(time.RFC3339), v)
-	}
-	w.Header().Set("Content-Type", "text/csv")
-	if tag != "" {
-		w.Header().Set("ETag", tag)
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
-	if r.Method == http.MethodHead {
-		return
-	}
-	w.Write(body.Bytes())
-}
-
-func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
-	id, policy, cf, start, end, err := s.archiveParams(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	series, err := s.d.FetchArchive(id, policy, cf, start, end)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	q := r.URL.Query()
-	out, err := rrd.Graph(series, policy, rrd.GraphOptions{
-		Title:  q.Get("title"),
-		YLabel: q.Get("ylabel"),
-	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, out)
+	d, err := s.b.availability(q, r.Header.Get("If-None-Match"))
+	answer(w, r, d, err)
 }
 
 // xmlStats is the wire form of depot.Stats.
@@ -626,85 +376,50 @@ type xmlStats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.d.Stats()
+	st, err := s.b.stats()
+	if err != nil {
+		fail(w, err)
+		return
+	}
 	w.Header().Set("Content-Type", "text/xml")
-	xml.NewEncoder(w).Encode(xmlStats{
-		Received: st.Received, Bytes: st.Bytes,
-		CacheSize: st.CacheSize, CacheCount: st.CacheCount, Archives: st.Archives,
-	})
+	xml.NewEncoder(w).Encode(st)
 }
 
-// DebugVars is the JSON shape of /debug/vars: depot ingest counters plus
-// the read-path counters this server maintains.
-type DebugVars struct {
-	Received            uint64 `json:"received"`
-	Bytes               uint64 `json:"bytes"`
-	CacheSize           int    `json:"cache_size"`
-	CacheCount          int    `json:"cache_count"`
-	Archives            int    `json:"archives"`
-	Versioned           bool   `json:"versioned"`
-	Generation          uint64 `json:"generation"`
-	ArchiveGeneration   uint64 `json:"archive_generation"`
-	ArchiveMatched      uint64 `json:"archive_matched"`
-	ArchiveEnqueued     uint64 `json:"archive_enqueued"`
-	ArchiveDropped      uint64 `json:"archive_dropped"`
-	ArchiveBlocked      uint64 `json:"archive_blocked"`
-	ArchiveApplied      uint64 `json:"archive_applied"`
-	QueryHits           uint64 `json:"query_hits"`
-	QueryMisses         uint64 `json:"query_misses"`
-	ConditionalRequests uint64 `json:"conditional_requests"`
-	NotModified         uint64 `json:"not_modified"`
-	AvailabilityHits    uint64 `json:"availability_hits"`
-	AvailabilityMisses  uint64 `json:"availability_misses"`
-
-	// delivery_* is the TCP ingest side (the agent→controller wire
-	// protocol), present when the embedding process registered its wire
-	// server via Server.WireStats. DeliveryMessages should reconcile with
-	// Received: every message the wire accepted reached the depot.
-	DeliveryWired           bool   `json:"delivery_wired"`
-	DeliveryConnsAccepted   uint64 `json:"delivery_conns_accepted"`
-	DeliveryConnsIdleClosed uint64 `json:"delivery_conns_idle_closed"`
-	DeliveryMessages        uint64 `json:"delivery_messages"`
-	DeliveryBatches         uint64 `json:"delivery_batches"`
-}
-
-// handleDebugVars serves the counters expvar-style, but self-rendered:
-// the stdlib expvar package registers into a process-global map, which
-// would collide when tests (or an embedding process) construct several
-// servers.
-func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
-	st := s.d.Stats()
-	v := DebugVars{
-		Received:            st.Received,
-		Bytes:               st.Bytes,
-		CacheSize:           st.CacheSize,
-		CacheCount:          st.CacheCount,
-		Archives:            st.Archives,
-		Versioned:           true, // every cache has a generation; the key stays for readers of the page
-		Generation:          s.d.CacheGeneration(),
-		ArchiveGeneration:   s.d.ArchiveGeneration(),
-		ArchiveMatched:      st.Archive.Matched,
-		ArchiveEnqueued:     st.Archive.Enqueued,
-		ArchiveDropped:      st.Archive.Dropped,
-		ArchiveBlocked:      st.Archive.Blocked,
-		ArchiveApplied:      st.Archive.Applied,
-		QueryHits:           s.queryHits.Value(),
-		QueryMisses:         s.queryMisses.Value(),
-		ConditionalRequests: s.conditional.Value(),
-		NotModified:         s.notModified.Value(),
-		AvailabilityHits:    s.availHits.Value(),
-		AvailabilityMisses:  s.availMisses.Value(),
-	}
-	if s.WireStats != nil {
-		ws := s.WireStats()
-		v.DeliveryWired = true
-		v.DeliveryConnsAccepted = ws.ConnsAccepted
-		v.DeliveryConnsIdleClosed = ws.ConnsIdleClosed
-		v.DeliveryMessages = ws.Messages
-		v.DeliveryBatches = ws.Batches
-	}
+// writeJSON serves v indented, expvar-style but self-rendered: the stdlib
+// expvar package registers into a process-global map, which would collide
+// when tests (or an embedding process) construct several servers.
+func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, s.b.vars())
+}
+
+// handleFeed serves GET /feed?branch=&cursor=[&stream=status][&mode=poll&wait=30s].
+func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	prefix, err := branch.Parse(q.Get("branch"))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	status := false
+	switch q.Get("stream") {
+	case "", "changes":
+	case "status":
+		status = true
+	default:
+		http.Error(w, "unknown stream "+q.Get("stream"), http.StatusBadRequest)
+		return
+	}
+	hub, snap, err := s.b.feed(status)
+	if err != nil {
+		fail(w, err)
+		return
+	}
+	serveFeed(w, r, prefix, hub, func() ([]byte, error) { return snap(prefix) })
 }

@@ -70,8 +70,9 @@ func (s *Server) EnableSpecs() *SpecStore {
 	return s.specs
 }
 
-func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
-	if s.specs == nil {
+func (b *local) handleSpec(w http.ResponseWriter, r *http.Request) {
+	specs := b.srv.specs
+	if specs == nil {
 		http.Error(w, "specification distribution not enabled", http.StatusNotFound)
 		return
 	}
@@ -80,10 +81,10 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 		resource := r.URL.Query().Get("resource")
 		if resource == "" {
 			w.Header().Set("Content-Type", "text/plain")
-			io.WriteString(w, strings.Join(s.specs.Resources(), "\n"))
+			io.WriteString(w, strings.Join(specs.Resources(), "\n"))
 			return
 		}
-		data, gen, ok := s.specs.Get(resource)
+		data, gen, ok := specs.Get(resource)
 		if !ok {
 			http.Error(w, "no specification for "+resource, http.StatusNotFound)
 			return
@@ -97,7 +98,7 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		resource, err := s.specs.Put(body)
+		resource, err := specs.Put(body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -105,6 +106,7 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain")
 		fmt.Fprintf(w, "specification for %s stored\n", resource)
 	default:
+		w.Header().Set("Allow", "GET, POST")
 		http.Error(w, "GET or POST required", http.StatusMethodNotAllowed)
 	}
 }

@@ -10,6 +10,7 @@ package simtime
 
 import (
 	"container/heap"
+	"math/rand"
 	"sync"
 	"time"
 )
@@ -206,4 +207,19 @@ func (s *Sim) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.timers)
+}
+
+// Backoff returns the wait before retry number n (1-based) on a jittered
+// exponential ladder: a uniform random duration in [0, min(cap, base·2ⁿ⁻¹)].
+// The whole rung is jitter, so peers cut off by one failure do not come
+// back in lockstep. Callers sleep it on their own Clock.
+func Backoff(base, cap time.Duration, n int) time.Duration {
+	d := base
+	for i := 1; i < n && d < cap; i++ {
+		d *= 2
+	}
+	if d > cap {
+		d = cap
+	}
+	return time.Duration(rand.Int63n(int64(d) + 1))
 }

@@ -178,3 +178,29 @@ func TestSimManyTimersAllFire(t *testing.T) {
 		}
 	}
 }
+
+// TestBackoffLadder: rung n is drawn from [0, min(cap, base·2ⁿ⁻¹)], and
+// across draws a rung is used past its lower half — peers on one ladder
+// do not sleep the same time.
+func TestBackoffLadder(t *testing.T) {
+	const base, cap = 5 * time.Millisecond, 250 * time.Millisecond
+	for n := 1; n <= 70; n++ { // far past where base·2ⁿ⁻¹ would overflow
+		rung := cap
+		if n <= 6 {
+			rung = base << (n - 1)
+		}
+		var most time.Duration
+		for i := 0; i < 200; i++ {
+			d := Backoff(base, cap, n)
+			if d < 0 || d > rung {
+				t.Fatalf("Backoff(n=%d) = %v, outside [0, %v]", n, d, rung)
+			}
+			if d > most {
+				most = d
+			}
+		}
+		if most <= rung/2 {
+			t.Fatalf("200 draws of rung %d never passed %v of %v", n, most, rung)
+		}
+	}
+}

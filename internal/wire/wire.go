@@ -22,12 +22,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
 
 	"inca/internal/metrics"
+	"inca/internal/simtime"
 )
 
 // MaxFrame bounds a single report message (16 MiB), protecting the server
@@ -195,16 +195,11 @@ func (p *RetryPolicy) fill() {
 }
 
 // Backoff returns the jittered sleep before retry number n (1-based):
-// uniform random in [0, min(Cap, Base·2ⁿ⁻¹)].
+// uniform random in [0, min(Cap, Base·2ⁿ⁻¹)], an unset Base or Cap taking
+// its default.
 func (p RetryPolicy) Backoff(n int) time.Duration {
-	d := p.Base
-	for i := 1; i < n && d < p.Cap; i++ {
-		d *= 2
-	}
-	if d > p.Cap {
-		d = p.Cap
-	}
-	return time.Duration(rand.Int63n(int64(d) + 1))
+	p.fill()
+	return simtime.Backoff(p.Base, p.Cap, n)
 }
 
 // ClientOptions configures the delivery robustness of a Client.

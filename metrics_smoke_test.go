@@ -196,6 +196,21 @@ func TestMetricsSmokeRouter(t *testing.T) {
 		}
 		merged += int(n)
 	}
+	// Routes that merge nothing are timed all the same: the shard totals,
+	// and a forward to the owner of a series nobody archived.
+	for path, want := range map[string]int{
+		"/stats": http.StatusOK,
+		"/archive?branch=probe%3Dp%2Csite%3Ds0%2Cvo%3Dtg&policy=none&start=2004-07-07T00:00:00Z&end=2004-07-08T00:00:00Z": http.StatusNotFound,
+	} {
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s: status %d, want %d", path, resp.StatusCode, want)
+		}
+	}
 	resp, err := http.Get(hs.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -225,6 +240,8 @@ func TestMetricsSmokeRouter(t *testing.T) {
 	for _, line := range []string{
 		`inca_query_request_seconds_count{handler="cache"} 1`,
 		`inca_query_request_seconds_count{handler="reports"} 1`,
+		`inca_query_request_seconds_count{handler="stats"} 1`,
+		`inca_query_request_seconds_count{handler="archive"} 1`,
 		"inca_federated_merge_seconds_count 2",
 		"inca_federated_merge_bytes_total " + strconv.Itoa(merged),
 	} {
