@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check loc fmt vet build fence test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-query bench-archive bench-federation bench-merge bench-ingest bench-storage bench-feed bench-replication bench-load fuzz
+.PHONY: check loc fmt vet build fence test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-query bench-archive bench-merge bench-ingest bench-storage bench-feed bench-replication bench-load fuzz
 
 # The full gate: formatting, static checks, build, the import fence,
 # race-enabled tests, the fault-injection suite, the telemetry smoke, the
 # multi-process federation, storage, feed and load smokes, and a
-# one-iteration smoke of the parallel ingest benchmark tier.
+# one-second run of the benchmark of record.
 check: fmt vet build fence test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke
 
 # Non-test Go lines per package and in total, bench/ excluded: the figure
@@ -86,23 +86,21 @@ feed-smoke:
 load-smoke:
 	INCA_LOAD_SMOKE=1 $(GO) test -race -run TestLoadSmoke -count=1 .
 
+# The benchmark of record for one second (it builds and spawns the real
+# server and fails on its output checks: newest stored equals last acked,
+# no leaked process), and one iteration of the archive tier.
 bench-smoke:
-	$(GO) test -run=NONE -bench='BenchmarkIngestParallel4|BenchmarkArchiveParallel4' -benchtime=1x .
+	$(GO) run ./bench -workload ingest_small -seconds 1 -trace 0
+	$(GO) test -run=NONE -bench=BenchmarkArchiveParallel4 -benchtime=1x .
 
 # Read-path tier: parallel Query throughput, stream vs indexed cache.
 bench-query:
 	$(GO) test -run=NONE -bench=BenchmarkQueryParallel -benchtime=1s .
 
 # Archive tier: parallel Store throughput over the archival pipeline —
-# global-mutex DOM baseline vs sharded streaming extraction vs async workers.
+# sharded streaming extraction inline vs behind the async workers.
 bench-archive:
 	$(GO) test -run=NONE -bench=BenchmarkArchiveParallel -benchtime=1s .
-
-# Federation tier (DESIGN.md §5f): ingest and owner-routed query scaling
-# at 1/2/4/8 shards against the single-depot baseline, with the
-# machine-readable result written to BENCH_federation.json.
-bench-federation:
-	$(GO) run ./cmd/inca-bench -experiment federation -json .
 
 # Merge tier (DESIGN.md §5f): the whole-cache and whole-report-list merges
 # at the benchmark of record's working set (1024 x 851 B over two shards) —

@@ -21,7 +21,6 @@ import (
 	"inca/internal/envelope"
 	"inca/internal/experiments"
 	"inca/internal/experiments/ablation"
-	"inca/internal/federation"
 	"inca/internal/gridsim"
 	"inca/internal/loadgen"
 	"inca/internal/report"
@@ -386,100 +385,6 @@ func BenchmarkAgreementEvaluate(b *testing.B) {
 	}
 }
 
-// --- Ablation: single vs distributed depot (§6 "distributing the depot") ---
-
-func benchmarkDepotTopology(b *testing.B, shards int) {
-	var backends []controller.DepotClient
-	for i := 0; i < shards; i++ {
-		backends = append(backends, depot.New(depot.NewStreamCache()))
-	}
-	var client controller.DepotClient
-	if shards == 1 {
-		client = backends[0]
-	} else {
-		s, err := controller.NewShardedDepot(backends, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		client = s
-	}
-	ctl := controller.New(client, controller.Options{Mode: envelope.Attachment})
-	data := loadgen.MustPremadeReport(9257)
-	// Pre-fill: 40 sites' worth of data (~1060 entries spread by site).
-	for site := 0; site < 40; site++ {
-		for probe := 0; probe < 26; probe++ {
-			id := branch.MustParse(fmt.Sprintf("probe=p%02d,site=s%02d,vo=tg", probe, site))
-			if _, err := ctl.Submit(id, "h", data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := branch.MustParse(fmt.Sprintf("probe=p%02d,site=s%02d,vo=tg", i%26, i%40))
-		if _, err := ctl.Submit(id, "h", data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDepotSingle(b *testing.B)       { benchmarkDepotTopology(b, 1) }
-func BenchmarkDepotDistributed4(b *testing.B) { benchmarkDepotTopology(b, 4) }
-
-// --- Parallel ingest tier: concurrent submitters against a sharded cache ---
-//
-// The serial Fig 9 benches above measure one submitter against one
-// document; these measure the concurrent ingest path the sharded cache
-// exists for. The win has two sources: per-shard locks remove contention
-// between submitters, and each shard's document is ~1/N the size, so the
-// splice each insert pays (linear in document size, §5.2.1) shrinks by
-// the shard count even on a single core.
-
-func benchmarkIngestParallel(b *testing.B, shards int) {
-	var cache depot.Cache
-	if shards == 1 {
-		cache = depot.NewStreamCache()
-	} else {
-		cache = ablation.NewShardedCacheDepth(shards, 2)
-	}
-	d := depot.New(cache)
-	// MaxResponses keeps the response log from growing with b.N.
-	ctl := controller.New(d, controller.Options{Mode: envelope.Attachment, MaxResponses: 1024})
-	data := loadgen.MustPremadeReport(9257)
-	// Same population as the depot topology benches: 40 sites × 26 probes.
-	ids := make([]branch.ID, 0, 40*26)
-	for site := 0; site < 40; site++ {
-		for probe := 0; probe < 26; probe++ {
-			ids = append(ids, branch.MustParse(fmt.Sprintf("probe=p%02d,site=s%02d,vo=tg", probe, site)))
-		}
-	}
-	for _, id := range ids {
-		if _, err := ctl.Submit(id, "h", data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	var next atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := int(next.Add(1))
-			if _, err := ctl.Submit(ids[i%len(ids)], "h", data); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(b.N)/sec, "reports/sec")
-		b.ReportMetric(float64(b.N)*float64(len(data))/sec, "bytes/sec")
-	}
-}
-
-func BenchmarkIngestParallel1(b *testing.B)  { benchmarkIngestParallel(b, 1) }
-func BenchmarkIngestParallel4(b *testing.B)  { benchmarkIngestParallel(b, 4) }
-func BenchmarkIngestParallel16(b *testing.B) { benchmarkIngestParallel(b, 16) }
-
 func BenchmarkCacheUpdateFileWriteThrough(b *testing.B) {
 	dir := b.TempDir()
 	benchmarkCacheUpdate(b, func() depot.Cache {
@@ -517,7 +422,7 @@ func BenchmarkAgreementEvaluateMemoized(b *testing.B) {
 
 // --- Read-path tier: concurrent consumers against the indexed cache ---
 //
-// The ingest benches above measure writers; these measure the read side
+// The insert benches above measure writers; these measure the read side
 // the IndexedCache exists for. StreamCache answers an exact-branch Query
 // by SAX-scanning the whole document (O(document) per query, readers
 // serialized behind the document lock for the scan's duration);
@@ -591,15 +496,14 @@ func BenchmarkQueryParallel16(b *testing.B) {
 
 // --- Archive tier: concurrent stores against the archive pipeline ---
 //
-// The ingest benches above bypass archival (no policies uploaded); these
+// The insert benches above bypass archival (no policies uploaded); these
 // measure the store path with five matching policies — the paper's
-// Section 3.2.2 archive phase. Three configurations: the pre-pipeline
-// depot (one archive mutex, full DOM parse per matching store), the
-// sharded depot with streaming extraction, and the async worker pool.
-// Async cells drain before the timer stops, so deferred consolidation is
-// charged to the measurement. The depot runs on NullCache so these
-// benchmarks isolate the archival phase of Store — the cache phase has
-// its own tier (BenchmarkIngestParallel*, BenchmarkCacheUpdate).
+// Section 3.2.2 archive phase. Two configurations: striped archives with
+// streaming extraction inline in Store, and the same behind the async
+// worker pool. Async cells drain before the timer stops, so deferred
+// consolidation is charged to the measurement. The depot runs on NullCache
+// so these benchmarks isolate the archival phase of Store — the cache phase
+// has its own tier (BenchmarkFig9Insert, BenchmarkCacheUpdate*).
 
 func benchmarkArchiveParallel(b *testing.B, opts depot.Options, parallelism int) {
 	d := depot.NewWithOptions(depot.NullCache{}, opts)
@@ -633,9 +537,6 @@ func benchmarkArchiveParallel(b *testing.B, opts depot.Options, parallelism int)
 }
 
 func benchmarkArchiveConfigs(b *testing.B, parallelism int) {
-	b.Run("global-sync-dom", func(b *testing.B) {
-		benchmarkArchiveParallel(b, depot.Options{ArchiveShards: 1, ParseArchive: true}, parallelism)
-	})
 	b.Run("sharded-sync", func(b *testing.B) {
 		benchmarkArchiveParallel(b, depot.Options{}, parallelism)
 	})
@@ -696,115 +597,3 @@ func benchmarkDiskArchiveParallel(b *testing.B, parallelism int) {
 func BenchmarkDiskArchiveParallel1(b *testing.B)  { benchmarkDiskArchiveParallel(b, 1) }
 func BenchmarkDiskArchiveParallel4(b *testing.B)  { benchmarkDiskArchiveParallel(b, 4) }
 func BenchmarkDiskArchiveParallel16(b *testing.B) { benchmarkDiskArchiveParallel(b, 16) }
-
-// --- federated multi-depot scaling (DESIGN.md §5f) ---
-
-// benchmarkFederatedIngest drives the full controller → envelope → depot
-// path against N shard depots partitioned by the production
-// consistent-hash ring (the same placement a -federate router computes).
-// The shard depots run on the default (indexed) cache, whose insert does not
-// grow with the document, so what scales with the shard count is the lock:
-// writers for different shards no longer serialize on one cache.
-func benchmarkFederatedIngest(b *testing.B, shards int) {
-	depots, ring := experiments.NewFederatedDepots(shards)
-	backends := make([]controller.DepotClient, len(depots))
-	for i, d := range depots {
-		backends[i] = d
-	}
-	var dc controller.DepotClient
-	if shards == 1 {
-		dc = backends[0]
-	} else {
-		sd, err := controller.NewShardedDepotFunc(backends, ring.OwnerIndex)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dc = sd
-	}
-	ctl := controller.New(dc, controller.Options{Mode: envelope.Attachment, MaxResponses: 1024})
-	data := loadgen.MustPremadeReport(9257)
-	ids := experiments.FederationIDs()
-	for _, id := range ids {
-		if _, err := ctl.Submit(id, "h", data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	var next atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := int(next.Add(1))
-			if _, err := ctl.Submit(ids[i%len(ids)], "h", data); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(b.N)/sec, "reports/sec")
-	}
-}
-
-func BenchmarkFederatedIngest1(b *testing.B) { benchmarkFederatedIngest(b, 1) }
-func BenchmarkFederatedIngest2(b *testing.B) { benchmarkFederatedIngest(b, 2) }
-func BenchmarkFederatedIngest4(b *testing.B) { benchmarkFederatedIngest(b, 4) }
-func BenchmarkFederatedIngest8(b *testing.B) { benchmarkFederatedIngest(b, 8) }
-
-// benchmarkFederatedQuery measures site-prefix Reports routed to the
-// owning shard — the owner-forward path a deep federated request takes
-// (the site prefix is exactly the ring's affinity key, so no fan-out and
-// no merge). An indexed shard answers from the prefix subtree alone, so the
-// per-query cost should not depend on the shard count.
-func benchmarkFederatedQuery(b *testing.B, shards int) {
-	names := make([]string, shards)
-	for i := range names {
-		names[i] = fmt.Sprintf("shard%d", i)
-	}
-	ring := federation.NewRing(names, federation.RingOptions{})
-	data := loadgen.MustPremadeReport(851)
-	ids := make([]branch.ID, 0, 4000)
-	for site := 0; site < 40; site++ {
-		for probe := 0; probe < 100; probe++ {
-			ids = append(ids, branch.MustParse(fmt.Sprintf("probe=p%03d,site=s%02d,vo=tg", probe, site)))
-		}
-	}
-	caches := make([]*depot.IndexedCache, shards)
-	for i := range caches {
-		caches[i] = depot.NewIndexedCache()
-	}
-	for _, id := range ids {
-		if _, err := caches[ring.OwnerIndex(id)].Update(id, data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	prefixes := make([]branch.ID, 40)
-	for site := 0; site < 40; site++ {
-		prefixes[site] = branch.ID{}.Child("vo", "tg").Child("site", fmt.Sprintf("s%02d", site))
-	}
-	b.ResetTimer()
-	var next atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := int(next.Add(1))
-			prefix := prefixes[i%len(prefixes)]
-			stored, err := caches[ring.OwnerIndex(prefix)].Reports(prefix)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if len(stored) == 0 {
-				b.Errorf("reports %s: no data", prefix)
-				return
-			}
-		}
-	})
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(b.N)/sec, "queries/sec")
-	}
-}
-
-func BenchmarkFederatedQuery1(b *testing.B) { benchmarkFederatedQuery(b, 1) }
-func BenchmarkFederatedQuery2(b *testing.B) { benchmarkFederatedQuery(b, 2) }
-func BenchmarkFederatedQuery4(b *testing.B) { benchmarkFederatedQuery(b, 4) }
-func BenchmarkFederatedQuery8(b *testing.B) { benchmarkFederatedQuery(b, 8) }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -44,96 +45,95 @@ func parseStages(s string) ([]int, error) {
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment to run: all, table1-table4, fig4-fig9, shards, query, archive, federation, storage, feed, replication, load")
-		hours      = flag.Int("hours", 0, "virtual hours for table4/fig8 (0 = default)")
-		days       = flag.Int("days", 0, "virtual days for fig5/fig6/fig7 (0 = default)")
-		updates    = flag.Int("updates", 0, "steady-state updates per fig9/shards cell (0 = default)")
-		workers    = flag.Int("workers", 0, "concurrent submitters/readers for the shards and query ablations (0 = default)")
-		ablations  = flag.Bool("ablations", false, "run fig9 design-choice ablations")
-		seed       = flag.Int64("seed", 2004, "simulation seed")
-		htmlOut    = flag.String("html", "", "also write the fig4 status page HTML here")
-		out        = flag.String("out", "", "append results to this file as well as stdout")
-		jsonDir    = flag.String("json", "", "write each result as machine-readable BENCH_<id>.json into this directory (\".\" for the working directory)")
-		stages     = flag.String("stages", "", "load ramp as a comma-separated concurrency list, strictly increasing (default 1,2,4,8,16,32)")
-		stageDur   = flag.Duration("stage-duration", 0, "measured window per load stage (0 = default 2s)")
-		modes      = flag.String("modes", "", "load topologies, comma-separated: single, federated (default both)")
+		hours     = flag.Int("hours", 0, "virtual hours for table4/fig8 (0 = default)")
+		days      = flag.Int("days", 0, "virtual days for fig5/fig6/fig7 (0 = default)")
+		updates   = flag.Int("updates", 0, "steady-state updates per fig9/archive/storage/replication cell (0 = default)")
+		workers   = flag.Int("workers", 0, "concurrent submitters/readers for the query, archive, storage and replication experiments (0 = default)")
+		ablations = flag.Bool("ablations", false, "run fig9 design-choice ablations")
+		seed      = flag.Int64("seed", 2004, "simulation seed")
+		htmlOut   = flag.String("html", "", "also write the fig4 status page HTML here")
+		out       = flag.String("out", "", "append results to this file as well as stdout")
+		jsonDir   = flag.String("json", "", "write each result as machine-readable BENCH_<id>.json into this directory (\".\" for the working directory)")
+		stages    = flag.String("stages", "", "load ramp as a comma-separated concurrency list, strictly increasing (default 1,2,4,8,16,32)")
+		stageDur  = flag.Duration("stage-duration", 0, "measured window per load stage (0 = default 2s)")
+		modes     = flag.String("modes", "", "load topologies, comma-separated: single, federated (default both)")
 	)
-	flag.Parse()
 
 	var results []experiments.Result
 	run := func(r experiments.Result) { results = append(results, r) }
-	switch strings.ToLower(*experiment) {
-	case "all":
-		run(experiments.Table1())
-		run(experiments.Table2())
-		run(experiments.Table3())
-		// Table 4 and Figure 8 measure the same replay; share one run.
-		t4, responses := experiments.Table4WithResponses(experiments.Table4Options{Hours: *hours, Seed: *seed})
-		run(t4)
-		run(experiments.Fig4(experiments.Fig4Options{Seed: *seed, HTMLPath: *htmlOut}))
-		run(experiments.Fig5(experiments.Fig5Options{Days: *days, Seed: *seed}))
-		run(experiments.Fig6(experiments.Fig6Options{Days: *days, Seed: *seed}))
-		run(experiments.Fig7(experiments.Fig7Options{Days: *days, Seed: *seed}))
-		t4hours := *hours
-		if t4hours <= 0 {
-			t4hours = 6
-		}
-		run(experiments.Fig8FromResponses(responses, t4hours))
-		run(experiments.Fig9(experiments.Fig9Options{UpdatesPerCell: *updates, Ablations: *ablations}))
-	case "table1":
-		run(experiments.Table1())
-	case "table2":
-		run(experiments.Table2())
-	case "table3":
-		run(experiments.Table3())
-	case "table4":
-		run(experiments.Table4(experiments.Table4Options{Hours: *hours, Seed: *seed}))
-	case "fig4":
-		run(experiments.Fig4(experiments.Fig4Options{Seed: *seed, HTMLPath: *htmlOut}))
-	case "fig5":
-		run(experiments.Fig5(experiments.Fig5Options{Days: *days, Seed: *seed}))
-	case "fig6":
-		run(experiments.Fig6(experiments.Fig6Options{Days: *days, Seed: *seed}))
-	case "fig7":
-		run(experiments.Fig7(experiments.Fig7Options{Days: *days, Seed: *seed}))
-	case "fig8":
-		run(experiments.Fig8(experiments.Fig8Options{Hours: *hours, Seed: *seed}))
-	case "fig9":
-		run(experiments.Fig9(experiments.Fig9Options{UpdatesPerCell: *updates, Ablations: *ablations}))
-	case "shards":
-		run(experiments.Shards(experiments.ShardsOptions{Updates: *updates, Workers: *workers}))
-	case "query":
-		run(experiments.Query(experiments.QueryOptions{Readers: *workers}))
-	case "archive":
-		run(experiments.Archive(experiments.ArchiveOptions{Updates: *updates, Workers: *workers}))
-	case "federation":
-		run(experiments.Federation(experiments.FederationOptions{Updates: *updates, Workers: *workers}))
-	case "storage":
-		run(experiments.Storage(experiments.StorageOptions{Updates: *updates, Workers: *workers}))
-	case "feed":
-		run(experiments.Feed(experiments.FeedOptions{}))
-	case "replication":
-		run(experiments.Replication(experiments.ReplicationOptions{Messages: *updates, Workers: *workers}))
-	case "load":
-		opt := experiments.LoadOptions{StageDuration: *stageDur}
-		var err error
-		if opt.Stages, err = parseStages(*stages); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if *modes != "" {
-			opt.Modes = strings.Split(*modes, ",")
-		}
-		r, err := experiments.Load(opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		run(r)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (all, table1-table4, fig4-fig9, shards, query, archive, federation, storage, feed, replication, load)\n", *experiment)
+	// The one list of experiments: the dispatch, the -experiment help and
+	// the unknown-name error all read it.
+	table := []struct {
+		name string
+		do   func()
+	}{
+		{"all", func() {
+			run(experiments.Table1())
+			run(experiments.Table2())
+			run(experiments.Table3())
+			// Table 4 and Figure 8 measure the same replay; share one run.
+			t4, responses := experiments.Table4WithResponses(experiments.Table4Options{Hours: *hours, Seed: *seed})
+			run(t4)
+			run(experiments.Fig4(experiments.Fig4Options{Seed: *seed, HTMLPath: *htmlOut}))
+			run(experiments.Fig5(experiments.Fig5Options{Days: *days, Seed: *seed}))
+			run(experiments.Fig6(experiments.Fig6Options{Days: *days, Seed: *seed}))
+			run(experiments.Fig7(experiments.Fig7Options{Days: *days, Seed: *seed}))
+			t4hours := *hours
+			if t4hours <= 0 {
+				t4hours = 6
+			}
+			run(experiments.Fig8FromResponses(responses, t4hours))
+			run(experiments.Fig9(experiments.Fig9Options{UpdatesPerCell: *updates, Ablations: *ablations}))
+		}},
+		{"table1", func() { run(experiments.Table1()) }},
+		{"table2", func() { run(experiments.Table2()) }},
+		{"table3", func() { run(experiments.Table3()) }},
+		{"table4", func() { run(experiments.Table4(experiments.Table4Options{Hours: *hours, Seed: *seed})) }},
+		{"fig4", func() { run(experiments.Fig4(experiments.Fig4Options{Seed: *seed, HTMLPath: *htmlOut})) }},
+		{"fig5", func() { run(experiments.Fig5(experiments.Fig5Options{Days: *days, Seed: *seed})) }},
+		{"fig6", func() { run(experiments.Fig6(experiments.Fig6Options{Days: *days, Seed: *seed})) }},
+		{"fig7", func() { run(experiments.Fig7(experiments.Fig7Options{Days: *days, Seed: *seed})) }},
+		{"fig8", func() { run(experiments.Fig8(experiments.Fig8Options{Hours: *hours, Seed: *seed})) }},
+		{"fig9", func() {
+			run(experiments.Fig9(experiments.Fig9Options{UpdatesPerCell: *updates, Ablations: *ablations}))
+		}},
+		{"query", func() { run(experiments.Query(experiments.QueryOptions{Readers: *workers})) }},
+		{"archive", func() { run(experiments.Archive(experiments.ArchiveOptions{Updates: *updates, Workers: *workers})) }},
+		{"storage", func() { run(experiments.Storage(experiments.StorageOptions{Updates: *updates, Workers: *workers})) }},
+		{"feed", func() { run(experiments.Feed(experiments.FeedOptions{})) }},
+		{"replication", func() {
+			run(experiments.Replication(experiments.ReplicationOptions{Messages: *updates, Workers: *workers}))
+		}},
+		{"load", func() {
+			opt := experiments.LoadOptions{StageDuration: *stageDur}
+			var err error
+			if opt.Stages, err = parseStages(*stages); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+			if *modes != "" {
+				opt.Modes = strings.Split(*modes, ",")
+			}
+			r, err := experiments.Load(opt)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			run(r)
+		}},
+	}
+	names := make([]string, len(table))
+	for i, e := range table {
+		names[i] = e.name
+	}
+	experiment := flag.String("experiment", "all", "experiment to run: "+strings.Join(names, ", "))
+	flag.Parse()
+	i := slices.Index(names, strings.ToLower(*experiment))
+	if i < 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (%s)\n", *experiment, strings.Join(names, ", "))
 		os.Exit(2)
 	}
+	table[i].do()
 
 	var sb strings.Builder
 	for _, r := range results {

@@ -15,54 +15,70 @@ import (
 	"inca/internal/core"
 	"inca/internal/depot"
 	"inca/internal/envelope"
+	"inca/internal/federation"
 	"inca/internal/query"
 	"inca/internal/simtime"
 	"inca/internal/wire"
 )
 
-// TestFullTopologyOverSockets exercises the complete Figure 3 deployment
-// over real transports: two agents with authenticated wire connections to
-// the centralized controller, which routes envelopes across two depot
-// back ends served over HTTP; a data consumer then fetches the caches and
-// evaluates the service agreement; finally, each depot snapshot survives a
-// save/restore cycle.
+// TestFullTopologyOverSockets exercises the complete deployment over real
+// transports, as `inca-server -federate` runs it: two agents with
+// authenticated wire connections to the ring router, which forwards each
+// report to the shard that owns its branch; every shard is a depot behind
+// its own controller (allowlist and per-host keys), wire server and HTTP
+// query server. A data consumer then fetches one merged cache from the
+// federated query tier and evaluates the service agreement; finally, each
+// depot snapshot survives a save/restore cycle.
 func TestFullTopologyOverSockets(t *testing.T) {
 	start := time.Date(2004, 7, 7, 0, 0, 0, 0, time.UTC)
 	clock := simtime.NewSim(start)
 	grid := core.DemoGrid(9, start.Add(-24*time.Hour))
 	hosts := []string{"login.sitea.example.org", "login.siteb.example.org"}
-
-	// Two depot back ends, each behind the HTTP web-service layer.
-	var depots []*depot.Depot
-	var backends []controller.DepotClient
-	for i := 0; i < 2; i++ {
-		d := depot.New(depot.NewStreamCache())
-		srv := httptest.NewServer(query.NewServer(d).Handler())
-		defer srv.Close()
-		depots = append(depots, d)
-		backends = append(backends, query.NewClient(srv.URL))
-	}
-	sharded, err := controller.NewShardedDepot(backends, 2) // vo + site
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Centralized controller with allowlist + per-host keys, on TCP.
 	keys := map[string][]byte{
 		hosts[0]: []byte("key-sitea"),
 		hosts[1]: []byte("key-siteb"),
 	}
-	ctl := controller.New(sharded, controller.Options{
-		Allowlist: hosts,
-		Keys:      keys,
-		Mode:      envelope.Attachment,
-		Now:       clock.Now,
-	})
-	tcpSrv, err := wire.Serve("127.0.0.1:0", ctl.Handle)
+
+	// Two shard stacks: depot, authenticating controller on TCP, query
+	// server on HTTP.
+	var depots []*depot.Depot
+	controllers := map[string]*controller.Controller{} // by ring name
+	shards := make([]federation.Shard, 2)
+	for i := range shards {
+		d := depot.New(nil)
+		ctl := controller.New(d, controller.Options{
+			Allowlist: hosts,
+			Keys:      keys,
+			Mode:      envelope.Attachment,
+			Now:       clock.Now,
+		})
+		tcpSrv, err := wire.Serve("127.0.0.1:0", ctl.Handle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tcpSrv.Close()
+		httpSrv := httptest.NewServer(query.NewServer(d).Handler())
+		defer httpSrv.Close()
+		shards[i] = federation.Shard{Wire: tcpSrv.Addr(), HTTP: httpSrv.URL}
+		depots = append(depots, d)
+		controllers[shards[i].Name()] = ctl
+	}
+
+	// The router in front, on TCP for agents and HTTP for consumers.
+	router, err := federation.NewRouter(shards, federation.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tcpSrv.Close()
+	defer router.Close()
+	routerSrv, err := wire.Serve("127.0.0.1:0", router.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer routerSrv.Close()
+	tier := query.NewFederated(router, query.FederatedOptions{})
+	defer tier.Close()
+	tierSrv := httptest.NewServer(tier.Handler())
+	defer tierSrv.Close()
 
 	// Agents: demo spec per host, signed wire sinks, every-minute cron.
 	var agents []*agent.Agent
@@ -71,7 +87,7 @@ func TestFullTopologyOverSockets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink := agent.NewWireSink(tcpSrv.Addr())
+		sink := agent.NewWireSink(routerSrv.Addr())
 		sink.Key = keys[host]
 		defer sink.Close()
 		a, err := agent.New(spec, clock, sink, agent.Simulated)
@@ -81,12 +97,14 @@ func TestFullTopologyOverSockets(t *testing.T) {
 		agents = append(agents, a)
 	}
 
-	// Replay five virtual minutes.
+	// Replay five virtual minutes, then wait out the router's custody.
 	core.DriveAgents(clock, agents, start.Add(5*time.Minute))
+	if err := router.Drain(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Reports are distributed across both back ends (one per site with
-	// depth-2 sharding on distinct hash buckets, or possibly both sites on
-	// one — require all data present and shard-consistency).
+	// Each site's subtree has one owner (both sites may share it): require
+	// all data present across the shards and nothing refused.
 	total := 0
 	for _, d := range depots {
 		total += d.Cache().Count()
@@ -95,44 +113,60 @@ func TestFullTopologyOverSockets(t *testing.T) {
 	if total != wantSeries {
 		t.Fatalf("cached %d entries, want %d", total, wantSeries)
 	}
-	accepted, rejected, errs := ctl.Counters()
-	if rejected != 0 || errs != 0 {
-		t.Fatalf("controller rejected=%d errs=%d", rejected, errs)
+	accepted := 0
+	for name, ctl := range controllers {
+		a, rejected, errs := ctl.Counters()
+		if rejected != 0 || errs != 0 {
+			t.Fatalf("shard %s controller rejected=%d errs=%d", name, rejected, errs)
+		}
+		accepted += a
 	}
 	if accepted != wantSeries*5 {
 		t.Fatalf("accepted %d, want %d (5 minutes of every-minute series)", accepted, wantSeries*5)
 	}
 
-	// An unsigned submission for a keyed host is refused at the wire.
-	rogue := wire.NewClient(tcpSrv.Addr())
+	// An unsigned submission for a keyed host: the router's ack is only a
+	// custody transfer, so it acks; the owning shard's controller refuses
+	// the message, and nothing is stored.
+	rogue := wire.NewClient(routerSrv.Addr())
 	defer rogue.Close()
 	ack, err := rogue.Send(&wire.Message{Branch: "x=1", Hostname: hosts[0], Report: []byte("<r/>")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.OK {
-		t.Fatal("unsigned rogue submission accepted")
+	if !ack.OK {
+		t.Fatalf("router refused custody: %s", ack.Message)
+	}
+	if err := router.Drain(); err == nil || !strings.Contains(err.Error(), "rejected") {
+		t.Fatalf("drain after the rogue message: %v, want the shard's refusal", err)
+	}
+	rogueID := branch.MustParse("x=1")
+	for name, ctl := range controllers {
+		want := 0
+		if name == router.Ring().Owner(rogueID) {
+			want = 1
+		}
+		if _, rejected, _ := ctl.Counters(); rejected != want {
+			t.Fatalf("shard %s controller rejected %d, want %d", name, rejected, want)
+		}
 	}
 
-	// Data consumer: merge both shards' caches and verify the agreement.
-	merged := depot.NewStreamCache()
-	for _, b := range backends {
-		dump, err := b.(*query.Client).Cache("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		partial, err := depot.LoadDump(dump)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stored, err := partial.Reports(branch.ID{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range stored {
-			if _, err := merged.Update(s.ID, s.XML); err != nil {
-				t.Fatal(err)
-			}
+	// Data consumer: one /cache from the federated tier, verified against
+	// the agreement.
+	dump, err := query.NewClient(tierSrv.URL).Cache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := depot.LoadDump(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Count() != wantSeries {
+		t.Fatalf("federated /cache holds %d entries, want %d", merged.Count(), wantSeries)
+	}
+	for _, c := range []depot.Cache{merged, depots[0].Cache(), depots[1].Cache()} {
+		if _, ok, err := c.Query(rogueID); err != nil || ok {
+			t.Fatalf("rogue report cached (ok=%v err=%v)", ok, err)
 		}
 	}
 	ag := &agreement.Agreement{

@@ -94,7 +94,7 @@ func New(d DepotClient, opt Options) *Controller {
 		depot:     d,
 		opt:       opt,
 		acceptedC: reg.Counter("inca_controller_accepted_total", "Reports stored in the depot."),
-		rejectedC: reg.Counter("inca_controller_rejected_total", "Reports refused: allowlist or signature."),
+		rejectedC: reg.Counter("inca_controller_rejected_total", "Reports refused: allowlist, signature or malformed branch."),
 		errsC:     reg.Counter("inca_controller_depot_errors_total", "Depot store failures."),
 		handleH:   reg.Histogram("inca_controller_handle_seconds", "Envelope handle latency: allowlist, wrap, depot store.", nil),
 	}
@@ -118,16 +118,22 @@ func (c *Controller) Allowed(host string) bool {
 	return c.allow[host]
 }
 
+// reject counts one refused report on both surfaces, so that wire messages
+// = accepted + rejected + depot errors holds whatever the refusal was.
+func (c *Controller) reject() {
+	c.mu.Lock()
+	c.rejected++
+	c.mu.Unlock()
+	c.rejectedC.Inc()
+}
+
 // Submit accepts one report: allowlist check, envelope wrap, depot
 // forward. It returns the recorded response.
 func (c *Controller) Submit(id branch.ID, hostname string, reportXML []byte) (Response, error) {
 	handleStart := time.Now()
 	defer c.handleH.ObserveSince(handleStart)
 	if !c.Allowed(hostname) {
-		c.mu.Lock()
-		c.rejected++
-		c.mu.Unlock()
-		c.rejectedC.Inc()
+		c.reject()
 		return Response{}, fmt.Errorf("controller: host %q not in allowlist", hostname)
 	}
 	env, err := envelope.Encode(c.opt.Mode, id, reportXML)
@@ -171,15 +177,13 @@ func (c *Controller) Submit(id branch.ID, hostname string, reportXML []byte) (Re
 func (c *Controller) Handle(m *wire.Message, remote string) *wire.Ack {
 	if key, ok := c.opt.Keys[m.Hostname]; ok {
 		if !wire.Verify(m, key) {
-			c.mu.Lock()
-			c.rejected++
-			c.mu.Unlock()
-			c.rejectedC.Inc()
+			c.reject()
 			return &wire.Ack{OK: false, Message: "controller: message signature invalid for host " + m.Hostname}
 		}
 	}
 	id, err := branch.Parse(m.Branch)
 	if err != nil {
+		c.reject()
 		return &wire.Ack{OK: false, Message: err.Error()}
 	}
 	if _, err := c.Submit(id, m.Hostname, m.Report); err != nil {
@@ -216,7 +220,8 @@ func (c *Controller) ResetResponses() {
 	c.accepted = 0
 }
 
-// Counters returns totals: accepted, rejected (allowlist), depot errors.
+// Counters returns totals: accepted, rejected (allowlist, signature or
+// malformed branch), depot errors.
 // Accepted counts every stored report since the last reset, including
 // responses a bounded log has since evicted.
 func (c *Controller) Counters() (accepted, rejected, errs int) {

@@ -97,7 +97,8 @@ func TestEnvelopeModeRoundTrip(t *testing.T) {
 }
 
 func TestHandleWireMessages(t *testing.T) {
-	c, d := newTestController(Options{Allowlist: []string{"login1"}})
+	reg := metrics.NewRegistry()
+	c, d := newTestController(Options{Allowlist: []string{"login1"}, Metrics: reg})
 	ack := c.Handle(&wire.Message{Branch: "probe=x", Hostname: "login1", Report: sampleReportXML(t)}, "127.0.0.1:9")
 	if !ack.OK {
 		t.Fatalf("ack = %+v", ack)
@@ -112,6 +113,13 @@ func TestHandleWireMessages(t *testing.T) {
 	}
 	if d.Cache().Count() != 1 {
 		t.Fatalf("cache count = %d", d.Cache().Count())
+	}
+	// Every nack is on the ledger: 3 wire messages = 1 accepted + 2 rejected.
+	if accepted, rejected, errs := c.Counters(); accepted != 1 || rejected != 2 || errs != 0 {
+		t.Fatalf("Counters() = %d accepted, %d rejected, %d errors; want 1, 2, 0", accepted, rejected, errs)
+	}
+	if got := reg.Counter("inca_controller_rejected_total", "").Value(); got != 2 {
+		t.Fatalf("inca_controller_rejected_total = %d, want 2", got)
 	}
 }
 

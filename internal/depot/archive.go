@@ -124,12 +124,15 @@ type archiveJob struct {
 	enqueuedAt time.Time
 }
 
+// archiveBatch caps how many queued jobs one worker wakeup drains into a
+// single consolidation batch.
+const archiveBatch = 32
+
 // archivePipeline is the async machinery: one bounded queue per worker,
 // jobs routed by branch hash so one branch's samples stay ordered.
 type archivePipeline struct {
 	queues  []chan archiveJob
 	workers sync.WaitGroup
-	batch   int
 	drop    bool
 
 	// pending counts enqueued-but-unfinished jobs; Drain waits for zero.
@@ -150,10 +153,9 @@ type ArchiveStats struct {
 	Matched  uint64 // stores that matched at least one policy
 }
 
-func newArchivePipeline(workers, queue, batch int, drop bool) *archivePipeline {
+func newArchivePipeline(workers, queue int, drop bool) *archivePipeline {
 	p := &archivePipeline{
 		queues: make([]chan archiveJob, workers),
-		batch:  batch,
 		drop:   drop,
 	}
 	p.cond = sync.NewCond(&p.mu)
@@ -254,10 +256,10 @@ func (p *archivePipeline) close() {
 // one lock acquisition (rrd.UpdateBatch).
 func (d *Depot) archiveWorker(q chan archiveJob) {
 	defer d.pipeline.workers.Done()
-	jobs := make([]archiveJob, 0, d.pipeline.batch)
+	jobs := make([]archiveJob, 0, archiveBatch)
 	for job := range q {
 		jobs = append(jobs[:0], job)
-		for len(jobs) < d.pipeline.batch {
+		for len(jobs) < archiveBatch {
 			select {
 			case j, ok := <-q:
 				if !ok {
@@ -332,37 +334,12 @@ type extracted struct {
 	ok    bool
 }
 
-// extract pulls every policy-referenced value out of one report. The
-// streaming extractor reads only the requested paths; ParseArchive mode
-// reproduces the pre-pipeline DOM walk for the ablation. Returns ok=false
+// extract pulls every policy-referenced value out of one report; the
+// streaming extractor reads only the requested paths. Returns ok=false
 // when the payload is not a report (cacheable, not archivable — skipped
-// silently, as before).
+// silently).
 func (d *Depot) extract(policies []*compiledPolicy, reportXML []byte) ([]extracted, time.Time, bool) {
 	out := make([]extracted, len(policies))
-	if d.opts.ParseArchive {
-		rep, err := report.Parse(reportXML)
-		if err != nil {
-			return nil, time.Time{}, false
-		}
-		for i, cp := range policies {
-			if cp.Path == "" {
-				if rep.Succeeded() {
-					out[i] = extracted{1, true}
-				} else {
-					out[i] = extracted{0, true}
-				}
-				continue
-			}
-			if rep.Body == nil {
-				continue
-			}
-			if v, ok := rep.Body.Float(cp.Path); ok {
-				out[i] = extracted{v, true}
-			}
-		}
-		return out, rep.Header.GMT, true
-	}
-
 	// Deduplicate paths across policies (several policies often archive the
 	// same leaf under different granularities) so each distinct path is
 	// matched once per scan.

@@ -28,8 +28,8 @@
 //     that time the archive pipeline apart from the cache.
 //
 // The designs the paper tried, deployed as a file, or planned (DOM, file,
-// split) and the hash-sharded variant live in internal/experiments/ablation,
-// built on StreamCache's exported methods.
+// split) live in internal/experiments/ablation, built on StreamCache's
+// exported methods.
 package depot
 
 import (

@@ -1,11 +1,11 @@
 package depot_test
 
 // The depot.Cache contract, held over every implementation: the three in
-// this package and the four in internal/experiments/ablation, which must
-// keep storing what StreamCache stores. These tests (and sharded_test.go,
-// split_depth_test.go, filecache_test.go) use exported names only and sit in
-// the external test package because ablation imports depot; they stay in
-// this directory so one table covers every cache.
+// this package and the three in internal/experiments/ablation, which must
+// keep storing what StreamCache stores. These tests (and split_depth_test.go,
+// filecache_test.go) use exported names only and sit in the external test
+// package because ablation imports depot; they stay in this directory so
+// one table covers every cache.
 
 import (
 	"bytes"
@@ -22,12 +22,10 @@ import (
 
 func allCaches() map[string]func() depot.Cache {
 	return map[string]func() depot.Cache{
-		"stream":      func() depot.Cache { return depot.NewStreamCache() },
-		"dom":         func() depot.Cache { return ablation.NewDOMCache() },
-		"split":       func() depot.Cache { return ablation.NewSplitCache() },
-		"sharded4":    func() depot.Cache { return ablation.NewShardedCache(4) },
-		"sharded3-d2": func() depot.Cache { return ablation.NewShardedCacheDepth(3, 2) },
-		"indexed":     func() depot.Cache { return depot.NewIndexedCache() },
+		"stream":  func() depot.Cache { return depot.NewStreamCache() },
+		"dom":     func() depot.Cache { return ablation.NewDOMCache() },
+		"split":   func() depot.Cache { return ablation.NewSplitCache() },
+		"indexed": func() depot.Cache { return depot.NewIndexedCache() },
 	}
 }
 

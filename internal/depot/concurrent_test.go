@@ -12,8 +12,7 @@ import (
 // hammerCache drives concurrent writers and readers against a cache and
 // then asserts every writer's final payload is stored under its identifier
 // exactly once. Run under -race this exercises the single RWMutex of
-// StreamCache and IndexedCache, and (from sharded_test.go) the per-shard
-// locking of ablation.ShardedCache.
+// StreamCache and IndexedCache.
 func hammerCache(t *testing.T, c Cache) {
 	t.Helper()
 	const (

@@ -54,13 +54,9 @@ type Receipt struct {
 // Total returns the whole processing time.
 func (r Receipt) Total() time.Duration { return r.Unpack + r.Insert + r.Archive }
 
-// Options tune the depot's archive pipeline. The zero value reproduces the
-// classic configuration: synchronous archiving with the default shard
-// count and the streaming extractor.
+// Options tune the depot's archive pipeline. The zero value is
+// synchronous archiving.
 type Options struct {
-	// ArchiveShards stripes the branch|policy → archive map. Default 16;
-	// 1 restores a single global archive lock (ablation baseline).
-	ArchiveShards int
 	// AsyncArchive takes consolidation off the store path: store returns
 	// after the cache insert and an enqueue.
 	AsyncArchive bool
@@ -68,32 +64,20 @@ type Options struct {
 	ArchiveWorkers int
 	// ArchiveQueue is each worker's queue capacity (default 256).
 	ArchiveQueue int
-	// ArchiveBatch caps how many queued jobs one worker wakeup drains into
-	// a single consolidation batch (default 32).
-	ArchiveBatch int
 	// DropOnFull sheds archive jobs when a queue is full instead of
 	// blocking the store (drops are counted; the cache is still updated).
 	DropOnFull bool
-	// ParseArchive uses the legacy full-DOM report parse for value
-	// extraction instead of the streaming extractor (ablation baseline).
-	ParseArchive bool
 	// Metrics registers the depot's instruments (stage latencies, archive
 	// pipeline counters, cache gauges). Nil keeps them private.
 	Metrics *metrics.Registry
 }
 
 func (o Options) withDefaults() Options {
-	if o.ArchiveShards <= 0 {
-		o.ArchiveShards = 16
-	}
 	if o.ArchiveWorkers <= 0 {
 		o.ArchiveWorkers = 4
 	}
 	if o.ArchiveQueue <= 0 {
 		o.ArchiveQueue = 256
-	}
-	if o.ArchiveBatch <= 0 {
-		o.ArchiveBatch = 32
 	}
 	return o
 }
@@ -179,7 +163,7 @@ func New(cache Cache) *Depot {
 // NewWithOptions creates a depot with explicit archive-pipeline options.
 func NewWithOptions(cache Cache, opts Options) *Depot {
 	opts = opts.withDefaults()
-	return newDepot(cache, opts, newMemoryStore(opts.ArchiveShards))
+	return newDepot(cache, opts, newMemoryStore())
 }
 
 // newDepot wires a depot over an explicit archive store (OpenDisk passes
@@ -221,7 +205,7 @@ func newDepot(cache Cache, opts Options, store archiveStore) *Depot {
 	})
 	d.policies.Store(compilePolicySet(nil))
 	if opts.AsyncArchive {
-		d.pipeline = newArchivePipeline(opts.ArchiveWorkers, opts.ArchiveQueue, opts.ArchiveBatch, opts.DropOnFull)
+		d.pipeline = newArchivePipeline(opts.ArchiveWorkers, opts.ArchiveQueue, opts.DropOnFull)
 		reg.GaugeFunc("inca_depot_archive_pending", "Archive jobs enqueued but not yet consolidated.", func() float64 {
 			return float64(d.pipeline.pendingCount())
 		})

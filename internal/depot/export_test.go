@@ -6,5 +6,4 @@ var (
 	ReportXMLFor = reportXMLFor
 	MustUpdate   = mustUpdate
 	ReportsEqual = reportsEqual
-	HammerCache  = hammerCache
 )

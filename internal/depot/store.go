@@ -72,8 +72,11 @@ type memoryStore struct {
 	shards []memoryShard
 }
 
-func newMemoryStore(stripes int) *memoryStore {
-	s := &memoryStore{shards: make([]memoryShard, stripes)}
+// archiveShards is the stripe count of the branch|policy → archive map.
+const archiveShards = 16
+
+func newMemoryStore() *memoryStore {
+	s := &memoryStore{shards: make([]memoryShard, archiveShards)}
 	for i := range s.shards {
 		s.shards[i].dbs = make(map[string]*rrd.DB)
 	}

@@ -99,63 +99,3 @@ func timed(id, title string, fn func(r *Result)) Result {
 	r.Elapsed = time.Since(start)
 	return r
 }
-
-// All runs every experiment with default options, in paper order.
-func All() []Result {
-	return []Result{
-		Table1(),
-		Table2(),
-		Table3(),
-		Table4(Table4Options{}),
-		Fig4(Fig4Options{}),
-		Fig5(Fig5Options{}),
-		Fig6(Fig6Options{}),
-		Fig7(Fig7Options{}),
-		Fig8(Fig8Options{}),
-		Fig9(Fig9Options{}),
-	}
-}
-
-// ByID runs one experiment by its identifier.
-func ByID(id string) (Result, error) {
-	switch strings.ToLower(id) {
-	case "table1":
-		return Table1(), nil
-	case "table2":
-		return Table2(), nil
-	case "table3":
-		return Table3(), nil
-	case "table4":
-		return Table4(Table4Options{}), nil
-	case "fig4":
-		return Fig4(Fig4Options{}), nil
-	case "fig5":
-		return Fig5(Fig5Options{}), nil
-	case "fig6":
-		return Fig6(Fig6Options{}), nil
-	case "fig7":
-		return Fig7(Fig7Options{}), nil
-	case "fig8":
-		return Fig8(Fig8Options{}), nil
-	case "fig9":
-		return Fig9(Fig9Options{}), nil
-	case "shards":
-		return Shards(ShardsOptions{}), nil
-	case "query":
-		return Query(QueryOptions{}), nil
-	case "archive":
-		return Archive(ArchiveOptions{}), nil
-	case "federation":
-		return Federation(FederationOptions{}), nil
-	case "storage":
-		return Storage(StorageOptions{}), nil
-	case "feed":
-		return Feed(FeedOptions{}), nil
-	case "replication":
-		return Replication(ReplicationOptions{}), nil
-	case "load":
-		return Load(LoadOptions{})
-	default:
-		return Result{}, fmt.Errorf("experiments: unknown experiment %q (table1-4, fig4-9, shards, query, archive, federation, storage, feed, replication, load)", id)
-	}
-}

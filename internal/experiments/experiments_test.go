@@ -128,16 +128,6 @@ func TestFig9SmallGrid(t *testing.T) {
 	}
 }
 
-func TestByID(t *testing.T) {
-	if _, err := ByID("nonsense"); err == nil {
-		t.Fatal("unknown id accepted")
-	}
-	r, err := ByID("TABLE2")
-	if err != nil || r.ID != "table2" {
-		t.Fatalf("ByID: %v %v", r.ID, err)
-	}
-}
-
 func TestResultString(t *testing.T) {
 	r := Result{ID: "x", Title: "t", Text: "body\n", Notes: []string{"note"}}
 	s := r.String()

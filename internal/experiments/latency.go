@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"inca/internal/stats"
@@ -69,4 +71,71 @@ func (c cellStats) metric(name string, labels map[string]string) Metric {
 		P95Micros: c.P95,
 		P99Micros: c.P99,
 	}
+}
+
+// cellStop is a cell's stop rule: after ops operations in total when ops
+// is set, otherwise when an operation ends past the budget (so every
+// worker completes at least one).
+type cellStop struct {
+	ops    int
+	budget time.Duration
+}
+
+// runCell is the closed loop every throughput cell shares: workers
+// goroutines draw tickets 1, 2, 3, ... from one counter and time op(ticket)
+// into their own reservoir until the stop rule holds. The first failing op
+// stops its worker and fails the cell. drain, when non-nil, runs after the
+// workers finish and before the clock stops, so work an op only queued is
+// charged to the cell's throughput.
+func runCell(workers int, stop cellStop, op func(i int) error, drain func() error) (cellStats, error) {
+	capHint := 4096
+	if stop.ops > 0 {
+		capHint = stop.ops/workers + 1
+	}
+	lat := newLatencyTracker(workers, capHint)
+	var (
+		next    atomic.Int64
+		wg      sync.WaitGroup
+		errOnce sync.Once
+		err     error
+	)
+	start := time.Now()
+	deadline := start.Add(stop.budget)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1))
+				if stop.ops > 0 && i > stop.ops {
+					return
+				}
+				opStart := time.Now()
+				if oerr := op(i); oerr != nil {
+					errOnce.Do(func() { err = oerr })
+					return
+				}
+				end := time.Now()
+				lat.observe(w, end.Sub(opStart))
+				if stop.ops == 0 && end.After(deadline) {
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err == nil && drain != nil {
+		err = drain()
+	}
+	elapsed := time.Since(start)
+	if err != nil {
+		return cellStats{}, err
+	}
+	var done int64
+	for _, r := range lat.perWorker {
+		done += r.Count()
+	}
+	cell := cellStats{OpsPerSec: float64(done) / elapsed.Seconds()}
+	cell.P50, cell.P95, cell.P99 = lat.percentiles()
+	return cell, nil
 }

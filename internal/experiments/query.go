@@ -3,13 +3,10 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"inca/internal/branch"
 	"inca/internal/depot"
-	"inca/internal/experiments/ablation"
 	"inca/internal/loadgen"
 )
 
@@ -43,14 +40,6 @@ func buildQueryCache(name string, ids []branch.ID, dump []byte, data []byte) (de
 	switch name {
 	case "stream":
 		return depot.LoadDump(dump)
-	case "sharded16":
-		c := ablation.NewShardedCacheDepth(16, 2)
-		for _, id := range ids {
-			if _, err := c.Update(id, data); err != nil {
-				return nil, err
-			}
-		}
-		return c, nil
 	case "indexed":
 		c := depot.NewIndexedCache()
 		for _, id := range ids {
@@ -62,47 +51,6 @@ func buildQueryCache(name string, ids []branch.ID, dump []byte, data []byte) (de
 	default:
 		return nil, fmt.Errorf("unknown cache variant %q", name)
 	}
-}
-
-// queryCell runs one operation mix against a populated cache with the
-// given reader count for roughly the budget, returning ops/sec.
-func queryCell(c depot.Cache, ids []branch.ID, readers int, budget time.Duration, op func(depot.Cache, branch.ID) error) (cellStats, error) {
-	var (
-		next    atomic.Int64
-		done    atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		err     error
-	)
-	lat := newLatencyTracker(readers, 4096)
-	start := time.Now()
-	deadline := start.Add(budget)
-	for w := 0; w < readers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				opStart := time.Now()
-				if qerr := op(c, ids[i%len(ids)]); qerr != nil {
-					errOnce.Do(func() { err = qerr })
-					return
-				}
-				lat.observe(w, time.Since(opStart))
-				done.Add(1)
-				if time.Now().After(deadline) {
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if err != nil {
-		return cellStats{}, err
-	}
-	p50, p95, p99 := lat.percentiles()
-	return cellStats{OpsPerSec: float64(done.Load()) / elapsed.Seconds(), P50: p50, P95: p95, P99: p99}, nil
 }
 
 func exactQueryOp(c depot.Cache, id branch.ID) error {
@@ -135,7 +83,7 @@ func prefixReportsOp(c depot.Cache, id branch.ID) error {
 }
 
 // Query runs the read-path ablation: exact-branch Query and site-prefix
-// Reports throughput over stream, sharded and indexed caches, serially
+// Reports throughput over the stream and indexed caches, serially
 // and under concurrent readers, at growing cache populations. The flat
 // column to watch is indexed exact-query latency from 100 to 10k reports
 // while the stream cache's falls off linearly with document size.
@@ -163,7 +111,7 @@ func Query(opt QueryOptions) Result {
 				}
 			}
 			dump := seed.Dump()
-			for _, name := range []string{"stream", "sharded16", "indexed"} {
+			for _, name := range []string{"stream", "indexed"} {
 				c, err := buildQueryCache(name, ids, dump, data)
 				if err != nil {
 					r.Text = "error: " + err.Error()
@@ -177,7 +125,9 @@ func Query(opt QueryOptions) Result {
 						{"query", exactQueryOp},
 						{"reports", prefixReportsOp},
 					} {
-						cell, err := queryCell(c, ids, readers, opt.Budget, mix.op)
+						cell, err := runCell(readers, cellStop{budget: opt.Budget}, func(i int) error {
+							return mix.op(c, ids[i%len(ids)])
+						}, nil)
 						if err != nil {
 							r.Text = "error: " + err.Error()
 							return
@@ -195,7 +145,6 @@ func Query(opt QueryOptions) Result {
 		r.Notes = append(r.Notes,
 			"851-byte reports; population spread over 40 sites (site-prefix Reports touches ~1/40 of the cache)",
 			"stream answers every query by SAX-scanning the whole document, so its per-op cost grows linearly with the cache (the §5.2 scaling wall on the read side); its 10k fill is done via LoadDump because incremental filling is itself quadratic",
-			"sharded16 pays the same scan over a ~1/16 document when the query is at or below the shard depth",
 			"indexed resolves the branch through its in-memory index and serializes only the requested subtree: exact-query cost stays flat from 100 to 10k reports",
 			"µs/op is wall-clock normalized by reader count (per-reader latency)",
 		)

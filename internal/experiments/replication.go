@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -121,45 +120,16 @@ func replicationIngestCell(shards, workers, messages int, replicate bool) (cellS
 	}
 	defer r.Close()
 
-	ids := FederationIDs()
+	// The TeraGrid shape: 40 site prefixes for the ring to spread over the shards.
+	ids := queryBenchPopulation(40 * 26)
 	data := loadgen.MustPremadeReport(851)
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		cellErr error
-	)
-	lat := newLatencyTracker(workers, messages/workers+1)
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i > messages {
-					return
-				}
-				m := &wire.Message{Branch: ids[i%len(ids)].String(), Hostname: "bench", Report: data}
-				opStart := time.Now()
-				if ack := r.Handle(m, "bench"); !ack.OK {
-					errOnce.Do(func() { cellErr = fmt.Errorf("nack: %s", ack.Message) })
-					return
-				}
-				lat.observe(w, time.Since(opStart))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if cellErr != nil {
-		return cellStats{}, cellErr
-	}
-	if err := r.Drain(); err != nil {
-		return cellStats{}, err
-	}
-	elapsed := time.Since(start)
-	p50, p95, p99 := lat.percentiles()
-	return cellStats{OpsPerSec: float64(messages) / elapsed.Seconds(), P50: p50, P95: p95, P99: p99}, nil
+	return runCell(workers, cellStop{ops: messages}, func(i int) error {
+		m := &wire.Message{Branch: ids[i%len(ids)].String(), Hostname: "bench", Report: data}
+		if ack := r.Handle(m, "bench"); !ack.OK {
+			return fmt.Errorf("nack: %s", ack.Message)
+		}
+		return nil
+	}, r.Drain)
 }
 
 // replicationFailoverCell measures the failover drain: queue messages
@@ -167,7 +137,7 @@ func replicationIngestCell(shards, workers, messages int, replicate bool) (cellS
 // swap + harvest + re-enqueue) through Drain (every message redelivered).
 func replicationFailoverCell(rounds, queued int) ([]float64, error) {
 	durations := make([]float64, 0, rounds)
-	ids := FederationIDs()
+	ids := queryBenchPopulation(40 * 26)
 	data := loadgen.MustPremadeReport(851)
 	for round := 0; round < rounds; round++ {
 		dead, err := deadSinkAddr()

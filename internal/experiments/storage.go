@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"inca/internal/branch"
@@ -62,91 +60,12 @@ func storageSeriesIDs(n int) []branch.ID {
 	return ids
 }
 
-// storageIngestCell measures report-store throughput against an
-// already-built depot — the archiveCell loop with the backend chosen by
-// the caller.
-func storageIngestCell(d *depot.Depot, workers, updates int) (cell cellStats, err error) {
-	for _, p := range ArchiveBenchPolicies() {
-		if err := d.AddPolicy(p); err != nil {
-			return cellStats{}, err
-		}
-	}
-	ids := ArchiveBenchIDs(64)
-	template, gmtOff := ArchiveBenchReport()
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-	)
-	lat := newLatencyTracker(workers, updates/workers+1)
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i > updates {
-					return
-				}
-				at := storageStart.Add(time.Duration(i/len(ids)+1) * time.Minute)
-				data := ArchiveBenchStamp(template, gmtOff, at)
-				opStart := time.Now()
-				if _, serr := d.Store(ids[i%len(ids)], data); serr != nil {
-					errOnce.Do(func() { err = serr })
-					return
-				}
-				lat.observe(w, time.Since(opStart))
-			}
-		}(w)
-	}
-	wg.Wait()
-	d.Drain()
-	elapsed := time.Since(start)
-	if err != nil {
-		return cellStats{}, err
-	}
-	cell.OpsPerSec = float64(updates) / elapsed.Seconds()
-	cell.P50, cell.P95, cell.P99 = lat.percentiles()
-	return cell, nil
-}
-
 // storageUpdatePass drives one ArchiveUpdate per series through the
 // manual-only scale policy and returns the measured cell.
-func storageUpdatePass(d *depot.Depot, ids []branch.ID, at time.Time, workers int) (cell cellStats, err error) {
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-	)
-	lat := newLatencyTracker(workers, len(ids)/workers+1)
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ids) {
-					return
-				}
-				opStart := time.Now()
-				if uerr := d.ArchiveUpdate(ids[i], "scale", at, float64(i%100)); uerr != nil {
-					errOnce.Do(func() { err = uerr })
-					return
-				}
-				lat.observe(w, time.Since(opStart))
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if err != nil {
-		return cellStats{}, err
-	}
-	cell.OpsPerSec = float64(len(ids)) / elapsed.Seconds()
-	cell.P50, cell.P95, cell.P99 = lat.percentiles()
-	return cell, nil
+func storageUpdatePass(d *depot.Depot, ids []branch.ID, at time.Time, workers int) (cellStats, error) {
+	return runCell(workers, cellStop{ops: len(ids)}, func(i int) error {
+		return d.ArchiveUpdate(ids[i-1], "scale", at, float64((i-1)%100))
+	}, nil)
 }
 
 // heapMB returns the live heap after a full collection — the experiment's
@@ -215,7 +134,7 @@ func Storage(opt StorageOptions) Result {
 
 		// --- ingest: the report store path, five matching policies ---
 		mem := depot.NewWithOptions(depot.NullCache{}, depot.Options{})
-		cell, err := storageIngestCell(mem, opt.Workers, opt.Updates)
+		cell, err := archiveCell(mem, opt.Workers, opt.Updates)
 		mem.Close()
 		if err != nil {
 			fail(err)
@@ -229,7 +148,7 @@ func Storage(opt StorageOptions) Result {
 			fail(err)
 			return
 		}
-		cell, err = storageIngestCell(disk, opt.Workers, opt.Updates)
+		cell, err = archiveCell(disk, opt.Workers, opt.Updates)
 		disk.Close()
 		if err != nil {
 			fail(err)

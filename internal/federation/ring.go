@@ -1,16 +1,14 @@
 // Package federation distributes the branch space across several depot
 // processes — the paper's Section 6 direction ("work has begun on
-// distributing the depot functionality") taken past the single-process
-// ShardedCache: a consistent-hash ring maps branch identifiers to depot
-// addresses, a router forwards ingest batches to the owning shard over
-// the batched wire protocol, and the query tier scatter-gathers reads
-// back into the single-depot document shape.
+// distributing the depot functionality"): a consistent-hash ring maps
+// branch identifiers to depot addresses, a router forwards ingest batches
+// to the owning shard over the batched wire protocol, and the query tier
+// scatter-gathers reads back into the single-depot document shape.
 //
-// The ring hashes only a branch identifier's most-general components
-// (the same prefix affinity as ablation.ShardedCache and
-// controller.ShardedDepot), so a reporter's whole vo/site subtree lands
-// on one shard: exact queries touch a single process, and membership
-// changes move whole subtrees rather than scattering a site's reports.
+// The ring hashes only a branch identifier's most-general components, so
+// a reporter's whole vo/site subtree lands on one shard: exact queries
+// touch a single process, and membership changes move whole subtrees
+// rather than scattering a site's reports.
 package federation
 
 import (
@@ -102,10 +100,9 @@ func NewRing(members []string, opt RingOptions) *Ring {
 	return r
 }
 
-// hashString is FNV-1a 64 with a murmur-style avalanche finalizer — the
-// same construction ablation.ShardedCache uses, because FNV's trailing-byte
-// linearity correlates badly when keys differ only near the end
-// (site=s0, site=s1, ...).
+// hashString is FNV-1a 64 with a murmur-style avalanche finalizer,
+// because FNV's trailing-byte linearity correlates badly when keys differ
+// only near the end (site=s0, site=s1, ...).
 func hashString(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037

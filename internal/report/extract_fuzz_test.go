@@ -43,7 +43,7 @@ func sectionLayout(data []byte) (accepted, inOrder bool) {
 }
 
 // domExtraction is the Parse + Find oracle, in the shape ExtractValues
-// returns: what depot.Options.ParseArchive computes for the same paths.
+// returns.
 func domExtraction(rep *Report, paths []Path) Extraction {
 	ex := Extraction{GMT: rep.Header.GMT, Values: make([]float64, len(paths)), Found: make([]bool, len(paths))}
 	for i, p := range paths {
