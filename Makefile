@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check loc fmt vet build fence test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-query bench-archive bench-merge bench-ingest bench-storage bench-feed bench-replication bench-load fuzz
+.PHONY: check loc fmt vet build fence flags test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-query bench-archive bench-merge bench-ingest bench-storage bench-feed bench-replication bench-load fuzz
 
-# The full gate: formatting, static checks, build, the import fence,
-# race-enabled tests, the fault-injection suite, the telemetry smoke, the
-# multi-process federation, storage, feed and load smokes, and a
-# one-second run of the benchmark of record.
-check: fmt vet build fence test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke
+# The full gate: formatting, static checks, build, the import and flag
+# fences, race-enabled tests, the fault-injection suite, the telemetry
+# smoke, the multi-process federation, storage, feed and load smokes, and
+# a one-second run of the benchmark of record.
+check: fmt vet build fence flags test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke
 
 # Non-test Go lines per package and in total, bench/ excluded: the figure
 # ROADMAP item 3 ("One core, fewer forks") tracks.
@@ -35,6 +35,17 @@ fence:
 	if echo "$$deps" | grep -qx 'inca/internal/experiments/ablation'; then \
 		echo "a deployed binary imports inca/internal/experiments/ablation"; exit 1; \
 	fi
+
+# Flag fence: README.md, DESIGN.md, EXPERIMENTS.md and the verify skill may
+# name a flag in backticks (`-storage`, `-flush-size 8`) only if the -h
+# output of inca-server, inca-agent or another binary of this repo lists it,
+# so a deleted flag cannot live on in the documents.
+flags:
+	@known="$$(for b in ./cmd/* ./bench; do $(GO) run $$b -h 2>&1; done | grep -oE '^  -[A-Za-z0-9-]+' | tr -d ' ')"; \
+	grep -noE '(^|[[:space:](])`-[A-Za-z][A-Za-z0-9-]*' README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md | \
+	while IFS= read -r hit; do f="-$${hit##*\`-}"; \
+		echo "$$known" | grep -qxe "$$f" || echo "$${hit%:*}: no binary has the flag $$f"; \
+	done | { ! grep .; }
 
 test:
 	$(GO) test -race ./...
@@ -97,8 +108,8 @@ bench-smoke:
 bench-query:
 	$(GO) test -run=NONE -bench=BenchmarkQueryParallel -benchtime=1s .
 
-# Archive tier: parallel Store throughput over the archival pipeline —
-# sharded streaming extraction inline vs behind the async workers.
+# Archive tier: parallel Store throughput with five matching policies, on
+# the memory engine and on the disk engine.
 bench-archive:
 	$(GO) test -run=NONE -bench=BenchmarkArchiveParallel -benchtime=1s .
 

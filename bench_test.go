@@ -494,77 +494,22 @@ func BenchmarkQueryParallel16(b *testing.B) {
 	})
 }
 
-// --- Archive tier: concurrent stores against the archive pipeline ---
+// --- Archive tier: concurrent stores against the archive path ---
 //
 // The insert benches above bypass archival (no policies uploaded); these
 // measure the store path with five matching policies — the paper's
-// Section 3.2.2 archive phase. Two configurations: striped archives with
-// streaming extraction inline in Store, and the same behind the async
-// worker pool. Async cells drain before the timer stops, so deferred
-// consolidation is charged to the measurement. The depot runs on NullCache
-// so these benchmarks isolate the archival phase of Store — the cache phase
-// has its own tier (BenchmarkFig9Insert, BenchmarkCacheUpdate*).
-
-func benchmarkArchiveParallel(b *testing.B, opts depot.Options, parallelism int) {
-	d := depot.NewWithOptions(depot.NullCache{}, opts)
-	defer d.Close()
-	for _, p := range experiments.ArchiveBenchPolicies() {
-		if err := d.AddPolicy(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ids := experiments.ArchiveBenchIDs(64)
-	template, gmtOff := experiments.ArchiveBenchReport()
-	b.SetBytes(int64(len(template)))
-	b.SetParallelism(parallelism)
-	b.ResetTimer()
-	var next atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := int(next.Add(1))
-			at := benchStart.Add(time.Duration(i/len(ids)+1) * time.Minute)
-			data := experiments.ArchiveBenchStamp(template, gmtOff, at)
-			if _, err := d.Store(ids[i%len(ids)], data); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	d.Drain()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(b.N)/sec, "reports/sec")
-	}
-}
-
-func benchmarkArchiveConfigs(b *testing.B, parallelism int) {
-	b.Run("sharded-sync", func(b *testing.B) {
-		benchmarkArchiveParallel(b, depot.Options{}, parallelism)
-	})
-	b.Run("sharded-async", func(b *testing.B) {
-		benchmarkArchiveParallel(b, depot.Options{AsyncArchive: true}, parallelism)
-	})
-}
-
-func BenchmarkArchiveParallel1(b *testing.B)  { benchmarkArchiveConfigs(b, 1) }
-func BenchmarkArchiveParallel4(b *testing.B)  { benchmarkArchiveConfigs(b, 4) }
-func BenchmarkArchiveParallel16(b *testing.B) { benchmarkArchiveConfigs(b, 16) }
-
-// --- disk storage engine: the same archive tier over paged files + WAL ---
-//
-// Identical workload to benchmarkArchiveParallel's sharded-sync cell, but
-// the depot runs on the disk engine (DESIGN.md §5g): every store appends a
+// Section 3.2.2 archive phase: striped archives with streaming extraction
+// inline in Store. The depot runs on NullCache so these benchmarks isolate
+// the archival phase of Store — the cache phase has its own tier
+// (BenchmarkFig9Insert, BenchmarkCacheUpdate*). The disk cells run the same
+// workload on the disk engine (DESIGN.md §5g): every store also appends a
 // WAL frame and consolidation lands in paged archive files. OpenFiles is
 // sized so the working set (64 branches x 5 policies = 320 archives) stays
 // inside the handle LRU — the steady-state configuration, not the
 // eviction-thrash one.
 
-func benchmarkDiskArchiveParallel(b *testing.B, parallelism int) {
-	d, err := depot.OpenDisk(depot.DiskOptions{
-		Cache: depot.NullCache{}, Dir: b.TempDir(), OpenFiles: 512,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchmarkArchiveParallel(b *testing.B, open func(*testing.B) *depot.Depot, parallelism int) {
+	d := open(b)
 	defer d.Close()
 	for _, p := range experiments.ArchiveBenchPolicies() {
 		if err := d.AddPolicy(p); err != nil {
@@ -588,12 +533,30 @@ func benchmarkDiskArchiveParallel(b *testing.B, parallelism int) {
 			}
 		}
 	})
-	d.Drain()
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(b.N)/sec, "reports/sec")
 	}
 }
 
-func BenchmarkDiskArchiveParallel1(b *testing.B)  { benchmarkDiskArchiveParallel(b, 1) }
-func BenchmarkDiskArchiveParallel4(b *testing.B)  { benchmarkDiskArchiveParallel(b, 4) }
-func BenchmarkDiskArchiveParallel16(b *testing.B) { benchmarkDiskArchiveParallel(b, 16) }
+func benchmarkArchiveEngines(b *testing.B, parallelism int) {
+	b.Run("memory", func(b *testing.B) {
+		benchmarkArchiveParallel(b, func(*testing.B) *depot.Depot {
+			return depot.New(depot.NullCache{})
+		}, parallelism)
+	})
+	b.Run("disk", func(b *testing.B) {
+		benchmarkArchiveParallel(b, func(b *testing.B) *depot.Depot {
+			d, err := depot.OpenDisk(depot.DiskOptions{
+				Cache: depot.NullCache{}, Dir: b.TempDir(), OpenFiles: 512,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return d
+		}, parallelism)
+	})
+}
+
+func BenchmarkArchiveParallel1(b *testing.B)  { benchmarkArchiveEngines(b, 1) }
+func BenchmarkArchiveParallel4(b *testing.B)  { benchmarkArchiveEngines(b, 4) }
+func BenchmarkArchiveParallel16(b *testing.B) { benchmarkArchiveEngines(b, 16) }

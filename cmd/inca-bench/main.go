@@ -47,8 +47,8 @@ func main() {
 	var (
 		hours     = flag.Int("hours", 0, "virtual hours for table4/fig8 (0 = default)")
 		days      = flag.Int("days", 0, "virtual days for fig5/fig6/fig7 (0 = default)")
-		updates   = flag.Int("updates", 0, "steady-state updates per fig9/archive/storage/replication cell (0 = default)")
-		workers   = flag.Int("workers", 0, "concurrent submitters/readers for the query, archive, storage and replication experiments (0 = default)")
+		updates   = flag.Int("updates", 0, "steady-state updates per fig9/storage/replication cell (0 = default)")
+		workers   = flag.Int("workers", 0, "concurrent submitters/readers for the query, storage and replication experiments (0 = default)")
 		ablations = flag.Bool("ablations", false, "run fig9 design-choice ablations")
 		seed      = flag.Int64("seed", 2004, "simulation seed")
 		htmlOut   = flag.String("html", "", "also write the fig4 status page HTML here")
@@ -98,7 +98,6 @@ func main() {
 			run(experiments.Fig9(experiments.Fig9Options{UpdatesPerCell: *updates, Ablations: *ablations}))
 		}},
 		{"query", func() { run(experiments.Query(experiments.QueryOptions{Readers: *workers})) }},
-		{"archive", func() { run(experiments.Archive(experiments.ArchiveOptions{Updates: *updates, Workers: *workers})) }},
 		{"storage", func() { run(experiments.Storage(experiments.StorageOptions{Updates: *updates, Workers: *workers})) }},
 		{"feed", func() { run(experiments.Feed(experiments.FeedOptions{})) }},
 		{"replication", func() {

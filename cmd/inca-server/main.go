@@ -37,17 +37,12 @@ func main() {
 		allow    = flag.String("allow", "", "comma-separated hostname allowlist (empty = allow all)")
 		mode     = flag.String("mode", "body", "envelope mode: body or attachment")
 		cacheImp = flag.String("cache", "indexed", "cache implementation: indexed, or stream (the paper's single XML document, kept for its figures); a disk depot or snapshot is restored into the same kind")
-		snapshot = flag.String("snapshot", "", "depot snapshot file: loaded at startup if present, written at shutdown")
+		snapshot = flag.String("snapshot", "", "depot snapshot file (memory storage only): loaded at startup if present, written at shutdown")
 
 		storage    = flag.String("storage", "memory", "depot storage engine: memory (resident archives) or disk (paged archive files + WAL under -data)")
 		dataDir    = flag.String("data", "inca-data", "storage directory for -storage disk")
 		openFiles  = flag.Int("open-files", 64, "open archive file handles kept by the disk engine's LRU")
 		checkpoint = flag.Duration("checkpoint", 5*time.Minute, "disk engine checkpoint interval (0 = only at shutdown)")
-
-		archiveMode    = flag.String("archive", "sync", "archive pipeline mode: sync or async")
-		archiveWorkers = flag.Int("archive-workers", 4, "async archive worker count")
-		archiveQueue   = flag.Int("archive-queue", 256, "async archive queue capacity per worker")
-		archiveDrop    = flag.Bool("archive-drop", false, "shed archive jobs when the async queue is full instead of blocking ingest")
 
 		idleTimeout = flag.Duration("idle-timeout", 5*time.Minute, "drop distributed-controller connections idle (or stalled mid-frame) this long, so dead peers cannot pin goroutines (0 = never)")
 
@@ -78,6 +73,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-replicate requires -federate")
 		os.Exit(2)
 	}
+	if *storage == "disk" && *snapshot != "" {
+		fmt.Fprintln(os.Stderr, "-snapshot requires -storage memory (a disk depot restores from -data)")
+		os.Exit(2)
+	}
 
 	var envMode envelope.Mode
 	switch *mode {
@@ -99,19 +98,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown cache %q\n", *cacheImp)
 		os.Exit(2)
 	}
-	var opts depot.Options
-	opts.Metrics = reg
-	switch *archiveMode {
-	case "sync":
-	case "async":
-		opts.AsyncArchive = true
-		opts.ArchiveWorkers = *archiveWorkers
-		opts.ArchiveQueue = *archiveQueue
-		opts.DropOnFull = *archiveDrop
-	default:
-		fmt.Fprintf(os.Stderr, "unknown archive mode %q\n", *archiveMode)
-		os.Exit(2)
-	}
+	opts := depot.Options{Metrics: reg}
 
 	var d *depot.Depot
 	switch *storage {
@@ -239,7 +226,7 @@ func main() {
 
 	// Stop ingest before depot teardown: srv.Close returns only after
 	// every in-flight connection handler has finished, so no store can
-	// race the archive pipeline shutdown.
+	// race the final checkpoint or snapshot.
 	srv.Close()
 	if qfeed != nil {
 		// Detach the publisher and end subscribers before the depot
@@ -267,8 +254,7 @@ func main() {
 		}
 		fmt.Printf("depot snapshot written to %s\n", *snapshot)
 	}
-	// Drains any queued archive work and, on disk, closes every archive
-	// handle and the live WAL segment.
+	// On disk, closes every archive handle and the live WAL segment.
 	d.Close()
 }
 

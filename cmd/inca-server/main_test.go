@@ -32,11 +32,15 @@ func TestUnknownFlagValuesExit2(t *testing.T) {
 		{[]string{"-cache", "dom"}, `unknown cache "dom"`},
 		{[]string{"-cache", "split"}, `unknown cache "split"`},
 		{[]string{"-cache", "file"}, `unknown cache "file"`},
-		{[]string{"-archive", "lazy"}, `unknown archive mode "lazy"`},
 		{[]string{"-storage", "tape"}, `unknown storage "tape"`},
 		{[]string{"-mode", "Attachment"}, `unknown envelope mode "Attachment"`},
 		{[]string{"-mode", ""}, `unknown envelope mode ""`},
 		{[]string{"-cache-file", "inca-cache.xml"}, "flag provided but not defined: -cache-file"},
+		{[]string{"-archive", "async"}, "flag provided but not defined: -archive"},
+		{[]string{"-archive-workers", "8"}, "flag provided but not defined: -archive-workers"},
+		{[]string{"-archive-queue", "1"}, "flag provided but not defined: -archive-queue"},
+		{[]string{"-archive-drop"}, "flag provided but not defined: -archive-drop"},
+		{[]string{"-storage", "disk", "-snapshot", "f"}, "-snapshot requires -storage memory"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			// A value that got through would start a server: bound the wait.

@@ -1,7 +1,6 @@
 package depot
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -122,14 +121,23 @@ func TestPolicyIndexMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// bothEngines runs fn against a fresh memory depot and a fresh disk depot,
+// as "memory" and "disk" subtests.
+func bothEngines(t *testing.T, fn func(t *testing.T, d *Depot)) {
+	t.Run("memory", func(t *testing.T) {
+		fn(t, New(NewStreamCache()))
+	})
+	t.Run("disk", func(t *testing.T) {
+		d := diskDepot(t, t.TempDir(), DiskOptions{Cache: NewStreamCache()})
+		defer d.Close()
+		fn(t, d)
+	})
+}
+
 func TestConcurrentStoreSameBranch(t *testing.T) {
 	// Many goroutines hammer branches that all share one archive set; run
 	// under -race this exercises the shard locks and the policy snapshot.
-	for _, opts := range []Options{
-		{},
-		{AsyncArchive: true, ArchiveWorkers: 4, ArchiveQueue: 8},
-	} {
-		d := NewWithOptions(NewStreamCache(), opts)
+	bothEngines(t, func(t *testing.T, d *Depot) {
 		addPolicies(t, d, bandwidthPolicies("site=sdsc"))
 		id := branch.MustParse("tool=pathload,site=sdsc")
 		var wg sync.WaitGroup
@@ -147,7 +155,6 @@ func TestConcurrentStoreSameBranch(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		d.Drain()
 		if got := d.Stats().Received; got != 200 {
 			t.Fatalf("received = %d, want 200", got)
 		}
@@ -160,16 +167,14 @@ func TestConcurrentStoreSameBranch(t *testing.T) {
 		if v := d.LatestValue(id, "availability", rrd.Average); math.IsNaN(v) {
 			t.Fatal("availability archive is empty")
 		}
-		d.Close()
-	}
+	})
 }
 
+// TestConcurrentStoreDistinctBranches holds the archive path's invariant on
+// both engines: a sample is readable the moment its Store returns, with no
+// barrier in between, and applied == matched x resolved policies.
 func TestConcurrentStoreDistinctBranches(t *testing.T) {
-	for _, opts := range []Options{
-		{},
-		{AsyncArchive: true, ArchiveWorkers: 4, ArchiveQueue: 8},
-	} {
-		d := NewWithOptions(NewStreamCache(), opts)
+	bothEngines(t, func(t *testing.T, d *Depot) {
 		addPolicies(t, d, bandwidthPolicies("site=sdsc"))
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
@@ -177,11 +182,22 @@ func TestConcurrentStoreDistinctBranches(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				id := branch.MustParse(fmt.Sprintf("tool=probe%d,site=sdsc", g))
-				storeSequence(t, d, id, 20)
+				for i := 0; i < 20; i++ {
+					at := dt0.Add(time.Duration(i+1) * 10 * time.Minute)
+					if _, err := d.Store(id, twoStatReport(t, at, float64(900+i), true)); err != nil {
+						t.Error(err)
+						return
+					}
+					// This goroutine is the branch's only writer, so the
+					// series holds exactly the samples stored so far.
+					if n, ok := d.ArchiveSeriesGeneration(id, "bw-lower"); !ok || n != uint64(i+1) {
+						t.Errorf("branch %d: %d samples readable after store %d (archive exists: %v)", g, n, i+1, ok)
+						return
+					}
+				}
 			}(g)
 		}
 		wg.Wait()
-		d.Drain()
 		if got := len(d.ArchivedSeries()); got != 8*5 {
 			t.Fatalf("archives = %d, want 40", got)
 		}
@@ -191,222 +207,11 @@ func TestConcurrentStoreDistinctBranches(t *testing.T) {
 				t.Fatalf("branch %d: empty bw-lower archive", g)
 			}
 		}
-		st := d.Stats()
-		if opts.AsyncArchive {
-			if st.Archive.Enqueued != 160 || st.Archive.Dropped != 0 {
-				t.Fatalf("pipeline stats = %+v", st.Archive)
-			}
+		st := d.Stats().Archive
+		if st.Matched != 160 || st.Applied != 160*5 {
+			t.Fatalf("matched = %d, applied = %d, want 160 and 800", st.Matched, st.Applied)
 		}
-		if st.Archive.Matched != 160 {
-			t.Fatalf("matched = %d, want 160", st.Archive.Matched)
-		}
-		d.Close()
-	}
-}
-
-// TestSyncAsyncSeriesIdentical is the acceptance check that async mode is
-// an optimization, not a semantics change: after Drain, every archived
-// series matches the synchronous depot point for point.
-func TestSyncAsyncSeriesIdentical(t *testing.T) {
-	build := func(opts Options) *Depot {
-		d := NewWithOptions(NewStreamCache(), opts)
-		addPolicies(t, d, bandwidthPolicies("site=sdsc"))
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				id := branch.MustParse(fmt.Sprintf("tool=probe%d,site=sdsc", g))
-				for i := 0; i < 50; i++ {
-					at := dt0.Add(time.Duration(i+1) * 10 * time.Minute)
-					// A failure every 7th run varies the availability series.
-					okRun := i%7 != 0
-					if _, err := d.Store(id, twoStatReport(t, at, float64(900+i), okRun)); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		d.Drain()
-		return d
-	}
-	sync := build(Options{})
-	async := build(Options{AsyncArchive: true, ArchiveWorkers: 3, ArchiveQueue: 4})
-	defer async.Close()
-
-	sk, ak := sync.ArchivedSeries(), async.ArchivedSeries()
-	if len(sk) != len(ak) || len(sk) != 4*5 {
-		t.Fatalf("series: sync %d, async %d", len(sk), len(ak))
-	}
-	start, end := dt0, dt0.Add(10*time.Hour)
-	for i, key := range sk {
-		if ak[i] != key {
-			t.Fatalf("series %d: sync %q, async %q", i, key, ak[i])
-		}
-		var id branch.ID
-		var pol string
-		if n := bytes.LastIndexByte([]byte(key), '|'); n >= 0 {
-			id = branch.MustParse(key[:n])
-			pol = key[n+1:]
-		}
-		for _, cf := range []rrd.CF{rrd.Average, rrd.Min, rrd.Max} {
-			ss, serr := sync.FetchArchive(id, pol, cf, start, end)
-			as, aerr := async.FetchArchive(id, pol, cf, start, end)
-			if (serr == nil) != (aerr == nil) {
-				t.Fatalf("%s/%v: fetch errors differ: %v vs %v", key, cf, serr, aerr)
-			}
-			if serr != nil {
-				continue
-			}
-			if len(ss.Points) != len(as.Points) {
-				t.Fatalf("%s/%v: %d vs %d points", key, cf, len(ss.Points), len(as.Points))
-			}
-			for j := range ss.Points {
-				sv, av := ss.Points[j].Values[0], as.Points[j].Values[0]
-				if !ss.Points[j].Time.Equal(as.Points[j].Time) ||
-					(sv != av && !(math.IsNaN(sv) && math.IsNaN(av))) {
-					t.Fatalf("%s/%v point %d: sync (%v,%g) async (%v,%g)",
-						key, cf, j, ss.Points[j].Time, sv, as.Points[j].Time, av)
-				}
-			}
-		}
-	}
-}
-
-func TestAsyncDrainBeforeSnapshot(t *testing.T) {
-	d := NewWithOptions(NewStreamCache(), Options{AsyncArchive: true, ArchiveWorkers: 2, ArchiveQueue: 4})
-	defer d.Close()
-	addPolicies(t, d, bandwidthPolicies("site=sdsc"))
-	id := branch.MustParse("tool=pathload,site=sdsc")
-	storeSequence(t, d, id, 30)
-	// WriteSnapshot drains internally: the image must already contain the
-	// archives for every acknowledged store.
-	var buf bytes.Buffer
-	if err := d.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	re, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(re.ArchivedSeries()); got != 5 {
-		t.Fatalf("restored archives = %d, want 5", got)
-	}
-	want := d.LatestValue(id, "bw-lower", rrd.Average)
-	if got := re.LatestValue(id, "bw-lower", rrd.Average); got != want {
-		t.Fatalf("restored LatestValue = %g, want %g", got, want)
-	}
-}
-
-func TestAsyncPersistRestoreRoundTrip(t *testing.T) {
-	d := NewWithOptions(NewStreamCache(), Options{AsyncArchive: true, ArchiveWorkers: 2, ArchiveQueue: 4})
-	addPolicies(t, d, bandwidthPolicies("site=sdsc"))
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			id := branch.MustParse(fmt.Sprintf("tool=probe%d,site=sdsc", g))
-			storeSequence(t, d, id, 25)
-		}(g)
-	}
-	wg.Wait()
-	var buf bytes.Buffer
-	if err := d.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d.Close()
-
-	// Restore into an async depot and keep storing: the reloaded archives
-	// must accept the continuation.
-	re, err := ReadSnapshotOptions(bytes.NewReader(buf.Bytes()), nil, Options{AsyncArchive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got, want := re.ArchivedSeries(), d.ArchivedSeries(); len(got) != len(want) {
-		t.Fatalf("restored archives = %d, want %d", len(got), len(want))
-	}
-	id := branch.MustParse("tool=probe0,site=sdsc")
-	at := dt0.Add(26 * 10 * time.Minute)
-	if _, err := re.Store(id, twoStatReport(t, at, 1234, true)); err != nil {
-		t.Fatal(err)
-	}
-	re.Drain()
-	s, err := re.FetchArchive(id, "bw-lower", rrd.Average, dt0, at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last float64 = math.NaN()
-	for i := len(s.Points) - 1; i >= 0; i-- {
-		if !math.IsNaN(s.Points[i].Values[0]) {
-			last = s.Points[i].Values[0]
-			break
-		}
-	}
-	if math.IsNaN(last) {
-		t.Fatal("no data after restore + store")
-	}
-	if v := re.LatestValue(id, "bw-lower", rrd.Average); v != last {
-		t.Fatalf("LatestValue = %g, series tail = %g", v, last)
-	}
-}
-
-func TestAsyncDropOnFull(t *testing.T) {
-	// One worker, tiny queue, drop mode: flooding the depot must shed jobs
-	// rather than block, and account for every shed job.
-	d := NewWithOptions(NewStreamCache(), Options{
-		AsyncArchive: true, ArchiveWorkers: 1, ArchiveQueue: 1, DropOnFull: true,
 	})
-	defer d.Close()
-	addPolicies(t, d, bandwidthPolicies("site=sdsc"))
-	id := branch.MustParse("tool=pathload,site=sdsc")
-	storeSequence(t, d, id, 200)
-	d.Drain()
-	st := d.Stats().Archive
-	if st.Enqueued+st.Dropped != 200 {
-		t.Fatalf("enqueued %d + dropped %d != 200", st.Enqueued, st.Dropped)
-	}
-}
-
-func TestDrainIsApplyBarrier(t *testing.T) {
-	// Drain is the read-your-writes barrier: when it returns, every
-	// acknowledged store must already be consolidated, not merely pulled
-	// off the queue. Small queues and many workers maximize the window
-	// between extraction and UpdateBatch.
-	d := NewWithOptions(NewStreamCache(), Options{AsyncArchive: true, ArchiveWorkers: 4, ArchiveQueue: 2})
-	defer d.Close()
-	addPolicies(t, d, bandwidthPolicies("site=sdsc"))
-	id := branch.MustParse("tool=pathload,site=sdsc")
-	storeSequence(t, d, id, 50)
-	d.Drain()
-	if got := d.Stats().Archive.Applied; got != 50*5 {
-		t.Fatalf("applied after Drain = %d, want %d", got, 50*5)
-	}
-}
-
-func TestCloseConcurrentWithStores(t *testing.T) {
-	// Close races in-flight stores: enqueues refused by the closing
-	// pipeline must fall back to synchronous archival instead of sending
-	// on a closed queue, and nothing acknowledged may be lost.
-	d := NewWithOptions(NewStreamCache(), Options{AsyncArchive: true, ArchiveWorkers: 2, ArchiveQueue: 2})
-	addPolicies(t, d, bandwidthPolicies("site=sdsc"))
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			id := branch.MustParse(fmt.Sprintf("tool=probe%d,site=sdsc", g))
-			storeSequence(t, d, id, 50)
-		}(g)
-	}
-	d.Close()
-	wg.Wait()
-	if got := d.Stats().Archive.Applied; got != 4*50*5 {
-		t.Fatalf("applied = %d, want %d", got, 4*50*5)
-	}
 }
 
 func TestLatestValueStaleAfterDay(t *testing.T) {

@@ -25,7 +25,7 @@
 //     consumer side; and its tokenising variant (NewStreamCacheGeneric) is
 //     the oracle the admission tests and FuzzCanonical compare against.
 //   - NullCache — stores nothing: archive-only depots and the benchmarks
-//     that time the archive pipeline apart from the cache.
+//     that time the archive path apart from the cache.
 //
 // The designs the paper tried, deployed as a file, or planned (DOM, file,
 // split) live in internal/experiments/ablation, built on StreamCache's

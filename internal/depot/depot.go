@@ -39,8 +39,8 @@ type Policy struct {
 
 // Receipt describes the processing of one stored envelope: the paper's
 // response-time decomposition into envelope unpacking and cache processing
-// (Figure 9's two curves). In async mode Archive covers only the enqueue;
-// in sync mode it is the full extraction-and-consolidation time, as before.
+// (Figure 9's two curves). Archive is the full extraction-and-consolidation
+// time.
 type Receipt struct {
 	Branch     branch.ID
 	ReportSize int
@@ -54,32 +54,11 @@ type Receipt struct {
 // Total returns the whole processing time.
 func (r Receipt) Total() time.Duration { return r.Unpack + r.Insert + r.Archive }
 
-// Options tune the depot's archive pipeline. The zero value is
-// synchronous archiving.
+// Options configure a depot.
 type Options struct {
-	// AsyncArchive takes consolidation off the store path: store returns
-	// after the cache insert and an enqueue.
-	AsyncArchive bool
-	// ArchiveWorkers is the async worker count (default 4).
-	ArchiveWorkers int
-	// ArchiveQueue is each worker's queue capacity (default 256).
-	ArchiveQueue int
-	// DropOnFull sheds archive jobs when a queue is full instead of
-	// blocking the store (drops are counted; the cache is still updated).
-	DropOnFull bool
 	// Metrics registers the depot's instruments (stage latencies, archive
-	// pipeline counters, cache gauges). Nil keeps them private.
+	// counters, cache gauges). Nil keeps them private.
 	Metrics *metrics.Registry
-}
-
-func (o Options) withDefaults() Options {
-	if o.ArchiveWorkers <= 0 {
-		o.ArchiveWorkers = 4
-	}
-	if o.ArchiveQueue <= 0 {
-		o.ArchiveQueue = 256
-	}
-	return o
 }
 
 // ChangeKind classifies a depot commit for change-feed publication.
@@ -108,7 +87,6 @@ type Change struct {
 // Depot is Inca's storage facility: cache plus archive.
 type Depot struct {
 	cache Cache
-	opts  Options
 
 	// publisher, when set, observes every committed mutation (the change
 	// feed). Installed after WAL replay so recovery does not re-publish.
@@ -122,7 +100,6 @@ type Depot struct {
 	// archives is the storage backend: resident shards (memoryStore) or
 	// paged files behind a handle LRU (diskStore).
 	archives archiveStore
-	pipeline *archivePipeline // nil in sync mode
 
 	// Disk engine only (nil/zero otherwise): the write-ahead log, its
 	// directories, and the checkpoint machinery. storeBarrier is held
@@ -140,17 +117,13 @@ type Depot struct {
 
 	received *metrics.Counter
 	bytes    *metrics.Counter
-	enqueued *metrics.Counter
-	dropped  *metrics.Counter
-	blocked  *metrics.Counter
 	applied  *metrics.Counter
 	matched  *metrics.Counter
 	fallback *metrics.Counter
 
 	unpackH  *metrics.Histogram // envelope decode
 	insertH  *metrics.Histogram // cache update
-	archiveH *metrics.Histogram // archive phase as seen by store (enqueue in async mode)
-	lagH     *metrics.Histogram // async enqueue -> consolidation lag
+	archiveH *metrics.Histogram // match, extract and consolidate
 }
 
 // New creates a depot over the given cache with default options. A nil
@@ -160,30 +133,21 @@ func New(cache Cache) *Depot {
 	return NewWithOptions(cache, Options{})
 }
 
-// NewWithOptions creates a depot with explicit archive-pipeline options.
+// NewWithOptions creates a memory depot with explicit options.
 func NewWithOptions(cache Cache, opts Options) *Depot {
-	opts = opts.withDefaults()
 	return newDepot(cache, opts, newMemoryStore())
 }
 
 // newDepot wires a depot over an explicit archive store (OpenDisk passes
-// the paged-file backend). opts must already have defaults applied.
+// the paged-file backend).
 func newDepot(cache Cache, opts Options, store archiveStore) *Depot {
-	opts = opts.withDefaults()
 	if cache == nil {
 		cache = NewIndexedCache()
 	}
-	d := &Depot{
-		cache:    cache,
-		opts:     opts,
-		archives: store,
-	}
+	d := &Depot{cache: cache, archives: store}
 	reg := opts.Metrics
 	d.received = reg.Counter("inca_depot_received_total", "Reports stored into the depot.")
 	d.bytes = reg.Counter("inca_depot_bytes_total", "Report payload bytes stored.")
-	d.enqueued = reg.Counter("inca_depot_archive_enqueued_total", "Archive jobs accepted into the async queue.")
-	d.dropped = reg.Counter("inca_depot_archive_dropped_total", "Archive jobs shed because a queue was full (drop mode).")
-	d.blocked = reg.Counter("inca_depot_archive_blocked_total", "Archive enqueues that had to wait for queue space.")
 	d.applied = reg.Counter("inca_depot_archive_applied_total", "Samples consolidated into archives.")
 	d.matched = reg.Counter("inca_depot_archive_matched_total", "Stores that matched at least one archival policy.")
 	d.fallback = reg.Counter("inca_depot_insert_fallback_total", "Reports the cache insert tokenised with encoding/xml because they were not in the encoder's own form.")
@@ -192,8 +156,7 @@ func newDepot(cache Cache, opts Options, store archiveStore) *Depot {
 	}
 	d.unpackH = reg.Histogram("inca_depot_unpack_seconds", "Envelope decode latency.", nil)
 	d.insertH = reg.Histogram("inca_depot_insert_seconds", "Cache insert latency.", nil)
-	d.archiveH = reg.Histogram("inca_depot_archive_seconds", "Archive phase latency on the store path (enqueue only in async mode).", nil)
-	d.lagH = reg.Histogram("inca_depot_archive_lag_seconds", "Async archive lag from enqueue to consolidation.", nil)
+	d.archiveH = reg.Histogram("inca_depot_archive_seconds", "Archive phase latency on the store path.", nil)
 	reg.GaugeFunc("inca_depot_cache_bytes", "Bytes held in the report cache.", func() float64 {
 		return float64(d.cache.Size())
 	})
@@ -204,13 +167,6 @@ func newDepot(cache Cache, opts Options, store archiveStore) *Depot {
 		return float64(d.archives.count())
 	})
 	d.policies.Store(compilePolicySet(nil))
-	if opts.AsyncArchive {
-		d.pipeline = newArchivePipeline(opts.ArchiveWorkers, opts.ArchiveQueue, opts.DropOnFull)
-		reg.GaugeFunc("inca_depot_archive_pending", "Archive jobs enqueued but not yet consolidated.", func() float64 {
-			return float64(d.pipeline.pendingCount())
-		})
-		d.pipeline.start(d)
-	}
 	return d
 }
 
@@ -342,9 +298,7 @@ func (d *Depot) storeApply(id branch.ID, reportXML []byte) (Receipt, error) {
 		return Receipt{}, err
 	}
 	t2 := time.Now()
-	if err := d.archive(id, reportXML); err != nil {
-		return Receipt{}, err
-	}
+	d.archive(id, reportXML)
 	t3 := time.Now()
 	d.received.Inc()
 	d.bytes.Add(uint64(len(reportXML)))
@@ -361,44 +315,27 @@ func (d *Depot) storeApply(id branch.ID, reportXML []byte) (Receipt, error) {
 	}, nil
 }
 
-// archive routes the stored report through the matching policies: inline in
-// sync mode, via the worker pool in async mode.
-func (d *Depot) archive(id branch.ID, reportXML []byte) error {
+// archive consolidates the stored report into the archive of every
+// matching policy before store returns: a sample is readable as soon as its
+// store is acknowledged.
+func (d *Depot) archive(id branch.ID, reportXML []byte) {
 	matching := d.policies.Load().match(id)
 	if len(matching) == 0 {
-		return nil
+		return
 	}
 	d.matched.Inc()
-	job := archiveJob{id: id, key: id.String(), policies: matching, report: reportXML}
-	if d.pipeline != nil {
-		// The wire layer reuses envelope buffers after StoreEnvelope
-		// returns, so an async job owns a copy of the report bytes.
-		async := job
-		async.report = append([]byte(nil), reportXML...)
-		async.enqueuedAt = time.Now()
-		if d.pipeline.enqueue(d, async) {
-			return nil
-		}
-		// The pipeline refused the job: Close is tearing it down, and the
-		// depot has promised stores keep archiving — synchronously now.
-	}
-	d.applyJobSync(job)
-	return nil
-}
-
-// applyJobSync consolidates one report inline (sync mode).
-func (d *Depot) applyJobSync(job archiveJob) {
-	values, gmt, ok := d.extract(job.policies, job.report)
+	values, gmt, ok := d.extract(matching, reportXML)
 	if !ok {
 		// Non-report XML can be cached (unknown schemas are welcome) but
 		// cannot be archived; skip silently.
 		return
 	}
-	for i, cp := range job.policies {
+	key := id.String()
+	for i, cp := range matching {
 		if !values[i].ok {
 			continue
 		}
-		db, release, err := d.ensureDB(job.key+"|"+cp.Name, cp, gmt)
+		db, release, err := d.archives.ensure(key+"|"+cp.Name, cp, gmt)
 		if err != nil {
 			continue
 		}
@@ -412,24 +349,10 @@ func (d *Depot) applyJobSync(job archiveJob) {
 	}
 }
 
-// Drain blocks until every enqueued archive job has been consolidated.
-// Snapshots and read-your-writes tests call it; in sync mode it is a no-op.
-func (d *Depot) Drain() {
-	if d.pipeline != nil {
-		d.pipeline.drain()
-	}
-}
-
-// Close drains the async pipeline and stops its workers; a disk-backed
-// depot also closes its archive handles (flushing them to stable storage)
-// and the write-ahead log. The memory depot remains usable after Close:
-// concurrent and later stores archive synchronously (the closed pipeline
-// refuses their enqueues), so no store can race the teardown onto a
-// closed queue.
+// Close releases a disk-backed depot's archive handles (flushing them to
+// stable storage) and its write-ahead log. On a memory depot it does
+// nothing.
 func (d *Depot) Close() {
-	if d.pipeline != nil {
-		d.pipeline.close()
-	}
 	if d.wal != nil {
 		d.archives.close()
 		d.wal.close()
@@ -457,7 +380,7 @@ func (d *Depot) archiveUpdateApply(id branch.ID, policyName string, at time.Time
 	if !ok {
 		return fmt.Errorf("depot: no policy %s", policyName)
 	}
-	db, release, err := d.ensureDB(id.String()+"|"+policyName, cp, at)
+	db, release, err := d.archives.ensure(id.String()+"|"+policyName, cp, at)
 	if err != nil {
 		return err
 	}
@@ -473,7 +396,7 @@ func (d *Depot) archiveUpdateApply(id branch.ID, policyName string, at time.Time
 // FetchArchive retrieves an archived series for the exact branch identifier
 // and policy.
 func (d *Depot) FetchArchive(id branch.ID, policyName string, cf rrd.CF, start, end time.Time) (*rrd.Series, error) {
-	db, release, ok := d.lookupDB(id.String() + "|" + policyName)
+	db, release, ok := d.archives.lookup(id.String() + "|" + policyName)
 	if !ok {
 		return nil, fmt.Errorf("depot: no archive for %s under policy %s", id, policyName)
 	}
@@ -502,7 +425,7 @@ func (d *Depot) ArchiveGeneration() uint64 { return d.archiveGen.Load() }
 // exists. Unlike ArchiveGeneration it is scoped to the (branch, policy)
 // pair, so a /archive client's ETag stays valid while other series ingest.
 func (d *Depot) ArchiveSeriesGeneration(id branch.ID, policyName string) (uint64, bool) {
-	db, release, ok := d.lookupDB(id.String() + "|" + policyName)
+	db, release, ok := d.archives.lookup(id.String() + "|" + policyName)
 	if !ok {
 		return 0, false
 	}
@@ -530,11 +453,8 @@ func (d *Depot) Stats() Stats {
 		CacheCount: d.cache.Count(),
 		Archives:   archives,
 		Archive: ArchiveStats{
-			Enqueued: d.enqueued.Value(),
-			Dropped:  d.dropped.Value(),
-			Blocked:  d.blocked.Value(),
-			Applied:  d.applied.Value(),
-			Matched:  d.matched.Value(),
+			Applied: d.applied.Value(),
+			Matched: d.matched.Value(),
 		},
 	}
 }
@@ -546,7 +466,7 @@ func (d *Depot) Stats() Stats {
 // 24 hours before the archive's last update is treated as unknown: a
 // resource that stopped reporting values has no current one.
 func (d *Depot) LatestValue(id branch.ID, policyName string, cf rrd.CF) float64 {
-	db, release, ok := d.lookupDB(id.String() + "|" + policyName)
+	db, release, ok := d.archives.lookup(id.String() + "|" + policyName)
 	if !ok {
 		return math.NaN()
 	}

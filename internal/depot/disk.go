@@ -25,11 +25,10 @@ import (
 // Checkpoint protocol (Checkpoint):
 //  1. rotate the WAL under the store barrier — every record appended so
 //     far now lives in a segment below the new sequence N
-//  2. drain the async archive pipeline
-//  3. sync the archive files (open handles fsync; evicted ones already did)
-//  4. write the checkpoint — cache dump, policies, and N — to a temp file,
+//  2. sync the archive files (open handles fsync; evicted ones already did)
+//  3. write the checkpoint — cache dump, policies, and N — to a temp file,
 //     fsync, rename over the old checkpoint
-//  5. delete WAL segments below N
+//  4. delete WAL segments below N
 //
 // Recovery (OpenDisk) inverts it: load the checkpoint, finish any
 // interrupted truncation (delete segments below N), replay the surviving
@@ -40,7 +39,7 @@ import (
 
 // DiskOptions configure OpenDisk.
 type DiskOptions struct {
-	// Options are the regular depot options (pipeline, shards, metrics).
+	// Options are the regular depot options (metrics).
 	Options
 	// Dir is the storage directory, created if absent.
 	Dir string
@@ -100,7 +99,6 @@ func OpenDisk(do DiskOptions) (*Depot, error) {
 	if err := d.replayWAL(); err != nil {
 		return nil, err
 	}
-	d.Drain()
 	w, err := openWAL(d.walDir, do.WALSegmentBytes)
 	if err != nil {
 		return nil, err
@@ -180,10 +178,10 @@ func (d *Depot) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	// Everything below newSeq is now applied (drain) and durable (sync +
-	// checkpoint) before any segment is deleted — the order that makes a
-	// crash at any point recoverable.
-	d.Drain()
+	// Everything below newSeq is already applied (every store consolidates
+	// before it returns) and is made durable (sync + checkpoint) before any
+	// segment is deleted — the order that makes a crash at any point
+	// recoverable.
 	if err := d.archives.sync(); err != nil {
 		return fmt.Errorf("depot: checkpoint archive sync: %w", err)
 	}

@@ -33,80 +33,74 @@ func diskDepot(t *testing.T, dir string, opts DiskOptions) *Depot {
 // disk engine must produce the same archived series point for point, and
 // the two depots' snapshot images must be byte-identical.
 func TestDiskMatchesMemorySeries(t *testing.T) {
-	for _, opts := range []Options{
-		{},
-		{AsyncArchive: true, ArchiveWorkers: 3, ArchiveQueue: 4},
-	} {
-		mem := NewWithOptions(NewStreamCache(), opts)
-		disk := diskDepot(t, t.TempDir(), DiskOptions{Options: opts})
-		for _, d := range []*Depot{mem, disk} {
-			addPolicies(t, d, bandwidthPolicies("site=sdsc"))
-			var wg sync.WaitGroup
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					id := branch.MustParse(fmt.Sprintf("tool=probe%d,site=sdsc", g))
-					for i := 0; i < 50; i++ {
-						at := dt0.Add(time.Duration(i+1) * 10 * time.Minute)
-						if _, err := d.Store(id, twoStatReport(t, at, float64(900+i), i%7 != 0)); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			d.Drain()
-		}
-
-		mk, dk := mem.ArchivedSeries(), disk.ArchivedSeries()
-		if len(mk) != len(dk) || len(mk) != 4*5 {
-			t.Fatalf("series: memory %d, disk %d", len(mk), len(dk))
-		}
-		start, end := dt0, dt0.Add(10*time.Hour)
-		for i, key := range mk {
-			if dk[i] != key {
-				t.Fatalf("series %d: memory %q, disk %q", i, key, dk[i])
-			}
-			n := strings.LastIndexByte(key, '|')
-			id, pol := branch.MustParse(key[:n]), key[n+1:]
-			for _, cf := range []rrd.CF{rrd.Average, rrd.Min, rrd.Max} {
-				ms, merr := mem.FetchArchive(id, pol, cf, start, end)
-				ds, derr := disk.FetchArchive(id, pol, cf, start, end)
-				if (merr == nil) != (derr == nil) {
-					t.Fatalf("%s/%v: fetch errors differ: %v vs %v", key, cf, merr, derr)
-				}
-				if merr != nil {
-					continue
-				}
-				if len(ms.Points) != len(ds.Points) {
-					t.Fatalf("%s/%v: %d vs %d points", key, cf, len(ms.Points), len(ds.Points))
-				}
-				for j := range ms.Points {
-					mv, dv := ms.Points[j].Values[0], ds.Points[j].Values[0]
-					if !ms.Points[j].Time.Equal(ds.Points[j].Time) ||
-						(mv != dv && !(math.IsNaN(mv) && math.IsNaN(dv))) {
-						t.Fatalf("%s/%v point %d: memory (%v,%g) disk (%v,%g)",
-							key, cf, j, ms.Points[j].Time, mv, ds.Points[j].Time, dv)
+	mem := New(NewStreamCache())
+	disk := diskDepot(t, t.TempDir(), DiskOptions{})
+	for _, d := range []*Depot{mem, disk} {
+		addPolicies(t, d, bandwidthPolicies("site=sdsc"))
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				id := branch.MustParse(fmt.Sprintf("tool=probe%d,site=sdsc", g))
+				for i := 0; i < 50; i++ {
+					at := dt0.Add(time.Duration(i+1) * 10 * time.Minute)
+					if _, err := d.Store(id, twoStatReport(t, at, float64(900+i), i%7 != 0)); err != nil {
+						t.Error(err)
+						return
 					}
 				}
-			}
+			}(g)
 		}
-
-		var mi, di bytes.Buffer
-		if err := mem.WriteSnapshot(&mi); err != nil {
-			t.Fatal(err)
-		}
-		if err := disk.WriteSnapshot(&di); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(mi.Bytes(), di.Bytes()) {
-			t.Fatalf("snapshot images differ across backends (%d vs %d bytes)", mi.Len(), di.Len())
-		}
-		mem.Close()
-		disk.Close()
+		wg.Wait()
 	}
+
+	mk, dk := mem.ArchivedSeries(), disk.ArchivedSeries()
+	if len(mk) != len(dk) || len(mk) != 4*5 {
+		t.Fatalf("series: memory %d, disk %d", len(mk), len(dk))
+	}
+	start, end := dt0, dt0.Add(10*time.Hour)
+	for i, key := range mk {
+		if dk[i] != key {
+			t.Fatalf("series %d: memory %q, disk %q", i, key, dk[i])
+		}
+		n := strings.LastIndexByte(key, '|')
+		id, pol := branch.MustParse(key[:n]), key[n+1:]
+		for _, cf := range []rrd.CF{rrd.Average, rrd.Min, rrd.Max} {
+			ms, merr := mem.FetchArchive(id, pol, cf, start, end)
+			ds, derr := disk.FetchArchive(id, pol, cf, start, end)
+			if (merr == nil) != (derr == nil) {
+				t.Fatalf("%s/%v: fetch errors differ: %v vs %v", key, cf, merr, derr)
+			}
+			if merr != nil {
+				continue
+			}
+			if len(ms.Points) != len(ds.Points) {
+				t.Fatalf("%s/%v: %d vs %d points", key, cf, len(ms.Points), len(ds.Points))
+			}
+			for j := range ms.Points {
+				mv, dv := ms.Points[j].Values[0], ds.Points[j].Values[0]
+				if !ms.Points[j].Time.Equal(ds.Points[j].Time) ||
+					(mv != dv && !(math.IsNaN(mv) && math.IsNaN(dv))) {
+					t.Fatalf("%s/%v point %d: memory (%v,%g) disk (%v,%g)",
+						key, cf, j, ms.Points[j].Time, mv, ds.Points[j].Time, dv)
+				}
+			}
+		}
+	}
+
+	var mi, di bytes.Buffer
+	if err := mem.WriteSnapshot(&mi); err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.WriteSnapshot(&di); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mi.Bytes(), di.Bytes()) {
+		t.Fatalf("snapshot images differ across backends (%d vs %d bytes)", mi.Len(), di.Len())
+	}
+	mem.Close()
+	disk.Close()
 }
 
 // TestDiskRestartWALReplay closes a disk depot without a checkpoint and

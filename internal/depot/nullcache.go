@@ -6,7 +6,7 @@ import "inca/internal/branch"
 // storing anything and queries answer "not found". It backs archive-only
 // depots — configurations where only the consolidated series matter (the
 // latest-instance cache lives elsewhere or is not wanted), and the
-// archive-pipeline benchmarks, which use it to measure the archival phase
+// archive benchmarks, which use it to measure the archival phase
 // of Store in isolation from cache splicing (BenchmarkIngestParallel*
 // covers the cache phase).
 type NullCache struct{}

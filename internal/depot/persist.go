@@ -97,11 +97,9 @@ func min64(a, b uint64) uint64 {
 	return b
 }
 
-// WriteSnapshot serializes the depot state. In async mode the archive
-// queue is drained first, so the image reflects every store acknowledged
-// before the call.
+// WriteSnapshot serializes the depot state. The image reflects every store
+// acknowledged before the call.
 func (d *Depot) WriteSnapshot(w io.Writer) error {
-	d.Drain()
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return err
@@ -149,7 +147,7 @@ func ReadSnapshot(r io.Reader) (*Depot, error) {
 
 // ReadSnapshotOptions is ReadSnapshot into the given cache (nil for the
 // default, as in New), which receives one Update per stored report, and
-// with explicit archive-pipeline options for the reconstructed depot.
+// with explicit options for the reconstructed depot.
 func ReadSnapshotOptions(r io.Reader, cache Cache, opts Options) (*Depot, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))

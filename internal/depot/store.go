@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"io/fs"
 	"net/url"
@@ -19,7 +20,7 @@ import (
 )
 
 // The archive storage backends. A depot holds its round-robin archives
-// behind archiveStore so the same pipeline serves two engines:
+// behind archiveStore so the same archive path serves two engines:
 //
 //   - memoryStore: every archive resident, striped shards — the classic
 //     configuration, fastest, RSS grows with series count.
@@ -34,7 +35,6 @@ import (
 // archiveDB is one round-robin archive as the depot sees it.
 type archiveDB interface {
 	Update(t time.Time, values ...float64) error
-	UpdateBatch(samples []rrd.Sample) (int, error)
 	Fetch(cf rrd.CF, start, end time.Time) (*rrd.Series, error)
 	LastKnown(cf rrd.CF) (float64, time.Time)
 	Last() time.Time
@@ -84,7 +84,9 @@ func newMemoryStore() *memoryStore {
 }
 
 func (s *memoryStore) shardFor(key string) *memoryShard {
-	return &s.shards[shardIndex(key, len(s.shards))]
+	h := fnv.New32a()
+	h.Write([]byte(key))
+	return &s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
 func (s *memoryStore) lookup(key string) (archiveDB, func(), bool) {

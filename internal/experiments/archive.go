@@ -12,22 +12,12 @@ import (
 	"inca/internal/rrd"
 )
 
-// The archive-pipeline ablation (ISSUE 3): how much of the ingest hot path
-// does archival cost, and what does moving consolidation off it onto async
-// workers buy.
-
-// ArchiveOptions configures the archive ablation.
-type ArchiveOptions struct {
-	// Updates is how many stores each configuration measures (default 4000).
-	Updates int
-	// Workers is the concurrent submitter count for the parallel rows
-	// (default 8; serial rows always use 1).
-	Workers int
-}
+// The archive workload the storage experiment and the archive benchmarks
+// share: policies, report, branch population and the timed cell.
 
 var archiveBenchStart = time.Date(2004, 6, 29, 0, 0, 0, 0, time.UTC)
 
-// ArchiveBenchPolicies returns the ablation's policy mix: two value paths
+// ArchiveBenchPolicies returns the workload's policy mix: two value paths
 // at two granularities each plus an availability policy — five archives
 // per branch, the "several pieces of data ... the same policy" shape the
 // paper describes for Section 3.2.2.
@@ -53,7 +43,7 @@ func ArchiveBenchPolicies() []depot.Policy {
 	}
 }
 
-// ArchiveBenchReport builds the ablation's report: a bandwidth body whose
+// ArchiveBenchReport builds the workload's report: a bandwidth body whose
 // two statistics are the archived leaves, padded to roughly the paper's
 // 9257-byte Fig 9 size with measurement detail no policy references. The
 // returned offset locates the header timestamp (RFC3339, fixed width) for
@@ -100,12 +90,11 @@ func ArchiveBenchStamp(template []byte, gmtOff int, at time.Time) []byte {
 	return buf
 }
 
-// archiveCell uploads the ablation's policies to d and measures updates
-// stores of the ablation's report over its 64 branches, each op stamping
-// its own copy of the template; the depot is drained before the clock
-// stops. Callers build d on NullCache so the cell measures the archival
-// phase of Store alone: the cache insert is the same whatever the archive
-// design and has its own tier (the fig9 and query experiments).
+// archiveCell uploads the workload's policies to d and measures updates
+// stores of its report over its 64 branches, each op stamping its own copy
+// of the template. Callers build d on NullCache so the cell measures the
+// archival phase of Store alone: the cache insert is the same whatever the
+// archive design and has its own tier (the fig9 and query experiments).
 func archiveCell(d *depot.Depot, workers, updates int) (cellStats, error) {
 	for _, p := range ArchiveBenchPolicies() {
 		if err := d.AddPolicy(p); err != nil {
@@ -118,58 +107,5 @@ func archiveCell(d *depot.Depot, workers, updates int) (cellStats, error) {
 		at := archiveBenchStart.Add(time.Duration(i/len(ids)+1) * time.Minute)
 		_, err := d.Store(ids[i%len(ids)], ArchiveBenchStamp(template, gmtOff, at))
 		return err
-	}, func() error { d.Drain(); return nil })
-}
-
-// Archive runs the archive-pipeline ablation: sharded streaming
-// extraction inline, and the same behind the async worker pool, serially
-// and under concurrent submitters.
-func Archive(opt ArchiveOptions) Result {
-	if opt.Updates <= 0 {
-		opt.Updates = 4000
-	}
-	if opt.Workers <= 0 {
-		opt.Workers = 8
-	}
-	configs := []struct {
-		name string
-		opts depot.Options
-	}{
-		{"sharded-sync", depot.Options{}},
-		{"sharded-async", depot.Options{AsyncArchive: true}},
-	}
-	return timed("archive", "Archive pipeline ablation: store throughput vs archival design", func(r *Result) {
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "%-18s %-9s %14s %10s\n", "pipeline", "workers", "reports/sec", "speedup")
-		var baseline float64
-		for _, cfg := range configs {
-			for _, workers := range []int{1, opt.Workers} {
-				d := depot.NewWithOptions(depot.NullCache{}, cfg.opts)
-				cell, err := archiveCell(d, workers, opt.Updates)
-				d.Close()
-				if err != nil {
-					r.Text = "error: " + err.Error()
-					return
-				}
-				if baseline == 0 {
-					baseline = cell.OpsPerSec
-				}
-				fmt.Fprintf(&sb, "%-18s %-9d %14.0f %9.2fx\n", cfg.name, workers, cell.OpsPerSec, cell.OpsPerSec/baseline)
-				m := cell.metric("store", map[string]string{
-					"pipeline": cfg.name, "workers": fmt.Sprint(workers),
-				})
-				m.Value, m.ValueUnit = cell.OpsPerSec/baseline, "x-vs-sync"
-				r.Metrics = append(r.Metrics, m)
-			}
-		}
-		r.Text = sb.String()
-		r.Notes = append(r.Notes,
-			"baseline (1.00x) is sharded-sync with one submitter: extraction and consolidation inline in Store",
-			"five policies match every store (two leaves at two granularities each, plus availability), the Section 3.2.2 \"several pieces of data ... the same policy\" shape",
-			"cells run on a null cache, so the measured work is the archival phase of Store alone; the cache insert is identical across configurations and has its own tier (the fig9 and query experiments)",
-			"sharded-sync pays extraction inline but only O(extracted paths): the value leaves settle at the top of the body, then the scan jumps to the footer by byte search, detail subtree unread",
-			"sharded-async returns after the cache insert and an enqueue; the drain barrier at the end of each cell charges the deferred consolidation to the measurement, so its speedup is real throughput, not deferred work",
-			"timestamps advance per store, so consolidation work (not the RRD duplicate-drop fast path) dominates each cell; each op stamps its own copy of the 9 KB template, and that copy is inside its latency",
-		)
-	})
+	}, nil)
 }

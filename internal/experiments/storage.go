@@ -16,7 +16,7 @@ import (
 // The storage-engine comparison (DESIGN.md §5g): the in-memory depot vs
 // the disk engine (paged archive files behind a bounded handle LRU, plus
 // a write-ahead log) across three phases — report ingest through the
-// archive pipeline, raw archive updates as the series population grows
+// archive path, raw archive updates as the series population grows
 // 10x, and restart recovery (WAL replay vs checkpoint vs snapshot). The
 // question the disk engine answers is the paper's depot-scalability one:
 // memory stays flat no matter how many series accumulate, at a bounded

@@ -19,7 +19,7 @@ func (c CacheStore) Store(id branch.ID, reportXML []byte) error {
 // Size implements Store.
 func (c CacheStore) Size() int { return c.Cache.Size() }
 
-// DepotStore adapts a full depot (cache + archive pipeline) to the
+// DepotStore adapts a full depot (cache + archive path) to the
 // workload Store interface.
 type DepotStore struct {
 	Depot *depot.Depot

@@ -37,7 +37,11 @@ func newFeedShard(t *testing.T) (*httptest.Server, *depot.Depot) {
 	t.Cleanup(func() {
 		// The tier's watcher holds a streaming connection open; a plain
 		// Close would wait on it forever when this shard tears down
-		// before the tier does (a shard joined mid-test).
+		// before the tier does (a shard joined mid-test). The listener
+		// goes first: the watcher redials as soon as its stream drops, and
+		// a connection accepted after CloseClientConnections is one more
+		// stream for Close to wait on.
+		ts.Listener.Close()
 		ts.CloseClientConnections()
 		ts.Close()
 		sf.Close()

@@ -436,9 +436,6 @@ type DebugVars struct {
 	Generation          uint64 `json:"generation"`
 	ArchiveGeneration   uint64 `json:"archive_generation"`
 	ArchiveMatched      uint64 `json:"archive_matched"`
-	ArchiveEnqueued     uint64 `json:"archive_enqueued"`
-	ArchiveDropped      uint64 `json:"archive_dropped"`
-	ArchiveBlocked      uint64 `json:"archive_blocked"`
 	ArchiveApplied      uint64 `json:"archive_applied"`
 	QueryHits           uint64 `json:"query_hits"`
 	QueryMisses         uint64 `json:"query_misses"`
@@ -470,9 +467,6 @@ func (b *local) vars() any {
 		Generation:          b.d.CacheGeneration(),
 		ArchiveGeneration:   b.d.ArchiveGeneration(),
 		ArchiveMatched:      st.Archive.Matched,
-		ArchiveEnqueued:     st.Archive.Enqueued,
-		ArchiveDropped:      st.Archive.Dropped,
-		ArchiveBlocked:      st.Archive.Blocked,
 		ArchiveApplied:      st.Archive.Applied,
 		QueryHits:           b.queryHits.Value(),
 		QueryMisses:         b.queryMisses.Value(),

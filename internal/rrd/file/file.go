@@ -287,20 +287,6 @@ func (d *DB) Update(t time.Time, values ...float64) error {
 	return d.writeStateLocked()
 }
 
-// UpdateBatch applies a run of samples under one state write.
-func (d *DB) UpdateBatch(samples []rrd.Sample) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n, err := d.db.UpdateBatch(samples)
-	if err != nil {
-		return n, err
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	return n, d.writeStateLocked()
-}
-
 // WriteTo serializes the archive as the standard in-memory image
 // (rrd.ReadDB reads it back) — byte-identical to what the same update
 // sequence against an in-memory DB would produce, which is what keeps

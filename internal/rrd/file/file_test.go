@@ -173,39 +173,6 @@ func TestReopenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUpdateBatch checks the batched path (one state write per run) matches
-// per-sample updates.
-func TestUpdateBatch(t *testing.T) {
-	dir := t.TempDir()
-	one, err := CreateFromPolicy(filepath.Join(dir, "one.rrd"), testStart, "bw", testPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := CreateFromPolicy(filepath.Join(dir, "batch.rrd"), testStart, "bw", testPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var samples []rrd.Sample
-	at := testStart
-	for i := 0; i < 100; i++ {
-		at = at.Add(testPolicy.Step)
-		samples = append(samples, rrd.Sample{Time: at, Value: float64(i * 3)})
-		if err := one.Update(at, float64(i*3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, err := batch.UpdateBatch(samples)
-	if err != nil || n != len(samples) {
-		t.Fatalf("UpdateBatch applied %d err %v", n, err)
-	}
-	oi, bi := image(t, one), image(t, batch)
-	if !bytes.Equal(oi, bi) {
-		t.Fatalf("batch image differs from per-sample image")
-	}
-	one.Close()
-	batch.Close()
-}
-
 // TestTornStateFallsBack corrupts the most recent state slot, as a crash
 // mid-pwrite would, and expects Open to recover from the older slot.
 func TestTornStateFallsBack(t *testing.T) {

@@ -278,40 +278,6 @@ func (db *DB) DSNames() []string {
 func (db *DB) Update(t time.Time, values ...float64) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.updateLocked(t, values)
-}
-
-// Sample is one timestamped update for a single-source database, the unit
-// UpdateBatch consumes.
-type Sample struct {
-	Time  time.Time
-	Value float64
-}
-
-// UpdateBatch applies a run of samples to a single-source database under
-// one lock acquisition, amortizing locking and consolidation across the
-// batch — the depot's asynchronous archive workers drain their queues
-// through it. Samples that are not strictly newer than the previous
-// update are dropped (as RRDTool drops them) without failing the batch;
-// the applied count is returned.
-func (db *DB) UpdateBatch(samples []Sample) (int, error) {
-	if len(db.ds) != 1 {
-		return 0, fmt.Errorf("rrd: UpdateBatch needs a single-source database, have %d sources", len(db.ds))
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	applied := 0
-	var vals [1]float64
-	for _, s := range samples {
-		vals[0] = s.Value
-		if db.updateLocked(s.Time, vals[:]) == nil {
-			applied++
-		}
-	}
-	return applied, nil
-}
-
-func (db *DB) updateLocked(t time.Time, values []float64) error {
 	if len(values) != len(db.ds) {
 		return fmt.Errorf("rrd: update has %d values, want %d", len(values), len(db.ds))
 	}

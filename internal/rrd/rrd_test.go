@@ -540,69 +540,6 @@ func TestMultiDSIndependentUnknowns(t *testing.T) {
 	}
 }
 
-func TestUpdateBatchMatchesSerialUpdates(t *testing.T) {
-	pol := ArchivalPolicy{Step: 10 * time.Minute, Granularity: 3, History: 24 * time.Hour}
-	serial, err := NewFromPolicy(t0, "v", pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := NewFromPolicy(t0, "v", pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var samples []Sample
-	for i := 1; i <= 60; i++ {
-		at := t0.Add(time.Duration(i) * 10 * time.Minute)
-		v := float64(i % 17)
-		samples = append(samples, Sample{Time: at, Value: v})
-		if err := serial.Update(at, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Interleave an out-of-order duplicate: dropped, not fatal.
-	samples = append(samples, Sample{Time: t0, Value: 99})
-	applied, err := batched.UpdateBatch(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 60 {
-		t.Fatalf("applied = %d, want 60", applied)
-	}
-	ss, err := serial.Fetch(Average, t0, t0.Add(11*time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := batched.Fetch(Average, t0, t0.Add(11*time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ss.Points) == 0 || len(ss.Points) != len(bs.Points) {
-		t.Fatalf("points: serial %d, batched %d", len(ss.Points), len(bs.Points))
-	}
-	for i := range ss.Points {
-		sv, bv := ss.Points[i].Values[0], bs.Points[i].Values[0]
-		if !ss.Points[i].Time.Equal(bs.Points[i].Time) {
-			t.Fatalf("point %d time: %v vs %v", i, ss.Points[i].Time, bs.Points[i].Time)
-		}
-		if sv != bv && !(math.IsNaN(sv) && math.IsNaN(bv)) {
-			t.Fatalf("point %d: serial %g, batched %g", i, sv, bv)
-		}
-	}
-}
-
-func TestUpdateBatchRejectsMultiSource(t *testing.T) {
-	db, err := New(t0, time.Minute, []DS{
-		{Name: "a", Type: Gauge, Heartbeat: 2 * time.Minute, Min: math.NaN(), Max: math.NaN()},
-		{Name: "b", Type: Gauge, Heartbeat: 2 * time.Minute, Min: math.NaN(), Max: math.NaN()},
-	}, []RRA{{CF: Average, XFF: 0.5, Steps: 1, Rows: 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.UpdateBatch([]Sample{{Time: t0.Add(time.Minute), Value: 1}}); err == nil {
-		t.Fatal("multi-source batch accepted")
-	}
-}
-
 func TestLastValueTracksNewestKnown(t *testing.T) {
 	db, err := NewFromPolicy(t0, "v", ArchivalPolicy{Step: time.Hour, History: 48 * time.Hour})
 	if err != nil {

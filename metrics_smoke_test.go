@@ -23,7 +23,7 @@ import (
 )
 
 // TestMetricsSmoke drives the full pipeline — agent over a real TCP wire
-// into the controller, depot with the async archive pipeline, query
+// into the controller, depot, query
 // interface on HTTP — with one shared registry, then scrapes /metrics and
 // checks the exposition is valid Prometheus text covering every stage.
 // This is the `make metrics-smoke` gate.
@@ -34,7 +34,7 @@ func TestMetricsSmoke(t *testing.T) {
 	host := "login.sitea.example.org"
 
 	reg := metrics.NewRegistry()
-	d := depot.NewWithOptions(depot.NewStreamCache(), depot.Options{AsyncArchive: true, Metrics: reg})
+	d := depot.NewWithOptions(depot.NewStreamCache(), depot.Options{Metrics: reg})
 	defer d.Close()
 	if err := d.AddPolicy(consumer.AvailabilityPolicy()); err != nil {
 		t.Fatal(err)
@@ -58,7 +58,6 @@ func TestMetricsSmoke(t *testing.T) {
 	}
 
 	core.DriveAgents(clock, []*agent.Agent{a}, start.Add(3*time.Minute))
-	d.Drain()
 
 	qsrv := query.NewServerMetrics(d, reg)
 	hs := httptest.NewServer(qsrv.Handler())
@@ -108,12 +107,11 @@ func TestMetricsSmoke(t *testing.T) {
 		// controller
 		"inca_controller_accepted_total",
 		"inca_controller_handle_seconds",
-		// depot, including the async archive pipeline
+		// depot, including the archive path
 		"inca_depot_received_total",
 		"inca_depot_insert_seconds",
 		"inca_depot_insert_fallback_total",
 		"inca_depot_archive_seconds",
-		"inca_depot_archive_lag_seconds",
 		"inca_depot_archive_applied_total",
 		// query read side
 		"inca_query_request_seconds",
