@@ -130,9 +130,11 @@ bench-ingest:
 # Ten seconds of coverage-guided fuzzing per target: the canonical scanner
 # against encoding/xml, the merge and the reports parser against the
 # tokenising oracle, the insert's admission against the tokenising insert,
-# the extractor against Parse + Find, and the envelope escaper against
-# xml.EscapeText. The seed corpora (f.Add plus testdata/fuzz) run under
-# plain `go test`; `go test -fuzz` takes one target per invocation.
+# the extractor against Parse + Find, the envelope escaper against
+# xml.EscapeText, and the archive image reader against its own writer (an
+# accepted image re-serializes to the bytes it was read from). The seed
+# corpora (f.Add plus testdata/fuzz) run under plain `go test`; `go test
+# -fuzz` takes one target per invocation.
 fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzScan$$' -fuzztime=10s ./internal/xmlscan/
 	$(GO) test -run=NONE -fuzz='^FuzzMergeCache$$' -fuzztime=10s ./internal/federation/
@@ -140,6 +142,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzCanonical$$' -fuzztime=10s ./internal/depot/
 	$(GO) test -run=NONE -fuzz='^FuzzExtractValues$$' -fuzztime=10s ./internal/report/
 	$(GO) test -run=NONE -fuzz='^FuzzEncode$$' -fuzztime=10s ./internal/envelope/
+	$(GO) test -run=NONE -fuzz='^FuzzReadDB$$' -fuzztime=10s ./internal/rrd/
 
 # Storage tier (DESIGN.md §5g): memory vs disk engine across report
 # ingest, archive updates at 10k/100k series (with the heap staying flat

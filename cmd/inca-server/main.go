@@ -66,7 +66,7 @@ func main() {
 	reg := metrics.NewRegistry()
 
 	if *federate != "" {
-		runFederated(*federate, *replicate, *tcpAddr, *httpAddr, *federateReplicas, *federateDepth, *idleTimeout, *replicateReads, reg)
+		runFederated(*federate, *replicate, *tcpAddr, *httpAddr, *federateReplicas, *federateDepth, *idleTimeout, *replicateReads, *pprofOn, reg)
 		return
 	}
 	if *replicate != "" {
@@ -324,7 +324,7 @@ const responseWindow = 4096
 // to the shard owning its branch (and tees to the shard's follower when
 // one is configured — DESIGN.md §5i), and the HTTP side is the
 // scatter-gather query tier instead of a local depot (DESIGN.md §5f).
-func runFederated(topology, replicate, tcpAddr, httpAddr string, replicas, depth int, idleTimeout time.Duration, preferFollower bool, reg *metrics.Registry) {
+func runFederated(topology, replicate, tcpAddr, httpAddr string, replicas, depth int, idleTimeout time.Duration, preferFollower, pprofOn bool, reg *metrics.Registry) {
 	shards, err := federation.ParseShards(topology)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -362,7 +362,7 @@ func runFederated(topology, replicate, tcpAddr, httpAddr string, replicas, depth
 			followers, len(shards), preferFollower)
 	}
 
-	fed := query.NewFederated(router, query.FederatedOptions{Metrics: reg, PreferFollower: preferFollower})
+	fed := query.NewFederated(router, query.FederatedOptions{Metrics: reg, PreferFollower: preferFollower, Pprof: pprofOn})
 	// The tier subscribes to every shard's /feed and re-serves the merged
 	// stream with composed cursors; shards without /feed turn the tier's
 	// /feed into a 503 until they are upgraded.

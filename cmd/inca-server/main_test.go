@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"os"
 	"os/exec"
 	"strings"
@@ -57,6 +59,59 @@ func TestUnknownFlagValuesExit2(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), tc.want) {
 				t.Fatalf("stderr lacks %q: %s", tc.want, stderr.String())
+			}
+		})
+	}
+}
+
+// TestRouterMountsPprofOnlyWhenAsked: -pprof reaches the federated tier's
+// handler set, so the router — the busiest process of a federation — can be
+// profiled; without the flag the path is not served.
+func TestRouterMountsPprofOnlyWhenAsked(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		extra []string
+		want  int
+	}{
+		{"with -pprof", []string{"-pprof"}, http.StatusOK},
+		{"without", nil, http.StatusNotFound},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			// The shard is never dialled: nothing is routed or queried.
+			args := append([]string{"-federate", "127.0.0.1:1/127.0.0.1:1", "-tcp", "127.0.0.1:0", "-http", "127.0.0.1:0"}, tc.extra...)
+			cmd := exec.CommandContext(ctx, os.Args[0], args...)
+			cmd.Env = append(os.Environ(), "INCA_SERVER_MAIN=1")
+			stdout, err := cmd.StdoutPipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				cancel() // kills the router
+				_ = cmd.Wait()
+			}()
+			const banner = "federated querying interface on http://"
+			var addr string
+			sc := bufio.NewScanner(stdout)
+			for addr == "" && sc.Scan() {
+				if rest, ok := strings.CutPrefix(sc.Text(), banner); ok {
+					addr, _, _ = strings.Cut(rest, " ")
+				}
+			}
+			if addr == "" {
+				t.Fatalf("router never printed %q (scan error: %v)", banner, sc.Err())
+			}
+			resp, err := http.Get("http://" + addr + "/debug/pprof/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("GET /debug/pprof/ = %d, want %d", resp.StatusCode, tc.want)
 			}
 		})
 	}

@@ -11,10 +11,14 @@ import (
 	"inca/internal/envelope"
 	"inca/internal/metrics"
 	"inca/internal/report"
+	"inca/internal/rrd"
 	"inca/internal/wire"
 )
 
 var t0 = time.Date(2004, 7, 7, 0, 0, 0, 0, time.UTC)
+
+// raceDetector is set by race_test.go in a -race build.
+var raceDetector bool
 
 func sampleReportXML(t *testing.T) []byte {
 	t.Helper()
@@ -309,5 +313,57 @@ func TestMaxResponsesResetRestartsWindow(t *testing.T) {
 	got := c.Responses()
 	if len(got) != 1 || got[0].Branch.String() != "probe=b0" {
 		t.Fatalf("responses after reset = %+v", got)
+	}
+}
+
+// TestHandleAllocationBudget is ROADMAP item 1's allocation gate as far as
+// it can go while the controller→depot seam is still an envelope: one wire
+// message through Handle — branch parse, envelope encode and decode, the
+// indexed cache insert, policy match, value extraction and one archive
+// sample. The archive end of the path contributes nothing (a steady-state
+// rrd Update allocates 0); what is counted is the envelope round trip, the
+// cache copy and the per-store bookkeeping the typed seam is meant to shrink.
+func TestHandleAllocationBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	const budget = 35 // measured; 38 before the archive update stopped allocating
+	d := depot.New(depot.NewIndexedCache())
+	if err := d.AddPolicy(depot.Policy{
+		Name:    "ok",
+		Prefix:  branch.MustParse("vo=tg"),
+		Path:    "ok,probe=x",
+		Archive: rrd.ArchivalPolicy{Step: time.Minute, History: 24 * time.Hour},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c := New(d, Options{Mode: envelope.Body, MaxResponses: 16})
+	// One report a minute, marshalled ahead so only Handle is counted:
+	// AllocsPerRun calls its function runs+1 times.
+	const runs = 200
+	reports := make([][]byte, runs+1)
+	for i := range reports {
+		r := report.New("probe.x", "1.0", "login1", t0.Add(time.Duration(i+1)*time.Minute))
+		r.Body = report.Branch("probe", "x", report.Leaf("ok", "1"))
+		data, err := report.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports[i] = data
+	}
+	msg := &wire.Message{Hostname: "login1", Branch: "probe=x,resource=login1,vo=tg"}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		msg.Report = reports[next]
+		next++
+		if ack := c.Handle(msg, "login1"); !ack.OK {
+			t.Fatal(ack.Message)
+		}
+	})
+	if got := d.Stats().Archive.Applied; got != runs+1 {
+		t.Fatalf("%d archive samples from %d handled messages: the path measured is not the whole path", got, runs+1)
+	}
+	if allocs > budget {
+		t.Fatalf("%.0f allocations per handled message, budget %d", allocs, budget)
 	}
 }

@@ -3,6 +3,7 @@ package depot
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -143,33 +144,45 @@ func TestFastSpliceRandomizedEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// TestFastSplicePerformanceScalesRoughlyLinearly: a splice into the stream
+// cache costs time in proportion to the document it rewrites, so a cache
+// four times the size (the larger is the ~1.5 MB TeraGrid operating point)
+// may cost about four times as much per update and not the sixteen a
+// quadratic scan would. It compares the two with each other, not with a wall
+// clock, so the race detector and a slow host move both sides alike.
 func TestFastSplicePerformanceScalesRoughlyLinearly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	// Not a strict benchmark — just a guard that a ~1.5 MB cache (the
-	// TeraGrid operating point) updates in well under 10 ms.
-	c := NewStreamCache()
-	payload := bytes.Repeat([]byte("<d>datadata</d>"), 60) // ~900 B
-	for i := 0; c.Size() < 1500*1024; i++ {
-		id := branch.MustParse(fmt.Sprintf("r=p%04d,s=s%d,vo=tg", i, i%10))
-		if _, err := c.Update(id, append([]byte("<rep>"), append(payload, []byte("</rep>")...)...)); err != nil {
-			t.Fatal(err)
+	perUpdate := func(size int) time.Duration {
+		c := NewStreamCache()
+		payload := bytes.Repeat([]byte("<d>datadata</d>"), 60) // ~900 B
+		for i := 0; c.Size() < size; i++ {
+			id := branch.MustParse(fmt.Sprintf("r=p%04d,s=s%d,vo=tg", i, i%10))
+			if _, err := c.Update(id, append([]byte("<rep>"), append(payload, []byte("</rep>")...)...)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	start := time.Now()
-	const n = 50
-	for i := 0; i < n; i++ {
-		id := branch.MustParse(fmt.Sprintf("r=p%04d,s=s%d,vo=tg", i, i%10))
-		if _, err := c.Update(id, []byte("<rep><v>updated</v></rep>")); err != nil {
-			t.Fatal(err)
+		const n = 50
+		best := time.Duration(math.MaxInt64)
+		for round := 0; round < 3; round++ { // the quietest round: noise only adds
+			start := time.Now()
+			for i := 0; i < n; i++ {
+				id := branch.MustParse(fmt.Sprintf("r=p%04d,s=s%d,vo=tg", i, i%10))
+				if _, err := c.Update(id, []byte("<rep><v>updated</v></rep>")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			best = min(best, time.Since(start)/n)
 		}
+		return best
 	}
-	per := time.Since(start) / n
-	if per > 10*time.Millisecond {
-		t.Fatalf("update on 1.5 MB cache took %v, want < 10ms", per)
+	const large, factor = 1500 * 1024, 4
+	small, big := perUpdate(large/factor), perUpdate(large)
+	t.Logf("update on %d KB cache: %v; on %d KB: %v", large/factor/1024, small, large/1024, big)
+	if big > 3*factor*small {
+		t.Fatalf("update on a %dx larger cache took %v against %v: more than %dx, not linear", factor, big, small, 3*factor)
 	}
-	t.Logf("1.5 MB cache update: %v", per)
 }
 
 func TestFastSpliceQuotesInBranchValues(t *testing.T) {

@@ -65,6 +65,9 @@ type FederatedOptions struct {
 	// Metrics, when set, registers the tier's counters there and mounts
 	// /metrics on the handler.
 	Metrics *metrics.Registry
+	// Pprof mounts the runtime profiling endpoints under /debug/pprof/
+	// (inca-server -federate ... -pprof), as Server.Pprof does on a depot.
+	Pprof bool
 	// PreferFollower sends read requests to a shard's follower when one
 	// is attached, offloading the primary. Staleness is bounded by the
 	// generation gate: a follower answering with a generation behind the
@@ -114,7 +117,7 @@ func NewFederated(router *federation.Router, opt FederatedOptions) *Federated {
 		followerFallbacks:   reg.Counter("inca_federated_follower_fallbacks_total", "Follower reads that fell back to the primary on a transport error."),
 		followerRegressions: reg.Counter("inca_federated_follower_regressions_total", "Follower reads discarded by the generation gate — the follower was behind the client's validator."),
 	}
-	f.srv = &Server{b: f, reg: reg}
+	f.srv = &Server{b: f, reg: reg, Pprof: opt.Pprof}
 	return f
 }
 

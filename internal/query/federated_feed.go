@@ -1,6 +1,7 @@
 package query
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -291,11 +292,17 @@ func (ff *FederatedFeed) relay(i int, gen string, fs *FeedStream, cursor *string
 }
 
 // upstreamEvent rebuilds the hub event from a shard's wire change,
-// preserving the coalescing identity Feed.publish assigned.
+// preserving the coalescing identity Feed.publish assigned. It decodes
+// only the routing fields: the report, most of the body, is forwarded in
+// Data as received and never unquoted here.
 func upstreamEvent(ev FeedEvent) (feed.Event, error) {
-	fc, err := ev.Change()
-	if err != nil {
-		return feed.Event{}, err
+	var fc struct {
+		Branch string `json:"branch"`
+		Kind   string `json:"kind"`
+		Policy string `json:"policy"`
+	}
+	if err := json.Unmarshal(ev.Data, &fc); err != nil {
+		return feed.Event{}, fmt.Errorf("query: bad change event: %w", err)
 	}
 	id, err := branch.Parse(fc.Branch)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"time"
 )
 
@@ -72,12 +73,36 @@ func (b *binReader) str() string {
 		b.err = fmt.Errorf("rrd: implausible string length %d", n)
 		return ""
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(b.r, buf); err != nil {
+	// Copied, not read into make(n): memory grows only as bytes arrive.
+	var sb strings.Builder
+	if _, err := io.CopyN(&sb, b.r, int64(n)); err != nil {
 		b.err = err
 		return ""
 	}
-	return string(buf)
+	return sb.String()
+}
+
+// f64s reads total values into one slice. The slice grows by doubling as
+// the image supplies bytes and ends at exactly total, so a header that
+// claims more rows than the image holds costs what the image holds, not
+// what it claims.
+func (b *binReader) f64s(total int) []float64 {
+	var chunk [4096]byte
+	out := make([]float64, 0, min(total, len(chunk)/8))
+	for len(out) < total && b.err == nil {
+		n := min(total-len(out), len(chunk)/8)
+		if _, err := io.ReadFull(b.r, chunk[:n*8]); err != nil {
+			b.err = err
+			return nil
+		}
+		if len(out)+n > cap(out) {
+			out = append(make([]float64, 0, min(total, 2*cap(out))), out...)
+		}
+		for i := 0; i < n; i++ {
+			out = append(out, math.Float64frombits(binary.BigEndian.Uint64(chunk[i*8:])))
+		}
+	}
+	return out
 }
 
 // WriteTo serializes the database. It implements io.WriterTo.
@@ -121,30 +146,29 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 			b.u64(uint64(a.known))
 			b.u64(uint64(a.unknown))
 		}
+		if db.rings == nil {
+			for _, v := range r.ring {
+				b.f64(v)
+			}
+			continue
+		}
 		for j := 0; j < r.def.Rows; j++ {
-			switch {
-			case db.rings == nil:
-				for _, v := range r.ring[j] {
-					b.f64(v)
-				}
-			case j < r.filled:
+			if j < r.filled {
 				// External rings: rows are written sequentially from index 0,
 				// so exactly the first `filled` indices have ever been stored
 				// (after a wrap filled == Rows and every index is live).
-				if err := db.rings.ReadRow(ri, j, rowBuf); err != nil {
-					if b.err == nil {
-						b.err = err
-					}
+				if err := db.rings.ReadRow(ri, j, rowBuf); err != nil && b.err == nil {
+					b.err = err
 				}
-				for _, v := range rowBuf {
-					b.f64(v)
-				}
-			default:
+			} else {
 				// Never-written rows are unknown, as the in-memory rings
 				// initialize them — the images stay byte-identical.
-				for range db.ds {
-					b.f64(math.NaN())
+				for k := range rowBuf {
+					rowBuf[k] = math.NaN()
 				}
+			}
+			for _, v := range rowBuf {
+				b.f64(v)
 			}
 		}
 	}
@@ -165,7 +189,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadDB deserializes a database written by WriteTo.
+// ReadDB deserializes a database written by WriteTo. The image is
+// untrusted: reading stops at the first error, and nothing is allocated on
+// the strength of a count the image has not yet backed with bytes.
 func ReadDB(r io.Reader) (*DB, error) {
 	b := &binReader{r: bufio.NewReader(r)}
 	if magic := b.str(); magic != persistMagic {
@@ -180,6 +206,9 @@ func ReadDB(r io.Reader) (*DB, error) {
 	db.lastUpdate = b.time()
 	db.updates = b.u64()
 	nds := b.u64()
+	if b.err == nil && db.step <= 0 {
+		return nil, fmt.Errorf("rrd: non-positive step %v", db.step)
+	}
 	if b.err == nil && (nds == 0 || nds > 1<<16) {
 		return nil, fmt.Errorf("rrd: implausible data source count %d", nds)
 	}
@@ -195,6 +224,7 @@ func ReadDB(r io.Reader) (*DB, error) {
 		db.pdpSum = append(db.pdpSum, b.f64())
 		db.pdpKnown = append(db.pdpKnown, b.dur())
 	}
+	n := len(db.ds) // nds, unless the image ended first
 	nrra := b.u64()
 	if b.err == nil && (nrra == 0 || nrra > 1<<16) {
 		return nil, fmt.Errorf("rrd: implausible archive count %d", nrra)
@@ -209,10 +239,16 @@ func ReadDB(r io.Reader) (*DB, error) {
 		st.filled = int(b.i64())
 		st.lastEnd = b.time()
 		st.pdpCount = int(b.u64())
-		if b.err == nil && (st.def.Rows <= 0 || st.def.Rows > 1<<24 || st.def.Steps <= 0) {
+		if b.err != nil {
+			break
+		}
+		if st.def.Rows <= 0 || st.def.Rows > 1<<24 || st.def.Steps <= 0 {
 			return nil, fmt.Errorf("rrd: implausible archive geometry %d×%d", st.def.Steps, st.def.Rows)
 		}
-		st.acc = make([]cdpAcc, nds)
+		if st.newest < -1 || st.newest >= st.def.Rows || st.filled < 0 || st.filled > st.def.Rows {
+			return nil, fmt.Errorf("rrd: archive cursor %d/%d outside its %d rows", st.newest, st.filled, st.def.Rows)
+		}
+		st.acc = make([]cdpAcc, n)
 		for j := range st.acc {
 			st.acc[j].sum = b.f64()
 			st.acc[j].min = b.f64()
@@ -221,29 +257,23 @@ func ReadDB(r io.Reader) (*DB, error) {
 			st.acc[j].known = int(b.u64())
 			st.acc[j].unknown = int(b.u64())
 		}
-		st.ring = make([][]float64, st.def.Rows)
-		for j := range st.ring {
-			row := make([]float64, nds)
-			for k := range row {
-				row[k] = b.f64()
-			}
-			st.ring[j] = row
+		st.ring = b.f64s(st.def.Rows * n)
+		if b.err != nil {
+			break
 		}
 		// The last-known tracking behind LastValue is derived state, not
 		// part of the image: reconstruct it with one newest-first ring
 		// scan so the on-disk format stays at version 1.
-		st.initLastKnown(int(nds))
-		if b.err == nil {
-			res := db.step * time.Duration(st.def.Steps)
-			missing := int(nds)
-			for j := 0; j < st.filled && missing > 0; j++ {
-				idx := ((st.newest-j)%st.def.Rows + st.def.Rows) % st.def.Rows
-				at := st.lastEnd.Add(-time.Duration(j) * res)
-				for k, v := range st.ring[idx] {
-					if math.IsNaN(st.lastKnown[k]) && !math.IsNaN(v) {
-						st.lastKnown[k], st.lastKnownAt[k] = v, at
-						missing--
-					}
+		st.initLastKnown(n)
+		res := db.step * time.Duration(st.def.Steps)
+		missing := n
+		for j := 0; j < st.filled && missing > 0; j++ {
+			idx := ((st.newest-j)%st.def.Rows + st.def.Rows) % st.def.Rows
+			at := st.lastEnd.Add(-time.Duration(j) * res)
+			for k, v := range st.ring[idx*n : (idx+1)*n] {
+				if math.IsNaN(st.lastKnown[k]) && !math.IsNaN(v) {
+					st.lastKnown[k], st.lastKnownAt[k] = v, at
+					missing--
 				}
 			}
 		}

@@ -104,8 +104,12 @@ type RRA struct {
 
 // rraState is an RRA plus its ring buffer and in-progress consolidation.
 type rraState struct {
-	def  RRA
-	ring [][]float64 // [row][ds]
+	def RRA
+	// ring is the whole archive in one pointer-free allocation, row i at
+	// [i*nds:(i+1)*nds], so the collector never scans it and an archive
+	// costs the same handful of heap objects whatever Rows is. nil when an
+	// external RingStore holds the rows.
+	ring []float64
 	// newest is the index of the most recently written row; -1 when empty.
 	newest int
 	filled int
@@ -138,7 +142,8 @@ type cdpAcc struct {
 // (the DB reads only rows inside the filled window). Implementations are
 // called under the DB's lock and need no locking of their own.
 type RingStore interface {
-	// WriteRow stores one consolidated row (len = data source count).
+	// WriteRow stores one consolidated row (len = data source count). The
+	// slice is the DB's scratch: it must not be kept after the call.
 	WriteRow(rra, row int, values []float64) error
 	// ReadRow loads one row into dst (len = data source count).
 	ReadRow(rra, row int, dst []float64) error
@@ -160,6 +165,10 @@ type DB struct {
 	pdpSum   []float64       // per DS: sum of rate*seconds over known subintervals
 	pdpKnown []time.Duration // per DS: known time accumulated in the current window
 	updates  uint64
+	// scratch is Update's working memory (rates, the finalized PDP and the
+	// consolidated row, len(ds) each), so a steady-state update allocates
+	// nothing. Held under mu.
+	scratch []float64
 }
 
 // New creates a database. start becomes the initial "last update" instant;
@@ -225,12 +234,9 @@ func newDB(start time.Time, step time.Duration, ds []DS, rras []RRA, rings RingS
 		}
 		st := &rraState{def: r, newest: -1, lastEnd: base, acc: make([]cdpAcc, len(ds))}
 		if rings == nil {
-			st.ring = make([][]float64, r.Rows)
+			st.ring = make([]float64, r.Rows*len(ds))
 			for i := range st.ring {
-				st.ring[i] = make([]float64, len(ds))
-				for j := range st.ring[i] {
-					st.ring[i][j] = math.NaN()
-				}
+				st.ring[i] = math.NaN()
 			}
 		}
 		st.initLastKnown(len(ds))
@@ -287,8 +293,13 @@ func (db *DB) Update(t time.Time, values ...float64) error {
 	dt := t.Sub(db.lastUpdate)
 	secs := dt.Seconds()
 
+	n := len(db.ds)
+	if db.scratch == nil {
+		db.scratch = make([]float64, 3*n)
+	}
+	rates, pdp := db.scratch[:n], db.scratch[n:2*n]
+
 	// Convert raw inputs to rates/values per DS type.
-	rates := make([]float64, len(db.ds))
 	for i, d := range db.ds {
 		v := values[i]
 		switch d.Type {
@@ -353,7 +364,6 @@ func (db *DB) Update(t time.Time, values ...float64) error {
 		// Finalize the PDP for [windowEnd-step, windowEnd): a data source
 		// must have been known for at least half the window (RRDTool's
 		// rule) or its PDP is unknown.
-		pdp := make([]float64, len(db.ds))
 		for i := range pdp {
 			if db.pdpKnown[i]*2 < db.step {
 				pdp[i] = math.NaN()
@@ -379,9 +389,9 @@ func (db *DB) Update(t time.Time, values ...float64) error {
 
 // pushPDP folds one finalized PDP (for the window ending at end) into the
 // archive's in-progress consolidation. A completed consolidation writes
-// one row — to the in-memory ring, or through the external RingStore,
-// whose write error (disk full, closed file) fails the update before any
-// ring state advances.
+// one row — in place in the in-memory ring, or from scratch through the
+// external RingStore, whose write error (disk full, closed file) fails the
+// update before any ring state advances.
 func (db *DB) pushPDP(ri int, end time.Time, pdp []float64) error {
 	r := db.rras[ri]
 	for i, v := range pdp {
@@ -404,8 +414,13 @@ func (db *DB) pushPDP(ri int, end time.Time, pdp []float64) error {
 	if r.pdpCount < r.def.Steps {
 		return nil
 	}
-	row := make([]float64, len(pdp))
-	for i := range pdp {
+	n := len(pdp)
+	next := (r.newest + 1) % r.def.Rows
+	row := db.scratch[2*n:]
+	if db.rings == nil {
+		row = r.ring[next*n : (next+1)*n]
+	}
+	for i := range row {
 		a := &r.acc[i]
 		if float64(a.unknown)/float64(r.def.Steps) > r.def.XFF || a.known == 0 {
 			row[i] = math.NaN()
@@ -422,13 +437,10 @@ func (db *DB) pushPDP(ri int, end time.Time, pdp []float64) error {
 			row[i] = a.last
 		}
 	}
-	next := (r.newest + 1) % r.def.Rows
 	if db.rings != nil {
 		if err := db.rings.WriteRow(ri, next, row); err != nil {
 			return err
 		}
-	} else {
-		r.ring[next] = row
 	}
 	r.newest = next
 	if r.filled < r.def.Rows {
@@ -570,25 +582,33 @@ func (db *DB) Fetch(cf CF, start, end time.Time) (*Series, error) {
 	chosen := chosenCand.r
 	res := db.step * time.Duration(chosen.def.Steps)
 	s := &Series{CF: cf, Resolution: res, DSNames: db.DSNames()}
-	if chosen.filled == 0 {
+	// Rows are evenly spaced, so the ones inside [start, end] are one run
+	// [first, first+count) of the filled window, oldest first.
+	rowTime := func(i int) time.Time {
+		return chosen.lastEnd.Add(-time.Duration(chosen.filled-1-i) * res)
+	}
+	first := sort.Search(chosen.filled, func(i int) bool { return !rowTime(i).Before(start) })
+	count := sort.Search(chosen.filled-first, func(i int) bool { return rowTime(first + i).After(end) })
+	if count == 0 { // an empty archive included
 		return s, nil
 	}
+	// One backing array holds every point's values; each point's slice is
+	// capped so an append by the caller cannot reach its neighbour.
+	n := len(db.ds)
+	vals := make([]float64, count*n)
+	s.Points = make([]Point, count)
 	oldestIdx := (chosen.newest - chosen.filled + 1 + chosen.def.Rows*2) % chosen.def.Rows
-	for i := 0; i < chosen.filled; i++ {
-		rowTime := chosen.lastEnd.Add(-time.Duration(chosen.filled-1-i) * res)
-		if rowTime.Before(start) || rowTime.After(end) {
-			continue
-		}
-		idx := (oldestIdx + i) % chosen.def.Rows
-		vals := make([]float64, len(db.ds))
+	for k := range s.Points {
+		idx := (oldestIdx + first + k) % chosen.def.Rows
+		row := vals[k*n : (k+1)*n : (k+1)*n]
 		if db.rings != nil {
-			if err := db.rings.ReadRow(chosenCand.idx, idx, vals); err != nil {
+			if err := db.rings.ReadRow(chosenCand.idx, idx, row); err != nil {
 				return nil, err
 			}
 		} else {
-			copy(vals, chosen.ring[idx])
+			copy(row, chosen.ring[idx*n:(idx+1)*n])
 		}
-		s.Points = append(s.Points, Point{Time: rowTime, Values: vals})
+		s.Points[k] = Point{Time: rowTime(first + k), Values: row}
 	}
 	return s, nil
 }
