@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check loc fmt vet build fence flags test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-query bench-archive bench-merge bench-ingest bench-storage bench-feed bench-replication bench-load fuzz
+.PHONY: check loc fmt vet build fence flags test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-archive bench-merge bench-ingest bench-storage bench-feed bench-replication bench-load fuzz
 
 # The full gate: formatting, static checks, build, the import and flag
 # fences, race-enabled tests, the fault-injection suite, the telemetry
@@ -9,7 +9,7 @@ GO ?= go
 check: fmt vet build fence flags test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke
 
 # Non-test Go lines per package and in total, bench/ excluded: the figure
-# ROADMAP item 3 ("One core, fewer forks") tracks.
+# the ROADMAP north star's deletion goal tracks, whichever item a PR serves.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | \
 		awk '$$2 != "total" { sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1; t += $$1 } \
@@ -27,8 +27,9 @@ vet:
 build:
 	$(GO) build ./...
 
-# Import fence: the binaries a deployment runs must not link the ablation
-# caches (internal/experiments/ablation) — only inca-bench, the experiments
+# Import fence: the binaries a deployment runs must not link
+# internal/experiments/ablation, which holds all five of the paper's caches
+# (stream, DOM, split, file, generic SAX) — only inca-bench, the experiments
 # and the tests may.
 fence:
 	@deps="$$($(GO) list -deps ./cmd/inca-server ./cmd/inca-agent ./cmd/inca-consumer ./cmd/inca-reporter)" || exit 1; \
@@ -103,10 +104,6 @@ load-smoke:
 bench-smoke:
 	$(GO) run ./bench -workload ingest_small -seconds 1 -trace 0
 	$(GO) test -run=NONE -bench=BenchmarkArchiveParallel4 -benchtime=1x .
-
-# Read-path tier: parallel Query throughput, stream vs indexed cache.
-bench-query:
-	$(GO) test -run=NONE -bench=BenchmarkQueryParallel -benchtime=1s .
 
 # Archive tier: parallel Store throughput with five matching policies, on
 # the memory engine and on the disk engine.

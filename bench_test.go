@@ -104,7 +104,7 @@ func BenchmarkFig6BandwidthMeasurement(b *testing.B) {
 	src, _ := g.Resource("tg-login1.sdsc.teragrid.org")
 	probe := &catalog.BandwidthReporter{Grid: g, Source: src,
 		DestHost: "tg-login1.caltech.teragrid.org", Tool: catalog.Pathload}
-	d := depot.New(depot.NewStreamCache())
+	d := depot.New(nil)
 	if err := d.AddPolicy(depot.Policy{
 		Name: "bw", Path: "value,statistic=lowerBound,metric=bandwidth",
 		Archive: rrd.ArchivalPolicy{Step: time.Hour, History: 30 * 24 * time.Hour},
@@ -159,7 +159,7 @@ func BenchmarkFig7AgentHour(b *testing.B) {
 // --- Figure 9: steady-state depot updates per cache size × report size ---
 
 func benchmarkFig9Cell(b *testing.B, cacheBytes, reportSize int) {
-	cache := depot.NewStreamCache()
+	cache := ablation.NewStreamCache() // the paper's depot
 	if _, err := loadgen.FillToSize(loadgen.CacheStore{Cache: cache}, cacheBytes, 9257); err != nil {
 		b.Fatal(err)
 	}
@@ -213,10 +213,14 @@ func benchmarkEnvelopeDecode(b *testing.B, mode envelope.Mode) {
 func BenchmarkEnvelopeBodyDecode(b *testing.B)       { benchmarkEnvelopeDecode(b, envelope.Body) }
 func BenchmarkEnvelopeAttachmentDecode(b *testing.B) { benchmarkEnvelopeDecode(b, envelope.Attachment) }
 
-// --- Ablation: cache designs (single stream vs split vs DOM vs generic SAX) ---
+// --- Ablation: the stream cache's splice on a generic SAX stack ---
+//
+// The one cache design `inca-bench -experiment fig9 -ablations` has no cell
+// for: the stream cache with every update tokenised by encoding/xml, at the
+// paper's 1.5 MB operating point.
 
-func benchmarkCacheUpdate(b *testing.B, mk func() depot.Cache) {
-	cache := mk()
+func BenchmarkCacheUpdateStreamGenericSAX(b *testing.B) {
+	cache := ablation.NewStreamCacheGeneric()
 	if _, err := loadgen.FillToSize(loadgen.CacheStore{Cache: cache}, 1500*1024, 9257); err != nil {
 		b.Fatal(err)
 	}
@@ -231,22 +235,6 @@ func benchmarkCacheUpdate(b *testing.B, mk func() depot.Cache) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkCacheUpdateStream(b *testing.B) {
-	benchmarkCacheUpdate(b, func() depot.Cache { return depot.NewStreamCache() })
-}
-
-func BenchmarkCacheUpdateStreamGenericSAX(b *testing.B) {
-	benchmarkCacheUpdate(b, func() depot.Cache { return depot.NewStreamCacheGeneric() })
-}
-
-func BenchmarkCacheUpdateSplit(b *testing.B) {
-	benchmarkCacheUpdate(b, func() depot.Cache { return ablation.NewSplitCacheDepth(2) })
-}
-
-func BenchmarkCacheUpdateDOM(b *testing.B) {
-	benchmarkCacheUpdate(b, func() depot.Cache { return ablation.NewDOMCache() })
 }
 
 // --- Ablation: randomized vs aligned reporter placement (§3.1.3) ---
@@ -385,17 +373,6 @@ func BenchmarkAgreementEvaluate(b *testing.B) {
 	}
 }
 
-func BenchmarkCacheUpdateFileWriteThrough(b *testing.B) {
-	dir := b.TempDir()
-	benchmarkCacheUpdate(b, func() depot.Cache {
-		fc, err := ablation.OpenFileCache(dir + "/cache.xml")
-		if err != nil {
-			b.Fatal(err)
-		}
-		return fc
-	})
-}
-
 func BenchmarkAgreementEvaluateMemoized(b *testing.B) {
 	// The §3.2.3 "optimized for common queries" path: repeated verification
 	// cycles over a mostly-unchanged cache reuse parsed reports.
@@ -420,80 +397,6 @@ func BenchmarkAgreementEvaluateMemoized(b *testing.B) {
 	}
 }
 
-// --- Read-path tier: concurrent consumers against the indexed cache ---
-//
-// The insert benches above measure writers; these measure the read side
-// the IndexedCache exists for. StreamCache answers an exact-branch Query
-// by SAX-scanning the whole document (O(document) per query, readers
-// serialized behind the document lock for the scan's duration);
-// IndexedCache resolves the branch through its index and serializes only
-// the requested subtree (O(report)), so readers scale with cores and
-// stay flat as the cache grows.
-
-func queryBenchIDs() []branch.ID {
-	ids := make([]branch.ID, 0, 40*26)
-	for site := 0; site < 40; site++ {
-		for probe := 0; probe < 26; probe++ {
-			ids = append(ids, branch.MustParse(fmt.Sprintf("probe=p%02d,site=s%02d,vo=tg", probe, site)))
-		}
-	}
-	return ids
-}
-
-func benchmarkQueryParallel(b *testing.B, mk func() depot.Cache, parallelism int) {
-	cache := mk()
-	data := loadgen.MustPremadeReport(9257)
-	ids := queryBenchIDs() // ~1k reports, the paper's deployed-cache scale
-	for _, id := range ids {
-		if _, err := cache.Update(id, data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetParallelism(parallelism)
-	b.ResetTimer()
-	var next atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := int(next.Add(1))
-			sub, ok, err := cache.Query(ids[i%len(ids)])
-			if err != nil || !ok || len(sub) == 0 {
-				b.Errorf("query: ok=%v err=%v", ok, err)
-				return
-			}
-		}
-	})
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(b.N)/sec, "queries/sec")
-	}
-}
-
-func BenchmarkQueryParallel1(b *testing.B) {
-	b.Run("stream", func(b *testing.B) {
-		benchmarkQueryParallel(b, func() depot.Cache { return depot.NewStreamCache() }, 1)
-	})
-	b.Run("indexed", func(b *testing.B) {
-		benchmarkQueryParallel(b, func() depot.Cache { return depot.NewIndexedCache() }, 1)
-	})
-}
-
-func BenchmarkQueryParallel4(b *testing.B) {
-	b.Run("stream", func(b *testing.B) {
-		benchmarkQueryParallel(b, func() depot.Cache { return depot.NewStreamCache() }, 4)
-	})
-	b.Run("indexed", func(b *testing.B) {
-		benchmarkQueryParallel(b, func() depot.Cache { return depot.NewIndexedCache() }, 4)
-	})
-}
-
-func BenchmarkQueryParallel16(b *testing.B) {
-	b.Run("stream", func(b *testing.B) {
-		benchmarkQueryParallel(b, func() depot.Cache { return depot.NewStreamCache() }, 16)
-	})
-	b.Run("indexed", func(b *testing.B) {
-		benchmarkQueryParallel(b, func() depot.Cache { return depot.NewIndexedCache() }, 16)
-	})
-}
-
 // --- Archive tier: concurrent stores against the archive path ---
 //
 // The insert benches above bypass archival (no policies uploaded); these
@@ -501,7 +404,7 @@ func BenchmarkQueryParallel16(b *testing.B) {
 // Section 3.2.2 archive phase: striped archives with streaming extraction
 // inline in Store. The depot runs on NullCache so these benchmarks isolate
 // the archival phase of Store — the cache phase has its own tier
-// (BenchmarkFig9Insert, BenchmarkCacheUpdate*). The disk cells run the same
+// (BenchmarkFig9Insert). The disk cells run the same
 // workload on the disk engine (DESIGN.md §5g): every store also appends a
 // WAL frame and consolidation lands in paged archive files. OpenFiles is
 // sized so the working set (64 branches x 5 policies = 320 archives) stays

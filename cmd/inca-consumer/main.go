@@ -125,7 +125,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		cache, err := depot.LoadDump(dump)
+		cache, err := depot.LoadDump(dump, branch.ID{})
 		if err != nil {
 			fail(err)
 		}
@@ -196,7 +196,11 @@ func jitter(d time.Duration) time.Duration {
 // cursor; when the server has no /feed it falls back to conditional
 // polling.
 func subscribeFeed(c *query.Client, branchID, cursor string, watch, watchMax time.Duration, fail func(error)) {
-	state := depot.NewStreamCache()
+	prefix, err := branch.Parse(branchID)
+	if err != nil {
+		fail(err)
+	}
+	state := depot.NewIndexedCache()
 	stateHash := func() string {
 		h := fnv.New64a()
 		h.Write(state.Dump())
@@ -233,9 +237,11 @@ func subscribeFeed(c *query.Client, branchID, cursor string, watch, watchMax tim
 			switch ev.Type {
 			case "snapshot":
 				cursor = ev.Cursor
+				// The snapshot is the subtree at the subscribed prefix (empty
+				// while nothing is stored there), so it restores under it.
 				if len(ev.Data) == 0 {
-					state = depot.NewStreamCache()
-				} else if state, err = depot.LoadDump(ev.Data); err != nil {
+					state = depot.NewIndexedCache()
+				} else if state, err = depot.LoadDump(ev.Data, prefix); err != nil {
 					fail(fmt.Errorf("bad snapshot: %w", err))
 				}
 				fmt.Printf("snapshot cursor=%s entries=%d hash=%s\n", cursor, state.Count(), stateHash())

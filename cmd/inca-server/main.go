@@ -6,9 +6,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -36,7 +38,7 @@ func main() {
 		httpAddr = flag.String("http", "127.0.0.1:8080", "address for the querying interface")
 		allow    = flag.String("allow", "", "comma-separated hostname allowlist (empty = allow all)")
 		mode     = flag.String("mode", "body", "envelope mode: body or attachment")
-		cacheImp = flag.String("cache", "indexed", "cache implementation: indexed, or stream (the paper's single XML document, kept for its figures); a disk depot or snapshot is restored into the same kind")
+		cacheImp = flag.String("cache", "indexed", "cache implementation: indexed is the only one a server runs on (the paper's stream, DOM, split and file caches are inca-bench ablations); the flag stays only until the benchmark harness stops passing it")
 		snapshot = flag.String("snapshot", "", "depot snapshot file (memory storage only): loaded at startup if present, written at shutdown")
 
 		storage    = flag.String("storage", "memory", "depot storage engine: memory (resident archives) or disk (paged archive files + WAL under -data)")
@@ -88,13 +90,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown envelope mode %q\n", *mode)
 		os.Exit(2)
 	}
-	var cache depot.Cache
-	switch *cacheImp {
-	case "indexed":
-		cache = depot.NewIndexedCache()
-	case "stream":
-		cache = depot.NewStreamCache()
-	default:
+	if *cacheImp != "indexed" {
 		fmt.Fprintf(os.Stderr, "unknown cache %q\n", *cacheImp)
 		os.Exit(2)
 	}
@@ -103,7 +99,7 @@ func main() {
 	var d *depot.Depot
 	switch *storage {
 	case "disk":
-		dd, err := depot.OpenDisk(depot.DiskOptions{Options: opts, Cache: cache, Dir: *dataDir, OpenFiles: *openFiles})
+		dd, err := depot.OpenDisk(depot.DiskOptions{Options: opts, Dir: *dataDir, OpenFiles: *openFiles})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "storage %s: %v\n", *dataDir, err)
 			os.Exit(1)
@@ -114,21 +110,25 @@ func main() {
 			*dataDir, st.CacheCount, st.Archives, len(d.Policies()))
 	case "memory":
 		if *snapshot != "" {
-			if f, err := os.Open(*snapshot); err == nil {
-				restored, rerr := depot.ReadSnapshotOptions(f, cache, opts)
+			// Only a missing file means first start: a snapshot that cannot
+			// be opened must not be overwritten at shutdown by an empty depot.
+			f, err := os.Open(*snapshot)
+			if err == nil {
+				d, err = depot.ReadSnapshotOptions(f, opts)
 				f.Close()
-				if rerr != nil {
-					fmt.Fprintf(os.Stderr, "snapshot %s: %v\n", *snapshot, rerr)
-					os.Exit(1)
-				}
-				d = restored
+			}
+			switch {
+			case err == nil:
 				st := d.Stats()
 				fmt.Printf("restored depot snapshot: %d cached entries, %d archives, %d policies\n",
 					st.CacheCount, st.Archives, len(d.Policies()))
+			case !errors.Is(err, fs.ErrNotExist):
+				fmt.Fprintf(os.Stderr, "snapshot %s: %v\n", *snapshot, err)
+				os.Exit(1)
 			}
 		}
 		if d == nil {
-			d = depot.NewWithOptions(cache, opts)
+			d = depot.NewWithOptions(nil, opts)
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown storage %q\n", *storage)

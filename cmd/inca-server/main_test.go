@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -34,6 +35,7 @@ func TestUnknownFlagValuesExit2(t *testing.T) {
 		{[]string{"-cache", "dom"}, `unknown cache "dom"`},
 		{[]string{"-cache", "split"}, `unknown cache "split"`},
 		{[]string{"-cache", "file"}, `unknown cache "file"`},
+		{[]string{"-cache", "stream"}, `unknown cache "stream"`},
 		{[]string{"-storage", "tape"}, `unknown storage "tape"`},
 		{[]string{"-mode", "Attachment"}, `unknown envelope mode "Attachment"`},
 		{[]string{"-mode", ""}, `unknown envelope mode ""`},
@@ -59,6 +61,50 @@ func TestUnknownFlagValuesExit2(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), tc.want) {
 				t.Fatalf("stderr lacks %q: %s", tc.want, stderr.String())
+			}
+		})
+	}
+}
+
+// TestUnopenableSnapshotExits1: only a -snapshot file that does not exist
+// means first start. One that is there and cannot be opened stops the server
+// with status 1 before it listens, and is left as it was: started on an empty
+// depot, the server would overwrite it at shutdown.
+func TestUnopenableSnapshotExits1(t *testing.T) {
+	cases := map[string]func(path string) error{
+		"symlink loop": func(path string) error { return os.Symlink(filepath.Base(path), path) },
+	}
+	if os.Getuid() != 0 { // root opens a file of any mode
+		cases["no permission"] = func(path string) error { return os.WriteFile(path, []byte("INCADEPOT1"), 0) }
+	}
+	for name, mk := range cases {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "depot.snap")
+			if err := mk(path); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.Lstat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A server that got past the snapshot would keep running: bound the wait.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, os.Args[0], "-snapshot", path, "-tcp", "127.0.0.1:0", "-http", "127.0.0.1:0")
+			cmd.Env = append(os.Environ(), "INCA_SERVER_MAIN=1")
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err = cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("exit: %v, want status 1; stderr: %s", err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), "snapshot "+path) {
+				t.Fatalf("stderr does not name the snapshot: %s", stderr.String())
+			}
+			after, err := os.Lstat(path)
+			if err != nil || after.Mode() != before.Mode() || after.Size() != before.Size() || !after.ModTime().Equal(before.ModTime()) {
+				t.Fatalf("snapshot changed: %v, %v, want %v", after, err, before)
 			}
 		})
 	}

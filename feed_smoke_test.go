@@ -28,6 +28,7 @@ import (
 	"testing"
 	"time"
 
+	"inca/internal/branch"
 	"inca/internal/depot"
 	"inca/internal/loadgen"
 	"inca/internal/wire"
@@ -98,7 +99,7 @@ var (
 
 // cacheHash polls the server's /cache and hashes it exactly the way the
 // consumer hashes its materialized state (FNV-64a over a re-serialized
-// StreamCache dump), so push and pull views are comparable by string.
+// IndexedCache dump), so push and pull views are comparable by string.
 func cacheHash(t *testing.T, httpAddr string) (string, int) {
 	t.Helper()
 	resp, err := http.Get("http://" + httpAddr + "/cache?branch=")
@@ -110,7 +111,7 @@ func cacheHash(t *testing.T, httpAddr string) (string, int) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /cache: %d %v", resp.StatusCode, err)
 	}
-	state, err := depot.LoadDump(body)
+	state, err := depot.LoadDump(body, branch.ID{})
 	if err != nil {
 		t.Fatalf("parse /cache: %v", err)
 	}

@@ -157,7 +157,7 @@ func TestFullTopologyOverSockets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := depot.LoadDump(dump)
+	merged, err := depot.LoadDump(dump, branch.ID{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func populateCompliant(t *testing.T, c depot.Cache, res, site string) {
 }
 
 func TestFullyCompliantResource(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc")
 	// Another resource probing r1 inbound.
 	fabricate(t, c, "other1", "ncsa", "grid.xsite.gram-gatekeeper.to.r1", okBody())
@@ -109,7 +109,7 @@ func TestFullyCompliantResource(t *testing.T) {
 }
 
 func TestVersionConstraintViolation(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc")
 	fabricate(t, c, "other1", "ncsa", "grid.xsite.gram-gatekeeper.to.r1", okBody())
 	// Downgrade globus below the constraint.
@@ -130,7 +130,7 @@ func TestVersionConstraintViolation(t *testing.T) {
 }
 
 func TestMissingReportsFail(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	// Only one report for r1; everything else missing.
 	fabricate(t, c, "r1", "sdsc", "grid.version.globus", versionBody("globus", "2.4.3"))
 	status, _ := Evaluate(smallAgreement(), c, t0)
@@ -145,7 +145,7 @@ func TestMissingReportsFail(t *testing.T) {
 }
 
 func TestFailedUnitTestSurfacesMessage(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc")
 	fabricate(t, c, "other1", "ncsa", "grid.xsite.gram-gatekeeper.to.r1", okBody())
 	fabricate(t, c, "r1", "sdsc", "grid.unit.globus", failBody("duroc mpi helloworld to jobmanager-pbs test failed"))
@@ -159,7 +159,7 @@ func TestFailedUnitTestSurfacesMessage(t *testing.T) {
 
 func TestCrossSiteTwoWayMetric(t *testing.T) {
 	// Outbound OK but nobody reaches r1 inbound → inbound fails.
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc")
 	status, _ := Evaluate(smallAgreement(), c, t0)
 	r1 := findResource(t, status, "r1")
@@ -196,7 +196,7 @@ func TestCrossSiteTwoWayMetric(t *testing.T) {
 }
 
 func TestStaleDataFails(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc")
 	fabricate(t, c, "other1", "ncsa", "grid.xsite.gram-gatekeeper.to.r1", okBody())
 	ag := smallAgreement()
@@ -216,7 +216,7 @@ func TestStaleDataFails(t *testing.T) {
 }
 
 func TestEnvValueMismatch(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc")
 	fabricate(t, c, "other1", "ncsa", "grid.xsite.gram-gatekeeper.to.r1", okBody())
 	fabricate(t, c, "r1", "sdsc", "cluster.admin.env", func(r *report.Report) {
@@ -243,7 +243,7 @@ func TestCategorySummaryPercent(t *testing.T) {
 }
 
 func TestSummaryByCategory(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc")
 	fabricate(t, c, "other1", "ncsa", "grid.xsite.gram-gatekeeper.to.r1", okBody())
 	status, _ := Evaluate(smallAgreement(), c, t0)
@@ -269,7 +269,7 @@ func TestSummaryByCategory(t *testing.T) {
 }
 
 func TestPiecesVerified(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc")
 	populateCompliant(t, c, "r2", "ncsa")
 	status, _ := Evaluate(smallAgreement(), c, t0)
@@ -279,7 +279,7 @@ func TestPiecesVerified(t *testing.T) {
 }
 
 func TestEvaluateIgnoresForeignCacheData(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc")
 	// Foreign XML under a resource branch must not break evaluation.
 	if _, err := c.Update(branch.MustParse("x=1,resource=r1,vo=tg"), []byte("<foreign/>")); err != nil {
@@ -295,7 +295,7 @@ func TestEvaluateIgnoresForeignCacheData(t *testing.T) {
 }
 
 func TestVOFiltering(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc") // vo=tg
 	// A resource in another VO must be invisible.
 	r := report.New("grid.version.globus", "1.0", "alien", t0)

@@ -12,7 +12,7 @@ import (
 // TestEvaluatorMatchesEvaluate: memoized evaluation must be observably
 // identical to one-shot evaluation, cycle after cycle, through changes.
 func TestEvaluatorMatchesEvaluate(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc")
 	populateCompliant(t, c, "r2", "ncsa")
 	fabricate(t, c, "other1", "anl", "grid.xsite.gram-gatekeeper.to.r1", okBody())
@@ -50,7 +50,7 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 }
 
 func TestEvaluatorMemoEviction(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc")
 	ev := NewEvaluator(smallAgreement())
 	if _, err := ev.Evaluate(c, t0); err != nil {
@@ -61,7 +61,7 @@ func TestEvaluatorMemoEviction(t *testing.T) {
 		t.Fatal("memo empty")
 	}
 	// Rebuild a smaller cache: evaluating it must evict stale entries.
-	c2 := depot.NewStreamCache()
+	c2 := depot.NewIndexedCache()
 	fabricate(t, c2, "r1", "sdsc", "grid.version.globus", versionBody("globus", "2.4.3"))
 	if _, err := ev.Evaluate(c2, t0.Add(time.Minute)); err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestEvaluatorMemoEviction(t *testing.T) {
 }
 
 func TestEvaluatorSkipsForeignData(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc")
 	if _, err := c.Update(branch.MustParse("x=1,resource=r1,vo=tg"), []byte("<foreign/>")); err != nil {
 		t.Fatal(err)

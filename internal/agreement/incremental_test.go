@@ -19,7 +19,7 @@ func reporterBranch(resource, site, reporterName string) branch.ID {
 // a change sequence and checks its assembled status is observably
 // identical to a one-shot Evaluate over the same cache at every step.
 func TestIncrementalMatchesEvaluate(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc")
 	populateCompliant(t, c, "r2", "ncsa")
 	fabricate(t, c, "other1", "anl", "grid.xsite.gram-gatekeeper.to.r1", okBody())
@@ -70,7 +70,7 @@ func TestIncrementalMatchesEvaluate(t *testing.T) {
 // whose outcome changed — including the cross-site dependents — and
 // nothing else.
 func TestIncrementalDeltaScope(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc")
 	populateCompliant(t, c, "r2", "ncsa")
 	fabricate(t, c, "other1", "anl", "grid.xsite.gram-gatekeeper.to.r1", okBody())
@@ -134,7 +134,7 @@ func TestIncrementalDeltaScope(t *testing.T) {
 // TestIncrementalFullDetectsRemovals: a periodic Full sweep emits a
 // nil-status delta for a resource that left the cache.
 func TestIncrementalFullDetectsRemovals(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc")
 	populateCompliant(t, c, "r2", "ncsa")
 	inc := NewIncremental(smallAgreement())
@@ -142,7 +142,7 @@ func TestIncrementalFullDetectsRemovals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	smaller := depot.NewStreamCache()
+	smaller := depot.NewIndexedCache()
 	populateCompliant(t, smaller, "r1", "sdsc")
 	_, deltas, err := inc.Full(smaller, t0.Add(time.Minute))
 	if err != nil {

@@ -32,7 +32,7 @@ func sampleReportXML(t *testing.T) []byte {
 }
 
 func newTestController(opt Options) (*Controller, *depot.Depot) {
-	d := depot.New(depot.NewStreamCache())
+	d := depot.New(nil)
 	return New(d, opt), d
 }
 

@@ -81,7 +81,7 @@ func storeSequence(t *testing.T, d *Depot, id branch.ID, n int) {
 }
 
 func TestPolicyIndexMatchesLinearScan(t *testing.T) {
-	d := New(NewStreamCache())
+	d := New(nil)
 	addPolicies(t, d, bandwidthPolicies("tool=pathload,site=sdsc"))
 	addPolicies(t, d, []Policy{
 		{Name: "other-site", Prefix: branch.MustParse("site=ncsa"), Path: "x",
@@ -125,10 +125,10 @@ func TestPolicyIndexMatchesLinearScan(t *testing.T) {
 // as "memory" and "disk" subtests.
 func bothEngines(t *testing.T, fn func(t *testing.T, d *Depot)) {
 	t.Run("memory", func(t *testing.T) {
-		fn(t, New(NewStreamCache()))
+		fn(t, New(nil))
 	})
 	t.Run("disk", func(t *testing.T) {
-		d := diskDepot(t, t.TempDir(), DiskOptions{Cache: NewStreamCache()})
+		d := diskDepot(t, t.TempDir(), DiskOptions{})
 		defer d.Close()
 		fn(t, d)
 	})
@@ -215,7 +215,7 @@ func TestConcurrentStoreDistinctBranches(t *testing.T) {
 }
 
 func TestLatestValueStaleAfterDay(t *testing.T) {
-	d := New(NewStreamCache())
+	d := New(nil)
 	addPolicies(t, d, bandwidthPolicies("site=sdsc"))
 	id := branch.MustParse("tool=pathload,site=sdsc")
 	storeSequence(t, d, id, 6)
@@ -236,7 +236,7 @@ func TestLatestValueStaleAfterDay(t *testing.T) {
 }
 
 func TestArchiveGenerationAdvances(t *testing.T) {
-	d := New(NewStreamCache())
+	d := New(nil)
 	addPolicies(t, d, bandwidthPolicies("site=sdsc"))
 	id := branch.MustParse("tool=pathload,site=sdsc")
 	g0 := d.ArchiveGeneration()

@@ -1,11 +1,12 @@
 package depot_test
 
-// The depot.Cache contract, held over every implementation: the three in
-// this package and the three in internal/experiments/ablation, which must
-// keep storing what StreamCache stores. These tests (and split_depth_test.go,
-// filecache_test.go) use exported names only and sit in the external test
-// package because ablation imports depot; they stay in this directory so
-// one table covers every cache.
+// The depot.Cache contract, held over every implementation: the indexed
+// cache of this package and the paper's five in
+// internal/experiments/ablation, which must all keep storing what
+// StreamCache stores. These tests (and the files beside them in package
+// depot_test) use exported names only and sit in the external test package
+// because ablation imports depot; they stay in this directory so one table
+// covers every cache.
 
 import (
 	"bytes"
@@ -20,19 +21,28 @@ import (
 	"inca/internal/experiments/ablation"
 )
 
-func allCaches() map[string]func() depot.Cache {
-	return map[string]func() depot.Cache{
-		"stream":  func() depot.Cache { return depot.NewStreamCache() },
-		"dom":     func() depot.Cache { return ablation.NewDOMCache() },
-		"split":   func() depot.Cache { return ablation.NewSplitCache() },
-		"indexed": func() depot.Cache { return depot.NewIndexedCache() },
+// allCaches builds each cache for the test that asks: the file cache takes
+// its directory, and reports a failure to open, through that test's t.
+func allCaches() map[string]func(*testing.T) depot.Cache {
+	return map[string]func(*testing.T) depot.Cache{
+		"stream": func(*testing.T) depot.Cache { return ablation.NewStreamCache() },
+		"dom":    func(*testing.T) depot.Cache { return ablation.NewDOMCache() },
+		"split":  func(*testing.T) depot.Cache { return ablation.NewSplitCache() },
+		"file": func(t *testing.T) depot.Cache {
+			fc, err := ablation.OpenFileCache(t.TempDir() + "/cache.xml")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fc
+		},
+		"indexed": func(*testing.T) depot.Cache { return depot.NewIndexedCache() },
 	}
 }
 
 func TestCacheInsertAndQuery(t *testing.T) {
 	for name, mk := range allCaches() {
 		t.Run(name, func(t *testing.T) {
-			c := mk()
+			c := mk(t)
 			depot.MustUpdate(t, c, "resource=r1,site=sdsc,vo=tg", depot.ReportXMLFor("rep", "one"))
 			if c.Count() != 1 {
 				t.Fatalf("Count = %d", c.Count())
@@ -62,7 +72,7 @@ func TestCacheReplaceSemantics(t *testing.T) {
 	// previous copy." (Section 3.2.2)
 	for name, mk := range allCaches() {
 		t.Run(name, func(t *testing.T) {
-			c := mk()
+			c := mk(t)
 			id := "resource=r1,vo=tg"
 			depot.MustUpdate(t, c, id, depot.ReportXMLFor("rep", "old"))
 			depot.MustUpdate(t, c, id, depot.ReportXMLFor("rep", "new"))
@@ -84,7 +94,7 @@ func TestCacheNoConfigurationForNewSchemas(t *testing.T) {
 	// Arbitrary well-formed XML with unknown schema must be accepted.
 	for name, mk := range allCaches() {
 		t.Run(name, func(t *testing.T) {
-			c := mk()
+			c := mk(t)
 			weird := []byte(`<wholeNewThing attr="x"><nested><deep>1</deep></nested></wholeNewThing>`)
 			depot.MustUpdate(t, c, "kind=unknown,vo=tg", weird)
 			got, err := c.Reports(branch.ID{})
@@ -101,7 +111,7 @@ func TestCacheNoConfigurationForNewSchemas(t *testing.T) {
 func TestCacheRejectsMalformedPayload(t *testing.T) {
 	for name, mk := range allCaches() {
 		t.Run(name, func(t *testing.T) {
-			c := mk()
+			c := mk(t)
 			depot.MustUpdate(t, c, "a=1", depot.ReportXMLFor("rep", "keep"))
 			before := c.Dump()
 			for _, bad := range [][]byte{nil, []byte(""), []byte("not xml"), []byte("<open>")} {
@@ -119,7 +129,7 @@ func TestCacheRejectsMalformedPayload(t *testing.T) {
 func TestCacheSiblingsAndNesting(t *testing.T) {
 	for name, mk := range allCaches() {
 		t.Run(name, func(t *testing.T) {
-			c := mk()
+			c := mk(t)
 			ids := []string{
 				"resource=r1,site=sdsc,vo=tg",
 				"resource=r2,site=sdsc,vo=tg",
@@ -163,7 +173,7 @@ func TestCacheRootEntry(t *testing.T) {
 			continue // split cache has no root shard by design
 		}
 		t.Run(name, func(t *testing.T) {
-			c := mk()
+			c := mk(t)
 			if _, err := c.Update(branch.ID{}, depot.ReportXMLFor("rep", "root")); err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +188,7 @@ func TestCacheRootEntry(t *testing.T) {
 func TestCacheEscapedContentSurvives(t *testing.T) {
 	for name, mk := range allCaches() {
 		t.Run(name, func(t *testing.T) {
-			c := mk()
+			c := mk(t)
 			payload := []byte("<rep><msg>a &lt;b&gt; &amp; c</msg></rep>")
 			depot.MustUpdate(t, c, "r=1", payload)
 			got, _ := c.Reports(branch.ID{})
@@ -192,11 +202,17 @@ func TestCacheEscapedContentSurvives(t *testing.T) {
 	}
 }
 
+// TestCacheImplementationsAgreeProperty: over random insert sequences every
+// cache holds the reports the stream cache holds, and dumps the stream
+// cache's document byte for byte.
 func TestCacheImplementationsAgreeProperty(t *testing.T) {
 	names := []string{"alpha", "beta", "gamma", "delta"}
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		stream, dom, split := depot.NewStreamCache(), ablation.NewDOMCache(), ablation.NewSplitCache()
+		caches := make(map[string]depot.Cache)
+		for name, mk := range allCaches() {
+			caches[name] = mk(t)
+		}
 		ops := int(n%40) + 5
 		for i := 0; i < ops; i++ {
 			depth := 1 + r.Intn(3)
@@ -206,17 +222,27 @@ func TestCacheImplementationsAgreeProperty(t *testing.T) {
 			}
 			id := branch.MustParse(strings.Join(parts, ","))
 			payload := depot.ReportXMLFor("rep", fmt.Sprintf("v%d", r.Intn(10)))
-			for _, c := range []depot.Cache{stream, dom, split} {
+			for name, c := range caches {
 				if _, err := c.Update(id, payload); err != nil {
+					t.Errorf("%s: Update(%s): %v", name, id, err)
 					return false
 				}
 			}
 		}
-		rs, _ := stream.Reports(branch.ID{})
-		rd, _ := dom.Reports(branch.ID{})
-		rp, _ := split.Reports(branch.ID{})
-		return depot.ReportsEqual(rs, rd) && depot.ReportsEqual(rs, rp) &&
-			stream.Count() == dom.Count() && stream.Count() == split.Count()
+		stream := caches["stream"]
+		want, _ := stream.Reports(branch.ID{})
+		for name, c := range caches {
+			got, _ := c.Reports(branch.ID{})
+			if !depot.ReportsEqual(got, want) || c.Count() != stream.Count() {
+				t.Errorf("%s holds %d reports (Count %d), stream %d (Count %d)", name, len(got), c.Count(), len(want), stream.Count())
+				return false
+			}
+			if !bytes.Equal(c.Dump(), stream.Dump()) {
+				t.Errorf("%s document:\n%s\nstream:\n%s", name, c.Dump(), stream.Dump())
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -256,18 +282,11 @@ func TestDOMCacheMemoryFootprint(t *testing.T) {
 // (anything not built on Go's marshaller) is stored as if it had not.
 func TestXMLDeclarationAccepted(t *testing.T) {
 	caches := allCaches()
-	caches["generic"] = func() depot.Cache { return depot.NewStreamCacheGeneric() }
-	caches["file"] = func() depot.Cache {
-		fc, err := ablation.OpenFileCache(t.TempDir() + "/cache.xml")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fc
-	}
+	caches["generic"] = func(*testing.T) depot.Cache { return ablation.NewStreamCacheGeneric() }
 	body := `<rep><v>1</v><?keep this?></rep>`
 	for name, mk := range caches {
 		t.Run(name, func(t *testing.T) {
-			plain, declared := mk(), mk()
+			plain, declared := mk(t), mk(t)
 			for i, decl := range []string{
 				`<?xml version="1.0"?>`,
 				`<?xml version="1.0" encoding="UTF-8"?>` + "\n",

@@ -1,4 +1,4 @@
-package depot
+package depot_test
 
 import (
 	"bytes"
@@ -7,13 +7,15 @@ import (
 	"testing"
 
 	"inca/internal/branch"
+	"inca/internal/depot"
+	"inca/internal/experiments/ablation"
 )
 
 // hammerCache drives concurrent writers and readers against a cache and
 // then asserts every writer's final payload is stored under its identifier
 // exactly once. Run under -race this exercises the single RWMutex of
 // StreamCache and IndexedCache.
-func hammerCache(t *testing.T, c Cache) {
+func hammerCache(t *testing.T, c depot.Cache) {
 	t.Helper()
 	const (
 		writers   = 8
@@ -31,7 +33,7 @@ func hammerCache(t *testing.T, c Cache) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				for i := 0; i < perWriter; i++ {
-					payload := reportXMLFor("rep", fmt.Sprintf("w%d-r%d-i%d", w, r, i))
+					payload := depot.ReportXMLFor("rep", fmt.Sprintf("w%d-r%d-i%d", w, r, i))
 					if _, err := c.Update(idFor(w, i), payload); err != nil {
 						errs <- err
 						return
@@ -98,11 +100,11 @@ func hammerCache(t *testing.T, c Cache) {
 }
 
 func TestStreamCacheConcurrent(t *testing.T) {
-	hammerCache(t, NewStreamCache())
+	hammerCache(t, ablation.NewStreamCache())
 }
 
 func TestIndexedCacheConcurrent(t *testing.T) {
-	hammerCache(t, NewIndexedCache())
+	hammerCache(t, depot.NewIndexedCache())
 }
 
 // TestIndexedCacheConcurrentEquivalence pins the lazy-materialization path
@@ -113,8 +115,8 @@ func TestIndexedCacheConcurrent(t *testing.T) {
 // races in the double-checked Dump memoization and any reader observing a
 // half-applied update.
 func TestIndexedCacheConcurrentEquivalence(t *testing.T) {
-	idx := NewIndexedCache()
-	shadow := NewStreamCache()
+	idx := depot.NewIndexedCache()
+	shadow := ablation.NewStreamCache()
 
 	const readers = 4
 	stop := make(chan struct{})
@@ -155,7 +157,7 @@ func TestIndexedCacheConcurrentEquivalence(t *testing.T) {
 	const updates = 300
 	for i := 0; i < updates; i++ {
 		id := branch.MustParse(fmt.Sprintf("probe=p%02d,site=s%d,vo=eq", i%10, i%3))
-		payload := reportXMLFor("rep", fmt.Sprintf("u%d", i))
+		payload := depot.ReportXMLFor("rep", fmt.Sprintf("u%d", i))
 		addedIdx, err := idx.Update(id, payload)
 		if err != nil {
 			t.Fatal(err)

@@ -151,8 +151,8 @@ func newDepot(cache Cache, opts Options, store archiveStore) *Depot {
 	d.applied = reg.Counter("inca_depot_archive_applied_total", "Samples consolidated into archives.")
 	d.matched = reg.Counter("inca_depot_archive_matched_total", "Stores that matched at least one archival policy.")
 	d.fallback = reg.Counter("inca_depot_insert_fallback_total", "Reports the cache insert tokenised with encoding/xml because they were not in the encoder's own form.")
-	if fc, ok := cache.(fallbackCounting); ok {
-		fc.countFallbacks(d.fallback)
+	if ic, ok := cache.(*IndexedCache); ok {
+		ic.fallbacks = d.fallback // before anything is stored: not safe alongside Update
 	}
 	d.unpackH = reg.Histogram("inca_depot_unpack_seconds", "Envelope decode latency.", nil)
 	d.insertH = reg.Histogram("inca_depot_insert_seconds", "Cache insert latency.", nil)
@@ -168,14 +168,6 @@ func newDepot(cache Cache, opts Options, store archiveStore) *Depot {
 	})
 	d.policies.Store(compilePolicySet(nil))
 	return d
-}
-
-// fallbackCounting is implemented by the caches whose insert admits a
-// report already in canonical form without tokenising it (entryPayload).
-// newDepot hands them the counter of the reports that were tokenised after
-// all, before it stores anything: the call is not safe alongside Update.
-type fallbackCounting interface {
-	countFallbacks(*metrics.Counter)
 }
 
 // Cache exposes the underlying cache for queries.
@@ -256,7 +248,7 @@ func (d *Depot) StoreEnvelope(data []byte) (Receipt, error) {
 		return Receipt{}, err
 	}
 	t1 := time.Now()
-	rec, err := d.store(env.Branch, env.Report)
+	rec, err := d.Store(env.Branch, env.Report)
 	if err != nil {
 		return Receipt{}, err
 	}
@@ -268,10 +260,6 @@ func (d *Depot) StoreEnvelope(data []byte) (Receipt, error) {
 // Store ingests an already-unwrapped report (used by in-process
 // deployments and tests; the unpack phase is zero).
 func (d *Depot) Store(id branch.ID, reportXML []byte) (Receipt, error) {
-	return d.store(id, reportXML)
-}
-
-func (d *Depot) store(id branch.ID, reportXML []byte) (Receipt, error) {
 	if d.wal != nil {
 		// Log first, then apply: a crash after the append replays the
 		// report; a crash before it never acknowledged the store. The

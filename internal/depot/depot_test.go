@@ -32,7 +32,7 @@ func reportWithValue(t *testing.T, at time.Time, value float64, ok bool) []byte 
 }
 
 func TestDepotStoreAndStats(t *testing.T) {
-	d := New(NewStreamCache())
+	d := New(nil)
 	id := branch.MustParse("tool=pathload,site=sdsc")
 	rec, err := d.Store(id, reportWithValue(t, dt0, 990, true))
 	if err != nil {
@@ -51,7 +51,7 @@ func TestDepotStoreAndStats(t *testing.T) {
 }
 
 func TestDepotStoreEnvelopeTimings(t *testing.T) {
-	d := New(NewStreamCache())
+	d := New(nil)
 	id := branch.MustParse("tool=pathload,site=sdsc")
 	data, err := envelope.Encode(envelope.Body, id, reportWithValue(t, dt0, 990, true))
 	if err != nil {
@@ -76,7 +76,7 @@ func TestDepotStoreEnvelopeTimings(t *testing.T) {
 }
 
 func TestPolicyValidation(t *testing.T) {
-	d := New(NewStreamCache())
+	d := New(nil)
 	good := Policy{Name: "bw", Archive: rrd.ArchivalPolicy{Step: time.Hour, History: 24 * time.Hour}}
 	if err := d.AddPolicy(good); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestPolicyValidation(t *testing.T) {
 }
 
 func TestArchivingThroughPolicy(t *testing.T) {
-	d := New(NewStreamCache())
+	d := New(nil)
 	err := d.AddPolicy(Policy{
 		Name:    "bandwidth",
 		Prefix:  branch.MustParse("site=sdsc"),
@@ -138,7 +138,7 @@ func TestArchivingThroughPolicy(t *testing.T) {
 }
 
 func TestAvailabilityPolicyWithEmptyPath(t *testing.T) {
-	d := New(NewStreamCache())
+	d := New(nil)
 	if err := d.AddPolicy(Policy{
 		Name:    "availability",
 		Prefix:  branch.ID{},
@@ -173,7 +173,7 @@ func TestAvailabilityPolicyWithEmptyPath(t *testing.T) {
 }
 
 func TestPolicyPrefixFiltering(t *testing.T) {
-	d := New(NewStreamCache())
+	d := New(nil)
 	if err := d.AddPolicy(Policy{
 		Name:    "sdsc-only",
 		Prefix:  branch.MustParse("site=sdsc"),
@@ -195,7 +195,7 @@ func TestPolicyPrefixFiltering(t *testing.T) {
 }
 
 func TestNonReportXMLIsCachedNotArchived(t *testing.T) {
-	d := New(NewStreamCache())
+	d := New(nil)
 	if err := d.AddPolicy(Policy{
 		Name:    "p",
 		Archive: rrd.ArchivalPolicy{Step: time.Hour, History: 24 * time.Hour},
@@ -215,7 +215,7 @@ func TestNonReportXMLIsCachedNotArchived(t *testing.T) {
 }
 
 func TestArchiveUpdateDirect(t *testing.T) {
-	d := New(NewStreamCache())
+	d := New(nil)
 	if err := d.AddPolicy(Policy{
 		Name:    "summary",
 		Archive: rrd.ArchivalPolicy{Step: 10 * time.Minute, History: 7 * 24 * time.Hour},
@@ -241,7 +241,7 @@ func TestArchiveUpdateDirect(t *testing.T) {
 }
 
 func TestLatestValueMissing(t *testing.T) {
-	d := New(NewStreamCache())
+	d := New(nil)
 	if !math.IsNaN(d.LatestValue(branch.MustParse("a=1"), "none", rrd.Average)) {
 		t.Fatal("missing archive returned a value")
 	}
@@ -255,7 +255,7 @@ func TestReceiptTotal(t *testing.T) {
 }
 
 func TestManyBranchesStoreQuery(t *testing.T) {
-	d := New(NewStreamCache())
+	d := New(nil)
 	for site := 0; site < 5; site++ {
 		for res := 0; res < 4; res++ {
 			for probe := 0; probe < 5; probe++ {

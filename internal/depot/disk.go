@@ -70,22 +70,19 @@ func OpenDisk(do DiskOptions) (*Depot, error) {
 	if err != nil {
 		return nil, err
 	}
-	dump, policies, firstSeq, err := readCheckpoint(filepath.Join(do.Dir, checkpointFile))
-	if err != nil {
-		return nil, err
-	}
 	d := newDepot(do.Cache, do.Options, store)
-	if dump != nil {
-		if err := restoreDump(d.cache, dump); err != nil {
-			return nil, fmt.Errorf("depot: checkpoint cache: %w", err)
-		}
-	}
 	d.dataDir = do.Dir
 	d.walDir = filepath.Join(do.Dir, "wal")
-	for _, p := range policies {
-		if err := d.AddPolicy(p); err != nil {
-			return nil, fmt.Errorf("depot: checkpoint policy: %w", err)
-		}
+	// A missing checkpoint is a fresh depot. The depot has no WAL attached
+	// yet, so the restored policies are not logged again.
+	var firstSeq uint64
+	f, err := os.Open(filepath.Join(do.Dir, checkpointFile))
+	if err == nil {
+		firstSeq, err = d.restoreImage(f)
+		f.Close()
+	}
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("depot: checkpoint: %w", err)
 	}
 	if err := os.MkdirAll(d.walDir, 0o755); err != nil {
 		return nil, fmt.Errorf("depot: wal dir: %w", err)
@@ -195,84 +192,14 @@ func (d *Depot) Checkpoint() error {
 func (d *Depot) writeCheckpoint(firstSeq uint64) error {
 	return AtomicWriteFile(filepath.Join(d.dataDir, checkpointFile), func(w io.Writer) error {
 		bw := bufio.NewWriter(w)
-		if _, err := bw.WriteString(snapshotMagic); err != nil {
+		if err := d.writeImageHead(bw); err != nil {
 			return err
 		}
-		if err := writeSection(bw, "CACH", d.cache.Dump()); err != nil {
-			return err
-		}
-		polsXML, err := marshalPolicies(d.Policies())
-		if err != nil {
-			return err
-		}
-		if err := writeSection(bw, "POLS", polsXML); err != nil {
-			return err
-		}
-		var seqBuf [8]byte
-		binary.BigEndian.PutUint64(seqBuf[:], firstSeq)
-		if err := writeSection(bw, "WSEQ", seqBuf[:]); err != nil {
+		if err := writeSection(bw, "WSEQ", binary.BigEndian.AppendUint64(nil, firstSeq)); err != nil {
 			return err
 		}
 		return bw.Flush()
 	})
-}
-
-// readCheckpoint loads a checkpoint image — the cache document (nil when
-// the image has none), the policies and the first live WAL segment; a
-// missing file is a fresh depot, not an error. The image shares the
-// snapshot section format, so a checkpoint without WSEQ (or even a plain
-// snapshot) restores too.
-func readCheckpoint(path string) ([]byte, []Policy, uint64, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil, 0, nil
-	}
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("depot: checkpoint: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != snapshotMagic {
-		return nil, nil, 0, fmt.Errorf("depot: bad checkpoint header")
-	}
-	var (
-		dump     []byte
-		policies []Policy
-		firstSeq uint64
-	)
-	for {
-		tag, data, err := readSection(br)
-		if err == io.EOF {
-			return dump, policies, firstSeq, nil
-		}
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("depot: checkpoint section: %w", err)
-		}
-		switch tag {
-		case "CACH":
-			dump = data
-		case "POLS":
-			var pols xmlPolicies
-			if err := xml.Unmarshal(data, &pols); err != nil {
-				return nil, nil, 0, fmt.Errorf("depot: checkpoint policies: %w", err)
-			}
-			for _, xp := range pols.Policies {
-				p, err := snapshotPolicy(xp)
-				if err != nil {
-					return nil, nil, 0, err
-				}
-				policies = append(policies, p)
-			}
-		case "WSEQ":
-			if len(data) != 8 {
-				return nil, nil, 0, fmt.Errorf("depot: checkpoint WSEQ of %d bytes", len(data))
-			}
-			firstSeq = binary.BigEndian.Uint64(data)
-		default:
-			// Skipped for forward compatibility.
-		}
-	}
 }
 
 // AtomicWriteFile writes a file so readers see either the previous
@@ -377,18 +304,13 @@ func decodeManualFrame(p []byte) (branch.ID, string, time.Time, float64, error) 
 }
 
 func marshalPolicyEntry(p Policy) xmlPolicyEntry {
-	return xmlPolicyEntry{
+	e := xmlPolicyEntry{
 		Name: p.Name, Prefix: p.Prefix.String(), Path: p.Path,
 		Step: p.Archive.Step.String(), Granularity: p.Archive.Granularity,
 		History: p.Archive.History.String(), ManualOnly: p.ManualOnly,
-		Heartbeat: heartbeatString(p.Archive.Heartbeat),
 	}
-}
-
-func marshalPolicies(policies []Policy) ([]byte, error) {
-	pols := xmlPolicies{}
-	for _, p := range policies {
-		pols.Policies = append(pols.Policies, marshalPolicyEntry(p))
+	if p.Archive.Heartbeat > 0 {
+		e.Heartbeat = p.Archive.Heartbeat.String()
 	}
-	return xml.Marshal(pols)
+	return e
 }

@@ -33,7 +33,7 @@ func diskDepot(t *testing.T, dir string, opts DiskOptions) *Depot {
 // disk engine must produce the same archived series point for point, and
 // the two depots' snapshot images must be byte-identical.
 func TestDiskMatchesMemorySeries(t *testing.T) {
-	mem := New(NewStreamCache())
+	mem := New(nil)
 	disk := diskDepot(t, t.TempDir(), DiskOptions{})
 	for _, d := range []*Depot{mem, disk} {
 		addPolicies(t, d, bandwidthPolicies("site=sdsc"))
@@ -326,16 +326,15 @@ func TestReadSectionRejectsCorruptLength(t *testing.T) {
 
 // TestCheckpointOnMemoryDepotFails keeps the API honest.
 func TestCheckpointOnMemoryDepotFails(t *testing.T) {
-	d := New(NewStreamCache())
+	d := New(nil)
 	if err := d.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint succeeded on a memory depot")
 	}
 }
 
-// TestRestoreKeepsConfiguredCache: whichever cache a depot is configured
-// with is the one it still runs on after a checkpoint restart and after a
-// snapshot round trip, holding the same document; with none configured that
-// is the IndexedCache throughout.
+// TestRestoreKeepsConfiguredCache: a depot runs on the IndexedCache, given
+// one or given none, and still does after a checkpoint restart and after a
+// snapshot round trip, holding the same document.
 func TestRestoreKeepsConfiguredCache(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -343,7 +342,6 @@ func TestRestoreKeepsConfiguredCache(t *testing.T) {
 		want string
 	}{
 		{"indexed", func() Cache { return NewIndexedCache() }, "*depot.IndexedCache"},
-		{"stream", func() Cache { return NewStreamCache() }, "*depot.StreamCache"},
 		{"default", func() Cache { return nil }, "*depot.IndexedCache"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -384,7 +382,7 @@ func TestRestoreKeepsConfiguredCache(t *testing.T) {
 			if err := re.WriteSnapshot(&img); err != nil {
 				t.Fatal(err)
 			}
-			back, err := ReadSnapshotOptions(&img, tc.mk(), Options{})
+			back, err := ReadSnapshotOptions(&img, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,7 +12,7 @@ import (
 // once per committed mutation, after the commit, with the right kind —
 // and that a detached depot publishes nothing.
 func TestPublisherObservesCommits(t *testing.T) {
-	d := New(NewStreamCache())
+	d := New(nil)
 	defer d.Close()
 
 	var changes []Change

@@ -67,7 +67,7 @@ func TestFileCacheBehavesLikeStreamCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := depot.NewStreamCache()
+	sc := ablation.NewStreamCache()
 	ids := []string{"r=1,s=a", "r=2,s=a", "r=1,s=b", "r=1,s=a"} // includes replace
 	for i, id := range ids {
 		payload := []byte("<rep><v>" + string(rune('0'+i)) + "</v></rep>")

@@ -31,11 +31,12 @@ import (
 //   - Dump() / root Query(): O(document) the first time after a write,
 //     O(document copy) on every repeat while the cache is unchanged.
 //
-// The materialized document is byte-identical to what a StreamCache
-// produces for the same insert sequence: node children are kept in the
-// same (name, value) order, entry payloads come from the same admission
-// (entryPayload), and branch open tags are rendered through the same
-// encoder, so equivalence tests can compare dumps byte-for-byte.
+// The materialized document is byte-identical to what the paper's stream
+// cache (internal/experiments/ablation) produces for the same insert
+// sequence: node children are kept in the same (name, value) order, entry
+// payloads come from the same admission (EntryPayload), and branch open
+// tags are rendered through the same encoder, so the equivalence tests
+// compare dumps byte-for-byte.
 type IndexedCache struct {
 	mu    sync.RWMutex
 	root  *idxNode
@@ -47,8 +48,8 @@ type IndexedCache struct {
 	doc    []byte // lazily materialized canonical document
 	docGen uint64 // generation doc was built at
 
-	// fallbacks counts reports Update had to tokenise; nil until a depot
-	// asks for the count.
+	// fallbacks counts reports Update had to tokenise; nil until newDepot
+	// hands over its counter, before anything is stored.
 	fallbacks *metrics.Counter
 }
 
@@ -62,21 +63,18 @@ type idxNode struct {
 }
 
 const (
-	cacheOpenClose  = len("<cache></cache>")
-	entryWrapLen    = len("<entry></entry>")
-	branchCloseLen  = len("</branch>")
-	entryOpenLen    = len("<entry>")
-	entryCloseLenIx = len("</entry>")
+	cacheOpenClose = len("<cache></cache>")
+	entryWrapLen   = len("<entry></entry>")
+	branchCloseLen = len("</branch>")
 )
 
 // NewIndexedCache returns an empty indexed cache.
 func NewIndexedCache() *IndexedCache {
 	return &IndexedCache{
-		root:   &idxNode{},
-		byKey:  make(map[string]*idxNode),
-		size:   cacheOpenClose,
-		doc:    []byte("<cache></cache>"),
-		docGen: 0,
+		root:  &idxNode{},
+		byKey: make(map[string]*idxNode),
+		size:  cacheOpenClose,
+		doc:   []byte("<cache></cache>"),
 	}
 }
 
@@ -100,24 +98,26 @@ func pathKey(path []branch.Pair) string {
 }
 
 // renderBranchOpen produces the canonical open tag for a component through
-// the same encoder StreamCache's splice uses, so attribute escaping (and
-// therefore the materialized document) matches byte-for-byte.
+// the same encoder the stream cache's splice uses, so attribute escaping
+// (and therefore the materialized document) matches byte-for-byte.
 func renderBranchOpen(p branch.Pair) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := xml.NewEncoder(&buf)
-	if err := enc.EncodeToken(branchStart(p)); err != nil {
-		return nil, err
+	start := xml.StartElement{
+		Name: xml.Name{Local: "branch"},
+		Attr: []xml.Attr{
+			{Name: xml.Name{Local: "name"}, Value: p.Name},
+			{Name: xml.Name{Local: "value"}, Value: p.Value},
+		},
 	}
-	// Flushing only the start token would self-close it; encode a fake
-	// child boundary instead: encode start+end and strip the close tag.
-	if err := enc.EncodeToken(xml.EndElement{Name: xml.Name{Local: "branch"}}); err != nil {
+	// The encoder never self-closes: the flushed start token is the open tag.
+	if err := enc.EncodeToken(start); err != nil {
 		return nil, err
 	}
 	if err := enc.Flush(); err != nil {
 		return nil, err
 	}
-	out := buf.Bytes()
-	return out[:len(out)-branchCloseLen], nil
+	return buf.Bytes(), nil
 }
 
 // child finds (or creates) the child of n for pair p, keeping children in
@@ -155,7 +155,7 @@ func (n *idxNode) child(p branch.Pair, create bool) (*idxNode, bool, error) {
 // index; for a report already canonical that is one scan, and the copy
 // onto the trie below is the only time its bytes are touched.
 func (c *IndexedCache) Update(id branch.ID, reportXML []byte) (bool, error) {
-	payload, err := entryPayload(reportXML, c.fallbacks)
+	payload, err := EntryPayload(reportXML, c.fallbacks)
 	if err != nil {
 		return false, err
 	}
@@ -199,8 +199,6 @@ func (c *IndexedCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 	c.byKey[pathKey(path)] = n
 	return added, nil
 }
-
-func (c *IndexedCache) countFallbacks(n *metrics.Counter) { c.fallbacks = n }
 
 // writeTo appends the canonical serialization of n's subtree.
 func (n *idxNode) writeTo(buf *bytes.Buffer) {

@@ -1,4 +1,4 @@
-package depot
+package depot_test
 
 import (
 	"bytes"
@@ -7,13 +7,15 @@ import (
 	"testing"
 
 	"inca/internal/branch"
+	"inca/internal/depot"
+	"inca/internal/experiments/ablation"
 )
 
-var _ Cache = (*IndexedCache)(nil)
+var _ depot.Cache = (*depot.IndexedCache)(nil)
 
 // TestIndexedCacheDumpByteIdentical is the core equivalence property: for
 // the same insert sequence the materialized document must match the
-// deployed StreamCache byte-for-byte, including attribute escaping and
+// paper's StreamCache byte-for-byte, including attribute escaping and
 // canonical (name, value) child ordering.
 func TestIndexedCacheDumpByteIdentical(t *testing.T) {
 	ids := []string{
@@ -25,19 +27,19 @@ func TestIndexedCacheDumpByteIdentical(t *testing.T) {
 		`probe=a"b,site=x<y,vo=esc&amp`,
 		"a=1",
 	}
-	idx := NewIndexedCache()
-	ref := NewStreamCache()
+	idx := depot.NewIndexedCache()
+	ref := ablation.NewStreamCache()
 	for i, id := range ids {
-		payload := reportXMLFor("rep", fmt.Sprintf("v%d &amp; &lt;q&gt; \"quoted\"", i))
-		mustUpdate(t, idx, id, payload)
-		mustUpdate(t, ref, id, payload)
+		payload := depot.ReportXMLFor("rep", fmt.Sprintf("v%d &amp; &lt;q&gt; \"quoted\"", i))
+		depot.MustUpdate(t, idx, id, payload)
+		depot.MustUpdate(t, ref, id, payload)
 		if got, want := idx.Dump(), ref.Dump(); !bytes.Equal(got, want) {
 			t.Fatalf("after insert %d (%s):\nindexed: %s\nstream:  %s", i, id, got, want)
 		}
 	}
 	// Replacement keeps equivalence too.
-	mustUpdate(t, idx, ids[0], reportXMLFor("rep", "replaced"))
-	mustUpdate(t, ref, ids[0], reportXMLFor("rep", "replaced"))
+	depot.MustUpdate(t, idx, ids[0], depot.ReportXMLFor("rep", "replaced"))
+	depot.MustUpdate(t, ref, ids[0], depot.ReportXMLFor("rep", "replaced"))
 	if got, want := idx.Dump(), ref.Dump(); !bytes.Equal(got, want) {
 		t.Fatalf("after replace:\nindexed: %s\nstream:  %s", got, want)
 	}
@@ -48,13 +50,13 @@ func TestIndexedCacheDumpByteIdentical(t *testing.T) {
 func TestIndexedCacheDumpByteIdenticalProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
-		idx := NewIndexedCache()
-		ref := NewStreamCache()
+		idx := depot.NewIndexedCache()
+		ref := ablation.NewStreamCache()
 		for op := 0; op < 60; op++ {
 			id := fmt.Sprintf("probe=p%d,site=s%d,vo=v%d", r.Intn(8), r.Intn(4), r.Intn(2))
-			payload := reportXMLFor("rep", fmt.Sprintf("v%d", r.Intn(10)))
-			mustUpdate(t, idx, id, payload)
-			mustUpdate(t, ref, id, payload)
+			payload := depot.ReportXMLFor("rep", fmt.Sprintf("v%d", r.Intn(10)))
+			depot.MustUpdate(t, idx, id, payload)
+			depot.MustUpdate(t, ref, id, payload)
 		}
 		got, want := idx.Dump(), ref.Dump()
 		if !bytes.Equal(got, want) {
@@ -70,7 +72,7 @@ func TestIndexedCacheDumpByteIdenticalProperty(t *testing.T) {
 // the exact materialized-document length at every step — including before
 // any Dump call forces a materialization.
 func TestIndexedCacheSizeExact(t *testing.T) {
-	c := NewIndexedCache()
+	c := depot.NewIndexedCache()
 	if got, want := c.Size(), len("<cache></cache>"); got != want {
 		t.Fatalf("empty Size = %d, want %d", got, want)
 	}
@@ -85,7 +87,7 @@ func TestIndexedCacheSizeExact(t *testing.T) {
 		if i == len(ids)-1 {
 			text = "x" // shrink on replace
 		}
-		mustUpdate(t, c, id, reportXMLFor("rep", text))
+		depot.MustUpdate(t, c, id, depot.ReportXMLFor("rep", text))
 		size := c.Size() // read before Dump materializes
 		if dump := c.Dump(); size != len(dump) {
 			t.Fatalf("after %s: Size = %d, len(Dump) = %d", id, size, len(dump))
@@ -96,11 +98,11 @@ func TestIndexedCacheSizeExact(t *testing.T) {
 // TestIndexedCacheGeneration asserts the generation is strictly increasing
 // per successful update, unchanged by reads and by failed updates.
 func TestIndexedCacheGeneration(t *testing.T) {
-	c := NewIndexedCache()
+	c := depot.NewIndexedCache()
 	if g := c.Generation(); g != 0 {
 		t.Fatalf("fresh Generation = %d, want 0", g)
 	}
-	mustUpdate(t, c, "a=1", reportXMLFor("rep", "x"))
+	depot.MustUpdate(t, c, "a=1", depot.ReportXMLFor("rep", "x"))
 	if g := c.Generation(); g != 1 {
 		t.Fatalf("Generation after 1 update = %d, want 1", g)
 	}
@@ -123,7 +125,7 @@ func TestIndexedCacheGeneration(t *testing.T) {
 		t.Fatalf("Generation after failed update = %d, want 1", g)
 	}
 	// Replacement still advances it (an ETag must change when bytes change).
-	mustUpdate(t, c, "a=1", reportXMLFor("rep", "y"))
+	depot.MustUpdate(t, c, "a=1", depot.ReportXMLFor("rep", "y"))
 	if g := c.Generation(); g != 2 {
 		t.Fatalf("Generation after replace = %d, want 2", g)
 	}
@@ -133,15 +135,15 @@ func TestIndexedCacheGeneration(t *testing.T) {
 // stored identifiers that never received a report themselves) are
 // queryable, matching StreamCache's subtree semantics.
 func TestIndexedCacheInteriorQuery(t *testing.T) {
-	idx := NewIndexedCache()
-	ref := NewStreamCache()
+	idx := depot.NewIndexedCache()
+	ref := ablation.NewStreamCache()
 	for _, id := range []string{
 		"probe=gcc,resource=r1,site=sdsc,vo=tg",
 		"probe=ssl,resource=r1,site=sdsc,vo=tg",
 	} {
-		payload := reportXMLFor("rep", id)
-		mustUpdate(t, idx, id, payload)
-		mustUpdate(t, ref, id, payload)
+		payload := depot.ReportXMLFor("rep", id)
+		depot.MustUpdate(t, idx, id, payload)
+		depot.MustUpdate(t, ref, id, payload)
 	}
 	for _, q := range []string{"vo=tg", "site=sdsc,vo=tg", "resource=r1,site=sdsc,vo=tg"} {
 		id := branch.MustParse(q)
@@ -166,8 +168,8 @@ func TestIndexedCacheInteriorQuery(t *testing.T) {
 // canonical document order (entry before children, children in
 // (name, value) order), agreeing with StreamCache.
 func TestIndexedCacheReportsOrder(t *testing.T) {
-	idx := NewIndexedCache()
-	ref := NewStreamCache()
+	idx := depot.NewIndexedCache()
+	ref := ablation.NewStreamCache()
 	ids := []string{
 		"site=b,vo=tg",
 		"vo=tg",
@@ -176,9 +178,9 @@ func TestIndexedCacheReportsOrder(t *testing.T) {
 		"probe=a,site=a,vo=tg",
 	}
 	for _, id := range ids {
-		payload := reportXMLFor("rep", id)
-		mustUpdate(t, idx, id, payload)
-		mustUpdate(t, ref, id, payload)
+		payload := depot.ReportXMLFor("rep", id)
+		depot.MustUpdate(t, idx, id, payload)
+		depot.MustUpdate(t, ref, id, payload)
 	}
 	for _, prefix := range []string{"", "vo=tg", "site=a,vo=tg"} {
 		var p branch.ID
@@ -193,7 +195,7 @@ func TestIndexedCacheReportsOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reportsEqual(got, want) {
+		if !depot.ReportsEqual(got, want) {
 			t.Fatalf("Reports(%q) disagree:\nindexed: %v\nstream:  %v", prefix, got, want)
 		}
 	}
@@ -202,8 +204,8 @@ func TestIndexedCacheReportsOrder(t *testing.T) {
 // TestIndexedCacheDumpReturnsCopies asserts callers cannot corrupt the
 // memoized document through the returned slice.
 func TestIndexedCacheDumpReturnsCopies(t *testing.T) {
-	c := NewIndexedCache()
-	mustUpdate(t, c, "a=1", reportXMLFor("rep", "x"))
+	c := depot.NewIndexedCache()
+	depot.MustUpdate(t, c, "a=1", depot.ReportXMLFor("rep", "x"))
 	d1 := c.Dump()
 	d1[0] = '!'
 	d2 := c.Dump()
@@ -221,14 +223,14 @@ func TestIndexedCacheDumpReturnsCopies(t *testing.T) {
 }
 
 // TestIndexedCacheLoadDumpRoundTrip asserts a materialized document can be
-// reloaded by the stream loader — i.e. the derived artifact is a valid
-// canonical cache document, not just byte-similar.
+// reloaded — i.e. the derived artifact is a valid canonical cache document,
+// not just byte-similar.
 func TestIndexedCacheLoadDumpRoundTrip(t *testing.T) {
-	c := NewIndexedCache()
+	c := depot.NewIndexedCache()
 	for i := 0; i < 10; i++ {
-		mustUpdate(t, c, fmt.Sprintf("r=%d,site=s%d", i, i%3), reportXMLFor("rep", fmt.Sprint(i)))
+		depot.MustUpdate(t, c, fmt.Sprintf("r=%d,site=s%d", i, i%3), depot.ReportXMLFor("rep", fmt.Sprint(i)))
 	}
-	loaded, err := LoadDump(c.Dump())
+	loaded, err := depot.LoadDump(c.Dump(), branch.ID{})
 	if err != nil {
 		t.Fatalf("LoadDump(indexed Dump): %v", err)
 	}

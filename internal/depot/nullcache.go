@@ -4,11 +4,8 @@ import "inca/internal/branch"
 
 // NullCache accepts and discards every report: Update succeeds without
 // storing anything and queries answer "not found". It backs archive-only
-// depots — configurations where only the consolidated series matter (the
-// latest-instance cache lives elsewhere or is not wanted), and the
-// archive benchmarks, which use it to measure the archival phase
-// of Store in isolation from cache splicing (BenchmarkIngestParallel*
-// covers the cache phase).
+// depots, and the benchmarks that time the archival phase of Store apart
+// from the cache insert.
 type NullCache struct{}
 
 // Update discards the report. It reports added=false so Depot counters

@@ -42,16 +42,12 @@ type xmlPolicyEntry struct {
 	ManualOnly  bool   `xml:"manualOnly,attr"`
 }
 
+// writeSection frames one section: a 4-byte tag, the length, the data.
 func writeSection(w *bufio.Writer, tag string, data []byte) error {
-	if len(tag) != 4 {
-		return fmt.Errorf("depot: section tag %q must be 4 bytes", tag)
-	}
 	if _, err := w.WriteString(tag); err != nil {
 		return err
 	}
-	var lenBuf [8]byte
-	binary.BigEndian.PutUint64(lenBuf[:], uint64(len(data)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
+	if _, err := w.Write(binary.BigEndian.AppendUint64(nil, uint64(len(data)))); err != nil {
 		return err
 	}
 	_, err := w.Write(data)
@@ -71,131 +67,142 @@ func readSection(r *bufio.Reader) (string, []byte, error) {
 	if n > 1<<32 {
 		return "", nil, fmt.Errorf("depot: implausible section size %d", n)
 	}
-	// The length is untrusted input: grow the buffer chunk by chunk so a
+	// The length is untrusted input: the buffer grows as bytes arrive, so a
 	// corrupt header fails on the short read instead of allocating
 	// gigabytes up front.
-	const chunk = 1 << 20
-	data := make([]byte, 0, min64(n, chunk))
-	for uint64(len(data)) < n {
-		step := n - uint64(len(data))
-		if step > chunk {
-			step = chunk
-		}
-		start := len(data)
-		data = append(data, make([]byte, step)...)
-		if _, err := io.ReadFull(r, data[start:]); err != nil {
-			return "", nil, fmt.Errorf("depot: section %s truncated: %w", tag, err)
-		}
+	var data bytes.Buffer
+	if _, err := io.CopyN(&data, r, int64(n)); err != nil {
+		return "", nil, fmt.Errorf("depot: section %s truncated: %w", tag, err)
 	}
-	return string(tag), data, nil
+	return string(tag), data.Bytes(), nil
 }
 
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// WriteSnapshot serializes the depot state. The image reflects every store
-// acknowledged before the call.
-func (d *Depot) WriteSnapshot(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+// writeImageHead starts a snapshot or checkpoint image: the magic, the
+// cache document and the policies.
+func (d *Depot) writeImageHead(bw *bufio.Writer) error {
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return err
 	}
 	if err := writeSection(bw, "CACH", d.cache.Dump()); err != nil {
 		return err
 	}
-	polsXML, err := marshalPolicies(d.policies.Load().all)
+	var pols xmlPolicies
+	for _, p := range d.policies.Load().all {
+		pols.Policies = append(pols.Policies, marshalPolicyEntry(p))
+	}
+	polsXML, err := xml.Marshal(pols)
 	if err != nil {
 		return err
 	}
-	if err := writeSection(bw, "POLS", polsXML); err != nil {
+	return writeSection(bw, "POLS", polsXML)
+}
+
+// WriteSnapshot serializes the depot state. The image reflects every store
+// acknowledged before the call.
+func (d *Depot) WriteSnapshot(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	if err := d.writeImageHead(bw); err != nil {
 		return err
 	}
-	// The store iterates in key order pinning one archive at a time, and
-	// both backends serialize the same image for the same update history —
-	// a disk depot's snapshot is byte-identical to its memory twin's.
-	err = d.archives.each(func(key string, db archiveDB) error {
+	// Archives go out in key order, one pinned at a time, and both backends
+	// serialize the same image for the same update history — a disk depot's
+	// snapshot is byte-identical to its memory twin's.
+	for _, key := range d.archives.keys() {
+		db, release, ok := d.archives.lookup(key)
+		if !ok {
+			continue
+		}
 		var buf bytes.Buffer
 		buf.WriteString(key)
 		buf.WriteByte(0)
-		if _, err := db.WriteTo(&buf); err != nil {
+		_, err := db.WriteTo(&buf)
+		release()
+		if err != nil {
 			return err
 		}
-		return writeSection(bw, "ARCH", buf.Bytes())
-	})
-	if err != nil {
-		return err
+		if err := writeSection(bw, "ARCH", buf.Bytes()); err != nil {
+			return err
+		}
 	}
 	return bw.Flush()
 }
 
-func heartbeatString(d time.Duration) string {
-	if d <= 0 {
-		return ""
-	}
-	return d.String()
-}
-
-// ReadSnapshot reconstructs a depot (default cache, default options) from
-// an image written by WriteSnapshot.
+// ReadSnapshot reconstructs a depot (default options) from an image written
+// by WriteSnapshot.
 func ReadSnapshot(r io.Reader) (*Depot, error) {
-	return ReadSnapshotOptions(r, nil, Options{})
+	return ReadSnapshotOptions(r, Options{})
 }
 
-// ReadSnapshotOptions is ReadSnapshot into the given cache (nil for the
-// default, as in New), which receives one Update per stored report, and
-// with explicit options for the reconstructed depot.
-func ReadSnapshotOptions(r io.Reader, cache Cache, opts Options) (*Depot, error) {
+// ReadSnapshotOptions is ReadSnapshot with explicit options for the
+// reconstructed depot, whose cache receives one Update per stored report.
+func ReadSnapshotOptions(r io.Reader, opts Options) (*Depot, error) {
+	d := NewWithOptions(nil, opts)
+	if _, err := d.restoreImage(r); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// restoreImage loads a snapshot or checkpoint image into a depot that has
+// stored nothing yet and returns the first live WAL segment a checkpoint
+// names (0 without one). The two share the section format, so a disk depot
+// restores from a plain snapshot too, leaving its archives to their files.
+func (d *Depot) restoreImage(r io.Reader) (firstSeq uint64, err error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("depot: snapshot header: %w", err)
+		return 0, fmt.Errorf("depot: snapshot header: %w", err)
 	}
 	if string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("depot: bad snapshot magic %q", magic)
+		return 0, fmt.Errorf("depot: bad snapshot magic %q", magic)
 	}
-	d := NewWithOptions(cache, opts)
 	for {
 		tag, data, err := readSection(br)
 		if err == io.EOF {
-			return d, nil
+			return firstSeq, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("depot: snapshot section: %w", err)
+			return 0, fmt.Errorf("depot: snapshot section: %w", err)
 		}
 		switch tag {
 		case "CACH":
-			if err := restoreDump(d.cache, data); err != nil {
-				return nil, err
+			if err := RestoreDump(d.cache, data, branch.ID{}); err != nil {
+				return 0, err
 			}
 		case "POLS":
 			var pols xmlPolicies
 			if err := xml.Unmarshal(data, &pols); err != nil {
-				return nil, fmt.Errorf("depot: snapshot policies: %w", err)
+				return 0, fmt.Errorf("depot: snapshot policies: %w", err)
 			}
 			for _, xp := range pols.Policies {
 				p, err := snapshotPolicy(xp)
 				if err != nil {
-					return nil, err
+					return 0, err
 				}
 				if err := d.AddPolicy(p); err != nil {
-					return nil, err
+					return 0, err
 				}
 			}
 		case "ARCH":
+			mem, ok := d.archives.(*memoryStore)
+			if !ok {
+				continue
+			}
 			sep := bytes.IndexByte(data, 0)
 			if sep < 0 {
-				return nil, fmt.Errorf("depot: snapshot archive without key")
+				return 0, fmt.Errorf("depot: snapshot archive without key")
 			}
 			key := string(data[:sep])
 			db, err := rrd.ReadDB(bytes.NewReader(data[sep+1:]))
 			if err != nil {
-				return nil, fmt.Errorf("depot: snapshot archive %s: %w", key, err)
+				return 0, fmt.Errorf("depot: snapshot archive %s: %w", key, err)
 			}
-			d.archives.(*memoryStore).insert(key, db)
+			mem.insert(key, db)
+		case "WSEQ":
+			if len(data) != 8 {
+				return 0, fmt.Errorf("depot: checkpoint WSEQ of %d bytes", len(data))
+			}
+			firstSeq = binary.BigEndian.Uint64(data)
 		default:
 			// Unknown sections are skipped for forward compatibility.
 		}

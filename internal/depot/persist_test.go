@@ -12,7 +12,7 @@ import (
 
 func snapshotTestDepot(t *testing.T) *Depot {
 	t.Helper()
-	d := New(NewStreamCache())
+	d := New(nil)
 	if err := d.AddPolicy(Policy{
 		Name:   "bw",
 		Prefix: branch.MustParse("site=sdsc"),
@@ -151,7 +151,7 @@ func TestReadSnapshotRejectsGarbage(t *testing.T) {
 }
 
 func TestSnapshotEmptyDepot(t *testing.T) {
-	d := New(NewStreamCache())
+	d := New(nil)
 	var buf bytes.Buffer
 	if err := d.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)

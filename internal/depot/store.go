@@ -51,8 +51,6 @@ type archiveStore interface {
 	ensure(key string, cp *compiledPolicy, start time.Time) (archiveDB, func(), error)
 	keys() []string // sorted
 	count() int
-	// each visits every archive in key order, pinning one at a time.
-	each(fn func(key string, db archiveDB) error) error
 	// sync makes the archives durable (disk: flush state, fsync).
 	sync() error
 	close() error
@@ -146,21 +144,6 @@ func (s *memoryStore) count() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-func (s *memoryStore) each(fn func(key string, db archiveDB) error) error {
-	for _, k := range s.keys() {
-		db, release, ok := s.lookup(k)
-		if !ok {
-			continue
-		}
-		err := fn(k, db)
-		release()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (s *memoryStore) sync() error  { return nil }
@@ -349,21 +332,6 @@ func (s *diskStore) count() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.series
-}
-
-func (s *diskStore) each(fn func(key string, db archiveDB) error) error {
-	for _, k := range s.keys() {
-		db, release, ok := s.lookup(k)
-		if !ok {
-			continue
-		}
-		err := fn(k, db)
-		release()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // sync flushes every open archive to stable storage. Closed archives were

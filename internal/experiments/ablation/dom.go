@@ -3,8 +3,6 @@ package ablation
 import (
 	"bytes"
 	"encoding/xml"
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -56,29 +54,6 @@ func (n *domNode) child(p branch.Pair, create bool) *domNode {
 
 // NewDOMCache returns an empty tree cache.
 func NewDOMCache() *DOMCache { return &DOMCache{root: &domNode{}} }
-
-// wellFormed checks that data is one balanced XML element tree, as the
-// stream cache's tokenising insert does before it touches the document.
-func wellFormed(data []byte) error {
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	elements := 0
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("depot: report is not well-formed XML: %w", err)
-		}
-		if _, ok := tok.(xml.StartElement); ok {
-			elements++
-		}
-	}
-	if elements == 0 {
-		return fmt.Errorf("depot: empty report payload")
-	}
-	return nil
-}
 
 // Update implements Cache.
 func (c *DOMCache) Update(id branch.ID, reportXML []byte) (bool, error) {
@@ -145,10 +120,7 @@ func (c *DOMCache) Query(id branch.ID) ([]byte, bool, error) {
 func (n *domNode) encode(enc *xml.Encoder, tag string) error {
 	start := xml.StartElement{Name: xml.Name{Local: tag}}
 	if tag == "branch" {
-		start.Attr = []xml.Attr{
-			{Name: xml.Name{Local: "name"}, Value: n.pair.Name},
-			{Name: xml.Name{Local: "value"}, Value: n.pair.Value},
-		}
+		start = branchStart(n.pair)
 	}
 	if err := enc.EncodeToken(start); err != nil {
 		return err

@@ -20,7 +20,7 @@ var _ depot.Cache = (*FileCache)(nil)
 type FileCache struct {
 	mu    sync.Mutex
 	path  string
-	inner *depot.StreamCache
+	inner *StreamCache
 }
 
 // OpenFileCache loads (or creates) the cache file at path.
@@ -29,13 +29,13 @@ func OpenFileCache(path string) (*FileCache, error) {
 	data, err := os.ReadFile(path)
 	switch {
 	case err == nil:
-		inner, lerr := depot.LoadDump(data)
+		inner, lerr := LoadStreamDump(data)
 		if lerr != nil {
 			return nil, fmt.Errorf("depot: cache file %s: %w", path, lerr)
 		}
 		fc.inner = inner
 	case os.IsNotExist(err):
-		fc.inner = depot.NewStreamCache()
+		fc.inner = NewStreamCache()
 		if werr := fc.flushLocked(); werr != nil {
 			return nil, werr
 		}
@@ -78,7 +78,7 @@ func (fc *FileCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 	}
 	if err := fc.flushLocked(); err != nil {
 		// Roll back the in-memory copy so memory and disk stay consistent.
-		restored, lerr := depot.LoadDump(before)
+		restored, lerr := LoadStreamDump(before)
 		if lerr == nil {
 			fc.inner = restored
 		}

@@ -19,7 +19,7 @@ var _ depot.Cache = (*SplitCache)(nil)
 type SplitCache struct {
 	mu     sync.RWMutex
 	depth  int
-	shards map[string]*depot.StreamCache
+	shards map[string]*StreamCache
 }
 
 // NewSplitCache returns an empty cache sharded on the single most general
@@ -32,7 +32,7 @@ func NewSplitCacheDepth(depth int) *SplitCache {
 	if depth < 1 {
 		depth = 1
 	}
-	return &SplitCache{depth: depth, shards: make(map[string]*depot.StreamCache)}
+	return &SplitCache{depth: depth, shards: make(map[string]*StreamCache)}
 }
 
 // shardKey derives the shard from the identifier's most general components.
@@ -48,13 +48,13 @@ func (c *SplitCache) shardKey(id branch.ID) string {
 	return strings.Join(parts, "/")
 }
 
-func (c *SplitCache) shard(id branch.ID, create bool) *depot.StreamCache {
+func (c *SplitCache) shard(id branch.ID, create bool) *StreamCache {
 	key := c.shardKey(id)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.shards[key]
 	if !ok && create {
-		s = depot.NewStreamCache()
+		s = NewStreamCache()
 		c.shards[key] = s
 	}
 	return s
@@ -68,7 +68,7 @@ func (c *SplitCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 // shardsForPrefix returns the shards that can hold data under prefix, in
 // shard-key order. A prefix shallower than the shard depth spans several
 // shards.
-func (c *SplitCache) shardsForPrefix(prefix branch.ID) []*depot.StreamCache {
+func (c *SplitCache) shardsForPrefix(prefix branch.ID) []*StreamCache {
 	if prefix.IsRoot() {
 		return c.orderedShards()
 	}
@@ -77,7 +77,7 @@ func (c *SplitCache) shardsForPrefix(prefix branch.ID) []*depot.StreamCache {
 	defer c.mu.RUnlock()
 	if prefix.Depth() >= c.depth {
 		if s, ok := c.shards[key]; ok {
-			return []*depot.StreamCache{s}
+			return []*StreamCache{s}
 		}
 		return nil
 	}
@@ -88,7 +88,7 @@ func (c *SplitCache) shardsForPrefix(prefix branch.ID) []*depot.StreamCache {
 		}
 	}
 	sort.Strings(keys)
-	out := make([]*depot.StreamCache, len(keys))
+	out := make([]*StreamCache, len(keys))
 	for i, k := range keys {
 		out[i] = c.shards[k]
 	}
@@ -109,7 +109,7 @@ func (c *SplitCache) Query(id branch.ID) ([]byte, bool, error) {
 // shard holds a disjoint set of children under the queried node, so the
 // merged answer emits the node's branch element once with every shard's
 // children inside.
-func mergeShardQuery(shards []*depot.StreamCache, id branch.ID) ([]byte, bool, error) {
+func mergeShardQuery(shards []*StreamCache, id branch.ID) ([]byte, bool, error) {
 	if len(shards) == 0 {
 		return nil, false, nil
 	}
@@ -162,7 +162,7 @@ func (c *SplitCache) Reports(prefix branch.ID) ([]depot.Stored, error) {
 	return out, nil
 }
 
-func (c *SplitCache) orderedShards() []*depot.StreamCache {
+func (c *SplitCache) orderedShards() []*StreamCache {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	keys := make([]string, 0, len(c.shards))
@@ -170,7 +170,7 @@ func (c *SplitCache) orderedShards() []*depot.StreamCache {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]*depot.StreamCache, len(keys))
+	out := make([]*StreamCache, len(keys))
 	for i, k := range keys {
 		out[i] = c.shards[k]
 	}

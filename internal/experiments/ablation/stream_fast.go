@@ -1,4 +1,4 @@
-package depot
+package ablation
 
 import (
 	"bytes"
@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"inca/internal/branch"
+	"inca/internal/depot"
 	"inca/internal/metrics"
 	"inca/internal/xmlscan"
 )
@@ -22,51 +23,28 @@ import (
 // copy. The canonical renderer never self-closes an element, so an Empty
 // tag at branch level is a structural surprise like any other.
 //
-// spliceUpdate (cache.go) is the generic-token reference implementation;
+// spliceUpdate (stream.go) is the generic-token reference implementation;
 // property tests assert the two agree.
-
-// entryPayload returns the bytes a report occupies between <entry> and
-// </entry>: what WriteEntry's decode and re-encode round trip makes of it.
-// A report already in the encoder's own form (xmlscan.Canonical: one
-// byte-level pass, no allocation) is its own payload, and the returned
-// slice aliases reportXML. Anything else, every malformed report included,
-// is tokenised by WriteEntry exactly as before and counted in fallbacks —
-// so which bytes are stored, and which error rejects a report, never
-// depends on the path taken.
-func entryPayload(reportXML []byte, fallbacks *metrics.Counter) ([]byte, error) {
-	if payload, ok := xmlscan.Canonical(reportXML); ok {
-		return payload, nil
-	}
-	if fallbacks != nil {
-		fallbacks.Inc()
-	}
-	var buf bytes.Buffer
-	enc := xml.NewEncoder(&buf)
-	if err := WriteEntry(enc, reportXML); err != nil {
-		return nil, err
-	}
-	if err := enc.Flush(); err != nil {
-		return nil, err
-	}
-	frag := buf.Bytes()
-	return frag[entryOpenLen : len(frag)-entryCloseLenIx], nil
-}
 
 // renderFragment builds the bytes for the remaining path components
 // wrapping the report entry (or just the entry when comps is empty).
 func renderFragment(comps []branch.Pair, reportXML []byte, fallbacks *metrics.Counter) ([]byte, error) {
-	payload, err := entryPayload(reportXML, fallbacks)
+	payload, err := depot.EntryPayload(reportXML, fallbacks)
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	buf.Grow(entryWrapLen + len(payload))
-	for _, p := range comps {
-		open, err := renderBranchOpen(p)
-		if err != nil {
+	buf.Grow(len("<entry></entry>") + len(payload))
+	if len(comps) > 0 { // a replacement, the steady state, opens no branch
+		enc := xml.NewEncoder(&buf) // open tags only: the encoder never self-closes
+		for _, p := range comps {
+			if err := enc.EncodeToken(branchStart(p)); err != nil {
+				return nil, err
+			}
+		}
+		if err := enc.Flush(); err != nil {
 			return nil, err
 		}
-		buf.Write(open)
 	}
 	buf.WriteString("<entry>")
 	buf.Write(payload)
@@ -75,83 +53,6 @@ func renderFragment(comps []branch.Pair, reportXML []byte, fallbacks *metrics.Co
 		buf.WriteString("</branch>")
 	}
 	return buf.Bytes(), nil
-}
-
-// collectReportsFast walks a canonical document gathering every entry
-// under prefix with the byte-level scanner — the read-side counterpart of
-// fastSplice. It errors on any structural surprise, and callers fall back
-// to the generic token walk (collectReports).
-func collectReportsFast(data []byte, prefix branch.ID) ([]Stored, error) {
-	var stack []branch.Pair
-	var out []Stored
-	pos := 0
-	sawRoot := false
-	for {
-		t, ok, err := xmlscan.ScanTag(data, pos)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if t.Kind == xmlscan.Empty {
-			return nil, fmt.Errorf("depot: self-closed <%s> at %d", t.Name, t.Start)
-		}
-		if t.Kind == xmlscan.Close {
-			if string(t.Name) == "branch" {
-				if len(stack) == 0 {
-					return nil, fmt.Errorf("depot: unbalanced branch close at %d", t.Start)
-				}
-				stack = stack[:len(stack)-1]
-			}
-			pos = t.End
-			continue
-		}
-		switch string(t.Name) {
-		case "cache":
-			sawRoot = true
-			pos = t.End
-		case "branch":
-			name, ok1 := xmlscan.AttrValue(t.Attrs, "name")
-			value, ok2 := xmlscan.AttrValue(t.Attrs, "value")
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("depot: branch element without name/value at %d", t.Start)
-			}
-			stack = append(stack, branch.Pair{Name: name, Value: value})
-			pos = t.End
-		case "entry":
-			end, err := xmlscan.SkipSubtree(data, t)
-			if err != nil {
-				return nil, err
-			}
-			const closeLen = len("</entry>")
-			if end-closeLen < t.End {
-				return nil, fmt.Errorf("depot: malformed entry at %d", t.Start)
-			}
-			payload := data[t.End : end-closeLen]
-			pairs := make([]branch.Pair, len(stack))
-			for i, p := range stack {
-				pairs[len(stack)-1-i] = p
-			}
-			id := branch.New(pairs...)
-			if id.HasSuffix(prefix) {
-				out = append(out, Stored{ID: id, XML: append([]byte(nil), payload...)})
-			}
-			pos = end
-		default:
-			// Foreign element preserved in the cache: skip it wholesale.
-			if pos, err = xmlscan.SkipSubtree(data, t); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("depot: %d unclosed branch elements", len(stack))
-	}
-	if !sawRoot {
-		return nil, fmt.Errorf("depot: document has no cache root")
-	}
-	return out, nil
 }
 
 // fastSplice performs the spliceUpdate operation on a canonical document

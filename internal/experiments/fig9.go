@@ -76,7 +76,7 @@ func Fig9(opt Fig9Options) Result {
 			"cache", "report (B)", "total (ms)", "insert (ms)", "unpack (ms)")
 		for _, cacheTarget := range loadgen.PaperCacheSizes {
 			for _, reportSize := range loadgen.PaperReportSizes {
-				total, insert, unpack, err := fig9Cell(envelope.Body, depot.NewStreamCache(),
+				total, insert, unpack, err := fig9Cell(envelope.Body, ablation.NewStreamCache(),
 					cacheTarget, reportSize, opt.UpdatesPerCell)
 				if err != nil {
 					r.Text = "error: " + err.Error()
@@ -103,8 +103,8 @@ func Fig9(opt Fig9Options) Result {
 				mode  envelope.Mode
 				cache func() (depot.Cache, error)
 			}{
-				{"body envelope + single cache (paper)", envelope.Body, func() (depot.Cache, error) { return depot.NewStreamCache(), nil }},
-				{"attachment envelope (paper's fix)", envelope.Attachment, func() (depot.Cache, error) { return depot.NewStreamCache(), nil }},
+				{"body envelope + single cache (paper)", envelope.Body, func() (depot.Cache, error) { return ablation.NewStreamCache(), nil }},
+				{"attachment envelope (paper's fix)", envelope.Attachment, func() (depot.Cache, error) { return ablation.NewStreamCache(), nil }},
 				{"split cache (paper's fix)", envelope.Body, func() (depot.Cache, error) { return ablation.NewSplitCacheDepth(2), nil }},
 				{"DOM cache (design rejected in §3.2.2)", envelope.Body, func() (depot.Cache, error) { return ablation.NewDOMCache(), nil }},
 				{"write-through file cache (deployed §3.2.2)", envelope.Body, func() (depot.Cache, error) {

@@ -48,7 +48,7 @@ func TestPremadeReportArbitrarySizes(t *testing.T) {
 }
 
 func TestFillToSize(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	target := 256 * 1024
 	n, err := FillToSize(CacheStore{c}, target, 851)
 	if err != nil {
@@ -67,7 +67,7 @@ func TestFillToSize(t *testing.T) {
 }
 
 func TestUpdateCycleHoldsSizeSteady(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	n, err := FillToSize(CacheStore{c}, 128*1024, 851)
 	if err != nil {
 		t.Fatal(err)
@@ -97,14 +97,14 @@ func TestUpdateCycleHoldsSizeSteady(t *testing.T) {
 }
 
 func TestNewUpdateCycleValidation(t *testing.T) {
-	c := depot.NewStreamCache()
+	c := depot.NewIndexedCache()
 	if _, err := NewUpdateCycle(CacheStore{c}, 851, 0); err == nil {
 		t.Fatal("empty cycle accepted")
 	}
 }
 
 func TestDepotStoreAdapter(t *testing.T) {
-	d := depot.New(depot.NewStreamCache())
+	d := depot.New(nil)
 	s := DepotStore{d}
 	if err := s.Store(branch.MustParse("a=1"), MustPremadeReport(851)); err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ type feedFederation struct {
 // newFeedShard builds one depot server with a live /feed.
 func newFeedShard(t *testing.T) (*httptest.Server, *depot.Depot) {
 	t.Helper()
-	d := depot.New(depot.NewStreamCache())
+	d := depot.New(nil)
 	sf := NewFeed(d, FeedOptions{})
 	srv := NewServer(d)
 	srv.Feed = sf
@@ -71,7 +71,7 @@ func newFeedFederation(t *testing.T, n int) *feedFederation {
 		ff.Close()
 	})
 
-	single := depot.New(depot.NewStreamCache())
+	single := depot.New(nil)
 	sts := httptest.NewServer(NewServer(single).Handler())
 	t.Cleanup(sts.Close)
 	return &feedFederation{fed: fed, tier: tier, router: router, depots: depots, single: single, sts: sts}
@@ -115,9 +115,9 @@ func TestFederatedFeedByteIdentity(t *testing.T) {
 	}
 
 	// Materialize the consumer's state from the stream.
-	state := depot.NewStreamCache()
+	state := depot.NewIndexedCache()
 	if len(snap.Data) > 0 {
-		if state, err = depot.LoadDump(snap.Data); err != nil {
+		if state, err = depot.LoadDump(snap.Data, branch.ID{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,7 +135,7 @@ func TestFederatedFeedByteIdentity(t *testing.T) {
 		if ev.Type == "snapshot" {
 			// A shard demotion mid-test replaces the state wholesale;
 			// keep going from the fresh image.
-			if state, err = depot.LoadDump(ev.Data); err != nil {
+			if state, err = depot.LoadDump(ev.Data, branch.ID{}); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -241,7 +241,7 @@ func TestFederatedFeedMembershipResync(t *testing.T) {
 // lacks /feed — a merged stream silently missing one shard's changes
 // would break the cursor contract.
 func TestFederatedFeedShardWithoutFeed(t *testing.T) {
-	dPlain := depot.New(depot.NewStreamCache())
+	dPlain := depot.New(nil)
 	plain := httptest.NewServer(NewServer(dPlain).Handler())
 	t.Cleanup(plain.Close)
 	withFeed, _ := newFeedShard(t)

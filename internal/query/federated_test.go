@@ -37,7 +37,7 @@ func newTestFederation(t *testing.T, n int) *testFederation {
 	shards := make([]federation.Shard, n)
 	depots := make(map[string]*depot.Depot, n)
 	for i := 0; i < n; i++ {
-		d := depot.New(depot.NewStreamCache())
+		d := depot.New(nil)
 		ts := httptest.NewServer(NewServer(d).Handler())
 		t.Cleanup(ts.Close)
 		name := fmt.Sprintf("shard%d", i)
@@ -51,7 +51,7 @@ func newTestFederation(t *testing.T, n int) *testFederation {
 	fed := httptest.NewServer(NewFederated(router, FederatedOptions{}).Handler())
 	t.Cleanup(fed.Close)
 
-	single := depot.New(depot.NewStreamCache())
+	single := depot.New(nil)
 	sts := httptest.NewServer(NewServer(single).Handler())
 	t.Cleanup(sts.Close)
 	return &testFederation{fed: fed, router: router, depots: depots, single: single, sts: sts}
@@ -456,7 +456,7 @@ func TestFederatedMembershipCopiesReports(t *testing.T) {
 		}
 	}
 	newDepot := func() (*depot.Depot, string) {
-		d := depot.New(depot.NewStreamCache())
+		d := depot.New(nil)
 		ts := httptest.NewServer(NewServer(d).Handler())
 		t.Cleanup(ts.Close)
 		return d, ts.URL

@@ -18,7 +18,7 @@ import (
 
 func newFeedServer(t *testing.T, opts FeedOptions) (*httptest.Server, *depot.Depot) {
 	t.Helper()
-	d := depot.New(depot.NewStreamCache())
+	d := depot.New(nil)
 	f := NewFeed(d, opts)
 	s := NewServer(d)
 	s.Feed = f
@@ -136,6 +136,65 @@ func TestFeedSSEEndToEnd(t *testing.T) {
 		t.Fatalf("snapshot != polled /cache:\nfeed %q\npoll %q", catch.Data, polled)
 	}
 	_ = d
+}
+
+// TestFeedPrefixSubscriberMirrorsAtFullIdentifiers: the snapshot of a
+// subscription at a non-root prefix is that prefix's own subtree, which
+// does not carry its ancestors. The consumer's loader restores it under the
+// prefix, so a change to a snapshotted branch replaces the mirrored entry
+// (restored at a truncated identifier it would be added beside it) and the
+// mirror holds exactly what the server's Reports(prefix) holds.
+func TestFeedPrefixSubscriberMirrorsAtFullIdentifiers(t *testing.T) {
+	ts, d := newFeedServer(t, FeedOptions{})
+	c := NewClient(ts.URL)
+	prefix := branch.MustParse("site=sdsc,vo=tg")
+	for _, id := range []string{"resource=a,site=sdsc,vo=tg", "resource=b,site=sdsc,vo=tg", "resource=a,site=ncsa,vo=tg"} {
+		if _, err := c.StoreEnvelope(sampleEnvelope(t, id, t0, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs, err := c.FeedSubscribe(prefix.String(), "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	snap := nextEvent(t, fs, 5*time.Second)
+	if snap.Type != "snapshot" {
+		t.Fatalf("first event = %+v, want snapshot", snap)
+	}
+	mirror, err := depot.LoadDump(snap.Data, prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mirror.Count() != 2 {
+		t.Fatalf("snapshot mirrored %d entries, want 2:\n%s", mirror.Count(), mirror.Dump())
+	}
+
+	if _, err := c.StoreEnvelope(sampleEnvelope(t, "resource=a,site=sdsc,vo=tg", t0.Add(time.Minute), 2)); err != nil {
+		t.Fatal(err)
+	}
+	fc, err := nextEvent(t, fs, 5*time.Second).Change()
+	if err != nil {
+		t.Fatal(err)
+	}
+	added, err := mirror.Update(branch.MustParse(fc.Branch), []byte(fc.Report))
+	if err != nil || added || mirror.Count() != 2 {
+		t.Fatalf("change to the snapshotted %s: added=%v err=%v count=%d, want a replacement:\n%s",
+			fc.Branch, added, err, mirror.Count(), mirror.Dump())
+	}
+	want, err := d.Cache().Reports(prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := mirror.Reports(branch.ID{})
+	if len(got) != len(want) {
+		t.Fatalf("mirror holds %d reports, server %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].ID.Equal(want[i].ID) || string(got[i].XML) != string(want[i].XML) {
+			t.Fatalf("mirror entry %d is %s %s, server has %s %s", i, got[i].ID, got[i].XML, want[i].ID, want[i].XML)
+		}
+	}
 }
 
 func TestFeedLongPoll(t *testing.T) {

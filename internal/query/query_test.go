@@ -23,7 +23,7 @@ var t0 = time.Date(2004, 7, 7, 0, 0, 0, 0, time.UTC)
 
 func newTestServer(t *testing.T) (*httptest.Server, *depot.Depot) {
 	t.Helper()
-	d := depot.New(depot.NewStreamCache())
+	d := depot.New(nil)
 	ts := httptest.NewServer(NewServer(d).Handler())
 	t.Cleanup(ts.Close)
 	return ts, d
@@ -255,7 +255,7 @@ func TestPolicyXMLValidation(t *testing.T) {
 }
 
 func TestSpecDistributionEndpoints(t *testing.T) {
-	d := depot.New(depot.NewStreamCache())
+	d := depot.New(nil)
 	srv := NewServer(d)
 	store := srv.EnableSpecs()
 	ts := httptest.NewServer(srv.Handler())
@@ -325,7 +325,7 @@ func TestSpecEndpointDisabled(t *testing.T) {
 }
 
 func TestAvailabilityEndpoint(t *testing.T) {
-	d := depot.New(depot.NewStreamCache())
+	d := depot.New(nil)
 	if err := d.AddPolicy(consumer.AvailabilityPolicy()); err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestMetricsSmoke(t *testing.T) {
 	host := "login.sitea.example.org"
 
 	reg := metrics.NewRegistry()
-	d := depot.NewWithOptions(depot.NewStreamCache(), depot.Options{Metrics: reg})
+	d := depot.NewWithOptions(nil, depot.Options{Metrics: reg})
 	defer d.Close()
 	if err := d.AddPolicy(consumer.AvailabilityPolicy()); err != nil {
 		t.Fatal(err)
