@@ -38,7 +38,7 @@ fence:
 	fi
 
 # Flag fence: README.md, DESIGN.md, EXPERIMENTS.md and the verify skill may
-# name a flag in backticks (`-storage`, `-flush-size 8`) only if the -h
+# name a flag in backticks (`-storage`, `-spool DIR`) only if the -h
 # output of inca-server, inca-agent or another binary of this repo lists it,
 # so a deleted flag cannot live on in the documents.
 flags:
@@ -53,9 +53,10 @@ test:
 
 # Fault-injection suite (DESIGN.md §5d): chaos-proxy tests proving zero
 # report loss across resets, stalled acks, and controller restarts, plus
-# the spool's reliable-sink tests, all under the race detector.
+# the spool's and the wire sink's custody tests (an agent restart, a shed
+# while a chunk is in flight), all under the race detector.
 chaos:
-	$(GO) test -race -run 'TestChaos|TestSpool|TestReliableSink' -count=1 ./internal/wire/ ./internal/agent/
+	$(GO) test -race -run 'TestChaos|TestSpool|TestWireSink' -count=1 ./internal/wire/ ./internal/agent/
 
 # Telemetry gate (DESIGN.md §5e): drive the full pipeline with one shared
 # registry and lint the /metrics exposition for every stage's instruments;
@@ -128,8 +129,9 @@ bench-ingest:
 # against encoding/xml, the merge and the reports parser against the
 # tokenising oracle, the insert's admission against the tokenising insert,
 # the extractor against Parse + Find, the envelope escaper against
-# xml.EscapeText, and the archive image reader against its own writer (an
-# accepted image re-serializes to the bytes it was read from). The seed
+# xml.EscapeText, and the archive image reader and the wire frame and batch
+# readers against their own writers (what is accepted re-serializes to the
+# bytes it was read from). The seed
 # corpora (f.Add plus testdata/fuzz) run under plain `go test`; `go test
 # -fuzz` takes one target per invocation.
 fuzz:
@@ -140,6 +142,8 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzExtractValues$$' -fuzztime=10s ./internal/report/
 	$(GO) test -run=NONE -fuzz='^FuzzEncode$$' -fuzztime=10s ./internal/envelope/
 	$(GO) test -run=NONE -fuzz='^FuzzReadDB$$' -fuzztime=10s ./internal/rrd/
+	$(GO) test -run=NONE -fuzz='^FuzzReadMessage$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run=NONE -fuzz='^FuzzReadBatch$$' -fuzztime=10s ./internal/wire/
 
 # Storage tier (DESIGN.md §5g): memory vs disk engine across report
 # ingest, archive updates at 10k/100k series (with the heap staying flat

@@ -23,7 +23,6 @@ import (
 	"inca/internal/metrics"
 	"inca/internal/query"
 	"inca/internal/simtime"
-	"inca/internal/wire"
 )
 
 func main() {
@@ -35,16 +34,16 @@ func main() {
 		seed    = flag.Int64("seed", 1, "grid seed")
 		list    = flag.Bool("list", false, "print the specification file and exit")
 
-		flushSize     = flag.Int("flush-size", 0, "batch this many reports per wire flush (0 = one message per round trip, the deployed protocol)")
-		flushInterval = flag.Duration("flush-interval", 0, "send a partial batch after this long (default 50ms when -flush-size is set)")
-
-		spool   = flag.String("spool", "", "reliable delivery: spool reports through a bounded store-and-forward queue; 'mem' keeps it in memory only, any other value is a directory for disk overflow (survives agent restarts)")
-		retry   = flag.Int("retry", 0, "with -spool: delivery attempts per report before it is dropped and counted (0 = retry until shutdown)")
+		spool   = flag.String("spool", "", "directory for the delivery spool's disk overflow, which survives agent restarts (empty = the spool, always on, is memory-only)")
 		timeout = flag.Duration("timeout", 30*time.Second, "per-attempt wire I/O deadline (dial is capped at 10s); a hung controller fails the attempt instead of wedging the agent")
 
 		metricsAddr = flag.String("metrics", "", "serve Prometheus text metrics on this address's /metrics (empty = disabled)")
 	)
 	flag.Parse()
+	if *spool == "mem" {
+		fmt.Fprintln(os.Stderr, "inca-agent: -spool mem is retired: the spool is always on; name a directory for disk overflow, or leave -spool empty for a memory-only spool")
+		os.Exit(2)
+	}
 
 	grid := core.DemoGrid(*seed, time.Now().Add(-24*time.Hour))
 	var spec agent.Spec
@@ -95,41 +94,16 @@ func main() {
 	// and the wire path underneath it.
 	reg := metrics.NewRegistry()
 
-	var sink *agent.WireSink
-	switch {
-	case *spool != "":
-		// Reliable path: Submit lands in the spool immediately; a delivery
-		// loop replays with backoff, reconnect, and per-attempt deadlines.
-		dopt := agent.DeliveryOptions{
-			Client:      wire.ClientOptions{IOTimeout: *timeout, Metrics: reg},
-			MaxAttempts: *retry,
-		}
-		if *spool != "mem" {
-			dopt.Spool.Dir = *spool
-		}
-		if *flushSize > 0 {
-			dopt.Batch = &wire.BatchOptions{
-				MaxBatch:      *flushSize,
-				FlushInterval: *flushInterval,
-				IOTimeout:     *timeout,
-				Metrics:       reg,
-			}
-		}
-		var serr error
-		sink, serr = agent.NewWireSinkReliable(*server, dopt)
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, serr)
-			os.Exit(1)
-		}
-	case *flushSize > 0:
-		sink = agent.NewWireSinkBatched(*server, wire.BatchOptions{
-			MaxBatch:      *flushSize,
-			FlushInterval: *flushInterval,
-			IOTimeout:     *timeout,
-			Metrics:       reg,
-		})
-	default:
-		sink = agent.NewWireSinkOptions(*server, wire.ClientOptions{IOTimeout: *timeout, Metrics: reg})
+	// Every report goes spool → batch client; -spool only says whether the
+	// spool may overflow to disk.
+	sink, err := agent.NewWireSink(*server, agent.DeliveryOptions{
+		Spool:     agent.SpoolOptions{Dir: *spool},
+		IOTimeout: *timeout,
+		Metrics:   reg,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	defer sink.Close()
 	a, err := agent.NewMetrics(spec, simtime.Real{}, sink, agent.Live, reg)
@@ -159,13 +133,11 @@ func main() {
 		cancel()
 	}()
 	a.Run(ctx)
-	if *spool != "" {
-		// Best-effort final replay so a clean shutdown loses nothing; with
-		// a spool directory, whatever cannot be delivered in time persists
-		// on disk for the next start.
-		if err := sink.Drain(10 * time.Second); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
+	// Best-effort final replay so a clean shutdown loses nothing; with a
+	// spool directory, whatever cannot be delivered in time persists on
+	// disk for the next start.
+	if err := sink.Drain(10 * time.Second); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 	}
 	st := a.Stats()
 	fmt.Printf("stopped: %d runs, %d failures, %d killed, %d submit errors\n",

@@ -91,7 +91,10 @@ func main() {
 			},
 		},
 	}
-	sink := agent.NewWireSink(tcpSrv.Addr())
+	sink, err := agent.NewWireSink(tcpSrv.Addr(), agent.DeliveryOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer sink.Close()
 	a, err := agent.New(spec, clock, sink, agent.Simulated)
 	if err != nil {
@@ -101,6 +104,10 @@ func main() {
 	// Replay the measurement period.
 	end := start.Add(time.Duration(*days) * 24 * time.Hour)
 	core.DriveAgents(clock, []*agent.Agent{a}, end)
+	// Submit only spools; wait for the controller's acks before reading.
+	if err := sink.Drain(time.Minute); err != nil {
+		log.Fatal(err)
+	}
 	st := a.Stats()
 	fmt.Printf("agent forwarded %d reports (%d bytes) over TCP; %d failures\n",
 		st.Runs, st.BytesSent, st.Failures)

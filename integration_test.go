@@ -2,6 +2,7 @@ package inca_test
 
 import (
 	"bytes"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -20,6 +21,26 @@ import (
 	"inca/internal/simtime"
 	"inca/internal/wire"
 )
+
+// sendBare dials addr and makes one bare exchange with the exported codec —
+// a message frame out, an ack frame back — the probe for the wire server's
+// single-message branch, which no client in this repo writes to.
+func sendBare(t *testing.T, addr string, m *wire.Message) *wire.Ack {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteMessage(conn, m); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := wire.ReadAck(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ack
+}
 
 // TestFullTopologyOverSockets exercises the complete deployment over real
 // transports, as `inca-server -federate` runs it: two agents with
@@ -82,14 +103,19 @@ func TestFullTopologyOverSockets(t *testing.T) {
 
 	// Agents: demo spec per host, signed wire sinks, every-minute cron.
 	var agents []*agent.Agent
+	var sinks []*agent.WireSink
 	for _, host := range hosts {
 		spec, err := core.DemoSpec(grid, host, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink := agent.NewWireSink(routerSrv.Addr())
+		sink, err := agent.NewWireSink(routerSrv.Addr(), agent.DeliveryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		sink.Key = keys[host]
 		defer sink.Close()
+		sinks = append(sinks, sink)
 		a, err := agent.New(spec, clock, sink, agent.Simulated)
 		if err != nil {
 			t.Fatal(err)
@@ -97,8 +123,14 @@ func TestFullTopologyOverSockets(t *testing.T) {
 		agents = append(agents, a)
 	}
 
-	// Replay five virtual minutes, then wait out the router's custody.
+	// Replay five virtual minutes, then wait out each hop's custody: the
+	// agents' spools first, then the router's queues.
 	core.DriveAgents(clock, agents, start.Add(5*time.Minute))
+	for _, sink := range sinks {
+		if err := sink.Drain(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := router.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +160,7 @@ func TestFullTopologyOverSockets(t *testing.T) {
 	// An unsigned submission for a keyed host: the router's ack is only a
 	// custody transfer, so it acks; the owning shard's controller refuses
 	// the message, and nothing is stored.
-	rogue := wire.NewClient(routerSrv.Addr())
-	defer rogue.Close()
-	ack, err := rogue.Send(&wire.Message{Branch: "x=1", Hostname: hosts[0], Report: []byte("<r/>")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ack := sendBare(t, routerSrv.Addr(), &wire.Message{Branch: "x=1", Hostname: hosts[0], Report: []byte("<r/>")})
 	if !ack.OK {
 		t.Fatalf("router refused custody: %s", ack.Message)
 	}

@@ -53,7 +53,7 @@ type Spec struct {
 	Series       []Series
 }
 
-// Sink receives completed reports — in deployment, a wire.Client pointed at
+// Sink receives completed reports — in deployment, a WireSink pointed at
 // the centralized controller; in tests, any collector.
 type Sink interface {
 	Submit(id branch.ID, hostname string, reportXML []byte) error
@@ -87,13 +87,14 @@ type Stats struct {
 	SubmitErrs int // reports the sink refused or could not deliver
 	BytesSent  int64
 	DepSkips   int
-	// Delivery is the sink's reliable-delivery accounting when the sink
-	// maintains one (see WireSink.DeliveryStats); nil otherwise.
+	// Delivery is the sink's delivery accounting when the sink maintains
+	// one (see WireSink.DeliveryStats); nil otherwise.
 	Delivery *DeliveryStats
 }
 
 // DeliveryStatser is implemented by sinks that account for every report's
-// delivery fate (spooled/replayed/rejected/dropped).
+// delivery fate (spooled/replayed/rejected/dropped); its Depth also feeds
+// the inca_agent_spool_depth gauge.
 type DeliveryStatser interface {
 	DeliveryStats() DeliveryStats
 }
@@ -142,12 +143,6 @@ func New(spec Spec, clock simtime.Clock, sink Sink, mode Mode) (*Agent, error) {
 	return NewMetrics(spec, clock, sink, mode, nil)
 }
 
-// SpoolDepther is implemented by sinks with a store-and-forward spool; the
-// depth feeds the inca_agent_spool_depth gauge.
-type SpoolDepther interface {
-	SpoolDepth() int
-}
-
 // NewMetrics is New with agent, scheduler, and (when the sink spools)
 // spool-depth instruments registered in reg. A nil reg keeps the
 // instruments private — Stats() works either way.
@@ -175,9 +170,9 @@ func NewMetrics(spec Spec, clock simtime.Clock, sink Sink, mode Mode, reg *metri
 		ForkMemMB:   17,
 		BaseCPUFrac: 0.0002,
 	}
-	if sd, ok := sink.(SpoolDepther); ok {
-		reg.GaugeFunc("inca_agent_spool_depth", "Reports queued in the reliable-delivery spool.", func() float64 {
-			return float64(sd.SpoolDepth())
+	if ds, ok := sink.(DeliveryStatser); ok {
+		reg.GaugeFunc("inca_agent_spool_depth", "Reports queued in the delivery spool.", func() float64 {
+			return float64(ds.DeliveryStats().Depth)
 		})
 	}
 	for i := range spec.Series {

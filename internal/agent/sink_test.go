@@ -15,9 +15,9 @@ import (
 	"inca/internal/wire"
 )
 
-func TestWireSinkSubmitAndAuth(t *testing.T) {
-	key := []byte("secret")
-	var got atomic.Int64
+// verifyingServer acks messages signed under key and refuses the rest.
+func verifyingServer(t *testing.T, key []byte, got *atomic.Int64) *wire.Server {
+	t.Helper()
 	srv, err := wire.Serve("127.0.0.1:0", func(m *wire.Message, remote string) *wire.Ack {
 		if !wire.Verify(m, key) {
 			return &wire.Ack{OK: false, Message: "bad signature"}
@@ -28,14 +28,36 @@ func TestWireSinkSubmitAndAuth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
 
-	// Unsigned sink → server refuses, Submit surfaces the rejection.
-	s := NewWireSink(srv.Addr())
+func newTestSink(t *testing.T, addr string, opt DeliveryOptions) *WireSink {
+	t.Helper()
+	s, err := NewWireSink(addr, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func TestWireSinkSubmitAndAuth(t *testing.T) {
+	key := []byte("secret")
+	var got atomic.Int64
+	srv := verifyingServer(t, key, &got)
+	s := newTestSink(t, srv.Addr(), DeliveryOptions{})
 	defer s.Close()
-	err = s.Submit(branch.MustParse("a=1"), "h", []byte("<r/>"))
-	if err == nil || !strings.Contains(err.Error(), "bad signature") {
-		t.Fatalf("unsigned submit err = %v", err)
+
+	// Unsigned sink → Submit spools, the server refuses, and the refusal is
+	// on the ledger, not on Submit.
+	if err := s.Submit(branch.MustParse("a=1"), "h", []byte("<r/>")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if ds := s.DeliveryStats(); ds.Rejected != 1 || ds.Replayed != 0 || got.Load() != 0 {
+		t.Fatalf("unsigned submit: stats %+v, server stored %d", ds, got.Load())
 	}
 
 	// Signed sink → accepted.
@@ -43,16 +65,67 @@ func TestWireSinkSubmitAndAuth(t *testing.T) {
 	if err := s.Submit(branch.MustParse("a=1"), "h", []byte("<r/>")); err != nil {
 		t.Fatal(err)
 	}
-	if got.Load() != 1 {
-		t.Fatalf("server got %d", got.Load())
+	if err := s.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if ds := s.DeliveryStats(); ds.Rejected != 1 || ds.Replayed != 1 || got.Load() != 1 {
+		t.Fatalf("signed submit: stats %+v, server stored %d", ds, got.Load())
 	}
 }
 
+// TestWireSinkTransportError: an unreachable controller costs buffering,
+// not an error and not the report — and both the redelivery backoff and
+// Drain's deadline run on the injected clock, so a virtual second passes
+// with no wall-clock wait.
 func TestWireSinkTransportError(t *testing.T) {
-	s := NewWireSink("127.0.0.1:1") // nothing listens there
+	sim := simtime.NewSim(time.Unix(0, 0))
+	s := newTestSink(t, "127.0.0.1:1", DeliveryOptions{Clock: sim}) // nothing listens there
 	defer s.Close()
-	if err := s.Submit(branch.MustParse("a=1"), "h", []byte("<r/>")); err == nil {
-		t.Fatal("dead server submit succeeded")
+	if err := s.Submit(branch.MustParse("a=1"), "h", []byte("<r/>")); err != nil {
+		t.Fatalf("submit against a dead server: %v", err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- s.Drain(time.Second) }()
+	awaitTimers(t, sim, 2) // the loop's backoff and Drain's deadline
+	sim.Advance(time.Second)
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "1 reports still spooled") {
+			t.Fatalf("drain err = %v, want a timeout naming the spooled report", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain did not expire on the injected clock")
+	}
+	if ds := s.DeliveryStats(); ds.Spooled != 1 || ds.Depth != 1 || ds.Dropped != 0 || ds.Replayed != 0 {
+		t.Fatalf("delivery stats = %+v", ds)
+	}
+}
+
+// awaitTimers blocks until n timers are pending on the virtual clock: the
+// delivery loop parked in its backoff, plus any Drain waiting beside it.
+func awaitTimers(t *testing.T, sim *simtime.Sim, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second) // safety net, never hit on the passing path
+	for sim.Pending() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d timers pending on the injected clock, want %d", sim.Pending(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// settle steps the virtual clock past each redelivery backoff until the
+// spool is empty.
+func settle(t *testing.T, s *WireSink, sim *simtime.Sim) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second) // safety net, never hit on the passing path
+	for s.DeliveryStats().Depth > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("spool never emptied: %+v", s.DeliveryStats())
+		}
+		if !sim.Step() {
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 
@@ -124,55 +197,25 @@ func TestAgentRunLoopWithSimClock(t *testing.T) {
 func TestWireSinkBatchedDeliversAll(t *testing.T) {
 	key := []byte("secret")
 	var got atomic.Int64
-	srv, err := wire.Serve("127.0.0.1:0", func(m *wire.Message, remote string) *wire.Ack {
-		if !wire.Verify(m, key) {
-			return &wire.Ack{OK: false, Message: "bad signature"}
-		}
-		got.Add(1)
-		return &wire.Ack{OK: true}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	s := NewWireSinkBatched(srv.Addr(), wire.BatchOptions{MaxBatch: 8, Window: 2})
+	srv := verifyingServer(t, key, &got)
+	s := newTestSink(t, srv.Addr(), DeliveryOptions{})
 	s.Key = key
-	const total = 30
+	const total = 100 // several frames' worth
 	for i := 0; i < total; i++ {
 		if err := s.Submit(branch.MustParse("a=1"), "h", []byte("<r/>")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Close drains the partial batch and all in-flight acks.
+	if err := s.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got.Load() != total {
 		t.Fatalf("server got %d, want %d", got.Load(), total)
 	}
-}
-
-func TestWireSinkBatchedSurfacesRejectionLater(t *testing.T) {
-	srv, err := wire.Serve("127.0.0.1:0", func(m *wire.Message, remote string) *wire.Ack {
-		return &wire.Ack{OK: false, Message: "bad signature"}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	s := NewWireSinkBatched(srv.Addr(), wire.BatchOptions{MaxBatch: 1, Window: 1})
-	// The rejection rides the ack vector; it surfaces on a later Submit
-	// or at the latest on Close.
-	var sawErr error
-	for i := 0; i < 5 && sawErr == nil; i++ {
-		sawErr = s.Submit(branch.MustParse("a=1"), "h", []byte("<r/>"))
-	}
-	if closeErr := s.Close(); sawErr == nil {
-		sawErr = closeErr
-	}
-	if sawErr == nil || !strings.Contains(sawErr.Error(), "bad signature") {
-		t.Fatalf("rejection never surfaced: %v", sawErr)
+	if ds := s.DeliveryStats(); ds.Replayed != total || ds.Depth != 0 {
+		t.Fatalf("delivery stats = %+v", ds)
 	}
 }

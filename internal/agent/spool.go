@@ -21,17 +21,23 @@ import (
 //
 // Memory is bounded by MemLimitBytes. When the in-memory queue is full,
 // entries overflow to an append-only file of ordinary wire frames under
-// Dir; with no Dir configured the oldest entry is shed instead and
-// counted — the spool never blocks a Put and never sheds silently. Disk
-// entries survive a crash: NewSpool rescans the overflow file, so reports
-// spooled by a previous agent process are replayed after restart.
+// Dir; with no Dir configured the oldest entry not on lease is shed
+// instead and counted — the spool never blocks a Put and never sheds
+// silently. Disk entries survive a crash: NewSpool rescans the overflow
+// file, so reports spooled by a previous agent process are replayed after
+// restart.
+//
+// The lease is what lets the delivery loop pop after the ack: the prefix
+// Peek or PeekBatch handed out stays where it is until PopN, so PopN(n)
+// removes exactly the n entries that were sent.
 type Spool struct {
 	opt SpoolOptions
 
 	mu       sync.Mutex
 	mem      []*wire.Message
 	memBytes int
-	notify   chan struct{} // closed and replaced on every Put (broadcast)
+	leased   int           // length of the head prefix handed out and not yet popped
+	notify   chan struct{} // closed and replaced on every Put, PopN and Close (broadcast)
 	closed   bool
 
 	f         *os.File
@@ -68,7 +74,8 @@ func (o *SpoolOptions) fill() {
 // SpoolStats is a snapshot of spool accounting. Spooled − Dropped −
 // delivered = Depth at any quiescent point.
 type SpoolStats struct {
-	// Spooled is entries accepted by Put.
+	// Spooled is entries accepted by Put or recovered from a previous
+	// process.
 	Spooled uint64
 	// Dropped is entries shed to respect the memory/disk bounds.
 	Dropped uint64
@@ -111,6 +118,7 @@ func NewSpool(opt SpoolOptions) (*Spool, error) {
 		s.diskCount++
 	}
 	s.writeOff = off
+	s.spooled = uint64(s.diskCount) // recovered entries are on this process's ledger too
 	if err := f.Truncate(off); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("agent: spool truncate: %w", err)
@@ -131,8 +139,9 @@ func memCost(m *wire.Message) int {
 }
 
 // Put accepts one entry. It never blocks: when both the memory bound and
-// the disk bound are exhausted, the oldest queued entry is shed (newest
-// data is the monitoring signal worth keeping) and counted in Dropped.
+// the disk bound are exhausted, the oldest queued entry not on lease is
+// shed (newest data is the monitoring signal worth keeping) and counted in
+// Dropped.
 func (s *Spool) Put(m *wire.Message) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -157,13 +166,17 @@ func (s *Spool) Put(m *wire.Message) error {
 		}
 		// Disk unwritable but empty: fall through to the memory shed path.
 	}
-	for s.memBytes+memCost(m) > s.opt.MemLimitBytes && len(s.mem) > 0 {
-		s.memBytes -= memCost(s.mem[0])
+	for s.memBytes+memCost(m) > s.opt.MemLimitBytes && len(s.mem) > s.leased {
+		// Shed the entry behind the leased prefix: slide the prefix over
+		// its slot, then step the queue past the vacated head.
+		s.memBytes -= memCost(s.mem[s.leased])
+		copy(s.mem[1:s.leased+1], s.mem[:s.leased])
 		s.mem = s.mem[1:]
 		s.dropped++
 	}
 	if s.memBytes+memCost(m) > s.opt.MemLimitBytes && s.f == nil {
-		// An entry larger than the whole bound, with no disk to take it.
+		// No room left to make: the entry is larger than the whole bound,
+		// or everything held is on lease. With no disk to take it, shed it.
 		s.dropped++
 		return nil
 	}
@@ -189,7 +202,7 @@ func (s *Spool) appendDiskLocked(m *wire.Message) error {
 	return nil
 }
 
-// signalLocked wakes every waiting Peek.
+// signalLocked wakes every waiting Peek and watch.
 func (s *Spool) signalLocked() {
 	close(s.notify)
 	s.notify = make(chan struct{})
@@ -225,10 +238,10 @@ func (s *Spool) refillLocked() {
 	}
 }
 
-// Peek blocks until the head entry is available and returns it without
-// removing it; the entry leaves the spool only on Pop, after the delivery
-// loop has its acknowledgement. Returns false when the spool closes or
-// stop fires.
+// Peek blocks until the head entry is available and returns it, on lease,
+// without removing it; the entry leaves the spool only on PopN, after the
+// delivery loop has its acknowledgement. Returns false when the spool
+// closes or stop fires.
 func (s *Spool) Peek(stop <-chan struct{}) (*wire.Message, bool) {
 	for {
 		s.mu.Lock()
@@ -237,6 +250,9 @@ func (s *Spool) Peek(stop <-chan struct{}) (*wire.Message, bool) {
 		}
 		if len(s.mem) > 0 {
 			m := s.mem[0]
+			if s.leased == 0 {
+				s.leased = 1
+			}
 			s.mu.Unlock()
 			return m, true
 		}
@@ -254,8 +270,8 @@ func (s *Spool) Peek(stop <-chan struct{}) (*wire.Message, bool) {
 	}
 }
 
-// PeekBatch returns up to n queued entries from the head without removing
-// them (non-blocking; call after a successful Peek).
+// PeekBatch returns up to n queued entries from the head, on lease, without
+// removing them (non-blocking; call after a successful Peek).
 func (s *Spool) PeekBatch(n int) []*wire.Message {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -267,17 +283,22 @@ func (s *Spool) PeekBatch(n int) []*wire.Message {
 	}
 	out := make([]*wire.Message, n)
 	copy(out, s.mem[:n])
+	if n > s.leased {
+		s.leased = n
+	}
 	return out
 }
 
-// PopN removes the n oldest entries — the delivery loop's acknowledgement
-// that they reached the controller (or were handed to a client that now
-// owns their fate).
+// PopN removes the n oldest entries and ends their lease — the delivery
+// loop's acknowledgement that the controller answered for each of them.
 func (s *Spool) PopN(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if n > len(s.mem) {
 		n = len(s.mem)
+	}
+	if s.leased -= n; s.leased < 0 {
+		s.leased = 0
 	}
 	for i := 0; i < n; i++ {
 		s.memBytes -= memCost(s.mem[i])
@@ -292,9 +313,16 @@ func (s *Spool) PopN(n int) {
 
 // Depth returns how many entries are queued (memory + disk).
 func (s *Spool) Depth() int {
+	depth, _ := s.watch()
+	return depth
+}
+
+// watch returns the depth and a channel closed at the next Put, PopN or
+// Close, so a caller can wait for the depth to change without polling.
+func (s *Spool) watch() (int, <-chan struct{}) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.mem) + s.diskCount
+	return len(s.mem) + s.diskCount, s.notify
 }
 
 // Stats returns a snapshot of the spool counters.
@@ -310,11 +338,11 @@ func (s *Spool) Stats() SpoolStats {
 }
 
 // Close stops accepting entries and releases the overflow file. With a
-// Dir configured, everything still queued — the in-memory head included —
-// is persisted for the next process to recover, so a clean shutdown with
-// an unreachable controller loses nothing. Memory-only spools lose their
-// queue at exit, which is why shutdown paths drain the delivery loop
-// before closing.
+// Dir configured, everything still queued — the in-memory head, leased
+// entries included — is persisted for the next process to recover, so a
+// clean shutdown with an unreachable controller loses nothing. Memory-only
+// spools lose their queue at exit, which is why shutdown paths drain the
+// delivery loop before closing.
 func (s *Spool) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

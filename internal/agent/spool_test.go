@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"inca/internal/branch"
+	"inca/internal/simtime"
 	"inca/internal/wire"
 )
 
@@ -297,51 +298,62 @@ func TestSpoolPutConcurrent(t *testing.T) {
 	}
 }
 
-// --- reliable sink ---
+// --- wire sink over the spool ---
 
-func TestReliableSinkDeliversAfterServerComesUp(t *testing.T) {
-	// Reserve an address, then close the listener so the sink's first
-	// attempts fail; the server appears later on the same address.
+// reservedAddr returns a loopback address nothing listens on yet, for a
+// controller that comes up later.
+func reservedAddr(t *testing.T) string {
+	t.Helper()
 	tmp, err := wire.Serve("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := tmp.Addr()
-	tmp.Close()
+	defer tmp.Close()
+	return tmp.Addr()
+}
 
-	sink, err := NewWireSinkReliable(addr, DeliveryOptions{
-		Client:  wire.ClientOptions{DialTimeout: 200 * time.Millisecond, IOTimeout: time.Second},
-		Backoff: wire.RetryPolicy{Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 20
-	for i := 0; i < total; i++ {
-		if err := sink.Submit(branch.MustParse(fmt.Sprintf("probe=p%d", i)), "h", []byte("<r/>")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ds := sink.DeliveryStats(); ds.Spooled != total {
-		t.Fatalf("spooled = %d", ds.Spooled)
-	}
-
-	var mu sync.Mutex
-	var got []string
+// recordingServer serves addr, appending every branch it is handed to got.
+func recordingServer(t *testing.T, addr string, mu *sync.Mutex, got *[]string) *wire.Server {
+	t.Helper()
 	srv, err := wire.Serve(addr, func(m *wire.Message, remote string) *wire.Ack {
 		mu.Lock()
-		got = append(got, m.Branch)
+		*got = append(*got, m.Branch)
 		mu.Unlock()
 		return &wire.Ack{OK: true}
 	})
 	if err != nil {
-		t.Skipf("could not rebind %s: %v", addr, err)
+		t.Skipf("could not bind %s: %v", addr, err)
 	}
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
 
-	if err := sink.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
+func submitN(t *testing.T, sink *WireSink, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		if err := sink.Submit(branch.MustParse(fmt.Sprintf("probe=p%d", i)), "h", []byte("<r/>")); err != nil {
+			t.Fatal(err)
+		}
 	}
+}
+
+func TestWireSinkDeliversAfterServerComesUp(t *testing.T) {
+	addr := reservedAddr(t)
+	sim := simtime.NewSim(time.Unix(0, 0))
+	sink := newTestSink(t, addr, DeliveryOptions{Clock: sim})
+	const total = 20
+	submitN(t, sink, 0, total)
+	// The first attempt has failed and the loop is parked in its backoff:
+	// nothing moves again until the virtual clock does.
+	awaitTimers(t, sim, 1)
+	if ds := sink.DeliveryStats(); ds.Spooled != total || ds.Depth != total || ds.Replayed != 0 {
+		t.Fatalf("while the server is down: %+v", ds)
+	}
+
+	var mu sync.Mutex
+	var got []string
+	recordingServer(t, addr, &mu, &got)
+	settle(t, sink, sim)
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -359,35 +371,9 @@ func TestReliableSinkDeliversAfterServerComesUp(t *testing.T) {
 	if ds.Replayed != total || ds.Dropped != 0 || ds.Rejected != 0 || ds.Depth != 0 {
 		t.Fatalf("delivery stats = %+v", ds)
 	}
-	if ds.Spooled != ds.Replayed+ds.Rejected+ds.Dropped {
-		t.Fatalf("accounting broken: %+v", ds)
-	}
 }
 
-func TestReliableSinkDropsAfterMaxAttempts(t *testing.T) {
-	sink, err := NewWireSinkReliable("127.0.0.1:1", DeliveryOptions{ // nothing listens
-		Client:      wire.ClientOptions{DialTimeout: 50 * time.Millisecond},
-		Backoff:     wire.RetryPolicy{Base: time.Millisecond, Cap: 5 * time.Millisecond},
-		MaxAttempts: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	if err := sink.Submit(branch.MustParse("probe=p"), "h", []byte("<r/>")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if ds := sink.DeliveryStats(); ds.Dropped == 1 && ds.Depth == 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("report never dropped after MaxAttempts: %+v", sink.DeliveryStats())
-}
-
-func TestReliableSinkCountsRejections(t *testing.T) {
+func TestWireSinkCountsRejections(t *testing.T) {
 	srv, err := wire.Serve("127.0.0.1:0", func(m *wire.Message, remote string) *wire.Ack {
 		return &wire.Ack{OK: false, Message: "not on allowlist"}
 	})
@@ -395,16 +381,11 @@ func TestReliableSinkCountsRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	sink, err := NewWireSinkReliable(srv.Addr(), DeliveryOptions{
-		Backoff: wire.RetryPolicy{Base: time.Millisecond, Cap: 5 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Nobody steps this clock: a refusal is an answer, and must not send
+	// the loop into a backoff that Drain would then wait out.
+	sink := newTestSink(t, srv.Addr(), DeliveryOptions{Clock: simtime.NewSim(time.Unix(0, 0))})
 	defer sink.Close()
-	if err := sink.Submit(branch.MustParse("probe=p"), "h", []byte("<r/>")); err != nil {
-		t.Fatal(err)
-	}
+	submitN(t, sink, 0, 1)
 	if err := sink.Drain(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -414,53 +395,22 @@ func TestReliableSinkCountsRejections(t *testing.T) {
 	}
 }
 
-func TestReliableSinkBatchedSurvivesRestart(t *testing.T) {
-	handler := func(got *[]string, mu *sync.Mutex) wire.Handler {
-		return func(m *wire.Message, remote string) *wire.Ack {
-			mu.Lock()
-			*got = append(*got, m.Branch)
-			mu.Unlock()
-			return &wire.Ack{OK: true}
-		}
-	}
+func TestWireSinkSurvivesControllerRestart(t *testing.T) {
 	var mu sync.Mutex
 	var got []string
-	srv, err := wire.Serve("127.0.0.1:0", handler(&got, &mu))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := recordingServer(t, "127.0.0.1:0", &mu, &got)
 	addr := srv.Addr()
 
-	sink, err := NewWireSinkReliable(addr, DeliveryOptions{
-		Backoff: wire.RetryPolicy{Base: 5 * time.Millisecond, Cap: 100 * time.Millisecond},
-		Batch:   &wire.BatchOptions{MaxBatch: 4, Window: 2, DialTimeout: 200 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := simtime.NewSim(time.Unix(0, 0))
+	sink := newTestSink(t, addr, DeliveryOptions{Clock: sim})
 	const total = 60
-	submit := func(i int) {
-		if err := sink.Submit(branch.MustParse(fmt.Sprintf("probe=p%d", i)), "h", []byte("<r/>")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < total/2; i++ {
-		submit(i)
-	}
+	submitN(t, sink, 0, total/2)
 	srv.Close() // controller dies mid-run
-	for i := total / 2; i < total; i++ {
-		submit(i)
-	}
-	srv2, err := wire.Serve(addr, handler(&got, &mu))
-	if err != nil {
-		t.Skipf("could not rebind %s: %v", addr, err)
-	}
-	defer srv2.Close()
-	if err := sink.Drain(15 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	submitN(t, sink, total/2, total)
+	recordingServer(t, addr, &mu, &got)
+	settle(t, sink, sim)
 	if err := sink.Close(); err != nil {
-		t.Logf("close: %v (stale async error is acceptable)", err)
+		t.Fatal(err)
 	}
 
 	// At-least-once across the restart: every report arrives, and the
@@ -484,7 +434,111 @@ func TestReliableSinkBatchedSurvivesRestart(t *testing.T) {
 		}
 	}
 	ds := sink.DeliveryStats()
-	if ds.Spooled != total || ds.Dropped != 0 {
+	if ds.Spooled != total || ds.Replayed != total || ds.Dropped != 0 || ds.Depth != 0 {
 		t.Fatalf("delivery stats = %+v", ds)
+	}
+}
+
+// TestWireSinkCustodyAcrossRestart: a chunk the loop has handed to the
+// batch client is still the spool's until it is acknowledged, so closing
+// the agent while the controller is down leaves every report on disk for
+// the next process. (Popping at hand-over lost the chunk in flight.)
+func TestWireSinkCustodyAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	sim := simtime.NewSim(time.Unix(0, 0))
+	sink := newTestSink(t, reservedAddr(t), DeliveryOptions{Spool: SpoolOptions{Dir: dir}, Clock: sim})
+	const total = 10
+	submitN(t, sink, 0, total)
+	awaitTimers(t, sim, 1) // a chunk was taken, its delivery failed, the loop is backing off
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ds := sink.DeliveryStats(); ds.Dropped != 0 {
+		t.Fatalf("delivery stats at close = %+v", ds)
+	}
+
+	reopened, err := NewSpool(SpoolOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if st := reopened.Stats(); st.Depth != total || st.Spooled != total {
+		t.Fatalf("reopened spool: %+v, want %d reports held and on the ledger", st, total)
+	}
+	for i, m := range reopened.PeekBatch(total) {
+		if want := fmt.Sprintf("probe=p%d", i); m.Branch != want {
+			t.Fatalf("reopened order broken at %d: got %s want %s", i, m.Branch, want)
+		}
+	}
+}
+
+// TestWireSinkShedWhileInFlight: the spool overflows while its head is out
+// with the batch client. Every report must end up delivered or counted
+// dropped, exactly once, by name: shedding the in-flight head and then
+// popping "the head" on its ack delivered p0 and counted it dropped, and
+// lost p2 with no count at all.
+func TestWireSinkShedWhileInFlight(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	delivered := make(map[string]int)
+	srv, err := wire.Serve("127.0.0.1:0", func(m *wire.Message, remote string) *wire.Ack {
+		mu.Lock()
+		first := len(delivered) == 0
+		delivered[m.Branch]++
+		mu.Unlock()
+		if first {
+			close(entered)
+			<-release
+		}
+		return &wire.Ack{OK: true}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	room := 3 * memCost(&wire.Message{Branch: "probe=p0", Hostname: "h", Report: []byte("<r/>")})
+	sink := newTestSink(t, srv.Addr(), DeliveryOptions{Spool: SpoolOptions{MemLimitBytes: room}})
+	defer sink.Close()
+	submitN(t, sink, 0, 1)
+	<-entered // p0 is in the handler, unacknowledged
+	const total = 5
+	submitN(t, sink, 1, total)
+
+	// What the spool still holds was not shed; everything else was.
+	held := make(map[string]bool)
+	sink.spool.mu.Lock()
+	for _, m := range sink.spool.mem {
+		held[m.Branch] = true
+	}
+	sink.spool.mu.Unlock()
+	close(release)
+	if err := sink.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	shed := 0
+	for i := 0; i < total; i++ {
+		name := fmt.Sprintf("probe=p%d", i)
+		fates := delivered[name]
+		if !held[name] {
+			fates++
+			shed++
+		}
+		if fates != 1 {
+			t.Errorf("%s: delivered %d times, shed %v; want exactly one fate", name, delivered[name], !held[name])
+		}
+	}
+	if shed == 0 {
+		t.Fatal("the spool never overflowed: nothing was tested")
+	}
+	ds := sink.DeliveryStats()
+	if ds.Dropped != uint64(shed) || ds.Replayed != uint64(total-shed) || ds.Depth != 0 {
+		t.Fatalf("delivery stats = %+v with %d shed", ds, shed)
+	}
+	if ds.Spooled != ds.Replayed+ds.Rejected+ds.Dropped+uint64(ds.Depth) {
+		t.Fatalf("accounting broken: %+v", ds)
 	}
 }

@@ -108,17 +108,16 @@ func TestEndToEndAuthenticatedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c := NewClient(srv.Addr())
-	defer c.Close()
+	c := dialBare(t, srv.Addr())
 
 	m := &Message{Branch: "r=1", Hostname: "h", Report: []byte("<r/>")}
 	SignMessage(m, key)
-	ack, err := c.Send(m)
+	ack, err := c.send(m)
 	if err != nil || !ack.OK {
 		t.Fatalf("signed send: %v %+v", err, ack)
 	}
 	unsigned := &Message{Branch: "r=1", Hostname: "h", Report: []byte("<r/>")}
-	ack, err = c.Send(unsigned)
+	ack, err = c.send(unsigned)
 	if err != nil {
 		t.Fatal(err)
 	}

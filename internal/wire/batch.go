@@ -197,9 +197,10 @@ func (o *BatchOptions) fill() {
 	}
 }
 
-// BatchClient is the pipelined counterpart of Client: messages accumulate
-// into batch frames, and up to Window batches ride the connection before
-// the first ack vector is awaited, so the paper's one-report-per-round-trip
+// BatchClient is the connection from a distributed controller, or a router,
+// to the tier that stores its reports: messages accumulate into batch
+// frames, and up to Window batches ride the connection before the first
+// ack vector is awaited, so the paper's one-report-per-round-trip
 // serialization disappears from the ingest path. Because acknowledgements
 // arrive after Enqueue returns, a rejection or transport failure surfaces
 // on a later call — the trade the protocol makes for keeping the pipe

@@ -117,11 +117,10 @@ func TestSingleAndBatchedClientsShareServer(t *testing.T) {
 	}
 	defer srv.Close()
 
-	old := NewClient(srv.Addr())
-	defer old.Close()
+	old := dialBare(t, srv.Addr())
 	bc := NewBatchClient(srv.Addr(), BatchOptions{MaxBatch: 4, Window: 2})
 	for i := 0; i < 10; i++ {
-		if _, err := old.Send(&Message{Branch: "old=1", Report: []byte("<r/>")}); err != nil {
+		if _, err := old.send(&Message{Branch: "old=1", Report: []byte("<r/>")}); err != nil {
 			t.Fatal(err)
 		}
 		if err := bc.Enqueue(&Message{Branch: "new=1", Report: []byte("<r/>")}); err != nil {

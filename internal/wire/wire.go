@@ -14,7 +14,10 @@
 // A batch frame carries many messages under one flush (see batch.go); the
 // sentinel first word 0xFFFFFFFF — never a legal branch length, since
 // parts are capped at MaxFrame — distinguishes it from a single-message
-// frame, so both coexist on one connection and old clients keep working.
+// frame, so both are served on one connection. The repo's only client,
+// BatchClient, writes batch frames; the server still answers a bare message
+// frame with a bare ack, because what arrives on the socket is not ours to
+// choose.
 package wire
 
 import (
@@ -27,7 +30,6 @@ import (
 	"time"
 
 	"inca/internal/metrics"
-	"inca/internal/simtime"
 )
 
 // MaxFrame bounds a single report message (16 MiB), protecting the server
@@ -167,217 +169,6 @@ func ReadAck(r io.Reader) (*Ack, error) {
 		return nil, err
 	}
 	return &Ack{OK: status[0] == 0, Message: string(msg)}, nil
-}
-
-// RetryPolicy bounds how a client retries a failed send. Backoff between
-// attempts is exponential with full jitter: attempt n sleeps a uniform
-// random duration in [0, min(Cap, Base·2ⁿ)], so a fleet of agents cut off
-// by one controller restart does not reconnect in lockstep.
-type RetryPolicy struct {
-	// Max is the total number of attempts per Send (default 1 = no retry).
-	Max int
-	// Base is the backoff before the first retry (default 100ms).
-	Base time.Duration
-	// Cap bounds the backoff growth (default 5s).
-	Cap time.Duration
-}
-
-func (p *RetryPolicy) fill() {
-	if p.Max <= 0 {
-		p.Max = 1
-	}
-	if p.Base <= 0 {
-		p.Base = 100 * time.Millisecond
-	}
-	if p.Cap <= 0 {
-		p.Cap = 5 * time.Second
-	}
-}
-
-// Backoff returns the jittered sleep before retry number n (1-based):
-// uniform random in [0, min(Cap, Base·2ⁿ⁻¹)], an unset Base or Cap taking
-// its default.
-func (p RetryPolicy) Backoff(n int) time.Duration {
-	p.fill()
-	return simtime.Backoff(p.Base, p.Cap, n)
-}
-
-// ClientOptions configures the delivery robustness of a Client.
-type ClientOptions struct {
-	// DialTimeout bounds each connection attempt (default 10s).
-	DialTimeout time.Duration
-	// IOTimeout bounds each write-message/read-ack step (default 30s;
-	// <0 disables deadlines). A hung server then surfaces as a timeout
-	// error instead of wedging the caller forever.
-	IOTimeout time.Duration
-	// Retry bounds in-Send retries. The zero value means a single
-	// attempt; spooling callers (agent.WireSink) keep it small and let
-	// the spool's own backoff loop own long-horizon redelivery.
-	Retry RetryPolicy
-	// Metrics, when set, registers the client's counters and per-attempt
-	// send-latency histogram there; Stats() reads the same instruments, so
-	// JSON and Prometheus views always agree. Clients sharing a registry
-	// merge their series.
-	Metrics *metrics.Registry
-}
-
-func (o *ClientOptions) fill() {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 10 * time.Second
-	}
-	if o.IOTimeout == 0 {
-		o.IOTimeout = 30 * time.Second
-	}
-	o.Retry.fill()
-}
-
-// ClientStats counts a client's delivery work.
-type ClientStats struct {
-	// Dials is every connection attempt, successful or not.
-	Dials uint64
-	// Reconnects is dials after the first successful connection — each
-	// one is a recovered transport failure.
-	Reconnects uint64
-	// Retries is in-Send attempts beyond each message's first.
-	Retries uint64
-	// Sent is messages acknowledged by the server (OK or not).
-	Sent uint64
-}
-
-// Client is a connection from a distributed controller to the centralized
-// controller. It reconnects lazily after errors and is safe for concurrent
-// use (sends are serialized, as all traffic from one resource flows over
-// one connection in the deployed system).
-type Client struct {
-	addr string
-	opt  ClientOptions
-
-	mu        sync.Mutex
-	conn      net.Conn
-	bw        *bufio.Writer
-	br        *bufio.Reader
-	connected bool // a dial has succeeded at least once
-
-	dials      *metrics.Counter
-	reconnects *metrics.Counter
-	retries    *metrics.Counter
-	sent       *metrics.Counter
-	sendH      *metrics.Histogram
-}
-
-// NewClient returns a client that will dial addr on first use, with
-// default deadlines and no retry.
-func NewClient(addr string) *Client { return NewClientOptions(addr, ClientOptions{}) }
-
-// NewClientOptions returns a client with explicit timeout/retry behavior.
-func NewClientOptions(addr string, opt ClientOptions) *Client {
-	opt.fill()
-	reg := opt.Metrics
-	return &Client{
-		addr:       addr,
-		opt:        opt,
-		dials:      reg.Counter("inca_wire_client_dials_total", "Connection attempts, successful or not."),
-		reconnects: reg.Counter("inca_wire_client_reconnects_total", "Dials after the first successful connection."),
-		retries:    reg.Counter("inca_wire_client_retries_total", "In-Send attempts beyond each message's first."),
-		sent:       reg.Counter("inca_wire_client_sent_total", "Messages acknowledged by the server (OK or not)."),
-		sendH:      reg.Histogram("inca_wire_send_seconds", "Per-attempt send latency: dial if needed, write, await ack.", nil),
-	}
-}
-
-// Send submits one message and waits for the server's ack, retrying
-// transport failures up to the client's RetryPolicy with jittered
-// exponential backoff. Every attempt runs under the configured dial and
-// I/O deadlines. A transport error closes the connection so the next
-// attempt redials. Note the at-least-once consequence: an error after the
-// frame hit the wire (lost ack) retries a message the server may already
-// have processed.
-func (c *Client) Send(m *Message) (*Ack, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var lastErr error
-	for attempt := 1; attempt <= c.opt.Retry.Max; attempt++ {
-		if attempt > 1 {
-			c.retries.Inc()
-			time.Sleep(c.opt.Retry.Backoff(attempt - 1))
-		}
-		start := time.Now()
-		ack, err := c.sendOnceLocked(m)
-		c.sendH.ObserveSince(start)
-		if err == nil {
-			c.sent.Inc()
-			return ack, nil
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-func (c *Client) sendOnceLocked(m *Message) (*Ack, error) {
-	if c.conn == nil {
-		c.dials.Inc()
-		if c.connected {
-			c.reconnects.Inc()
-		}
-		conn, err := net.DialTimeout("tcp", c.addr, c.opt.DialTimeout)
-		if err != nil {
-			return nil, fmt.Errorf("wire: dial %s: %w", c.addr, err)
-		}
-		c.conn = conn
-		c.connected = true
-		c.bw = bufio.NewWriter(conn)
-		c.br = bufio.NewReader(conn)
-	}
-	fail := func(err error) (*Ack, error) {
-		c.conn.Close()
-		c.conn = nil
-		return nil, err
-	}
-	if err := c.setDeadlineLocked(); err != nil {
-		return fail(err)
-	}
-	if err := WriteMessage(c.bw, m); err != nil {
-		return fail(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return fail(err)
-	}
-	ack, err := ReadAck(c.br)
-	if err != nil {
-		return fail(err)
-	}
-	return ack, nil
-}
-
-// setDeadlineLocked arms the per-attempt I/O deadline covering the
-// write-and-await-ack round trip.
-func (c *Client) setDeadlineLocked() error {
-	if c.opt.IOTimeout < 0 {
-		return nil
-	}
-	return c.conn.SetDeadline(time.Now().Add(c.opt.IOTimeout))
-}
-
-// Stats returns a snapshot of the client's delivery counters — a view
-// over the same instruments the metrics registry exposes.
-func (c *Client) Stats() ClientStats {
-	return ClientStats{
-		Dials:      c.dials.Value(),
-		Reconnects: c.reconnects.Value(),
-		Retries:    c.retries.Value(),
-		Sent:       c.sent.Value(),
-	}
-}
-
-// Close closes the underlying connection if open.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
 }
 
 // Handler processes one received message and returns the ack to send.

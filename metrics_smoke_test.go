@@ -50,7 +50,10 @@ func TestMetricsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := agent.NewWireSinkOptions(tcpSrv.Addr(), wire.ClientOptions{Metrics: reg})
+	sink, err := agent.NewWireSink(tcpSrv.Addr(), agent.DeliveryOptions{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer sink.Close()
 	a, err := agent.NewMetrics(spec, clock, sink, agent.Simulated, reg)
 	if err != nil {
@@ -58,6 +61,9 @@ func TestMetricsSmoke(t *testing.T) {
 	}
 
 	core.DriveAgents(clock, []*agent.Agent{a}, start.Add(3*time.Minute))
+	if err := sink.Drain(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	qsrv := query.NewServerMetrics(d, reg)
 	hs := httptest.NewServer(qsrv.Handler())
@@ -101,8 +107,9 @@ func TestMetricsSmoke(t *testing.T) {
 		"inca_scheduler_runs_total",
 		"inca_scheduler_entries",
 		// wire, both sides
-		"inca_wire_client_sent_total",
-		"inca_wire_send_seconds",
+		"inca_agent_spool_depth",
+		"inca_wire_batch_acked_total",
+		"inca_wire_batch_flush_seconds",
 		"inca_wire_server_messages_total",
 		// controller
 		"inca_controller_accepted_total",
@@ -129,7 +136,7 @@ func TestMetricsSmoke(t *testing.T) {
 	// minutes of every-minute series through the whole pipeline.
 	wantRuns := a.SeriesCount() * 3
 	for _, line := range []string{
-		"inca_agent_runs_total", "inca_wire_client_sent_total",
+		"inca_agent_runs_total", "inca_wire_batch_acked_total",
 		"inca_wire_server_messages_total", "inca_controller_accepted_total",
 		"inca_depot_received_total",
 	} {
