@@ -133,9 +133,10 @@ bench-ingest:
 # readers against their own writers (what is accepted re-serializes to the
 # bytes it was read from), and the change feed's relay: the change renderer
 # against json.Marshal, the routing scanner against json.Unmarshal, and the
-# SSE reader against the line reader it replaced and its own writer. The seed
-# corpora (f.Add plus testdata/fuzz) run under plain `go test`; `go test
-# -fuzz` takes one target per invocation.
+# SSE reader against the line reader it replaced and its own writer; and the
+# controller's in-process store against the envelope round trip it skips.
+# The seed corpora (f.Add plus testdata/fuzz) run under plain `go test`; `go
+# test -fuzz` takes one target per invocation.
 fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzScan$$' -fuzztime=10s ./internal/xmlscan/
 	$(GO) test -run=NONE -fuzz='^FuzzMergeCache$$' -fuzztime=10s ./internal/federation/
@@ -149,6 +150,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzChangeEvent$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run=NONE -fuzz='^FuzzUpstreamEvent$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run=NONE -fuzz='^FuzzFeedStream$$' -fuzztime=10s ./internal/query/
+	$(GO) test -run=NONE -fuzz='^FuzzSubmitDirect$$' -fuzztime=10s ./internal/controller/
 
 # Storage tier (DESIGN.md §5g): memory vs disk engine across report
 # ingest, archive updates at 10k/100k series (with the heap staying flat

@@ -2,7 +2,7 @@
 // centralized controller listening for distributed-controller TCP
 // connections, an in-process depot, and the HTTP querying interface.
 //
-//	inca-server -tcp :6323 -http :8080 -allow hostA,hostB -mode body
+//	inca-server -tcp :6323 -http :8080 -allow hostA,hostB
 package main
 
 import (
@@ -25,7 +25,6 @@ import (
 	"inca/internal/controller"
 	"inca/internal/core"
 	"inca/internal/depot"
-	"inca/internal/envelope"
 	"inca/internal/federation"
 	"inca/internal/metrics"
 	"inca/internal/query"
@@ -37,7 +36,6 @@ func main() {
 		tcpAddr  = flag.String("tcp", "127.0.0.1:6323", "address for distributed-controller connections")
 		httpAddr = flag.String("http", "127.0.0.1:8080", "address for the querying interface")
 		allow    = flag.String("allow", "", "comma-separated hostname allowlist (empty = allow all)")
-		mode     = flag.String("mode", "body", "envelope mode: body or attachment")
 		cacheImp = flag.String("cache", "indexed", "cache implementation: indexed is the only one a server runs on (the paper's stream, DOM, split and file caches are inca-bench ablations); the flag stays only until the benchmark harness stops passing it")
 		snapshot = flag.String("snapshot", "", "depot snapshot file (memory storage only): loaded at startup if present, written at shutdown")
 
@@ -80,16 +78,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	var envMode envelope.Mode
-	switch *mode {
-	case "body":
-		envMode = envelope.Body
-	case "attachment":
-		envMode = envelope.Attachment
-	default:
-		fmt.Fprintf(os.Stderr, "unknown envelope mode %q\n", *mode)
-		os.Exit(2)
-	}
 	if *cacheImp != "indexed" {
 		fmt.Fprintf(os.Stderr, "unknown cache %q\n", *cacheImp)
 		os.Exit(2)
@@ -147,7 +135,7 @@ func main() {
 	if *allow != "" {
 		allowlist = strings.Split(*allow, ",")
 	}
-	ctl := controller.New(d, controller.Options{Allowlist: allowlist, Mode: envMode, Metrics: reg, MaxResponses: responseWindow})
+	ctl := controller.New(d, controller.Options{Allowlist: allowlist, Metrics: reg, MaxResponses: responseWindow})
 
 	srv, err := wire.ServeOptions(*tcpAddr, ctl.Handle, wire.ServerOptions{IdleTimeout: *idleTimeout, Metrics: reg})
 	if err != nil {
@@ -155,7 +143,7 @@ func main() {
 		os.Exit(1)
 	}
 	defer srv.Close()
-	fmt.Printf("centralized controller listening on %s (envelope mode %s)\n", srv.Addr(), envMode)
+	fmt.Printf("centralized controller listening on %s (depot in process)\n", srv.Addr())
 
 	// Central configuration: serve specification files over /spec. The
 	// sample grid's specs are preloaded so `inca-agent -spec-url` works

@@ -37,8 +37,8 @@ func TestUnknownFlagValuesExit2(t *testing.T) {
 		{[]string{"-cache", "file"}, `unknown cache "file"`},
 		{[]string{"-cache", "stream"}, `unknown cache "stream"`},
 		{[]string{"-storage", "tape"}, `unknown storage "tape"`},
-		{[]string{"-mode", "Attachment"}, `unknown envelope mode "Attachment"`},
-		{[]string{"-mode", ""}, `unknown envelope mode ""`},
+		{[]string{"-mode", "Attachment"}, "flag provided but not defined: -mode"},
+		{[]string{"-mode", ""}, "flag provided but not defined: -mode"},
 		{[]string{"-cache-file", "inca-cache.xml"}, "flag provided but not defined: -cache-file"},
 		{[]string{"-archive", "async"}, "flag provided but not defined: -archive"},
 		{[]string{"-archive-workers", "8"}, "flag provided but not defined: -archive-workers"},

@@ -82,11 +82,26 @@ func New(pairs ...Pair) ID { return ID{Pairs: pairs} }
 
 // String renders the identifier in its canonical wire form.
 func (id ID) String() string {
-	parts := make([]string, len(id.Pairs))
-	for i, p := range id.Pairs {
-		parts[i] = p.Name + "=" + p.Value
+	if len(id.Pairs) == 0 {
+		return ""
 	}
-	return strings.Join(parts, ",")
+	// The usual identifier fits the stack buffer, so the string is the one
+	// allocation.
+	var buf [128]byte
+	return string(id.Append(buf[:0]))
+}
+
+// Append appends the identifier's canonical wire form to dst.
+func (id ID) Append(dst []byte) []byte {
+	for i, p := range id.Pairs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, p.Name...)
+		dst = append(dst, '=')
+		dst = append(dst, p.Value...)
+	}
+	return dst
 }
 
 // IsRoot reports whether the identifier addresses the cache root.

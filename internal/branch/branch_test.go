@@ -86,7 +86,7 @@ func TestStringRoundTripProperty(t *testing.T) {
 	}
 	f := func(seed int64, depth uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		d := int(depth%6) + 1
+		d := int(depth%12) + 1 // up to ~200 bytes: past String's stack buffer
 		pairs := make([]Pair, d)
 		for i := range pairs {
 			pairs[i] = Pair{Name: gen(r), Value: gen(r)}

@@ -1,9 +1,12 @@
 // Package controller implements Inca's centralized controller (paper
 // Section 3.2.1): it accepts reports from distributed controllers over TCP,
-// verifies the sending host against a hostname allowlist, wraps each report
-// in an XML envelope addressed by its branch identifier, and forwards the
-// envelope to the depot, recording how long the depot takes to accept it —
-// the "response time" analyzed in Section 5.2.
+// verifies the sending host against a hostname allowlist, and hands each
+// report to the depot, recording how long the depot takes to accept it —
+// the "response time" analyzed in Section 5.2. The paper's controller wraps
+// every report in an XML envelope addressed by its branch identifier
+// because its depot sat behind a web-service call; this one does so only
+// where the depot is not in its own process (or is made to look that way,
+// as the paper's response-time reproductions do with Enveloped).
 package controller
 
 import (
@@ -19,10 +22,25 @@ import (
 )
 
 // DepotClient abstracts the depot's web-service store interface: the
-// in-process *depot.Depot in simulations, an HTTP client in deployments.
+// in-process *depot.Depot, or an HTTP client to a depot elsewhere.
 type DepotClient interface {
 	StoreEnvelope(data []byte) (depot.Receipt, error)
 }
+
+// localDepot is the depot's own entry point, which the in-process
+// *depot.Depot has beside StoreEnvelope: a report stored through it skips
+// the envelope round trip.
+type localDepot interface {
+	Store(id branch.ID, reportXML []byte) (depot.Receipt, error)
+}
+
+// Enveloped hides every method of d but StoreEnvelope, so a controller over
+// it builds an envelope for every report and the depot unpacks it, as in
+// the paper's deployment — even when d is in the same process. The paper's
+// response-time reproductions (Figure 9, Table 4) measure that round trip.
+func Enveloped(d DepotClient) DepotClient { return enveloped{d} }
+
+type enveloped struct{ DepotClient }
 
 // Response is one recorded depot interaction, the unit of Table 4 and
 // Figure 9.
@@ -44,7 +62,10 @@ type Options struct {
 	// always configured a list.
 	Allowlist []string
 	// Mode selects the envelope encoding (Body reproduces the deployed
-	// system; Attachment is the paper's planned improvement).
+	// system; Attachment is the paper's planned improvement). Over a depot
+	// in this process it decides only the fate of a report holding a
+	// character outside XML's range: Body stores it with U+FFFD in its
+	// place, Attachment hands the depot the raw bytes.
 	Mode envelope.Mode
 	// Clock stamps response log entries; nil uses real time only for
 	// stamps (durations are always wall-clock measurements).
@@ -71,6 +92,7 @@ type Options struct {
 // Controller is the centralized controller.
 type Controller struct {
 	depot DepotClient
+	local localDepot // depot's own Store, when it has one
 	opt   Options
 	allow map[string]bool
 
@@ -96,8 +118,9 @@ func New(d DepotClient, opt Options) *Controller {
 		acceptedC: reg.Counter("inca_controller_accepted_total", "Reports stored in the depot."),
 		rejectedC: reg.Counter("inca_controller_rejected_total", "Reports refused: allowlist, signature or malformed branch."),
 		errsC:     reg.Counter("inca_controller_depot_errors_total", "Depot store failures."),
-		handleH:   reg.Histogram("inca_controller_handle_seconds", "Envelope handle latency: allowlist, wrap, depot store.", nil),
+		handleH:   reg.Histogram("inca_controller_handle_seconds", "Report handle latency: allowlist, wrap when enveloping, depot store.", nil),
 	}
+	c.local, _ = d.(localDepot)
 	if len(opt.Allowlist) > 0 {
 		c.allow = make(map[string]bool, len(opt.Allowlist))
 		for _, h := range opt.Allowlist {
@@ -127,8 +150,13 @@ func (c *Controller) reject() {
 	c.rejectedC.Inc()
 }
 
-// Submit accepts one report: allowlist check, envelope wrap, depot
-// forward. It returns the recorded response.
+// Submit accepts one report: allowlist check, then the depot store. A depot
+// in this process takes the report as it is whenever the envelope round
+// trip would hand it the same identifier and bytes (envelope.Verbatim);
+// otherwise, and for every other depot, the report travels in an envelope,
+// so the depot stores the same bytes and answers with the same receipt
+// (bar its Unpack time) and the same error either way. It returns the
+// recorded response.
 func (c *Controller) Submit(id branch.ID, hostname string, reportXML []byte) (Response, error) {
 	handleStart := time.Now()
 	defer c.handleH.ObserveSince(handleStart)
@@ -136,12 +164,21 @@ func (c *Controller) Submit(id branch.ID, hostname string, reportXML []byte) (Re
 		c.reject()
 		return Response{}, fmt.Errorf("controller: host %q not in allowlist", hostname)
 	}
-	env, err := envelope.Encode(c.opt.Mode, id, reportXML)
-	if err != nil {
-		return Response{}, err
+	direct := c.local != nil && envelope.Verbatim(c.opt.Mode, id, reportXML)
+	var env []byte
+	var err error
+	if !direct {
+		if env, err = envelope.Encode(c.opt.Mode, id, reportXML); err != nil {
+			return Response{}, err
+		}
 	}
+	var rec depot.Receipt
 	start := time.Now()
-	rec, err := c.depot.StoreEnvelope(env)
+	if direct {
+		rec, err = c.local.Store(id, reportXML)
+	} else {
+		rec, err = c.depot.StoreEnvelope(env)
+	}
 	elapsed := time.Since(start)
 	if err != nil {
 		c.mu.Lock()

@@ -101,7 +101,9 @@ func NewTeraGridDeployment(opt Options) (*Deployment, error) {
 	for _, h := range gridsim.TeraGridHosts {
 		allow = append(allow, h.Host)
 	}
-	ctl := controller.New(dep, controller.Options{
+	// Enveloped: Table 4 and Figure 8 replay the paper's deployment, whose
+	// depot unpacked an envelope for every report.
+	ctl := controller.New(controller.Enveloped(dep), controller.Options{
 		Allowlist: allow,
 		Mode:      opt.Mode,
 		Now:       clock.Now,

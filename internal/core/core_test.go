@@ -111,6 +111,24 @@ func TestOneHourOfOperation(t *testing.T) {
 	}
 }
 
+// TestDeploymentUnpacksEnvelopes: Table 4 and Figure 8 reproduce the
+// paper's deployment, whose depot unpacked an envelope for every report, so
+// the deployment's controller must build one although its depot is in the
+// same process.
+func TestDeploymentUnpacksEnvelopes(t *testing.T) {
+	d := newQuietDeployment(t)
+	d.RunUntil(start.Add(10*time.Minute), 0, nil)
+	responses := d.Controller.Responses()
+	if len(responses) == 0 {
+		t.Fatal("no reports in ten minutes")
+	}
+	for _, r := range responses {
+		if r.Unpack <= 0 {
+			t.Fatalf("report at %s stored with no envelope unpacked (%+v)", r.Branch, r)
+		}
+	}
+}
+
 func TestQuietGridFullyCompliant(t *testing.T) {
 	d := newQuietDeployment(t)
 	d.RunUntil(start.Add(time.Hour+time.Minute), 0, nil)

@@ -1,6 +1,8 @@
 package depot
 
 import (
+	"slices"
+	"sync"
 	"time"
 
 	"inca/internal/branch"
@@ -70,21 +72,18 @@ func compilePolicySet(policies []Policy) *policySet {
 	return set
 }
 
-// match returns the auto-matching policies for a branch, in upload order
-// (the index preserves per-root order, and candidate lists are disjoint).
-func (s *policySet) match(id branch.ID) []*compiledPolicy {
-	var out []*compiledPolicy
+// match appends the auto-matching policies for a branch to dst, in upload
+// order (the index preserves per-root order, and candidate lists are
+// disjoint).
+func (s *policySet) match(dst []*compiledPolicy, id branch.ID) []*compiledPolicy {
 	if len(id.Pairs) > 0 {
 		for _, cp := range s.byRoot[id.Pairs[len(id.Pairs)-1]] {
 			if id.HasSuffix(cp.Prefix) {
-				out = append(out, cp)
+				dst = append(dst, cp)
 			}
 		}
 	}
-	if len(s.rootless) > 0 {
-		out = append(out, s.rootless...)
-	}
-	return out
+	return append(dst, s.rootless...)
 }
 
 // ArchiveStats are the archive counters surfaced in /debug/vars.
@@ -99,43 +98,55 @@ type extracted struct {
 	ok    bool
 }
 
+// archiveScratch is the scratch of one store's archive phase. Stores pool
+// it, so archiving at ingest rate allocates only the archive keys.
+type archiveScratch struct {
+	paths []report.Path
+	slot  []int
+	out   []extracted
+	ext   report.Extractor
+	key   []byte
+}
+
+var archiveScratchPool = sync.Pool{New: func() any { return new(archiveScratch) }}
+
 // extract pulls every policy-referenced value out of one report; the
-// streaming extractor reads only the requested paths. Returns ok=false
-// when the payload is not a report (cacheable, not archivable — skipped
-// silently).
-func (d *Depot) extract(policies []*compiledPolicy, reportXML []byte) ([]extracted, time.Time, bool) {
-	out := make([]extracted, len(policies))
+// streaming extractor reads only the requested paths. The values are the
+// scratch's own, valid until its next use. Returns ok=false when the
+// payload is not a report (cacheable, not archivable — skipped silently).
+func (sc *archiveScratch) extract(policies []*compiledPolicy, reportXML []byte) ([]extracted, time.Time, bool) {
+	sc.out = slices.Grow(sc.out[:0], len(policies))[:len(policies)]
+	clear(sc.out)
 	// Deduplicate paths across policies (several policies often archive the
 	// same leaf under different granularities) so each distinct path is
 	// matched once per scan.
-	paths := make([]report.Path, 0, len(policies))
-	slot := make([]int, len(policies))
-	for i, cp := range policies {
+	sc.paths, sc.slot = sc.paths[:0], sc.slot[:0]
+	for _, cp := range policies {
 		if !cp.pathOK {
-			slot[i] = -1
+			sc.slot = append(sc.slot, -1)
 			continue
 		}
 		found := -1
-		for j := range paths {
-			if paths[j].String() == cp.path.String() {
+		for j := range sc.paths {
+			if sc.paths[j].String() == cp.path.String() {
 				found = j
 				break
 			}
 		}
 		if found < 0 {
-			found = len(paths)
-			paths = append(paths, cp.path)
+			found = len(sc.paths)
+			sc.paths = append(sc.paths, cp.path)
 		}
-		slot[i] = found
+		sc.slot = append(sc.slot, found)
 	}
-	ex, err := report.ExtractValues(reportXML, paths)
+	ex, err := sc.ext.ExtractValues(reportXML, sc.paths)
 	if err != nil {
 		return nil, time.Time{}, false
 	}
-	for i := range policies {
-		if slot[i] >= 0 && ex.Found[slot[i]] {
-			out[i] = extracted{ex.Values[slot[i]], true}
+	for i, slot := range sc.slot {
+		if slot >= 0 && ex.Found[slot] {
+			sc.out[i] = extracted{ex.Values[slot], true}
 		}
 	}
-	return out, ex.GMT, true
+	return sc.out, ex.GMT, true
 }

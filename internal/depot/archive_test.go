@@ -104,7 +104,7 @@ func TestPolicyIndexMatchesLinearScan(t *testing.T) {
 		{"", 1},
 	} {
 		id := branch.MustParse(tc.id)
-		got := set.match(id)
+		got := set.match(nil, id)
 		if len(got) != tc.want {
 			t.Errorf("match(%q) returned %d policies, want %d", tc.id, len(got), tc.want)
 		}

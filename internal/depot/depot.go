@@ -76,8 +76,8 @@ const (
 // Change describes one committed mutation, published to the change feed
 // after the commit succeeds. Report carries the report body for
 // ChangeReport (valid only for the duration of the publisher call — the
-// wire layer reuses envelope buffers) and the policy name for
-// ChangePolicy/ChangeManual.
+// controller stores reports straight from the wire layer's buffers) and
+// the policy name for ChangePolicy/ChangeManual.
 type Change struct {
 	Branch branch.ID
 	Kind   ChangeKind
@@ -257,8 +257,10 @@ func (d *Depot) StoreEnvelope(data []byte) (Receipt, error) {
 	return rec, nil
 }
 
-// Store ingests an already-unwrapped report (used by in-process
-// deployments and tests; the unpack phase is zero).
+// Store ingests an already-unwrapped report: a controller in the same
+// process stores through it, so the unpack phase is zero. It keeps no
+// reference to reportXML once it returns, so the caller may reuse the
+// buffer.
 func (d *Depot) Store(id branch.ID, reportXML []byte) (Receipt, error) {
 	if d.wal != nil {
 		// Log first, then apply: a crash after the append replays the
@@ -307,23 +309,26 @@ func (d *Depot) storeApply(id branch.ID, reportXML []byte) (Receipt, error) {
 // matching policy before store returns: a sample is readable as soon as its
 // store is acknowledged.
 func (d *Depot) archive(id branch.ID, reportXML []byte) {
-	matching := d.policies.Load().match(id)
+	var buf [8]*compiledPolicy
+	matching := d.policies.Load().match(buf[:0], id)
 	if len(matching) == 0 {
 		return
 	}
 	d.matched.Inc()
-	values, gmt, ok := d.extract(matching, reportXML)
+	sc := archiveScratchPool.Get().(*archiveScratch)
+	defer archiveScratchPool.Put(sc)
+	values, gmt, ok := sc.extract(matching, reportXML)
 	if !ok {
 		// Non-report XML can be cached (unknown schemas are welcome) but
 		// cannot be archived; skip silently.
 		return
 	}
-	key := id.String()
 	for i, cp := range matching {
 		if !values[i].ok {
 			continue
 		}
-		db, release, err := d.archives.ensure(key+"|"+cp.Name, cp, gmt)
+		sc.key = append(append(id.Append(sc.key[:0]), '|'), cp.Name...)
+		db, release, err := d.archives.ensure(string(sc.key), cp, gmt)
 		if err != nil {
 			continue
 		}

@@ -40,7 +40,7 @@ import (
 type IndexedCache struct {
 	mu    sync.RWMutex
 	root  *idxNode
-	byKey map[string]*idxNode // exact-path lookup: pathKey(id) → node
+	byKey map[string]*idxNode // exact-path lookup: appendPathKey(id) → node
 	count int
 	size  int // exact length of the canonical document
 	gen   uint64
@@ -78,23 +78,19 @@ func NewIndexedCache() *IndexedCache {
 	}
 }
 
-// pathKey is the map key for an identifier: its general→specific path with
-// NUL separators (names and values cannot contain NUL — they come from
-// parsed XML attributes or branch.Parse).
-func pathKey(path []branch.Pair) string {
-	n := 0
-	for _, p := range path {
-		n += len(p.Name) + len(p.Value) + 2
+// appendPathKey appends the map key for an identifier: its general→specific
+// path with NUL separators (names and values cannot contain NUL — they come
+// from parsed XML attributes or branch.Parse). Built into a caller's stack
+// buffer, a key costs an allocation only when a new entry stores it.
+func appendPathKey(dst []byte, id branch.ID) []byte {
+	for i := len(id.Pairs) - 1; i >= 0; i-- {
+		p := id.Pairs[i]
+		dst = append(dst, p.Name...)
+		dst = append(dst, 0)
+		dst = append(dst, p.Value...)
+		dst = append(dst, 0)
 	}
-	var sb bytes.Buffer
-	sb.Grow(n)
-	for _, p := range path {
-		sb.WriteString(p.Name)
-		sb.WriteByte(0)
-		sb.WriteString(p.Value)
-		sb.WriteByte(0)
-	}
-	return sb.String()
+	return dst
 }
 
 // renderBranchOpen produces the canonical open tag for a component through
@@ -159,17 +155,18 @@ func (c *IndexedCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	path := id.Path()
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// The nodes from the root down to the entry, and which of them this
+	// update created: identifiers are a few components deep, so both stay
+	// on the stack.
+	var touchedBuf [16]*idxNode
+	var createdBuf [16]bool
 	n := c.root
-	touched := make([]*idxNode, 0, len(path)+1)
-	created := make([]bool, 0, len(path)+1)
-	touched = append(touched, n)
-	created = append(created, false)
-	for _, p := range path {
-		ch, fresh, err := n.child(p, true)
+	touched := append(touchedBuf[:0], n)
+	created := append(createdBuf[:0], false)
+	for i := len(id.Pairs) - 1; i >= 0; i-- {
+		ch, fresh, err := n.child(id.Pairs[i], true)
 		if err != nil {
 			return false, err
 		}
@@ -182,6 +179,10 @@ func (c *IndexedCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 	if added {
 		c.count++
 		inc += entryWrapLen
+		// Only Update gives a node its entry, so a replaced entry's key is
+		// in the map already.
+		var key [128]byte
+		c.byKey[string(appendPathKey(key[:0], id))] = n
 	}
 	n.payload = append([]byte(nil), payload...)
 	// Propagate size growth leaf→root: each node's subtree grows by the
@@ -196,7 +197,6 @@ func (c *IndexedCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 	}
 	c.size += inc
 	c.gen++
-	c.byKey[pathKey(path)] = n
 	return added, nil
 }
 
@@ -260,7 +260,7 @@ func (c *IndexedCache) Query(id branch.ID) ([]byte, bool, error) {
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	n, ok := c.lookupLocked(id.Path())
+	n, ok := c.lookupLocked(id)
 	if !ok {
 		return nil, false, nil
 	}
@@ -270,16 +270,17 @@ func (c *IndexedCache) Query(id branch.ID) ([]byte, bool, error) {
 	return buf.Bytes(), true, nil
 }
 
-// lookupLocked resolves a general→specific path; callers hold c.mu.
-func (c *IndexedCache) lookupLocked(path []branch.Pair) (*idxNode, bool) {
-	if n, ok := c.byKey[pathKey(path)]; ok {
+// lookupLocked resolves an identifier; callers hold c.mu.
+func (c *IndexedCache) lookupLocked(id branch.ID) (*idxNode, bool) {
+	var key [128]byte
+	if n, ok := c.byKey[string(appendPathKey(key[:0], id))]; ok {
 		return n, true
 	}
 	// Interior nodes created as ancestors of stored identifiers are
 	// queryable too but have no byKey entry; walk the trie.
 	n := c.root
-	for _, p := range path {
-		ch, _, _ := n.child(p, false)
+	for i := len(id.Pairs) - 1; i >= 0; i-- {
+		ch, _, _ := n.child(id.Pairs[i], false)
 		if ch == nil {
 			return nil, false
 		}
@@ -295,7 +296,7 @@ func (c *IndexedCache) Reports(prefix branch.ID) ([]Stored, error) {
 	defer c.mu.RUnlock()
 	start := c.root
 	if !prefix.IsRoot() {
-		n, ok := c.lookupLocked(prefix.Path())
+		n, ok := c.lookupLocked(prefix)
 		if !ok {
 			return nil, nil
 		}

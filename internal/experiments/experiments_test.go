@@ -3,6 +3,10 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"inca/internal/envelope"
+	"inca/internal/experiments/ablation"
+	"inca/internal/loadgen"
 )
 
 func TestTable1Shape(t *testing.T) {
@@ -125,6 +129,20 @@ func TestFig9SmallGrid(t *testing.T) {
 		if !strings.Contains(r.Text, want) {
 			t.Fatalf("fig9 missing %q:\n%s", want, r.Text)
 		}
+	}
+}
+
+// TestFig9MeasuresTheEnvelope: Figure 9's unpack curve is the paper's SOAP
+// unpack, so a cell must send its reports through a body envelope even
+// though its depot is in the same process, where the controller would
+// otherwise store them without one.
+func TestFig9MeasuresTheEnvelope(t *testing.T) {
+	_, _, unpack, err := fig9Cell(envelope.Body, ablation.NewStreamCache(), 64*1024, loadgen.PaperReportSizes[0], 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unpack.N != 5 || unpack.Min <= 0 {
+		t.Fatalf("unpack times %+v: every update must unpack an envelope", unpack)
 	}
 }
 

@@ -26,10 +26,12 @@ type Fig9Options struct {
 
 // cell measures one (cache size, report size) point: steady-state updates
 // through the full controller→envelope→depot path, on a cache pre-filled
-// to the target size (Section 5.2.2's methodology).
+// to the target size (Section 5.2.2's methodology). The depot is in this
+// process, so the controller is handed it enveloped: the paper's unpack is
+// half of what the figure shows.
 func fig9Cell(mode envelope.Mode, cache depot.Cache, cacheTarget, reportSize, updates int) (total, insert, unpack stats.Summary, err error) {
 	d := depot.New(cache)
-	ctl := controller.New(d, controller.Options{Mode: mode})
+	ctl := controller.New(controller.Enveloped(d), controller.Options{Mode: mode})
 	const slots = 8 // measurement identifiers holding reportSize entries
 	fillTarget := cacheTarget - slots*reportSize
 	if fillTarget < 0 {

@@ -235,8 +235,8 @@ func renderLoadCurve(mode string, curve *loadgen.Curve) string {
 			srv/s.Window.Seconds(), notMod, errs, marker)
 	}
 	if curve.KneeFound {
-		fmt.Fprintf(&sb, "knee: %.0f clients at %.0f ops/s (p95 %.0fus, latency-confirmed=%v)\n",
-			curve.Knee.Load, curve.Knee.Throughput, curve.Knee.P95, curve.Knee.LatencyConfirmed)
+		fmt.Fprintf(&sb, "knee: %.0f clients at %.0f ops/s (%s, p95 %.0fus, latency-confirmed=%v)\n",
+			curve.Knee.Load, curve.Knee.Throughput, curve.Knee.Kind, curve.Knee.P95, curve.Knee.LatencyConfirmed)
 	} else {
 		sb.WriteString("knee: not reached within the ramp\n")
 	}

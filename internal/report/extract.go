@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -142,12 +143,30 @@ type extractor struct {
 // depot archives a report only after its cache has held the same bytes to
 // full well-formedness.
 func ExtractValues(data []byte, paths []Path) (Extraction, error) {
-	ex := Extraction{
-		Values: make([]float64, len(paths)),
-		Found:  make([]bool, len(paths)),
-	}
+	return new(Extractor).ExtractValues(data, paths)
+}
+
+// Extractor runs ExtractValues scans and keeps their scratch for the next
+// one: the path states, the text buffers and the result slices. A depot
+// archiving at ingest rate pools Extractors, so a steady stream of scans
+// allocates nothing. An Extractor is not safe for concurrent use.
+type Extractor struct {
+	x      extractor
+	values []float64
+	found  []bool
+}
+
+// ExtractValues is the package function of that name on e's scratch. The
+// Extraction's Values and Found are e's own, valid until its next scan.
+func (e *Extractor) ExtractValues(data []byte, paths []Path) (Extraction, error) {
+	e.values = slices.Grow(e.values[:0], len(paths))[:len(paths)]
+	e.found = slices.Grow(e.found[:0], len(paths))[:len(paths)]
+	clear(e.values)
+	clear(e.found)
+	ex := Extraction{Values: e.values, Found: e.found}
 	needFooter := false
-	x := extractor{states: make([]pathState, 0, len(paths))}
+	x := &e.x
+	x.states, x.abort, x.text = x.states[:0], false, x.text[:0]
 	for _, p := range paths {
 		if p.success {
 			needFooter = true

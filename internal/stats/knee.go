@@ -45,7 +45,7 @@ type KneeOptions struct {
 	// whose marginal throughput slope falls below PlateauFrac times the
 	// steepest earlier segment marks the curve as flattening
 	// (default 0.25). Negative marginal slopes (throughput decline past
-	// saturation) always qualify.
+	// saturation) always qualify, as a Collapse.
 	PlateauFrac float64
 	// LatencyInflect is the response-time inflection threshold: the
 	// stage's p95 must exceed LatencyInflect times the minimum p95 of the
@@ -63,10 +63,25 @@ func (o *KneeOptions) fill() {
 	}
 }
 
+// KneeKind says how throughput behaves at a knee.
+type KneeKind string
+
+const (
+	// Plateau: throughput at the knee stage is at least the previous
+	// stage's, but grew by less than PlateauFrac of the steepest earlier
+	// gain — the service is saturated and holds its rate.
+	Plateau KneeKind = "plateau"
+	// Collapse: throughput at the knee stage fell below the previous
+	// stage's — added load costs the service throughput.
+	Collapse KneeKind = "collapse"
+)
+
 // Knee is a detected saturation point on a load curve.
 type Knee struct {
 	// Index is the position of the knee stage in the input curve.
 	Index int
+	// Kind tells a plateau from a collapse.
+	Kind KneeKind
 	// Load, Throughput, and P95 echo the knee stage's point.
 	Load       float64
 	Throughput float64
@@ -83,7 +98,8 @@ type Knee struct {
 // gained per unit of added load drops below PlateauFrac of the steepest
 // earlier segment, DiPerF's plateau; a non-positive marginal slope
 // always qualifies, so a curve already saturated at its first measured
-// load knees at the first non-rising stage) — preferring, when one
+// load knees at the first non-rising stage, and a falling stage is a
+// Collapse rather than a Plateau) — preferring, when one
 // exists, a plateau stage whose p95 has also inflected above
 // LatencyInflect times the pre-knee minimum. Points must be sorted by
 // strictly increasing Load; ok is false when the curve never flattens
@@ -119,10 +135,14 @@ func DetectKnee(points []CurvePoint, opt KneeOptions) (Knee, bool) {
 			if knee.Index < 0 || (inflected && !knee.LatencyConfirmed) {
 				knee = Knee{
 					Index:            i,
+					Kind:             Plateau,
 					Load:             points[i].Load,
 					Throughput:       points[i].Throughput,
 					P95:              points[i].P95,
 					LatencyConfirmed: inflected,
+				}
+				if slopes[i] < 0 {
+					knee.Kind = Collapse
 				}
 				peakDesc := fmt.Sprintf("peak %.1f", peak)
 				if math.IsInf(peak, -1) {
@@ -130,13 +150,13 @@ func DetectKnee(points []CurvePoint, opt KneeOptions) (Knee, bool) {
 				}
 				if inflected {
 					knee.Reason = fmt.Sprintf(
-						"throughput plateau (marginal slope %.1f, %s ops/sec per client) with p95 inflection (%.0f vs pre-knee min %.0f)",
-						slopes[i], peakDesc, points[i].P95, minP95)
+						"throughput %s (marginal slope %.1f, %s ops/sec per client) with p95 inflection (%.0f vs pre-knee min %.0f)",
+						knee.Kind, slopes[i], peakDesc, points[i].P95, minP95)
 					break // first latency-confirmed plateau wins outright
 				}
 				knee.Reason = fmt.Sprintf(
-					"throughput plateau (marginal slope %.1f, %s ops/sec per client; p95 %.0f below inflection threshold)",
-					slopes[i], peakDesc, points[i].P95)
+					"throughput %s (marginal slope %.1f, %s ops/sec per client; p95 %.0f below inflection threshold)",
+					knee.Kind, slopes[i], peakDesc, points[i].P95)
 			}
 		}
 		if points[i].P95 < minP95 {

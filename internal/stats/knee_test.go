@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -64,8 +65,8 @@ func TestDetectKneeNoPlateau(t *testing.T) {
 
 func TestDetectKneeThroughputDecline(t *testing.T) {
 	// Overload collapse: past the knee throughput falls. The negative
-	// marginal slope must qualify as a plateau even with a generous
-	// threshold.
+	// marginal slope must qualify as a knee, a collapse, even with a
+	// generous threshold.
 	points := []CurvePoint{
 		{Load: 1, Throughput: 500, P95: 20},
 		{Load: 2, Throughput: 990, P95: 21},
@@ -76,8 +77,8 @@ func TestDetectKneeThroughputDecline(t *testing.T) {
 	if !ok {
 		t.Fatal("no knee on a collapsing curve")
 	}
-	if knee.Index != 2 {
-		t.Fatalf("knee at index %d, want 2 (%+v)", knee.Index, knee)
+	if knee.Index != 2 || knee.Kind != Collapse {
+		t.Fatalf("knee at index %d (%s), want a collapse at 2 (%+v)", knee.Index, knee.Kind, knee)
 	}
 	if !knee.LatencyConfirmed {
 		t.Fatalf("p95 quadrupled yet inflection unconfirmed: %+v", knee)
@@ -121,6 +122,38 @@ func TestDetectKneePrefersLatencyConfirmedStage(t *testing.T) {
 	}
 	if knee.Index != 3 || !knee.LatencyConfirmed {
 		t.Fatalf("knee = %+v, want latency-confirmed index 3", knee)
+	}
+}
+
+// TestDetectKneeKind: a curve that flattens knees as a plateau, one that
+// rises and then falls as a collapse, each at the stage where it bends.
+func TestDetectKneeKind(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		points []CurvePoint
+		index  int
+		kind   KneeKind
+	}{
+		{"flattens", []CurvePoint{
+			{Load: 1, Throughput: 1000, P95: 10},
+			{Load: 2, Throughput: 2000, P95: 10},
+			{Load: 4, Throughput: 2100, P95: 30},
+			{Load: 8, Throughput: 2100, P95: 60},
+		}, 2, Plateau},
+		{"rises then falls", []CurvePoint{
+			{Load: 1, Throughput: 1000, P95: 10},
+			{Load: 2, Throughput: 2000, P95: 10},
+			{Load: 4, Throughput: 1500, P95: 30},
+			{Load: 8, Throughput: 900, P95: 80},
+		}, 2, Collapse},
+	} {
+		knee, ok := DetectKnee(tc.points, KneeOptions{})
+		if !ok || knee.Index != tc.index || knee.Kind != tc.kind {
+			t.Errorf("%s: knee %+v (found %v), want index %d, %s", tc.name, knee, ok, tc.index, tc.kind)
+		}
+		if !strings.Contains(knee.Reason, string(tc.kind)) {
+			t.Errorf("%s: reason %q does not name the %s", tc.name, knee.Reason, tc.kind)
+		}
 	}
 }
 
