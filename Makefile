@@ -131,7 +131,8 @@ bench-ingest:
 # the extractor against Parse + Find, the envelope escaper against
 # xml.EscapeText, the archive image reader and the wire frame and batch
 # readers against their own writers (what is accepted re-serializes to the
-# bytes it was read from), and the change feed's relay: the change renderer
+# bytes it was read from), the router's in-place routing of a received frame
+# against decoding, parsing and re-encoding it, and the change feed's relay: the change renderer
 # against json.Marshal, the routing scanner against json.Unmarshal, and the
 # SSE reader against the line reader it replaced and its own writer; and the
 # controller's in-process store against the envelope round trip it skips.
@@ -141,6 +142,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzScan$$' -fuzztime=10s ./internal/xmlscan/
 	$(GO) test -run=NONE -fuzz='^FuzzMergeCache$$' -fuzztime=10s ./internal/federation/
 	$(GO) test -run=NONE -fuzz='^FuzzParseReports$$' -fuzztime=10s ./internal/federation/
+	$(GO) test -run=NONE -fuzz='^FuzzRouteFrame$$' -fuzztime=10s ./internal/federation/
 	$(GO) test -run=NONE -fuzz='^FuzzCanonical$$' -fuzztime=10s ./internal/depot/
 	$(GO) test -run=NONE -fuzz='^FuzzExtractValues$$' -fuzztime=10s ./internal/report/
 	$(GO) test -run=NONE -fuzz='^FuzzEncode$$' -fuzztime=10s ./internal/envelope/

@@ -33,12 +33,24 @@ type ID struct {
 // Parse parses a textual branch identifier. Whitespace around pairs is
 // trimmed (controller configs in the wild line-wrap long identifiers).
 // An empty string parses to the root ID.
-func Parse(s string) (ID, error) {
+func Parse(s string) (ID, error) { return parse(s, true) }
+
+// Check reports whether s parses, with Parse's error when it does not,
+// without building the identifier: a valid branch costs no allocation.
+func Check(s string) error {
+	_, err := parse(s, false)
+	return err
+}
+
+func parse(s string, build bool) (ID, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return ID{}, nil
 	}
-	id := ID{Pairs: make([]Pair, 0, strings.Count(s, ",")+1)}
+	var id ID
+	if build {
+		id.Pairs = make([]Pair, 0, strings.Count(s, ",")+1)
+	}
 	for rest, more := s, true; more; {
 		var part string
 		part, rest, more = strings.Cut(rest, ",")
@@ -63,7 +75,9 @@ func Parse(s string) (ID, error) {
 		if strings.IndexByte(value, '=') >= 0 {
 			return ID{}, fmt.Errorf("branch: component %q contains reserved character", part)
 		}
-		id.Pairs = append(id.Pairs, Pair{Name: name, Value: value})
+		if build {
+			id.Pairs = append(id.Pairs, Pair{Name: name, Value: value})
+		}
 	}
 	return id, nil
 }

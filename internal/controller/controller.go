@@ -11,6 +11,7 @@ package controller
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -218,7 +219,10 @@ func (c *Controller) Handle(m *wire.Message, remote string) *wire.Ack {
 			return &wire.Ack{OK: false, Message: "controller: message signature invalid for host " + m.Hostname}
 		}
 	}
-	id, err := branch.Parse(m.Branch)
+	// A received message's strings alias its whole frame (wire.Message),
+	// and the identifier outlives the message in the response log and the
+	// cache index, so it is parsed from a copy that pins no report.
+	id, err := branch.Parse(strings.Clone(m.Branch))
 	if err != nil {
 		c.reject()
 		return &wire.Ack{OK: false, Message: err.Error()}
@@ -226,7 +230,7 @@ func (c *Controller) Handle(m *wire.Message, remote string) *wire.Ack {
 	if _, err := c.Submit(id, m.Hostname, m.Report); err != nil {
 		return &wire.Ack{OK: false, Message: err.Error()}
 	}
-	return &wire.Ack{OK: true}
+	return wire.AckOK
 }
 
 // Submit implements agent.Sink for in-process deployments.

@@ -338,10 +338,11 @@ func TestMaxResponsesResetRestartsWindow(t *testing.T) {
 // TestHandleAllocationBudget is the allocation gate on the ingest path: one
 // wire message through Handle into a depot in the same process — branch
 // parse, the indexed cache insert, policy match, value extraction and one
-// archive sample, with no envelope in between. What is left is the parsed
-// identifier's pairs, the ack, the cache's one copy of the report, the
-// archive key of the matched policy, and the value boxed for the archive
-// update (a tiny allocation, counted about every other message).
+// archive sample, with no envelope in between. What is left is the
+// identifier's own copy of the branch text (a received message's text
+// aliases its frame), the parsed pairs, the cache's one copy of the report,
+// the archive key of the matched policy, and the value boxed for the
+// archive update (a tiny allocation, counted about every other message).
 func TestHandleAllocationBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are not exact under the race detector")

@@ -68,12 +68,10 @@ func reportAt(at time.Time, ok string) []byte {
 // modes, a controller over one depot and a controller over a second depot
 // seen through Enveloped — the envelope path, the oracle — must end in the
 // same state after each message: the same ack, the same cache dump, the
-// same archived series and the same receipt bar its Unpack time. A document
+// same archived series and the same receipt bar its Unpack time. A report
 // at the same branch goes first, so a refused report must also leave the
-// entry it would have replaced alone; it is not a report, so the fuzzed
-// report alone decides where its archive starts (an archive's update walks
-// every step since the one before, and a report centuries from the first
-// would make that walk the whole run).
+// entry it would have replaced alone, and an accepted one adds to the
+// archive the first report began, however far apart their dates are.
 func FuzzSubmitDirect(f *testing.F) {
 	canonical := reportAt(t0.Add(2*time.Minute), "1")
 	f.Add("probe=x,resource=login1,vo=tg", canonical)
@@ -82,7 +80,8 @@ func FuzzSubmitDirect(f *testing.F) {
 	f.Add("probe=x,resource=login1,vo=tg", bytes.Replace(canonical, []byte("<ok>1</ok>"), []byte("<ok>1\xff</ok>"), 1))
 	f.Add("probe=x,resource=login1,vo=tg", bytes.Replace(canonical, []byte("<ok>1</ok>"), []byte("<ok>1\uFFFE</ok>"), 1))
 	f.Add("probe=x\x01,resource=login1,vo=tg", canonical)
-	first := []byte("<r><v>0</v></r>")
+	f.Add("probe=x,resource=login1,vo=tg", reportAt(t0.AddDate(200, 0, 0), "1"))
+	first := reportAt(t0.Add(time.Minute), "0")
 	f.Fuzz(func(t *testing.T, branchText string, reportXML []byte) {
 		for _, mode := range []envelope.Mode{envelope.Body, envelope.Attachment} {
 			direct := &recorder{d: policyDepot(t, nil)}

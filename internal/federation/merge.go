@@ -237,30 +237,13 @@ func splitDoc(docs []ShardDoc, doc, levels int) (*node, error) {
 	return n, nil
 }
 
-// keyPath is Ring.Key over an explicit general→specific path.
-func (r *Ring) keyPath(path []branch.Pair) string {
-	if len(path) > r.depth {
-		path = path[:r.depth]
-	}
-	var b []byte
-	for i, p := range path {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, p.Name...)
-		b = append(b, '=')
-		b = append(b, p.Value...)
-	}
-	return string(b)
-}
-
 // preferOwner picks, among candidate documents (indexes into docs), the
 // one from the shard the ring says owns path, falling back to the first;
 // it returns the pick's position in candidates. Duplicates of an owned
 // subtree only exist transiently after a rebalance copied it to its new
 // owner; the owner's copy is the one ingest has been updating since.
 func preferOwner(docs []ShardDoc, candidates []int, path []branch.Pair, r *Ring) int {
-	owner := r.OwnerKey(r.keyPath(path))
+	owner := r.pathOwner(path)
 	for i, c := range candidates {
 		if docs[c].Shard == owner {
 			return i

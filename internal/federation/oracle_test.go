@@ -100,7 +100,7 @@ func oracleSplitDoc(body []byte, shard string) (oracleParts, error) {
 // only exist transiently after a rebalance copied it to its new owner;
 // the owner's copy is the one ingest has been updating since.
 func oraclePreferOwner(candidates []string, path []branch.Pair, r *Ring) string {
-	owner := r.OwnerKey(r.keyPath(path))
+	owner := r.pathOwner(path)
 	for _, c := range candidates {
 		if c == owner {
 			return c

@@ -14,6 +14,7 @@ package federation
 import (
 	"sort"
 	"strconv"
+	"strings"
 
 	"inca/internal/branch"
 )
@@ -100,24 +101,52 @@ func NewRing(members []string, opt RingOptions) *Ring {
 	return r
 }
 
-// hashString is FNV-1a 64 with a murmur-style avalanche finalizer,
-// because FNV's trailing-byte linearity correlates badly when keys differ
-// only near the end (site=s0, site=s1, ...).
-func hashString(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvAdd folds s into an FNV-1a 64 hash.
+func fnvAdd(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * prime64
+		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
+	return h
+}
+
+// fnvFinish is a murmur-style avalanche finalizer, because FNV's
+// trailing-byte linearity correlates badly when keys differ only near the
+// end (site=s0, site=s1, ...).
+func fnvFinish(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
 	return h
+}
+
+// hashString is FNV-1a 64 with the finalizer.
+func hashString(s string) uint64 { return fnvFinish(fnvAdd(fnvOffset64, s)) }
+
+// keyHash hashes a branch identifier's placement key — its most-general
+// Depth components in general→specific order, each "name=value", joined by
+// ',' — as hashString would hash that string, without building it. Every
+// identifier in one vo/site subtree shares a key, which is the prefix
+// affinity.
+type keyHash struct {
+	h     uint64
+	pairs int
+}
+
+func newKeyHash() keyHash { return keyHash{h: fnvOffset64} }
+
+func (k *keyHash) add(name, value string) {
+	if k.pairs > 0 {
+		k.h = fnvAdd(k.h, ",")
+	}
+	k.h = fnvAdd(fnvAdd(fnvAdd(k.h, name), "="), value)
+	k.pairs++
 }
 
 // Members returns the sorted member names.
@@ -132,62 +161,55 @@ func (r *Ring) Depth() int { return r.depth }
 // Replicas returns the virtual-node count per member.
 func (r *Ring) Replicas() int { return r.replicas }
 
-// Key returns the placement key for a branch identifier: its most-general
-// Depth components in general→specific order. Every identifier in one
-// vo/site subtree shares a key, which is the prefix affinity.
-func (r *Ring) Key(id branch.ID) string {
-	path := id.Path()
-	if len(path) > r.depth {
-		path = path[:r.depth]
-	}
-	n := 0
-	for _, p := range path {
-		n += len(p.Name) + len(p.Value) + 2
-	}
-	b := make([]byte, 0, n)
-	for i, p := range path {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, p.Name...)
-		b = append(b, '=')
-		b = append(b, p.Value...)
-	}
-	return string(b)
-}
-
 // Owner returns the member owning id ("" on an empty ring).
 func (r *Ring) Owner(id branch.ID) string {
-	return r.OwnerKey(r.Key(id))
+	k := newKeyHash()
+	for i := len(id.Pairs) - 1; i >= 0 && k.pairs < r.depth; i-- {
+		k.add(id.Pairs[i].Name, id.Pairs[i].Value)
+	}
+	return r.owner(k)
 }
 
-// OwnerIndex returns the index (into Members order) of the member owning
-// id, or -1 on an empty ring.
-func (r *Ring) OwnerIndex(id branch.ID) int {
-	return r.ownerIndexKey(r.Key(id))
+// OwnerText returns Owner(branch.MustParse(s)) for a branch text that
+// branch.Check accepts, hashing the key straight from the text: the
+// components are read from the right, trimmed as Parse trims them, and
+// nothing is allocated.
+func (r *Ring) OwnerText(s string) string {
+	s = strings.TrimSpace(s)
+	k := newKeyHash()
+	for s != "" && k.pairs < r.depth {
+		part := s
+		if comma := strings.LastIndexByte(s, ','); comma >= 0 {
+			part, s = s[comma+1:], s[:comma]
+		} else {
+			s = ""
+		}
+		name, value, _ := strings.Cut(strings.TrimSpace(part), "=")
+		k.add(strings.TrimSpace(name), strings.TrimSpace(value))
+	}
+	return r.owner(k)
 }
 
-// OwnerKey returns the member owning a placement key ("" on an empty
-// ring).
-func (r *Ring) OwnerKey(key string) string {
-	i := r.ownerIndexKey(key)
-	if i < 0 {
+// pathOwner returns the member owning an explicit general→specific path.
+func (r *Ring) pathOwner(path []branch.Pair) string {
+	k := newKeyHash()
+	for _, p := range path[:min(len(path), r.depth)] {
+		k.add(p.Name, p.Value)
+	}
+	return r.owner(k)
+}
+
+func (r *Ring) owner(k keyHash) string {
+	if len(r.points) == 0 {
 		return ""
 	}
-	return r.members[i]
-}
-
-func (r *Ring) ownerIndexKey(key string) int {
-	if len(r.points) == 0 {
-		return -1
-	}
-	h := hashString(key)
+	h := fnvFinish(k.h)
 	// First vnode at or after h, wrapping past the top of the ring.
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
 	}
-	return int(r.points[i].member)
+	return r.members[r.points[i].member]
 }
 
 // With returns a new ring with member added (the receiver is unchanged).
@@ -211,13 +233,9 @@ func (r *Ring) Without(member string) *Ring {
 // folds it into composed ETags so a validator minted under one topology
 // can never match under another.
 func (r *Ring) Signature() string {
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset64)
 	mix := func(s string) {
-		const prime64 = 1099511628211
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * prime64
-		}
-		h = (h ^ 0xff) * prime64
+		h = (fnvAdd(h, s) ^ 0xff) * fnvPrime64
 	}
 	for _, m := range r.members {
 		mix(m)

@@ -138,6 +138,9 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // snapshot returns cumulative bucket counts aligned with bounds plus +Inf.
+// The count is the +Inf bucket's, not a second read of h.count, which an
+// Observe racing the bucket loads could have moved: an exposition's _count
+// must equal its +Inf bucket.
 func (h *Histogram) snapshot() (cum []uint64, count uint64, sum float64) {
 	cum = make([]uint64, len(h.counts))
 	var run uint64
@@ -145,7 +148,7 @@ func (h *Histogram) snapshot() (cum []uint64, count uint64, sum float64) {
 		run += h.counts[i].Load()
 		cum[i] = run
 	}
-	return cum, h.count.Load(), h.Sum()
+	return cum, run, h.Sum()
 }
 
 // instrument is anything a family can hold.

@@ -16,6 +16,7 @@ import (
 	"inca/internal/federation"
 	"inca/internal/feed"
 	"inca/internal/simtime"
+	"inca/internal/wire"
 )
 
 // FederatedFeed composes the shards' change feeds into one stream on the
@@ -30,6 +31,11 @@ import (
 type FederatedFeed struct {
 	fed *Federated
 	hub *feed.Hub
+	// watchHTTP is the watchers' client. The tier's scatter client carries
+	// a per-request timeout, which would sever a healthy stream, so the
+	// watchers have their own transport, with a read buffer sized for a
+	// batch: a burst of changes crosses the socket in one read.
+	watchHTTP *http.Client
 
 	mu          sync.Mutex
 	sig         string   // ring signature the watchers were wired under
@@ -45,7 +51,9 @@ type FederatedFeed struct {
 // QueueLimit and Metrics apply to the local hub; Agreement is ignored
 // (the status stream is a single-depot feature — subscribe to a shard).
 func (f *Federated) AttachFeed(opts FeedOptions) *FederatedFeed {
-	ff := &FederatedFeed{fed: f}
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.ReadBufferSize = wire.BatchBuffer
+	ff := &FederatedFeed{fed: f, watchHTTP: &http.Client{Transport: transport}}
 	ff.hub = feed.NewHub(feed.Options{
 		QueueLimit: opts.QueueLimit,
 		Name:       "federated",
@@ -69,6 +77,7 @@ func (ff *FederatedFeed) Close() {
 	}
 	ff.mu.Unlock()
 	ff.wg.Wait()
+	ff.watchHTTP.CloseIdleConnections()
 	ff.hub.Close()
 }
 
@@ -192,10 +201,7 @@ func (ff *FederatedFeed) watch(i int, s federation.Shard, gen string, stop chan 
 		ff.setUnsupported(gen, s.Name(), true)
 		return
 	}
-	// The tier's scatter client carries a per-request timeout, which
-	// would sever a healthy stream; the watcher uses the default
-	// transport instead.
-	c := NewClient(base)
+	c := &Client{Base: base, HTTP: ff.watchHTTP}
 	cursor := ""
 	failures := 0
 	for {

@@ -290,6 +290,55 @@ func (db *DB) Update(t time.Time, values ...float64) error {
 	if !t.After(db.lastUpdate) {
 		return fmt.Errorf("rrd: update at %v not after last update %v", t, db.lastUpdate)
 	}
+	rates, pdp := db.rates(t, values)
+
+	// Distribute the interval across step windows, finalizing each PDP the
+	// interval completes. Within one Update the rate is constant, so each
+	// segment contributes rate*segmentSeconds to its window's accumulator,
+	// and every whole window inside the interval gets the same PDP: the
+	// rate, or unknown past the heartbeat. Those go to the archives in bulk
+	// (pushPDPs), so a gap of centuries costs each archive at most its
+	// Rows×Steps pushes, not one per step of the gap.
+	windowEnd := db.lastUpdate.Truncate(db.step).Add(db.step)
+	if t.Before(windowEnd) {
+		db.accumulate(rates, t.Sub(db.lastUpdate))
+	} else {
+		db.accumulate(rates, windowEnd.Sub(db.lastUpdate))
+		db.finalizePDP(pdp)
+		for ri := range db.rras {
+			if err := db.pushPDP(ri, windowEnd, pdp); err != nil {
+				return err
+			}
+		}
+		last := t.Truncate(db.step) // the end of the last whole window
+		if last.After(windowEnd) {
+			db.accumulate(rates, db.step)
+			db.finalizePDP(pdp)
+			// A gap past time.Duration's range (292 years) is pushed in
+			// runs that fit it.
+			for from := windowEnd; from.Before(last); {
+				n := int64(last.Sub(from) / db.step)
+				for ri := range db.rras {
+					if err := db.pushPDPs(ri, from, n, pdp); err != nil {
+						return err
+					}
+				}
+				from = from.Add(time.Duration(n) * db.step)
+			}
+		}
+		if t.After(last) {
+			db.accumulate(rates, t.Sub(last))
+		}
+	}
+	db.lastUpdate = t
+	db.updates++
+	return nil
+}
+
+// rates converts an update's raw inputs at t to per-DS rates/values by DS
+// type, remembering them as the previous raw inputs, and returns them with
+// the scratch a finalized PDP goes in.
+func (db *DB) rates(t time.Time, values []float64) (rates, pdp []float64) {
 	dt := t.Sub(db.lastUpdate)
 	secs := dt.Seconds()
 
@@ -297,9 +346,7 @@ func (db *DB) Update(t time.Time, values ...float64) error {
 	if db.scratch == nil {
 		db.scratch = make([]float64, 3*n)
 	}
-	rates, pdp := db.scratch[:n], db.scratch[n:2*n]
-
-	// Convert raw inputs to rates/values per DS type.
+	rates, pdp = db.scratch[:n], db.scratch[n:2*n]
 	for i, d := range db.ds {
 		v := values[i]
 		switch d.Type {
@@ -339,51 +386,61 @@ func (db *DB) Update(t time.Time, values ...float64) error {
 		}
 		db.lastRaw[i] = v
 	}
+	return rates, pdp
+}
 
-	// Distribute the interval across step windows, finalizing each PDP the
-	// interval completes. Within one Update the rate is constant, so each
-	// segment contributes rate*segmentSeconds to its window's accumulator.
-	cursor := db.lastUpdate
-	for {
-		windowEnd := cursor.Truncate(db.step).Add(db.step)
-		segEnd := windowEnd
-		if t.Before(segEnd) {
-			segEnd = t
-		}
-		seg := segEnd.Sub(cursor)
-		for i := range rates {
-			if !math.IsNaN(rates[i]) {
-				db.pdpSum[i] += rates[i] * seg.Seconds()
-				db.pdpKnown[i] += seg
-			}
-		}
-		cursor = segEnd
-		if cursor.Before(windowEnd) {
-			break // interval consumed; PDP window still open
-		}
-		// Finalize the PDP for [windowEnd-step, windowEnd): a data source
-		// must have been known for at least half the window (RRDTool's
-		// rule) or its PDP is unknown.
-		for i := range pdp {
-			if db.pdpKnown[i]*2 < db.step {
-				pdp[i] = math.NaN()
-			} else {
-				pdp[i] = db.pdpSum[i] / db.pdpKnown[i].Seconds()
-			}
-			db.pdpSum[i] = 0
-			db.pdpKnown[i] = 0
-		}
-		for ri := range db.rras {
-			if err := db.pushPDP(ri, windowEnd, pdp); err != nil {
-				return err
-			}
-		}
-		if !cursor.Before(t) {
-			break
+// accumulate adds a segment of the current step window at the given rates
+// to the window's PDP accumulators.
+func (db *DB) accumulate(rates []float64, seg time.Duration) {
+	for i := range rates {
+		if !math.IsNaN(rates[i]) {
+			db.pdpSum[i] += rates[i] * seg.Seconds()
+			db.pdpKnown[i] += seg
 		}
 	}
-	db.lastUpdate = t
-	db.updates++
+}
+
+// finalizePDP closes the current step window into pdp and resets the
+// accumulators: a data source must have been known for at least half the
+// window (RRDTool's rule) or its PDP is unknown.
+func (db *DB) finalizePDP(pdp []float64) {
+	for i := range pdp {
+		if db.pdpKnown[i]*2 < db.step {
+			pdp[i] = math.NaN()
+		} else {
+			pdp[i] = db.pdpSum[i] / db.pdpKnown[i].Seconds()
+		}
+		db.pdpSum[i] = 0
+		db.pdpKnown[i] = 0
+	}
+}
+
+// pushPDPs folds n copies of one PDP, for the n windows ending one step
+// apart after from, into archive ri, leaving it as n pushPDP calls would.
+// Once the open consolidation is complete every further one yields the
+// same row, so all but the last Rows of them, which the ring would
+// overwrite, are skipped: the ring advances past them unwritten. The cost
+// is bounded by the archive's Rows×Steps whatever n is.
+func (db *DB) pushPDPs(ri int, from time.Time, n int64, pdp []float64) error {
+	r := db.rras[ri]
+	push := func(k int64) error { return db.pushPDP(ri, from.Add(time.Duration(k)*db.step), pdp) }
+	k := int64(0)
+	for ; k < n && r.pdpCount != 0; k++ {
+		if err := push(k + 1); err != nil {
+			return err
+		}
+	}
+	rows, steps := int64(r.def.Rows), int64(r.def.Steps)
+	if skip := (n-k)/steps - rows; skip > 0 {
+		r.newest = int((int64(r.newest) + skip) % rows)
+		r.filled = int(min(int64(r.filled)+skip, rows))
+		k += skip * steps
+	}
+	for ; k < n; k++ {
+		if err := push(k + 1); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -45,54 +45,67 @@ const ackVectorMarker = 2
 // MaxBatch bounds the messages in one batch frame.
 const MaxBatch = 4096
 
-// WriteBatch writes msgs as one batch frame.
+// WriteBatch writes msgs as one batch frame, in one Write.
 func WriteBatch(w io.Writer, msgs []*Message) error {
+	return writeEncoded(w, func(dst []byte) ([]byte, error) { return appendBatch(dst, msgs) })
+}
+
+// appendBatch appends WriteBatch's bytes to dst.
+func appendBatch(dst []byte, msgs []*Message) ([]byte, error) {
 	if len(msgs) == 0 {
-		return fmt.Errorf("wire: empty batch")
+		return dst, fmt.Errorf("wire: empty batch")
 	}
 	if len(msgs) > MaxBatch {
-		return fmt.Errorf("wire: batch of %d messages exceeds limit %d", len(msgs), MaxBatch)
+		return dst, fmt.Errorf("wire: batch of %d messages exceeds limit %d", len(msgs), MaxBatch)
 	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], batchMagic)
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(msgs)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
+	dst = binary.BigEndian.AppendUint32(dst, batchMagic)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(msgs)))
 	for _, m := range msgs {
-		if err := WriteMessage(w, m); err != nil {
-			return err
+		var err error
+		if dst, err = appendMessage(dst, m); err != nil {
+			return dst, err
 		}
 	}
-	return nil
+	return dst, nil
 }
 
 // ReadBatch reads one batch frame, magic word included.
 func ReadBatch(r io.Reader) ([]*Message, error) {
-	msgs, _, err := readBatch(r, nil)
-	return msgs, err
+	return readBatch(r)
 }
 
-func readBatch(r io.Reader, scratch []byte) ([]*Message, []byte, error) {
+// slabMessages is how many Messages a batch reader allocates at once: a
+// batch of up to this many costs one allocation for its messages, and a
+// count prefix claiming MaxBatch gets Messages only for those that arrive.
+const slabMessages = 64
+
+func readBatch(r io.Reader) ([]*Message, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, scratch, err
+		return nil, err
 	}
 	if binary.BigEndian.Uint32(hdr[:4]) != batchMagic {
-		return nil, scratch, fmt.Errorf("wire: not a batch frame")
+		return nil, fmt.Errorf("wire: not a batch frame")
 	}
-	count := binary.BigEndian.Uint32(hdr[4:])
+	count := int(binary.BigEndian.Uint32(hdr[4:]))
 	if count == 0 || count > MaxBatch {
-		return nil, scratch, fmt.Errorf("wire: batch count %d out of range", count)
+		return nil, fmt.Errorf("wire: batch count %d out of range", count)
 	}
 	msgs := make([]*Message, count)
+	var slab []Message
 	for i := range msgs {
-		var err error
-		if msgs[i], scratch, err = readMessage(r, scratch); err != nil {
-			return nil, scratch, err
+		frame, err := readFrame(r)
+		if err != nil {
+			return nil, err
 		}
+		if len(slab) == 0 {
+			slab = make([]Message, min(count-i, slabMessages))
+		}
+		msgs[i] = &slab[0]
+		msgs[i].fromFrame(frame)
+		slab = slab[1:]
 	}
-	return msgs, scratch, nil
+	return msgs, nil
 }
 
 // peekBatch reports whether the next frame on br is a batch frame, without
@@ -107,39 +120,50 @@ func peekBatch(br *bufio.Reader) (bool, error) {
 
 // WriteAckVector writes one ack per batched message.
 func WriteAckVector(w io.Writer, acks []*Ack) error {
-	var hdr [5]byte
-	hdr[0] = ackVectorMarker
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(acks)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
+	out := appendAckVectorHeader(nil, len(acks))
 	for _, a := range acks {
-		if err := WriteAck(w, a); err != nil {
-			return err
-		}
+		out = appendAck(out, a)
 	}
-	return nil
+	_, err := w.Write(out)
+	return err
+}
+
+func appendAckVectorHeader(dst []byte, count int) []byte {
+	dst = append(dst, ackVectorMarker)
+	return binary.BigEndian.AppendUint32(dst, uint32(count))
+}
+
+// readAckVectorHeader reads an ack vector's marker and count through the
+// 5-byte scratch hdr.
+func readAckVectorHeader(r io.Reader, hdr []byte) (int, error) {
+	if _, err := io.ReadFull(r, hdr[:5]); err != nil {
+		return 0, err
+	}
+	if hdr[0] != ackVectorMarker {
+		return 0, fmt.Errorf("wire: not an ack vector (marker %d)", hdr[0])
+	}
+	count := binary.BigEndian.Uint32(hdr[1:5])
+	if count == 0 || count > MaxBatch {
+		return 0, fmt.Errorf("wire: ack vector count %d out of range", count)
+	}
+	return int(count), nil
 }
 
 // ReadAckVector reads one ack vector.
 func ReadAckVector(r io.Reader) ([]*Ack, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := make([]byte, 5)
+	count, err := readAckVectorHeader(r, hdr)
+	if err != nil {
 		return nil, err
 	}
-	if hdr[0] != ackVectorMarker {
-		return nil, fmt.Errorf("wire: not an ack vector (marker %d)", hdr[0])
-	}
-	count := binary.BigEndian.Uint32(hdr[1:])
-	if count > MaxBatch {
-		return nil, fmt.Errorf("wire: ack vector count %d out of range", count)
-	}
 	acks := make([]*Ack, count)
+	slab := make([]Ack, count)
 	for i := range acks {
-		var err error
-		if acks[i], err = ReadAck(r); err != nil {
+		a := &slab[i]
+		if a.OK, a.Message, err = readAck(r, hdr); err != nil {
 			return nil, err
 		}
+		acks[i] = a
 	}
 	return acks, nil
 }
@@ -231,7 +255,7 @@ type BatchClient struct {
 
 	mu      sync.Mutex
 	conn    net.Conn
-	bw      *bufio.Writer
+	wbuf    []byte // the batch frame being written, reused across batches
 	pending []*Message
 	timer   *time.Timer
 	sem     chan struct{} // holds one token per in-flight batch
@@ -396,10 +420,7 @@ func (c *BatchClient) writePendingLocked() {
 			c.recordErr(fmt.Errorf("wire: connection lost"))
 			return
 		}
-		n := len(c.pending)
-		if n > c.opt.MaxBatch {
-			n = c.opt.MaxBatch
-		}
+		n := min(len(c.pending), c.opt.MaxBatch)
 		chunk := make([]*Message, n)
 		copy(chunk, c.pending[:n])
 		// On the in-flight list before the write: if the write fails
@@ -407,17 +428,20 @@ func (c *BatchClient) writePendingLocked() {
 		c.inMu.Lock()
 		c.inflight = append(c.inflight, chunk)
 		c.inMu.Unlock()
-		c.pending = c.pending[n:]
-		if len(c.pending) == 0 {
-			c.pending = nil // release the drained backing array
+		if n == len(c.pending) {
+			clear(c.pending) // the chunk holds them now; keep the array
+			c.pending = c.pending[:0]
+		} else {
+			c.pending = c.pending[n:]
 		}
+		// The whole frame goes out in one write.
 		start := time.Now()
 		err := c.setWriteDeadlineLocked()
 		if err == nil {
-			err = WriteBatch(c.bw, chunk)
+			c.wbuf, err = appendBatch(c.wbuf[:0], chunk)
 		}
 		if err == nil {
-			err = c.bw.Flush()
+			_, err = c.conn.Write(c.wbuf)
 		}
 		c.flushH.ObserveSince(start)
 		if err != nil {
@@ -470,7 +494,6 @@ func (c *BatchClient) ensureConnLocked() error {
 		return fmt.Errorf("wire: dial %s: %w", c.addr, err)
 	}
 	c.conn = conn
-	c.bw = bufio.NewWriter(conn)
 	c.sem = make(chan struct{}, c.opt.Window)
 	c.gone = make(chan struct{})
 	c.errMu.Lock()
@@ -498,7 +521,6 @@ func (c *BatchClient) resetConnLocked() {
 	if c.gone != nil {
 		<-c.gone
 	}
-	c.bw = nil
 	c.sem = nil
 	c.gone = nil
 	c.inMu.Lock()
@@ -523,12 +545,36 @@ func (c *BatchClient) resetConnLocked() {
 
 // readAcks consumes ack vectors, settling the oldest in-flight batch and
 // releasing one window slot per vector. It deliberately never touches
-// c.mu (see flushLocked).
+// c.mu (see flushLocked). An ack vector whose count is not the oldest
+// batch's length is a protocol error: it would settle messages the server
+// neither acked nor refused, so the connection fails instead and the
+// batch is requeued.
 func (c *BatchClient) readAcks(conn net.Conn, br *bufio.Reader, sem chan struct{}, gone chan struct{}) {
 	defer close(gone)
+	hdr := make([]byte, 5)
 	for {
-		acks, err := ReadAckVector(br)
+		count, err := readAckVectorHeader(br, hdr)
+		if err == nil {
+			c.inMu.Lock()
+			if len(c.inflight) == 0 || len(c.inflight[0]) != count {
+				err = fmt.Errorf("wire: ack vector of %d for a batch of %d", count, c.oldestLocked())
+			}
+			c.inMu.Unlock()
+		}
+		var rejected uint64
+		var reason string
+		for i := 0; err == nil && i < count; i++ {
+			var ok bool
+			var msg string
+			if ok, msg, err = readAck(br, hdr); err == nil && !ok {
+				if rejected == 0 {
+					reason = msg
+				}
+				rejected++
+			}
+		}
 		if err != nil {
+			conn.Close()
 			c.recordErr(err)
 			return
 		}
@@ -538,27 +584,27 @@ func (c *BatchClient) readAcks(conn net.Conn, br *bufio.Reader, sem chan struct{
 		// connection awaits no acks and must not time out. Under inMu to
 		// serialize against armAckDeadlineLocked.
 		c.inMu.Lock()
-		if len(c.inflight) > 0 {
-			c.inflight = c.inflight[1:]
-		}
+		c.inflight[0] = nil
+		c.inflight = c.inflight[1:]
 		if len(c.inflight) == 0 && c.opt.IOTimeout >= 0 {
 			conn.SetReadDeadline(time.Time{})
 		}
 		c.inMu.Unlock()
-		c.errMu.Lock()
-		for _, a := range acks {
-			if a.OK {
-				c.acked.Inc()
-			} else {
-				c.rejected.Inc()
-				if c.err == nil && !c.closed {
-					c.err = fmt.Errorf("wire: server rejected report: %s", a.Message)
-				}
-			}
+		c.acked.Add(uint64(count) - rejected)
+		if rejected > 0 {
+			c.rejected.Add(rejected)
+			c.recordErr(fmt.Errorf("wire: server rejected report: %s", reason))
 		}
-		c.errMu.Unlock()
 		<-sem
 	}
+}
+
+// oldestLocked is the length of the oldest in-flight batch, 0 when none.
+func (c *BatchClient) oldestLocked() int {
+	if len(c.inflight) == 0 {
+		return 0
+	}
+	return len(c.inflight[0])
 }
 
 func (c *BatchClient) recordErr(err error) {

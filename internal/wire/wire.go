@@ -29,6 +29,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"inca/internal/metrics"
 )
@@ -36,6 +37,13 @@ import (
 // MaxFrame bounds a single report message (16 MiB), protecting the server
 // from malformed length prefixes.
 const MaxFrame = 16 << 20
+
+// BatchBuffer sizes the buffers an ingest hop reads and writes through: a
+// batch of the benchmark of record (32 reports of about 900 bytes) fits in
+// it whole, so a batch crosses the socket in one read or one write, where
+// a 4 KiB buffer takes eight (a syscall costs about 7.5 µs on a 2-CPU
+// host, DESIGN.md §5f).
+const BatchBuffer = 64 << 10
 
 // Message is one report submission.
 type Message struct {
@@ -50,30 +58,125 @@ type Message struct {
 	// shared secret (see auth.go); empty when authentication is not
 	// configured.
 	Signature []byte
+
+	// frame is the message as it was read off the wire, nil for a message
+	// built in memory. The four parts above alias it, and while they still
+	// do WriteMessage sends it verbatim: a forwarded message is never
+	// re-encoded. Only Report and Signature reach it for writing, each
+	// capped at its own part, so the strings aliasing it stay immutable.
+	frame []byte
 }
 
-// WriteMessage writes one framed message.
+// parts returns m's four frame parts in wire order.
+func (m *Message) parts() [4][]byte {
+	return [4][]byte{
+		unsafe.Slice(unsafe.StringData(m.Branch), len(m.Branch)),
+		unsafe.Slice(unsafe.StringData(m.Hostname), len(m.Hostname)),
+		m.Report,
+		m.Signature,
+	}
+}
+
+// received returns the frame m was read from when its parts still alias
+// it — a caller that replaced a part (a re-signed message, say) gets nil,
+// and the message is encoded afresh.
+func (m *Message) received() []byte {
+	f := m.frame
+	if f == nil {
+		return nil
+	}
+	off := 0
+	for _, part := range m.parts() {
+		if len(f)-off < 4 || int(binary.BigEndian.Uint32(f[off:])) != len(part) || len(f)-off-4 < len(part) {
+			return nil
+		}
+		off += 4
+		if len(part) > 0 && &part[0] != &f[off] {
+			return nil
+		}
+		off += len(part)
+	}
+	if off != len(f) {
+		return nil
+	}
+	return f
+}
+
+// fromFrame points m's parts into frame, a whole message frame that
+// readFrame has checked.
+func (m *Message) fromFrame(frame []byte) {
+	var part [4][]byte
+	off := 0
+	for i := range part {
+		n := int(binary.BigEndian.Uint32(frame[off:]))
+		off += 4
+		part[i] = frame[off : off+n : off+n]
+		off += n
+	}
+	*m = Message{
+		Branch:   unsafe.String(unsafe.SliceData(part[0]), len(part[0])),
+		Hostname: unsafe.String(unsafe.SliceData(part[1]), len(part[1])),
+		Report:   part[2],
+		frame:    frame,
+	}
+	if len(part[3]) > 0 {
+		m.Signature = part[3]
+	}
+}
+
+// WriteMessage writes one framed message in one Write: the frame it was
+// read from, when it was, else each part behind its length.
 func WriteMessage(w io.Writer, m *Message) error {
-	for _, part := range [][]byte{[]byte(m.Branch), []byte(m.Hostname), m.Report, m.Signature} {
+	if f := m.received(); f != nil {
+		_, err := w.Write(f)
+		return err
+	}
+	return writeEncoded(w, func(dst []byte) ([]byte, error) { return appendMessage(dst, m) })
+}
+
+// encodeBufs holds the buffers WriteMessage and WriteBatch encode built
+// messages into, so a writer allocates nothing per frame once warm.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeEncoded writes what encode appends to a pooled buffer, in one Write.
+func writeEncoded(w io.Writer, encode func([]byte) ([]byte, error)) error {
+	buf := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(buf)
+	var err error
+	if *buf, err = encode((*buf)[:0]); err != nil {
+		return err
+	}
+	_, err = w.Write(*buf)
+	return err
+}
+
+// appendMessage appends WriteMessage's bytes to dst.
+func appendMessage(dst []byte, m *Message) ([]byte, error) {
+	if f := m.received(); f != nil {
+		return append(dst, f...), nil
+	}
+	parts := m.parts()
+	for _, part := range parts {
 		if len(part) > MaxFrame {
-			return fmt.Errorf("wire: frame part of %d bytes exceeds limit", len(part))
-		}
-		var lenBuf [4]byte
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(part)))
-		if _, err := w.Write(lenBuf[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(part); err != nil {
-			return err
+			return dst, fmt.Errorf("wire: frame part of %d bytes exceeds limit", len(part))
 		}
 	}
-	return nil
+	for _, part := range parts {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(part)))
+		dst = append(dst, part...)
+	}
+	return dst, nil
 }
 
 // ReadMessage reads one framed message.
 func ReadMessage(r io.Reader) (*Message, error) {
-	m, _, err := readMessage(r, nil)
-	return m, err
+	frame, err := readFrame(r)
+	if err != nil {
+		return nil, err
+	}
+	m := new(Message)
+	m.fromFrame(frame)
+	return m, nil
 }
 
 // partPrealloc is the most a reader allocates for a part before its bytes
@@ -82,21 +185,19 @@ func ReadMessage(r io.Reader) (*Message, error) {
 // ends costs what it carried, not what it claimed.
 const partPrealloc = 64 << 10
 
-// readFull reads an n-byte part into buf's storage, growing it as bytes
+// appendFull appends n bytes read from r to buf, growing it as bytes
 // arrive past partPrealloc, with io.ReadFull's errors.
-func readFull(r io.Reader, buf []byte, n int) ([]byte, error) {
-	if cap(buf) < min(n, partPrealloc) {
-		buf = make([]byte, 0, min(n, partPrealloc))
-	}
-	buf = buf[:0]
-	for len(buf) < n {
+func appendFull(r io.Reader, buf []byte, n int) ([]byte, error) {
+	want := len(buf) + n
+	start := len(buf)
+	for len(buf) < want {
 		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, min(n, 2*cap(buf))-len(buf))
+			buf = slices.Grow(buf, min(want-len(buf), max(partPrealloc, len(buf))))
 		}
-		got, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		got, err := io.ReadFull(r, buf[len(buf):min(want, cap(buf))])
 		buf = buf[:len(buf)+got]
 		if err != nil {
-			if err == io.EOF && len(buf) > 0 {
+			if err == io.EOF && len(buf) > start {
 				err = io.ErrUnexpectedEOF
 			}
 			return nil, err
@@ -105,49 +206,59 @@ func readFull(r io.Reader, buf []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// readMessage reads one framed message. The transient parts (branch and
-// hostname, which become strings anyway) pass through scratch — grown as
-// needed and returned for reuse across the messages of one connection — so
-// only the retained parts (report, signature) get fresh allocations.
-func readMessage(r io.Reader, scratch []byte) (*Message, []byte, error) {
-	var lenBuf [4]byte
-	readPart := func(retain bool) ([]byte, error) {
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// readFrame reads one message frame — four length-prefixed parts — into
+// one allocation. From a bufio.Reader that can hold the whole frame it is
+// one allocation of exactly the frame's size and one copy; otherwise the
+// frame grows part by part as its bytes arrive.
+func readFrame(r io.Reader) ([]byte, error) {
+	if br, ok := r.(*bufio.Reader); ok {
+		if n := peekFrame(br); n > 0 {
+			frame := make([]byte, n)
+			_, err := io.ReadFull(br, frame) // buffered already: cannot fail
+			return frame, err
+		}
+	}
+	var frame []byte
+	for range 4 {
+		var err error
+		at := len(frame)
+		if frame, err = appendFull(r, frame, 4); err != nil {
 			return nil, err
 		}
-		n := int(binary.BigEndian.Uint32(lenBuf[:]))
+		n := int(binary.BigEndian.Uint32(frame[at:]))
 		if n > MaxFrame {
 			return nil, fmt.Errorf("wire: frame part of %d bytes exceeds limit", n)
 		}
-		if retain {
-			return readFull(r, nil, n)
+		// Room for the part, as far as partPrealloc trusts its length, and
+		// for the next part's length prefix.
+		frame = slices.Grow(frame, min(n, partPrealloc)+4)
+		if frame, err = appendFull(r, frame, n); err != nil {
+			return nil, err
 		}
-		buf, err := readFull(r, scratch, n)
-		if cap(buf) > cap(scratch) {
-			scratch = buf
+	}
+	return frame, nil
+}
+
+// peekFrame waits until br holds the whole message frame at its head and
+// returns the frame's size, or 0 when the frame is larger than br's buffer
+// or the bytes stop first — cases readFrame's part-by-part path reads and
+// reports.
+func peekFrame(br *bufio.Reader) int {
+	n := 0
+	for range 4 {
+		head, err := br.Peek(n + 4)
+		if err != nil {
+			return 0
 		}
-		return buf, err
+		n += 4 + int(binary.BigEndian.Uint32(head[n:]))
+		if n > br.Size() {
+			return 0
+		}
 	}
-	var m Message
-	part, err := readPart(false)
-	if err != nil {
-		return nil, scratch, err
+	if _, err := br.Peek(n); err != nil {
+		return 0
 	}
-	m.Branch = string(part)
-	if part, err = readPart(false); err != nil {
-		return nil, scratch, err
-	}
-	m.Hostname = string(part)
-	if m.Report, err = readPart(true); err != nil {
-		return nil, scratch, err
-	}
-	if part, err = readPart(true); err != nil {
-		return nil, scratch, err
-	}
-	if len(part) > 0 {
-		m.Signature = part
-	}
-	return &m, scratch, nil
+	return n
 }
 
 // Ack is the server's response to one message.
@@ -156,44 +267,55 @@ type Ack struct {
 	Message string
 }
 
+// AckOK acknowledges an accepted message. It is shared, so a handler
+// answers without allocating, and nothing may modify it; the server also
+// sends it for a handler that returns nil.
+var AckOK = &Ack{OK: true}
+
 // WriteAck writes an ack frame.
 func WriteAck(w io.Writer, a *Ack) error {
+	_, err := w.Write(appendAck(nil, a))
+	return err
+}
+
+// appendAck appends a's ack frame to dst.
+func appendAck(dst []byte, a *Ack) []byte {
 	status := byte(1)
 	if a.OK {
 		status = 0
 	}
-	if _, err := w.Write([]byte{status}); err != nil {
-		return err
-	}
-	msg := []byte(a.Message)
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(msg)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(msg)
-	return err
+	dst = append(dst, status)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(a.Message)))
+	return append(dst, a.Message...)
 }
 
 // ReadAck reads an ack frame.
 func ReadAck(r io.Reader) (*Ack, error) {
-	var status [1]byte
-	if _, err := io.ReadFull(r, status[:]); err != nil {
-		return nil, err
-	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("wire: ack message of %d bytes exceeds limit", n)
-	}
-	msg, err := readFull(r, nil, int(n))
+	ok, msg, err := readAck(r, make([]byte, 5))
 	if err != nil {
 		return nil, err
 	}
-	return &Ack{OK: status[0] == 0, Message: string(msg)}, nil
+	return &Ack{OK: ok, Message: msg}, nil
+}
+
+// readAck reads one ack frame through the 5-byte scratch hdr; an OK ack
+// with no message allocates nothing.
+func readAck(r io.Reader, hdr []byte) (ok bool, msg string, err error) {
+	if _, err := io.ReadFull(r, hdr[:5]); err != nil {
+		return false, "", err
+	}
+	n := binary.BigEndian.Uint32(hdr[1:5])
+	if n > MaxFrame {
+		return false, "", fmt.Errorf("wire: ack message of %d bytes exceeds limit", n)
+	}
+	if n > 0 {
+		b, err := appendFull(r, nil, int(n))
+		if err != nil {
+			return false, "", err
+		}
+		msg = string(b)
+	}
+	return hdr[0] == 0, msg, nil
 }
 
 // Handler processes one received message and returns the ack to send.
@@ -301,10 +423,9 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	acks := &ackWriter{conn: conn}
+	br := bufio.NewReaderSize(acks, BatchBuffer)
 	remote := conn.RemoteAddr().String()
-	var scratch []byte // reused across this connection's frames
 	idleClose := func(err error) {
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
 			s.connsIdleClosed.Inc()
@@ -325,45 +446,53 @@ func (s *Server) serveConn(conn net.Conn) {
 			return // EOF, deadline, or protocol error: drop the connection
 		}
 		if batch {
-			var msgs []*Message
-			msgs, scratch, err = readBatch(br, scratch)
+			msgs, err := readBatch(br)
 			if err != nil {
 				idleClose(err)
 				return
 			}
 			s.batches.Inc()
 			s.messages.Add(uint64(len(msgs)))
-			acks := make([]*Ack, len(msgs))
-			for i, msg := range msgs {
-				ack := s.handler(msg, remote)
-				if ack == nil {
-					ack = &Ack{OK: true}
-				}
-				acks[i] = ack
-			}
-			if err := WriteAckVector(bw, acks); err != nil {
-				return
+			acks.buf = appendAckVectorHeader(acks.buf, len(msgs))
+			for _, msg := range msgs {
+				acks.buf = appendAck(acks.buf, s.handle(msg, remote))
 			}
 		} else {
-			var msg *Message
-			msg, scratch, err = readMessage(br, scratch)
+			msg, err := ReadMessage(br)
 			if err != nil {
 				idleClose(err)
 				return
 			}
 			s.messages.Inc()
-			ack := s.handler(msg, remote)
-			if ack == nil {
-				ack = &Ack{OK: true}
-			}
-			if err := WriteAck(bw, ack); err != nil {
-				return
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return
+			acks.buf = appendAck(acks.buf, s.handle(msg, remote))
 		}
 	}
+}
+
+func (s *Server) handle(m *Message, remote string) *Ack {
+	if ack := s.handler(m, remote); ack != nil {
+		return ack
+	}
+	return AckOK
+}
+
+// ackWriter is the connection as the server's frame reader sees it: acks
+// accumulate in buf, and go out in one write just before the reader waits
+// on the socket. A client that pipelines frames gets their acks coalesced
+// into one write, and no ack ever waits for a frame that has not arrived.
+type ackWriter struct {
+	conn net.Conn
+	buf  []byte
+}
+
+func (a *ackWriter) Read(p []byte) (int, error) {
+	if len(a.buf) > 0 {
+		if _, err := a.conn.Write(a.buf); err != nil {
+			return 0, err
+		}
+		a.buf = a.buf[:0]
+	}
+	return a.conn.Read(p)
 }
 
 // Stats returns a snapshot of the server's connection and frame counters —
