@@ -49,15 +49,12 @@ func main() {
 		pprofOn = flag.Bool("pprof", false, "mount net/http/pprof profiling endpoints under /debug/pprof/ on the querying interface")
 
 		feedOn    = flag.Bool("feed", true, "serve the depot change feed on /feed (SSE + long-poll push to consumers)")
-		feedQueue = flag.Int("feed-queue", 256, "per-subscriber coalesced event queue limit; a slower subscriber is demoted to a fresh snapshot")
 		agreeSpec = flag.String("agreement", "", "serve a live agreement status stream on /feed?stream=status and /summary: 'teragrid' or a path to an agreement XML file")
 		reverify  = flag.Duration("reverify", 5*time.Minute, "periodic full re-evaluation interval for the status stream (staleness advances with wall time)")
 
-		federate         = flag.String("federate", "", "run as a federation router over this comma-separated shard list (wireAddr/httpAddr[=followerWire/followerHTTP] per shard) instead of hosting a depot")
-		federateReplicas = flag.Int("federate-replicas", federation.DefaultReplicas, "virtual nodes per shard on the consistent-hash ring")
-		federateDepth    = flag.Int("federate-depth", federation.DefaultDepth, "branch-prefix affinity depth: identifiers sharing this many most-general components stay on one shard")
-		replicate        = flag.String("replicate", "", "comma-separated follower list paired positionally with -federate shards (wireAddr/httpAddr, '-' = no follower): the router tees each shard's wire stream to its follower, and /federation/leave promotes the follower when the primary dies")
-		replicateReads   = flag.Bool("replicate-reads", true, "let the federated query tier serve reads from followers (generation-gated so a lagging follower never moves a consumer backwards)")
+		federate       = flag.String("federate", "", "run as a federation router over this comma-separated shard list (wireAddr/httpAddr[=followerWire/followerHTTP] per shard) instead of hosting a depot")
+		replicate      = flag.String("replicate", "", "comma-separated follower list paired positionally with -federate shards (wireAddr/httpAddr, '-' = no follower): the router tees each shard's wire stream to its follower, and /federation/leave promotes the follower when the primary dies")
+		replicateReads = flag.Bool("replicate-reads", true, "let the federated query tier serve reads from followers (generation-gated so a lagging follower never moves a consumer backwards)")
 	)
 	flag.Parse()
 
@@ -66,7 +63,7 @@ func main() {
 	reg := metrics.NewRegistry()
 
 	if *federate != "" {
-		runFederated(*federate, *replicate, *tcpAddr, *httpAddr, *federateReplicas, *federateDepth, *idleTimeout, *replicateReads, *pprofOn, reg)
+		runFederated(*federate, *replicate, *tcpAddr, *httpAddr, *idleTimeout, *replicateReads, *pprofOn, reg)
 		return
 	}
 	if *replicate != "" {
@@ -149,14 +146,13 @@ func main() {
 	// sample grid's specs are preloaded so `inca-agent -spec-url` works
 	// out of the box; real deployments POST their own.
 	qsrv := query.NewServerMetrics(d, reg)
-	qsrv.WireStats = srv.Stats // delivery_* group on /debug/vars
 	qsrv.Pprof = *pprofOn
 
 	// Attach the change feed after the depot's own policy setup so feed
 	// subscribers only ever observe steady-state commits.
 	var qfeed *query.Feed
 	if *feedOn {
-		fopts := query.FeedOptions{QueueLimit: *feedQueue, Metrics: reg, Reverify: *reverify}
+		fopts := query.FeedOptions{Metrics: reg, Reverify: *reverify}
 		if *agreeSpec != "" {
 			ag := agreement.TeraGrid()
 			if *agreeSpec != "teragrid" {
@@ -312,7 +308,7 @@ const responseWindow = 4096
 // to the shard owning its branch (and tees to the shard's follower when
 // one is configured — DESIGN.md §5i), and the HTTP side is the
 // scatter-gather query tier instead of a local depot (DESIGN.md §5f).
-func runFederated(topology, replicate, tcpAddr, httpAddr string, replicas, depth int, idleTimeout time.Duration, preferFollower, pprofOn bool, reg *metrics.Registry) {
+func runFederated(topology, replicate, tcpAddr, httpAddr string, idleTimeout time.Duration, preferFollower, pprofOn bool, reg *metrics.Registry) {
 	shards, err := federation.ParseShards(topology)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -322,10 +318,7 @@ func runFederated(topology, replicate, tcpAddr, httpAddr string, replicas, depth
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	router, err := federation.NewRouter(shards, federation.RouterOptions{
-		Ring:    federation.RingOptions{Replicas: replicas, Depth: depth},
-		Metrics: reg,
-	})
+	router, err := federation.NewRouter(shards, federation.RouterOptions{Metrics: reg})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -337,8 +330,9 @@ func runFederated(topology, replicate, tcpAddr, httpAddr string, replicas, depth
 		os.Exit(1)
 	}
 	defer srv.Close()
+	ring := router.Ring()
 	fmt.Printf("federation router listening on %s (%d shards, %d replicas, depth %d)\n",
-		srv.Addr(), len(shards), replicas, depth)
+		srv.Addr(), len(shards), ring.Replicas(), ring.Depth())
 	followers := 0
 	for _, s := range shards {
 		if s.HasReplica() {

@@ -82,11 +82,8 @@ type Options struct {
 	// without bound. 0 keeps the unbounded log the experiments use.
 	// Counters' accepted total keeps counting evicted entries.
 	MaxResponses int
-	// Metrics, when set, registers the controller's monotonic counters and
-	// envelope handle-latency histogram there. The registry counters never
-	// reset — unlike Counters(), whose accepted total ResetResponses()
-	// clears between experiment phases — so the two surfaces deliberately
-	// stay separate instruments.
+	// Metrics, when set, registers the controller's counters and
+	// handle-latency histogram there; Counters reads the same instruments.
 	Metrics *metrics.Registry
 }
 
@@ -105,9 +102,6 @@ type Controller struct {
 	mu        sync.Mutex
 	responses []Response // ring buffer when opt.MaxResponses > 0
 	head      int        // oldest entry once the ring has wrapped
-	accepted  int        // accepted since the last reset, evictions included
-	rejected  int
-	errs      int
 }
 
 // New creates a controller forwarding to d.
@@ -142,15 +136,6 @@ func (c *Controller) Allowed(host string) bool {
 	return c.allow[host]
 }
 
-// reject counts one refused report on both surfaces, so that wire messages
-// = accepted + rejected + depot errors holds whatever the refusal was.
-func (c *Controller) reject() {
-	c.mu.Lock()
-	c.rejected++
-	c.mu.Unlock()
-	c.rejectedC.Inc()
-}
-
 // Submit accepts one report: allowlist check, then the depot store. A depot
 // in this process takes the report as it is whenever the envelope round
 // trip would hand it the same identifier and bytes (envelope.Verbatim);
@@ -162,7 +147,7 @@ func (c *Controller) Submit(id branch.ID, hostname string, reportXML []byte) (Re
 	handleStart := time.Now()
 	defer c.handleH.ObserveSince(handleStart)
 	if !c.Allowed(hostname) {
-		c.reject()
+		c.rejectedC.Inc()
 		return Response{}, fmt.Errorf("controller: host %q not in allowlist", hostname)
 	}
 	direct := c.local != nil && envelope.Verbatim(c.opt.Mode, id, reportXML)
@@ -182,9 +167,6 @@ func (c *Controller) Submit(id branch.ID, hostname string, reportXML []byte) (Re
 	}
 	elapsed := time.Since(start)
 	if err != nil {
-		c.mu.Lock()
-		c.errs++
-		c.mu.Unlock()
 		c.errsC.Inc()
 		return Response{}, fmt.Errorf("controller: depot: %w", err)
 	}
@@ -199,7 +181,6 @@ func (c *Controller) Submit(id branch.ID, hostname string, reportXML []byte) (Re
 	}
 	c.acceptedC.Inc()
 	c.mu.Lock()
-	c.accepted++
 	if max := c.opt.MaxResponses; max > 0 && len(c.responses) >= max {
 		c.responses[c.head] = resp
 		c.head = (c.head + 1) % max
@@ -215,7 +196,7 @@ func (c *Controller) Submit(id branch.ID, hostname string, reportXML []byte) (Re
 func (c *Controller) Handle(m *wire.Message, remote string) *wire.Ack {
 	if key, ok := c.opt.Keys[m.Hostname]; ok {
 		if !wire.Verify(m, key) {
-			c.reject()
+			c.rejectedC.Inc()
 			return &wire.Ack{OK: false, Message: "controller: message signature invalid for host " + m.Hostname}
 		}
 	}
@@ -224,7 +205,7 @@ func (c *Controller) Handle(m *wire.Message, remote string) *wire.Ack {
 	// cache index, so it is parsed from a copy that pins no report.
 	id, err := branch.Parse(strings.Clone(m.Branch))
 	if err != nil {
-		c.reject()
+		c.rejectedC.Inc()
 		return &wire.Ack{OK: false, Message: err.Error()}
 	}
 	if _, err := c.Submit(id, m.Hostname, m.Report); err != nil {
@@ -251,22 +232,18 @@ func (c *Controller) Responses() []Response {
 	return out
 }
 
-// ResetResponses clears the response log and the accepted total (between
-// experiment phases).
+// ResetResponses clears the response log (between experiment phases).
 func (c *Controller) ResetResponses() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.responses = nil
 	c.head = 0
-	c.accepted = 0
 }
 
-// Counters returns totals: accepted, rejected (allowlist, signature or
-// malformed branch), depot errors.
-// Accepted counts every stored report since the last reset, including
-// responses a bounded log has since evicted.
+// Counters returns the totals since the controller was built: accepted,
+// rejected (allowlist, signature or malformed branch), depot errors.
+// Accepted includes responses a bounded log has since evicted, and
+// ResetResponses does not clear it.
 func (c *Controller) Counters() (accepted, rejected, errs int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.accepted, c.rejected, c.errs
+	return int(c.acceptedC.Value()), int(c.rejectedC.Value()), int(c.errsC.Value())
 }

@@ -321,9 +321,6 @@ func TestMaxResponsesResetRestartsWindow(t *testing.T) {
 		c.Submit(branch.MustParse(fmt.Sprintf("probe=a%d", i)), "h", reportXML)
 	}
 	c.ResetResponses()
-	if accepted, _, _ := c.Counters(); accepted != 0 {
-		t.Fatalf("accepted = %d after reset, want 0", accepted)
-	}
 	if len(c.Responses()) != 0 {
 		t.Fatal("responses survived reset")
 	}

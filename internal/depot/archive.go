@@ -86,7 +86,8 @@ func (s *policySet) match(dst []*compiledPolicy, id branch.ID) []*compiledPolicy
 	return append(dst, s.rootless...)
 }
 
-// ArchiveStats are the archive counters surfaced in /debug/vars.
+// ArchiveStats are the archive counters, read from the instruments
+// /metrics exposes.
 type ArchiveStats struct {
 	Applied uint64 // samples consolidated into archives
 	Matched uint64 // stores that matched at least one policy

@@ -410,7 +410,8 @@ func (d *Depot) ArchivedSeries() []string {
 func (d *Depot) CacheGeneration() uint64 { return d.cache.Generation() }
 
 // ArchiveGeneration returns a counter that advances on every applied
-// archive sample, depot-wide (surfaced in /debug/vars).
+// archive sample, depot-wide: the availability page's memo key and
+// validator.
 func (d *Depot) ArchiveGeneration() uint64 { return d.archiveGen.Load() }
 
 // ArchiveSeriesGeneration returns a validator for one archived series —

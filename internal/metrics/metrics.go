@@ -7,15 +7,15 @@
 //
 // There is deliberately no global registry: tests and embedded servers
 // construct several pipelines in one process, and a process-global map would
-// make their series collide — the same constraint that forced the
-// self-rendered /debug/vars in internal/query. Instead every subsystem takes
+// make their series collide (the reason the stdlib expvar package is not
+// used either). Instead every subsystem takes
 // an optional *Registry; the embedding daemon shares one across the whole
 // pipeline so a single scrape covers agent → wire → controller → depot →
 // query.
 //
 // All registration methods are safe on a nil *Registry: they return working
 // (but unexposed) instruments, so instrumented code never nil-checks and the
-// same instrument feeds both the legacy Stats()/DebugVars views and the
+// same instrument feeds both a subsystem's Stats() snapshot and the
 // Prometheus output.
 package metrics
 

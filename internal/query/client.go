@@ -339,19 +339,6 @@ func feedEventType(b []byte) string {
 // Close terminates the subscription.
 func (fs *FeedStream) Close() error { return fs.resp.Body.Close() }
 
-// DebugVars fetches the server's read-path counters.
-func (c *Client) DebugVars() (DebugVars, error) {
-	body, err := c.get("/debug/vars", nil)
-	if err != nil {
-		return DebugVars{}, err
-	}
-	var v DebugVars
-	if err := json.Unmarshal(body, &v); err != nil {
-		return DebugVars{}, fmt.Errorf("query: bad debug vars: %w", err)
-	}
-	return v, nil
-}
-
 // ArchivePoint is one sample of a fetched archive series.
 type ArchivePoint struct {
 	Time  time.Time

@@ -706,104 +706,6 @@ func (f *Federated) stats() (xmlStats, error) {
 	return total, nil
 }
 
-// FederatedVars is the JSON shape of the router's /debug/vars.
-type FederatedVars struct {
-	Shards         int    `json:"shards"`
-	RingDepth      int    `json:"ring_depth"`
-	RingReplicas   int    `json:"ring_replicas"`
-	RingSignature  string `json:"ring_signature"`
-	ReplicaEpoch   uint64 `json:"replica_epoch"`
-	Routed         uint64 `json:"routed"`
-	Rerouted       uint64 `json:"rerouted"`
-	Unroutable     uint64 `json:"unroutable"`
-	Refused        uint64 `json:"refused"`
-	RerouteDropped uint64 `json:"reroute_dropped"`
-	ReplicaShed    uint64 `json:"replica_shed"`
-	Promotions     uint64 `json:"promotions"`
-
-	Fanouts             uint64 `json:"fanouts"`
-	Forwards            uint64 `json:"forwards"`
-	ConditionalRequests uint64 `json:"conditional_requests"`
-	NotModified         uint64 `json:"not_modified"`
-	Merges              uint64 `json:"merges"`
-	ShardErrors         uint64 `json:"shard_errors"`
-
-	FollowerReads       uint64 `json:"follower_reads"`
-	FollowerFallbacks   uint64 `json:"follower_fallbacks"`
-	FollowerRegressions uint64 `json:"follower_regressions"`
-
-	PerShard []FederatedShardVars `json:"per_shard"`
-}
-
-// FederatedShardVars is one shard's delivery accounting on /debug/vars.
-// The replica_* group mirrors the primary counters for the follower tee
-// and is present only when a follower is attached.
-type FederatedShardVars struct {
-	Name     string `json:"name"`
-	Wire     string `json:"wire"`
-	HTTP     string `json:"http"`
-	Acked    uint64 `json:"acked"`
-	Rejected uint64 `json:"rejected"`
-	Requeued uint64 `json:"requeued"`
-	Dropped  uint64 `json:"dropped"`
-	Redials  uint64 `json:"redials"`
-
-	ReplicaWire     string `json:"replica_wire,omitempty"`
-	ReplicaHTTP     string `json:"replica_http,omitempty"`
-	ReplicaAcked    uint64 `json:"replica_acked,omitempty"`
-	ReplicaRequeued uint64 `json:"replica_requeued,omitempty"`
-	ReplicaDropped  uint64 `json:"replica_dropped,omitempty"`
-}
-
-func (f *Federated) vars() any {
-	ring := f.router.Ring()
-	st := f.router.Stats()
-	v := FederatedVars{
-		Shards:              ring.Size(),
-		RingDepth:           ring.Depth(),
-		RingReplicas:        ring.Replicas(),
-		RingSignature:       ring.Signature(),
-		ReplicaEpoch:        st.Epoch,
-		Routed:              st.Routed,
-		Rerouted:            st.Rerouted,
-		Unroutable:          st.Unroutable,
-		Refused:             st.Refused,
-		RerouteDropped:      st.RerouteDropped,
-		ReplicaShed:         st.ReplicaShed,
-		Promotions:          st.Promotions,
-		Fanouts:             f.fanouts.Value(),
-		Forwards:            f.forwards.Value(),
-		ConditionalRequests: f.conditional.Value(),
-		NotModified:         f.notModified.Value(),
-		Merges:              f.merges.Value(),
-		ShardErrors:         f.shardErrors.Value(),
-		FollowerReads:       f.followerReads.Value(),
-		FollowerFallbacks:   f.followerFallbacks.Value(),
-		FollowerRegressions: f.followerRegressions.Value(),
-	}
-	for _, ss := range st.Shards {
-		sv := FederatedShardVars{
-			Name:     ss.Shard.Name(),
-			Wire:     ss.Shard.Wire,
-			HTTP:     ss.Shard.HTTP,
-			Acked:    ss.Batch.Acked,
-			Rejected: ss.Batch.Rejected,
-			Requeued: ss.Batch.Requeued,
-			Dropped:  ss.Batch.Dropped,
-			Redials:  ss.Batch.Redials,
-		}
-		if ss.HasReplica {
-			sv.ReplicaWire = ss.Shard.ReplicaWire
-			sv.ReplicaHTTP = ss.Shard.ReplicaHTTP
-			sv.ReplicaAcked = ss.Replica.Acked
-			sv.ReplicaRequeued = ss.Replica.Requeued
-			sv.ReplicaDropped = ss.Replica.Dropped
-		}
-		v.PerShard = append(v.PerShard, sv)
-	}
-	return v
-}
-
 // shardTopology is the JSON shape of /shards.
 type shardTopology struct {
 	Signature    string      `json:"signature"`
@@ -827,7 +729,10 @@ func (f *Federated) handleShards(w http.ResponseWriter, r *http.Request) {
 	for _, s := range f.router.Shards() {
 		top.Shards = append(top.Shards, shardSpec{Name: s.Name(), Wire: s.Wire, HTTP: s.HTTP, ReplicaWire: s.ReplicaWire, ReplicaHTTP: s.ReplicaHTTP})
 	}
-	writeJSON(w, top)
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(top)
 }
 
 // handleJoin adds a shard: POST /federation/join?shard=wire/http[&migrate=1].

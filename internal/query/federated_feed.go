@@ -40,6 +40,7 @@ type FederatedFeed struct {
 	mu          sync.Mutex
 	sig         string   // ring signature the watchers were wired under
 	cursors     []string // latest per-shard cursor, ring-member order
+	live        []bool   // per shard: its watcher holds a stream under sig
 	unsupported []string // shard names whose /feed is missing
 	stopCh      chan struct{}
 	closed      bool
@@ -115,6 +116,7 @@ func (ff *FederatedFeed) rewire() {
 	ff.stopCh = stop
 	ff.sig = sig
 	ff.cursors = make([]string, len(shards))
+	ff.live = make([]bool, len(shards))
 	ff.unsupported = nil
 	composed := ff.composeLocked()
 	ff.mu.Unlock()
@@ -127,9 +129,11 @@ func (ff *FederatedFeed) rewire() {
 	}
 }
 
-// setCursor records shard i's newest cursor and returns the resulting
-// composed cursor. ok is false when the watcher's generation is stale
-// (the ring changed under it) — the watcher must exit.
+// setCursor records shard i's newest cursor, which marks its watcher
+// live (a stream opens with a snapshot or resume, each carrying a
+// cursor), and returns the resulting composed cursor. ok is false when
+// the watcher's generation is stale (the ring changed under it) — the
+// watcher must exit.
 func (ff *FederatedFeed) setCursor(gen string, i int, c string) (composed string, ok bool) {
 	ff.mu.Lock()
 	defer ff.mu.Unlock()
@@ -137,7 +141,40 @@ func (ff *FederatedFeed) setCursor(gen string, i int, c string) (composed string
 		return "", false
 	}
 	ff.cursors[i] = c
+	ff.live[i] = true
 	return ff.composeLocked(), true
+}
+
+// notLive records that shard i's watcher lost its stream. A stale
+// generation's watcher changes nothing.
+func (ff *FederatedFeed) notLive(gen string, i int) {
+	ff.mu.Lock()
+	defer ff.mu.Unlock()
+	if ff.sig == gen && !ff.closed {
+		ff.live[i] = false
+	}
+}
+
+// ready is nil when the watchers were wired under the router's current
+// signature and every one of them is live; otherwise it names the first
+// reason the composed feed would miss changes.
+func (ff *FederatedFeed) ready() error {
+	sig := ff.fed.router.Signature()
+	shards := ff.fed.router.Shards()
+	ff.mu.Lock()
+	defer ff.mu.Unlock()
+	switch {
+	case ff.closed:
+		return errors.New("feed closed")
+	case ff.sig != sig || len(ff.live) != len(shards):
+		return fmt.Errorf("feed watchers not yet wired under ring signature %s", sig)
+	}
+	for i, live := range ff.live {
+		if !live {
+			return fmt.Errorf("shard %s: feed watcher not live", shards[i].Name())
+		}
+	}
+	return nil
 }
 
 func (ff *FederatedFeed) setUnsupported(gen string, name string, v bool) {
@@ -231,6 +268,7 @@ func (ff *FederatedFeed) watch(i int, s federation.Shard, gen string, stop chan 
 			}
 		}()
 		stale := ff.relay(i, gen, fs, &cursor)
+		ff.notLive(gen, i)
 		close(connDone)
 		fs.Close()
 		if stale {
@@ -493,6 +531,15 @@ func (f *Federated) mergedSnapshot(prefix branch.ID) ([]byte, error) {
 	}
 	f.merges.Inc()
 	return federation.MergeCache(docs, prefix, ring)
+}
+
+// ready says whether the router can serve: its composed feed is attached
+// and every shard's watcher is live under the router's current signature.
+func (f *Federated) ready() error {
+	if f.ff == nil {
+		return errors.New("feed not attached")
+	}
+	return f.ff.ready()
 }
 
 // feed is the composed hub and the merged-cache snapshot. While a shard

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -31,11 +30,22 @@ type feedFederation struct {
 // newFeedShard builds one depot server with a live /feed.
 func newFeedShard(t *testing.T) (*httptest.Server, *depot.Depot) {
 	t.Helper()
-	d := depot.New(nil)
+	ts, d, start := unstartedFeedShard(t)
+	start()
+	return ts, d
+}
+
+// unstartedFeedShard is newFeedShard with the server not yet serving: its
+// listener is bound, so a watcher's subscription waits in the accept
+// queue until start is called.
+func unstartedFeedShard(t *testing.T) (ts *httptest.Server, d *depot.Depot, start func()) {
+	t.Helper()
+	d = depot.New(nil)
 	sf := NewFeed(d, FeedOptions{})
 	srv := NewServer(d)
 	srv.Feed = sf
-	ts := httptest.NewServer(srv.Handler())
+	ts = httptest.NewUnstartedServer(srv.Handler())
+	started := false
 	t.Cleanup(func() {
 		// The tier's watcher holds a streaming connection open; a plain
 		// Close would wait on it forever when this shard tears down
@@ -44,11 +54,13 @@ func newFeedShard(t *testing.T) (*httptest.Server, *depot.Depot) {
 		// a connection accepted after CloseClientConnections is one more
 		// stream for Close to wait on.
 		ts.Listener.Close()
-		ts.CloseClientConnections()
-		ts.Close()
+		if started {
+			ts.CloseClientConnections()
+			ts.Close()
+		}
 		sf.Close()
 	})
-	return ts, d
+	return ts, d, func() { started = true; ts.Start() }
 }
 
 func newFeedFederation(t *testing.T, n int) *feedFederation {
@@ -88,10 +100,7 @@ func awaitWatchers(t *testing.T, ff *FederatedFeed) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		ff.mu.Lock()
-		live := !slices.Contains(ff.cursors, "")
-		ff.mu.Unlock()
-		if live {
+		if ff.ready() == nil {
 			return
 		}
 		if time.Now().After(deadline) {

@@ -13,6 +13,7 @@ import (
 	"inca/internal/branch"
 	"inca/internal/consumer"
 	"inca/internal/depot"
+	"inca/internal/metrics"
 	"inca/internal/rrd"
 )
 
@@ -106,7 +107,7 @@ func TestReadEndpointsRejectWrites(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	tf := newTestFederation(t, 2)
-	reads := []string{"/cache", "/reports", "/archive", "/graph", "/stats", "/availability", "/debug/vars", "/feed"}
+	reads := []string{"/cache", "/reports", "/archive", "/graph", "/stats", "/availability", "/readyz", "/feed"}
 	writes := []string{"/store", "/policy"}
 	for _, c := range []struct {
 		tier, base, method string
@@ -160,8 +161,34 @@ func TestHeadCacheHasLengthNoBody(t *testing.T) {
 	}
 }
 
-func TestDebugVarsCounters(t *testing.T) {
-	ts, _ := newIndexedServer(t)
+// wantMetrics fails t for every sample line in want that the server's
+// /metrics exposition does not hold verbatim ("name value").
+func wantMetrics(t *testing.T, base string, want ...string) {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: status %d", resp.StatusCode)
+	}
+	for _, line := range want {
+		if !strings.Contains(string(body), "\n"+line+"\n") {
+			t.Errorf("%q not in /metrics", line)
+		}
+	}
+	if t.Failed() {
+		t.Logf("exposition:\n%s", body)
+	}
+}
+
+func TestReadPathMetrics(t *testing.T) {
+	reg := metrics.NewRegistry()
+	d := depot.NewWithOptions(depot.NewIndexedCache(), depot.Options{Metrics: reg})
+	ts := httptest.NewServer(NewServerMetrics(d, reg).Handler())
+	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL)
 	if _, err := c.StoreEnvelope(sampleEnvelope(t, "tool=pathload,site=sdsc", t0, 990)); err != nil {
 		t.Fatal(err)
@@ -176,26 +203,21 @@ func TestDebugVarsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if tag != etagFor(1) {
+		t.Fatalf("ETag after one store = %s, want generation 1", tag)
+	}
 	if _, _, notMod, err := c.CacheConditional("site=sdsc", tag); err != nil || !notMod {
 		t.Fatalf("revalidation: notMod=%v err=%v", notMod, err)
 	}
 
-	v, err := c.DebugVars()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Versioned || v.Generation != 1 {
-		t.Fatalf("vars: versioned=%v generation=%d", v.Versioned, v.Generation)
-	}
-	if v.Received != 1 || v.CacheCount != 1 {
-		t.Fatalf("vars: received=%d count=%d", v.Received, v.CacheCount)
-	}
-	if v.QueryHits != 2 || v.QueryMisses != 1 {
-		t.Fatalf("vars: hits=%d misses=%d", v.QueryHits, v.QueryMisses)
-	}
-	if v.ConditionalRequests != 1 || v.NotModified != 1 {
-		t.Fatalf("vars: conditional=%d notModified=%d", v.ConditionalRequests, v.NotModified)
-	}
+	wantMetrics(t, ts.URL,
+		"inca_depot_received_total 1",
+		"inca_depot_cache_entries 1",
+		"inca_query_hits_total 2",
+		"inca_query_misses_total 1",
+		"inca_query_conditional_total 1",
+		"inca_query_not_modified_total 1",
+	)
 }
 
 func TestAvailabilityMemoization(t *testing.T) {
@@ -210,9 +232,8 @@ func TestAvailabilityMemoization(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts := httptest.NewServer(NewServer(d).Handler())
+	ts := httptest.NewServer(NewServerMetrics(d, metrics.NewRegistry()).Handler())
 	defer ts.Close()
-	c := NewClient(ts.URL)
 
 	u := ts.URL + "/availability?resource=r1&category=Grid&start=" +
 		t0.Format(time.RFC3339) + "&end=" + t0.Add(2*time.Hour).Format(time.RFC3339)
@@ -235,13 +256,10 @@ func TestAvailabilityMemoization(t *testing.T) {
 	if first != second || tag == "" || tag != tag2 {
 		t.Fatalf("renders differ or tags odd: %q vs %q", tag, tag2)
 	}
-	v, err := c.DebugVars()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.AvailabilityMisses != 1 || v.AvailabilityHits != 1 {
-		t.Fatalf("memo: misses=%d hits=%d", v.AvailabilityMisses, v.AvailabilityHits)
-	}
+	wantMetrics(t, ts.URL,
+		"inca_query_availability_renders_total 1",
+		"inca_query_availability_memo_hits_total 1",
+	)
 
 	// An archive write alone — an evaluation cycle recording availability,
 	// no report stored — changes the page, so it must move the memo and the
@@ -260,13 +278,7 @@ func TestAvailabilityMemoization(t *testing.T) {
 	if third == first {
 		t.Fatalf("stale page after an archive write:\n%s", third)
 	}
-	v, err = c.DebugVars()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.AvailabilityMisses != 2 {
-		t.Fatalf("memo after archive write: misses=%d", v.AvailabilityMisses)
-	}
+	wantMetrics(t, ts.URL, "inca_query_availability_renders_total 2")
 
 	// Conditional availability fetch: the old validator no longer holds,
 	// the current one revalidates.

@@ -23,11 +23,10 @@ import (
 // local is the backend of a server that hosts its depot: every answer is
 // read from, or stored into, that depot.
 type local struct {
-	srv *Server // for what the embedding process sets after construction: Feed, WireStats, the spec store
+	srv *Server // for what the embedding process sets after construction: Feed, the spec store
 	d   *depot.Depot
 
-	// Read-path counters, exposed on /debug/vars (and, with a registry,
-	// on /metrics).
+	// Read-path counters, on /metrics when the server has a registry.
 	queryHits   *metrics.Counter // /cache and /reports queries that found data
 	queryMisses *metrics.Counter // queries for absent branches (404)
 	conditional *metrics.Counter // requests carrying If-None-Match
@@ -64,6 +63,12 @@ func newLocal(srv *Server, d *depot.Depot, reg *metrics.Registry) *local {
 		availMisses: reg.Counter("inca_query_availability_renders_total", "Availability pages rendered fresh."),
 	}
 }
+
+// ready is always nil: a depot that answers can serve. inca-server opens
+// its HTTP listener only after OpenDisk has replayed the WAL (or the
+// snapshot is restored) and the feed is attached, so a depot mid-replay
+// is never reachable in that startup order.
+func (b *local) ready() error { return nil }
 
 func (b *local) routes() []route {
 	routes := []route{
@@ -422,66 +427,4 @@ func (b *local) handleGraph(w http.ResponseWriter, r *http.Request) {
 func (b *local) handleSummary(w http.ResponseWriter, r *http.Request) {
 	body, err := b.srv.Feed.status.snapshot()
 	answer(w, r, bytesDoc("application/json; charset=utf-8", "", body), err)
-}
-
-// DebugVars is the JSON shape of /debug/vars: depot ingest counters plus
-// the read-path counters this server maintains.
-type DebugVars struct {
-	Received            uint64 `json:"received"`
-	Bytes               uint64 `json:"bytes"`
-	CacheSize           int    `json:"cache_size"`
-	CacheCount          int    `json:"cache_count"`
-	Archives            int    `json:"archives"`
-	Versioned           bool   `json:"versioned"`
-	Generation          uint64 `json:"generation"`
-	ArchiveGeneration   uint64 `json:"archive_generation"`
-	ArchiveMatched      uint64 `json:"archive_matched"`
-	ArchiveApplied      uint64 `json:"archive_applied"`
-	QueryHits           uint64 `json:"query_hits"`
-	QueryMisses         uint64 `json:"query_misses"`
-	ConditionalRequests uint64 `json:"conditional_requests"`
-	NotModified         uint64 `json:"not_modified"`
-	AvailabilityHits    uint64 `json:"availability_hits"`
-	AvailabilityMisses  uint64 `json:"availability_misses"`
-
-	// delivery_* is the TCP ingest side (the agent→controller wire
-	// protocol), present when the embedding process registered its wire
-	// server via Server.WireStats. DeliveryMessages should reconcile with
-	// Received: every message the wire accepted reached the depot.
-	DeliveryWired           bool   `json:"delivery_wired"`
-	DeliveryConnsAccepted   uint64 `json:"delivery_conns_accepted"`
-	DeliveryConnsIdleClosed uint64 `json:"delivery_conns_idle_closed"`
-	DeliveryMessages        uint64 `json:"delivery_messages"`
-	DeliveryBatches         uint64 `json:"delivery_batches"`
-}
-
-func (b *local) vars() any {
-	st := b.d.Stats()
-	v := DebugVars{
-		Received:            st.Received,
-		Bytes:               st.Bytes,
-		CacheSize:           st.CacheSize,
-		CacheCount:          st.CacheCount,
-		Archives:            st.Archives,
-		Versioned:           true, // every cache has a generation; the key stays for readers of the page
-		Generation:          b.d.CacheGeneration(),
-		ArchiveGeneration:   b.d.ArchiveGeneration(),
-		ArchiveMatched:      st.Archive.Matched,
-		ArchiveApplied:      st.Archive.Applied,
-		QueryHits:           b.queryHits.Value(),
-		QueryMisses:         b.queryMisses.Value(),
-		ConditionalRequests: b.conditional.Value(),
-		NotModified:         b.notModified.Value(),
-		AvailabilityHits:    b.availHits.Value(),
-		AvailabilityMisses:  b.availMisses.Value(),
-	}
-	if b.srv.WireStats != nil {
-		ws := b.srv.WireStats()
-		v.DeliveryWired = true
-		v.DeliveryConnsAccepted = ws.ConnsAccepted
-		v.DeliveryConnsIdleClosed = ws.ConnsIdleClosed
-		v.DeliveryMessages = ws.Messages
-		v.DeliveryBatches = ws.Batches
-	}
-	return v
 }

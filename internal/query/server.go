@@ -16,7 +16,6 @@
 package query
 
 import (
-	"encoding/json"
 	"encoding/xml"
 	"errors"
 	"io"
@@ -33,7 +32,6 @@ import (
 	"inca/internal/depot"
 	"inca/internal/feed"
 	"inca/internal/metrics"
-	"inca/internal/wire"
 )
 
 // Server is the querying interface over HTTP.
@@ -41,11 +39,6 @@ type Server struct {
 	b     backend
 	specs *SpecStore
 	reg   *metrics.Registry // nil: instruments stay private, no /metrics route
-
-	// WireStats, when set by the embedding process, surfaces the TCP
-	// ingest server's connection/frame counters on /debug/vars as the
-	// delivery_* group (e.g. qsrv.WireStats = wireSrv.Stats).
-	WireStats func() wire.ServerStats
 
 	// Pprof, when set before Handler is called, mounts the runtime
 	// profiling endpoints under /debug/pprof/ (inca-server -pprof).
@@ -78,8 +71,8 @@ type backend interface {
 	// feed is the hub /feed subscribes to (the agreement status hub when
 	// status is set) and the snapshot a subscriber catches up from.
 	feed(status bool) (*feed.Hub, func(prefix branch.ID) ([]byte, error), error)
-	// vars is the value /debug/vars renders.
-	vars() any
+	// ready is nil when the tier can serve, else the reason it cannot.
+	ready() error
 	// routes are the endpoints only this tier has.
 	routes() []route
 }
@@ -129,13 +122,13 @@ func timed(reg *metrics.Registry, name string, h http.HandlerFunc) http.HandlerF
 //	GET  /availability — VO-wide availability overview
 //	GET  /feed        — SSE/long-poll change feed
 //	                    (?branch=&cursor=&stream=&mode=&wait=)
-//	GET  /debug/vars  — the tier's counters as JSON
+//	GET  /readyz      — 200 when the tier can serve, 503 naming why not
 //	GET  /metrics     — Prometheus text exposition (tiers built with a
 //	                    registry only)
 //
-// A depot adds /spec, /summary (feeds evaluating an agreement only) and
-// /debug/pprof/* (Pprof field set only); a router adds /shards and
-// POST /federation/{join,leave,promote,replicate}.
+// Either tier mounts /debug/pprof/* when its Pprof is set. A depot adds
+// /spec and /summary (feeds evaluating an agreement only); a router adds
+// /shards and POST /federation/{join,leave,promote,replicate}.
 func (s *Server) Handler() http.Handler {
 	routes := append([]route{
 		{"/store", "store", postOnly(s.handleStore)},
@@ -144,7 +137,7 @@ func (s *Server) Handler() http.Handler {
 		{"/reports", "reports", readOnly(s.handleReports)},
 		{"/availability", "availability", readOnly(s.handleAvailability)},
 		{"/stats", "stats", readOnly(s.handleStats)},
-		{"/debug/vars", "debug_vars", readOnly(s.handleDebugVars)},
+		{"/readyz", "readyz", readOnly(s.handleReadyz)},
 		{"/feed", "feed", readOnly(s.handleFeed)},
 	}, s.b.routes()...)
 	mux := http.NewServeMux()
@@ -385,18 +378,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	xml.NewEncoder(w).Encode(st)
 }
 
-// writeJSON serves v indented, expvar-style but self-rendered: the stdlib
-// expvar package registers into a process-global map, which would collide
-// when tests (or an embedding process) construct several servers.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.b.vars())
+// handleReadyz answers 200 when the backend can serve and 503 with the
+// reason when it cannot. Liveness needs no route of its own: any answer
+// from any route is one.
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	if err := s.b.ready(); err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+	io.WriteString(w, "ready\n")
 }
 
 // handleFeed serves GET /feed?branch=&cursor=[&stream=status][&mode=poll&wait=30s].

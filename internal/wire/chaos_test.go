@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"inca/internal/metrics"
 )
 
 // chaosProxy forwards TCP between a fixed front address and a (swappable)
@@ -317,9 +319,10 @@ func TestChaosBatchClientControllerRestart(t *testing.T) {
 // goroutine: a connection that goes quiet mid-frame is dropped and
 // counted.
 func TestChaosServerIdleTimeout(t *testing.T) {
+	reg := metrics.NewRegistry()
 	srv, err := ServeOptions("127.0.0.1:0", func(m *Message, remote string) *Ack {
 		return &Ack{OK: true}
-	}, ServerOptions{IdleTimeout: 50 * time.Millisecond})
+	}, ServerOptions{IdleTimeout: 50 * time.Millisecond, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,11 +340,12 @@ func TestChaosServerIdleTimeout(t *testing.T) {
 	if _, err := conn.Read(buf[:]); err == nil {
 		t.Fatal("server kept the stalled connection alive")
 	}
+	idleClosed := reg.Counter("inca_wire_server_idle_closed_total", "")
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.Stats().ConnsIdleClosed == 0 && time.Now().Before(deadline) {
+	for idleClosed.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if st := srv.Stats(); st.ConnsIdleClosed != 1 {
-		t.Fatalf("idle-closed = %d, want 1 (stats %+v)", st.ConnsIdleClosed, st)
+	if n := idleClosed.Value(); n != 1 {
+		t.Fatalf("inca_wire_server_idle_closed_total = %d, want 1", n)
 	}
 }

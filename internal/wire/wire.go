@@ -330,21 +330,8 @@ type ServerOptions struct {
 	// until process exit.
 	IdleTimeout time.Duration
 	// Metrics, when set, registers the server's connection and frame
-	// counters there; Stats() reads the same instruments.
+	// counters there.
 	Metrics *metrics.Registry
-}
-
-// ServerStats counts server-side connection and frame activity; surfaced
-// on the querying interface's /debug/vars as the delivery_* group.
-type ServerStats struct {
-	// ConnsAccepted is every distributed-controller connection accepted.
-	ConnsAccepted uint64
-	// ConnsIdleClosed is connections dropped by the idle read deadline.
-	ConnsIdleClosed uint64
-	// Messages is report messages received (batched or not).
-	Messages uint64
-	// Batches is batch frames received.
-	Batches uint64
 }
 
 // Server accepts distributed-controller connections.
@@ -493,17 +480,6 @@ func (a *ackWriter) Read(p []byte) (int, error) {
 		a.buf = a.buf[:0]
 	}
 	return a.conn.Read(p)
-}
-
-// Stats returns a snapshot of the server's connection and frame counters —
-// a view over the same instruments the metrics registry exposes.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		ConnsAccepted:   s.connsAccepted.Value(),
-		ConnsIdleClosed: s.connsIdleClosed.Value(),
-		Messages:        s.messages.Value(),
-		Batches:         s.batches.Value(),
-	}
 }
 
 // Close stops accepting, closes every live connection, and returns once

@@ -111,6 +111,9 @@ func TestMetricsSmoke(t *testing.T) {
 		"inca_wire_batch_acked_total",
 		"inca_wire_batch_flush_seconds",
 		"inca_wire_server_messages_total",
+		"inca_wire_server_batches_total",
+		"inca_wire_server_connections_total",
+		"inca_wire_server_idle_closed_total",
 		// controller
 		"inca_controller_accepted_total",
 		"inca_controller_handle_seconds",
@@ -120,8 +123,19 @@ func TestMetricsSmoke(t *testing.T) {
 		"inca_depot_insert_fallback_total",
 		"inca_depot_archive_seconds",
 		"inca_depot_archive_applied_total",
+		"inca_depot_archive_matched_total",
+		"inca_depot_bytes_total",
+		"inca_depot_cache_bytes",
+		"inca_depot_cache_entries",
+		"inca_depot_archives",
 		// query read side
 		"inca_query_request_seconds",
+		"inca_query_hits_total",
+		"inca_query_misses_total",
+		"inca_query_conditional_total",
+		"inca_query_not_modified_total",
+		"inca_query_availability_memo_hits_total",
+		"inca_query_availability_renders_total",
 	}
 	for _, name := range want {
 		if _, ok := families[name]; !ok {
@@ -154,7 +168,8 @@ func TestMetricsSmoke(t *testing.T) {
 // TestMetricsSmokeRouter is the same gate for the federated tier's own
 // registry: a router over two in-process shards answers one scatter-merge
 // read per endpoint, and its /metrics must lint and carry the per-endpoint
-// latency histogram and the merge instruments.
+// latency histogram, the merge instruments and every read, routing and
+// custody counter the router keeps.
 func TestMetricsSmokeRouter(t *testing.T) {
 	reg := metrics.NewRegistry()
 	shards := make([]federation.Shard, 2)
@@ -236,7 +251,27 @@ func TestMetricsSmokeRouter(t *testing.T) {
 		"inca_federated_merges_total",
 		"inca_federated_merge_seconds",
 		"inca_federated_merge_bytes_total",
+		"inca_federated_forwards_total",
+		"inca_federated_conditional_total",
+		"inca_federated_not_modified_total",
+		"inca_federated_shard_errors_total",
+		"inca_federated_follower_reads_total",
+		"inca_federated_follower_fallbacks_total",
+		"inca_federated_follower_regressions_total",
+		// routing and custody
 		"inca_federation_routed_total",
+		"inca_federation_rerouted_total",
+		"inca_federation_unroutable_total",
+		"inca_federation_refused_total",
+		"inca_federation_reroute_dropped_total",
+		"inca_federation_replica_shed_total",
+		"inca_federation_promotions_total",
+		// the router's shard clients
+		"inca_wire_batch_acked_total",
+		"inca_wire_batch_rejected_total",
+		"inca_wire_batch_requeued_total",
+		"inca_wire_batch_dropped_total",
+		"inca_wire_batch_redials_total",
 	} {
 		if _, ok := families[name]; !ok {
 			t.Errorf("family %s missing from the router's /metrics", name)

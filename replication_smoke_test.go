@@ -6,14 +6,14 @@ package inca_test
 // the federated /reports body, SIGKILLs the replicated shard's primary,
 // promotes the follower via /federation/leave, and asserts the federated
 // /reports body comes back byte-identical — zero stored-report loss
-// across the failover — with a clean custody ledger on /debug/vars.
+// across the failover — with a clean custody ledger on the router's
+// /metrics.
 //
 // Gated behind INCA_REPLICATION_SMOKE=1 and run by `make
 // replication-smoke` (part of `make check`).
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,7 +27,6 @@ import (
 	"inca/internal/branch"
 	"inca/internal/federation"
 	"inca/internal/loadgen"
-	"inca/internal/query"
 	"inca/internal/wire"
 )
 
@@ -163,31 +162,28 @@ func TestReplicationSmoke(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	// The custody ledger must reconcile with zero silent drops.
-	var vars query.FederatedVars
-	vresp, err := http.Get("http://" + routerHTTP + "/debug/vars")
+	// The custody ledger must reconcile with zero silent drops. Each
+	// family is summed over every shard client the router has built, the
+	// promoted-away primary's included.
+	m, err := loadgen.ScrapeMetrics(nil, "http://"+routerHTTP+"/metrics")
 	if err != nil {
-		t.Fatalf("debug vars: %v", err)
+		t.Fatalf("router metrics: %v", err)
 	}
-	vbody, _ := io.ReadAll(vresp.Body)
-	vresp.Body.Close()
-	if err := json.Unmarshal(vbody, &vars); err != nil {
-		t.Fatalf("debug vars: %v\n%s", err, vbody)
+	sent := float64(len(all) + len(ownedB))
+	if got := m["inca_federation_routed_total"]; got != sent {
+		t.Errorf("inca_federation_routed_total = %v, want %v (every send was acked)", got, sent)
 	}
-	sent := uint64(len(all) + len(ownedB))
-	if vars.Routed != sent {
-		t.Errorf("routed = %d, want %d (every send was acked)", vars.Routed, sent)
-	}
-	if vars.Unroutable != 0 || vars.RerouteDropped != 0 {
-		t.Errorf("silent loss: unroutable=%d reroute_dropped=%d", vars.Unroutable, vars.RerouteDropped)
-	}
-	if vars.Promotions != 1 {
-		t.Errorf("promotions = %d, want 1", vars.Promotions)
-	}
-	for _, s := range vars.PerShard {
-		if s.Dropped != 0 || s.ReplicaDropped != 0 {
-			t.Errorf("shard %s shed messages: dropped=%d replica_dropped=%d", s.Name, s.Dropped, s.ReplicaDropped)
+	for _, name := range []string{
+		"inca_federation_unroutable_total",
+		"inca_federation_reroute_dropped_total",
+		"inca_wire_batch_dropped_total",
+	} {
+		if v, ok := m[name]; !ok || v != 0 {
+			t.Errorf("silent loss: %s = %v (present %v), want 0", name, v, ok)
 		}
+	}
+	if got := m["inca_federation_promotions_total"]; got != 1 {
+		t.Errorf("inca_federation_promotions_total = %v, want 1", got)
 	}
 }
 
