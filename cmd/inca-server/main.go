@@ -48,13 +48,11 @@ func main() {
 
 		pprofOn = flag.Bool("pprof", false, "mount net/http/pprof profiling endpoints under /debug/pprof/ on the querying interface")
 
-		feedOn    = flag.Bool("feed", true, "serve the depot change feed on /feed (SSE + long-poll push to consumers)")
 		agreeSpec = flag.String("agreement", "", "serve a live agreement status stream on /feed?stream=status and /summary: 'teragrid' or a path to an agreement XML file")
 		reverify  = flag.Duration("reverify", 5*time.Minute, "periodic full re-evaluation interval for the status stream (staleness advances with wall time)")
 
-		federate       = flag.String("federate", "", "run as a federation router over this comma-separated shard list (wireAddr/httpAddr[=followerWire/followerHTTP] per shard) instead of hosting a depot")
-		replicate      = flag.String("replicate", "", "comma-separated follower list paired positionally with -federate shards (wireAddr/httpAddr, '-' = no follower): the router tees each shard's wire stream to its follower, and /federation/leave promotes the follower when the primary dies")
-		replicateReads = flag.Bool("replicate-reads", true, "let the federated query tier serve reads from followers (generation-gated so a lagging follower never moves a consumer backwards)")
+		federate  = flag.String("federate", "", "run as a federation router over this comma-separated shard list (wireAddr/httpAddr[=followerWire/followerHTTP] per shard) instead of hosting a depot")
+		replicate = flag.String("replicate", "", "comma-separated follower list paired positionally with -federate shards (wireAddr/httpAddr, '-' = no follower): the router tees each shard's wire stream to its follower, and /federation/leave promotes the follower when the primary dies")
 	)
 	flag.Parse()
 
@@ -63,7 +61,7 @@ func main() {
 	reg := metrics.NewRegistry()
 
 	if *federate != "" {
-		runFederated(*federate, *replicate, *tcpAddr, *httpAddr, *idleTimeout, *replicateReads, *pprofOn, reg)
+		runFederated(*federate, *replicate, *tcpAddr, *httpAddr, *idleTimeout, *pprofOn, reg)
 		return
 	}
 	if *replicate != "" {
@@ -150,28 +148,25 @@ func main() {
 
 	// Attach the change feed after the depot's own policy setup so feed
 	// subscribers only ever observe steady-state commits.
-	var qfeed *query.Feed
-	if *feedOn {
-		fopts := query.FeedOptions{Metrics: reg, Reverify: *reverify}
-		if *agreeSpec != "" {
-			ag := agreement.TeraGrid()
-			if *agreeSpec != "teragrid" {
-				data, err := os.ReadFile(*agreeSpec)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				if ag, err = agreement.Parse(data); err != nil {
-					fmt.Fprintf(os.Stderr, "agreement %s: %v\n", *agreeSpec, err)
-					os.Exit(1)
-				}
+	fopts := query.FeedOptions{Metrics: reg, Reverify: *reverify}
+	if *agreeSpec != "" {
+		ag := agreement.TeraGrid()
+		if *agreeSpec != "teragrid" {
+			data, err := os.ReadFile(*agreeSpec)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
 			}
-			fopts.Agreement = ag
-			fmt.Printf("status stream: agreement %s, reverify every %s\n", ag.Name, *reverify)
+			if ag, err = agreement.Parse(data); err != nil {
+				fmt.Fprintf(os.Stderr, "agreement %s: %v\n", *agreeSpec, err)
+				os.Exit(1)
+			}
 		}
-		qfeed = query.NewFeed(d, fopts)
-		qsrv.Feed = qfeed
+		fopts.Agreement = ag
+		fmt.Printf("status stream: agreement %s, reverify every %s\n", ag.Name, *reverify)
 	}
+	qfeed := query.NewFeed(d, fopts)
+	qsrv.Feed = qfeed
 	specs := qsrv.EnableSpecs()
 	demoGrid := core.DemoGrid(1, time.Now().Add(-24*time.Hour))
 	for _, res := range demoGrid.Resources() {
@@ -212,11 +207,9 @@ func main() {
 	// every in-flight connection handler has finished, so no store can
 	// race the final checkpoint or snapshot.
 	srv.Close()
-	if qfeed != nil {
-		// Detach the publisher and end subscribers before the depot
-		// closes underneath them.
-		qfeed.Close()
-	}
+	// Detach the publisher and end subscribers before the depot closes
+	// underneath them.
+	qfeed.Close()
 	if d.DiskBacked() {
 		// Fold the WAL into the checkpoint so the next start replays
 		// nothing; the WAL still covers us if this fails mid-way.
@@ -308,7 +301,7 @@ const responseWindow = 4096
 // to the shard owning its branch (and tees to the shard's follower when
 // one is configured — DESIGN.md §5i), and the HTTP side is the
 // scatter-gather query tier instead of a local depot (DESIGN.md §5f).
-func runFederated(topology, replicate, tcpAddr, httpAddr string, idleTimeout time.Duration, preferFollower, pprofOn bool, reg *metrics.Registry) {
+func runFederated(topology, replicate, tcpAddr, httpAddr string, idleTimeout time.Duration, pprofOn bool, reg *metrics.Registry) {
 	shards, err := federation.ParseShards(topology)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -340,11 +333,10 @@ func runFederated(topology, replicate, tcpAddr, httpAddr string, idleTimeout tim
 		}
 	}
 	if followers > 0 {
-		fmt.Printf("replication: %d of %d shards have followers (tee mode, follower reads %v)\n",
-			followers, len(shards), preferFollower)
+		fmt.Printf("replication: %d of %d shards have followers (tee mode)\n", followers, len(shards))
 	}
 
-	fed := query.NewFederated(router, query.FederatedOptions{Metrics: reg, PreferFollower: preferFollower, Pprof: pprofOn})
+	fed := query.NewFederated(router, query.FederatedOptions{Metrics: reg, Pprof: pprofOn})
 	// The tier subscribes to every shard's /feed and re-serves the merged
 	// stream with composed cursors; shards without /feed turn the tier's
 	// /feed into a 503 until they are upgraded.

@@ -44,6 +44,8 @@ func TestUnknownFlagValuesExit2(t *testing.T) {
 		{[]string{"-archive-workers", "8"}, "flag provided but not defined: -archive-workers"},
 		{[]string{"-archive-queue", "1"}, "flag provided but not defined: -archive-queue"},
 		{[]string{"-archive-drop"}, "flag provided but not defined: -archive-drop"},
+		{[]string{"-replicate-reads=false"}, "flag provided but not defined: -replicate-reads"},
+		{[]string{"-feed=false"}, "flag provided but not defined: -feed"},
 		{[]string{"-storage", "disk", "-snapshot", "f"}, "-snapshot requires -storage memory"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

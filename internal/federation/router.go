@@ -170,7 +170,7 @@ type Router struct {
 	shards   map[string]Shard             // by ring name
 	clients  map[string]*wire.BatchClient // primary, by ring name
 	replicas map[string]*wire.BatchClient // follower tee, by ring name
-	epoch    uint64                       // bumps on replica topology changes the ring signature cannot see
+	epoch    uint64                       // bumps on each promotion, which the ring signature cannot see
 
 	// reWG tracks in-flight orphan re-routes (Leave/Promote): Drain waits
 	// them out first, so a message harvested but not yet re-enqueued can
@@ -268,10 +268,12 @@ func (r *Router) Shard(name string) (Shard, bool) {
 	return s, ok
 }
 
-// Epoch counts replica-topology changes (promotions, follower attaches)
-// that the ring signature cannot see: ring membership is stable across a
-// promotion by design, yet the shard's read state moves to a different
-// process whose generation counters need not align.
+// Epoch counts promotions, the one replica-topology change the ring
+// signature cannot see: ring membership is stable across a promotion by
+// design, yet the shard's read state moves to a different process whose
+// generation counters need not align. Attaching a follower changes no
+// read state (every read goes to the primary), so it leaves the epoch
+// alone.
 func (r *Router) Epoch() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -282,7 +284,8 @@ func (r *Router) Epoch() uint64 {
 // ring membership plus the replica epoch. The query tier composes ETags
 // and feed cursors under this, so a promotion — invisible to the ring —
 // still invalidates every validator minted before it instead of letting
-// a follower's unrelated generation numbers falsely revalidate.
+// the promoted follower's unrelated generation numbers falsely
+// revalidate. A follower attach leaves it unchanged.
 func (r *Router) Signature() string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -361,9 +364,8 @@ func (r *Router) Join(s Shard) error {
 // router starts teeing the shard's wire stream to it immediately. The
 // follower's history before this moment is empty — run the catch-up copy
 // (the §5f migration path: fetch the primary's /reports, re-store on the
-// follower) to close that gap. Bumps the replica epoch: with follower
-// reads on, validators minted against the primary must not revalidate
-// against the freshly attached follower.
+// follower) to close that gap. The follower serves no reads, so the
+// signature, and every validator minted under it, stays as it was.
 func (r *Router) AttachReplica(name, replicaWire, replicaHTTP string) error {
 	if replicaWire == "" {
 		return fmt.Errorf("federation: follower needs a wire address")
@@ -380,7 +382,6 @@ func (r *Router) AttachReplica(name, replicaWire, replicaHTTP string) error {
 	s.ReplicaWire, s.ReplicaHTTP = replicaWire, replicaHTTP
 	r.shards[name] = s
 	r.replicas[name] = r.newClient(replicaWire)
-	r.epoch++
 	return nil
 }
 

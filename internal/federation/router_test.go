@@ -323,6 +323,32 @@ func TestPromoteFailsOverWithoutRingChange(t *testing.T) {
 	}
 }
 
+// TestAttachKeepsSignature: attaching a follower moves no read, so the
+// composed signature (and every validator minted under it) stays; promoting
+// that follower changes it.
+func TestAttachKeepsSignature(t *testing.T) {
+	primary := newSinkServer(t)
+	follower := newSinkServer(t)
+	r, err := NewRouter([]Shard{{Wire: primary.addr()}}, RouterOptions{Batch: testBatch()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	sig := r.Signature()
+	if err := r.AttachReplica(primary.addr(), follower.addr(), ""); err != nil {
+		t.Fatalf("attach: %v", err)
+	}
+	if got := r.Signature(); got != sig {
+		t.Fatalf("signature changed across a follower attach: %s -> %s", sig, got)
+	}
+	if _, _, err := r.Promote(primary.addr()); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	if got := r.Signature(); got == sig {
+		t.Fatalf("signature unchanged across a promotion: %s", got)
+	}
+}
+
 // TestReplicationTee proves steady-state replication: with both primary
 // and follower live, every accepted message reaches both.
 func TestReplicationTee(t *testing.T) {

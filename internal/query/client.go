@@ -188,9 +188,9 @@ func (c *Client) ReportsConditional(branchID, etag string) (body []byte, newETag
 	return c.getConditional("/reports", url.Values{"branch": {branchID}}, etag)
 }
 
-// ErrFeedUnsupported reports that the server has no /feed endpoint (an
-// older server, or one started without -feed). Consumers fall back to
-// conditional polling.
+// ErrFeedUnsupported reports that the server has no /feed endpoint (a
+// server older than the change feed). Consumers fall back to conditional
+// polling.
 var ErrFeedUnsupported = fmt.Errorf("query: server does not support /feed")
 
 // FeedEvent is one parsed server-sent event from /feed.

@@ -9,7 +9,6 @@ import (
 	"math"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -35,12 +34,11 @@ import (
 // at or below the ring's affinity depth skip the fan-out entirely and
 // proxy to the one owning shard.
 type Federated struct {
-	srv            *Server // the handler set, with this tier as its backend
-	router         *federation.Router
-	httpc          *http.Client
-	transport      *http.Transport // the tier's own, nil when the caller supplied the client
-	ff             *FederatedFeed  // composed change feed; set by AttachFeed
-	preferFollower bool
+	srv       *Server // the handler set, with this tier as its backend
+	router    *federation.Router
+	httpc     *http.Client
+	transport *http.Transport // the tier's own, nil when the caller supplied the client
+	ff        *FederatedFeed  // composed change feed; set by AttachFeed
 
 	fanouts     *metrics.Counter // requests scattered to every shard
 	forwards    *metrics.Counter // requests proxied to the owning shard
@@ -50,10 +48,6 @@ type Federated struct {
 	shardErrors *metrics.Counter // shard requests that failed in transport
 	mergeTime   *metrics.Histogram
 	mergeBytes  *metrics.Counter
-
-	followerReads       *metrics.Counter // read requests served by a follower
-	followerFallbacks   *metrics.Counter // follower unreachable; primary answered
-	followerRegressions *metrics.Counter // follower behind the client's validator; primary answered
 }
 
 // FederatedOptions configures NewFederated.
@@ -68,13 +62,6 @@ type FederatedOptions struct {
 	// Pprof mounts the runtime profiling endpoints under /debug/pprof/
 	// (inca-server -federate ... -pprof), as Server.Pprof does on a depot.
 	Pprof bool
-	// PreferFollower sends read requests to a shard's follower when one
-	// is attached, offloading the primary. Staleness is bounded by the
-	// generation gate: a follower answering with a generation behind the
-	// client's own validator is discarded and the primary asked instead,
-	// so a consumer's view never moves backwards; replication-epoch
-	// composed ETags keep promotion/attach from falsely revalidating.
-	PreferFollower bool
 }
 
 // scatterIdleConns is how many idle connections the tier keeps to each
@@ -100,22 +87,17 @@ func NewFederated(router *federation.Router, opt FederatedOptions) *Federated {
 	}
 	reg := opt.Metrics
 	f := &Federated{
-		router:         router,
-		httpc:          httpc,
-		transport:      transport,
-		preferFollower: opt.PreferFollower,
-		fanouts:        reg.Counter("inca_federated_fanouts_total", "Requests scattered to every shard."),
-		forwards:       reg.Counter("inca_federated_forwards_total", "Requests proxied to the single owning shard."),
-		conditional:    reg.Counter("inca_federated_conditional_total", "Requests carrying a composed validator."),
-		notModified:    reg.Counter("inca_federated_not_modified_total", "Requests answered 304 — every shard unchanged."),
-		merges:         reg.Counter("inca_federated_merges_total", "Responses rebuilt by a cross-shard document merge."),
-		shardErrors:    reg.Counter("inca_federated_shard_errors_total", "Per-shard requests failed in transport."),
-		mergeTime:      reg.Histogram("inca_federated_merge_seconds", "Time to plan one cross-shard /cache or /reports merge.", nil),
-		mergeBytes:     reg.Counter("inca_federated_merge_bytes_total", "Bytes of merged /cache and /reports documents planned."),
-
-		followerReads:       reg.Counter("inca_federated_follower_reads_total", "Read requests served by a shard's follower."),
-		followerFallbacks:   reg.Counter("inca_federated_follower_fallbacks_total", "Follower reads that fell back to the primary on a transport error."),
-		followerRegressions: reg.Counter("inca_federated_follower_regressions_total", "Follower reads discarded by the generation gate — the follower was behind the client's validator."),
+		router:      router,
+		httpc:       httpc,
+		transport:   transport,
+		fanouts:     reg.Counter("inca_federated_fanouts_total", "Requests scattered to every shard."),
+		forwards:    reg.Counter("inca_federated_forwards_total", "Requests proxied to the single owning shard."),
+		conditional: reg.Counter("inca_federated_conditional_total", "Requests carrying a composed validator."),
+		notModified: reg.Counter("inca_federated_not_modified_total", "Requests answered 304 — every shard unchanged."),
+		merges:      reg.Counter("inca_federated_merges_total", "Responses rebuilt by a cross-shard document merge."),
+		shardErrors: reg.Counter("inca_federated_shard_errors_total", "Per-shard requests failed in transport."),
+		mergeTime:   reg.Histogram("inca_federated_merge_seconds", "Time to plan one cross-shard /cache or /reports merge.", nil),
+		mergeBytes:  reg.Counter("inca_federated_merge_bytes_total", "Bytes of merged /cache and /reports documents planned."),
 	}
 	f.srv = &Server{b: f, reg: reg, Pprof: opt.Pprof}
 	return f
@@ -273,59 +255,10 @@ func releaseAll(resps []shardResp) {
 	}
 }
 
-// fetchShard asks the shard's primary — the authoritative replica.
+// fetchShard asks the shard's primary: every read goes there, never to a
+// follower.
 func (f *Federated) fetchShard(s federation.Shard, path string, params url.Values, inm string) shardResp {
-	return f.fetchURL(s, s.BaseURL(), path, params, inm)
-}
-
-// tagGen extracts the numeric generation from a shard validator (the
-// shards mint bare-generation ETags, see etagFor).
-func tagGen(tag string) (uint64, bool) {
-	tag = strings.Trim(strings.TrimSpace(tag), `"`)
-	if tag == "" {
-		return 0, false
-	}
-	g, err := strconv.ParseUint(tag, 10, 64)
-	return g, err == nil
-}
-
-// fetchShardRead is fetchShard with follower read preference: when the
-// tier prefers followers and the shard has one with a querying
-// interface, the follower answers instead of the primary. Two guards
-// bound what a follower may serve: a transport error falls back to the
-// primary (availability), and a 200 whose generation is behind the
-// client's own validator is discarded for the primary's answer — the
-// generation gate that keeps a lagging follower from moving a consumer
-// backwards in time. A follower 304 needs no gate: it means the
-// follower's current generation equals the validator the client already
-// holds.
-func (f *Federated) fetchShardRead(s federation.Shard, path string, params url.Values, inm string) shardResp {
-	base := ""
-	if f.preferFollower {
-		base = s.ReplicaBaseURL()
-	}
-	if base == "" {
-		return f.fetchShard(s, path, params, inm)
-	}
-	resp := f.fetchURL(s, base, path, params, inm)
-	if resp.err != nil {
-		f.followerFallbacks.Inc()
-		return f.fetchShard(s, path, params, inm)
-	}
-	if resp.status == http.StatusOK && inm != "" {
-		if seen, ok := tagGen(inm); ok {
-			if got, ok2 := tagGen(resp.etag); ok2 && got < seen {
-				f.followerRegressions.Inc()
-				resp.release()
-				return f.fetchShard(s, path, params, inm)
-			}
-		}
-	}
-	f.followerReads.Inc()
-	return resp
-}
-
-func (f *Federated) fetchURL(s federation.Shard, base, path string, params url.Values, inm string) shardResp {
+	base := s.BaseURL()
 	if base == "" {
 		return shardResp{shard: s, err: fmt.Errorf("shard %s has no querying interface", s.Name())}
 	}
@@ -405,15 +338,9 @@ func gather(resps []shardResp, absent int) ([]federation.ShardDoc, error) {
 }
 
 // scatter fans one request to shards in parallel; perTags (when non-nil)
-// supplies each shard's If-None-Match. With read set the fan-out honours
-// follower read preference; admin and snapshot scatters keep hitting the
-// primaries.
-func (f *Federated) scatter(shards []federation.Shard, path string, params url.Values, perTags []string, read bool) []shardResp {
+// supplies each shard's If-None-Match.
+func (f *Federated) scatter(shards []federation.Shard, path string, params url.Values, perTags []string) []shardResp {
 	resps := make([]shardResp, len(shards))
-	fetch := f.fetchShard
-	if read {
-		fetch = f.fetchShardRead
-	}
 	var wg sync.WaitGroup
 	for i, s := range shards {
 		inm := ""
@@ -423,7 +350,7 @@ func (f *Federated) scatter(shards []federation.Shard, path string, params url.V
 		wg.Add(1)
 		go func(i int, s federation.Shard, inm string) {
 			defer wg.Done()
-			resps[i] = fetch(s, path, params, inm)
+			resps[i] = f.fetchShard(s, path, params, inm)
 		}(i, s, inm)
 	}
 	wg.Wait()
@@ -447,7 +374,7 @@ func (f *Federated) scatterConditional(inm, path string, params url.Values) (res
 		f.conditional.Inc()
 	}
 	f.fanouts.Inc()
-	resps = f.scatter(shards, path, params, perTags, true)
+	resps = f.scatter(shards, path, params, perTags)
 	if perTags != nil {
 		all, sawTag := true, false
 		for i := range resps {
@@ -480,7 +407,7 @@ func (f *Federated) scatterConditional(inm, path string, params url.Values) (res
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i] = f.fetchShardRead(resps[i].shard, path, params, "")
+			resps[i] = f.fetchShard(resps[i].shard, path, params, "")
 		}(i)
 	}
 	wg.Wait()
@@ -511,7 +438,7 @@ func (f *Federated) forwardOwner(id branch.ID, path string, params url.Values, i
 		f.conditional.Inc()
 		shardTag = perTags[0]
 	}
-	resp := f.fetchShardRead(shard, path, params, shardTag)
+	resp := f.fetchShard(shard, path, params, shardTag)
 	if resp.err != nil {
 		return document{}, badGateway("shard %s: %v", shard.Name(), resp.err)
 	}
@@ -686,7 +613,7 @@ func (f *Federated) policy(policyXML []byte) (document, error) {
 
 func (f *Federated) stats() (xmlStats, error) {
 	var total xmlStats
-	resps := f.scatter(f.router.Shards(), "/stats", nil, nil, false)
+	resps := f.scatter(f.router.Shards(), "/stats", nil, nil)
 	defer releaseAll(resps)
 	docs, err := gather(resps, 0)
 	if err != nil {
@@ -861,7 +788,9 @@ func (f *Federated) handlePromote(w http.ResponseWriter, r *http.Request) {
 // the follower — so a late-joining follower (or a fresh follower after a
 // promotion consumed the old one) converges on the primary's full state.
 // Reports tee'd live while the copy runs are simply stored twice; the
-// cache keeps latest-per-branch, so convergence is automatic.
+// cache keeps latest-per-branch, so convergence is automatic. Reads stay
+// on the primary, so neither the attach nor a failed catch-up touches a
+// validator or the composed feed.
 func (f *Federated) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("shard")
@@ -896,7 +825,6 @@ func (f *Federated) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	f.rewireFeed()
 	fmt.Fprintf(w, "replicating %s to %s (caught up %d reports)\n", name, fw, copied)
 }
 

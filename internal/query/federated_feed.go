@@ -524,7 +524,7 @@ func jsonStringValue(tok []byte, plain bool) ([]byte, error) {
 func (f *Federated) mergedSnapshot(prefix branch.ID) ([]byte, error) {
 	shards := f.router.Shards()
 	ring := f.router.Ring()
-	resps := f.scatter(shards, "/cache", url.Values{"branch": {prefix.String()}}, nil, false)
+	resps := f.scatter(shards, "/cache", url.Values{"branch": {prefix.String()}}, nil)
 	docs, err := gather(resps, http.StatusNotFound)
 	if err != nil || len(docs) == 0 {
 		return nil, err

@@ -277,6 +277,49 @@ func TestFederatedConditional(t *testing.T) {
 	}
 }
 
+// TestFederatedConditionalAcrossReplication: attaching a follower moves no
+// read, so a composed validator minted before the attach still revalidates
+// and the answer is byte for byte the one before; a promotion hands the
+// slice to a process with its own generation counters, so it breaks every
+// validator.
+func TestFederatedConditionalAcrossReplication(t *testing.T) {
+	tf := newTestFederation(t, 2)
+	federationPopulation(t, tf, 8, 3)
+	status, tag, _ := get(t, tf.fed.URL, "/cache?branch=", "")
+	if status != http.StatusOK || tag == "" {
+		t.Fatalf("/cache: status %d tag %q", status, tag)
+	}
+	_, _, before := get(t, tf.fed.URL, "/reports?branch=", "")
+	admin := func(path string) {
+		t.Helper()
+		resp, err := http.Post(tf.fed.URL+path, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %s: %s", path, resp.Status, body)
+		}
+	}
+
+	// An empty follower, attached without catch-up.
+	follower := httptest.NewServer(NewServer(depot.New(nil)).Handler())
+	t.Cleanup(follower.Close)
+	admin("/federation/replicate?shard=shard0&follower=" + url.QueryEscape("follower0/"+follower.URL))
+	if status, tag2, _ := get(t, tf.fed.URL, "/cache?branch=", tag); status != http.StatusNotModified || tag2 != tag {
+		t.Fatalf("after attach: status %d tag %q, want 304 %q", status, tag2, tag)
+	}
+	if _, _, after := get(t, tf.fed.URL, "/reports?branch=", ""); string(after) != string(before) {
+		t.Fatal("after attach: /reports differs from the body before it")
+	}
+
+	admin("/federation/promote?shard=shard0")
+	if status, tag3, _ := get(t, tf.fed.URL, "/cache?branch=", tag); status != http.StatusOK || tag3 == tag {
+		t.Fatalf("after promotion: status %d tag %q, want 200 and a tag other than %q", status, tag3, tag)
+	}
+}
+
 // TestFederatedScatterRace exercises the scatter-gather merge under
 // concurrent readers and writers; run with -race (make test does) it
 // proves the fan-out shares no unsynchronized state.

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -135,6 +136,36 @@ func TestReadyz(t *testing.T) {
 		// shard's cannot while it does not serve.
 		awaitReadyz(t, tf.fed.URL, http.StatusServiceUnavailable, "shard9")
 		start()
+		awaitReadyz(t, tf.fed.URL, http.StatusOK, "ready")
+	})
+
+	t.Run("router after failed catch-up", func(t *testing.T) {
+		tf := newFeedFederation(t, 2)
+		env := sampleEnvelope(t, "probe=p00,site=s00,vo=tg", t0, 1)
+		tf.store(t, env)
+		id, err := envelopeAddress(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A follower whose querying interface refuses connections: the
+		// attach succeeds, the catch-up copy cannot.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused := ln.Addr().String()
+		ln.Close()
+		resp, err := http.Post(tf.fed.URL+"/federation/replicate?catchup=1&shard="+tf.router.Ring().Owner(id)+
+			"&follower="+url.QueryEscape(refused+"/"+refused), "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadGateway {
+			t.Fatalf("catch-up to a refusing follower: %s %s, want 502", resp.Status, body)
+		}
+		// The attach changed nothing a reader or a feed watcher sees.
 		awaitReadyz(t, tf.fed.URL, http.StatusOK, "ready")
 	})
 }

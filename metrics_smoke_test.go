@@ -255,9 +255,6 @@ func TestMetricsSmokeRouter(t *testing.T) {
 		"inca_federated_conditional_total",
 		"inca_federated_not_modified_total",
 		"inca_federated_shard_errors_total",
-		"inca_federated_follower_reads_total",
-		"inca_federated_follower_fallbacks_total",
-		"inca_federated_follower_regressions_total",
 		// routing and custody
 		"inca_federation_routed_total",
 		"inca_federation_rerouted_total",

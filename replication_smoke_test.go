@@ -3,7 +3,8 @@ package inca_test
 // Multi-process replication smoke test (DESIGN.md §5i): a -federate
 // router with a -replicate follower behind one shard, all real processes
 // over real TCP. The test streams reports through the router, captures
-// the federated /reports body, SIGKILLs the replicated shard's primary,
+// the federated /reports body, checks that the follower's own /reports
+// holds exactly the shard's slice, SIGKILLs the replicated shard's primary,
 // promotes the follower via /federation/leave, and asserts the federated
 // /reports body comes back byte-identical — zero stored-report loss
 // across the failover — with a clean custody ledger on the router's
@@ -94,8 +95,8 @@ func TestReplicationSmoke(t *testing.T) {
 	}
 
 	// Wait for every report to be queryable, then pin the pre-kill body.
-	// With follower reads on, shard B's slice is served by the follower,
-	// so a complete body also proves the tee replicated every report.
+	// Reads come from the primaries, so this body says nothing of the
+	// follower.
 	reportsURL := "http://" + routerHTTP + "/reports"
 	want := len(all)
 	deadline := time.Now().Add(20 * time.Second)
@@ -108,6 +109,29 @@ func TestReplicationSmoke(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("pre-kill: federated /reports has %d of %d reports (err=%v)", got, want, err)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+
+	// The tee: the follower's own /reports holds exactly shard B's slice.
+	wantF := make(map[string]bool, len(ownedB))
+	for _, id := range ownedB {
+		wantF[id.String()] = true
+	}
+	followerURL := "http://" + httpF + "/reports?branch="
+	for {
+		body, got, err := fetchReports(followerURL)
+		if err == nil && got == len(ownedB) {
+			stored, _ := federation.ParseReports(body)
+			for _, st := range stored {
+				if !wantF[st.ID.String()] {
+					t.Fatalf("follower holds %s, outside shard B's slice", st.ID)
+				}
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pre-kill: follower /reports has %d of %d reports (err=%v)", got, len(ownedB), err)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
