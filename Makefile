@@ -53,10 +53,12 @@ test:
 
 # Fault-injection suite (DESIGN.md §5d): chaos-proxy tests proving zero
 # report loss across resets, stalled acks, and controller restarts, plus
-# the spool's and the wire sink's custody tests (an agent restart, a shed
-# while a chunk is in flight), all under the race detector.
+# the custody tests of the spool and the wire sink (an agent restart, a
+# shed while a chunk is in flight) and of the batch client (Enqueue
+# refuses at its backlog and never sheds; CloseHarvest returns everything
+# undelivered), all under the race detector.
 chaos:
-	$(GO) test -race -run 'TestChaos|TestSpool|TestWireSink' -count=1 ./internal/wire/ ./internal/agent/
+	$(GO) test -race -run 'TestChaos|TestSpool|TestWireSink|TestEnqueue|TestCloseHarvest' -count=1 ./internal/wire/ ./internal/agent/
 
 # Telemetry gate (DESIGN.md §5e): drive the full pipeline with one shared
 # registry and lint the /metrics exposition for every stage's instruments;

@@ -18,12 +18,10 @@
 // With -subscribe the consumer flips from pull to push: it opens the
 // server's /feed stream, catches up from a snapshot, and then receives
 // only changes — reconnecting with -cursor (or the last cursor it saw)
-// resumes without re-transferring an unchanged subtree. Servers without
-// /feed degrade to -watch polling automatically.
+// resumes without re-transferring an unchanged subtree.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -49,7 +47,7 @@ func main() {
 		agreeFile = flag.String("agreement", "", "service agreement XML for -action summary (default: built-in TeraGrid agreement)")
 		watch     = flag.Duration("watch", 0, "poll interval for cache/reports using ETag revalidation (0 = fetch once)")
 		watchMax  = flag.Duration("watch-max", 0, "back off toward this interval while polls keep returning 304 (0 = 8x the -watch interval); any change resets to -watch")
-		subscribe = flag.Bool("subscribe", false, "subscribe to the server's change feed (/feed) and print each change as it lands; falls back to -watch conditional polling when the server lacks /feed")
+		subscribe = flag.Bool("subscribe", false, "subscribe to the server's change feed (/feed) and print each change as it lands")
 		cursor    = flag.String("cursor", "", "resume the -subscribe stream from this cursor (empty = fresh snapshot)")
 	)
 	flag.Parse()
@@ -62,7 +60,7 @@ func main() {
 	start := end.Add(-time.Duration(*hours) * time.Hour)
 
 	if *subscribe {
-		subscribeFeed(c, *branchID, *cursor, *watch, *watchMax, fail)
+		subscribeFeed(c, *branchID, *cursor, fail)
 		return
 	}
 
@@ -193,9 +191,8 @@ func jitter(d time.Duration) time.Duration {
 // printing one machine-parsable line per event with the FNV-64a hash of
 // the materialized state — so an external check can prove the pushed
 // view converges on the polled one. Reconnects resume from the last
-// cursor; when the server has no /feed it falls back to conditional
-// polling.
-func subscribeFeed(c *query.Client, branchID, cursor string, watch, watchMax time.Duration, fail func(error)) {
+// cursor.
+func subscribeFeed(c *query.Client, branchID, cursor string, fail func(error)) {
 	prefix, err := branch.Parse(branchID)
 	if err != nil {
 		fail(err)
@@ -209,16 +206,6 @@ func subscribeFeed(c *query.Client, branchID, cursor string, watch, watchMax tim
 	backoff := time.Second
 	for {
 		fs, err := c.FeedSubscribe(branchID, cursor, "")
-		if errors.Is(err, query.ErrFeedUnsupported) {
-			if watch <= 0 {
-				watch = 5 * time.Second
-			}
-			fmt.Fprintf(os.Stderr, "server lacks /feed; falling back to conditional polling every %s\n", watch)
-			watchConditional(watch, watchMax, func(etag string) ([]byte, string, bool, error) {
-				return c.CacheConditional(branchID, etag)
-			}, fail)
-			return
-		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "subscribe: %v (retrying in %s)\n", err, backoff)
 			time.Sleep(jitter(backoff))

@@ -49,7 +49,6 @@ func main() {
 		pprofOn = flag.Bool("pprof", false, "mount net/http/pprof profiling endpoints under /debug/pprof/ on the querying interface")
 
 		agreeSpec = flag.String("agreement", "", "serve a live agreement status stream on /feed?stream=status and /summary: 'teragrid' or a path to an agreement XML file")
-		reverify  = flag.Duration("reverify", 5*time.Minute, "periodic full re-evaluation interval for the status stream (staleness advances with wall time)")
 
 		federate  = flag.String("federate", "", "run as a federation router over this comma-separated shard list (wireAddr/httpAddr[=followerWire/followerHTTP] per shard) instead of hosting a depot")
 		replicate = flag.String("replicate", "", "comma-separated follower list paired positionally with -federate shards (wireAddr/httpAddr, '-' = no follower): the router tees each shard's wire stream to its follower, and /federation/leave promotes the follower when the primary dies")
@@ -148,7 +147,7 @@ func main() {
 
 	// Attach the change feed after the depot's own policy setup so feed
 	// subscribers only ever observe steady-state commits.
-	fopts := query.FeedOptions{Metrics: reg, Reverify: *reverify}
+	fopts := query.FeedOptions{Metrics: reg}
 	if *agreeSpec != "" {
 		ag := agreement.TeraGrid()
 		if *agreeSpec != "teragrid" {
@@ -163,7 +162,7 @@ func main() {
 			}
 		}
 		fopts.Agreement = ag
-		fmt.Printf("status stream: agreement %s, reverify every %s\n", ag.Name, *reverify)
+		fmt.Printf("status stream: agreement %s\n", ag.Name)
 	}
 	qfeed := query.NewFeed(d, fopts)
 	qsrv.Feed = qfeed
@@ -340,7 +339,7 @@ func runFederated(topology, replicate, tcpAddr, httpAddr string, idleTimeout tim
 	// The tier subscribes to every shard's /feed and re-serves the merged
 	// stream with composed cursors; shards without /feed turn the tier's
 	// /feed into a 503 until they are upgraded.
-	ffeed := fed.AttachFeed(query.FeedOptions{Metrics: reg})
+	ffeed := fed.AttachFeed(reg)
 	serve(httpAddr, "federated querying interface on http://%s (/cache /reports /archive /availability /feed /shards /metrics)\n", fed.Handler(), func() {
 		st := router.Stats()
 		fmt.Printf("router: %d routed, %d rerouted, %d unroutable, %d refused, %d reroute-dropped, %d promotions across %d shards\n",

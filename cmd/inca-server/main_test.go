@@ -46,6 +46,7 @@ func TestUnknownFlagValuesExit2(t *testing.T) {
 		{[]string{"-archive-drop"}, "flag provided but not defined: -archive-drop"},
 		{[]string{"-replicate-reads=false"}, "flag provided but not defined: -replicate-reads"},
 		{[]string{"-feed=false"}, "flag provided but not defined: -feed"},
+		{[]string{"-reverify", "1m"}, "flag provided but not defined: -reverify"},
 		{[]string{"-storage", "disk", "-snapshot", "f"}, "-snapshot requires -storage memory"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

@@ -17,13 +17,19 @@ var t0 = time.Date(2004, 7, 13, 10, 0, 0, 0, time.UTC)
 // branch layout.
 func fabricate(t *testing.T, c depot.Cache, resource, site, reporterName string, build func(r *report.Report)) {
 	t.Helper()
+	id := branch.MustParse(fmt.Sprintf("reporter=%s,resource=%s,site=%s,vo=tg", reporterName, resource, site))
+	fabricateAt(t, c, id, resource, reporterName, build)
+}
+
+// fabricateAt stores a report from reporterName about resource at id.
+func fabricateAt(t *testing.T, c depot.Cache, id branch.ID, resource, reporterName string, build func(r *report.Report)) {
+	t.Helper()
 	r := report.New(reporterName, "1.0", resource, t0)
 	build(r)
 	data, err := report.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := branch.MustParse(fmt.Sprintf("reporter=%s,resource=%s,site=%s,vo=tg", reporterName, resource, site))
 	if _, err := c.Update(id, data); err != nil {
 		t.Fatal(err)
 	}

@@ -36,20 +36,20 @@ type Incremental struct {
 	ag     *Agreement
 	prefix branch.ID
 
-	memo       map[string]*incMemo // branch string → parsed + placement
+	// memo holds each resource's parsed reports by branch string, so an
+	// update re-parses only the branches that changed and re-indexes
+	// their resource without reading the rest of the cache.
+	memo       map[string]map[string]*incMemo
 	byResource map[string]*indexed
 	statuses   map[string]*ResourceStatus
 	at         time.Time
 }
 
-// incMemo is one branch's retained parse plus where it was indexed, so an
-// update can un-index the previous report before placing the new one.
+// incMemo is one branch's retained parse.
 type incMemo struct {
-	xml      []byte
-	rep      *report.Report
-	resource string
-	name     string
-	live     bool
+	id  branch.ID
+	xml []byte
+	rep *report.Report
 }
 
 // NewIncremental returns an incremental evaluator. Call Full once to
@@ -62,7 +62,7 @@ func NewIncremental(ag *Agreement) *Incremental {
 	return &Incremental{
 		ag:         ag,
 		prefix:     prefix,
-		memo:       make(map[string]*incMemo),
+		memo:       make(map[string]map[string]*incMemo),
 		byResource: make(map[string]*indexed),
 		statuses:   make(map[string]*ResourceStatus),
 	}
@@ -92,27 +92,23 @@ func (inc *Incremental) Full(cache depot.Cache, now time.Time) (*VOStatus, []Del
 	if err != nil {
 		return nil, nil, fmt.Errorf("agreement: cache read: %w", err)
 	}
-	for _, m := range inc.memo {
-		m.live = false
-	}
-	inc.byResource = make(map[string]*indexed)
+	old := inc.memo
+	inc.memo = make(map[string]map[string]*incMemo)
 	for _, s := range stored {
-		inc.place(s.ID, s.XML)
-	}
-	for key, m := range inc.memo {
-		if !m.live {
-			delete(inc.memo, key)
+		if res, ok := s.ID.Get("resource"); ok {
+			key := s.ID.String()
+			inc.remember(res, key, s, old[res][key])
 		}
 	}
+	inc.byResource = make(map[string]*indexed, len(inc.memo))
 	// Every current resource is dirty; removed resources are deltas too.
-	dirty := make(map[string]bool, len(inc.byResource))
-	for res := range inc.byResource {
+	dirty := make(map[string]bool, len(inc.memo)+len(inc.statuses))
+	for res := range inc.memo {
+		inc.index(res)
 		dirty[res] = true
 	}
 	for res := range inc.statuses {
-		if _, ok := inc.byResource[res]; !ok {
-			dirty[res] = true
-		}
+		dirty[res] = true
 	}
 	deltas := inc.reevaluate(dirty, now)
 	return inc.Status(), deltas, nil
@@ -123,11 +119,24 @@ func (inc *Incremental) Full(cache depot.Cache, now time.Time) (*VOStatus, []Del
 // agreement's VO prefix or without a resource component are ignored.
 func (inc *Incremental) Update(cache depot.Cache, changed []branch.ID, now time.Time) ([]Delta, error) {
 	dirty := make(map[string]bool)
+	touched := make(map[string]bool) // resources whose index must be rebuilt
+	// forget drops a branch's memo, dirtying its resource and, for a
+	// cross-site probe, the probe's target.
+	forget := func(res, key string) {
+		touched[res], dirty[res] = true, true
+		if m := inc.memo[res][key]; m != nil {
+			if target, ok := xsiteTarget(m.rep.Header.Name); ok {
+				dirty[target] = true
+			}
+			delete(inc.memo[res], key)
+		}
+	}
 	for _, b := range changed {
 		if !inc.prefix.IsRoot() && !b.HasSuffix(inc.prefix) {
 			continue
 		}
-		if _, ok := b.Get("resource"); !ok {
+		res, ok := b.Get("resource")
+		if !ok {
 			continue
 		}
 		stored, err := cache.Reports(b)
@@ -136,94 +145,74 @@ func (inc *Incremental) Update(cache depot.Cache, changed []branch.ID, now time.
 		}
 		if len(stored) == 0 {
 			// The branch left the cache: un-index whatever it held.
-			key := b.String()
-			if m, ok := inc.memo[key]; ok {
-				inc.unplace(m, dirty)
-				delete(inc.memo, key)
-			}
+			forget(res, b.String())
 			continue
 		}
 		for _, s := range stored {
-			for res := range inc.placeDirty(s.ID, s.XML) {
-				dirty[res] = true
+			res, ok := s.ID.Get("resource")
+			if !ok {
+				continue
+			}
+			key := s.ID.String()
+			prev := inc.memo[res][key]
+			forget(res, key)
+			if m := inc.remember(res, key, s, prev); m != nil {
+				if target, ok := xsiteTarget(m.rep.Header.Name); ok {
+					dirty[target] = true
+				}
 			}
 		}
+	}
+	for res := range touched {
+		inc.index(res)
 	}
 	return inc.reevaluate(dirty, now), nil
 }
 
-// place indexes one stored report (Full path: dirtiness is global).
-func (inc *Incremental) place(id branch.ID, xmlBytes []byte) {
-	inc.placeDirty(id, xmlBytes)
-}
-
-// placeDirty indexes one stored report and returns the resources whose
-// verification inputs it touched: its own resource, plus the cross-site
-// target of both the previous and the new report name.
-func (inc *Incremental) placeDirty(id branch.ID, xmlBytes []byte) map[string]bool {
-	dirty := make(map[string]bool)
-	res, ok := id.Get("resource")
-	if !ok {
-		return dirty
-	}
-	key := id.String()
-	m := inc.memo[key]
-	if m == nil || !bytes.Equal(m.xml, xmlBytes) {
-		rep, err := report.Parse(xmlBytes)
+// remember memoizes the report s under resource res at branch key,
+// reusing prev's parse when the bytes are unchanged. It returns the memo,
+// or nil when the report does not parse (foreign data is not agreement
+// input).
+func (inc *Incremental) remember(res, key string, s depot.Stored, prev *incMemo) *incMemo {
+	m := prev
+	if m == nil || !bytes.Equal(m.xml, s.XML) {
+		rep, err := report.Parse(s.XML)
 		if err != nil {
-			// Foreign data is not agreement input, but if it *replaced*
-			// a report we must un-index the old one.
-			if m != nil {
-				inc.unplace(m, dirty)
-				delete(inc.memo, key)
-			}
-			return dirty
+			return nil
 		}
-		if m != nil {
-			inc.unplace(m, dirty)
-		}
-		m = &incMemo{
-			xml:      append([]byte(nil), xmlBytes...),
-			rep:      rep,
-			resource: res,
-			name:     rep.Header.Name,
-		}
-		inc.memo[key] = m
+		m = &incMemo{id: s.ID, xml: append([]byte(nil), s.XML...), rep: rep}
 	}
-	m.live = true
-	// Indexing is idempotent, and Full rebuilds byResource from scratch,
-	// so a memo hit must still place its report.
-	idx := inc.byResource[res]
-	if idx == nil {
-		site, _ := id.Get("site")
-		idx = &indexed{site: site, reports: make(map[string]*report.Report), branch: make(map[string]branch.ID)}
-		inc.byResource[res] = idx
+	if inc.memo[res] == nil {
+		inc.memo[res] = make(map[string]*incMemo)
 	}
-	idx.reports[m.name] = m.rep
-	idx.branch[m.name] = id
-	dirty[res] = true
-	if target, ok := xsiteTarget(m.name); ok {
-		dirty[target] = true
-	}
-	return dirty
+	inc.memo[res][key] = m
+	return m
 }
 
-// unplace removes a memoized report from the resource index and dirties
-// everything that depended on it.
-func (inc *Incremental) unplace(m *incMemo, dirty map[string]bool) {
-	if idx := inc.byResource[m.resource]; idx != nil {
-		if idx.reports[m.name] == m.rep {
-			delete(idx.reports, m.name)
-			delete(idx.branch, m.name)
-		}
-		if len(idx.reports) == 0 {
-			delete(inc.byResource, m.resource)
-		}
+// index rebuilds one resource's report index from its memoized branches,
+// placed in the cache's order (branch.Sort): a reporter name filed under
+// several branches of the resource resolves to the last of them, as it
+// does in Evaluate's walk over cache.Reports.
+func (inc *Incremental) index(res string) {
+	members := inc.memo[res]
+	if len(members) == 0 {
+		delete(inc.memo, res)
+		delete(inc.byResource, res)
+		return
 	}
-	dirty[m.resource] = true
-	if target, ok := xsiteTarget(m.name); ok {
-		dirty[target] = true
+	ids := make([]branch.ID, 0, len(members))
+	for _, m := range members {
+		ids = append(ids, m.id)
 	}
+	branch.Sort(ids)
+	site, _ := ids[0].Get("site")
+	idx := &indexed{site: site, reports: make(map[string]*report.Report, len(ids)), branch: make(map[string]branch.ID, len(ids))}
+	for _, id := range ids {
+		rep := members[id.String()].rep
+		idx.reports[rep.Header.Name] = rep
+		idx.branch[rep.Header.Name] = id
+	}
+	inc.byResource[res] = idx
 }
 
 // xsiteTarget extracts the destination resource from a cross-site

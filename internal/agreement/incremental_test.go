@@ -40,13 +40,17 @@ func TestIncrementalMatchesEvaluate(t *testing.T) {
 			t.Fatalf("divergence:\none-shot    %+v\nincremental %+v", oneShot, got)
 		}
 	}
-	step := func(resource, site, reporterName string, build func(r *report.Report)) {
+	stepAt := func(id branch.ID, resource, reporterName string, build func(r *report.Report)) {
 		t.Helper()
-		fabricate(t, c, resource, site, reporterName, build)
-		if _, err := inc.Update(c, []branch.ID{reporterBranch(resource, site, reporterName)}, t0); err != nil {
+		fabricateAt(t, c, id, resource, reporterName, build)
+		if _, err := inc.Update(c, []branch.ID{id}, t0); err != nil {
 			t.Fatal(err)
 		}
 		compare()
+	}
+	step := func(resource, site, reporterName string, build func(r *report.Report)) {
+		t.Helper()
+		stepAt(reporterBranch(resource, site, reporterName), resource, reporterName, build)
 	}
 
 	compare()
@@ -59,6 +63,14 @@ func TestIncrementalMatchesEvaluate(t *testing.T) {
 	step("other1", "anl", "grid.xsite.gram-gatekeeper.to.r1", okBody())
 	// A brand-new resource appears mid-stream.
 	step("r3", "psc", "grid.version.globus", versionBody("globus", "2.4.3"))
+	// One reporter filed under two branches of a resource (a spec lists it
+	// with two argument sets): the branch last in the cache's order decides,
+	// whichever of the two was stored last.
+	sibling := func(args string) branch.ID {
+		return branch.MustParse("args=" + args + "," + reporterBranch("r1", "sdsc", "grid.unit.globus").String())
+	}
+	stepAt(sibling("b"), "r1", "grid.unit.globus", failBody("broken under args b"))
+	stepAt(sibling("a"), "r1", "grid.unit.globus", okBody())
 	// An unrelated-branch change (no resource component) is ignored.
 	if _, err := inc.Update(c, []branch.ID{branch.MustParse("x=1,vo=tg")}, t0); err != nil {
 		t.Fatal(err)

@@ -49,9 +49,6 @@ type DiskOptions struct {
 	Cache Cache
 	// OpenFiles caps the archive handle LRU (default 64).
 	OpenFiles int
-	// WALSegmentBytes rotates the log when a segment reaches this size
-	// (default 64 MiB).
-	WALSegmentBytes int64
 }
 
 const checkpointFile = "checkpoint"
@@ -96,7 +93,7 @@ func OpenDisk(do DiskOptions) (*Depot, error) {
 	if err := d.replayWAL(); err != nil {
 		return nil, err
 	}
-	w, err := openWAL(d.walDir, do.WALSegmentBytes)
+	w, err := openWAL(d.walDir)
 	if err != nil {
 		return nil, err
 	}

@@ -35,8 +35,9 @@ const (
 	walFramePolicy = 2 // policy XML (snapshot schema)
 	walFrameManual = 3 // u16 branch len | branch | u16 name len | name | i64 nanos | f64 value
 
-	walMaxFrame        = 64 << 20 // sanity cap on a single frame
-	defaultSegmentSize = 64 << 20
+	walMaxFrame = 64 << 20 // sanity cap on a single frame
+	// walSegmentSize rotates the log when a segment reaches this size.
+	walSegmentSize = 64 << 20
 )
 
 // walRecord is one decoded frame.
@@ -47,8 +48,7 @@ type walRecord struct {
 
 // wal is the append side. One goroutine-safe writer per depot.
 type wal struct {
-	dir      string
-	segBytes int64
+	dir string
 
 	mu   sync.Mutex
 	f    *os.File
@@ -86,10 +86,7 @@ func walSegments(dir string) ([]uint64, error) {
 // newest on disk. Recovery reads the old segments first; starting fresh
 // (rather than appending to a possibly-truncated tail) keeps the append
 // path free of repair states.
-func openWAL(dir string, segBytes int64) (*wal, error) {
-	if segBytes <= 0 {
-		segBytes = defaultSegmentSize
-	}
+func openWAL(dir string) (*wal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("depot: wal dir: %w", err)
 	}
@@ -101,7 +98,7 @@ func openWAL(dir string, segBytes int64) (*wal, error) {
 	if len(seqs) > 0 {
 		next = seqs[len(seqs)-1] + 1
 	}
-	w := &wal{dir: dir, segBytes: segBytes}
+	w := &wal{dir: dir}
 	if err := w.startSegmentLocked(next); err != nil {
 		return nil, err
 	}
@@ -141,7 +138,7 @@ func (w *wal) append(kind byte, payload []byte) error {
 		return fmt.Errorf("depot: wal append: %w", err)
 	}
 	w.size += int64(len(buf))
-	if w.size >= w.segBytes {
+	if w.size >= walSegmentSize {
 		return w.startSegmentLocked(w.seq + 1)
 	}
 	return nil

@@ -16,7 +16,7 @@ import (
 // failover. The router, its per-shard batch clients, and the shard
 // endpoints are all production pieces over real TCP — only the shard
 // behind the socket is a stub that acks and counts, so the measured
-// path is exactly the tee (second EnqueueCustody + second connection's
+// path is exactly the tee (second Enqueue + second connection's
 // batches), not depot work.
 
 // ReplicationOptions configures the replication experiment.
@@ -237,7 +237,7 @@ func Replication(opt ReplicationOptions) Result {
 		r.Text = sb.String()
 		r.Notes = append(r.Notes,
 			"router, batch clients, and wire servers are the production pieces over real TCP; the shard behind each socket is an ack-and-count stub, so the cells isolate the routing tier from depot work",
-			"tee mode pays one extra EnqueueCustody plus a second connection's batch writes per message; the primary ack never waits on the follower (a full follower backlog is counted shed, not blocking)",
+			"tee mode pays one extra Enqueue plus a second connection's batch writes per message; the primary ack never waits on the follower (a full follower backlog is counted shed, not blocking)",
 			"failover measures Promote (ring identity swap + CloseHarvest + re-enqueue toward the follower) through Drain with the queue already replicated by the tee — steady-state failover, not catch-up",
 			"overhead is unreplicated ops/sec divided by tee ops/sec (1.00x = free)",
 		)

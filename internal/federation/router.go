@@ -139,8 +139,6 @@ func ParseShards(list string) ([]Shard, error) {
 
 // RouterOptions configures a Router.
 type RouterOptions struct {
-	// Ring sets the consistent-hash geometry (replicas, affinity depth).
-	Ring RingOptions
 	// Batch templates the per-shard wire.BatchClient (Metrics is
 	// overridden by the router's registry).
 	Batch wire.BatchOptions
@@ -160,7 +158,8 @@ type RouterOptions struct {
 // at-least-once machinery (in-flight tracking, requeue on connection
 // loss) carries it to the shard, and a shard's departure harvests its
 // queue back for re-routing. Loss is bounded exactly as for one
-// BatchClient: only a MaxPending overflow sheds messages.
+// BatchClient: a full backlog refuses (the sender keeps custody), and only
+// a shard client closed with undeliverable messages loses them.
 type Router struct {
 	opt   RouterOptions
 	clock simtime.Clock
@@ -222,7 +221,7 @@ func NewRouter(shards []Shard, opt RouterOptions) (*Router, error) {
 		}
 		names = append(names, s.Name())
 	}
-	r.ring = NewRing(names, opt.Ring)
+	r.ring = NewRing(names, RingOptions{})
 	return r, nil
 }
 
@@ -319,11 +318,11 @@ func (r *Router) Handle(m *wire.Message, remoteAddr string) *wire.Ack {
 		r.unroutable.Inc()
 		return &wire.Ack{OK: false, Message: "no shard owns " + m.Branch}
 	}
-	// EnqueueCustody never sheds: past MaxPending it refuses this message
+	// Enqueue never sheds: past MaxPending it refuses this message
 	// instead of silently dropping an older one that was already acked.
 	// A refusal nacks the sender — the agent's spool keeps custody and
 	// retries — so an OK ack always means the router holds the message.
-	if err := client.EnqueueCustody(m); err != nil {
+	if err := client.Enqueue(m); err != nil {
 		r.refused.Inc()
 		return &wire.Ack{OK: false, Message: "shard " + owner + " backlog: " + err.Error()}
 	}
@@ -333,7 +332,7 @@ func (r *Router) Handle(m *wire.Message, remoteAddr string) *wire.Ack {
 	// primary ack — replication must not couple ingest availability to
 	// the follower's health.
 	if replica != nil {
-		if err := replica.EnqueueCustody(m); err != nil {
+		if err := replica.Enqueue(m); err != nil {
 			r.replicaShed.Inc()
 		}
 	}
@@ -482,7 +481,7 @@ func (r *Router) rerouteOrphans(from string, orphans []*wire.Message) int {
 				bad++
 				break
 			}
-			err := next.EnqueueCustody(m)
+			err := next.Enqueue(m)
 			if err == nil {
 				moved++
 				break

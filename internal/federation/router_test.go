@@ -422,7 +422,7 @@ func TestParseShardReplicaSyntax(t *testing.T) {
 // TestRerouteBackoffRetryExhaustion pins the re-route retry loop to the
 // injected clock and the jittered exponential ladder. Shard B dies with
 // one queued message; its only successor C is dead too, with a backlog
-// already full, so every EnqueueCustody retry refuses until the 10s
+// already full, so every Enqueue retry refuses until the 10s
 // re-route deadline expires on the virtual clock. The old code spun a
 // fixed 10ms wall sleep (~1000 iterations against the wall clock); the
 // ladder must cross the same deadline in a few dozen fires, with no real

@@ -86,8 +86,6 @@ type HarnessOptions struct {
 	// Seed makes worker op-mix choices and reservoir replacement
 	// deterministic (default 2004).
 	Seed int64
-	// Knee tunes saturation detection.
-	Knee stats.KneeOptions
 }
 
 // DefaultStages is the standard ramp: six stages doubling from 1 to 32
@@ -325,7 +323,7 @@ func (h *Harness) Run() (*Curve, error) {
 		after, _ := ScrapeMetrics(h.tr, metricsURL)
 		curve.Stages = append(curve.Stages, col.result(n, window, DeltaMetrics(before, after)))
 	}
-	curve.Knee, curve.KneeFound = stats.DetectKnee(curve.Points(), h.opt.Knee)
+	curve.Knee, curve.KneeFound = stats.DetectKnee(curve.Points(), stats.KneeOptions{})
 	return curve, nil
 }
 

@@ -188,9 +188,9 @@ func (c *Client) ReportsConditional(branchID, etag string) (body []byte, newETag
 	return c.getConditional("/reports", url.Values{"branch": {branchID}}, etag)
 }
 
-// ErrFeedUnsupported reports that the server has no /feed endpoint (a
-// server older than the change feed). Consumers fall back to conditional
-// polling.
+// ErrFeedUnsupported reports that the server has no /feed endpoint, or
+// cannot serve it yet. The federated tier's shard watchers detect a
+// feed-less shard with it.
 var ErrFeedUnsupported = fmt.Errorf("query: server does not support /feed")
 
 // FeedEvent is one parsed server-sent event from /feed.
@@ -234,7 +234,7 @@ type FeedStream struct {
 // selects "status" for the live agreement stream ("" for depot changes).
 // The first event is a "snapshot" (the subscriber was behind) or a
 // "resume" (its cursor is current). Returns ErrFeedUnsupported when the
-// server lacks the endpoint, so callers can fall back to polling.
+// server lacks the endpoint.
 func (c *Client) FeedSubscribe(branchID, cursor, stream string) (*FeedStream, error) {
 	params := url.Values{"branch": {branchID}}
 	if cursor != "" {

@@ -34,11 +34,10 @@ import (
 // at or below the ring's affinity depth skip the fan-out entirely and
 // proxy to the one owning shard.
 type Federated struct {
-	srv       *Server // the handler set, with this tier as its backend
-	router    *federation.Router
-	httpc     *http.Client
-	transport *http.Transport // the tier's own, nil when the caller supplied the client
-	ff        *FederatedFeed  // composed change feed; set by AttachFeed
+	srv    *Server // the handler set, with this tier as its backend
+	router *federation.Router
+	httpc  *http.Client
+	ff     *FederatedFeed // composed change feed; set by AttachFeed
 
 	fanouts     *metrics.Counter // requests scattered to every shard
 	forwards    *metrics.Counter // requests proxied to the owning shard
@@ -52,10 +51,6 @@ type Federated struct {
 
 // FederatedOptions configures NewFederated.
 type FederatedOptions struct {
-	// Timeout bounds each per-shard HTTP request (default 30s).
-	Timeout time.Duration
-	// Client overrides the HTTP transport (Timeout is ignored then).
-	Client *http.Client
 	// Metrics, when set, registers the tier's counters there and mounts
 	// /metrics on the handler.
 	Metrics *metrics.Registry
@@ -70,26 +65,19 @@ type FederatedOptions struct {
 // with more readers than that every further scatter re-dialled.
 const scatterIdleConns = 64
 
+// shardTimeout bounds each per-shard HTTP request.
+const shardTimeout = 30 * time.Second
+
 // NewFederated builds the query tier over router's shards. Close releases
 // the connections it keeps to them.
 func NewFederated(router *federation.Router, opt FederatedOptions) *Federated {
-	httpc := opt.Client
-	var transport *http.Transport
-	if httpc == nil {
-		to := opt.Timeout
-		if to <= 0 {
-			to = 30 * time.Second
-		}
-		transport = http.DefaultTransport.(*http.Transport).Clone()
-		transport.MaxIdleConns = 0 // bounded per host, and the ring bounds the hosts
-		transport.MaxIdleConnsPerHost = scatterIdleConns
-		httpc = &http.Client{Timeout: to, Transport: transport}
-	}
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConns = 0 // bounded per host, and the ring bounds the hosts
+	transport.MaxIdleConnsPerHost = scatterIdleConns
 	reg := opt.Metrics
 	f := &Federated{
 		router:      router,
-		httpc:       httpc,
-		transport:   transport,
+		httpc:       &http.Client{Timeout: shardTimeout, Transport: transport},
 		fanouts:     reg.Counter("inca_federated_fanouts_total", "Requests scattered to every shard."),
 		forwards:    reg.Counter("inca_federated_forwards_total", "Requests proxied to the single owning shard."),
 		conditional: reg.Counter("inca_federated_conditional_total", "Requests carrying a composed validator."),
@@ -103,13 +91,8 @@ func NewFederated(router *federation.Router, opt FederatedOptions) *Federated {
 	return f
 }
 
-// Close drops the idle connections the tier keeps to its shards. A tier
-// built over a caller's Client leaves that client alone.
-func (f *Federated) Close() {
-	if f.transport != nil {
-		f.transport.CloseIdleConnections()
-	}
-}
+// Close drops the idle connections the tier keeps to its shards.
+func (f *Federated) Close() { f.httpc.CloseIdleConnections() }
 
 // Handler returns the federated HTTP mux: the Server's handler set plus
 // the router's own endpoints (see routes).

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"inca/internal/depot"
 	"inca/internal/federation"
@@ -43,7 +42,7 @@ func TestFederatedScatterKeepsConnectionsAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tier := NewFederated(router, FederatedOptions{Timeout: 10 * time.Second})
+	tier := NewFederated(router, FederatedOptions{})
 	t.Cleanup(tier.Close)
 	h := tier.Handler()
 

@@ -15,6 +15,7 @@ import (
 	"inca/internal/branch"
 	"inca/internal/federation"
 	"inca/internal/feed"
+	"inca/internal/metrics"
 	"inca/internal/simtime"
 	"inca/internal/wire"
 )
@@ -49,17 +50,13 @@ type FederatedFeed struct {
 
 // AttachFeed composes the shards' change feeds and mounts them on the
 // tier's /feed. Call before Handler; Close the returned feed to detach.
-// QueueLimit and Metrics apply to the local hub; Agreement is ignored
-// (the status stream is a single-depot feature — subscribe to a shard).
-func (f *Federated) AttachFeed(opts FeedOptions) *FederatedFeed {
+// reg, when set, registers the tier hub's instruments. There is no status
+// stream here: it is a single-depot feature (subscribe to a shard).
+func (f *Federated) AttachFeed(reg *metrics.Registry) *FederatedFeed {
 	transport := http.DefaultTransport.(*http.Transport).Clone()
 	transport.ReadBufferSize = wire.BatchBuffer
 	ff := &FederatedFeed{fed: f, watchHTTP: &http.Client{Transport: transport}}
-	ff.hub = feed.NewHub(feed.Options{
-		QueueLimit: opts.QueueLimit,
-		Name:       "federated",
-		Metrics:    opts.Metrics,
-	})
+	ff.hub = feed.NewHub(feed.Options{Name: "federated", Metrics: reg})
 	f.ff = ff
 	ff.rewire()
 	return ff

@@ -78,7 +78,7 @@ func newFeedFederation(t *testing.T, n int) *feedFederation {
 		t.Fatal(err)
 	}
 	tier := NewFederated(router, FederatedOptions{})
-	ff := tier.AttachFeed(FeedOptions{})
+	ff := tier.AttachFeed(nil)
 	fed := httptest.NewServer(tier.Handler())
 	t.Cleanup(func() {
 		fed.Close()
@@ -302,7 +302,7 @@ func TestFederatedFeedResyncsOnUndecodableChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	tier := NewFederated(router, FederatedOptions{})
-	ff := tier.AttachFeed(FeedOptions{})
+	ff := tier.AttachFeed(nil)
 	fed := httptest.NewServer(tier.Handler())
 	t.Cleanup(func() {
 		fed.Close()
@@ -342,7 +342,7 @@ func TestFederatedFeedShardWithoutFeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	tier := NewFederated(router, FederatedOptions{})
-	ff := tier.AttachFeed(FeedOptions{})
+	ff := tier.AttachFeed(nil)
 	fed := httptest.NewServer(tier.Handler())
 	t.Cleanup(func() {
 		fed.Close()

@@ -18,10 +18,6 @@ import (
 
 // FeedOptions configure the server's change feed (DESIGN.md §5h).
 type FeedOptions struct {
-	// QueueLimit bounds each subscriber's coalesced event queue; a
-	// subscriber that falls further behind is demoted to a fresh
-	// snapshot. Default 256.
-	QueueLimit int
 	// Metrics registers the hub instruments (subscribers, published/
 	// coalesced/dropped counters, fan-out latency).
 	Metrics *metrics.Registry
@@ -30,15 +26,16 @@ type FeedOptions struct {
 	// deltas are pushed on /feed?stream=status (plus a /summary
 	// snapshot endpoint).
 	Agreement *agreement.Agreement
-	// Reverify is the periodic full re-evaluation interval for the
-	// status stream — staleness (MaxAge) advances with wall time, with
-	// no depot change to announce it. Default 5m.
-	Reverify time.Duration
 }
 
+// reverifyEvery is the status stream's periodic full re-evaluation:
+// staleness (MaxAge) advances with wall time, with no depot change to
+// announce it.
+const reverifyEvery = 5 * time.Minute
+
 // Feed wires a depot's committed mutations to HTTP subscribers: the
-// depot publishes into a fan-out hub, and /feed serves it over SSE or
-// long-poll with snapshot catch-up.
+// depot publishes into a fan-out hub, and /feed serves it over SSE with
+// snapshot catch-up.
 type Feed struct {
 	d      *depot.Depot
 	hub    *feed.Hub
@@ -49,14 +46,13 @@ type Feed struct {
 func NewFeed(d *depot.Depot, opts FeedOptions) *Feed {
 	f := &Feed{d: d}
 	f.hub = feed.NewHub(feed.Options{
-		QueueLimit:   opts.QueueLimit,
 		CursorSource: d.CacheGeneration,
 		Name:         "depot",
 		Metrics:      opts.Metrics,
 	})
 	d.SetPublisher(f.publish)
 	if opts.Agreement != nil {
-		f.status = newStatusFeed(d, opts.Agreement, opts, f.hub)
+		f.status = newStatusFeed(d, opts.Agreement, opts.Metrics, f.hub)
 	}
 	return f
 }
@@ -70,8 +66,8 @@ func (f *Feed) Close() {
 	f.hub.Close()
 }
 
-// changeEvent is the wire payload of one change (the SSE "data" body and
-// the long-poll event object). renderChange writes it; FuzzChangeEvent
+// changeEvent is the wire payload of one change (the SSE "data" body).
+// renderChange writes it; FuzzChangeEvent
 // holds that to json.Marshal of this struct.
 type changeEvent struct {
 	Branch string `json:"branch"`
@@ -237,24 +233,6 @@ func (f *Feed) snapshot(prefix branch.ID) ([]byte, error) {
 	return sub, nil
 }
 
-// serveFeed is the transport under /feed: subscribe, catch up with a
-// snapshot when the presented cursor is not current, then stream coalesced
-// events. SSE by default; mode=poll does one long-poll exchange.
-func serveFeed(w http.ResponseWriter, r *http.Request, prefix branch.ID, hub *feed.Hub, snap func() ([]byte, error)) {
-	cursor := r.URL.Query().Get("cursor")
-	if r.URL.Query().Get("mode") == "poll" {
-		wait := 30 * time.Second
-		if ws := r.URL.Query().Get("wait"); ws != "" {
-			if d, err := time.ParseDuration(ws); err == nil && d > 0 && d <= 5*time.Minute {
-				wait = d
-			}
-		}
-		serveLongPoll(w, r, prefix, hub, snap, cursor, wait)
-		return
-	}
-	serveSSE(w, r, prefix, hub, snap, cursor)
-}
-
 // appendSSE appends one server-sent event frame to dst; data containing
 // newlines is split across data: lines per the SSE spec (clients rejoin
 // with \n).
@@ -296,6 +274,9 @@ func sseEventName(k feed.Kind) string {
 	return "change"
 }
 
+// serveSSE is the transport under /feed: subscribe, catch up with a
+// snapshot when the presented cursor is not current, then stream coalesced
+// events as server-sent events.
 func serveSSE(w http.ResponseWriter, r *http.Request, prefix branch.ID, hub *feed.Hub, snap func() ([]byte, error), cursor string) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -374,75 +355,6 @@ func serveSSE(w http.ResponseWriter, r *http.Request, prefix branch.ID, hub *fee
 	}
 }
 
-// pollEvent is one event in a long-poll response body.
-type pollEvent struct {
-	Cursor string          `json:"cursor"`
-	Kind   string          `json:"kind"`
-	Event  json.RawMessage `json:"event"`
-}
-
-// pollResponse is the long-poll body: either a snapshot at a cursor, or
-// a batch of events ending at a cursor.
-type pollResponse struct {
-	Cursor   string      `json:"cursor"`
-	Snapshot *string     `json:"snapshot,omitempty"`
-	Events   []pollEvent `json:"events,omitempty"`
-}
-
-func writePollJSON(w http.ResponseWriter, resp pollResponse) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Cache-Control", "no-store")
-	json.NewEncoder(w).Encode(resp)
-}
-
-func serveLongPoll(w http.ResponseWriter, r *http.Request, prefix branch.ID, hub *feed.Hub, snap func() ([]byte, error), cursor string, wait time.Duration) {
-	sub, needSnapshot, current := hub.Subscribe(prefix, cursor)
-	defer sub.Close()
-	sendSnapshot := func(cur string) {
-		body, err := snap()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		s := string(body)
-		writePollJSON(w, pollResponse{Cursor: cur, Snapshot: &s})
-	}
-	if needSnapshot {
-		sendSnapshot(current)
-		return
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	for {
-		events, resync := sub.Drain()
-		if resync {
-			sendSnapshot(sub.Resync())
-			return
-		}
-		if len(events) > 0 {
-			resp := pollResponse{Cursor: events[len(events)-1].Cursor}
-			for _, e := range events {
-				resp.Events = append(resp.Events, pollEvent{Cursor: e.Cursor, Kind: e.Kind.String(), Event: json.RawMessage(e.Data)})
-			}
-			writePollJSON(w, resp)
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-sub.Done():
-			w.WriteHeader(http.StatusNoContent)
-			return
-		case <-timer.C:
-			// Nothing changed within the window: the caller's cursor is
-			// still current.
-			w.WriteHeader(http.StatusNoContent)
-			return
-		case <-sub.Ready():
-		}
-	}
-}
-
 // statusFeed runs agreement evaluation server-side: a subscriber on the
 // depot hub feeds changed branches into the incremental evaluator, and
 // the resulting red/green deltas are published on a second hub.
@@ -457,23 +369,15 @@ type statusFeed struct {
 	doneCh chan struct{}
 }
 
-func newStatusFeed(d *depot.Depot, ag *agreement.Agreement, opts FeedOptions, src *feed.Hub) *statusFeed {
-	reverify := opts.Reverify
-	if reverify <= 0 {
-		reverify = 5 * time.Minute
-	}
+func newStatusFeed(d *depot.Depot, ag *agreement.Agreement, reg *metrics.Registry, src *feed.Hub) *statusFeed {
 	sf := &statusFeed{
-		hub: feed.NewHub(feed.Options{
-			QueueLimit: opts.QueueLimit,
-			Name:       "status",
-			Metrics:    opts.Metrics,
-		}),
+		hub:    feed.NewHub(feed.Options{Name: "status", Metrics: reg}),
 		cache:  d.Cache(),
 		inc:    agreement.NewIncremental(ag),
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
 	}
-	go sf.run(src, reverify)
+	go sf.run(src)
 	return sf
 }
 
@@ -483,12 +387,12 @@ func (sf *statusFeed) stop() {
 	sf.hub.Close()
 }
 
-func (sf *statusFeed) run(src *feed.Hub, reverify time.Duration) {
+func (sf *statusFeed) run(src *feed.Hub) {
 	defer close(sf.doneCh)
 	sub, _, _ := src.Subscribe(branch.ID{}, "")
 	defer sub.Close()
 	sf.full()
-	tick := time.NewTicker(reverify)
+	tick := time.NewTicker(reverifyEvery)
 	defer tick.Stop()
 	for {
 		select {

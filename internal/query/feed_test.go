@@ -3,8 +3,6 @@ package query
 import (
 	"encoding/json"
 	"errors"
-	"io"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -197,71 +195,6 @@ func TestFeedPrefixSubscriberMirrorsAtFullIdentifiers(t *testing.T) {
 	}
 }
 
-func TestFeedLongPoll(t *testing.T) {
-	ts, _ := newFeedServer(t, FeedOptions{})
-	c := NewClient(ts.URL)
-
-	// Fresh subscriber: immediate snapshot.
-	resp, err := http.Get(ts.URL + "/feed?branch=&mode=poll&wait=2s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fresh poll: %s: %s", resp.Status, body)
-	}
-	var pr pollResponse
-	if err := json.Unmarshal(body, &pr); err != nil {
-		t.Fatal(err)
-	}
-	if pr.Cursor == "" || pr.Snapshot == nil {
-		t.Fatalf("fresh poll response: %+v", pr)
-	}
-
-	// Current cursor, nothing changes: 204 within the wait window.
-	start := time.Now()
-	resp, err = http.Get(ts.URL + "/feed?branch=&mode=poll&wait=300ms&cursor=" + pr.Cursor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("idle poll: %s", resp.Status)
-	}
-	if time.Since(start) < 250*time.Millisecond {
-		t.Fatalf("idle poll returned before the wait window: %v", time.Since(start))
-	}
-
-	// A change during the wait resolves the poll with events.
-	errCh := make(chan error, 1)
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		_, err := c.StoreEnvelope(sampleEnvelope(t, "tool=pathload,site=sdsc", t0, 990))
-		errCh <- err
-	}()
-	resp, err = http.Get(ts.URL + "/feed?branch=&mode=poll&wait=5s&cursor=" + pr.Cursor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("event poll: %s: %s", resp.Status, body)
-	}
-	var pr2 pollResponse
-	if err := json.Unmarshal(body, &pr2); err != nil {
-		t.Fatal(err)
-	}
-	if len(pr2.Events) != 1 || pr2.Events[0].Kind != "report" || pr2.Cursor != pr2.Events[0].Cursor {
-		t.Fatalf("event poll response: %+v", pr2)
-	}
-}
-
 func statusReport(t *testing.T, resource string, pass bool) []byte {
 	t.Helper()
 	r := report.New("grid.version.globus", "1.0", resource, time.Now().UTC())
@@ -284,7 +217,7 @@ func TestFeedStatusStream(t *testing.T) {
 			{Name: "globus", Category: agreement.Grid, Version: agreement.Constraint{Op: "any"}},
 		},
 	}
-	ts, d := newFeedServer(t, FeedOptions{Agreement: ag, Reverify: time.Hour})
+	ts, d := newFeedServer(t, FeedOptions{Agreement: ag})
 	c := NewClient(ts.URL)
 
 	fs, err := c.FeedSubscribe("", "", "status")

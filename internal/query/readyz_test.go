@@ -98,7 +98,7 @@ func TestReadyz(t *testing.T) {
 		if status, body := readyz(t, fed.URL); status != http.StatusServiceUnavailable || !strings.Contains(body, "feed not attached") {
 			t.Fatalf("router without a feed: %d %q", status, body)
 		}
-		ff := tier.AttachFeed(FeedOptions{})
+		ff := tier.AttachFeed(nil)
 		t.Cleanup(ff.Close)
 
 		// Both shards are down: 503, naming one of them.

@@ -120,8 +120,7 @@ func timed(reg *metrics.Registry, name string, h http.HandlerFunc) http.HandlerF
 //	GET  /graph       — same params plus &title=&ylabel=; ASCII plot
 //	GET  /stats       — depot counters as XML
 //	GET  /availability — VO-wide availability overview
-//	GET  /feed        — SSE/long-poll change feed
-//	                    (?branch=&cursor=&stream=&mode=&wait=)
+//	GET  /feed        — SSE change feed (?branch=&cursor=&stream=)
 //	GET  /readyz      — 200 when the tier can serve, 503 naming why not
 //	GET  /metrics     — Prometheus text exposition (tiers built with a
 //	                    registry only)
@@ -389,7 +388,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ready\n")
 }
 
-// handleFeed serves GET /feed?branch=&cursor=[&stream=status][&mode=poll&wait=30s].
+// handleFeed serves GET /feed?branch=&cursor=[&stream=status].
 func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	prefix, err := branch.Parse(q.Get("branch"))
@@ -411,5 +410,5 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	serveFeed(w, r, prefix, hub, func() ([]byte, error) { return snap(prefix) })
+	serveSSE(w, r, prefix, hub, func() ([]byte, error) { return snap(prefix) }, q.Get("cursor"))
 }

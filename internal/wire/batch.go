@@ -16,9 +16,9 @@ import (
 // ErrClosed is returned when a message is offered to a closed client.
 var ErrClosed = errors.New("wire: client closed")
 
-// ErrBacklogFull is returned by EnqueueCustody when accepting the message
-// would exceed MaxPending. Unlike Enqueue's shedding, nothing is dropped:
-// the caller keeps custody and may retry, block, or refuse its own ack.
+// ErrBacklogFull is returned by Enqueue when accepting the message would
+// exceed MaxPending. Nothing is dropped: the caller keeps custody and may
+// retry, block, or refuse its own ack.
 var ErrBacklogFull = errors.New("wire: client backlog full")
 
 // Batch frames amortize the per-report round trip that serializes the
@@ -180,9 +180,10 @@ type BatchOptions struct {
 	// leaving flushing to full batches and explicit Flush/Drain calls).
 	FlushInterval time.Duration
 	// MaxPending bounds how many messages may sit unflushed while the
-	// server is unreachable — requeued messages included (default 4096;
-	// <0 removes the bound). Beyond it the oldest message is shed and
-	// counted in Stats().Dropped, the only way this client loses data.
+	// server is unreachable (default 4096; <0 removes the bound). At the
+	// bound Enqueue refuses with ErrBacklogFull; nothing accepted is shed.
+	// A connection-loss requeue may carry the buffer past it, since those
+	// messages are already in the client's custody.
 	MaxPending int
 	// DialTimeout bounds each connection attempt (default 10s).
 	DialTimeout time.Duration
@@ -225,30 +226,27 @@ func (o *BatchOptions) fill() {
 // to the tier that stores its reports: messages accumulate into batch
 // frames, and up to Window batches ride the connection before the first
 // ack vector is awaited, so the paper's one-report-per-round-trip
-// serialization disappears from the ingest path. Because acknowledgements
-// arrive after Enqueue returns, a rejection or transport failure surfaces
-// on a later call — the trade the protocol makes for keeping the pipe
-// full. It is safe for concurrent use.
+// serialization disappears from the ingest path. It is safe for
+// concurrent use.
 //
-// The asynchronous-error contract is report-once: the first failure
-// collected since the last report is returned, and cleared, by whichever
-// of Enqueue, Flush, Drain or Close observes it first — possibly the very
-// Enqueue whose full batch triggered the flush, when the server's nack
-// beats that call's return. A caller that wants to know about failures
-// therefore checks the error of every one of those calls; a later Drain
-// or Close returning nil does not mean an earlier Enqueue returned nil.
-// The calls that are documented not to report — EnqueueCustody and the
-// FlushInterval timer — never consume an error either: it stays for the
-// next reporting call.
+// Enqueue is a custody transfer: a nil return means the client holds the
+// message under its at-least-once contract; ErrClosed and ErrBacklogFull
+// mean custody stays with the caller. The federation router acks on this
+// distinction, so an OK ack means custody, never a droppable queue slot.
 //
-// Delivery is at-least-once up to MaxPending: a batch stays on the
-// in-flight list until its ack vector arrives, and when a connection dies
-// every unacknowledged batch is requeued ahead of the pending buffer (so
-// per-branch submission order is preserved) for the next flush to resend.
-// Only MaxPending overflow sheds messages, and every shed message is
-// counted in Stats().Dropped. A batch whose ack vector was lost in the
+// Because acknowledgements arrive after Enqueue returns, a rejection or
+// transport failure surfaces on a later Flush, Drain or Close, which
+// report it once: the first failure collected since the last report is
+// returned, and cleared, by whichever of them observes it first. Enqueue
+// and the FlushInterval timer never consume it.
+//
+// A batch stays on the in-flight list until its ack vector arrives, and
+// when a connection dies every unacknowledged batch is requeued ahead of
+// the pending buffer (so per-branch submission order is preserved) for
+// the next flush to resend. A batch whose ack vector was lost in the
 // failure may be processed twice by the server — the standard
-// at-least-once trade.
+// at-least-once trade. The client loses a message only when Close cannot
+// deliver it, and counts it in Stats().Dropped.
 type BatchClient struct {
 	addr string
 	opt  BatchOptions
@@ -290,7 +288,7 @@ func NewBatchClient(addr string, opt BatchOptions) *BatchClient {
 		acked:    reg.Counter("inca_wire_batch_acked_total", "Batched messages the server acknowledged OK."),
 		rejected: reg.Counter("inca_wire_batch_rejected_total", "Batched messages the server refused."),
 		requeued: reg.Counter("inca_wire_batch_requeued_total", "Messages requeued after their connection died unacknowledged."),
-		dropped:  reg.Counter("inca_wire_batch_dropped_total", "Messages shed by the MaxPending backstop or abandoned by Close."),
+		dropped:  reg.Counter("inca_wire_batch_dropped_total", "Messages abandoned by Close after a failed final drain."),
 		redials:  reg.Counter("inca_wire_batch_redials_total", "Reconnections after a connection failure."),
 		flushH:   reg.Histogram("inca_wire_batch_flush_seconds", "Batch frame write latency per chunk.", nil),
 	}
@@ -299,10 +297,11 @@ func NewBatchClient(addr string, opt BatchOptions) *BatchClient {
 // Options returns the client's options with defaults applied.
 func (c *BatchClient) Options() BatchOptions { return c.opt }
 
-// Enqueue buffers one message, flushing if the batch is full. The returned
-// error reports — once, see the type's contract — previously collected
-// asynchronous failures (server rejections or transport errors from
-// earlier batches), not the fate of m.
+// Enqueue buffers one message, writing the batch when it is full. It
+// refuses with ErrBacklogFull when MaxPending messages are already
+// pending, and with ErrClosed after Close or CloseHarvest; otherwise the
+// client has taken custody of m. Earlier batches' failures are left for
+// Flush, Drain and Close to report.
 func (c *BatchClient) Enqueue(m *Message) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -310,48 +309,8 @@ func (c *BatchClient) Enqueue(m *Message) error {
 	closed := c.closed
 	c.errMu.Unlock()
 	if closed {
-		// After Close (or CloseHarvest) a buffered message could never be
-		// delivered — refuse it so the caller keeps custody.
 		return ErrClosed
 	}
-	if c.opt.MaxPending > 0 && len(c.pending) >= c.opt.MaxPending {
-		// The unreachable-server backstop: shed the oldest message so an
-		// outage costs bounded memory, and account for the loss.
-		shed := len(c.pending) - c.opt.MaxPending + 1
-		c.pending = append(c.pending[:0], c.pending[shed:]...)
-		c.dropped.Add(uint64(shed))
-	}
-	c.pending = append(c.pending, m)
-	if len(c.pending) >= c.opt.MaxBatch {
-		return c.flushLocked()
-	}
-	c.armTimerLocked()
-	return c.takeErr()
-}
-
-// EnqueueCustody buffers one message without ever shedding: where Enqueue
-// drops the oldest pending message past MaxPending (acceptable when the
-// caller's own spool keeps custody, as the agent's does), EnqueueCustody
-// refuses the new message with ErrBacklogFull instead — nothing already
-// accepted is lost, and the caller knows this message was not taken. A
-// nil return means the client holds the message under its at-least-once
-// contract; ErrClosed and ErrBacklogFull mean custody stays with the
-// caller. The federation router acks on this distinction: an OK ack must
-// mean custody, never a droppable queue slot. Asynchronous delivery
-// errors are left for Flush/Drain to surface, so a refusal here is never
-// conflated with an earlier batch's fate.
-func (c *BatchClient) EnqueueCustody(m *Message) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.errMu.Lock()
-	closed := c.closed
-	c.errMu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	// A connection-loss requeue may legitimately carry pending past
-	// MaxPending (those messages hold custody already); refusing at the
-	// boundary keeps the bound without ever shedding an accepted message.
 	if c.opt.MaxPending > 0 && len(c.pending) >= c.opt.MaxPending {
 		return ErrBacklogFull
 	}
@@ -666,8 +625,8 @@ func (c *BatchClient) Drain() error {
 
 // BatchStats counts every message fate a BatchClient can assign. At any
 // quiescent point acked+rejected+dropped plus the still-queued messages
-// equals the messages enqueued; Dropped is the only loss, and only
-// MaxPending overflow (or Close with undeliverable messages) causes it.
+// equals the messages enqueued; Dropped is the only loss, and only Close
+// with undeliverable messages causes it.
 type BatchStats struct {
 	// Acked is messages the server acknowledged OK.
 	Acked uint64
@@ -676,8 +635,7 @@ type BatchStats struct {
 	// Requeued is messages returned to the queue after their connection
 	// died before acknowledgement — each one a survived transport fault.
 	Requeued uint64
-	// Dropped is messages shed by the MaxPending backstop or abandoned
-	// by Close after a failed final drain.
+	// Dropped is messages abandoned by Close after a failed final drain.
 	Dropped uint64
 	// Redials is reconnections after a connection failure.
 	Redials uint64

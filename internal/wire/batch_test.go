@@ -147,21 +147,15 @@ func TestBatchClientSurfacesRejection(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// The rejection is reported once, by whichever call sees it first: the
-	// second Enqueue fills the batch and flushes, and when the server's
-	// nack beats that call's return it is Enqueue, not Close, that reports.
+	// The second Enqueue fills the batch and writes it; Enqueue takes
+	// custody and never reports, so the server's nack surfaces on Close.
 	c := NewBatchClient(srv.Addr(), BatchOptions{MaxBatch: 2, Window: 2})
-	var first error
-	for _, err := range []error{
-		c.Enqueue(&Message{Hostname: "good", Report: []byte("<r/>")}),
-		c.Enqueue(&Message{Hostname: "evil", Report: []byte("<r/>")}),
-		c.Close(),
-	} {
-		if first == nil {
-			first = err
+	for _, host := range []string{"good", "evil"} {
+		if err := c.Enqueue(&Message{Hostname: host, Report: []byte("<r/>")}); err != nil {
+			t.Fatalf("enqueue %s: %v", host, err)
 		}
 	}
-	if first == nil {
+	if err := c.Close(); err == nil {
 		t.Fatal("rejection not surfaced")
 	}
 	if st := c.Stats(); st.Rejected != 1 {
@@ -170,7 +164,7 @@ func TestBatchClientSurfacesRejection(t *testing.T) {
 }
 
 // The calls that cannot report a failure must not consume one: a rejection
-// collected while only EnqueueCustody and the FlushInterval timer are
+// collected while only Enqueue and the FlushInterval timer are
 // running stays for the next Drain. (The timer used to call Flush and drop
 // its result, so the second timer flush below swallowed the rejection.)
 func TestBatchClientTimerKeepsRejectionForDrain(t *testing.T) {
@@ -194,11 +188,11 @@ func TestBatchClientTimerKeepsRejectionForDrain(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if err := c.EnqueueCustody(&Message{Hostname: "evil", Report: []byte("<r/>")}); err != nil {
+	if err := c.Enqueue(&Message{Hostname: "evil", Report: []byte("<r/>")}); err != nil {
 		t.Fatal(err)
 	}
 	await("the rejection", func(st BatchStats) bool { return st.Rejected == 1 })
-	if err := c.EnqueueCustody(&Message{Hostname: "good", Report: []byte("<r/>")}); err != nil {
+	if err := c.Enqueue(&Message{Hostname: "good", Report: []byte("<r/>")}); err != nil {
 		t.Fatal(err)
 	}
 	await("the second timer flush", func(st BatchStats) bool { return st.Acked == 1 })
@@ -468,34 +462,34 @@ func mustDeadAddr(t *testing.T) string {
 	return addr
 }
 
-func TestEnqueueCustodyRefusesAtBacklog(t *testing.T) {
+func TestEnqueueRefusesAtBacklog(t *testing.T) {
 	c := NewBatchClient(mustDeadAddr(t), BatchOptions{
 		MaxPending: 3, MaxBatch: 4096, FlushInterval: -1,
 		DialTimeout: 200 * time.Millisecond, IOTimeout: time.Second,
 	})
 	defer c.Close()
 	for i := 0; i < 3; i++ {
-		if err := c.EnqueueCustody(&Message{Branch: fmt.Sprintf("r=%d,vo=tg", i)}); err != nil {
+		if err := c.Enqueue(&Message{Branch: fmt.Sprintf("r=%d,vo=tg", i)}); err != nil {
 			t.Fatalf("enqueue %d under the limit: %v", i, err)
 		}
 	}
-	if err := c.EnqueueCustody(&Message{Branch: "r=over,vo=tg"}); err != ErrBacklogFull {
+	if err := c.Enqueue(&Message{Branch: "r=over,vo=tg"}); err != ErrBacklogFull {
 		t.Fatalf("over the limit: err = %v, want ErrBacklogFull", err)
 	}
 	// The contract: refusal, never shedding. Every accepted message is
 	// still queued.
 	if st := c.Stats(); st.Dropped != 0 {
-		t.Fatalf("EnqueueCustody shed %d accepted messages", st.Dropped)
+		t.Fatalf("Enqueue shed %d accepted messages", st.Dropped)
 	}
 	if got := c.CloseHarvest(); len(got) != 3 {
 		t.Fatalf("harvested %d messages, want the 3 accepted", len(got))
 	}
 }
 
-func TestEnqueueCustodyAfterClose(t *testing.T) {
+func TestEnqueueAfterClose(t *testing.T) {
 	c := NewBatchClient(mustDeadAddr(t), BatchOptions{DialTimeout: 200 * time.Millisecond})
 	c.Close()
-	if err := c.EnqueueCustody(&Message{Branch: "r=1,vo=tg"}); err != ErrClosed {
+	if err := c.Enqueue(&Message{Branch: "r=1,vo=tg"}); err != ErrClosed {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
