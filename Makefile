@@ -136,8 +136,9 @@ bench-ingest:
 # bytes it was read from), the router's in-place routing of a received frame
 # against decoding, parsing and re-encoding it, and the change feed's relay: the change renderer
 # against json.Marshal, the routing scanner against json.Unmarshal, and the
-# SSE reader against the line reader it replaced and its own writer; and the
-# controller's in-process store against the envelope round trip it skips.
+# SSE reader against the line reader it replaced and its own writer; the
+# controller's in-process store against the envelope round trip it skips;
+# and the agreement reader, whose accepted input survives Marshal and Parse.
 # The seed corpora (f.Add plus testdata/fuzz) run under plain `go test`; `go
 # test -fuzz` takes one target per invocation.
 fuzz:
@@ -155,6 +156,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzUpstreamEvent$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run=NONE -fuzz='^FuzzFeedStream$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run=NONE -fuzz='^FuzzSubmitDirect$$' -fuzztime=10s ./internal/controller/
+	$(GO) test -run=NONE -fuzz='^FuzzParseAgreement$$' -fuzztime=10s ./internal/agreement/
 
 # Storage tier (DESIGN.md §5g): memory vs disk engine across report
 # ingest, archive updates at 10k/100k series (with the heap staying flat

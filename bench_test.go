@@ -374,20 +374,21 @@ func BenchmarkAgreementEvaluate(b *testing.B) {
 }
 
 func BenchmarkAgreementEvaluateMemoized(b *testing.B) {
-	// The §3.2.3 "optimized for common queries" path: repeated verification
-	// cycles over a mostly-unchanged cache reuse parsed reports.
+	// The §3.2.3 "optimized for common queries" path: repeated Full
+	// cycles of a retained Incremental over a mostly-unchanged cache reuse
+	// parsed reports.
 	d, err := core.NewTeraGridDeployment(core.Options{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	d.RunUntil(d.Clock.Now().Add(time.Hour+time.Minute), 0, nil)
-	ev := agreement.NewEvaluator(agreement.TeraGrid())
-	if _, err := ev.Evaluate(d.Depot.Cache(), d.Clock.Now()); err != nil {
+	inc := agreement.NewIncremental(agreement.TeraGrid())
+	if _, _, err := inc.Full(d.Depot.Cache(), d.Clock.Now()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		status, err := ev.Evaluate(d.Depot.Cache(), d.Clock.Now())
+		status, _, err := inc.Full(d.Depot.Cache(), d.Clock.Now())
 		if err != nil {
 			b.Fatal(err)
 		}

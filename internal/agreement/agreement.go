@@ -196,49 +196,13 @@ type indexed struct {
 }
 
 // Evaluate verifies every resource found in the cache against the
-// agreement at time now. Resources are discovered from the cached data
-// itself (branch component "resource"), so a new resource needs no
-// verifier configuration — mirroring the depot's no-configuration design.
+// agreement at time now: it is the status a fresh Incremental's Full
+// returns. Resources are discovered from the cached data itself (branch
+// component "resource"), so a new resource needs no verifier
+// configuration — mirroring the depot's no-configuration design.
 func Evaluate(ag *Agreement, cache depot.Cache, now time.Time) (*VOStatus, error) {
-	prefix := branch.ID{}
-	if ag.VO != "" {
-		prefix = branch.MustParse("vo=" + ag.VO)
-	}
-	stored, err := cache.Reports(prefix)
-	if err != nil {
-		return nil, fmt.Errorf("agreement: cache read: %w", err)
-	}
-	byResource := make(map[string]*indexed)
-	for _, s := range stored {
-		res, ok := s.ID.Get("resource")
-		if !ok {
-			continue
-		}
-		idx, ok := byResource[res]
-		if !ok {
-			site, _ := s.ID.Get("site")
-			idx = &indexed{site: site, reports: make(map[string]*report.Report), branch: make(map[string]branch.ID)}
-			byResource[res] = idx
-		}
-		rep, err := report.Parse(s.XML)
-		if err != nil {
-			continue // foreign data in the cache is not agreement input
-		}
-		idx.reports[rep.Header.Name] = rep
-		idx.branch[rep.Header.Name] = s.ID
-	}
-
-	status := &VOStatus{Agreement: ag, At: now}
-	resources := make([]string, 0, len(byResource))
-	for r := range byResource {
-		resources = append(resources, r)
-	}
-	sort.Strings(resources)
-	for _, res := range resources {
-		rs := evaluateResource(ag, res, byResource[res], byResource, now)
-		status.Resources = append(status.Resources, rs)
-	}
-	return status, nil
+	status, _, err := NewIncremental(ag).Full(cache, now)
+	return status, err
 }
 
 func evaluateResource(ag *Agreement, res string, idx *indexed, all map[string]*indexed, now time.Time) *ResourceStatus {
@@ -381,10 +345,12 @@ func evaluateResource(ag *Agreement, res string, idx *indexed, all map[string]*i
 }
 
 // crossSiteOutbound: the resource reached at least one other resource's
-// service. The third return is the number of reports examined.
+// service. The third return is the number of reports examined. The
+// detail quotes the failing probe last in name order, not in map order,
+// so an unchanged cache always gives the same row.
 func crossSiteOutbound(idx *indexed, service string) (bool, string, int) {
 	attempts, successes := 0, 0
-	var lastErr string
+	var lastErr, lastName string
 	for name, rep := range idx.reports {
 		if !strings.Contains(name, "grid.xsite."+service+".to.") {
 			continue
@@ -392,8 +358,8 @@ func crossSiteOutbound(idx *indexed, service string) (bool, string, int) {
 		attempts++
 		if rep.Succeeded() {
 			successes++
-		} else {
-			lastErr = rep.Footer.ErrorMessage
+		} else if name >= lastName {
+			lastErr, lastName = rep.Footer.ErrorMessage, name
 		}
 	}
 	switch {
@@ -407,10 +373,11 @@ func crossSiteOutbound(idx *indexed, service string) (bool, string, int) {
 }
 
 // crossSiteInbound: at least one other resource reached this resource's
-// service. The third return is the number of reports examined.
+// service. The third return is the number of reports examined. The
+// detail quotes the failing prober last in name order.
 func crossSiteInbound(all map[string]*indexed, res, service string) (bool, string, int) {
 	attempts, successes := 0, 0
-	var lastErr string
+	var lastErr, lastOther string
 	want := "grid.xsite." + service + ".to." + res
 	for other, idx := range all {
 		if other == res {
@@ -423,8 +390,8 @@ func crossSiteInbound(all map[string]*indexed, res, service string) (bool, strin
 			attempts++
 			if rep.Succeeded() {
 				successes++
-			} else {
-				lastErr = rep.Footer.ErrorMessage
+			} else if other >= lastOther {
+				lastErr, lastOther = rep.Footer.ErrorMessage, other
 			}
 		}
 	}
@@ -436,4 +403,14 @@ func crossSiteInbound(all map[string]*indexed, res, service string) (bool, strin
 	default:
 		return true, "", attempts
 	}
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -3,7 +3,6 @@ package agreement
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -22,10 +21,13 @@ type Delta struct {
 	Status *ResourceStatus
 }
 
-// Incremental is the change-feed form of Evaluate: it retains the parsed
-// report index and the per-resource outcomes across cycles, and re-runs
-// verification only for resources whose input reports changed. The
-// cross-site dependency is tracked explicitly: a report named
+// Incremental is the package's one agreement evaluator. It retains the
+// parsed report index and the per-resource outcomes across cycles, so a
+// repeated Full re-parses only the entries whose bytes changed, and
+// Update re-runs verification only for resources whose input reports
+// changed. Evaluate is a fresh Incremental's Full; core.Deployment keeps
+// one across its snapshot cycles and the status stream drives one with
+// Update. The cross-site dependency is tracked explicitly: a report named
 // "grid.xsite.<svc>.to.<target>" stored under resource A is *input* to
 // target's inbound check, so a change to it dirties both A and target.
 //
@@ -43,13 +45,16 @@ type Incremental struct {
 	byResource map[string]*indexed
 	statuses   map[string]*ResourceStatus
 	at         time.Time
+	sweep      uint64 // counts Full calls
 }
 
-// incMemo is one branch's retained parse.
+// incMemo is one branch's retained parse; rep is nil when the bytes do
+// not parse as a report.
 type incMemo struct {
-	id  branch.ID
-	xml []byte
-	rep *report.Report
+	id    branch.ID
+	xml   []byte
+	rep   *report.Report
+	sweep uint64 // the last Full that found the branch in the cache
 }
 
 // NewIncremental returns an incremental evaluator. Call Full once to
@@ -72,12 +77,7 @@ func NewIncremental(ag *Agreement) *Incremental {
 // per-resource statuses (the live stream's snapshot).
 func (inc *Incremental) Status() *VOStatus {
 	status := &VOStatus{Agreement: inc.ag, At: inc.at}
-	resources := make([]string, 0, len(inc.statuses))
-	for r := range inc.statuses {
-		resources = append(resources, r)
-	}
-	sort.Strings(resources)
-	for _, r := range resources {
+	for _, r := range sortedKeys(inc.statuses) {
 		status.Resources = append(status.Resources, inc.statuses[r])
 	}
 	return status
@@ -92,20 +92,28 @@ func (inc *Incremental) Full(cache depot.Cache, now time.Time) (*VOStatus, []Del
 	if err != nil {
 		return nil, nil, fmt.Errorf("agreement: cache read: %w", err)
 	}
-	old := inc.memo
-	inc.memo = make(map[string]map[string]*incMemo)
+	inc.sweep++
+	inc.byResource = make(map[string]*indexed, len(inc.memo))
 	for _, s := range stored {
 		if res, ok := s.ID.Get("resource"); ok {
-			key := s.ID.String()
-			inc.remember(res, key, s, old[res][key])
+			m := inc.remember(res, s.ID.String(), s)
+			m.sweep = inc.sweep
+			inc.place(res, m)
 		}
 	}
-	inc.byResource = make(map[string]*indexed, len(inc.memo))
-	// Every current resource is dirty; removed resources are deltas too.
+	// Every resource is dirty, and removed ones are deltas too. Branches
+	// this sweep did not see have left the cache.
 	dirty := make(map[string]bool, len(inc.memo)+len(inc.statuses))
-	for res := range inc.memo {
-		inc.index(res)
+	for res, members := range inc.memo {
 		dirty[res] = true
+		for key, m := range members {
+			if m.sweep != inc.sweep {
+				delete(members, key)
+			}
+		}
+		if len(members) == 0 {
+			delete(inc.memo, res)
+		}
 	}
 	for res := range inc.statuses {
 		dirty[res] = true
@@ -120,15 +128,14 @@ func (inc *Incremental) Full(cache depot.Cache, now time.Time) (*VOStatus, []Del
 func (inc *Incremental) Update(cache depot.Cache, changed []branch.ID, now time.Time) ([]Delta, error) {
 	dirty := make(map[string]bool)
 	touched := make(map[string]bool) // resources whose index must be rebuilt
-	// forget drops a branch's memo, dirtying its resource and, for a
-	// cross-site probe, the probe's target.
-	forget := func(res, key string) {
+	// touch dirties a branch's resource and, for a cross-site probe the
+	// branch held, the probe's target.
+	touch := func(res, key string) {
 		touched[res], dirty[res] = true, true
 		if m := inc.memo[res][key]; m != nil {
-			if target, ok := xsiteTarget(m.rep.Header.Name); ok {
+			if target, ok := m.xsiteTarget(); ok {
 				dirty[target] = true
 			}
-			delete(inc.memo[res], key)
 		}
 	}
 	for _, b := range changed {
@@ -145,7 +152,9 @@ func (inc *Incremental) Update(cache depot.Cache, changed []branch.ID, now time.
 		}
 		if len(stored) == 0 {
 			// The branch left the cache: un-index whatever it held.
-			forget(res, b.String())
+			key := b.String()
+			touch(res, key)
+			delete(inc.memo[res], key)
 			continue
 		}
 		for _, s := range stored {
@@ -154,12 +163,9 @@ func (inc *Incremental) Update(cache depot.Cache, changed []branch.ID, now time.
 				continue
 			}
 			key := s.ID.String()
-			prev := inc.memo[res][key]
-			forget(res, key)
-			if m := inc.remember(res, key, s, prev); m != nil {
-				if target, ok := xsiteTarget(m.rep.Header.Name); ok {
-					dirty[target] = true
-				}
+			touch(res, key)
+			if target, ok := inc.remember(res, key, s).xsiteTarget(); ok {
+				dirty[target] = true
 			}
 		}
 	}
@@ -169,35 +175,36 @@ func (inc *Incremental) Update(cache depot.Cache, changed []branch.ID, now time.
 	return inc.reevaluate(dirty, now), nil
 }
 
-// remember memoizes the report s under resource res at branch key,
-// reusing prev's parse when the bytes are unchanged. It returns the memo,
-// or nil when the report does not parse (foreign data is not agreement
-// input).
-func (inc *Incremental) remember(res, key string, s depot.Stored, prev *incMemo) *incMemo {
-	m := prev
+// remember returns the memo of the report s under resource res at branch
+// key, parsing s only when its bytes differ from the memo's. Bytes that do
+// not parse are remembered with a nil report: foreign data is no agreement
+// input, but it still gives its resource a row (failing every test) and is
+// not re-parsed while it stays unchanged. The memo keeps s.XML itself,
+// which Cache.Reports hands over as a fresh copy.
+func (inc *Incremental) remember(res, key string, s depot.Stored) *incMemo {
+	members := inc.memo[res]
+	if members == nil {
+		members = make(map[string]*incMemo)
+		inc.memo[res] = members
+	}
+	m := members[key]
 	if m == nil || !bytes.Equal(m.xml, s.XML) {
-		rep, err := report.Parse(s.XML)
-		if err != nil {
-			return nil
+		m = &incMemo{id: s.ID, xml: s.XML}
+		if rep, err := report.Parse(s.XML); err == nil {
+			m.rep = rep
 		}
-		m = &incMemo{id: s.ID, xml: append([]byte(nil), s.XML...), rep: rep}
+		members[key] = m
 	}
-	if inc.memo[res] == nil {
-		inc.memo[res] = make(map[string]*incMemo)
-	}
-	inc.memo[res][key] = m
 	return m
 }
 
 // index rebuilds one resource's report index from its memoized branches,
-// placed in the cache's order (branch.Sort): a reporter name filed under
-// several branches of the resource resolves to the last of them, as it
-// does in Evaluate's walk over cache.Reports.
+// placed in the cache's order (branch.Sort), as Full places them.
 func (inc *Incremental) index(res string) {
 	members := inc.memo[res]
+	delete(inc.byResource, res)
 	if len(members) == 0 {
 		delete(inc.memo, res)
-		delete(inc.byResource, res)
 		return
 	}
 	ids := make([]branch.ID, 0, len(members))
@@ -205,19 +212,36 @@ func (inc *Incremental) index(res string) {
 		ids = append(ids, m.id)
 	}
 	branch.Sort(ids)
-	site, _ := ids[0].Get("site")
-	idx := &indexed{site: site, reports: make(map[string]*report.Report, len(ids)), branch: make(map[string]branch.ID, len(ids))}
 	for _, id := range ids {
-		rep := members[id.String()].rep
-		idx.reports[rep.Header.Name] = rep
-		idx.branch[rep.Header.Name] = id
+		inc.place(res, members[id.String()])
 	}
-	inc.byResource[res] = idx
+}
+
+// place adds memo m to its resource's index. Placed in the cache's order,
+// the first branch names the row's site, and a reporter name filed under
+// several branches of the resource resolves to the last of them, as in a
+// walk over cache.Reports.
+func (inc *Incremental) place(res string, m *incMemo) {
+	idx := inc.byResource[res]
+	if idx == nil {
+		site, _ := m.id.Get("site")
+		idx = &indexed{site: site, reports: make(map[string]*report.Report), branch: make(map[string]branch.ID)}
+		inc.byResource[res] = idx
+	}
+	if m.rep != nil {
+		idx.reports[m.rep.Header.Name] = m.rep
+		idx.branch[m.rep.Header.Name] = m.id
+	}
 }
 
 // xsiteTarget extracts the destination resource from a cross-site
-// reporter name ("grid.xsite.<svc>.to.<target>").
-func xsiteTarget(name string) (string, bool) {
+// reporter name ("grid.xsite.<svc>.to.<target>"); an unparseable report
+// probes nothing.
+func (m *incMemo) xsiteTarget() (string, bool) {
+	if m.rep == nil {
+		return "", false
+	}
+	name := m.rep.Header.Name
 	if !strings.Contains(name, "grid.xsite.") {
 		return "", false
 	}
@@ -233,13 +257,8 @@ func xsiteTarget(name string) (string, bool) {
 // the deltas against the retained statuses.
 func (inc *Incremental) reevaluate(dirty map[string]bool, now time.Time) []Delta {
 	inc.at = now
-	resources := make([]string, 0, len(dirty))
-	for r := range dirty {
-		resources = append(resources, r)
-	}
-	sort.Strings(resources)
 	var deltas []Delta
-	for _, res := range resources {
+	for _, res := range sortedKeys(dirty) {
 		idx, ok := inc.byResource[res]
 		if !ok {
 			if _, had := inc.statuses[res]; had {

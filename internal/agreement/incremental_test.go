@@ -17,7 +17,8 @@ func reporterBranch(resource, site, reporterName string) branch.ID {
 
 // TestIncrementalMatchesEvaluate drives the incremental evaluator through
 // a change sequence and checks its assembled status is observably
-// identical to a one-shot Evaluate over the same cache at every step.
+// identical to the one-shot referenceEvaluate over the same cache at every
+// step.
 func TestIncrementalMatchesEvaluate(t *testing.T) {
 	c := depot.NewIndexedCache()
 	populateCompliant(t, c, "r1", "sdsc")
@@ -32,7 +33,7 @@ func TestIncrementalMatchesEvaluate(t *testing.T) {
 	}
 	compare := func() {
 		t.Helper()
-		oneShot, err := Evaluate(ag, c, t0)
+		oneShot, err := referenceEvaluate(ag, c, t0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,6 +72,24 @@ func TestIncrementalMatchesEvaluate(t *testing.T) {
 	}
 	stepAt(sibling("b"), "r1", "grid.unit.globus", failBody("broken under args b"))
 	stepAt(sibling("a"), "r1", "grid.unit.globus", okBody())
+	// A resource whose only reports do not parse is red on every test, not
+	// absent from the grid.
+	garbage := func(id branch.ID) {
+		t.Helper()
+		if _, err := c.Update(id, []byte("<foreign/>")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inc.Update(c, []branch.ID{id}, t0); err != nil {
+			t.Fatal(err)
+		}
+		compare()
+	}
+	garbage(branch.MustParse("reporter=x,resource=r9,site=zz,vo=tg"))
+	if r9 := findResource(t, inc.Status(), "r9").Total(); r9.Pass != 0 || r9.Fail != 8 {
+		t.Fatalf("garbage-only r9 = %d pass / %d fail, want 0 / 8", r9.Pass, r9.Fail)
+	}
+	// An existing resource's only remaining report turns to garbage.
+	garbage(reporterBranch("r3", "psc", "grid.version.globus"))
 	// An unrelated-branch change (no resource component) is ignored.
 	if _, err := inc.Update(c, []branch.ID{branch.MustParse("x=1,vo=tg")}, t0); err != nil {
 		t.Fatal(err)
@@ -171,5 +190,9 @@ func TestIncrementalFullDetectsRemovals(t *testing.T) {
 	}
 	if got := inc.Status(); len(got.Resources) != 1 || got.Resources[0].Resource != "r1" {
 		t.Fatalf("status after removal: %+v", got.Resources)
+	}
+	// The removed resource's parses leave the memo; r1's seven stay.
+	if len(inc.memo) != 1 || len(inc.memo["r1"]) != 7 {
+		t.Fatalf("memo after removal: %d resources, %d r1 branches", len(inc.memo), len(inc.memo["r1"]))
 	}
 }

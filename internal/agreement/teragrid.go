@@ -17,7 +17,7 @@ func TeraGrid() *Agreement {
 		MaxAge: 4 * time.Hour,
 	}
 	addPkgs := func(m map[string]string, cat Category) {
-		for _, name := range sortedStringKeys(m) {
+		for _, name := range sortedKeys(m) {
 			// gm (Myrinet) is absent on the reduced Alpha hosts, so the
 			// common agreement cannot require it (see gridsim).
 			if name == gridsim.ReducedSkipPackage {
@@ -42,7 +42,7 @@ func TeraGrid() *Agreement {
 			CrossSite: svc.Name == "gram-gatekeeper" || svc.Name == "gridftp",
 		})
 	}
-	for _, name := range sortedStringKeys(gridsim.TeraGridEnv) {
+	for _, name := range sortedKeys(gridsim.TeraGridEnv) {
 		ag.Env = append(ag.Env, EnvReq{Name: name, Value: gridsim.TeraGridEnv[name], Category: Cluster})
 	}
 	ag.SoftEnv = append(ag.SoftEnv,
@@ -51,17 +51,4 @@ func TeraGrid() *Agreement {
 		SoftEnvReq{Key: "+mpich", Category: Cluster},
 	)
 	return ag
-}
-
-func sortedStringKeys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

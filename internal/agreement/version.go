@@ -112,27 +112,23 @@ type Constraint struct {
 	Version string
 }
 
-// Satisfied reports whether v meets the constraint.
+// versionOps holds every operator a Constraint knows, as a test on
+// CompareVersions(installed, required). Parse rejects any other.
+var versionOps = map[string]func(cmp int) bool{
+	"":    func(int) bool { return true },
+	"any": func(int) bool { return true },
+	"==":  func(cmp int) bool { return cmp == 0 },
+	">=":  func(cmp int) bool { return cmp >= 0 },
+	">":   func(cmp int) bool { return cmp > 0 },
+	"<=":  func(cmp int) bool { return cmp <= 0 },
+	"<":   func(cmp int) bool { return cmp < 0 },
+}
+
+// Satisfied reports whether v meets the constraint. An unknown Op is
+// never satisfied.
 func (c Constraint) Satisfied(v string) bool {
-	switch c.Op {
-	case "", "any":
-		return true
-	}
-	cmp := CompareVersions(v, c.Version)
-	switch c.Op {
-	case "==":
-		return cmp == 0
-	case ">=":
-		return cmp >= 0
-	case ">":
-		return cmp > 0
-	case "<=":
-		return cmp <= 0
-	case "<":
-		return cmp < 0
-	default:
-		return false
-	}
+	test, ok := versionOps[c.Op]
+	return ok && test(CompareVersions(v, c.Version))
 }
 
 // String renders the constraint.

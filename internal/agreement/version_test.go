@@ -1,6 +1,7 @@
 package agreement
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -125,6 +126,67 @@ func TestAgreementParseErrors(t *testing.T) {
 			t.Errorf("Parse accepted %q", c)
 		}
 	}
+}
+
+// TestParseRejectsSilentFailures: an operator typo that would otherwise
+// parse and quietly fail a whole column, or disable the staleness check,
+// is refused when the agreement is read.
+func TestParseRejectsSilentFailures(t *testing.T) {
+	cases := []struct {
+		name, xml string
+		ok        bool
+	}{
+		{"swapped op", `<serviceAgreement name="x"><package name="p" category="Grid" versionOp="=>" version="1"/></serviceAgreement>`, false},
+		{"single equals", `<serviceAgreement name="x"><package name="p" category="Grid" versionOp="=" version="1"/></serviceAgreement>`, false},
+		{"negative maxAge", `<serviceAgreement name="x" maxAge="-1h"/>`, false},
+		{"known op", `<serviceAgreement name="x"><package name="p" category="Grid" versionOp="&lt;=" version="1"/></serviceAgreement>`, true},
+		{"no op", `<serviceAgreement name="x"><package name="p" category="Grid"/></serviceAgreement>`, true},
+		{"any", `<serviceAgreement name="x"><package name="p" category="Grid" versionOp="any"/></serviceAgreement>`, true},
+		{"zero maxAge", `<serviceAgreement name="x" maxAge="0s"/>`, true},
+	}
+	for _, c := range cases {
+		if _, err := Parse([]byte(c.xml)); (err == nil) != c.ok {
+			t.Errorf("%s: Parse error = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+// FuzzParseAgreement: Parse never panics, what it accepts uses only
+// operators Constraint knows and a non-negative MaxAge, and an accepted
+// agreement survives Marshal and Parse unchanged.
+func FuzzParseAgreement(f *testing.F) {
+	tg, err := Marshal(TeraGrid())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tg)
+	f.Add([]byte(`<serviceAgreement name="x" vo="tg" maxAge="90m"><package name="p" category="Grid" versionOp="=>" version="1"/></serviceAgreement>`))
+	f.Add([]byte(`<serviceAgreement name="x" maxAge="-1s"><service name="s" category="Grid" crossSite="true"/><env name="E" value="v" category="Cluster"/><softenv key="@k" category="Development"/></serviceAgreement>`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ag, err := Parse(data)
+		if err != nil {
+			return
+		}
+		if ag.MaxAge < 0 {
+			t.Fatalf("accepted negative MaxAge %v", ag.MaxAge)
+		}
+		for _, p := range ag.Packages {
+			if _, ok := versionOps[p.Version.Op]; !ok {
+				t.Fatalf("accepted unknown op %q", p.Version.Op)
+			}
+		}
+		out, err := Marshal(ag)
+		if err != nil {
+			t.Fatalf("Marshal of an accepted agreement: %v", err)
+		}
+		back, err := Parse(out)
+		if err != nil {
+			t.Fatalf("re-Parse: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(ag, back) {
+			t.Fatalf("round trip changed the agreement:\n%+v\n%+v", ag, back)
+		}
+	})
 }
 
 func TestTeraGridAgreementShape(t *testing.T) {

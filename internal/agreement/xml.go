@@ -76,7 +76,9 @@ func Marshal(ag *Agreement) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Parse reads the XML form back.
+// Parse reads the XML form back. It rejects what would otherwise fail
+// silently: a versionOp Constraint does not know (every version would
+// fail it) and a negative maxAge (the staleness check would be off).
 func Parse(data []byte) (*Agreement, error) {
 	var x xmlAgreement
 	if err := xml.Unmarshal(data, &x); err != nil {
@@ -90,6 +92,9 @@ func Parse(data []byte) (*Agreement, error) {
 		d, err := time.ParseDuration(x.MaxAge)
 		if err != nil {
 			return nil, fmt.Errorf("agreement: bad maxAge %q: %w", x.MaxAge, err)
+		}
+		if d < 0 {
+			return nil, fmt.Errorf("agreement: negative maxAge %q", x.MaxAge)
 		}
 		ag.MaxAge = d
 	}
@@ -105,6 +110,9 @@ func Parse(data []byte) (*Agreement, error) {
 		c, err := cat(p.Category, p.Name)
 		if err != nil {
 			return nil, err
+		}
+		if _, ok := versionOps[p.Op]; !ok {
+			return nil, fmt.Errorf("agreement: unknown versionOp %q for %s", p.Op, p.Name)
 		}
 		ag.Packages = append(ag.Packages, PackageReq{
 			Name: p.Name, Category: c,

@@ -14,7 +14,7 @@ package branch
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -191,18 +191,19 @@ func (id ID) Parent() ID {
 }
 
 // Sort orders identifiers by their general-to-specific path, giving a stable
-// tree traversal order for cache serialization.
+// tree traversal order for cache serialization. It compares Pairs from the
+// most general (last) component down, so it allocates nothing.
 func Sort(ids []ID) {
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i].Path(), ids[j].Path()
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k].Name != b[k].Name {
-				return a[k].Name < b[k].Name
+	slices.SortFunc(ids, func(x, y ID) int {
+		a, b := x.Pairs, y.Pairs
+		for i, j := len(a)-1, len(b)-1; i >= 0 && j >= 0; i, j = i-1, j-1 {
+			if c := strings.Compare(a[i].Name, b[j].Name); c != 0 {
+				return c
 			}
-			if a[k].Value != b[k].Value {
-				return a[k].Value < b[k].Value
+			if c := strings.Compare(a[i].Value, b[j].Value); c != 0 {
+				return c
 			}
 		}
-		return len(a) < len(b)
+		return len(a) - len(b)
 	})
 }

@@ -1,6 +1,7 @@
 package branch
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -192,6 +193,22 @@ func TestSortOrdersByGeneralPath(t *testing.T) {
 	want := []string{"vo=tg", "site=a,vo=tg", "r=1,site=b,vo=tg", "r=2,site=b,vo=tg"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Sort = %v, want %v", got, want)
+	}
+}
+
+// TestSortAllocatesNothing: Sort compares Pairs in place, so ordering the
+// branches of a resource costs no garbage per verification cycle.
+func TestSortAllocatesNothing(t *testing.T) {
+	ids := make([]ID, 100)
+	for i := range ids {
+		ids[i] = MustParse(fmt.Sprintf("reporter=r%d,resource=h%d,site=s%d,vo=tg", i%7, i%13, i%3))
+	}
+	shuffled := make([]ID, len(ids))
+	if n := testing.AllocsPerRun(20, func() {
+		copy(shuffled, ids)
+		Sort(shuffled)
+	}); n != 0 {
+		t.Fatalf("Sort of %d IDs allocated %v times, want 0", len(ids), n)
 	}
 }
 

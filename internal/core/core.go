@@ -46,7 +46,9 @@ type Options struct {
 	Availability bool
 }
 
-// Deployment is one wired Inca instance over the simulated TeraGrid.
+// Deployment is one wired Inca instance over the simulated TeraGrid. Its
+// Evaluate and Snapshot verify the cache against the agreement with one
+// agreement.Incremental retained across cycles.
 type Deployment struct {
 	Opt        Options
 	Clock      *simtime.Sim
@@ -56,8 +58,9 @@ type Deployment struct {
 	Agents     []*agent.Agent
 	Agreement  *agreement.Agreement
 
-	// evaluator memoizes parsed reports across verification cycles.
-	evaluator *agreement.Evaluator
+	// evaluator is the agreement evaluator retained across verification
+	// cycles, so a cycle re-parses only the cached entries that changed.
+	evaluator *agreement.Incremental
 }
 
 // VOName is the branch component every deployment report files under.
@@ -322,14 +325,17 @@ func DriveAgents(clock *simtime.Sim, agents []*agent.Agent, target time.Time) {
 	}
 }
 
-// Evaluate runs agreement verification over the current cache, memoizing
-// parsed reports across calls (most cached entries are unchanged between
-// 10-minute snapshot cycles under hourly collection).
+// Evaluate runs agreement verification over the current cache: a Full
+// sweep of the deployment's retained Incremental, which reuses parsed
+// reports across calls (most cached entries are unchanged between
+// 10-minute snapshot cycles under hourly collection). The status equals
+// agreement.Evaluate's over the same cache.
 func (d *Deployment) Evaluate() (*agreement.VOStatus, error) {
 	if d.evaluator == nil {
-		d.evaluator = agreement.NewEvaluator(d.Agreement)
+		d.evaluator = agreement.NewIncremental(d.Agreement)
 	}
-	return d.evaluator.Evaluate(d.Depot.Cache(), d.Clock.Now())
+	status, _, err := d.evaluator.Full(d.Depot.Cache(), d.Clock.Now())
+	return status, err
 }
 
 // Snapshot evaluates and archives availability percentages (requires

@@ -48,7 +48,8 @@ type Cache interface {
 	// Query returns the serialized subtree rooted at the node id names
 	// (the whole cache for the root identifier) and whether it exists.
 	Query(id branch.ID) ([]byte, bool, error)
-	// Reports returns every stored report under the given prefix.
+	// Reports returns every stored report under the given prefix. Each
+	// Stored.XML is a new slice the caller owns.
 	Reports(prefix branch.ID) ([]Stored, error)
 	// Dump returns the entire cache document.
 	Dump() []byte
