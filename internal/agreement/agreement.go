@@ -216,13 +216,20 @@ func evaluateResource(ag *Agreement, res string, idx *indexed, all map[string]*i
 		}
 		return true, ""
 	}
+	// lookup finds a test's report by reporter-name suffix. When several
+	// reporters end the same way, the lexicographically smallest name
+	// wins, so the pick never depends on map order.
 	lookup := func(suffix string) (*report.Report, branch.ID, bool) {
-		for name, rep := range idx.reports {
-			if strings.HasSuffix(name, suffix) {
-				return rep, idx.branch[name], true
+		pick, found := "", false
+		for name := range idx.reports {
+			if strings.HasSuffix(name, suffix) && (!found || name < pick) {
+				pick, found = name, true
 			}
 		}
-		return nil, branch.ID{}, false
+		if !found {
+			return nil, branch.ID{}, false
+		}
+		return idx.reports[pick], idx.branch[pick], true
 	}
 
 	add := func(cat Category, test string, pass bool, detail string, b branch.ID) {

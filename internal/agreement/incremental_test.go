@@ -196,3 +196,44 @@ func TestIncrementalFullDetectsRemovals(t *testing.T) {
 		t.Fatalf("memo after removal: %d resources, %d r1 branches", len(inc.memo), len(inc.memo["r1"]))
 	}
 }
+
+// TestSuffixLookupIsDeterministic: two reporters on one resource end in
+// the same package suffix, one failing and one passing. The check reads
+// the lexicographically smallest, so Evaluate and Incremental.Update give
+// the same row on every run, whatever order the maps iterate in.
+func TestSuffixLookupIsDeterministic(t *testing.T) {
+	ag := &Agreement{Name: "mpi-agreement", VO: "tg", Packages: []PackageReq{
+		{Name: "mpi", Category: Development, Version: Constraint{Op: "any"}},
+	}}
+	row := func(status *VOStatus) TestResult {
+		t.Helper()
+		if len(status.Resources) != 1 || len(status.Resources[0].Results) != 1 {
+			t.Fatalf("status %+v, want one resource with one result", status)
+		}
+		return status.Resources[0].Results[0]
+	}
+	for run := 0; run < 50; run++ {
+		c := depot.NewIndexedCache()
+		fabricate(t, c, "r1", "sdsc", "b.version.mpi", versionBody("mpi", "1.2"))
+		inc := NewIncremental(ag)
+		if _, _, err := inc.Full(c, t0); err != nil {
+			t.Fatal(err)
+		}
+		a := reporterBranch("r1", "sdsc", "a.version.mpi")
+		fabricateAt(t, c, a, "r1", "a.version.mpi", failBody("mpi is broken"))
+		if _, err := inc.Update(c, []branch.ID{a}, t0); err != nil {
+			t.Fatal(err)
+		}
+		status, err := Evaluate(ag, c, t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, incremental := row(status), row(inc.Status())
+		if !reflect.DeepEqual(one, incremental) {
+			t.Fatalf("run %d: Evaluate %+v, Incremental.Update %+v", run, one, incremental)
+		}
+		if one.Pass || !one.Branch.Equal(a) {
+			t.Fatalf("run %d: row %+v, want a.version.mpi's failure", run, one)
+		}
+	}
+}

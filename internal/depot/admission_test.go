@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"inca/internal/branch"
 	"inca/internal/depot"
 	"inca/internal/experiments/ablation"
 	"inca/internal/metrics"
-	"inca/internal/report"
 	"inca/internal/xmlscan"
 )
 
@@ -36,7 +34,7 @@ func tokenisedEntry(reportXML []byte) ([]byte, error) {
 // time. The committed corpus has one input per exclusion of the accepted
 // set (DESIGN.md §5b).
 func FuzzCanonical(f *testing.F) {
-	f.Add(paddedReport(f, 851))
+	f.Add(depot.PaddedReport(f, 851))
 	f.Add([]byte(` <r a="1 &amp; 2&#xA;"><v>x &lt; y&#x9;&#xD;` + "\n" + `é</v></r>`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, ok := xmlscan.Canonical(data)
@@ -53,28 +51,6 @@ func FuzzCanonical(f *testing.F) {
 	})
 }
 
-// paddedReport marshals a report of exactly size bytes, as the benchmark of
-// record's generator does: every byte through the encoder, so canonical.
-func paddedReport(tb testing.TB, size int) []byte {
-	tb.Helper()
-	build := func(pad int) []byte {
-		r := report.New("bench.probe", "1.0", "bench.example.org", time.Date(2004, 7, 7, 0, 0, 0, 0, time.UTC))
-		r.Body = report.Branch("bench", "probe",
-			report.Branch("statistic", "sample", report.Leaf("seq", "00000042"), report.Leaf("units", "count")),
-			report.Leaf("pad", strings.Repeat("x", pad)))
-		data, err := report.Marshal(r)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return data
-	}
-	data := build(size - len(build(0)))
-	if len(data) != size {
-		tb.Fatalf("report is %d bytes, want %d", len(data), size)
-	}
-	return data
-}
-
 // mixedReports are inserts on both sides of the admission: the marshalled
 // report and hand-written canonical text take the byte-level path, every
 // other line is one exclusion of the accepted set and is tokenised. (No
@@ -83,7 +59,7 @@ func paddedReport(tb testing.TB, size int) []byte {
 // corpus has them.)
 func mixedReports(tb testing.TB) (fast, slow [][]byte) {
 	fast = [][]byte{
-		paddedReport(tb, 851),
+		depot.PaddedReport(tb, 851),
 		[]byte(`<r><v>1</v></r>`),
 		[]byte("\n  <r a=\"x&#xA;y\"><v>a &amp; b &lt; c &gt; d &#34;e&#39;\nf&#x9;g&#xD;</v></r>"),
 		[]byte(`<r><v>é ✓</v><w></w></r><s></s>tail`),
@@ -181,7 +157,7 @@ func benchmarkUpdate(b *testing.B, doc []byte) {
 // one admission scan and one copy.
 func BenchmarkUpdateCanonical(b *testing.B) {
 	for _, size := range []int{851, 45527} {
-		b.Run(fmt.Sprint(size), func(b *testing.B) { benchmarkUpdate(b, paddedReport(b, size)) })
+		b.Run(fmt.Sprint(size), func(b *testing.B) { benchmarkUpdate(b, depot.PaddedReport(b, size)) })
 	}
 }
 
@@ -191,7 +167,7 @@ func BenchmarkUpdateCanonical(b *testing.B) {
 func BenchmarkUpdateFallback(b *testing.B) {
 	for _, size := range []int{851, 45527} {
 		b.Run(fmt.Sprint(size), func(b *testing.B) {
-			doc := paddedReport(b, size-len("<e/>"))
+			doc := depot.PaddedReport(b, size-len("<e/>"))
 			at := bytes.Index(doc, []byte("<pad>"))
 			doc = append(doc[:at:at], append([]byte("<e/>"), doc[at:]...)...)
 			if _, ok := xmlscan.Canonical(doc); ok || len(doc) != size {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"inca/internal/branch"
+	"inca/internal/metrics"
 	"inca/internal/report"
 )
 
@@ -22,8 +23,8 @@ import (
 //   - The streaming extractor reads only the paths the matched policies
 //     name, once per distinct path.
 //
-// Depot.archive (depot.go) runs match → extract → Update inline, so a
-// sample is readable when Store returns.
+// Depot.storeApply (depot.go) runs match → insert and extract →
+// consolidate inline, so a sample is readable when Store returns.
 
 // compiledPolicy pairs a Policy with its pre-compiled extraction path.
 type compiledPolicy struct {
@@ -99,28 +100,24 @@ type extracted struct {
 	ok    bool
 }
 
-// archiveScratch is the scratch of one store's archive phase. Stores pool
+// archiveScratch is the scratch of one store's archive work. Stores pool
 // it, so archiving at ingest rate allocates only the archive keys.
 type archiveScratch struct {
 	paths []report.Path
 	slot  []int
 	out   []extracted
+	gmt   time.Time
 	ext   report.Extractor
 	key   []byte
 }
 
 var archiveScratchPool = sync.Pool{New: func() any { return new(archiveScratch) }}
 
-// extract pulls every policy-referenced value out of one report; the
-// streaming extractor reads only the requested paths. The values are the
-// scratch's own, valid until its next use. Returns ok=false when the
-// payload is not a report (cacheable, not archivable — skipped silently).
-func (sc *archiveScratch) extract(policies []*compiledPolicy, reportXML []byte) ([]extracted, time.Time, bool) {
-	sc.out = slices.Grow(sc.out[:0], len(policies))[:len(policies)]
-	clear(sc.out)
-	// Deduplicate paths across policies (several policies often archive the
-	// same leaf under different granularities) so each distinct path is
-	// matched once per scan.
+// plan collects the distinct paths the policies name into sc.paths, so
+// each is matched once per scan (several policies often archive the same
+// leaf under different granularities), and in sc.slot the index of each
+// policy's path, -1 for a path that never resolves.
+func (sc *archiveScratch) plan(policies []*compiledPolicy) {
 	sc.paths, sc.slot = sc.paths[:0], sc.slot[:0]
 	for _, cp := range policies {
 		if !cp.pathOK {
@@ -140,14 +137,34 @@ func (sc *archiveScratch) extract(policies []*compiledPolicy, reportXML []byte) 
 		}
 		sc.slot = append(sc.slot, found)
 	}
-	ex, err := sc.ext.ExtractValues(reportXML, sc.paths)
-	if err != nil {
-		return nil, time.Time{}, false
-	}
+}
+
+// collect sets sc.out and sc.gmt, policy by policy in plan's order, from
+// an extraction of sc.paths.
+func (sc *archiveScratch) collect(ex report.Extraction) {
+	sc.out = slices.Grow(sc.out[:0], len(sc.slot))[:len(sc.slot)]
+	clear(sc.out)
 	for i, slot := range sc.slot {
 		if slot >= 0 && ex.Found[slot] {
 			sc.out[i] = extracted{ex.Values[slot], true}
 		}
 	}
-	return sc.out, ex.GMT, true
+	sc.gmt = ex.GMT
+}
+
+// admit settles a report's cache payload, as EntryPayload does, and
+// extracts sc.paths from it. A canonical report costs one scan
+// (report.Extractor.Admit); any other is tokenised, counted in fallbacks,
+// and then read by ExtractValues. err is the admission's: the report
+// cannot be cached. exErr is the extraction's: it cannot be archived.
+func (sc *archiveScratch) admit(reportXML []byte, fallbacks *metrics.Counter) (payload []byte, ex report.Extraction, exErr, err error) {
+	payload, canonical, ex, exErr := sc.ext.Admit(reportXML, sc.paths)
+	if canonical {
+		return payload, ex, exErr, nil
+	}
+	if payload, err = tokenisedPayload(reportXML, fallbacks); err != nil {
+		return nil, report.Extraction{}, nil, err
+	}
+	ex, exErr = sc.ext.ExtractValues(reportXML, sc.paths)
+	return payload, ex, exErr, nil
 }

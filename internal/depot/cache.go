@@ -220,6 +220,11 @@ func EntryPayload(reportXML []byte, fallbacks *metrics.Counter) ([]byte, error) 
 	if payload, ok := xmlscan.Canonical(reportXML); ok {
 		return payload, nil
 	}
+	return tokenisedPayload(reportXML, fallbacks)
+}
+
+// tokenisedPayload is EntryPayload for a report xmlscan.Canonical refused.
+func tokenisedPayload(reportXML []byte, fallbacks *metrics.Counter) ([]byte, error) {
 	if fallbacks != nil {
 		fallbacks.Inc()
 	}

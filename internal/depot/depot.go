@@ -11,6 +11,7 @@ import (
 	"inca/internal/branch"
 	"inca/internal/envelope"
 	"inca/internal/metrics"
+	"inca/internal/report"
 	"inca/internal/rrd"
 )
 
@@ -39,8 +40,9 @@ type Policy struct {
 
 // Receipt describes the processing of one stored envelope: the paper's
 // response-time decomposition into envelope unpacking and cache processing
-// (Figure 9's two curves). Archive is the full extraction-and-consolidation
-// time.
+// (Figure 9's two curves). Insert covers policy matching, the cache insert
+// and the extraction the matched policies need, which share one scan of
+// the report; Archive is the consolidation into their archives.
 type Receipt struct {
 	Branch     branch.ID
 	ReportSize int
@@ -122,8 +124,8 @@ type Depot struct {
 	fallback *metrics.Counter
 
 	unpackH  *metrics.Histogram // envelope decode
-	insertH  *metrics.Histogram // cache update
-	archiveH *metrics.Histogram // match, extract and consolidate
+	insertH  *metrics.Histogram // match, cache update and extraction
+	archiveH *metrics.Histogram // consolidation
 }
 
 // New creates a depot over the given cache with default options. A nil
@@ -277,18 +279,31 @@ func (d *Depot) Store(id branch.ID, reportXML []byte) (Receipt, error) {
 }
 
 // storeApply is the store path past the write-ahead log (the WAL replay
-// entry point).
+// entry point): policy match, then the cache insert with the extraction
+// the matched policies need, then consolidation into their archives.
 func (d *Depot) storeApply(id branch.ID, reportXML []byte) (Receipt, error) {
 	t1 := time.Now()
+	var buf [8]*compiledPolicy
+	matching := d.policies.Load().match(buf[:0], id)
+	var sc *archiveScratch
+	if len(matching) > 0 {
+		sc = archiveScratchPool.Get().(*archiveScratch)
+		defer archiveScratchPool.Put(sc)
+	}
 	// Added comes straight from the cache update: deriving it from
 	// Count() before/after misreports under concurrent stores (two adds
 	// racing would both see the count rise by two).
-	added, err := d.cache.Update(id, reportXML)
+	added, extracted, err := d.insert(id, reportXML, matching, sc)
 	if err != nil {
 		return Receipt{}, err
 	}
 	t2 := time.Now()
-	d.archive(id, reportXML)
+	if len(matching) > 0 {
+		d.matched.Inc()
+		if extracted {
+			d.consolidate(id, matching, sc)
+		}
+	}
 	t3 := time.Now()
 	d.received.Inc()
 	d.bytes.Add(uint64(len(reportXML)))
@@ -305,34 +320,49 @@ func (d *Depot) storeApply(id branch.ID, reportXML []byte) (Receipt, error) {
 	}, nil
 }
 
-// archive consolidates the stored report into the archive of every
-// matching policy before store returns: a sample is readable as soon as its
-// store is acknowledged.
-func (d *Depot) archive(id branch.ID, reportXML []byte) {
-	var buf [8]*compiledPolicy
-	matching := d.policies.Load().match(buf[:0], id)
+// insert stores the report in the cache and, when policies match, leaves
+// in sc what they archive; extracted is false when the report is not one
+// (cacheable, not archivable — skipped silently). Into the IndexedCache a
+// report costs one scan, the admission with the extraction driven from it
+// (archiveScratch.admit); into any other cache, two: the cache's own
+// admission, then ExtractValues.
+func (d *Depot) insert(id branch.ID, reportXML []byte, matching []*compiledPolicy, sc *archiveScratch) (added, extracted bool, err error) {
 	if len(matching) == 0 {
-		return
+		added, err = d.cache.Update(id, reportXML)
+		return added, false, err
 	}
-	d.matched.Inc()
-	sc := archiveScratchPool.Get().(*archiveScratch)
-	defer archiveScratchPool.Put(sc)
-	values, gmt, ok := sc.extract(matching, reportXML)
-	if !ok {
-		// Non-report XML can be cached (unknown schemas are welcome) but
-		// cannot be archived; skip silently.
-		return
+	sc.plan(matching)
+	var ex report.Extraction
+	var exErr error
+	if ic, ok := d.cache.(*IndexedCache); ok {
+		var payload []byte
+		if payload, ex, exErr, err = sc.admit(reportXML, ic.fallbacks); err == nil {
+			added, err = ic.insert(id, payload)
+		}
+	} else if added, err = d.cache.Update(id, reportXML); err == nil {
+		ex, exErr = sc.ext.ExtractValues(reportXML, sc.paths)
 	}
+	if err != nil || exErr != nil {
+		return added, false, err
+	}
+	sc.collect(ex)
+	return added, true, nil
+}
+
+// consolidate applies the values sc holds for the matching policies to
+// their archives before store returns: a sample is readable as soon as its
+// store is acknowledged.
+func (d *Depot) consolidate(id branch.ID, matching []*compiledPolicy, sc *archiveScratch) {
 	for i, cp := range matching {
-		if !values[i].ok {
+		if !sc.out[i].ok {
 			continue
 		}
 		sc.key = append(append(id.Append(sc.key[:0]), '|'), cp.Name...)
-		db, release, err := d.archives.ensure(string(sc.key), cp, gmt)
+		db, release, err := d.archives.ensure(string(sc.key), cp, sc.gmt)
 		if err != nil {
 			continue
 		}
-		if err := db.Update(gmt, values[i].value); err == nil {
+		if err := db.Update(sc.gmt, sc.out[i].value); err == nil {
 			// Out-of-order or duplicate timestamps are dropped, as RRDTool
 			// drops them; only applied samples advance the generation.
 			d.applied.Inc()

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"inca/internal/branch"
+	"inca/internal/report"
 )
 
 // Test helpers, shared under their exported names with the external test
@@ -16,6 +19,7 @@ var (
 	ReportXMLFor = reportXMLFor
 	MustUpdate   = mustUpdate
 	ReportsEqual = reportsEqual
+	PaddedReport = paddedReport
 )
 
 func reportXMLFor(tag, text string) []byte {
@@ -42,4 +46,26 @@ func reportsEqual(a, b []Stored) bool {
 	sort.Strings(ka)
 	sort.Strings(kb)
 	return reflect.DeepEqual(ka, kb)
+}
+
+// paddedReport marshals a report of exactly size bytes, as the benchmark of
+// record's generator does: every byte through the encoder, so canonical.
+func paddedReport(tb testing.TB, size int) []byte {
+	tb.Helper()
+	build := func(pad int) []byte {
+		r := report.New("bench.probe", "1.0", "bench.example.org", time.Date(2004, 7, 7, 0, 0, 0, 0, time.UTC))
+		r.Body = report.Branch("bench", "probe",
+			report.Branch("statistic", "sample", report.Leaf("seq", "00000042"), report.Leaf("units", "count")),
+			report.Leaf("pad", strings.Repeat("x", pad)))
+		data, err := report.Marshal(r)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return data
+	}
+	data := build(size - len(build(0)))
+	if len(data) != size {
+		tb.Fatalf("report is %d bytes, want %d", len(data), size)
+	}
+	return data
 }

@@ -149,12 +149,19 @@ func (n *idxNode) child(p branch.Pair, create bool) (*idxNode, bool, error) {
 // Update implements Cache: O(report) — no document splice. The canonical
 // payload is settled up front so a malformed report never mutates the
 // index; for a report already canonical that is one scan, and the copy
-// onto the trie below is the only time its bytes are touched.
+// onto the trie in insert is the only other time its bytes are touched.
 func (c *IndexedCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 	payload, err := EntryPayload(reportXML, c.fallbacks)
 	if err != nil {
 		return false, err
 	}
+	return c.insert(id, payload)
+}
+
+// insert hangs an admitted payload — what EntryPayload returns for the
+// report — at id. The depot's store path admits reports itself, in the
+// same scan as its archive extraction.
+func (c *IndexedCache) insert(id branch.ID, payload []byte) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// The nodes from the root down to the entry, and which of them this

@@ -70,13 +70,14 @@ type Event struct {
 	// policy name for KindPolicy/KindManual, a status-delta JSON
 	// document for KindStatus.
 	Data []byte
-	// Render, when set, produces Data instead: the hub calls it at most
-	// once, under its lock, and only if some subscriber wants the event —
-	// a publisher nobody listens to never pays for the payload. It may
-	// read buffers that are only valid until Publish returns.
-	Render func() []byte
-	// Cursor is the event's position in the stream. Publish assigns it;
-	// PublishExternal requires the caller to (federated composition).
+	// Render, when set, produces the shared payload from the event as
+	// published, Data still the publisher's buffer: the hub calls it at
+	// most once, under its lock, and only if some subscriber wants the
+	// event — a publisher nobody listens to never pays for the payload.
+	Render func(Event) []byte
+	// Cursor is the event's position in the stream. Publish assigns it
+	// when some subscriber wants the event; PublishExternal requires the
+	// caller to (federated composition).
 	Cursor string
 
 	seq uint64
@@ -104,9 +105,12 @@ type Options struct {
 
 // Hub fans events out to subscribers.
 type Hub struct {
-	mu         sync.Mutex
-	last       uint64
+	mu   sync.Mutex
+	last uint64
+	// lastCursor is the newest cursor. While stale it is render(last),
+	// rendered only when something reads it.
 	lastCursor string
+	stale      bool
 	epoch      string
 	queueLimit int
 	source     func() uint64
@@ -120,7 +124,7 @@ type Hub struct {
 	fanoutH   *metrics.Histogram
 }
 
-// NewHub creates a hub. The initial cursor is rendered from CursorSource
+// NewHub creates a hub. The initial cursor is stamped from CursorSource
 // so a subscriber connecting before any publish still gets a comparable
 // position.
 func NewHub(opts Options) *Hub {
@@ -138,11 +142,11 @@ func NewHub(opts Options) *Hub {
 		queueLimit: opts.QueueLimit,
 		source:     opts.CursorSource,
 		subs:       make(map[*Subscriber]struct{}),
+		stale:      true,
 	}
 	if h.source != nil {
 		h.last = h.source()
 	}
-	h.lastCursor = h.render(h.last)
 	reg := opts.Metrics
 	h.published = reg.Counter("inca_feed_events_published_total", "Events published into the feed hub.", "feed", opts.Name)
 	h.coalesced = reg.Counter("inca_feed_events_coalesced_total", "Queued events superseded by a newer event for the same key.", "feed", opts.Name)
@@ -159,15 +163,25 @@ func (h *Hub) render(stamp uint64) string {
 	return "f" + h.epoch + "-g" + strconv.FormatUint(stamp, 10)
 }
 
+// cursorLocked returns the newest cursor, rendering it if a Publish
+// advanced the stamp since it was last read; callers hold h.mu.
+func (h *Hub) cursorLocked() string {
+	if h.stale {
+		h.lastCursor, h.stale = h.render(h.last), false
+	}
+	return h.lastCursor
+}
+
 // Publish stamps the event with the next cursor and offers it to every
 // matching subscriber. Data is copied (or rendered) once, shared read-only,
 // when anyone is listening, so callers may reuse their buffer after Publish
-// returns.
-func (h *Hub) Publish(e Event) string {
+// returns. With nobody listening it only advances the stamp: no
+// allocation, no clock read.
+func (h *Hub) Publish(e Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		return h.lastCursor
+		return
 	}
 	stamp := h.last + 1
 	if h.source != nil {
@@ -175,12 +189,9 @@ func (h *Hub) Publish(e Event) string {
 			stamp = g
 		}
 	}
-	h.last = stamp
+	h.last, h.stale = stamp, true
 	e.seq = stamp
-	e.Cursor = h.render(stamp)
-	h.lastCursor = e.Cursor
 	h.offerLocked(e, false)
-	return e.Cursor
 }
 
 // PublishExternal publishes an event whose cursor is owned by the caller
@@ -195,7 +206,7 @@ func (h *Hub) PublishExternal(e Event) {
 	}
 	h.last++
 	e.seq = h.last
-	h.lastCursor = e.Cursor
+	h.lastCursor, h.stale = e.Cursor, false
 	h.offerLocked(e, true)
 }
 
@@ -203,26 +214,30 @@ func (h *Hub) PublishExternal(e Event) {
 // snapshot resync: subscribers are force-resynced separately).
 func (h *Hub) SetCursor(c string) {
 	h.mu.Lock()
-	h.lastCursor = c
+	h.lastCursor, h.stale = c, false
 	h.mu.Unlock()
 }
 
-// offerLocked queues e for every subscriber that wants it. The payload and
-// the coalescing key are settled once, at the first such subscriber, and
-// shared by the rest; owned says e.Data is already the hub's to share.
-func (h *Hub) offerLocked(e Event, owned bool) {
+// offerLocked queues e for every subscriber that wants it. The payload,
+// the cursor, the coalescing key and the publish time are settled once, at
+// the first such subscriber, and shared by the rest; external says e came
+// from PublishExternal: its Data is the hub's to share and its Cursor set.
+func (h *Hub) offerLocked(e Event, external bool) {
 	h.published.Inc()
-	e.at = time.Now()
 	key := "" // set with the payload, at the first subscriber that wants e
 	for s := range h.subs {
 		if !s.wants(e) {
 			continue
 		}
 		if key == "" {
+			e.at = time.Now()
 			if e.Render != nil {
-				e.Data, e.Render = e.Render(), nil
-			} else if !owned && e.Data != nil {
+				e.Data, e.Render = e.Render(e), nil
+			} else if !external && e.Data != nil {
 				e.Data = append([]byte(nil), e.Data...)
+			}
+			if !external {
+				e.Cursor = h.cursorLocked() // e is the newest event
 			}
 			key = coalesceKey(e)
 		}
@@ -256,20 +271,21 @@ func (h *Hub) Subscribe(prefix branch.ID, cursor string) (sub *Subscriber, needS
 		wake:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
+	current = h.cursorLocked()
 	if h.closed {
 		close(sub.done)
 		sub.closed = true
-		return sub, false, h.lastCursor
+		return sub, false, current
 	}
 	h.subs[sub] = struct{}{}
-	return sub, cursor != h.lastCursor, h.lastCursor
+	return sub, cursor != current, current
 }
 
 // LastCursor returns the hub's newest cursor.
 func (h *Hub) LastCursor() string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.lastCursor
+	return h.cursorLocked()
 }
 
 // SubscriberCount returns the number of attached subscribers.
@@ -435,7 +451,7 @@ func (s *Subscriber) Resync() string {
 	s.queue = nil
 	clear(s.index)
 	s.mu.Unlock()
-	return s.hub.lastCursor
+	return s.hub.cursorLocked()
 }
 
 // Close detaches the subscriber.

@@ -152,10 +152,13 @@ func TestCursorsStrictlyIncreaseAndFloorOnSource(t *testing.T) {
 	defer sub.Close()
 	id := mustParse(t, "host=a.example.org,site=sdsc")
 
-	c1 := h.Publish(Event{Branch: id, Kind: KindReport, Key: "1"})
+	h.Publish(Event{Branch: id, Kind: KindReport, Key: "1"})
+	c1 := h.LastCursor()
 	gen.Store(100)
-	c2 := h.Publish(Event{Branch: id, Kind: KindReport, Key: "2"})
-	c3 := h.Publish(Event{Branch: id, Kind: KindReport, Key: "3"})
+	h.Publish(Event{Branch: id, Kind: KindReport, Key: "2"})
+	c2 := h.LastCursor()
+	h.Publish(Event{Branch: id, Kind: KindReport, Key: "3"})
+	c3 := h.LastCursor()
 	if c1 != "fe-g1" || c2 != "fe-g100" || c3 != "fe-g101" {
 		t.Fatalf("cursor sequence wrong: %q %q %q", c1, c2, c3)
 	}
@@ -198,7 +201,7 @@ func TestPublishRendersOnDemand(t *testing.T) {
 	h := NewHub(Options{})
 	res := mustParse(t, "host=a.example.org,site=sdsc")
 	renders := 0
-	event := Event{Branch: res, Kind: KindReport, Render: func() []byte {
+	event := Event{Branch: res, Kind: KindReport, Render: func(Event) []byte {
 		renders++
 		return []byte("rendered")
 	}}

@@ -124,7 +124,12 @@ var jsonEscapeLen = func() (t [utf8.RuneSelf]uint8) {
 // U+2029 — takes 6 bytes, and every other rune its own length.
 func jsonQuotedLen[T string | []byte](s T) int {
 	n := 2
-	for i := 0; i < len(s); {
+	for i := 0; ; {
+		j := jsonPlainRun(s, i)
+		n += j - i
+		if i = j; i == len(s) {
+			return n
+		}
 		if b := s[i]; b < utf8.RuneSelf {
 			n += int(jsonEscapeLen[b])
 			i++
@@ -138,23 +143,25 @@ func jsonQuotedLen[T string | []byte](s T) int {
 		}
 		i += size
 	}
-	return n
 }
 
 // putJSONString writes s quoted as json.Marshal quotes a string into the
-// first jsonQuotedLen(s) bytes of out, and returns that length.
+// first jsonQuotedLen(s) bytes of out, and returns that length. Each run
+// of bytes json.Marshal copies as they are is one copy.
 func putJSONString[T string | []byte](out []byte, s T) int {
 	const hex = "0123456789abcdef"
 	out[0] = '"'
 	w := 1
-	for i := 0; i < len(s); {
+	for i := 0; ; {
+		j := jsonPlainRun(s, i)
+		w += copy(out[w:], s[i:j])
+		if i = j; i == len(s) {
+			break
+		}
 		b := s[i]
 		if b < utf8.RuneSelf {
 			e := int(jsonEscapeLen[b])
-			switch e {
-			case 1:
-				out[w] = b
-			case 2:
+			if e == 2 {
 				out[w] = '\\'
 				switch b {
 				case '\b':
@@ -169,7 +176,7 @@ func putJSONString[T string | []byte](out []byte, s T) int {
 					b = 't'
 				}
 				out[w+1] = b
-			default:
+			} else {
 				copy(out[w:], `\u00`)
 				out[w+4] = hex[b>>4]
 				out[w+5] = hex[b&0xF]
@@ -195,11 +202,39 @@ func putJSONString[T string | []byte](out []byte, s T) int {
 	return w + 1
 }
 
+// jsonPlainRun returns the end of the run of bytes from s[i] on that
+// json.Marshal copies as they are (jsonEscapeLen 1), eight at a time while
+// it can: subtracting 0x20 from every byte sets some byte's top bit exactly
+// when a byte is below 0x20, a byte at or above 0x80 has its own top bit
+// set, and with every top bit clear x-ones sets one exactly when some byte
+// of x is zero — so a zero byte of w^(c*ones) is a byte equal to c. '<'
+// (0x3C) and '>' (0x3E) differ only in bit 1: setting it tests both.
+func jsonPlainRun[T string | []byte](s T, i int) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for ; i+8 <= len(s); i += 8 {
+		b := s[i : i+8]
+		w := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+		bad := (w - 0x20*ones) | w |
+			((w ^ '"'*ones) - ones) |
+			((w ^ '\\'*ones) - ones) |
+			((w ^ '&'*ones) - ones) |
+			(((w | 2*ones) ^ '>'*ones) - ones)
+		if bad&highs != 0 {
+			break
+		}
+	}
+	for i < len(s) && s[i] < utf8.RuneSelf && jsonEscapeLen[s[i]] == 1 {
+		i++
+	}
+	return i
+}
+
 // publish is the depot's post-commit hook. It runs on every store, so the
 // JSON body is left to the hub to render at the first subscriber that
 // wants the event: with nobody listening a commit costs a cursor stamp.
 func (f *Feed) publish(c depot.Change) {
-	ev := feed.Event{Branch: c.Branch}
+	ev := feed.Event{Branch: c.Branch, Data: c.Report, Render: renderEvent}
 	switch c.Kind {
 	case depot.ChangeReport:
 		ev.Kind = feed.KindReport
@@ -212,11 +247,13 @@ func (f *Feed) publish(c depot.Change) {
 		ev.Kind = feed.KindManual
 		ev.Key = c.Branch.String() + "|" + string(c.Report)
 	}
-	kind := ev.Kind
-	ev.Render = func() []byte {
-		return renderChange(c.Branch.String(), kind.String(), c.Kind == depot.ChangeReport, c.Report)
-	}
 	f.hub.Publish(ev)
+}
+
+// renderEvent is publish's Render: the change event's JSON body from the
+// event as published, its Data the report (or the policy name).
+func renderEvent(e feed.Event) []byte {
+	return renderChange(e.Branch.String(), e.Kind.String(), e.Kind == feed.KindReport, e.Data)
 }
 
 // snapshot renders the catch-up body for a change-stream subscriber: the

@@ -287,3 +287,29 @@ func TestFeedUnsupportedFallsBack(t *testing.T) {
 		t.Fatalf("err = %v, want ErrFeedUnsupported", err)
 	}
 }
+
+// TestIdleFeedCostsNothing: with no subscriber attached, a store into a
+// depot with a change feed allocates exactly as often as one into a depot
+// without: the hub stamps the commit and renders neither the cursor nor the
+// payload.
+func TestIdleFeedCostsNothing(t *testing.T) {
+	id := branch.MustParse("host=a.example.org,site=sdsc")
+	rep := []byte(`<r><v>1</v></r>`)
+	allocs := func(d *depot.Depot) float64 {
+		if _, err := d.Store(id, rep); err != nil { // the entry's trie nodes
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(200, func() {
+			if _, err := d.Store(id, rep); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	bare := allocs(depot.New(nil))
+	d := depot.New(nil)
+	f := NewFeed(d, FeedOptions{})
+	defer f.Close()
+	if fed := allocs(d); fed != bare {
+		t.Fatalf("a store allocates %v times with an idle feed attached, %v without", fed, bare)
+	}
+}

@@ -8,9 +8,11 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"inca/internal/branch"
 	"inca/internal/feed"
+	"inca/internal/report"
 )
 
 // raceDetector is set by race_test.go in a -race build.
@@ -47,6 +49,33 @@ func FuzzChangeEvent(f *testing.F) {
 			t.Fatalf("renderChange differs from json.Marshal\n got %q\nwant %q", got, want)
 		}
 	})
+}
+
+// BenchmarkRenderChange is a shard's per-change cost with a subscriber
+// attached: the JSON body of a stored report of the paper's smallest and
+// largest sizes.
+func BenchmarkRenderChange(b *testing.B) {
+	for _, size := range []int{851, 45527} {
+		build := func(pad int) []byte {
+			r := report.New("bench.probe", "1.0", "bench.example.org", time.Date(2004, 7, 7, 0, 0, 0, 0, time.UTC))
+			r.Body = report.Branch("bench", "probe",
+				report.Branch("statistic", "sample", report.Leaf("seq", "00000042"), report.Leaf("units", "count")),
+				report.Leaf("pad", strings.Repeat("x", pad)))
+			data, err := report.Marshal(r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return data
+		}
+		data := build(size - len(build(0)))
+		b.Run(fmt.Sprint(len(data)), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for b.Loop() {
+				renderChange("probe=p1,site=s,vo=x", "report", true, data)
+			}
+		})
+	}
 }
 
 // FuzzUpstreamEvent: whatever scanChange accepts, json.Unmarshal accepts

@@ -23,6 +23,11 @@ import (
 // tag), and stops as soon as every requested value is resolved — so
 // archive-side cost is proportional to the extracted paths, not to the
 // report size.
+//
+// On the depot's store path the same walk runs inside the cache's
+// admission scan instead (Admit, admit.go), so a canonical report is read
+// once. ExtractValues is the fallback for every other report and the
+// oracle Admit is held to (FuzzAdmit in internal/depot).
 
 // Path is a compiled Inca path expression (see Node.Find for the
 // semantics). The zero-value path — compiled from the empty string — is
@@ -108,6 +113,12 @@ func (s *pathState) resolved() bool { return s.dead || s.found }
 var errScanDone = errors.New("report: extraction complete")
 
 var (
+	errMissingHeader = errors.New("report: missing header")
+	errMissingFooter = errors.New("report: missing footer")
+	errMultiRoot     = errors.New("report: body has multiple roots")
+)
+
+var (
 	bodyCloseTag = []byte("</body>")
 	cdataOpen    = []byte("<![CDATA[")
 	commentOpen  = []byte("<!--")
@@ -146,12 +157,13 @@ func ExtractValues(data []byte, paths []Path) (Extraction, error) {
 	return new(Extractor).ExtractValues(data, paths)
 }
 
-// Extractor runs ExtractValues scans and keeps their scratch for the next
-// one: the path states, the text buffers and the result slices. A depot
-// archiving at ingest rate pools Extractors, so a steady stream of scans
-// allocates nothing. An Extractor is not safe for concurrent use.
+// Extractor runs ExtractValues and Admit scans and keeps their scratch for
+// the next one: the path states, the text buffers and the result slices. A
+// depot archiving at ingest rate pools Extractors, so a steady stream of
+// scans allocates nothing. An Extractor is not safe for concurrent use.
 type Extractor struct {
 	x      extractor
+	a      admitter
 	values []float64
 	found  []bool
 }
@@ -159,21 +171,8 @@ type Extractor struct {
 // ExtractValues is the package function of that name on e's scratch. The
 // Extraction's Values and Found are e's own, valid until its next scan.
 func (e *Extractor) ExtractValues(data []byte, paths []Path) (Extraction, error) {
-	e.values = slices.Grow(e.values[:0], len(paths))[:len(paths)]
-	e.found = slices.Grow(e.found[:0], len(paths))[:len(paths)]
-	clear(e.values)
-	clear(e.found)
-	ex := Extraction{Values: e.values, Found: e.found}
-	needFooter := false
+	ex, needFooter := e.reset(paths)
 	x := &e.x
-	x.states, x.abort, x.text = x.states[:0], false, x.text[:0]
-	for _, p := range paths {
-		if p.success {
-			needFooter = true
-			continue
-		}
-		x.states = append(x.states, pathState{comps: p.comps})
-	}
 
 	// In a document free of CDATA sections and comments — every report this
 	// package writes, and anything a conforming producer emits — a "<" in
@@ -205,23 +204,9 @@ func (e *Extractor) ExtractValues(data []byte, paths []Path) (Extraction, error)
 	sawHeader, sawFooter := false, false
 	finish := func() (Extraction, error) {
 		if !sawHeader {
-			return ex, fmt.Errorf("report: missing header")
+			return ex, errMissingHeader
 		}
-		j := 0
-		for i, p := range paths {
-			if p.success {
-				if ex.Completed {
-					ex.Values[i] = 1
-				}
-				ex.Found[i] = true
-				continue
-			}
-			if st := &x.states[j]; st.found && st.ok {
-				ex.Values[i] = st.value
-				ex.Found[i] = true
-			}
-			j++
-		}
+		x.results(&ex, paths)
 		return ex, nil
 	}
 	for {
@@ -273,10 +258,50 @@ func (e *Extractor) ExtractValues(data []byte, paths []Path) (Extraction, error)
 			}
 		case xmlscan.EndElement:
 			if needFooter && !sawFooter {
-				return ex, fmt.Errorf("report: missing footer")
+				return ex, errMissingFooter
 			}
 			return finish()
 		}
+	}
+}
+
+// reset readies e for a scan of paths: the result slices sized and
+// cleared, one state per value path. needFooter reports whether one of
+// the paths is the success path.
+func (e *Extractor) reset(paths []Path) (ex Extraction, needFooter bool) {
+	e.values = slices.Grow(e.values[:0], len(paths))[:len(paths)]
+	e.found = slices.Grow(e.found[:0], len(paths))[:len(paths)]
+	clear(e.values)
+	clear(e.found)
+	x := &e.x
+	x.states, x.abort, x.text = x.states[:0], false, x.text[:0]
+	for _, p := range paths {
+		if p.success {
+			needFooter = true
+			continue
+		}
+		x.states = append(x.states, pathState{comps: p.comps})
+	}
+	return Extraction{Values: e.values, Found: e.found}, needFooter
+}
+
+// results fills ex's Values and Found from the settled states and the
+// footer flag, as a scan that saw the header ends.
+func (x *extractor) results(ex *Extraction, paths []Path) {
+	j := 0
+	for i, p := range paths {
+		if p.success {
+			if ex.Completed {
+				ex.Values[i] = 1
+			}
+			ex.Found[i] = true
+			continue
+		}
+		if st := &x.states[j]; st.found && st.ok {
+			ex.Values[i] = st.value
+			ex.Found[i] = true
+		}
+		j++
 	}
 }
 
@@ -303,15 +328,22 @@ func (x *extractor) headerGMT(gmt *time.Time) error {
 			if x.id, err = x.cur.Text(x.id[:0]); err != nil {
 				return err
 			}
-			ts, err := time.Parse(gmtLayout, string(bytes.TrimSpace(x.id)))
-			if err != nil {
-				return fmt.Errorf("report: bad gmt %q: %w", x.id, err)
+			if *gmt, err = parseGMT(x.id); err != nil {
+				return err
 			}
-			*gmt = ts
 		case xmlscan.EndElement:
 			return nil
 		}
 	}
+}
+
+// parseGMT reads the text of the header's <gmt> as Parse does.
+func parseGMT(text []byte) (time.Time, error) {
+	ts, err := time.Parse(gmtLayout, string(bytes.TrimSpace(text)))
+	if err != nil {
+		return time.Time{}, fmt.Errorf("report: bad gmt %q: %w", text, err)
+	}
+	return ts, nil
 }
 
 // footerCompleted reads the footer as parseFooter does — <completed> and
@@ -365,7 +397,7 @@ func (x *extractor) body() error {
 			if sawRoot {
 				// Parse rejects multi-rooted bodies; so do we, so the
 				// archive path skips exactly the documents Parse skips.
-				return fmt.Errorf("report: body has multiple roots")
+				return errMultiRoot
 			}
 			sawRoot = true
 			if err := x.element(tok.Name, 0); err != nil {

@@ -2,6 +2,7 @@ package xmlscan
 
 import (
 	"bytes"
+	"encoding/binary"
 	"unicode/utf8"
 )
 
@@ -70,6 +71,22 @@ var xmlnsName = []byte("xmlns")
 // differently, so a document holding any is not canonical. One pass, no
 // allocation for documents nested at most 16 deep.
 func Canonical(doc []byte) (payload []byte, ok bool) {
+	return CanonicalVisit(doc, nil)
+}
+
+// A Visitor is shown the tokens CanonicalVisit reads.
+type Visitor interface {
+	// Visit receives the next token and reports whether it wants the
+	// rest; once it returns false it is not called again.
+	Visit(Token) bool
+}
+
+// CanonicalVisit is Canonical that also hands v, as it goes, the tokens a
+// Cursor would return for the part of doc scanned so far: start tags, end
+// tags, and each run of character data after the first tag (attributes
+// are not reported). When doc turns out not to be canonical, v has seen a
+// prefix of it and the scan stops. A nil v is Canonical.
+func CanonicalVisit(doc []byte, v Visitor) (payload []byte, ok bool) {
 	i := 0
 	for i < len(doc) && isSpace(doc[i]) {
 		i++
@@ -82,9 +99,14 @@ func Canonical(doc []byte) (payload []byte, ok bool) {
 	open := buf[:0] // names of the open elements, innermost last
 	for i < len(doc) {
 		if doc[i] != '<' {
-			if i = canonicalChars(doc, i, false); i < 0 {
+			end := canonicalChars(doc, i, false)
+			if end < 0 {
 				return nil, false
 			}
+			if v != nil && !v.Visit(Token{Kind: CharData, raw: doc[i:end]}) {
+				v = nil
+			}
+			i = end
 			continue
 		}
 		i++
@@ -96,6 +118,9 @@ func Canonical(doc []byte) (payload []byte, ok bool) {
 			i += 1 + len(open[top])
 			if i >= len(doc) || doc[i] != '>' {
 				return nil, false
+			}
+			if v != nil && !v.Visit(Token{Kind: EndElement, Name: open[top]}) {
+				v = nil
 			}
 			open = open[:top]
 			i++
@@ -126,6 +151,9 @@ func Canonical(doc []byte) (payload []byte, ok bool) {
 				return nil, false
 			}
 		}
+		if v != nil && !v.Visit(Token{Kind: StartElement, Name: open[len(open)-1]}) {
+			v = nil
+		}
 	}
 	return doc[start:], len(open) == 0
 }
@@ -146,10 +174,20 @@ func canonicalName(doc []byte, i int) int {
 // exist). It returns the offset of that terminator, or -1 when the run
 // holds anything the round trip would change or refuse.
 func canonicalChars(doc []byte, i int, attr bool) int {
-	for i < len(doc) {
-		switch charClass[doc[i]] {
-		case cPlain:
+	for {
+		for i+8 <= len(doc) && plainWord(binary.LittleEndian.Uint64(doc[i:])) {
+			i += 8
+		}
+		for i < len(doc) && charClass[doc[i]] == cPlain {
 			i++
+		}
+		if i == len(doc) {
+			if attr {
+				return -1
+			}
+			return i
+		}
+		switch charClass[doc[i]] {
 		case cLT:
 			if attr {
 				return -1
@@ -183,10 +221,23 @@ func canonicalChars(doc []byte, i int, attr bool) int {
 			return -1
 		}
 	}
-	if attr {
-		return -1
-	}
-	return i
+}
+
+// plainWord reports whether the eight bytes packed little-endian in w are
+// all cPlain: 0x20–0x7F and none of < " & ' >. Subtracting 0x20 from every
+// byte sets some byte's top bit exactly when a byte is below 0x20, and a
+// byte at or above 0x80 has its own top bit set. With every top bit clear,
+// x-ones sets one exactly when some byte of x is zero, so a zero byte of
+// w^(c*ones) is a byte equal to c. '&' (0x26) and the apostrophe (0x27)
+// differ only in bit 0, '<' (0x3C) and '>' (0x3E) only in bit 1: setting
+// that bit first tests each pair at once.
+func plainWord(w uint64) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	bad := (w - 0x20*ones) | w |
+		(((w | ones) ^ 0x27*ones) - ones) |
+		(((w | 2*ones) ^ 0x3E*ones) - ones) |
+		((w ^ 0x22*ones) - ones)
+	return bad&highs == 0
 }
 
 // canonicalRef returns the length of the encoder-written reference that s

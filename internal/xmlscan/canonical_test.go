@@ -3,6 +3,7 @@ package xmlscan
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // The differential check against the round trip itself is FuzzCanonical in
@@ -50,5 +51,76 @@ func TestCanonicalDoesNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Canonical allocates %v times per call", n)
+	}
+}
+
+// canonicalCharsBytewise is canonicalChars without the eight-byte stride:
+// the per-byte loop the stride must agree with.
+func canonicalCharsBytewise(doc []byte, i int, attr bool) int {
+	for i < len(doc) {
+		switch charClass[doc[i]] {
+		case cPlain:
+			i++
+		case cLT:
+			if attr {
+				return -1
+			}
+			return i
+		case cQuote:
+			if !attr {
+				return -1
+			}
+			return i
+		case cNL:
+			if attr {
+				return -1
+			}
+			i++
+		case cAmp:
+			n := canonicalRef(doc[i+1:], attr)
+			if n == 0 {
+				return -1
+			}
+			i += 1 + n
+		case cMulti:
+			r, size := utf8.DecodeRune(doc[i:])
+			if size == 1 || r == 0xFFFE || r == 0xFFFF {
+				return -1
+			}
+			i += size
+		default:
+			return -1
+		}
+	}
+	if attr {
+		return -1
+	}
+	return i
+}
+
+// TestCanonicalCharsStride puts each byte that ends a plain run at every
+// offset of the first two words of a 24-byte run, in character data and in
+// an attribute value, and holds the stride to the per-byte loop: the same
+// terminator offset or refusal, and the same verdict on the document.
+func TestCanonicalCharsStride(t *testing.T) {
+	for _, special := range []string{"<", `"`, "&", "'", ">", "\n", "\t", "\x01", "\x80", "é", "\xff"} {
+		for off := 0; off < 16; off++ {
+			run := []byte(strings.Repeat("x", 24))
+			run = append(run[:off:off], append([]byte(special), run[off+len(special):]...)...)
+			for _, doc := range []string{"<a>" + string(run) + "</a>", `<a b="` + string(run) + `"></a>`} {
+				attr := doc[2] == ' '
+				start := strings.IndexAny(doc, `>"`) + 1
+				got := canonicalChars([]byte(doc), start, attr)
+				want := canonicalCharsBytewise([]byte(doc), start, attr)
+				if got != want {
+					t.Errorf("canonicalChars(%q, %d, %v) = %d, per-byte loop %d", doc, start, attr, got, want)
+				}
+				// The verdict the per-byte loop gives the whole document.
+				wantOK := want >= 0 && doc[want:] == map[bool]string{false: "</a>", true: `"></a>`}[attr]
+				if _, ok := Canonical([]byte(doc)); ok != wantOK {
+					t.Errorf("Canonical(%q) = %v, per-byte loop %v", doc, ok, wantOK)
+				}
+			}
+		}
 	}
 }

@@ -9,8 +9,10 @@
 // lets readers walk a document with bytes.IndexByte instead of a
 // general-purpose tokenizer — the streaming discipline of the paper's SAX
 // cache (§5.2.1) minus the parser's per-token cost. The depot admits
-// reports, splices and collects with it; the archive extracts values with
-// its Cursor; the federation tier splits shard documents with it.
+// reports, splices and collects with it; the archive extracts values from
+// the tokens the admission scan hands it (CanonicalVisit), or with its
+// Cursor when a report is not canonical; the federation tier splits shard
+// documents with it.
 //
 // The scanner checks structure, not content: tags must terminate, close
 // tags must match their open tag by name, and comments, PIs, CDATA and
