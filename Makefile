@@ -53,12 +53,14 @@ test:
 
 # Fault-injection suite (DESIGN.md §5d): chaos-proxy tests proving zero
 # report loss across resets, stalled acks, and controller restarts, plus
-# the custody tests of the spool and the wire sink (an agent restart, a
-# shed while a chunk is in flight) and of the batch client (Enqueue
-# refuses at its backlog and never sheds; CloseHarvest returns everything
-# undelivered), all under the race detector.
+# the custody tests of the spool and the wire sink (an agent restart, an
+# agent kill, a shed while a chunk is in flight), of the journal under the
+# spool and the depot WAL (torn tails, mid-sequence damage, rewrite) and
+# of the batch client (Enqueue refuses at its backlog and never sheds;
+# CloseHarvest returns everything undelivered), all under the race
+# detector.
 chaos:
-	$(GO) test -race -run 'TestChaos|TestSpool|TestWireSink|TestEnqueue|TestCloseHarvest' -count=1 ./internal/wire/ ./internal/agent/
+	$(GO) test -race -run 'TestChaos|TestSpool|TestWireSink|TestJournal|TestEnqueue|TestCloseHarvest' -count=1 ./internal/wire/ ./internal/agent/ ./internal/journal/
 
 # Telemetry gate (DESIGN.md §5e): drive the full pipeline with one shared
 # registry and lint the /metrics exposition for every stage's instruments;
@@ -141,7 +143,9 @@ bench-ingest:
 # against json.Marshal, the routing scanner against json.Unmarshal, and the
 # SSE reader against the line reader it replaced and its own writer; the
 # controller's in-process store against the envelope round trip it skips;
-# and the agreement reader, whose accepted input survives Marshal and Parse.
+# the agreement reader, whose accepted input survives Marshal and Parse;
+# and the journal's open scan, which keeps only a prefix of whole,
+# CRC-valid frames that re-appending its records reproduces.
 # The seed corpora (f.Add plus testdata/fuzz) run under plain `go test`; `go
 # test -fuzz` takes one target per invocation.
 fuzz:
@@ -161,6 +165,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzFeedStream$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run=NONE -fuzz='^FuzzSubmitDirect$$' -fuzztime=10s ./internal/controller/
 	$(GO) test -run=NONE -fuzz='^FuzzParseAgreement$$' -fuzztime=10s ./internal/agreement/
+	$(GO) test -run=NONE -fuzz='^FuzzJournalScan$$' -fuzztime=10s ./internal/journal/
 
 # Storage tier (DESIGN.md §5g): memory vs disk engine across report
 # ingest, archive updates at 10k/100k series (with the heap staying flat

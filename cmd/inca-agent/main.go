@@ -34,14 +34,14 @@ func main() {
 		seed    = flag.Int64("seed", 1, "grid seed")
 		list    = flag.Bool("list", false, "print the specification file and exit")
 
-		spool   = flag.String("spool", "", "directory for the delivery spool's disk overflow, which survives agent restarts (empty = the spool, always on, is memory-only)")
+		spool   = flag.String("spool", "", "directory for the delivery spool's journal: every report is written there before delivery and survives an agent restart or kill (empty = the spool, always on, is memory-only)")
 		timeout = flag.Duration("timeout", 30*time.Second, "per-attempt wire I/O deadline (dial is capped at 10s); a hung controller fails the attempt instead of wedging the agent")
 
 		metricsAddr = flag.String("metrics", "", "serve Prometheus text metrics on this address's /metrics (empty = disabled)")
 	)
 	flag.Parse()
 	if *spool == "mem" {
-		fmt.Fprintln(os.Stderr, "inca-agent: -spool mem is retired: the spool is always on; name a directory for disk overflow, or leave -spool empty for a memory-only spool")
+		fmt.Fprintln(os.Stderr, "inca-agent: -spool mem is retired: the spool is always on; name a directory for its journal, or leave -spool empty for a memory-only spool")
 		os.Exit(2)
 	}
 
@@ -95,7 +95,7 @@ func main() {
 	reg := metrics.NewRegistry()
 
 	// Every report goes spool → batch client; -spool only says whether the
-	// spool may overflow to disk.
+	// spool writes through a journal on disk.
 	sink, err := agent.NewWireSink(*server, agent.DeliveryOptions{
 		Spool:     agent.SpoolOptions{Dir: *spool},
 		IOTimeout: *timeout,

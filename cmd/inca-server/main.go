@@ -9,7 +9,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"io/fs"
 	"net"
 	"net/http"
@@ -26,6 +25,7 @@ import (
 	"inca/internal/core"
 	"inca/internal/depot"
 	"inca/internal/federation"
+	"inca/internal/journal"
 	"inca/internal/metrics"
 	"inca/internal/query"
 	"inca/internal/wire"
@@ -221,10 +221,7 @@ func main() {
 	if *snapshot != "" {
 		// Written atomically (temp + fsync + rename): a crash here leaves
 		// the previous snapshot intact, never a torn image.
-		err := depot.AtomicWriteFile(*snapshot, func(w io.Writer) error {
-			return d.WriteSnapshot(w)
-		})
-		if err != nil {
+		if err := journal.AtomicWriteFile(*snapshot, d.WriteSnapshot); err != nil {
 			fmt.Fprintf(os.Stderr, "snapshot %s: %v\n", *snapshot, err)
 			os.Exit(1)
 		}

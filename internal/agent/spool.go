@@ -3,12 +3,14 @@ package agent
 import (
 	"bufio"
 	"bytes"
+	"cmp"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"inca/internal/journal"
 	"inca/internal/wire"
 )
 
@@ -19,13 +21,10 @@ import (
 // submission order, removing each only after it is acknowledged — the
 // at-least-once half of the reliable-delivery guarantee.
 //
-// Memory is bounded by MemLimitBytes. When the in-memory queue is full,
-// entries overflow to an append-only file of ordinary wire frames under
-// Dir; with no Dir configured the oldest entry not on lease is shed
-// instead and counted — the spool never blocks a Put and never sheds
-// silently. Disk entries survive a crash: NewSpool rescans the overflow
-// file, so reports spooled by a previous agent process are replayed after
-// restart.
+// With Dir set every Put appends the entry's wire frame to a journal
+// (internal/journal) before it returns, so a killed agent loses nothing
+// Put accepted, and memory is a read-ahead window of the queue's head.
+// The spool never blocks a Put and never sheds silently.
 //
 // The lease is what lets the delivery loop pop after the ack: the prefix
 // Peek or PeekBatch handed out stays where it is until PopN, so PopN(n)
@@ -39,11 +38,16 @@ type Spool struct {
 	leased   int           // length of the head prefix handed out and not yet popped
 	notify   chan struct{} // closed and replaced on every Put, PopN and Close (broadcast)
 	closed   bool
+	queued   int64 // frame bytes of every queued entry: the DiskLimitBytes bound
 
-	f         *os.File
-	diskCount int
-	readOff   int64
-	writeOff  int64
+	// With Dir set: seqs[i] is the journal segment holding mem[i] (0: its
+	// append failed, it is held in memory only), and next is where the
+	// unread records past the window start.
+	j      *journal.Journal
+	seqs   []uint64
+	next   journal.Pos
+	unread int
+	enc    bytes.Buffer
 
 	spooled    uint64
 	dropped    uint64
@@ -53,12 +57,13 @@ type Spool struct {
 // SpoolOptions configures a Spool.
 type SpoolOptions struct {
 	// MemLimitBytes bounds the in-memory queue by summed report bytes
-	// (default 8 MiB).
+	// (default 8 MiB); with Dir set, the read-ahead window.
 	MemLimitBytes int
-	// Dir, when set, enables disk overflow into Dir/spool.dat.
+	// Dir, when set, holds the spool's journal, so the queue survives the
+	// process.
 	Dir string
-	// DiskLimitBytes bounds the overflow file (default 256 MiB). Beyond
-	// it — or when Dir is empty — the oldest queued entry is shed.
+	// DiskLimitBytes bounds the whole queue when Dir is set (default
+	// 256 MiB); an entry past it is shed.
 	DiskLimitBytes int64
 }
 
@@ -79,55 +84,73 @@ type SpoolStats struct {
 	Spooled uint64
 	// Dropped is entries shed to respect the memory/disk bounds.
 	Dropped uint64
-	// Overflowed is entries that went through the disk file.
+	// Overflowed is entries put past the memory window, read back from
+	// the journal.
 	Overflowed uint64
-	// Depth is entries currently queued (memory + disk).
+	// Depth is entries currently queued (memory + journal).
 	Depth int
 }
 
-// spoolFile is the overflow file name under SpoolOptions.Dir.
-const spoolFile = "spool.dat"
-
 // NewSpool opens a spool. With a Dir configured, entries left over by a
-// previous process are recovered and will be replayed first.
+// previous process are recovered and will be replayed first; so are those
+// of a spool.dat, the overflow file of earlier releases, which is then
+// removed.
 func NewSpool(opt SpoolOptions) (*Spool, error) {
 	opt.fill()
 	s := &Spool{opt: opt, notify: make(chan struct{})}
 	if opt.Dir == "" {
 		return s, nil
 	}
-	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("agent: spool dir: %w", err)
-	}
-	path := filepath.Join(opt.Dir, spoolFile)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	j, err := journal.Open(opt.Dir, func(rec []byte, at journal.Pos) error {
+		s.queueLocked(at, int64(len(rec)))
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("agent: spool file: %w", err)
+		return nil, fmt.Errorf("agent: spool: %w", err)
 	}
-	s.f = f
-	// Crash recovery: count the intact frames already on disk; anything
-	// after the first torn frame (a crash mid-append) is truncated away.
-	br := bufio.NewReader(io.NewSectionReader(f, 0, 1<<62))
-	var off int64
-	for {
-		m, err := wire.ReadMessage(br)
-		if err != nil {
-			break
-		}
-		off += frameSize(m)
-		s.diskCount++
+	s.j = j
+	if err := s.importLegacy(filepath.Join(opt.Dir, "spool.dat")); err != nil {
+		j.Close()
+		return nil, fmt.Errorf("agent: spool: %w", err)
 	}
-	s.writeOff = off
-	s.spooled = uint64(s.diskCount) // recovered entries are on this process's ledger too
-	if err := f.Truncate(off); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("agent: spool truncate: %w", err)
-	}
+	s.spooled = uint64(s.unread) // recovered entries are on this process's ledger too
 	return s, nil
 }
 
-// frameSize is the on-disk size of one wire frame: four length-prefixed
-// parts (branch, hostname, report, signature).
+// importLegacy appends the wire frames in path, up to the first torn one,
+// to the journal, and removes the file.
+func (s *Spool) importLegacy(path string) error {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil
+	} else if err != nil {
+		return err
+	}
+	defer f.Close()
+	for br := bufio.NewReader(f); ; {
+		m, err := wire.ReadMessage(br)
+		if err != nil {
+			return os.Remove(path)
+		}
+		at, err := s.logLocked(m)
+		if err != nil {
+			return err
+		}
+		s.queueLocked(at, frameSize(m))
+	}
+}
+
+// queueLocked counts a journal record past the memory window.
+func (s *Spool) queueLocked(at journal.Pos, size int64) {
+	if s.unread == 0 {
+		s.next = at
+	}
+	s.unread++
+	s.queued += size
+}
+
+// frameSize is the size of one wire frame: four length-prefixed parts
+// (branch, hostname, report, signature).
 func frameSize(m *wire.Message) int64 {
 	return int64(16 + len(m.Branch) + len(m.Hostname) + len(m.Report) + len(m.Signature))
 }
@@ -138,10 +161,25 @@ func memCost(m *wire.Message) int {
 	return int(frameSize(m)) + 48
 }
 
-// Put accepts one entry. It never blocks: when both the memory bound and
-// the disk bound are exhausted, the oldest queued entry not on lease is
-// shed (newest data is the monitoring signal worth keeping) and counted in
-// Dropped.
+// frameLocked returns m's wire frame in a buffer the next call reuses.
+func (s *Spool) frameLocked(m *wire.Message) ([]byte, error) {
+	s.enc.Reset()
+	err := wire.WriteMessage(&s.enc, m)
+	return s.enc.Bytes(), err
+}
+
+func (s *Spool) logLocked(m *wire.Message) (journal.Pos, error) {
+	rec, err := s.frameLocked(m)
+	if err != nil {
+		return journal.Pos{}, err
+	}
+	return s.j.Append(rec)
+}
+
+// Put accepts one entry. It never blocks: past the queue's bound an entry
+// is shed and counted in Dropped — with Dir set the new one (the order on
+// disk is an acceptance guarantee, newest-at-any-cost is not), without it
+// the oldest not on lease (newest data is the signal worth keeping).
 func (s *Spool) Put(m *wire.Message) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -149,32 +187,44 @@ func (s *Spool) Put(m *wire.Message) error {
 		return fmt.Errorf("agent: spool closed")
 	}
 	s.spooled++
-	// Disk entries queued behind the memory segment force new entries to
-	// disk too, or FIFO order would break.
-	if s.f != nil && (s.diskCount > 0 || s.memBytes+memCost(m) > s.opt.MemLimitBytes) {
-		if err := s.appendDiskLocked(m); err == nil {
-			s.overflowed++
-			s.signalLocked()
-			return nil
-		}
-		if s.diskCount > 0 {
-			// Disk full with older entries still on disk: inserting m into
-			// memory would jump it ahead of them. Shed m instead — FIFO
-			// order is an acceptance guarantee, newest-at-any-cost is not.
+	var seq uint64
+	if s.j != nil {
+		if s.queued+frameSize(m) > s.opt.DiskLimitBytes {
 			s.dropped++
 			return nil
 		}
-		// Disk unwritable but empty: fall through to the memory shed path.
+		at, err := s.logLocked(m)
+		switch {
+		case err == nil && (s.unread > 0 || s.memBytes+memCost(m) > s.opt.MemLimitBytes):
+			s.queueLocked(at, frameSize(m))
+			s.overflowed++
+			s.signalLocked()
+			return nil
+		case err == nil:
+			seq = at.Seq
+		case s.unread > 0:
+			// Unwritable journal with older entries unread on it: holding
+			// m in memory would jump it ahead of them. Shed it instead.
+			s.dropped++
+			return nil
+		}
+		// In the window, or unwritable with nothing unread: held in memory,
+		// the latter as a memory-only spool holds it.
 	}
 	for s.memBytes+memCost(m) > s.opt.MemLimitBytes && len(s.mem) > s.leased {
 		// Shed the entry behind the leased prefix: slide the prefix over
 		// its slot, then step the queue past the vacated head.
 		s.memBytes -= memCost(s.mem[s.leased])
+		s.queued -= frameSize(s.mem[s.leased])
 		copy(s.mem[1:s.leased+1], s.mem[:s.leased])
 		s.mem = s.mem[1:]
+		if s.j != nil {
+			copy(s.seqs[1:s.leased+1], s.seqs[:s.leased])
+			s.seqs = s.seqs[1:]
+		}
 		s.dropped++
 	}
-	if s.memBytes+memCost(m) > s.opt.MemLimitBytes && s.f == nil {
+	if s.memBytes+memCost(m) > s.opt.MemLimitBytes && s.j == nil {
 		// No room left to make: the entry is larger than the whole bound,
 		// or everything held is on lease. With no disk to take it, shed it.
 		s.dropped++
@@ -182,23 +232,11 @@ func (s *Spool) Put(m *wire.Message) error {
 	}
 	s.mem = append(s.mem, m)
 	s.memBytes += memCost(m)
+	s.queued += frameSize(m)
+	if s.j != nil {
+		s.seqs = append(s.seqs, seq)
+	}
 	s.signalLocked()
-	return nil
-}
-
-func (s *Spool) appendDiskLocked(m *wire.Message) error {
-	if s.writeOff-s.readOff+frameSize(m) > s.opt.DiskLimitBytes {
-		return fmt.Errorf("agent: spool disk bound reached")
-	}
-	var buf bytes.Buffer
-	if err := wire.WriteMessage(&buf, m); err != nil {
-		return err
-	}
-	if _, err := s.f.WriteAt(buf.Bytes(), s.writeOff); err != nil {
-		return err
-	}
-	s.writeOff += int64(buf.Len())
-	s.diskCount++
 	return nil
 }
 
@@ -208,33 +246,52 @@ func (s *Spool) signalLocked() {
 	s.notify = make(chan struct{})
 }
 
-// refillLocked moves entries from the disk tail into the memory segment,
-// keeping the memory bound.
+// errWindowFull stops a refill that has read enough.
+var errWindowFull = errors.New("agent: spool window full")
+
+// refillLocked reads unread records into the memory window, up to half
+// the memory bound. After Close they stay where Close left them.
 func (s *Spool) refillLocked() {
-	if s.diskCount == 0 || s.f == nil {
+	if s.unread == 0 || s.closed {
 		return
 	}
-	br := bufio.NewReader(io.NewSectionReader(s.f, s.readOff, s.writeOff-s.readOff))
-	for s.diskCount > 0 {
-		m, err := wire.ReadMessage(br)
+	err := s.j.ReadFrom(s.next, func(rec []byte, next journal.Pos) error {
+		m, err := wire.ReadMessage(bytes.NewReader(rec))
 		if err != nil {
-			// Unreadable tail: abandon it rather than stall the queue.
-			s.dropped += uint64(s.diskCount)
-			s.diskCount = 0
-			break
+			return err
 		}
-		s.readOff += frameSize(m)
-		s.diskCount--
-		s.mem = append(s.mem, m)
+		s.next, s.unread = next, s.unread-1
+		s.mem, s.seqs = append(s.mem, m), append(s.seqs, next.Seq)
 		s.memBytes += memCost(m)
-		if s.memBytes > s.opt.MemLimitBytes/2 {
-			break
+		if s.unread == 0 || s.memBytes > s.opt.MemLimitBytes/2 {
+			return errWindowFull
+		}
+		return nil
+	})
+	if !errors.Is(err, errWindowFull) {
+		// Unreadable: abandon the rest rather than stall the queue.
+		s.dropped += uint64(s.unread)
+		s.unread, s.queued = 0, 0
+		for _, m := range s.mem {
+			s.queued += frameSize(m)
 		}
 	}
-	if s.diskCount == 0 {
-		// Fully consumed: reclaim the file.
-		s.readOff, s.writeOff = 0, 0
-		s.f.Truncate(0)
+}
+
+// trimLocked deletes the journal segments behind the queue's head, all of
+// them once nothing journaled is queued. A failed trim leaves popped
+// records for the next one (or, after a kill, for redelivery).
+func (s *Spool) trimLocked() {
+	for _, seq := range s.seqs {
+		if seq != 0 {
+			_ = s.j.Trim(seq)
+			return
+		}
+	}
+	if s.unread > 0 {
+		_ = s.j.Trim(s.next.Seq)
+	} else if seq, err := s.j.Rotate(); err == nil {
+		_ = s.j.Trim(seq)
 	}
 }
 
@@ -302,16 +359,17 @@ func (s *Spool) PopN(n int) {
 	}
 	for i := 0; i < n; i++ {
 		s.memBytes -= memCost(s.mem[i])
+		s.queued -= frameSize(s.mem[i])
 	}
 	s.mem = append(s.mem[:0:0], s.mem[n:]...)
-	if len(s.mem) == 0 && s.diskCount == 0 && s.f != nil && s.writeOff > 0 {
-		s.readOff, s.writeOff = 0, 0
-		s.f.Truncate(0)
+	if s.j != nil {
+		s.seqs = append(s.seqs[:0:0], s.seqs[n:]...)
+		s.trimLocked()
 	}
 	s.signalLocked()
 }
 
-// Depth returns how many entries are queued (memory + disk).
+// Depth returns how many entries are queued (memory + journal).
 func (s *Spool) Depth() int {
 	depth, _ := s.watch()
 	return depth
@@ -322,7 +380,7 @@ func (s *Spool) Depth() int {
 func (s *Spool) watch() (int, <-chan struct{}) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.mem) + s.diskCount, s.notify
+	return len(s.mem) + s.unread, s.notify
 }
 
 // Stats returns a snapshot of the spool counters.
@@ -333,16 +391,16 @@ func (s *Spool) Stats() SpoolStats {
 		Spooled:    s.spooled,
 		Dropped:    s.dropped,
 		Overflowed: s.overflowed,
-		Depth:      len(s.mem) + s.diskCount,
+		Depth:      len(s.mem) + s.unread,
 	}
 }
 
-// Close stops accepting entries and releases the overflow file. With a
-// Dir configured, everything still queued — the in-memory head, leased
-// entries included — is persisted for the next process to recover, so a
-// clean shutdown with an unreachable controller loses nothing. Memory-only
-// spools lose their queue at exit, which is why shutdown paths drain the
-// delivery loop before closing.
+// Close stops accepting entries and releases the journal, rewritten to
+// exactly the entries still queued — the memory window, leased entries
+// included, then the unread records — so a clean shutdown with an
+// unreachable controller loses nothing and a restart replays nothing
+// twice. Memory-only spools lose their queue at exit, which is why
+// shutdown paths drain the delivery loop before closing.
 func (s *Spool) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -351,50 +409,23 @@ func (s *Spool) Close() error {
 	}
 	s.closed = true
 	s.signalLocked()
-	if s.f == nil {
+	if s.j == nil {
 		return nil
 	}
-	err := s.persistLocked()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// persistLocked rewrites the overflow file so the in-memory head (older
-// than every disk entry) survives the process: memory frames first, then
-// the live disk segment, built in a temp file and renamed into place so a
-// crash mid-persist leaves the old file intact.
-func (s *Spool) persistLocked() error {
-	if len(s.mem) == 0 {
-		return nil
-	}
-	path := filepath.Join(s.opt.Dir, spoolFile)
-	tmp, err := os.Create(path + ".tmp")
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(tmp)
-	err = func() error {
+	err := s.j.Rewrite(func(put func([]byte) error) error {
 		for _, m := range s.mem {
-			if err := wire.WriteMessage(bw, m); err != nil {
+			rec, err := s.frameLocked(m)
+			if err == nil {
+				err = put(rec)
+			}
+			if err != nil {
 				return err
 			}
 		}
-		if s.writeOff > s.readOff {
-			if _, err := io.Copy(bw, io.NewSectionReader(s.f, s.readOff, s.writeOff-s.readOff)); err != nil {
-				return err
-			}
+		if s.unread == 0 {
+			return nil
 		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return tmp.Close()
-	}()
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+		return s.j.ReadFrom(s.next, func(rec []byte, _ journal.Pos) error { return put(rec) })
+	})
+	return cmp.Or(err, s.j.Close())
 }

@@ -1,9 +1,12 @@
 package agent
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -168,13 +171,19 @@ func TestSpoolDiskOverflowPreservesOrder(t *testing.T) {
 		}
 		s.PopN(1)
 	}
-	// Fully drained: the overflow file is reclaimed.
-	fi, err := os.Stat(filepath.Join(dir, spoolFile))
-	if err != nil {
-		t.Fatal(err)
+	// Fully drained: the journal holds no record.
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("journal segments: %v %v", segs, err)
 	}
-	if fi.Size() != 0 {
-		t.Fatalf("drained spool file still %d bytes", fi.Size())
+	for _, seg := range segs {
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != 0 {
+			t.Fatalf("drained journal segment %s still %d bytes", filepath.Base(seg), fi.Size())
+		}
 	}
 }
 
@@ -191,8 +200,14 @@ func TestSpoolRecoversAcrossRestart(t *testing.T) {
 	}
 	s.Close()
 
-	// Simulate a crash mid-append: a torn frame at the tail.
-	path := filepath.Join(dir, spoolFile)
+	// Simulate a crash mid-append: a torn frame at the tail of the
+	// journal's last segment.
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("journal segments: %v %v", segs, err)
+	}
+	sort.Strings(segs)
+	path := segs[len(segs)-1]
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -255,6 +270,241 @@ func TestSpoolPersistsMemoryAcrossRestart(t *testing.T) {
 			t.Fatalf("recovered order broken at %d: %+v", i, m)
 		}
 		s2.PopN(1)
+	}
+}
+
+// TestSpoolCleanCloseAfterPartialDrain: a clean Close after some entries
+// were popped leaves exactly the rest, once each and in order, however
+// the queue was split between memory and disk.
+func TestSpoolCleanCloseAfterPartialDrain(t *testing.T) {
+	dir := t.TempDir()
+	opt := SpoolOptions{MemLimitBytes: 5 * memCost(spoolMsg(0)), Dir: dir}
+	s, err := NewSpool(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total, popped = 20, 7
+	for i := 0; i < total; i++ {
+		if err := s.Put(spoolMsg(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < popped; i++ {
+		m, ok := s.Peek(nil)
+		if !ok || m.Branch != fmt.Sprintf("probe=p%d", i) {
+			t.Fatalf("order broken at %d: %+v", i, m)
+		}
+		s.PopN(1)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := NewSpool(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if st := s2.Stats(); st.Depth != total-popped || st.Spooled != total-popped {
+		t.Fatalf("reopened spool: %+v, want %d held and on the ledger", st, total-popped)
+	}
+	for i := popped; i < total; i++ {
+		m, ok := s2.Peek(nil)
+		if !ok || m.Branch != fmt.Sprintf("probe=p%d", i) {
+			t.Fatalf("reopened order broken at %d: %+v", i, m)
+		}
+		s2.PopN(1)
+	}
+	if d := s2.Depth(); d != 0 {
+		t.Fatalf("%d entries left after the expected ones: duplicates", d)
+	}
+}
+
+// TestSpoolSurvivesKill: with a spool directory every accepted entry is
+// on disk when Put returns, so a second process opening the directory
+// while the first never closed — a SIGKILL — sees all of them, in order.
+func TestSpoolSurvivesKill(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewSpool(SpoolOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 5; i++ {
+		if err := s.Put(spoolMsg(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Overflowed != 0 {
+		t.Fatalf("entries left the memory window: %+v", st)
+	}
+
+	s2, err := NewSpool(SpoolOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if d := s2.Depth(); d != 5 {
+		t.Fatalf("depth after the kill = %d, want 5", d)
+	}
+	for i, m := range s2.PeekBatch(5) {
+		if want := fmt.Sprintf("probe=p%d", i); m.Branch != want {
+			t.Fatalf("order broken at %d: got %s want %s", i, m.Branch, want)
+		}
+	}
+}
+
+// TestSpoolImportsLegacySpoolFile: a spool.dat of wire frames, as earlier
+// releases left one, ending in a torn frame, is taken into the journal in
+// order, counted as spooled, and removed.
+func TestSpoolImportsLegacySpoolFile(t *testing.T) {
+	dir := t.TempDir()
+	var file bytes.Buffer
+	for i := 0; i < 4; i++ {
+		if err := wire.WriteMessage(&file, spoolMsg(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	file.Write([]byte{0, 0, 0, 9, 'x'})
+	legacy := filepath.Join(dir, "spool.dat")
+	if err := os.WriteFile(legacy, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := NewSpool(SpoolOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Depth != 4 || st.Spooled != 4 {
+		t.Fatalf("stats = %+v, want 4 recovered and spooled", st)
+	}
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Fatalf("spool.dat still there: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if m, ok := s.Peek(nil); !ok || m.Branch != fmt.Sprintf("probe=p%d", i) {
+			t.Fatalf("order broken at %d: %+v", i, m)
+		}
+		s.PopN(1)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The rest is in the journal now, not in a file that is read again.
+	s2, err := NewSpool(SpoolOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	got := s2.PeekBatch(10)
+	if len(got) != 2 || got[0].Branch != "probe=p2" || got[1].Branch != "probe=p3" {
+		t.Fatalf("after restart: %d entries %v", len(got), got)
+	}
+}
+
+// TestSpoolDiskBoundShedsNewest: with a spool directory DiskLimitBytes
+// bounds the whole queue; an entry past it is shed and counted, and the
+// ledger balances after every step.
+func TestSpoolDiskBoundShedsNewest(t *testing.T) {
+	one := frameSize(spoolMsg(0))
+	s, err := NewSpool(SpoolOptions{MemLimitBytes: 2 * memCost(spoolMsg(0)), Dir: t.TempDir(), DiskLimitBytes: 4 * one})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	popped := uint64(0)
+	balanced := func(step string) {
+		t.Helper()
+		if st := s.Stats(); st.Spooled != popped+st.Dropped+uint64(st.Depth) {
+			t.Fatalf("%s: ledger broken: %+v with %d popped", step, st, popped)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		s.Put(spoolMsg(i))
+		balanced(fmt.Sprintf("put %d", i))
+	}
+	if st := s.Stats(); st.Depth != 4 || st.Dropped != 2 {
+		t.Fatalf("stats = %+v, want 4 held and the 2 newest shed", st)
+	}
+	for i := 0; i < 4; i++ {
+		if m, ok := s.Peek(nil); !ok || m.Branch != fmt.Sprintf("probe=p%d", i) {
+			t.Fatalf("order broken at %d: %+v", i, m)
+		}
+		s.PopN(1)
+		popped++
+		balanced(fmt.Sprintf("pop %d", i))
+	}
+	s.Put(spoolMsg(6)) // room again
+	if st := s.Stats(); st.Depth != 1 || st.Dropped != 2 {
+		t.Fatalf("stats = %+v after draining", st)
+	}
+	balanced("put after drain")
+}
+
+// TestSpoolHoldsInMemoryWhenJournalFails: an append that fails with
+// nothing unread on disk leaves the entry in memory, in order behind the
+// journaled ones; with older entries unread on disk the new one is shed.
+func TestSpoolHoldsInMemoryWhenJournalFails(t *testing.T) {
+	s, err := NewSpool(SpoolOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Put(spoolMsg(0))
+	s.j.Close() // every append fails from here on
+	s.Put(spoolMsg(1))
+	if st := s.Stats(); st.Depth != 2 || st.Dropped != 0 {
+		t.Fatalf("stats = %+v, want both held", st)
+	}
+	for i, m := range s.PeekBatch(2) {
+		if want := fmt.Sprintf("probe=p%d", i); m.Branch != want {
+			t.Fatalf("order broken at %d: got %s want %s", i, m.Branch, want)
+		}
+	}
+
+	s2, err := NewSpool(SpoolOptions{MemLimitBytes: 1, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	s2.Put(spoolMsg(0)) // past the window: unread on disk
+	s2.j.Close()
+	s2.Put(spoolMsg(1))
+	if st := s2.Stats(); st.Depth != 1 || st.Dropped != 1 || st.Spooled != 2 {
+		t.Fatalf("stats = %+v, want the new entry shed behind the unread one", st)
+	}
+}
+
+// TestSpoolCorruptSegmentFailsOpen: damage in a journal segment that is
+// not the last cannot be a torn tail, so NewSpool refuses the directory
+// and names the file.
+func TestSpoolCorruptSegmentFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewSpool(SpoolOptions{MemLimitBytes: 1, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		s.Put(spoolMsg(i))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("journal segments: %v %v", segs, err)
+	}
+	sort.Strings(segs)
+	data, err := os.ReadFile(segs[0])
+	if err != nil || len(data) == 0 {
+		t.Fatalf("first segment: %d bytes, %v", len(data), err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSpool(SpoolOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), filepath.Base(segs[0])) {
+		t.Fatalf("NewSpool over a corrupt segment: %v, want an error naming %s", err, filepath.Base(segs[0]))
 	}
 }
 

@@ -1,7 +1,6 @@
 package depot
 
 import (
-	"encoding/xml"
 	"fmt"
 	"math"
 	"sync"
@@ -10,6 +9,7 @@ import (
 
 	"inca/internal/branch"
 	"inca/internal/envelope"
+	"inca/internal/journal"
 	"inca/internal/metrics"
 	"inca/internal/report"
 	"inca/internal/rrd"
@@ -103,13 +103,12 @@ type Depot struct {
 	// paged files behind a handle LRU (diskStore).
 	archives archiveStore
 
-	// Disk engine only (nil/zero otherwise): the write-ahead log, its
-	// directories, and the checkpoint machinery. storeBarrier is held
+	// Disk engine only (nil/zero otherwise): the write-ahead log, the data
+	// directory, and the checkpoint machinery. storeBarrier is held
 	// shared by every logged mutation and exclusively around WAL rotation,
 	// so no mutation straddles a checkpoint's segment boundary.
-	wal          *wal
+	wal          *journal.Journal
 	dataDir      string
-	walDir       string
 	ckptMu       sync.Mutex
 	storeBarrier sync.RWMutex
 
@@ -207,11 +206,11 @@ func (d *Depot) AddPolicy(p Policy) error {
 	if d.wal != nil {
 		d.storeBarrier.RLock()
 		defer d.storeBarrier.RUnlock()
-		frame, err := xml.Marshal(marshalPolicyEntry(p))
+		rec, err := encodePolicyRecord(p)
 		if err != nil {
 			return err
 		}
-		if err := d.wal.append(walFramePolicy, frame); err != nil {
+		if _, err := d.wal.Append(rec); err != nil {
 			return err
 		}
 	}
@@ -271,7 +270,7 @@ func (d *Depot) Store(id branch.ID, reportXML []byte) (Receipt, error) {
 		// side of any concurrent checkpoint rotation.
 		d.storeBarrier.RLock()
 		defer d.storeBarrier.RUnlock()
-		if err := d.wal.append(walFrameReport, encodeReportFrame(id, reportXML)); err != nil {
+		if _, err := d.wal.Append(encodeReportRecord(id, reportXML)); err != nil {
 			return Receipt{}, err
 		}
 	}
@@ -378,7 +377,7 @@ func (d *Depot) consolidate(id branch.ID, matching []*compiledPolicy, sc *archiv
 func (d *Depot) Close() {
 	if d.wal != nil {
 		d.archives.close()
-		d.wal.close()
+		d.wal.Close()
 	}
 }
 
@@ -389,7 +388,7 @@ func (d *Depot) ArchiveUpdate(id branch.ID, policyName string, at time.Time, val
 	if d.wal != nil {
 		d.storeBarrier.RLock()
 		defer d.storeBarrier.RUnlock()
-		if err := d.wal.append(walFrameManual, encodeManualFrame(id, policyName, at, value)); err != nil {
+		if _, err := d.wal.Append(encodeManualRecord(id, policyName, at, value)); err != nil {
 			return err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -181,10 +182,11 @@ func TestDiskCheckpointTruncatesWAL(t *testing.T) {
 func TestDiskWALTornTail(t *testing.T) {
 	dir := t.TempDir()
 	d := diskDepot(t, dir, DiskOptions{})
-	addPolicies(t, d, []Policy{{
+	avail := []Policy{{
 		Name: "avail", Prefix: branch.MustParse("site=sdsc"), Path: "",
 		Archive: rrd.ArchivalPolicy{Step: 10 * time.Minute, History: 24 * time.Hour},
-	}})
+	}}
+	addPolicies(t, d, avail)
 	id := branch.MustParse("tool=pathload,site=sdsc")
 	storeSequence(t, d, id, 10)
 	d.Close()
@@ -216,31 +218,144 @@ func TestDiskWALTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
+	// Close flushed report 10's samples to the archive files: remove them,
+	// so the archives, like the cache, come back from the log alone.
+	if err := os.RemoveAll(filepath.Join(dir, "archives")); err != nil {
+		t.Fatal(err)
+	}
 
 	re := diskDepot(t, dir, DiskOptions{})
 	defer re.Close()
-	// Reports 1..9 survived whole; report 10's frame was torn off.
+	// Reports 1..9 survived whole; report 10's frame was torn off: the
+	// reopened depot holds what a memory depot fed reports 1..9 holds.
+	want := New(nil)
+	addPolicies(t, want, avail)
+	storeSequence(t, want, id, 9)
 	s, err := re.FetchArchive(id, "avail", rrd.Average, dt0, dt0.Add(5*time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ws, err := want.FetchArchive(id, "avail", rrd.Average, dt0, dt0.Add(5*time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Points) != len(ws.Points) {
+		t.Fatalf("%d points after the torn tail, want %d", len(s.Points), len(ws.Points))
+	}
 	known := 0
-	for _, p := range s.Points {
-		if !math.IsNaN(p.Values[0]) {
+	for i, p := range s.Points {
+		got, w := p.Values[0], ws.Points[i].Values[0]
+		if !p.Time.Equal(ws.Points[i].Time) || (got != w && !(math.IsNaN(got) && math.IsNaN(w))) {
+			t.Fatalf("point %d: (%v,%g), want (%v,%g)", i, p.Time, got, ws.Points[i].Time, w)
+		}
+		if !math.IsNaN(got) {
 			known++
 		}
 	}
 	if known == 0 {
 		t.Fatal("no archived data survived the torn tail")
 	}
-	if got := re.Cache().Count(); got != 1 {
-		t.Fatalf("cache count = %d, want 1", got)
+	if got, w := re.Cache().Dump(), want.Cache().Dump(); !bytes.Equal(got, w) {
+		t.Fatalf("cache after the torn tail:\n%s\nwant\n%s", got, w)
 	}
 	// The torn segment was truncated at the last good frame: a second
 	// restart replays it without error.
 	re.Close()
 	re2 := diskDepot(t, dir, DiskOptions{})
 	re2.Close()
+}
+
+// TestDiskWALCorruptMidSequence flips one byte inside a frame of a segment
+// that is not the last: records acknowledged after it exist, so recovery
+// must refuse to open rather than skip past the damage, and say where.
+func TestDiskWALCorruptMidSequence(t *testing.T) {
+	dir := t.TempDir()
+	id := branch.MustParse("tool=pathload,site=sdsc")
+	d := diskDepot(t, dir, DiskOptions{})
+	addPolicies(t, d, bandwidthPolicies("site=sdsc"))
+	storeSequence(t, d, id, 5)
+	d.Close()
+	d = diskDepot(t, dir, DiskOptions{}) // appends go to a second segment
+	storeSequence(t, d, id, 8)
+	d.Close()
+
+	walDir := filepath.Join(dir, "wal")
+	seqs, err := walSegments(walDir)
+	if err != nil || len(seqs) < 2 {
+		t.Fatalf("wal segments: %v %v", seqs, err)
+	}
+	name := walSegmentName(seqs[0])
+	seg := filepath.Join(walDir, name)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDisk(DiskOptions{Dir: dir})
+	if err == nil {
+		re.Close()
+		t.Fatal("OpenDisk accepted a corrupt segment ahead of later ones")
+	}
+	if !strings.Contains(err.Error(), name) {
+		t.Fatalf("error %q does not name the segment %s", err, name)
+	}
+}
+
+// TestDiskReadsHandBuiltWALSegment replays a segment built by hand in the
+// layout every earlier release wrote — u32 len | u32 crc32c | kind |
+// payload, one report, one policy and one manual frame — so an existing
+// data directory opens unchanged.
+func TestDiskReadsHandBuiltWALSegment(t *testing.T) {
+	id := branch.MustParse("tool=pathload,site=sdsc")
+	at := dt0.Add(30 * time.Minute)
+	withBranch := func(kind byte, rest ...[]byte) []byte {
+		b := append([]byte{kind}, binary.BigEndian.AppendUint16(nil, uint16(len(id.String())))...)
+		b = append(b, id.String()...)
+		for _, r := range rest {
+			b = append(b, r...)
+		}
+		return b
+	}
+	manual := binary.BigEndian.AppendUint16(nil, uint16(len("series")))
+	manual = append(manual, "series"...)
+	manual = binary.BigEndian.AppendUint64(manual, uint64(at.UnixNano()))
+	manual = binary.BigEndian.AppendUint64(manual, math.Float64bits(42.5))
+	payloads := [][]byte{
+		append([]byte{2}, `<policy name="series" prefix="site=sdsc" path="" step="10m0s" granularity="1" history="24h0m0s" manualOnly="true"></policy>`...),
+		withBranch(1, []byte(`<r><v>7</v></r>`)),
+		withBranch(3, manual),
+	}
+	var seg []byte
+	for _, p := range payloads {
+		seg = binary.BigEndian.AppendUint32(seg, uint32(len(p)))
+		seg = binary.BigEndian.AppendUint32(seg, crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+		seg = append(seg, p...)
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal", walSegmentName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d := diskDepot(t, dir, DiskOptions{})
+	defer d.Close()
+	if pols := d.Policies(); len(pols) != 1 || pols[0].Name != "series" || !pols[0].ManualOnly {
+		t.Fatalf("policies = %+v", pols)
+	}
+	if dump := string(d.Cache().Dump()); !strings.Contains(dump, "<r><v>7</v></r>") {
+		t.Fatalf("the report frame did not reach the cache:\n%s", dump)
+	}
+	if v := d.LatestValue(id, "series", rrd.Average); v != 42.5 {
+		t.Fatalf("manual frame: latest = %g, want 42.5", v)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "wal", walSegmentName(1))); err != nil || fi.Size() != int64(len(seg)) {
+		t.Fatalf("a whole segment was cut on open: %v, %v", fi, err)
+	}
 }
 
 // TestDiskLRUBoundsHandles stores into far more series than the handle

@@ -2,6 +2,7 @@ package depot
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -68,4 +69,26 @@ func paddedReport(tb testing.TB, size int) []byte {
 		tb.Fatalf("report is %d bytes, want %d", len(data), size)
 	}
 	return data
+}
+
+// walSegmentName is the WAL segment file name, spelled out here rather than
+// taken from the journal so the tests pin the on-disk layout.
+func walSegmentName(seq uint64) string { return fmt.Sprintf("wal-%016d.log", seq) }
+
+// walSegments lists the sequences of the WAL segments in dir, ascending.
+func walSegments(dir string) ([]uint64, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		return nil, err
+	}
+	var seqs []uint64
+	for _, p := range paths {
+		var seq uint64
+		if _, err := fmt.Sscanf(filepath.Base(p), "wal-%016d.log", &seq); err != nil {
+			return nil, err
+		}
+		seqs = append(seqs, seq)
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	return seqs, nil
 }

@@ -2,19 +2,20 @@ package ablation
 
 import (
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"inca/internal/branch"
 	"inca/internal/depot"
+	"inca/internal/journal"
 )
 
 var _ depot.Cache = (*FileCache)(nil)
 
 // FileCache is the write-through variant of the stream cache: the document
 // lives in "a single XML file" exactly as in the deployed system (Section
-// 3.2.2), rewritten atomically (temp file + rename) on every update so a
+// 3.2.2), rewritten atomically (journal.AtomicWriteFile) on every update so a
 // depot crash never loses acknowledged reports and never leaves a torn
 // document. Reads are served from the in-memory copy.
 type FileCache struct {
@@ -47,24 +48,10 @@ func OpenFileCache(path string) (*FileCache, error) {
 
 // flushLocked writes the document atomically; callers hold fc.mu.
 func (fc *FileCache) flushLocked() error {
-	dir := filepath.Dir(fc.path)
-	tmp, err := os.CreateTemp(dir, ".inca-cache-*")
-	if err != nil {
+	return journal.AtomicWriteFile(fc.path, func(w io.Writer) error {
+		_, err := w.Write(fc.inner.Dump())
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(fc.inner.Dump()); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), fc.path)
+	})
 }
 
 // Update implements Cache with write-through persistence.

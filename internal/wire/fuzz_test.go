@@ -30,8 +30,9 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	}
 }
 
-// FuzzReadMessage feeds the frame reader — the server's bare-message branch
-// and the spool's recovery scan — arbitrary bytes. Whatever it accepts must
+// FuzzReadMessage feeds the frame reader — the server's bare-message branch,
+// the spool's decoding of its journal records, and the one-time import of a
+// legacy spool.dat — arbitrary bytes. Whatever it accepts must
 // be exactly the prefix WriteMessage produces from the result, so a frame
 // means the same thing on both sides of the codec.
 func FuzzReadMessage(f *testing.F) {
