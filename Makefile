@@ -117,9 +117,14 @@ bench-archive:
 
 # Merge tier (DESIGN.md §5f): the whole-cache and whole-report-list merges
 # at the benchmark of record's working set (1024 x 851 B over two shards) —
-# the byte-level plan, the plan concatenated, and the encoding/xml oracle.
+# the byte-level plan, the plan concatenated, and the encoding/xml oracle;
+# the skip kernel under the plan over that working set's whole document;
+# and a consumer client's read of that document over HTTP (B/op: its
+# allocation per read).
 bench-merge:
 	$(GO) test -run=NONE -bench='BenchmarkMergeCache|BenchmarkMergeReports' -benchmem ./internal/federation/
+	$(GO) test -run=NONE -bench='BenchmarkSkipSubtree' -benchmem ./internal/xmlscan/
+	$(GO) test -run=NONE -bench='BenchmarkClientCache' -benchmem ./internal/query/
 
 # Ingest tier (DESIGN.md §5b, §5c): the cache insert of a report already in
 # canonical form against one the insert must tokenise, the store path's one
@@ -132,7 +137,8 @@ bench-ingest:
 	$(GO) test -run=NONE -bench='BenchmarkExtractValues' -benchmem ./internal/report/
 
 # Ten seconds of coverage-guided fuzzing per target: the canonical scanner
-# against encoding/xml, the merge and the reports parser against the
+# against encoding/xml, its subtree skip against the plain Next loop (same
+# offset, same error text, on any input), the merge and the reports parser against the
 # tokenising oracle, the insert's admission against the tokenising insert,
 # the store path's one pass against admission then extraction, the
 # extractor against Parse + Find, the envelope escaper against
@@ -150,6 +156,7 @@ bench-ingest:
 # test -fuzz` takes one target per invocation.
 fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzScan$$' -fuzztime=10s ./internal/xmlscan/
+	$(GO) test -run=NONE -fuzz='^FuzzSkipSubtree$$' -fuzztime=10s ./internal/xmlscan/
 	$(GO) test -run=NONE -fuzz='^FuzzMergeCache$$' -fuzztime=10s ./internal/federation/
 	$(GO) test -run=NONE -fuzz='^FuzzParseReports$$' -fuzztime=10s ./internal/federation/
 	$(GO) test -run=NONE -fuzz='^FuzzRouteFrame$$' -fuzztime=10s ./internal/federation/

@@ -49,12 +49,45 @@ func (c *Client) get(path string, params url.Values) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("query: %s: %s: %s", path, resp.Status, bytes.TrimSpace(body))
+		return nil, statusError(path, resp)
+	}
+	return readSized(resp.Body, resp.ContentLength, nil)
+}
+
+// statusError is a non-200 answer as an error carrying the status and at
+// most the first errTextLimit bytes of the body.
+func statusError(what string, resp *http.Response) error {
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, errTextLimit))
+	return fmt.Errorf("query: %s: %s: %s", what, resp.Status, bytes.TrimSpace(body))
+}
+
+// errTextLimit bounds how much of an error response the client reads.
+const errTextLimit = 4096
+
+// maxPresized caps the buffer a declared Content-Length may size before a
+// byte of the body has arrived. A longer declaration, or none, is read as
+// it arrives.
+const maxPresized = 8 << 20
+
+// readSized reads a body of declared length n (-1: unknown) whole. A
+// declared length up to maxPresized is read into one buffer of exactly
+// that size — buf when its capacity suffices, else a new one — so the
+// body crosses memory once instead of through io.ReadAll's doublings; a
+// body that ends short of it is io.ErrUnexpectedEOF. Otherwise the body
+// is read as it arrives, into buf's capacity, grown as it fills.
+func readSized(r io.Reader, n int64, buf []byte) ([]byte, error) {
+	if n < 0 || n > maxPresized {
+		b := bytes.NewBuffer(buf[:0])
+		_, err := b.ReadFrom(r)
+		return b.Bytes(), err
+	}
+	if int64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	body := buf[:n]
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, err
 	}
 	return body, nil
 }
@@ -68,12 +101,12 @@ func (c *Client) StoreEnvelope(data []byte) (depot.Receipt, error) {
 		return depot.Receipt{}, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		return depot.Receipt{}, statusError("store", resp)
+	}
+	body, err := readSized(resp.Body, resp.ContentLength, nil)
 	if err != nil {
 		return depot.Receipt{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return depot.Receipt{}, fmt.Errorf("query: store: %s: %s", resp.Status, bytes.TrimSpace(body))
 	}
 	var xr xmlReceipt
 	if err := xml.Unmarshal(body, &xr); err != nil {
@@ -124,8 +157,7 @@ func (c *Client) UploadPolicy(p depot.Policy) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("query: policy: %s: %s", resp.Status, bytes.TrimSpace(body))
+		return statusError("policy", resp)
 	}
 	return nil
 }
@@ -166,12 +198,11 @@ func (c *Client) getConditional(path string, params url.Values, etag string) (bo
 		io.Copy(io.Discard, resp.Body)
 		return nil, etag, true, nil
 	}
-	body, err = io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, "", false, err
-	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, "", false, fmt.Errorf("query: %s: %s: %s", path, resp.Status, bytes.TrimSpace(body))
+		return nil, "", false, statusError(path, resp)
+	}
+	if body, err = readSized(resp.Body, resp.ContentLength, nil); err != nil {
+		return nil, "", false, err
 	}
 	return body, resp.Header.Get("ETag"), false, nil
 }
@@ -256,13 +287,13 @@ func (c *Client) FeedSubscribe(branchID, cursor, stream string) (*FeedStream, er
 	case http.StatusOK:
 	case http.StatusNotFound, http.StatusMethodNotAllowed,
 		http.StatusNotImplemented, http.StatusServiceUnavailable:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		io.Copy(io.Discard, io.LimitReader(resp.Body, errTextLimit))
 		resp.Body.Close()
 		return nil, ErrFeedUnsupported
 	default:
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		err := statusError("feed", resp)
 		resp.Body.Close()
-		return nil, fmt.Errorf("query: feed: %s: %s", resp.Status, bytes.TrimSpace(body))
+		return nil, err
 	}
 	return &FeedStream{resp: resp, br: bufio.NewReader(resp.Body)}, nil
 }

@@ -190,34 +190,22 @@ type shardResp struct {
 // a megabyte per shard, and without reuse every read is that much garbage.
 var bodyPool sync.Pool
 
-// readBody reads a shard response into a pooled buffer sized from its
-// Content-Length (the shards always send one; a body of unknown length
-// grows the buffer as it arrives).
+// readBody reads a shard response into a pooled buffer (readSized: sized
+// from its Content-Length, which the shards always send).
 func readBody(resp *http.Response) (body []byte, buf *[]byte, err error) {
-	n := resp.ContentLength
-	if n == 0 {
+	if resp.ContentLength == 0 {
 		return nil, nil, nil
 	}
 	buf, _ = bodyPool.Get().(*[]byte)
 	if buf == nil {
 		buf = new([]byte)
 	}
-	if n > 0 {
-		if int64(cap(*buf)) < n {
-			*buf = make([]byte, n)
-		}
-		body = (*buf)[:n]
-		_, err = io.ReadFull(resp.Body, body)
-	} else {
-		b := bytes.NewBuffer((*buf)[:0])
-		_, err = b.ReadFrom(resp.Body)
-		body = b.Bytes()
-	}
-	*buf = body[:cap(body)]
+	body, err = readSized(resp.Body, resp.ContentLength, *buf)
 	if err != nil {
 		bodyPool.Put(buf)
 		return nil, nil, err
 	}
+	*buf = body[:cap(body)]
 	return body, buf, nil
 }
 

@@ -456,13 +456,12 @@ func scanJSONString(data []byte, i int) (end int, plain bool, err error) {
 		return 0, false, errBadChange
 	}
 	plain = true
-	for i++; i < len(data); {
-		b := data[i]
-		if b < utf8.RuneSelf && jsonEscapeLen[b] == 1 {
-			i++ // a byte json.Marshal copies through: the bulk of a report
-			continue
+	for i++; ; {
+		i = jsonPlainRun(data, i) // the bytes json.Marshal copies through: the bulk of a report
+		if i == len(data) {
+			return 0, false, errBadChange
 		}
-		switch {
+		switch b := data[i]; {
 		case b == '"':
 			return i + 1, plain, nil
 		case b == '\\':
@@ -490,7 +489,6 @@ func scanJSONString(data []byte, i int) (end int, plain bool, err error) {
 			i++
 		}
 	}
-	return 0, false, errBadChange
 }
 
 // jsonHex marks the bytes a \uXXXX escape may hold.

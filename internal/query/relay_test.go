@@ -51,28 +51,53 @@ func FuzzChangeEvent(f *testing.F) {
 	})
 }
 
-// BenchmarkRenderChange is a shard's per-change cost with a subscriber
-// attached: the JSON body of a stored report of the paper's smallest and
-// largest sizes.
-func BenchmarkRenderChange(b *testing.B) {
-	for _, size := range []int{851, 45527} {
-		build := func(pad int) []byte {
-			r := report.New("bench.probe", "1.0", "bench.example.org", time.Date(2004, 7, 7, 0, 0, 0, 0, time.UTC))
-			r.Body = report.Branch("bench", "probe",
-				report.Branch("statistic", "sample", report.Leaf("seq", "00000042"), report.Leaf("units", "count")),
-				report.Leaf("pad", strings.Repeat("x", pad)))
-			data, err := report.Marshal(r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return data
+// benchReports are stored reports of the paper's smallest and largest
+// sizes (851 B, 45 527 B).
+func benchReports(b *testing.B) [][]byte {
+	build := func(pad int) []byte {
+		r := report.New("bench.probe", "1.0", "bench.example.org", time.Date(2004, 7, 7, 0, 0, 0, 0, time.UTC))
+		r.Body = report.Branch("bench", "probe",
+			report.Branch("statistic", "sample", report.Leaf("seq", "00000042"), report.Leaf("units", "count")),
+			report.Leaf("pad", strings.Repeat("x", pad)))
+		data, err := report.Marshal(r)
+		if err != nil {
+			b.Fatal(err)
 		}
-		data := build(size - len(build(0)))
+		return data
+	}
+	var out [][]byte
+	for _, size := range []int{851, 45527} {
+		out = append(out, build(size-len(build(0))))
+	}
+	return out
+}
+
+// BenchmarkRenderChange is a shard's per-change cost with a subscriber
+// attached: the JSON body of a stored report.
+func BenchmarkRenderChange(b *testing.B) {
+	for _, data := range benchReports(b) {
 		b.Run(fmt.Sprint(len(data)), func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
 			for b.Loop() {
 				renderChange("probe=p1,site=s,vo=x", "report", true, data)
+			}
+		})
+	}
+}
+
+// BenchmarkUpstreamEvent is the router's per-change cost in the relay:
+// routing the change a shard rendered for a stored report.
+func BenchmarkUpstreamEvent(b *testing.B) {
+	for _, data := range benchReports(b) {
+		ev := FeedEvent{Type: "change", Data: renderChange("probe=p1,site=s,vo=x", "report", true, data)}
+		b.Run(fmt.Sprint(len(data)), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := upstreamEvent(ev); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -119,12 +119,12 @@ func (c *Client) FetchSpec(resource string) ([]byte, int, error) {
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		return nil, 0, statusError("spec", resp)
+	}
+	body, err := readSized(resp.Body, resp.ContentLength, nil)
 	if err != nil {
 		return nil, 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, fmt.Errorf("query: spec: %s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
 	gen := 0
 	fmt.Sscanf(resp.Header.Get("X-Inca-Spec-Generation"), "%d", &gen)
@@ -139,8 +139,7 @@ func (c *Client) UploadSpec(data []byte) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("query: spec upload: %s: %s", resp.Status, strings.TrimSpace(string(body)))
+		return statusError("spec upload", resp)
 	}
 	return nil
 }

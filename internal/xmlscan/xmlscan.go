@@ -211,9 +211,26 @@ func ScanTag(data []byte, pos int) (Tag, bool, error) {
 	}
 }
 
+// nameStop marks the bytes that end an open tag's name: '>' and the
+// spaces isSpace accepts.
+var nameStop = [256]bool{'>': true, ' ': true, '\n': true, '\t': true, '\r': true}
+
+// textProbe is how many bytes of character data SkipSubtree checks inline
+// for the next '<' before it pays for a vectorised search: the depot's
+// documents put most tags straight after another or after a short value.
+const textProbe = 16
+
 // SkipSubtree returns the offset just past the element the start tag t
-// opens. Every close tag on the way must match the open tag it closes; a
-// document that ends first, or closes the wrong element, is an error.
+// (as Next or ScanTag returned it) opens. Every close tag on the way must
+// match the open tag it closes; a document that ends first, or closes the
+// wrong element, is an error.
+//
+// It is Next's loop with the two common tags resolved in place: an open
+// tag is cut the way Next cuts it without building a Tag, and a close tag
+// that is exactly </name> for the innermost open element pops it. Any
+// other markup — a comment, PI, CDATA section or directive, a close tag
+// with a different name or trailing space, an unterminated '<' — goes
+// through Next, so the offsets and the error texts are Next's.
 func SkipSubtree(data []byte, t Tag) (int, error) {
 	if t.Kind == Empty {
 		return t.End, nil
@@ -222,12 +239,50 @@ func SkipSubtree(data []byte, t Tag) (int, error) {
 	stack := append(buf[:0], t.Name)
 	pos := t.End
 	for {
-		n, ok, err := Next(data, pos)
+		start := -1
+		for i, stop := pos, min(pos+textProbe, len(data)); i < stop; i++ {
+			if data[i] == '<' {
+				start = i
+				break
+			}
+		}
+		if start < 0 && pos+textProbe < len(data) {
+			if lt := bytes.IndexByte(data[pos+textProbe:], '<'); lt >= 0 {
+				start = pos + textProbe + lt
+			}
+		}
+		if start < 0 {
+			return 0, fmt.Errorf("xmlscan: <%s> at %d is never closed", t.Name, t.Start)
+		}
+		if start+1 < len(data) {
+			switch data[start+1] {
+			case '/':
+				top := stack[len(stack)-1]
+				if end := start + 2 + len(top); end < len(data) && data[end] == '>' && bytes.Equal(data[start+2:end], top) {
+					if stack, pos = stack[:len(stack)-1], end+1; len(stack) == 0 {
+						return pos, nil
+					}
+					continue
+				}
+			case '?', '!': // PIs, comments, CDATA and directives: Next
+			default:
+				nameEnd := start + 1
+				for nameEnd < len(data) && !nameStop[data[nameEnd]] {
+					nameEnd++
+				}
+				end := tagEnd(data, nameEnd)
+				if end < 0 {
+					return 0, unterminated(start)
+				}
+				if pos = end; data[end-2] != '/' { // <name/> opens nothing
+					stack = append(stack, data[start+1:nameEnd])
+				}
+				continue
+			}
+		}
+		n, _, err := Next(data, start)
 		if err != nil {
 			return 0, err
-		}
-		if !ok {
-			return 0, fmt.Errorf("xmlscan: <%s> at %d is never closed", t.Name, t.Start)
 		}
 		pos = n.End
 		switch n.Kind {

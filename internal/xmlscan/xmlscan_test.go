@@ -3,6 +3,7 @@ package xmlscan
 import (
 	"bytes"
 	"encoding/xml"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -122,6 +123,13 @@ func TestSkipSubtree(t *testing.T) {
 		{`<a/>rest`, `<a/>`},
 		{`<a><b x=">"><c/></b><!-- </a> --><![CDATA[</a>]]><?x </a>?></a>rest`, `<a><b x=">"><c/></b><!-- </a> --><![CDATA[</a>]]><?x </a>?></a>`},
 		{`<entry><entry><branch></branch></entry></entry></entry>`, `<entry><entry><branch></branch></entry></entry>`},
+		// Markup the in-place paths must hand to Next or cut as Next does.
+		{`<a><b></b ></a>rest`, `<a><b></b ></a>`},
+		{`<a><b x="/>"></b></a>rest`, `<a><b x="/>"></b></a>`},
+		{`<a><a/ ></a/></a>rest`, `<a><a/ ></a/></a>`},
+		{`<a><></></a>rest`, `<a><></></a>`},
+		{"<a\t><b\n></b\r\n><c\t></c><d\r/></a\t>rest", "<a\t><b\n></b\r\n><c\t></c><d\r/></a\t>"},
+		{`<a><b"/>text<c/></a>rest`, `<a><b"/>text<c/></a>`},
 	} {
 		doc := []byte(c.doc)
 		tag, _, _ := Next(doc, 0)
@@ -129,6 +137,7 @@ func TestSkipSubtree(t *testing.T) {
 		if err != nil || string(doc[:end]) != c.want {
 			t.Errorf("SkipSubtree(%q) = %q %v, want %q", c.doc, doc[:max(end, 0)], err, c.want)
 		}
+		checkAgainstRef(t, doc, tag)
 	}
 	for _, bad := range []string{
 		`<a>`,
@@ -141,6 +150,19 @@ func TestSkipSubtree(t *testing.T) {
 		`<a><`,
 		`<a><!-x--></a>`,
 		`<a><![CDATAX[]]></a>`,
+		`<a></ab>`,
+		`<a><b></a >`,
+		`<a><b x="/>"></a>`,
+		`<a><a/ ></a>`,
+		`<a><></a>`,
+		"<a\t></a\t",
+		`<a><!-- -- `,
+		`<a><?pi `,
+		`<a><![CDATA[ ]]`,
+		`<a><!DOCTYPE d [ `,
+		`<a><b`,
+		`<a></a`,
+		`<a><b x='>`,
 	} {
 		doc := []byte(bad)
 		tag, ok, err := Next(doc, 0)
@@ -150,7 +172,101 @@ func TestSkipSubtree(t *testing.T) {
 		if end, err := SkipSubtree(doc, tag); err == nil {
 			t.Errorf("SkipSubtree(%q) accepted, end %d", bad, end)
 		}
+		checkAgainstRef(t, doc, tag)
 	}
+}
+
+// skipSubtreeRef is SkipSubtree as it was before its close and open tags
+// were resolved in place: every piece of markup through Next. It is the
+// oracle the fast loop must agree with, offset and error text alike.
+func skipSubtreeRef(data []byte, t Tag) (int, error) {
+	if t.Kind == Empty {
+		return t.End, nil
+	}
+	var buf [16][]byte // open elements, innermost last; report bodies nest a few levels
+	stack := append(buf[:0], t.Name)
+	pos := t.End
+	for {
+		n, ok, err := Next(data, pos)
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			return 0, fmt.Errorf("xmlscan: <%s> at %d is never closed", t.Name, t.Start)
+		}
+		pos = n.End
+		switch n.Kind {
+		case Open:
+			stack = append(stack, n.Name)
+		case Close:
+			top := len(stack) - 1
+			if !bytes.Equal(stack[top], n.Name) {
+				return 0, fmt.Errorf("xmlscan: <%s> closed by </%s> at %d", stack[top], n.Name, n.Start)
+			}
+			if stack = stack[:top]; top == 0 {
+				return pos, nil
+			}
+		}
+	}
+}
+
+// checkAgainstRef fails unless SkipSubtree and skipSubtreeRef return the
+// same offset and the same error text for tag.
+func checkAgainstRef(t *testing.T, data []byte, tag Tag) {
+	t.Helper()
+	end, err := SkipSubtree(data, tag)
+	wantEnd, wantErr := skipSubtreeRef(data, tag)
+	if end != wantEnd || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("SkipSubtree(%q) from %d = %d, %v; reference loop %d, %v", data, tag.Start, end, err, wantEnd, wantErr)
+	}
+}
+
+// skipSeeds are documents whose markup the fast loop must hand to Next:
+// close tags that are not exactly </name>, quoted '/>' and '>', a name
+// ending in '/' or in a space other than ' ', an empty name, and each kind
+// of markup left unterminated.
+var skipSeeds = []string{
+	`<a><b></b ></a>`,
+	`<a></ab>`,
+	`<a><b x="/>"></b></a>`,
+	`<a><a/ ></a/></a>`,
+	`<a><></></a>`,
+	"<a><b\t></b><c\n></c\n><d\r x='1'></d ></a>",
+	`<a><!-- </a> --></a>`,
+	`<a><!-- </a>`,
+	`<a><?pi </a>?></a>`,
+	`<a><?pi </a>`,
+	`<a><![CDATA[</a>]]></a>`,
+	`<a><![CDATA[</a>`,
+	`<a><!DOCTYPE d [<!ENTITY e "</a>">]></a>`,
+	`<a><!DOCTYPE d [`,
+	`<a><b x="1`,
+	`<a><b`,
+	`<a></a`,
+	`<a><`,
+	`<a><!-x--></a>`,
+	`<a>text&lt;more text than one probe holds</a>`,
+}
+
+// FuzzSkipSubtree holds SkipSubtree to the reference loop on every input,
+// malformed ones included: from every open tag Next finds, both return the
+// same offset and the same error text.
+func FuzzSkipSubtree(f *testing.F) {
+	for _, seed := range skipSeeds {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for pos := 0; ; {
+			tag, ok, err := Next(data, pos)
+			if err != nil || !ok {
+				return
+			}
+			if tag.Kind == Open || tag.Kind == Empty {
+				checkAgainstRef(t, data, tag)
+			}
+			pos = tag.End
+		}
+	})
 }
 
 // elementSpans is the encoding/xml reference: the byte range of every
