@@ -127,11 +127,11 @@ bench-merge:
 	$(GO) test -run=NONE -bench='BenchmarkClientCache' -benchmem ./internal/query/
 
 # Ingest tier (DESIGN.md §5b, §5c): the cache insert of a report already in
-# canonical form against one the insert must tokenise, the store path's one
-# pass (admission with the extraction) against the two it replaced, and the
-# archive's value extraction by scanner against the tokenising extractor it
-# replaced, at the paper's smallest and largest report sizes (851 B,
-# 45 527 B).
+# canonical form against one the insert must write out, the store path's one
+# pass (admission with the extraction) on canonical reports and on one it
+# must write out, and the archive's value extraction against the tokenising
+# extractor it replaced, at the paper's smallest and largest report sizes
+# (851 B, 45 527 B).
 bench-ingest:
 	$(GO) test -run=NONE -bench='BenchmarkUpdateCanonical|BenchmarkUpdateFallback|BenchmarkAdmit' -benchmem ./internal/depot/
 	$(GO) test -run=NONE -bench='BenchmarkExtractValues' -benchmem ./internal/report/
@@ -139,9 +139,10 @@ bench-ingest:
 # Ten seconds of coverage-guided fuzzing per target: the canonical scanner
 # against encoding/xml, its subtree skip against the plain Next loop (same
 # offset, same error text, on any input), the merge and the reports parser against the
-# tokenising oracle, the insert's admission against the tokenising insert,
-# the store path's one pass against admission then extraction, the
-# extractor against Parse + Find, the envelope escaper against
+# tokenising oracle, the insert's admission against the canonical writer,
+# the writer as a fixed point (and against the round trip it replaced),
+# the store path's one pass against the admission and Parse + Find, the
+# extractor against the tokenising one and Parse + Find, the envelope escaper against
 # xml.EscapeText, the archive image reader and the wire frame and batch
 # readers against their own writers (what is accepted re-serializes to the
 # bytes it was read from), the router's in-place routing of a received frame
@@ -161,6 +162,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzParseReports$$' -fuzztime=10s ./internal/federation/
 	$(GO) test -run=NONE -fuzz='^FuzzRouteFrame$$' -fuzztime=10s ./internal/federation/
 	$(GO) test -run=NONE -fuzz='^FuzzCanonical$$' -fuzztime=10s ./internal/depot/
+	$(GO) test -run=NONE -fuzz='^FuzzEntryPayload$$' -fuzztime=10s ./internal/depot/
 	$(GO) test -run=NONE -fuzz='^FuzzAdmit$$' -fuzztime=10s ./internal/depot/
 	$(GO) test -run=NONE -fuzz='^FuzzExtractValues$$' -fuzztime=10s ./internal/report/
 	$(GO) test -run=NONE -fuzz='^FuzzEncode$$' -fuzztime=10s ./internal/envelope/

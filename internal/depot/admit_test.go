@@ -2,7 +2,9 @@ package depot
 
 import (
 	"bytes"
+	"encoding/xml"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -86,13 +88,17 @@ const (
 )
 
 // FuzzAdmit holds the depot's one pass over a stored report — the
-// canonical scan with the extraction driven from it, or the fallback for a
-// report that is not canonical — to the two passes it replaced:
-// EntryPayload, then ExtractValues. For any bytes and one to three policy
-// paths they must agree on the payload and whether the report is refused,
-// whether extraction fails, and on GMT, Completed (when a success path is
-// asked for) and every value. The seeds are the extractor's own corpus, a
-// benchmark-shaped report, and ExtractValues' order quirks.
+// canonical scan with the extraction driven from it, or the written
+// payload and the extraction over it — to what it must agree with. For any
+// bytes and one to three policy paths: the payload and whether the report
+// is refused are EntryPayload's, a report is counted as a fallback exactly
+// when xmlscan.Canonical refuses it, and wherever report.Parse takes the
+// payload for a report with its sections in order, the extraction is
+// Parse + Find's: no error, the same GMT, Completed (when a success path
+// is asked for) and every value. (FuzzExtractValues holds the same
+// extraction to the tokenising extractor on every payload.) The seeds are
+// the extractor's own corpus, a benchmark-shaped report, and the
+// extraction's order quirks.
 func FuzzAdmit(f *testing.F) {
 	docs, exprs := extractorCorpus(f)
 	for i, doc := range docs {
@@ -126,6 +132,11 @@ func FuzzAdmit(f *testing.F) {
 		{`<incaReport>` + admitHeader + `<body><body><v>5</v></body></body>` + admitFooter + `</incaReport>`, "v"},
 		// The footer's flags must be text.
 		{`<incaReport>` + admitHeader + `<body></body><footer><completed>true</completed><errorMessage><b></b></errorMessage></footer></incaReport>`, "v"},
+		// A prefixed body does not end where "</body>" is searched for.
+		{`<incaReport xmlns:x="u">` + admitHeader + `<body><a><v>4</v></a></body><x:body></x:body>` + admitFooter + `</incaReport>`, "v,a"},
+		// Not canonical: the extraction reads the written payload.
+		{`<incaReport>` + admitHeader + `<body><a><v>7</v><!-- </body> --></a></body>` + admitFooter + `</incaReport>`, "v,a"},
+		{`<é>` + admitHeader + `<body><a><v>8</v></a></body>` + admitFooter + `</é>`, "v,a"},
 	} {
 		f.Add([]byte(quirk.doc), admitPick(f, quirk.expr))
 		f.Add([]byte(quirk.doc), admitPick(f, quirk.expr, ""))
@@ -150,34 +161,85 @@ func FuzzAdmit(f *testing.F) {
 		if wantErr != nil {
 			return
 		}
-		want, wantExErr := report.ExtractValues(data, paths)
-		if (exErr != nil) != (wantExErr != nil) {
-			t.Fatalf("%q paths %v: extraction error %v, ExtractValues %v", data, paths, exErr, wantExErr)
-		}
-		if exErr != nil {
+		want, ok := parsedExtraction(payload, paths)
+		if !ok {
 			return
 		}
+		if exErr != nil {
+			t.Fatalf("%q paths %v: Parse takes the payload, extraction: %v", data, paths, exErr)
+		}
 		if !ex.GMT.Equal(want.GMT) || success && ex.Completed != want.Completed {
-			t.Fatalf("%q paths %v: gmt %v completed %v, ExtractValues %v %v", data, paths, ex.GMT, ex.Completed, want.GMT, want.Completed)
+			t.Fatalf("%q paths %v: gmt %v completed %v, Parse + Find %v %v", data, paths, ex.GMT, ex.Completed, want.GMT, want.Completed)
 		}
 		for i := range paths {
 			if ex.Found[i] != want.Found[i] || math.Float64bits(ex.Values[i]) != math.Float64bits(want.Values[i]) {
-				t.Fatalf("%q paths %v: value %d is %v %v, ExtractValues %v %v", data, paths, i, ex.Values[i], ex.Found[i], want.Values[i], want.Found[i])
+				t.Fatalf("%q paths %v: value %d is %v %v, Parse + Find %v %v", data, paths, i, ex.Values[i], ex.Found[i], want.Values[i], want.Found[i])
 			}
 		}
 	})
 }
 
-// BenchmarkAdmit is the store path's scan of a report under the benchmark
-// of record's policy, at the paper's smallest and largest report sizes:
-// the one pass against the two it replaced.
+// parsedExtraction is report.Parse, Find and Float over doc, in the shape
+// an extraction returns. ok is false where that oracle does not apply:
+// Parse refuses doc, it has more than one root, or the root's header, body
+// and footer children are not each there at most once and in that order.
+func parsedExtraction(doc []byte, paths []report.Path) (ex report.Extraction, ok bool) {
+	rep, err := report.Parse(doc)
+	if err != nil {
+		return ex, false
+	}
+	dec := xml.NewDecoder(bytes.NewReader(doc))
+	for depth, last, roots := 0, 0, 0; ; {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return ex, false
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			switch depth++; depth {
+			case 1:
+				if roots++; roots > 1 {
+					return ex, false
+				}
+			case 2:
+				rank := map[string]int{"header": 1, "body": 2, "footer": 3}[t.Name.Local]
+				if rank != 0 && rank <= last {
+					return ex, false
+				}
+				last = max(last, rank)
+			}
+		case xml.EndElement:
+			depth--
+		}
+	}
+	ex = report.Extraction{GMT: rep.Header.GMT, Values: make([]float64, len(paths)), Found: make([]bool, len(paths))}
+	for i, p := range paths {
+		switch {
+		case p.Success():
+			ex.Completed, ex.Found[i] = rep.Footer.Completed, true
+			if rep.Footer.Completed {
+				ex.Values[i] = 1
+			}
+		case rep.Body != nil:
+			ex.Values[i], ex.Found[i] = rep.Body.Float(p.String())
+		}
+	}
+	return ex, true
+}
+
+// BenchmarkAdmit is the store path's one scan of a report under the
+// benchmark of record's policy (archiveScratch.admit): a marshalled report
+// at the paper's smallest and largest sizes, and an 851-byte one indented
+// with tabs, which is written out in canonical form and then read.
 func BenchmarkAdmit(b *testing.B) {
 	paths := []report.Path{report.MustCompilePath("seq,statistic=sample,bench=probe")}
-	for _, size := range []int{851, 45527} {
-		data := paddedReport(b, size)
-		b.Run(fmt.Sprintf("one/%d", size), func(b *testing.B) {
+	run := func(name string, data []byte) {
+		b.Run(name, func(b *testing.B) {
 			sc := &archiveScratch{paths: paths}
-			b.SetBytes(int64(size))
+			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
 			for b.Loop() {
 				if _, ex, exErr, err := sc.admit(data, nil); err != nil || exErr != nil || ex.Values[0] != 42 {
@@ -185,18 +247,23 @@ func BenchmarkAdmit(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("two/%d", size), func(b *testing.B) {
-			var ext report.Extractor
-			b.SetBytes(int64(size))
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := EntryPayload(data, nil); err != nil {
-					b.Fatal(err)
-				}
-				if ex, err := ext.ExtractValues(data, paths); err != nil || ex.Values[0] != 42 {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
+	for _, size := range []int{851, 45527} {
+		run(fmt.Sprintf("one/%d", size), paddedReport(b, size))
+	}
+	run("fallback/851", tabIndented(b, 851))
+}
+
+// tabIndented is paddedReport with a newline and a tab before the header,
+// the body and the footer, size bytes in all: not canonical.
+func tabIndented(tb testing.TB, size int) []byte {
+	doc := paddedReport(tb, size-3*len("\n\t"))
+	for _, tag := range []string{"<header>", "<body>", "<footer>"} {
+		at := bytes.Index(doc, []byte(tag))
+		doc = append(doc[:at:at], append([]byte("\n\t"), doc[at:]...)...)
+	}
+	if _, ok := xmlscan.Canonical(doc); ok || len(doc) != size {
+		tb.Fatalf("indented report is %d bytes, canonical %v", len(doc), ok)
+	}
+	return doc
 }

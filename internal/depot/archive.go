@@ -153,18 +153,14 @@ func (sc *archiveScratch) collect(ex report.Extraction) {
 }
 
 // admit settles a report's cache payload, as EntryPayload does, and
-// extracts sc.paths from it. A canonical report costs one scan
-// (report.Extractor.Admit); any other is tokenised, counted in fallbacks,
-// and then read by ExtractValues. err is the admission's: the report
-// cannot be cached. exErr is the extraction's: it cannot be archived.
+// extracts sc.paths from it in the same scan (report.Extractor.Admit); a
+// report that is not canonical is counted in fallbacks. err is the
+// admission's: the report cannot be cached. exErr is the extraction's: it
+// cannot be archived.
 func (sc *archiveScratch) admit(reportXML []byte, fallbacks *metrics.Counter) (payload []byte, ex report.Extraction, exErr, err error) {
-	payload, canonical, ex, exErr := sc.ext.Admit(reportXML, sc.paths)
-	if canonical {
-		return payload, ex, exErr, nil
+	payload, canonical, ex, exErr, err := sc.ext.Admit(reportXML, sc.paths)
+	if !canonical && fallbacks != nil {
+		fallbacks.Inc()
 	}
-	if payload, err = tokenisedPayload(reportXML, fallbacks); err != nil {
-		return nil, report.Extraction{}, nil, err
-	}
-	ex, exErr = sc.ext.ExtractValues(reportXML, sc.paths)
-	return payload, ex, exErr, nil
+	return payload, ex, exErr, admissionError(err)
 }

@@ -21,17 +21,14 @@
 //
 // The paper's own single-document stream cache and the designs it tried or
 // planned (DOM, file, split) live in internal/experiments/ablation. They
-// share this package's admission point (EntryPayload), entry writer
-// (WriteEntry) and dump restorer (RestoreDump), so they store the same
-// bytes, and the stream cache is the byte oracle the IndexedCache is held
-// to in this package's external tests.
+// share this package's admission point (EntryPayload) and dump restorer
+// (RestoreDump), so they store the same bytes, and the stream cache is the
+// byte oracle the IndexedCache is held to in this package's external tests.
 package depot
 
 import (
 	"bytes"
-	"encoding/xml"
 	"fmt"
-	"io"
 
 	"inca/internal/branch"
 	"inca/internal/metrics"
@@ -164,78 +161,30 @@ func WalkDump(data []byte, at branch.ID, fn func(id branch.ID, payload []byte) e
 	return nil
 }
 
-// WriteEntry writes <entry> wrapping the report's token stream. A leading
-// XML declaration is dropped with the whitespace around it: inside <entry>
-// it is no longer the start of a document, and the encoder refuses it there.
-// It is exported for the caches outside this package that serialize entries
-// themselves (internal/experiments/ablation), so their documents stay
-// byte-identical.
-func WriteEntry(enc *xml.Encoder, reportXML []byte) error {
-	entry := xml.StartElement{Name: xml.Name{Local: "entry"}}
-	if err := enc.EncodeToken(entry); err != nil {
-		return err
-	}
-	dec := xml.NewDecoder(bytes.NewReader(reportXML))
-	wrote := false
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("depot: report is not well-formed XML: %w", err)
-		}
-		if !wrote {
-			switch t := tok.(type) {
-			case xml.CharData:
-				// Skip leading whitespace outside the root element.
-				continue
-			case xml.ProcInst:
-				if t.Target == "xml" {
-					continue
-				}
-			}
-		}
-		if err := enc.EncodeToken(tok); err != nil {
-			return err
-		}
-		wrote = true
-	}
-	if !wrote {
-		return fmt.Errorf("depot: empty report payload")
-	}
-	return enc.EncodeToken(entry.End())
-}
-
 // EntryPayload is the one admission point of every cache: it returns the
-// bytes a report occupies between <entry> and </entry>, what WriteEntry's
-// decode and re-encode round trip makes of it. A report already in the
-// encoder's own form (xmlscan.Canonical: one byte-level pass, no
-// allocation) is its own payload, and the returned slice aliases reportXML.
-// Anything else, every malformed report included, is tokenised by
-// WriteEntry and counted in fallbacks (nil counts nothing) — so which bytes
-// are stored, and which error rejects a report, never depends on the path
-// taken.
+// bytes a report occupies between <entry> and </entry>, its canonical form
+// (xmlscan.AppendCanonical). A report already in that form
+// (xmlscan.Canonical: one byte-level pass, no allocation) is its own
+// payload, and the returned slice aliases reportXML. Anything else, every
+// malformed report included, is written out by AppendCanonical and counted
+// in fallbacks (nil counts nothing). Storing a payload again stores the
+// same bytes.
 func EntryPayload(reportXML []byte, fallbacks *metrics.Counter) ([]byte, error) {
 	if payload, ok := xmlscan.Canonical(reportXML); ok {
 		return payload, nil
 	}
-	return tokenisedPayload(reportXML, fallbacks)
-}
-
-// tokenisedPayload is EntryPayload for a report xmlscan.Canonical refused.
-func tokenisedPayload(reportXML []byte, fallbacks *metrics.Counter) ([]byte, error) {
 	if fallbacks != nil {
 		fallbacks.Inc()
 	}
-	var buf bytes.Buffer
-	enc := xml.NewEncoder(&buf)
-	if err := WriteEntry(enc, reportXML); err != nil {
-		return nil, err
+	payload, err := xmlscan.AppendCanonical(nil, reportXML)
+	return payload, admissionError(err)
+}
+
+// admissionError is the error that refuses a report AppendCanonical
+// refused.
+func admissionError(err error) error {
+	if err == nil {
+		return nil
 	}
-	if err := enc.Flush(); err != nil {
-		return nil, err
-	}
-	frag := buf.Bytes()
-	return frag[len("<entry>") : len(frag)-len("</entry>")], nil
+	return fmt.Errorf("depot: report is not well-formed XML: %w", err)
 }

@@ -11,7 +11,6 @@ import (
 	"inca/internal/envelope"
 	"inca/internal/journal"
 	"inca/internal/metrics"
-	"inca/internal/report"
 	"inca/internal/rrd"
 )
 
@@ -151,7 +150,7 @@ func newDepot(cache Cache, opts Options, store archiveStore) *Depot {
 	d.bytes = reg.Counter("inca_depot_bytes_total", "Report payload bytes stored.")
 	d.applied = reg.Counter("inca_depot_archive_applied_total", "Samples consolidated into archives.")
 	d.matched = reg.Counter("inca_depot_archive_matched_total", "Stores that matched at least one archival policy.")
-	d.fallback = reg.Counter("inca_depot_insert_fallback_total", "Reports the cache insert tokenised with encoding/xml because they were not in the encoder's own form.")
+	d.fallback = reg.Counter("inca_depot_insert_fallback_total", "Reports the depot had to write in canonical form because they did not arrive in it.")
 	if ic, ok := cache.(*IndexedCache); ok {
 		ic.fallbacks = d.fallback // before anything is stored: not safe alongside Update
 	}
@@ -321,25 +320,24 @@ func (d *Depot) storeApply(id branch.ID, reportXML []byte) (Receipt, error) {
 
 // insert stores the report in the cache and, when policies match, leaves
 // in sc what they archive; extracted is false when the report is not one
-// (cacheable, not archivable — skipped silently). Into the IndexedCache a
-// report costs one scan, the admission with the extraction driven from it
-// (archiveScratch.admit); into any other cache, two: the cache's own
-// admission, then ExtractValues.
+// (cacheable, not archivable — skipped silently). The admission and the
+// extraction are one scan (archiveScratch.admit); the IndexedCache takes
+// the admitted payload as it is, and any other cache admits it again,
+// which a payload passes unchanged.
 func (d *Depot) insert(id branch.ID, reportXML []byte, matching []*compiledPolicy, sc *archiveScratch) (added, extracted bool, err error) {
 	if len(matching) == 0 {
 		added, err = d.cache.Update(id, reportXML)
 		return added, false, err
 	}
 	sc.plan(matching)
-	var ex report.Extraction
-	var exErr error
+	payload, ex, exErr, err := sc.admit(reportXML, d.fallback)
+	if err != nil {
+		return false, false, err
+	}
 	if ic, ok := d.cache.(*IndexedCache); ok {
-		var payload []byte
-		if payload, ex, exErr, err = sc.admit(reportXML, ic.fallbacks); err == nil {
-			added, err = ic.insert(id, payload)
-		}
-	} else if added, err = d.cache.Update(id, reportXML); err == nil {
-		ex, exErr = sc.ext.ExtractValues(reportXML, sc.paths)
+		added, err = ic.insert(id, payload)
+	} else {
+		added, err = d.cache.Update(id, payload)
 	}
 	if err != nil || exErr != nil {
 		return added, false, err

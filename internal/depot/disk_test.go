@@ -505,3 +505,23 @@ func TestRestoreKeepsConfiguredCache(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckpointKeepsNamespacedReports restarts a disk depot from a
+// checkpoint twice: each restart stores every payload again, and must
+// store the same bytes.
+func TestCheckpointKeepsNamespacedReports(t *testing.T) {
+	dir := t.TempDir()
+	d := diskDepot(t, dir, DiskOptions{})
+	want := storeNamespaced(t, d)
+	for i := 1; i <= 2; i++ {
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+		d = diskDepot(t, dir, DiskOptions{})
+		if got := d.Cache().Dump(); !bytes.Equal(got, want) {
+			t.Fatalf("restart %d changed the document:\n%s\nwant\n%s", i, got, want)
+		}
+	}
+	d.Close()
+}

@@ -48,7 +48,7 @@ type IndexedCache struct {
 	doc    []byte // lazily materialized canonical document
 	docGen uint64 // generation doc was built at
 
-	// fallbacks counts reports Update had to tokenise; nil until newDepot
+	// fallbacks counts reports Update had to write out; nil until newDepot
 	// hands over its counter, before anything is stored.
 	fallbacks *metrics.Counter
 }

@@ -2,6 +2,7 @@ package depot
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -162,5 +163,49 @@ func TestSnapshotEmptyDepot(t *testing.T) {
 	}
 	if back.Cache().Count() != 0 || len(back.Policies()) != 0 {
 		t.Fatal("empty depot round trip not empty")
+	}
+}
+
+// namespacedReports are stored and restored by the re-store tests: a
+// prefix and its declaration, a default namespace, and reports that are
+// written out on admission because they also self-close, comment or
+// declare a document type.
+var namespacedReports = []string{
+	`<r><x:pad xmlns:x="u">1</x:pad></r>`,
+	`<r xmlns="u" xml:lang="en"><v>1</v></r>`,
+	`<x:r xmlns:x='u'><x:v a="1"/><!-- c --></x:r>`,
+	`<!DOCTYPE r><r xmlns:y="v"><y:v>2</y:v></r>`,
+}
+
+// storeNamespaced stores namespacedReports into d and returns its
+// document.
+func storeNamespaced(t *testing.T, d *Depot) []byte {
+	t.Helper()
+	for i, doc := range namespacedReports {
+		if _, err := d.Store(branch.MustParse(fmt.Sprintf("probe=ns%d,site=s,vo=tg", i)), []byte(doc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d.Cache().Dump()
+}
+
+// TestSnapshotKeepsNamespacedReports restores a snapshot twice: each
+// restore stores every payload again, and must store the same bytes.
+func TestSnapshotKeepsNamespacedReports(t *testing.T) {
+	d := New(nil)
+	want := storeNamespaced(t, d)
+	for i := 1; i <= 2; i++ {
+		var buf bytes.Buffer
+		if err := d.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := back.Cache().Dump(); !bytes.Equal(got, want) {
+			t.Fatalf("restore %d changed the document:\n%s\nwant\n%s", i, got, want)
+		}
+		d = back
 	}
 }

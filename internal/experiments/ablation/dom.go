@@ -27,7 +27,7 @@ type DOMCache struct {
 
 type domNode struct {
 	pair     branch.Pair
-	entry    []byte
+	entry    []byte     // the report's payload (depot.EntryPayload)
 	children []*domNode // sorted by (name, value)
 }
 
@@ -57,7 +57,8 @@ func NewDOMCache() *DOMCache { return &DOMCache{root: &domNode{}} }
 
 // Update implements Cache.
 func (c *DOMCache) Update(id branch.ID, reportXML []byte) (bool, error) {
-	if err := wellFormed(reportXML); err != nil {
+	payload, err := depot.EntryPayload(reportXML, nil)
+	if err != nil {
 		return false, err
 	}
 	c.mu.Lock()
@@ -75,8 +76,8 @@ func (c *DOMCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 		c.count++
 		c.bytes += len("<entry></entry>")
 	}
-	c.bytes += len(reportXML) - len(n.entry)
-	n.entry = append([]byte(nil), reportXML...)
+	c.bytes += len(payload) - len(n.entry)
+	n.entry = append([]byte(nil), payload...)
 	c.gen++
 	return added, nil
 }
@@ -104,9 +105,9 @@ func (c *DOMCache) Query(id branch.ID) ([]byte, bool, error) {
 	enc := xml.NewEncoder(&buf)
 	var err error
 	if n == c.root {
-		err = n.encode(enc, "cache")
+		err = n.encode(enc, &buf, "cache")
 	} else {
-		err = n.encode(enc, "branch")
+		err = n.encode(enc, &buf, "branch")
 	}
 	if err != nil {
 		return nil, false, err
@@ -117,7 +118,9 @@ func (c *DOMCache) Query(id branch.ID) ([]byte, bool, error) {
 	return buf.Bytes(), true, nil
 }
 
-func (n *domNode) encode(enc *xml.Encoder, tag string) error {
+// encode writes n's element through enc into buf, where enc writes; its
+// entry goes into buf as it stands.
+func (n *domNode) encode(enc *xml.Encoder, buf *bytes.Buffer, tag string) error {
 	start := xml.StartElement{Name: xml.Name{Local: tag}}
 	if tag == "branch" {
 		start = branchStart(n.pair)
@@ -126,12 +129,15 @@ func (n *domNode) encode(enc *xml.Encoder, tag string) error {
 		return err
 	}
 	if n.entry != nil {
-		if err := depot.WriteEntry(enc, n.entry); err != nil {
+		if err := enc.Flush(); err != nil {
 			return err
 		}
+		buf.WriteString("<entry>")
+		buf.Write(n.entry)
+		buf.WriteString("</entry>")
 	}
 	for _, ch := range n.children {
-		if err := ch.encode(enc, "branch"); err != nil {
+		if err := ch.encode(enc, buf, "branch"); err != nil {
 			return err
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"inca/internal/branch"
 	"inca/internal/depot"
 	"inca/internal/metrics"
+	"inca/internal/xmlscan"
 )
 
 var _ depot.Cache = (*StreamCache)(nil)
@@ -26,7 +27,7 @@ type StreamCache struct {
 	count   int
 	gen     uint64
 	generic bool // use the generic token-based splice (benchmarks only)
-	// fallbacks counts reports the fast splice had to tokenise; nil until
+	// fallbacks counts reports the fast splice had to write out; nil until
 	// CountFallbacks.
 	fallbacks *metrics.Counter
 }
@@ -39,7 +40,7 @@ func NewStreamCache() *StreamCache {
 // NewStreamCacheGeneric returns a cache whose updates use the
 // general-purpose encoding/xml token scanner instead of the byte-level fast
 // path — the cost of a generic SAX stack, kept for the parser ablation
-// benchmark and as the tokenising oracle of the admission tests.
+// benchmark and as the reference of the admission tests.
 func NewStreamCacheGeneric() *StreamCache {
 	return &StreamCache{data: []byte("<cache></cache>"), generic: true}
 }
@@ -71,7 +72,7 @@ func (c *StreamCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 	return added, nil
 }
 
-// CountFallbacks has the cache count in n the reports its insert tokenised
+// CountFallbacks has the cache count in n the reports its insert wrote out
 // (depot.EntryPayload). Call it before the first Update.
 func (c *StreamCache) CountFallbacks(n *metrics.Counter) { c.fallbacks = n }
 
@@ -172,66 +173,64 @@ func pairBefore(comp branch.Pair, name, value string) bool {
 	return comp.Value < value
 }
 
-// copySubtree copies start and its entire subtree from dec to enc.
-func copySubtree(dec *xml.Decoder, enc *xml.Encoder, start xml.StartElement) error {
-	if err := enc.EncodeToken(start); err != nil {
-		return err
-	}
-	depth := 1
-	for depth > 0 {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		switch tok.(type) {
-		case xml.StartElement:
-			depth++
-		case xml.EndElement:
-			depth--
-		}
-		if err := enc.EncodeToken(tok); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeNewSubtree writes nested branch elements for the remaining path
-// components followed by the report entry.
-func writeNewSubtree(enc *xml.Encoder, comps []branch.Pair, reportXML []byte) error {
-	for _, p := range comps {
-		if err := enc.EncodeToken(branchStart(p)); err != nil {
-			return err
-		}
-	}
-	if err := depot.WriteEntry(enc, reportXML); err != nil {
-		return err
-	}
-	for i := len(comps) - 1; i >= 0; i-- {
-		if err := enc.EncodeToken(xml.EndElement{Name: xml.Name{Local: "branch"}}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // spliceUpdate streams old through to a new buffer, placing reportXML at
 // path (general→specific components). It reports whether a new entry was
-// added (false when an existing entry was replaced).
+// added (false when an existing entry was replaced). It writes the report
+// itself (xmlscan.AppendCanonical) whether or not it is canonical, and
+// copies every element it passes over as it stands.
 func spliceUpdate(old []byte, path []branch.Pair, reportXML []byte) ([]byte, bool, error) {
-	// Validate the payload up front so a malformed report cannot corrupt
-	// the document after some tokens were already emitted.
-	if err := wellFormed(reportXML); err != nil {
-		return nil, false, err
+	// Write the payload up front so a malformed report cannot corrupt the
+	// document after some tokens were already emitted.
+	payload, err := xmlscan.AppendCanonical(nil, reportXML)
+	if err != nil {
+		return nil, false, fmt.Errorf("depot: report is not well-formed XML: %w", err)
 	}
 	dec := xml.NewDecoder(bytes.NewReader(old))
 	var buf bytes.Buffer
-	buf.Grow(len(old) + len(reportXML) + 256)
+	buf.Grow(len(old) + len(payload) + 256)
 	enc := xml.NewEncoder(&buf)
+	// raw writes bytes behind what enc has written.
+	raw := func(parts ...[]byte) error {
+		if err := enc.Flush(); err != nil {
+			return err
+		}
+		for _, p := range parts {
+			buf.Write(p)
+		}
+		return nil
+	}
+	writeEntry := func() error { return raw([]byte("<entry>"), payload, []byte("</entry>")) }
+	// copySubtree copies the element whose start tag dec just returned,
+	// from at, where that tag began.
+	copySubtree := func(at int64) error {
+		if err := dec.Skip(); err != nil {
+			return err
+		}
+		return raw(old[at:dec.InputOffset()])
+	}
+	// writeNewSubtree writes nested branch elements for the remaining path
+	// components around the report entry.
+	writeNewSubtree := func(comps []branch.Pair) error {
+		for _, p := range comps {
+			if err := enc.EncodeToken(branchStart(p)); err != nil {
+				return err
+			}
+		}
+		if err := writeEntry(); err != nil {
+			return err
+		}
+		for range comps {
+			if err := enc.EncodeToken(xml.EndElement{Name: xml.Name{Local: "branch"}}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	matched := 0
 	inserted := false
 	replaced := false
 	for {
+		at := dec.InputOffset()
 		tok, err := dec.Token()
 		if err == io.EOF {
 			break
@@ -258,7 +257,7 @@ func spliceUpdate(old []byte, path []branch.Pair, reportXML []byte) ([]byte, boo
 						continue
 					}
 					if pairBefore(comp, name, value) {
-						if err := writeNewSubtree(enc, path[matched:], reportXML); err != nil {
+						if err := writeNewSubtree(path[matched:]); err != nil {
 							return nil, false, err
 						}
 						inserted = true
@@ -266,12 +265,12 @@ func spliceUpdate(old []byte, path []branch.Pair, reportXML []byte) ([]byte, boo
 				} else if !inserted && matched == len(path) {
 					// Target node's branch children begin; the entry slot
 					// precedes them.
-					if err := depot.WriteEntry(enc, reportXML); err != nil {
+					if err := writeEntry(); err != nil {
 						return nil, false, err
 					}
 					inserted = true
 				}
-				if err := copySubtree(dec, enc, t); err != nil {
+				if err := copySubtree(at); err != nil {
 					return nil, false, err
 				}
 			case "entry":
@@ -279,33 +278,33 @@ func spliceUpdate(old []byte, path []branch.Pair, reportXML []byte) ([]byte, boo
 					if err := dec.Skip(); err != nil {
 						return nil, false, err
 					}
-					if err := depot.WriteEntry(enc, reportXML); err != nil {
+					if err := writeEntry(); err != nil {
 						return nil, false, err
 					}
 					inserted = true
 					replaced = true
-				} else if err := copySubtree(dec, enc, t); err != nil {
+				} else if err := copySubtree(at); err != nil {
 					return nil, false, err
 				}
 			default:
-				if err := copySubtree(dec, enc, t); err != nil {
+				if err := copySubtree(at); err != nil {
 					return nil, false, err
 				}
 			}
 		case xml.EndElement:
 			if !inserted {
 				if matched == len(path) {
-					if err := depot.WriteEntry(enc, reportXML); err != nil {
+					if err := writeEntry(); err != nil {
 						return nil, false, err
 					}
 					inserted = true
 				} else if t.Name.Local == "cache" {
-					if err := writeNewSubtree(enc, path[matched:], reportXML); err != nil {
+					if err := writeNewSubtree(path[matched:]); err != nil {
 						return nil, false, err
 					}
 					inserted = true
 				} else if t.Name.Local == "branch" && matched > 0 {
-					if err := writeNewSubtree(enc, path[matched:], reportXML); err != nil {
+					if err := writeNewSubtree(path[matched:]); err != nil {
 						return nil, false, err
 					}
 					inserted = true
@@ -331,33 +330,12 @@ func spliceUpdate(old []byte, path []branch.Pair, reportXML []byte) ([]byte, boo
 	return buf.Bytes(), !replaced, nil
 }
 
-// wellFormed checks that data is one balanced XML element tree.
-func wellFormed(data []byte) error {
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	elements := 0
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("depot: report is not well-formed XML: %w", err)
-		}
-		if _, ok := tok.(xml.StartElement); ok {
-			elements++
-		}
-	}
-	if elements == 0 {
-		return fmt.Errorf("depot: empty report payload")
-	}
-	return nil
-}
-
 // extractSubtree returns the serialized branch element at path.
 func extractSubtree(data []byte, path []branch.Pair) ([]byte, bool, error) {
 	dec := xml.NewDecoder(bytes.NewReader(data))
 	matched := 0
 	for {
+		at := dec.InputOffset()
 		tok, err := dec.Token()
 		if err == io.EOF {
 			return nil, false, nil
@@ -381,15 +359,11 @@ func extractSubtree(data []byte, path []branch.Pair) ([]byte, bool, error) {
 			if name == comp.Name && value == comp.Value {
 				matched++
 				if matched == len(path) {
-					var buf bytes.Buffer
-					enc := xml.NewEncoder(&buf)
-					if err := copySubtree(dec, enc, t); err != nil {
+					// Copied as it stands, as the indexed cache answers.
+					if err := dec.Skip(); err != nil {
 						return nil, false, err
 					}
-					if err := enc.Flush(); err != nil {
-						return nil, false, err
-					}
-					return buf.Bytes(), true, nil
+					return append([]byte(nil), data[at:dec.InputOffset()]...), true, nil
 				}
 				continue
 			}

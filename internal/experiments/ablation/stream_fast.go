@@ -13,26 +13,22 @@ import (
 
 // This file implements the byte-level splice path for StreamCache.
 //
-// The cache document is canonical: every byte of it is what encoding/xml
-// writes — rendered by it, or admitted by xmlscan.Canonical as already in
-// that form — and encoding/xml escapes '<' and '>' everywhere outside tag
-// delimiters (character data and attribute values alike). That
-// guarantee lets updates scan tags directly with internal/xmlscan — the
-// same single-pass streaming discipline as the paper's SAX cache, minus a
-// general-purpose parser's overhead — and splice the new entry in with one
-// copy. The canonical renderer never self-closes an element, so an Empty
-// tag at branch level is a structural surprise like any other.
+// The cache document is canonical: its branch tags are what encoding/xml
+// writes and its payloads are in xmlscan's canonical form, and both escape
+// '<' and '>' everywhere outside tag delimiters (character data and
+// attribute values alike). That guarantee lets updates scan tags directly
+// with internal/xmlscan — the same single-pass streaming discipline as the
+// paper's SAX cache, minus a general-purpose parser's overhead — and
+// splice the new entry in with one copy. Neither writer self-closes an
+// element, so an Empty tag at branch level is a structural surprise like
+// any other.
 //
 // spliceUpdate (stream.go) is the generic-token reference implementation;
 // property tests assert the two agree.
 
 // renderFragment builds the bytes for the remaining path components
 // wrapping the report entry (or just the entry when comps is empty).
-func renderFragment(comps []branch.Pair, reportXML []byte, fallbacks *metrics.Counter) ([]byte, error) {
-	payload, err := depot.EntryPayload(reportXML, fallbacks)
-	if err != nil {
-		return nil, err
-	}
+func renderFragment(comps []branch.Pair, payload []byte) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Grow(len("<entry></entry>") + len(payload))
 	if len(comps) > 0 { // a replacement, the steady state, opens no branch
@@ -58,12 +54,11 @@ func renderFragment(comps []branch.Pair, reportXML []byte, fallbacks *metrics.Co
 // fastSplice performs the spliceUpdate operation on a canonical document
 // with a single byte-level pass and one copy.
 func fastSplice(old []byte, path []branch.Pair, reportXML []byte, fallbacks *metrics.Counter) ([]byte, bool, error) {
-	// A canonical report has passed a stricter check than wellFormed's; the
-	// rest are held to it before anything is scanned, as spliceUpdate does.
-	if _, ok := xmlscan.Canonical(reportXML); !ok {
-		if err := wellFormed(reportXML); err != nil {
-			return nil, false, err
-		}
+	// The payload is settled before anything is scanned, as spliceUpdate
+	// does.
+	payload, err := depot.EntryPayload(reportXML, fallbacks)
+	if err != nil {
+		return nil, false, err
 	}
 	matched := 0
 	pos := 0
@@ -140,7 +135,7 @@ func fastSplice(old []byte, path []branch.Pair, reportXML []byte, fallbacks *met
 		}
 	}
 
-	frag, err := renderFragment(fragComps, reportXML, fallbacks)
+	frag, err := renderFragment(fragComps, payload)
 	if err != nil {
 		return nil, false, err
 	}

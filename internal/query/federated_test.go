@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -476,6 +477,16 @@ func TestFederatedConditionalPartial404(t *testing.T) {
 func TestFederatedMembershipCopiesReports(t *testing.T) {
 	tf := newTestFederation(t, 2)
 	federationPopulation(t, tf, 12, 4)
+	// A namespaced report at every site: copying one stores its payload
+	// again, which must store the same bytes.
+	for s := 0; s < 12; s++ {
+		id := branch.MustParse(fmt.Sprintf("probe=ns,site=s%02d,vo=tg", s))
+		env, err := envelope.Encode(envelope.Body, id, []byte(`<r><x:pad xmlns:x="u">1</x:pad><v xmlns="w"/></r>`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tf.store(t, env)
+	}
 	admin := func(path, want string) string {
 		t.Helper()
 		resp, err := http.Post(tf.fed.URL+path, "", nil)
@@ -535,5 +546,8 @@ func TestFederatedMembershipCopiesReports(t *testing.T) {
 	admin("/federation/replicate?catchup=1&shard=shard1&follower="+url.QueryEscape("follower1/"+followerURL), "replicating shard1 to follower1 (caught up ")
 	if got, want := follower.Cache().Count(), tf.depots["shard1"].Cache().Count(); got != want || want == 0 {
 		t.Fatalf("follower holds %d reports after catch-up, its primary %d", got, want)
+	}
+	if got, want := follower.Cache().Dump(), tf.depots["shard1"].Cache().Dump(); !bytes.Equal(got, want) {
+		t.Fatalf("follower's document after catch-up differs from its primary's:\n%s\nwant\n%s", got, want)
 	}
 }

@@ -9,38 +9,48 @@ import (
 )
 
 // Admission is the depot's one pass over a report it stores. The cache
-// must hold the report to the encoder's own form (xmlscan.Canonical) and
-// the archive must read the header's gmt and the policies' leaves out of
-// it. Admit does both in the one canonical scan: the scanner hands its
-// tokens to an admitter, which runs ExtractValues' walk on them — the same
-// path states, advanced by decideMatches, descendantInterest and
-// finalizeElement, and the same checks and order quirks, pushed a token at
-// a time instead of pulled from a Cursor. Once the extraction is settled
-// the admitter asks for no more tokens and the scan only checks the rest.
+// holds the report's canonical form (xmlscan.Canonical, written by
+// xmlscan.AppendCanonical) and the archive reads the header's gmt and the
+// policies' leaves out of it. Admit does both in the canonical scan: the
+// scanner hands its tokens to an admitter, which advances the path states
+// (decideMatches, descendantInterest, finalizeElement) a token at a time
+// and keeps the order quirks the archive has always had. Once the
+// extraction is settled the admitter asks for no more tokens and the scan
+// only checks the rest.
 
-// Admit scans data once for the admission and the extraction. ok and
-// payload are xmlscan.Canonical's verdict and payload. When ok, ex and err
-// are what ExtractValues(data, paths) returns, and ex's slices are e's own,
-// valid until its next scan. When data is not canonical nothing was
-// extracted: a caller that still stores it tokenises it and then calls
-// ExtractValues.
-func (e *Extractor) Admit(data []byte, paths []Path) (payload []byte, ok bool, ex Extraction, err error) {
-	ex, needFooter := e.reset(paths)
-	a := &e.a
-	*a = admitter{x: &e.x, data: data, paths: paths, ex: ex, needFooter: needFooter, section: inRoot, frames: a.frames[:0]}
-	if payload, ok = xmlscan.CanonicalVisit(data, a); !ok {
-		return nil, false, Extraction{}, nil
+// Admit returns the bytes the depot stores for data and the extraction of
+// paths from them. A canonical report is its own payload (canonical is
+// true and payload aliases data) and is read once. Any other is written in
+// canonical form into a new slice, and the extraction reads what was
+// written. err says data is not well-formed XML:
+// there is nothing to store or extract. Otherwise exErr is the
+// extraction's: the report can be stored, not archived. ex's slices are
+// e's own, valid until its next scan.
+func (e *Extractor) Admit(data []byte, paths []Path) (payload []byte, canonical bool, ex Extraction, exErr, err error) {
+	if payload, canonical = xmlscan.CanonicalVisit(data, e.admitter(data, paths)); !canonical {
+		if payload, err = xmlscan.AppendCanonical(nil, data); err != nil {
+			return nil, false, Extraction{}, nil, err
+		}
+		xmlscan.VisitWritten(payload, e.admitter(payload, paths))
 	}
+	a := &e.a
 	if a.mode != admitted {
 		// Only the scan after a footer jump can run off the end: what
 		// follows the last </body> held no footer.
 		a.fail(truncated(io.EOF))
 	}
-	return payload, true, a.ex, a.err
+	return payload, canonical, a.ex, a.err, nil
 }
 
-// admitMode is where in the report the admitter stands: which loop of
-// ExtractValues would be reading the next token.
+// admitter readies e's admitter for a scan of data.
+func (e *Extractor) admitter(data []byte, paths []Path) *admitter {
+	ex, needFooter := e.reset(paths)
+	a := &e.a
+	*a = admitter{x: &e.x, data: data, paths: paths, ex: ex, needFooter: needFooter, section: inRoot, frames: a.frames[:0]}
+	return a
+}
+
+// admitMode is where in the report the admitter stands.
 type admitMode uint8
 
 const (
@@ -74,7 +84,7 @@ type admitFrame struct {
 	decided, branch bool
 }
 
-// admitter is ExtractValues' walk as an xmlscan.Visitor.
+// admitter is the extraction's walk, as an xmlscan.Visitor.
 type admitter struct {
 	x          *extractor
 	data       []byte
@@ -96,7 +106,8 @@ type admitter struct {
 	frames                        []admitFrame
 
 	// The footer jump resumes after the last literal "</body>"; in a
-	// canonical document each is an end tag, so counting them finds it.
+	// canonical document each is an unprefixed end tag, so counting them
+	// finds it.
 	bodyEnds, lastBodyEnd int
 }
 
@@ -106,6 +117,9 @@ func (a *admitter) Visit(t xmlscan.Token) bool {
 	case xmlscan.StartElement:
 		a.start(t.Name)
 	case xmlscan.EndElement:
+		if string(t.Name) == "body" && !t.Prefixed {
+			a.bodyEnds++
+		}
 		a.end(t.Name)
 	case xmlscan.CharData:
 		switch a.mode {
@@ -184,9 +198,6 @@ func (a *admitter) start(name []byte) {
 }
 
 func (a *admitter) end(name []byte) {
-	if string(name) == "body" {
-		a.bodyEnds++
-	}
 	switch a.mode {
 	case inRoot:
 		if a.needFooter && !a.sawFooter {
@@ -195,7 +206,7 @@ func (a *admitter) end(name []byte) {
 			a.finish()
 		}
 	case inTail:
-		// The Cursor resumed after the jump has nothing open to close.
+		// Read on after the jump, nothing is open to close.
 		a.fail(truncated(fmt.Errorf("xmlscan: </%s> closes nothing", name)))
 	case toJump:
 		if a.bodyEnds == a.lastBodyEnd {
@@ -253,7 +264,7 @@ func (a *admitter) end(name []byte) {
 	}
 }
 
-// body enters a <body> section, as ExtractValues calls body.
+// body enters a <body> section.
 func (a *admitter) body() {
 	if allResolved(a.x.states) {
 		a.bodyDone(true)
@@ -272,7 +283,7 @@ func (a *admitter) bodyDone(early bool) {
 		a.mode = a.section
 	default:
 		// Jump past the last "</body>" and read on there with nothing
-		// open, as ExtractValues resets its Cursor.
+		// open.
 		a.section, a.mode = inTail, toJump
 		a.lastBodyEnd = bytes.Count(a.data, bodyCloseTag)
 		if a.bodyEnds == a.lastBodyEnd {

@@ -7,27 +7,17 @@ import (
 	"slices"
 	"strconv"
 	"time"
-
-	"inca/internal/xmlscan"
 )
 
 // Streaming value extraction: the depot's archive path needs a handful of
 // numeric leaves (and the pass/fail footer flag) out of each matching
 // report, not the whole document. Parse materializes every element of the
 // open-schema body as a Node; for archival that work is thrown away
-// immediately after a few Float lookups. ExtractValues walks the document
-// once with an xmlscan.Cursor (no encoding/xml: the cache insert has
-// already held the report to well-formedness, and what the archive needs
-// is structure and a few runs of text), descends only into elements that
-// can still lie on a requested path (everything else is skipped tag by
-// tag), and stops as soon as every requested value is resolved — so
-// archive-side cost is proportional to the extracted paths, not to the
-// report size.
-//
-// On the depot's store path the same walk runs inside the cache's
-// admission scan instead (Admit, admit.go), so a canonical report is read
-// once. ExtractValues is the fallback for every other report and the
-// oracle Admit is held to (FuzzAdmit in internal/depot).
+// immediately after a few Float lookups. The extraction instead rides on
+// the depot's admission scan (Admit, admit.go): it follows only elements
+// that can still lie on a requested path and stops asking for tokens as
+// soon as every requested value is resolved, so archive-side work is
+// proportional to the extracted paths, not to the report size.
 
 // Path is a compiled Inca path expression (see Node.Find for the
 // semantics). The zero-value path — compiled from the empty string — is
@@ -41,7 +31,7 @@ type Path struct {
 }
 
 // CompilePath parses an Inca path expression once, for repeated use with
-// ExtractValues. The empty expression compiles to the success path.
+// Admit and ExtractValues. The empty expression compiles to the success path.
 func CompilePath(path string) (Path, error) {
 	comps, err := splitPath(path)
 	if err != nil {
@@ -72,7 +62,7 @@ func (p Path) String() string { return p.raw }
 // Success reports whether p is the success (empty) path.
 func (p Path) Success() bool { return p.success }
 
-// Extraction is the result of one ExtractValues scan.
+// Extraction is the result of one extraction.
 type Extraction struct {
 	// GMT is the report header timestamp (zero when the header carries
 	// none, exactly as Parse would return).
@@ -108,30 +98,18 @@ type pathState struct {
 
 func (s *pathState) resolved() bool { return s.dead || s.found }
 
-// errScanDone aborts the document scan early once every requested value
-// is settled.
-var errScanDone = errors.New("report: extraction complete")
-
 var (
 	errMissingHeader = errors.New("report: missing header")
 	errMissingFooter = errors.New("report: missing footer")
 	errMultiRoot     = errors.New("report: body has multiple roots")
 )
 
-var (
-	bodyCloseTag = []byte("</body>")
-	cdataOpen    = []byte("<![CDATA[")
-	commentOpen  = []byte("<!--")
-)
+var bodyCloseTag = []byte("</body>")
 
-// extractor is one ExtractValues scan: the cursor, the path states, and
-// the scratch the element walk decodes text into.
+// extractor is one extraction's working state: the path states and the
+// scratch the element walk decodes text into.
 type extractor struct {
-	cur    xmlscan.Cursor
 	states []pathState
-	// abort lets the body walk bail out mid-tree the moment every state
-	// is settled; set only when the caller can recover the stream.
-	abort bool
 	// text holds the character data of the open elements on the walk's
 	// path, each element's run starting where its parent's stood when it
 	// opened; id is the scratch for one element read whole: the <ID> of the
@@ -139,130 +117,29 @@ type extractor struct {
 	text, id []byte
 }
 
-// ExtractValues scans a serialized report for the given compiled paths.
-// Header and footer handling mirrors Parse: a document without a header
-// is rejected; the footer is required (and read) only when a success path
-// is requested — otherwise the scan ends as soon as the body is resolved.
-// When the footer is needed, a scan whose values all settled early jumps
-// to the body's end tag by byte search instead of walking the rest of the
-// body, so the success flag costs O(footer), not O(report).
-//
-// On a document encoding/xml accepts and Parse takes for a report with its
-// sections in order, the result is what Parse followed by Find and Float
-// gives. The scan checks structure only, so where encoding/xml would stop
-// at a malformed name, reference or character the scan may read on: the
-// depot archives a report only after its cache has held the same bytes to
-// full well-formedness.
+// ExtractValues reads the given compiled paths out of a serialized report,
+// as Admit does. Header and footer handling mirrors Parse: a document
+// without a header is rejected; the footer is required (and read) only
+// when a success path is requested. On a document Parse takes for a report
+// with its sections in order, the result is what Parse followed by Find
+// and Float gives. A document that is not well-formed XML is an error.
 func ExtractValues(data []byte, paths []Path) (Extraction, error) {
-	return new(Extractor).ExtractValues(data, paths)
+	_, _, ex, exErr, err := new(Extractor).Admit(data, paths)
+	if err != nil {
+		return Extraction{}, err
+	}
+	return ex, exErr
 }
 
-// Extractor runs ExtractValues and Admit scans and keeps their scratch for
-// the next one: the path states, the text buffers and the result slices. A
-// depot archiving at ingest rate pools Extractors, so a steady stream of
-// scans allocates nothing. An Extractor is not safe for concurrent use.
+// Extractor runs Admit scans and keeps their scratch for the next one: the
+// path states, the text buffers and the result slices. A depot archiving
+// at ingest rate pools Extractors, so a steady stream of canonical reports
+// allocates nothing. An Extractor is not safe for concurrent use.
 type Extractor struct {
 	x      extractor
 	a      admitter
 	values []float64
 	found  []bool
-}
-
-// ExtractValues is the package function of that name on e's scratch. The
-// Extraction's Values and Found are e's own, valid until its next scan.
-func (e *Extractor) ExtractValues(data []byte, paths []Path) (Extraction, error) {
-	ex, needFooter := e.reset(paths)
-	x := &e.x
-
-	// In a document free of CDATA sections and comments — every report this
-	// package writes, and anything a conforming producer emits — a "<" in
-	// character data must be escaped, so the last literal "</body>" can only
-	// be the body's end tag. That lets the scan, once every value is
-	// settled, jump straight to the footer instead of walking the rest of
-	// the body. footerJump < 0 disables the jump (and with it the mid-tree
-	// abort when the footer is still needed).
-	footerJump := -1
-	if needFooter && !bytes.Contains(data, cdataOpen) && !bytes.Contains(data, commentOpen) {
-		footerJump = bytes.LastIndex(data, bodyCloseTag)
-	}
-	x.abort = !needFooter || footerJump >= 0
-
-	x.cur.Reset(data)
-	for {
-		tok, err := x.cur.Next()
-		if err != nil {
-			return ex, fmt.Errorf("report: no root element: %w", err)
-		}
-		if tok.Kind != xmlscan.StartElement {
-			continue
-		}
-		if string(tok.Name) != "incaReport" {
-			return ex, fmt.Errorf("report: root element %q, want incaReport", tok.Name)
-		}
-		break
-	}
-	sawHeader, sawFooter := false, false
-	finish := func() (Extraction, error) {
-		if !sawHeader {
-			return ex, errMissingHeader
-		}
-		x.results(&ex, paths)
-		return ex, nil
-	}
-	for {
-		tok, err := x.cur.Next()
-		if err != nil {
-			return ex, truncated(err)
-		}
-		switch tok.Kind {
-		case xmlscan.StartElement:
-			switch string(tok.Name) {
-			case "header":
-				if err := x.headerGMT(&ex.GMT); err != nil {
-					return ex, err
-				}
-				sawHeader = true
-			case "body":
-				err := x.body()
-				if err != nil && err != errScanDone {
-					return ex, err
-				}
-				if !needFooter {
-					return finish()
-				}
-				if err == errScanDone {
-					// Settled mid-body but the footer is still needed.
-					if footerJump >= 0 {
-						// Jump past the body's end tag and resume at the
-						// footer, with nothing open: the root's end tag is
-						// never reached when the header came first.
-						x.cur.Reset(data[footerJump+len(bodyCloseTag):])
-					} else if err := x.cur.Skip(); err != nil {
-						// errScanDone without a jump target only arises at
-						// the body's top level, so Skip unwinds to </body>.
-						return ex, truncated(err)
-					}
-				}
-			case "footer":
-				if ex.Completed, err = x.footerCompleted(); err != nil {
-					return ex, err
-				}
-				sawFooter = true
-				if sawHeader {
-					return finish()
-				}
-			default:
-				if err := x.cur.Skip(); err != nil {
-					return ex, err
-				}
-			}
-		case xmlscan.EndElement:
-			if needFooter && !sawFooter {
-				return ex, errMissingFooter
-			}
-			return finish()
-		}
-	}
 }
 
 // reset readies e for a scan of paths: the result slices sized and
@@ -274,7 +151,7 @@ func (e *Extractor) reset(paths []Path) (ex Extraction, needFooter bool) {
 	clear(e.values)
 	clear(e.found)
 	x := &e.x
-	x.states, x.abort, x.text = x.states[:0], false, x.text[:0]
+	x.states, x.text = x.states[:0], x.text[:0]
 	for _, p := range paths {
 		if p.success {
 			needFooter = true
@@ -309,34 +186,6 @@ func truncated(err error) error {
 	return fmt.Errorf("report: truncated document: %w", err)
 }
 
-// headerGMT reads only the <gmt> child of the header, skipping everything
-// else.
-func (x *extractor) headerGMT(gmt *time.Time) error {
-	for {
-		tok, err := x.cur.Next()
-		if err != nil {
-			return err
-		}
-		switch tok.Kind {
-		case xmlscan.StartElement:
-			if string(tok.Name) != "gmt" {
-				if err := x.cur.Skip(); err != nil {
-					return err
-				}
-				continue
-			}
-			if x.id, err = x.cur.Text(x.id[:0]); err != nil {
-				return err
-			}
-			if *gmt, err = parseGMT(x.id); err != nil {
-				return err
-			}
-		case xmlscan.EndElement:
-			return nil
-		}
-	}
-}
-
 // parseGMT reads the text of the header's <gmt> as Parse does.
 func parseGMT(text []byte) (time.Time, error) {
 	ts, err := time.Parse(gmtLayout, string(bytes.TrimSpace(text)))
@@ -344,72 +193,6 @@ func parseGMT(text []byte) (time.Time, error) {
 		return time.Time{}, fmt.Errorf("report: bad gmt %q: %w", text, err)
 	}
 	return ts, nil
-}
-
-// footerCompleted reads the footer as parseFooter does — <completed> and
-// <errorMessage> must hold text only — and returns the completed flag.
-func (x *extractor) footerCompleted() (completed bool, err error) {
-	for {
-		tok, err := x.cur.Next()
-		if err != nil {
-			return false, err
-		}
-		switch tok.Kind {
-		case xmlscan.StartElement:
-			switch string(tok.Name) {
-			case "completed":
-				if x.id, err = x.cur.Text(x.id[:0]); err != nil {
-					return false, err
-				}
-				completed = string(bytes.TrimSpace(x.id)) == "true"
-			case "errorMessage":
-				if x.id, err = x.cur.Text(x.id[:0]); err != nil {
-					return false, err
-				}
-			default:
-				if err := x.cur.Skip(); err != nil {
-					return false, err
-				}
-			}
-		case xmlscan.EndElement:
-			return completed, nil
-		}
-	}
-}
-
-// body walks the body's root element (the body may be empty). Returns
-// errScanDone when every state resolved before the body ended. With abort
-// set, the walk additionally bails out mid-tree the moment every state is
-// settled — which means a multi-rooted body (that Parse would reject) can
-// still yield values when everything settles inside the first root.
-func (x *extractor) body() error {
-	if allResolved(x.states) {
-		return errScanDone
-	}
-	sawRoot := false
-	for {
-		tok, err := x.cur.Next()
-		if err != nil {
-			return truncated(err)
-		}
-		switch tok.Kind {
-		case xmlscan.StartElement:
-			if sawRoot {
-				// Parse rejects multi-rooted bodies; so do we, so the
-				// archive path skips exactly the documents Parse skips.
-				return errMultiRoot
-			}
-			sawRoot = true
-			if err := x.element(tok.Name, 0); err != nil {
-				return err
-			}
-			if allResolved(x.states) {
-				return errScanDone
-			}
-		case xmlscan.EndElement:
-			return nil // </body>
-		}
-	}
 }
 
 func allResolved(states []pathState) bool {
@@ -433,67 +216,6 @@ func settled(states []pathState) bool {
 		}
 	}
 	return true
-}
-
-// element processes one body element whose start tag has already been
-// consumed, advancing every path state and descending only where a state
-// can still match.
-func (x *extractor) element(tag []byte, depth int) error {
-	mark := len(x.text)
-	// The element's identifier arrives as a leading <ID> child (Figure 2),
-	// so matching is deferred until the first other child (or the end tag)
-	// reveals whether the element carries one. As in parseNode, an <ID>
-	// that follows a non-empty one is an ordinary child.
-	var id []byte
-	decided, isBranch := false, false
-	for {
-		tok, err := x.cur.Next()
-		if err != nil {
-			return truncated(err)
-		}
-		switch tok.Kind {
-		case xmlscan.CharData:
-			x.text = tok.AppendText(x.text)
-		case xmlscan.StartElement:
-			if !decided {
-				if len(id) == 0 && string(tok.Name) == "ID" {
-					if x.id, err = x.cur.Text(x.id[:0]); err != nil {
-						return err
-					}
-					id = bytes.TrimSpace(x.id)
-					continue
-				}
-				decideMatches(tag, id, depth, x.states)
-				decided = true
-			}
-			isBranch = true
-			// Descend only while some state can match at depth+1 (its
-			// committed chain runs through this element).
-			if !descendantInterest(depth, x.states) {
-				if err := x.cur.Skip(); err != nil {
-					return truncated(err)
-				}
-				continue
-			}
-			if err := x.element(tok.Name, depth+1); err != nil {
-				return err
-			}
-			// Once every value is settled, nothing later in the document
-			// can change it (Find commits to first matches): abandon the
-			// walk with elements still open and let the caller jump to
-			// the footer.
-			if x.abort && settled(x.states) {
-				return errScanDone
-			}
-		case xmlscan.EndElement:
-			if !decided {
-				decideMatches(tag, id, depth, x.states)
-			}
-			finalizeElement(depth, x.states, x.text[mark:], isBranch)
-			x.text = x.text[:mark]
-			return nil
-		}
-	}
 }
 
 // decideMatches advances every alive state whose next component is

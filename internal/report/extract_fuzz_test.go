@@ -8,16 +8,18 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"inca/internal/xmlscan"
 )
 
 // sectionLayout tokenises data with encoding/xml and reports whether it
-// accepts the document in full and, if so, whether the root's header, body
-// and footer children each appear at most once and in that order — the
-// layout every reporter writes, and the one on which a scan that stops
-// early and a parse that reads to the end must agree.
+// accepts the document in full and, if so, whether it has one root whose
+// header, body and footer children each appear at most once and in that
+// order — the layout every reporter writes, and the one on which a scan
+// that stops early and a parse that reads to the end must agree.
 func sectionLayout(data []byte) (accepted, inOrder bool) {
 	dec := xml.NewDecoder(bytes.NewReader(data))
-	depth, last := 0, 0
+	depth, last, roots := 0, 0, 0
 	inOrder = true
 	for {
 		tok, err := dec.Token()
@@ -29,7 +31,10 @@ func sectionLayout(data []byte) (accepted, inOrder bool) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			if depth++; depth == 2 {
+			if depth++; depth == 1 {
+				roots++
+				inOrder = inOrder && roots == 1
+			} else if depth == 2 {
 				rank := map[string]int{"header": 1, "body": 2, "footer": 3}[t.Name.Local]
 				if rank != 0 && rank <= last {
 					inOrder = false
@@ -69,15 +74,17 @@ const fuzzReportHead = `<incaReport><header><reporter><name>n</name></reporter><
 const fuzzReportFoot = `<footer><completed>true</completed></footer></incaReport>`
 
 // FuzzExtractValues holds the extractor's contract on every document
-// encoding/xml accepts in full. Against the tokenising extractor it
-// replaced: the same Extraction and the same error-or-not, for a value
-// path alone, with the success path, and for the success path alone — so
-// the early abort, the footer jump and the header and multi-root checks
-// are all kept. Against Parse + Find, wherever Parse takes the document
-// for a report with its sections in order: no error and the same
-// Extraction. On anything encoding/xml refuses the scan may disagree but
-// must not panic. The committed corpus has a document for each way a report
-// leaves the encoder's own form, and for each check the extractor keeps.
+// encoding/xml accepts in full. Against the tokenising extractor run on
+// the payload the depot stores (xmlscan.AppendCanonical; the extraction
+// reads those bytes): the same Extraction and the same error-or-not, for a
+// value path alone, with the success path, and for the success path alone
+// — so the early abort, the footer jump and the header and multi-root
+// checks are all kept. Against Parse + Find, wherever Parse takes the
+// document for a report with its sections in order: no error and the same
+// Extraction. On anything encoding/xml refuses, or that holds no element,
+// the extraction is an error. The committed corpus has a document for each
+// way a report leaves the canonical form, and for each check the extractor
+// keeps.
 func FuzzExtractValues(f *testing.F) {
 	for _, seed := range []struct{ doc, path string }{
 		{fuzzReportHead + `<body><metric><ID>bandwidth</ID><statistic><ID>lowerBound</ID><value>984.99</value><units>Mbps</units></statistic></metric></body>` + fuzzReportFoot, "value,statistic=lowerBound,metric=bandwidth"},
@@ -91,13 +98,17 @@ func FuzzExtractValues(f *testing.F) {
 			value = MustCompilePath("v,a")
 		}
 		accepted, inOrder := sectionLayout(data)
+		payload, writeErr := xmlscan.AppendCanonical(nil, data)
 		rep, parseErr := Parse(data)
 		for _, paths := range [][]Path{{value}, {value, MustCompilePath("")}, {MustCompilePath("")}} {
 			got, err := ExtractValues(data, paths)
-			if !accepted {
+			if !accepted || writeErr != nil {
+				if err == nil {
+					t.Fatalf("%q paths %v: extracted from a document that is not stored", data, paths)
+				}
 				continue
 			}
-			want, wantErr := extractValuesTokenising(data, paths)
+			want, wantErr := extractValuesTokenising(payload, paths)
 			if (err != nil) != (wantErr != nil) {
 				t.Fatalf("%q paths %v: error %v, tokenising extractor %v", data, paths, err, wantErr)
 			}

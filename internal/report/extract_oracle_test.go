@@ -10,13 +10,14 @@ import (
 	"time"
 )
 
-// The tokenising extractor ExtractValues replaced, kept as the oracle for
-// FuzzExtractValues and the benchmarks: the same walk, driven by
-// encoding/xml's Decoder instead of an xmlscan.Cursor. One line differs
-// from the code it was moved from, marked below: an element's second <ID>
-// child used to overwrite the first, where parseNode (and so Parse + Find,
-// the oracle above this one) keeps the first and takes the second for an
-// ordinary child.
+// The tokenising extractor, kept as the oracle for FuzzExtractValues,
+// FuzzAdmit and the benchmarks: the extraction's walk, pulled from
+// encoding/xml's Decoder. Two places differ from the code it was moved
+// from, each marked below: an element's second <ID> child used to
+// overwrite the first, where parseNode (and so Parse + Find, the oracle
+// above this one) keeps the first and takes the second for an ordinary
+// child; and a body opened after the last "</body>" used to jump back to
+// it, for ever.
 
 // oraclePathState tracks one path's progress through the body scan. Matching
 // reproduces Node.Find exactly, including its refusal to backtrack: each
@@ -84,6 +85,7 @@ func extractValuesTokenising(data []byte, paths []Path) (Extraction, error) {
 	abortEarly := !needFooter || footerJump >= 0
 
 	dec := xml.NewDecoder(bytes.NewReader(data))
+	base := 0 // where in data dec started
 	start, err := nextStart(dec)
 	if err != nil {
 		return ex, fmt.Errorf("report: no root element: %w", err)
@@ -145,8 +147,11 @@ func extractValuesTokenising(data []byte, paths []Path) (Extraction, error) {
 					// Settled mid-body but the footer is still needed.
 					if footerJump >= 0 {
 						// Jump past the body's end tag and resume
-						// tokenizing at the footer.
-						dec = xml.NewDecoder(bytes.NewReader(data[footerJump+len(oracleBodyCloseTag):]))
+						// tokenizing at the footer. (A body opened past
+						// that tag — a prefixed one — jumps nowhere: the
+						// scan resumes where it stands, with nothing open.)
+						base = max(footerJump+len(oracleBodyCloseTag), base+int(dec.InputOffset()))
+						dec = xml.NewDecoder(bytes.NewReader(data[base:]))
 					} else if err := dec.Skip(); err != nil {
 						// errOracleScanDone without a jump target only arises at
 						// the body's top level, so Skip unwinds to </body>.

@@ -244,9 +244,9 @@ func TestExtractFooterJump(t *testing.T) {
 }
 
 func TestExtractFooterJumpDisabledByComment(t *testing.T) {
-	// A comment anywhere in the document disables the byte-search jump
-	// (its text could contain a literal "</body>"); the token-level
-	// fallback must still produce identical results.
+	// A comment holding a literal "</body>" is not canonical: the
+	// extraction reads the written payload, which drops the comment, so
+	// the decoy cannot misplace the footer jump.
 	data := paddedSuccessReport(t, true)
 	idx := bytes.Index(data, []byte("<detail>"))
 	if idx < 0 {

@@ -3,6 +3,9 @@ package xmlscan
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/xml"
+	"errors"
+	"io"
 	"unicode/utf8"
 )
 
@@ -34,44 +37,53 @@ var charClass = func() (t [256]uint8) {
 	return t
 }()
 
-// nameClass marks the ASCII bytes encoding/xml accepts in a name: 1 for a
-// byte that may start one, 2 for one that may only continue it. The colon
-// is left out (a prefixed name is re-declared by the encoder) and so is
-// everything above ASCII (rare in report schemas; the tokenising path
-// handles it).
+// nameClass marks the ASCII bytes encoding/xml accepts in a name, other
+// than the colon: nameStart for a byte that may start one, nameMore for one
+// that may only continue it. The colon may stand anywhere in a name, but
+// only once (encoding/xml refuses a second); canonicalName handles it
+// where the table stops. Everything above ASCII is left out: the decoder's
+// Unicode name tables are not reproduced here, so a document with such a
+// name is written by AppendCanonical instead.
+const (
+	nameStart = 1 + iota
+	nameMore
+)
+
 var nameClass = func() (t [256]uint8) {
 	for b := 'a'; b <= 'z'; b++ {
-		t[b], t[b-'a'+'A'] = 1, 1
+		t[b], t[b-'a'+'A'] = nameStart, nameStart
 	}
-	t['_'] = 1
+	t['_'] = nameStart
 	for b := '0'; b <= '9'; b++ {
-		t[b] = 2
+		t[b] = nameMore
 	}
-	t['-'], t['.'] = 2, 2
+	t['-'], t['.'] = nameMore, nameMore
 	return t
 }()
 
-var xmlnsName = []byte("xmlns")
+// A TokenKind classifies a Token.
+type TokenKind uint8
 
-// Canonical reports whether doc is a fixed point of decoding with
-// encoding/xml and re-encoding the tokens with xml.Encoder — the round
-// trip the depot's tokenising insert performs — and returns the bytes that
-// round trip would produce: doc without its leading whitespace.
-//
-// The accepted set is what the encoder itself writes. Leading whitespace
-// only before the first tag; tags exactly <name( attr="value")*> and
-// </name>, names ASCII and un-prefixed, no xmlns attribute, every close
-// tag matching the innermost open element and none left open; character
-// data and attribute values free of anything the encoder would escape
-// differently — its own eight references are the only ones allowed
-// (&#34; &#39; &amp; &lt; &gt; &#x9; &#xD;, and &#xA; in attribute values,
-// where a raw newline is not), no raw " ' > tab or CR, valid UTF-8 within
-// the XML character range. Self-closed tags, CDATA, comments, processing
-// instructions and directives all decode to something the encoder spells
-// differently, so a document holding any is not canonical. One pass, no
-// allocation for documents nested at most 16 deep.
-func Canonical(doc []byte) (payload []byte, ok bool) {
-	return CanonicalVisit(doc, nil)
+const (
+	StartElement TokenKind = iota
+	EndElement
+	CharData
+)
+
+// Token is one start tag, end tag or run of character data of a canonical
+// document, as CanonicalVisit hands it to a Visitor.
+type Token struct {
+	Kind     TokenKind
+	Prefixed bool   // StartElement, EndElement: the name has a namespace prefix
+	Name     []byte // StartElement, EndElement: the local name
+
+	raw []byte // CharData as written
+}
+
+// AppendText appends a CharData token's text to dst, decoded as
+// encoding/xml delivers it: references resolved.
+func (t Token) AppendText(dst []byte) []byte {
+	return appendText(dst, t.raw, true)
 }
 
 // A Visitor is shown the tokens CanonicalVisit reads.
@@ -81,12 +93,53 @@ type Visitor interface {
 	Visit(Token) bool
 }
 
-// CanonicalVisit is Canonical that also hands v, as it goes, the tokens a
-// Cursor would return for the part of doc scanned so far: start tags, end
-// tags, and each run of character data after the first tag (attributes
-// are not reported). When doc turns out not to be canonical, v has seen a
-// prefix of it and the scan stops. A nil v is Canonical.
+// Canonical reports whether doc is in the depot's canonical form — a fixed
+// point of AppendCanonical, which writes every payload the depot stores —
+// and returns that form: doc without its leading whitespace.
+//
+// The accepted set is what AppendCanonical writes. Leading whitespace only
+// before the first tag; tags exactly <name( attr="value")*> and </name>,
+// names ASCII with at most one colon, every close tag matching the
+// innermost open element and none left open; character data and attribute
+// values free of anything the writer would escape differently — its own
+// eight references are the only ones allowed (&#34; &#39; &amp; &lt; &gt;
+// &#x9; &#xD;, and &#xA; in attribute values, where a raw newline is not),
+// no raw " ' > tab or CR, valid UTF-8 within the XML character range.
+// Self-closed tags, CDATA, comments, processing instructions and
+// directives are all written differently or not at all, so a document
+// holding any is not canonical. One pass, no allocation for documents
+// nested at most 16 deep.
+func Canonical(doc []byte) (payload []byte, ok bool) {
+	return canonicalVisit(doc, nil, false)
+}
+
+// CanonicalVisit is Canonical that also hands v, as it goes, the start
+// tags, end tags and each run of character data after the first tag of
+// the part of doc scanned so far (attributes are not reported). When doc
+// turns out not to be canonical, v has seen a prefix of it and the scan
+// stops. A nil v is Canonical.
 func CanonicalVisit(doc []byte, v Visitor) (payload []byte, ok bool) {
+	return canonicalVisit(doc, v, false)
+}
+
+// openName is an element canonicalVisit has open: its name as written and
+// the offset in it of the colon ending a prefix, or -1.
+type openName struct {
+	name  []byte
+	colon int
+}
+
+// token is the StartElement or EndElement token of the element.
+func (o openName) token(kind TokenKind) Token {
+	if o.colon <= 0 || o.colon == len(o.name)-1 {
+		return Token{Kind: kind, Name: o.name}
+	}
+	return Token{Kind: kind, Prefixed: true, Name: o.name[o.colon+1:]}
+}
+
+// canonicalVisit is CanonicalVisit; with written set it also takes names
+// above ASCII, as a document AppendCanonical wrote may hold.
+func canonicalVisit(doc []byte, v Visitor, written bool) (payload []byte, ok bool) {
 	i := 0
 	for i < len(doc) && isSpace(doc[i]) {
 		i++
@@ -95,8 +148,8 @@ func CanonicalVisit(doc []byte, v Visitor) (payload []byte, ok bool) {
 		return nil, false
 	}
 	start := i
-	var buf [16][]byte
-	open := buf[:0] // names of the open elements, innermost last
+	var buf [16]openName
+	open := buf[:0] // the open elements, innermost last
 	for i < len(doc) {
 		if doc[i] != '<' {
 			end := canonicalChars(doc, i, false)
@@ -112,25 +165,25 @@ func CanonicalVisit(doc []byte, v Visitor) (payload []byte, ok bool) {
 		i++
 		if i < len(doc) && doc[i] == '/' {
 			top := len(open) - 1
-			if top < 0 || !bytes.HasPrefix(doc[i+1:], open[top]) {
+			if top < 0 || !bytes.HasPrefix(doc[i+1:], open[top].name) {
 				return nil, false
 			}
-			i += 1 + len(open[top])
+			i += 1 + len(open[top].name)
 			if i >= len(doc) || doc[i] != '>' {
 				return nil, false
 			}
-			if v != nil && !v.Visit(Token{Kind: EndElement, Name: open[top]}) {
+			if v != nil && !v.Visit(open[top].token(EndElement)) {
 				v = nil
 			}
 			open = open[:top]
 			i++
 			continue
 		}
-		end := canonicalName(doc, i)
+		end, colon := canonicalName(doc, i, written)
 		if end < 0 {
 			return nil, false
 		}
-		open = append(open, doc[i:end])
+		open = append(open, openName{doc[i:end], colon})
 		for i = end; ; i++ {
 			if i >= len(doc) {
 				return nil, false
@@ -142,16 +195,15 @@ func CanonicalVisit(doc []byte, v Visitor) (payload []byte, ok bool) {
 			if doc[i] != ' ' {
 				return nil, false
 			}
-			end := canonicalName(doc, i+1)
-			if end < 0 || bytes.Equal(doc[i+1:end], xmlnsName) ||
-				end+1 >= len(doc) || doc[end] != '=' || doc[end+1] != '"' {
+			end, _ := canonicalName(doc, i+1, written)
+			if end < 0 || end+1 >= len(doc) || doc[end] != '=' || doc[end+1] != '"' {
 				return nil, false
 			}
 			if i = canonicalChars(doc, end+2, true); i < 0 {
 				return nil, false
 			}
 		}
-		if v != nil && !v.Visit(Token{Kind: StartElement, Name: open[len(open)-1]}) {
+		if v != nil && !v.Visit(open[len(open)-1].token(StartElement)) {
 			v = nil
 		}
 	}
@@ -159,14 +211,25 @@ func CanonicalVisit(doc []byte, v Visitor) (payload []byte, ok bool) {
 }
 
 // canonicalName returns the end of the name starting at i, or -1 when no
-// acceptable name starts there.
-func canonicalName(doc []byte, i int) int {
-	if i >= len(doc) || nameClass[doc[i]] != 1 {
-		return -1
+// acceptable name starts there, and where in the name its colon stands,
+// or -1. With written set, bytes above ASCII are name bytes too.
+func canonicalName(doc []byte, i int, written bool) (end, colon int) {
+	start := i
+	colon = -1
+	for ; i < len(doc); i++ {
+		if nameClass[doc[i]] != 0 {
+			continue
+		}
+		if doc[i] == ':' && colon < 0 {
+			colon = i - start
+		} else if !written || doc[i] < 0x80 {
+			break
+		}
 	}
-	for i++; i < len(doc) && nameClass[doc[i]] != 0; i++ {
+	if i == start || nameClass[doc[start]] == nameMore || i < len(doc) && doc[i] == ':' {
+		return -1, -1
 	}
-	return i
+	return i, colon
 }
 
 // canonicalChars scans character data (to the next '<' or the end of doc)
@@ -254,4 +317,133 @@ func canonicalRef(s []byte, attr bool) int {
 		return 4
 	}
 	return 0
+}
+
+var errNoElement = errors.New("xmlscan: no element")
+
+// AppendCanonical appends doc's canonical form to dst: the form Canonical
+// accepts, so that a document Canonical accepts is written as it stands.
+// encoding/xml's decoder, holding each end tag to the innermost open
+// element by name, judges whether doc is well-formed, with its own error
+// texts; what it accepts is written token by token:
+//
+//   - element and attribute names as they appear, prefixes and xmlns
+//     declarations included, in tags of the form <name attr="value">
+//     and </name> (a self-closed tag is written open and closed);
+//   - character data and attribute values escaped as xml.Encoder escapes
+//     them, CDATA sections included;
+//   - nothing else: comments, processing instructions (the XML
+//     declaration among them), directives, and character data before the
+//     first element are dropped. A document with no element is refused.
+func AppendCanonical(dst, doc []byte) ([]byte, error) {
+	dec := xml.NewDecoder(bytes.NewReader(doc))
+	start := len(dst)
+	var open []xml.Name
+	for {
+		tok, err := dec.RawToken()
+		if err == io.EOF {
+			if len(open) > 0 {
+				return dst[:start], syntaxError(dec, "unexpected EOF")
+			}
+			break
+		}
+		if err != nil {
+			return dst[:start], err
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			open = append(open, t.Name)
+			dst = appendName(append(dst, '<'), t.Name)
+			for _, a := range t.Attr {
+				dst = appendName(append(dst, ' '), a.Name)
+				dst = append(appendEscaped(append(dst, '=', '"'), []byte(a.Value), true), '"')
+			}
+			dst = append(dst, '>')
+		case xml.EndElement:
+			// The checks and messages of the decoder's own Token.
+			if len(open) == 0 {
+				return dst[:start], syntaxError(dec, "unexpected end element </"+t.Name.Local+">")
+			}
+			top := open[len(open)-1]
+			switch {
+			case top.Local != t.Name.Local:
+				return dst[:start], syntaxError(dec, "element <"+top.Local+"> closed by </"+t.Name.Local+">")
+			case top.Space != t.Name.Space:
+				ns := t.Name.Space
+				if ns == "" {
+					ns = `""`
+				}
+				return dst[:start], syntaxError(dec, "element <"+top.Local+"> in space "+top.Space+
+					" closed by </"+t.Name.Local+"> in space "+ns)
+			}
+			open = open[:len(open)-1]
+			dst = append(appendName(append(dst, '<', '/'), t.Name), '>')
+		case xml.CharData:
+			if len(dst) > start {
+				dst = appendEscaped(dst, t, false)
+			}
+		}
+	}
+	if len(dst) == start {
+		return dst, errNoElement
+	}
+	return dst, nil
+}
+
+// VisitWritten shows v the tokens of doc, a document AppendCanonical wrote,
+// as CanonicalVisit would show them: it differs from CanonicalVisit only
+// in taking any name the decoder took, not just ASCII ones.
+func VisitWritten(doc []byte, v Visitor) {
+	canonicalVisit(doc, v, true)
+}
+
+func syntaxError(dec *xml.Decoder, msg string) error {
+	line, _ := dec.InputPos()
+	return &xml.SyntaxError{Msg: msg, Line: line}
+}
+
+// appendName appends a name as it was written: encoding/xml splits
+// prefix:local at the only colon when both sides are non-empty.
+func appendName(dst []byte, n xml.Name) []byte {
+	if n.Space != "" {
+		dst = append(append(dst, n.Space...), ':')
+	}
+	return append(dst, n.Local...)
+}
+
+// appendEscaped appends s escaped as xml.Encoder escapes character data
+// or, with attr set, an attribute value (where a newline is escaped too).
+// The decoder has refused every rune outside the XML character range, the
+// only other runes the encoder rewrites.
+func appendEscaped(dst, s []byte, attr bool) []byte {
+	last := 0
+	for i, b := range s {
+		var esc string
+		switch b {
+		case '"':
+			esc = "&#34;"
+		case '\'':
+			esc = "&#39;"
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '\t':
+			esc = "&#x9;"
+		case '\r':
+			esc = "&#xD;"
+		case '\n':
+			if !attr {
+				continue
+			}
+			esc = "&#xA;"
+		default:
+			continue
+		}
+		dst = append(append(dst, s[last:i]...), esc...)
+		last = i + 1
+	}
+	return append(dst, s[last:]...)
 }

@@ -6,9 +6,9 @@ import (
 	"unicode/utf8"
 )
 
-// The differential check against the round trip itself is FuzzCanonical in
-// internal/depot, beside the encoder path it must agree with; this table
-// pins what is inside the accepted set and what each exclusion refuses.
+// The differential check against the writer is FuzzCanonical in
+// internal/depot; this table pins what is inside the accepted set and what
+// each exclusion refuses.
 func TestCanonical(t *testing.T) {
 	for _, doc := range []string{
 		`<a></a>`,
@@ -19,6 +19,7 @@ func TestCanonical(t *testing.T) {
 		`<a></a><b></b>`,
 		`<a></a>tail` + "\n",
 		`<xmlns xmlnsx="1"></xmlns>`,
+		`<a xmlns="u"></a>`, `<p:a xmlns:p="u" p:b="1"></p:a>`, `<a: :b="1"></a:>`, `<:></:>`,
 		strings.Repeat("<d>", 40) + strings.Repeat("</d>", 40),
 	} {
 		payload, ok := Canonical([]byte(doc))
@@ -34,7 +35,7 @@ func TestCanonical(t *testing.T) {
 		`<a>"</a>`, `<a>'</a>`, `<a>></a>`, "<a>\t</a>", "<a>\r\n</a>", "<a b=\"\n\"></a>", `<a b="<"></a>`,
 		"<a>\x00</a>", "<a>\x7f\x80</a>", "<a>\xc0\xaf</a>", "<a>\xed\xa0\x80</a>", "<a>\xef\xbf\xbe</a>", "<a>\xf4\x90\x80\x80</a>",
 		`<a><![CDATA[x]]></a>`, `<a><!-- c --></a>`, `<a><?pi?></a>`, `<?xml version="1.0"?><a></a>`, `<!DOCTYPE a><a></a>`,
-		`<a xmlns="u"></a>`, `<p:a></p:a>`, `<a p:b="1"></a>`, `<é></é>`, `<1></1>`, `<-a></-a>`,
+		`<a:b:c></a:b:c>`, `<a b::c="1"></a>`, `<p:a></q:a>`, `<é></é>`, `<1></1>`, `<-a></-a>`,
 		`<a><b></a></b>`, `<a></b>`, `<ab></a>`, `<a></ab>`, `<a>`, `</a>`, `<a></a></a>`, `<a`, `<a></a`, `<`,
 	} {
 		if payload, ok := Canonical([]byte(doc)); ok {
@@ -121,6 +122,38 @@ func TestCanonicalCharsStride(t *testing.T) {
 					t.Errorf("Canonical(%q) = %v, per-byte loop %v", doc, ok, wantOK)
 				}
 			}
+		}
+	}
+}
+
+// TestAppendCanonical pins how the writer spells what the decoder reads,
+// and that it refuses what the decoder refuses with the decoder's words.
+func TestAppendCanonical(t *testing.T) {
+	for _, tc := range []struct{ doc, want string }{
+		{`<r><x:pad xmlns:x="u">1</x:pad></r>`, `<r><x:pad xmlns:x="u">1</x:pad></r>`},
+		{"<?xml version=\"1.0\"?>\n<!DOCTYPE r>\n<r xmlns='u' ><v/><!-- c --><?pi x?></r >\n",
+			`<r xmlns="u"><v></v></r>` + "\n"},
+		{"x<a b = 'it&apos;s\n&#65;'><![CDATA[<&>]]>\t\r\n&quot;</a>",
+			"<a b=\"it&#39;s&#xA;A\">&lt;&amp;&gt;&#x9;\n&#34;</a>"},
+		{`<é a:b="1"></é>`, `<é a:b="1"></é>`},
+	} {
+		got, err := AppendCanonical([]byte("keep"), []byte(tc.doc))
+		if err != nil || string(got) != "keep"+tc.want {
+			t.Errorf("AppendCanonical(%q) = %q, %v; want %q", tc.doc, got, err, "keep"+tc.want)
+		}
+	}
+	for _, tc := range []struct{ doc, err string }{
+		{``, `xmlscan: no element`},
+		{`<!-- c -->text`, `xmlscan: no element`},
+		{`<a><b></a>`, `XML syntax error on line 1: element <b> closed by </a>`},
+		{`<p:a></q:a>`, `XML syntax error on line 1: element <a> in space p closed by </a> in space q`},
+		{"<a>\n</b>", `XML syntax error on line 2: element <a> closed by </b>`},
+		{`</a>`, `XML syntax error on line 1: unexpected end element </a>`},
+		{`<a>`, `XML syntax error on line 1: unexpected EOF`},
+		{`<a>&bad;</a>`, `XML syntax error on line 1: invalid character entity &bad;`},
+	} {
+		if got, err := AppendCanonical([]byte("keep"), []byte(tc.doc)); err == nil || err.Error() != tc.err || string(got) != "keep" {
+			t.Errorf("AppendCanonical(%q) = %q, %v; want the error %q", tc.doc, got, err, tc.err)
 		}
 	}
 }

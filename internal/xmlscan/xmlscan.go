@@ -2,17 +2,15 @@
 // renders: cache documents, /reports bodies and the report payloads inside
 // them.
 //
-// Every byte of those documents is what encoding/xml writes (rendered by
-// it, or admitted by Canonical as already in that form): no inter-element
-// whitespace, '<' escaped everywhere outside markup, so every '<' opens a
-// tag, comment, processing instruction, CDATA section or directive. That
-// lets readers walk a document with bytes.IndexByte instead of a
-// general-purpose tokenizer — the streaming discipline of the paper's SAX
-// cache (§5.2.1) minus the parser's per-token cost. The depot admits
-// reports, splices and collects with it; the archive extracts values from
-// the tokens the admission scan hands it (CanonicalVisit), or with its
-// Cursor when a report is not canonical; the federation tier splits shard
-// documents with it.
+// Every payload is in one canonical form, which AppendCanonical writes and
+// Canonical recognises, and every branch tag is what encoding/xml writes:
+// no inter-element whitespace, '<' escaped everywhere outside markup, so
+// every '<' opens a tag. That lets readers walk a document with
+// bytes.IndexByte instead of a general-purpose tokenizer — the streaming
+// discipline of the paper's SAX cache (§5.2.1) minus the parser's
+// per-token cost. The depot admits reports, splices and collects with it;
+// the archive extracts values from the tokens the admission scan hands it
+// (CanonicalVisit); the federation tier splits shard documents with it.
 //
 // The scanner checks structure, not content: tags must terminate, close
 // tags must match their open tag by name, and comments, PIs, CDATA and
