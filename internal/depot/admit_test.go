@@ -93,9 +93,10 @@ const (
 // bytes and one to three policy paths: the payload and whether the report
 // is refused are EntryPayload's, a report is counted as a fallback exactly
 // when xmlscan.Canonical refuses it, and wherever report.Parse takes the
-// payload for a report with its sections in order, the extraction is
-// Parse + Find's: no error, the same GMT, Completed (when a success path
-// is asked for) and every value. (FuzzExtractValues holds the same
+// payload for a report with its sections in order, whose last literal
+// "</body>" (if any) closes its body, the extraction is Parse + Find's: no
+// error, the same GMT, Completed (when a success path is asked for) and
+// every value. (FuzzExtractValues holds the same
 // extraction to the tokenising extractor on every payload.) The seeds are
 // the extractor's own corpus, a benchmark-shaped report, and the
 // extraction's order quirks.
@@ -134,6 +135,9 @@ func FuzzAdmit(f *testing.F) {
 		{`<incaReport>` + admitHeader + `<body></body><footer><completed>true</completed><errorMessage><b></b></errorMessage></footer></incaReport>`, "v"},
 		// A prefixed body does not end where "</body>" is searched for.
 		{`<incaReport xmlns:x="u">` + admitHeader + `<body><a><v>4</v></a></body><x:body></x:body>` + admitFooter + `</incaReport>`, "v,a"},
+		// With no "</body>" ahead, a settled prefixed body ends at its
+		// own end tag (the corpus's prefixed-body holds none at all).
+		{`<incaReport xmlns:x="u">` + admitHeader + `<x:body><a><body></body><v>1</v></a></x:body>` + admitFooter + `</incaReport>`, "v,a"},
 		// Not canonical: the extraction reads the written payload.
 		{`<incaReport>` + admitHeader + `<body><a><v>7</v><!-- </body> --></a></body>` + admitFooter + `</incaReport>`, "v,a"},
 		{`<é>` + admitHeader + `<body><a><v>8</v></a></body>` + admitFooter + `</é>`, "v,a"},
@@ -179,16 +183,19 @@ func FuzzAdmit(f *testing.F) {
 	})
 }
 
-// parsedExtraction is report.Parse, Find and Float over doc, in the shape
-// an extraction returns. ok is false where that oracle does not apply:
-// Parse refuses doc, it has more than one root, or the root's header, body
-// and footer children are not each there at most once and in that order.
+// parsedExtraction is report.Parse, Find and Float over doc, a payload,
+// in the shape an extraction returns. ok is false where that oracle does
+// not apply: Parse refuses doc, the root's header, body and footer
+// children are not each there at most once and in that order, or the
+// last literal "</body>" is not the end tag of the first root's body
+// section — the footer jump lands after it as if it were.
 func parsedExtraction(doc []byte, paths []report.Path) (ex report.Extraction, ok bool) {
 	rep, err := report.Parse(doc)
 	if err != nil {
 		return ex, false
 	}
 	dec := xml.NewDecoder(bytes.NewReader(doc))
+	bodyEnd := 0 // the first root's body section ends here
 	for depth, last, roots := 0, 0, 0; ; {
 		tok, err := dec.Token()
 		if err == io.EOF {
@@ -199,12 +206,9 @@ func parsedExtraction(doc []byte, paths []report.Path) (ex report.Extraction, ok
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			switch depth++; depth {
-			case 1:
-				if roots++; roots > 1 {
-					return ex, false
-				}
-			case 2:
+			if depth++; depth == 1 {
+				roots++
+			} else if depth == 2 {
 				rank := map[string]int{"header": 1, "body": 2, "footer": 3}[t.Name.Local]
 				if rank != 0 && rank <= last {
 					return ex, false
@@ -212,8 +216,14 @@ func parsedExtraction(doc []byte, paths []report.Path) (ex report.Extraction, ok
 				last = max(last, rank)
 			}
 		case xml.EndElement:
+			if depth == 2 && roots == 1 && t.Name.Local == "body" {
+				bodyEnd = int(dec.InputOffset())
+			}
 			depth--
 		}
+	}
+	if end := bytes.LastIndex(doc, []byte("</body>")); end >= 0 && end+len("</body>") != bodyEnd {
+		return ex, false
 	}
 	ex = report.Extraction{GMT: rep.Header.GMT, Values: make([]float64, len(paths)), Found: make([]bool, len(paths))}
 	for i, p := range paths {

@@ -46,7 +46,7 @@ func (e *Extractor) Admit(data []byte, paths []Path) (payload []byte, canonical 
 func (e *Extractor) admitter(data []byte, paths []Path) *admitter {
 	ex, needFooter := e.reset(paths)
 	a := &e.a
-	*a = admitter{x: &e.x, data: data, paths: paths, ex: ex, needFooter: needFooter, section: inRoot, frames: a.frames[:0]}
+	*a = admitter{x: &e.x, data: data, paths: paths, ex: ex, needFooter: needFooter, section: inRoot, frames: a.frames[:0], bodyTags: -1}
 	return a
 }
 
@@ -107,8 +107,8 @@ type admitter struct {
 
 	// The footer jump resumes after the last literal "</body>"; in a
 	// canonical document each is an unprefixed end tag, so counting them
-	// finds it.
-	bodyEnds, lastBodyEnd int
+	// finds it. bodyTags is their number in data, -1 until counted.
+	bodyEnds, bodyTags int
 }
 
 // Visit implements xmlscan.Visitor.
@@ -209,7 +209,7 @@ func (a *admitter) end(name []byte) {
 		// Read on after the jump, nothing is open to close.
 		a.fail(truncated(fmt.Errorf("xmlscan: </%s> closes nothing", name)))
 	case toJump:
-		if a.bodyEnds == a.lastBodyEnd {
+		if a.bodyEnds == a.bodyTags {
 			a.mode = inTail
 		}
 	case inHeader:
@@ -252,13 +252,15 @@ func (a *admitter) end(name []byte) {
 		a.x.text = a.x.text[:f.mark]
 		a.frames = a.frames[:depth]
 		// As element and body do on the way back up: a settled body
-		// root ends the body, and so does a settled state mid-tree.
+		// root ends the body, and so does a settled state mid-tree where
+		// the scan can stop or jump; with no "</body>" ahead to jump to,
+		// the walk goes on to the body root's end.
 		if depth == 0 {
 			a.mode = inBody
 			if allResolved(a.x.states) {
 				a.bodyDone(true)
 			}
-		} else if settled(a.x.states) {
+		} else if settled(a.x.states) && (!a.needFooter || a.jumpAhead()) {
 			a.bodyDone(true)
 		}
 	}
@@ -281,15 +283,25 @@ func (a *admitter) bodyDone(early bool) {
 		a.finish()
 	case !early:
 		a.mode = a.section
+	case !a.jumpAhead():
+		// No "</body>" ahead (the body is prefixed, or the last one is
+		// behind): skip to the body's own end tag. Mid-tree this is not
+		// reached, so the body is all that is open.
+		a.skipFrom(a.section)
 	default:
 		// Jump past the last "</body>" and read on there with nothing
 		// open.
 		a.section, a.mode = inTail, toJump
-		a.lastBodyEnd = bytes.Count(a.data, bodyCloseTag)
-		if a.bodyEnds == a.lastBodyEnd {
-			a.mode = inTail
-		}
 	}
+}
+
+// jumpAhead reports whether a literal "</body>" lies ahead of the scan,
+// for the footer jump to land after.
+func (a *admitter) jumpAhead() bool {
+	if a.bodyTags < 0 {
+		a.bodyTags = bytes.Count(a.data, bodyCloseTag)
+	}
+	return a.bodyEnds < a.bodyTags
 }
 
 func (a *admitter) push(tag []byte) {

@@ -13,13 +13,13 @@ import (
 )
 
 // sectionLayout tokenises data with encoding/xml and reports whether it
-// accepts the document in full and, if so, whether it has one root whose
-// header, body and footer children each appear at most once and in that
-// order — the layout every reporter writes, and the one on which a scan
-// that stops early and a parse that reads to the end must agree.
+// accepts the document in full and, if so, whether the root's header, body
+// and footer children each appear at most once and in that order — the
+// layout every reporter writes, and the one on which a scan that stops
+// early and a parse that reads to the end must agree.
 func sectionLayout(data []byte) (accepted, inOrder bool) {
 	dec := xml.NewDecoder(bytes.NewReader(data))
-	depth, last, roots := 0, 0, 0
+	depth, last := 0, 0
 	inOrder = true
 	for {
 		tok, err := dec.Token()
@@ -31,10 +31,7 @@ func sectionLayout(data []byte) (accepted, inOrder bool) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			if depth++; depth == 1 {
-				roots++
-				inOrder = inOrder && roots == 1
-			} else if depth == 2 {
+			if depth++; depth == 2 {
 				rank := map[string]int{"header": 1, "body": 2, "footer": 3}[t.Name.Local]
 				if rank != 0 && rank <= last {
 					inOrder = false

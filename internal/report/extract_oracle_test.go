@@ -16,8 +16,9 @@ import (
 // from, each marked below: an element's second <ID> child used to
 // overwrite the first, where parseNode (and so Parse + Find, the oracle
 // above this one) keeps the first and takes the second for an ordinary
-// child; and a body opened after the last "</body>" used to jump back to
-// it, for ever.
+// child; and the footer jump used to land on the last "</body>" even when
+// the scan had passed it, jumping back (for ever, when a prefixed body
+// followed it): a target behind the scan is now no target.
 
 // oraclePathState tracks one path's progress through the body scan. Matching
 // reproduces Node.Find exactly, including its refusal to backtrack: each
@@ -82,10 +83,12 @@ func extractValuesTokenising(data []byte, paths []Path) (Extraction, error) {
 	if needFooter && !bytes.Contains(data, oracleCDATAOpen) && !bytes.Contains(data, oracleCommentOpen) {
 		footerJump = bytes.LastIndex(data, oracleBodyCloseTag)
 	}
-	abortEarly := !needFooter || footerJump >= 0
-
 	dec := xml.NewDecoder(bytes.NewReader(data))
 	base := 0 // where in data dec started
+	// A target the scan has passed is no target (the change marked
+	// above): the walk then neither aborts mid-tree nor jumps.
+	jumpAhead := func() bool { return footerJump >= base+int(dec.InputOffset()) }
+	abortEarly := func() bool { return !needFooter || jumpAhead() }
 	start, err := nextStart(dec)
 	if err != nil {
 		return ex, fmt.Errorf("report: no root element: %w", err)
@@ -145,12 +148,10 @@ func extractValuesTokenising(data []byte, paths []Path) (Extraction, error) {
 				}
 				if err == errOracleScanDone {
 					// Settled mid-body but the footer is still needed.
-					if footerJump >= 0 {
+					if jumpAhead() {
 						// Jump past the body's end tag and resume
-						// tokenizing at the footer. (A body opened past
-						// that tag — a prefixed one — jumps nowhere: the
-						// scan resumes where it stands, with nothing open.)
-						base = max(footerJump+len(oracleBodyCloseTag), base+int(dec.InputOffset()))
+						// tokenizing at the footer.
+						base = footerJump + len(oracleBodyCloseTag)
 						dec = xml.NewDecoder(bytes.NewReader(data[base:]))
 					} else if err := dec.Skip(); err != nil {
 						// errOracleScanDone without a jump target only arises at
@@ -220,11 +221,11 @@ func oracleHeaderGMT(dec *xml.Decoder, gmt *time.Time) error {
 
 // oracleScanBody walks the body's root element (the body may be empty).
 // Returns errOracleScanDone when every state resolved before the body ended.
-// With abort set, the walk additionally bails out mid-tree the moment
+// While abort holds, the walk additionally bails out mid-tree the moment
 // every state is settled — which means a multi-rooted body (that Parse
 // would reject) can still yield values when everything settles inside the
 // first root; the caller opts in only when it can recover the stream.
-func oracleScanBody(dec *xml.Decoder, states []*oraclePathState, abort bool) error {
+func oracleScanBody(dec *xml.Decoder, states []*oraclePathState, abort func() bool) error {
 	if oracleAllResolved(states) {
 		return errOracleScanDone
 	}
@@ -280,7 +281,7 @@ func oracleSettled(states []*oraclePathState) bool {
 // oracleScanElement processes one body element whose StartElement has
 // already been consumed, advancing every path state and recursing only
 // where a state can still match.
-func oracleScanElement(dec *xml.Decoder, start xml.StartElement, depth int, states []*oraclePathState, abort bool) error {
+func oracleScanElement(dec *xml.Decoder, start xml.StartElement, depth int, states []*oraclePathState, abort func() bool) error {
 	tag := start.Name.Local
 	id := ""
 	var text strings.Builder
@@ -344,7 +345,7 @@ func oracleScanElement(dec *xml.Decoder, start xml.StartElement, depth int, stat
 				// document can change it (Find commits to first matches):
 				// abandon the walk with open elements on the stack and let
 				// the caller jump to the footer.
-				if abort && oracleSettled(states) {
+				if abort() && oracleSettled(states) {
 					return errOracleScanDone
 				}
 			} else if err := dec.Skip(); err != nil {

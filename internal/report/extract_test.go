@@ -262,3 +262,13 @@ func TestExtractFooterJumpDisabledByComment(t *testing.T) {
 		"value,statistic=upperBound,metric=bandwidth",
 	})
 }
+
+func TestExtractPrefixedBody(t *testing.T) {
+	// A prefixed body's end tag is no literal "</body>". With none ahead
+	// — here only an unprefixed <body> inside it that the scan has passed
+	// — a scan settled in the body skips to the body's own end tag and
+	// reads the footer there.
+	doc := strings.Replace(fuzzReportHead, "<incaReport>", `<incaReport xmlns:x="u">`, 1) +
+		"<x:body><a><body></body><v>1</v></a></x:body>" + fuzzReportFoot
+	checkAgainstDOM(t, []byte(doc), []string{"v,a", ""})
+}
