@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check loc fmt vet build fence flags test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-archive bench-merge bench-ingest bench-storage bench-feed bench-replication bench-load fuzz
+.PHONY: check loc fmt vet build fence flags test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-archive bench-merge bench-ingest bench-read bench-storage bench-feed bench-replication bench-load fuzz
 
 # The full gate: formatting, static checks, build, the import and flag
 # fences, race-enabled tests, the fault-injection suite, the telemetry
@@ -136,6 +136,16 @@ bench-ingest:
 	$(GO) test -run=NONE -bench='BenchmarkUpdateCanonical|BenchmarkUpdateFallback|BenchmarkAdmit' -benchmem ./internal/depot/
 	$(GO) test -run=NONE -bench='BenchmarkExtractValues' -benchmem ./internal/report/
 
+# Read tier (DESIGN.md §5b): the single depot's read path at the benchmark
+# of record's working set (32 x 32 x 851 B), through the handler into a
+# ResponseWriter that drops the body — one site's /reports (the subtree
+# read: the cache's own payloads and rendered identifiers, put together in
+# one pooled buffer for one Write), the whole /cache (the materialized
+# document itself) and the whole /cache revalidated (304); B/op and
+# allocs/op are the figures to watch.
+bench-read:
+	$(GO) test -run=NONE -bench='BenchmarkReadHandler' -benchmem ./internal/query/
+
 # Ten seconds of coverage-guided fuzzing per target: the canonical scanner
 # against encoding/xml, its subtree skip against the plain Next loop (same
 # offset, same error text, on any input), the merge and the reports parser against the
@@ -149,7 +159,9 @@ bench-ingest:
 # against decoding, parsing and re-encoding it, and the change feed's relay: the change renderer
 # against json.Marshal, the routing scanner against json.Unmarshal, and the
 # SSE reader against the line reader it replaced and its own writer; the
-# controller's in-process store against the envelope round trip it skips;
+# single depot's /reports and /cache bodies, headers and statuses against
+# the per-read writer they replaced; the controller's in-process store
+# against the envelope round trip it skips;
 # the agreement reader, whose accepted input survives Marshal and Parse;
 # and the journal's open scan, which keeps only a prefix of whole,
 # CRC-valid frames that re-appending its records reproduces.
@@ -172,6 +184,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzChangeEvent$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run=NONE -fuzz='^FuzzUpstreamEvent$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run=NONE -fuzz='^FuzzFeedStream$$' -fuzztime=10s ./internal/query/
+	$(GO) test -run=NONE -fuzz='^FuzzReadBodies$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run=NONE -fuzz='^FuzzSubmitDirect$$' -fuzztime=10s ./internal/controller/
 	$(GO) test -run=NONE -fuzz='^FuzzParseAgreement$$' -fuzztime=10s ./internal/agreement/
 	$(GO) test -run=NONE -fuzz='^FuzzJournalScan$$' -fuzztime=10s ./internal/journal/

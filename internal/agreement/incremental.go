@@ -179,8 +179,9 @@ func (inc *Incremental) Update(cache depot.Cache, changed []branch.ID, now time.
 // key, parsing s only when its bytes differ from the memo's. Bytes that do
 // not parse are remembered with a nil report: foreign data is no agreement
 // input, but it still gives its resource a row (failing every test) and is
-// not re-parsed while it stays unchanged. The memo keeps s.XML itself,
-// which Cache.Reports hands over as a fresh copy.
+// not re-parsed while it stays unchanged. The memo keeps s.XML itself:
+// Cache.Reports hands out read-only bytes that a later store replaces and
+// never edits.
 func (inc *Incremental) remember(res, key string, s depot.Stored) *incMemo {
 	members := inc.memo[res]
 	if members == nil {

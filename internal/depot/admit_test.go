@@ -93,10 +93,9 @@ const (
 // bytes and one to three policy paths: the payload and whether the report
 // is refused are EntryPayload's, a report is counted as a fallback exactly
 // when xmlscan.Canonical refuses it, and wherever report.Parse takes the
-// payload for a report with its sections in order, whose last literal
-// "</body>" (if any) closes its body, the extraction is Parse + Find's: no
-// error, the same GMT, Completed (when a success path is asked for) and
-// every value. (FuzzExtractValues holds the same
+// payload for a report with its sections in order, the extraction is
+// Parse + Find's: no error, the same GMT, Completed (when a success path
+// is asked for) and every value. (FuzzExtractValues holds the same
 // extraction to the tokenising extractor on every payload.) The seeds are
 // the extractor's own corpus, a benchmark-shaped report, and the
 // extraction's order quirks.
@@ -127,16 +126,15 @@ func FuzzAdmit(f *testing.F) {
 		{`<incaReport>` + admitHeader + `<body><a><v>1</v></a></body></incaReport>`, ""},
 		// A root that is not a report.
 		{`<report>` + admitHeader + `<body><a><v>1</v></a></body>` + admitFooter + `</report>`, "v,a"},
-		// The footer jump lands after the last "</body>", wherever it is.
+		// A settled body is read to its own end tag, whatever "</body>"
+		// stands later: a footer inside a later section is not read.
 		{`<incaReport>` + admitHeader + `<body><a><v>4</v></a><pad>x</pad></body><x><body></body>` + admitFooter + `</x></incaReport>`, "v,a"},
 		{`<incaReport>` + admitHeader + `<body><a><v>4</v></a></body>` + admitFooter + `</incaReport><body></body>`, "v,a"},
 		{`<incaReport>` + admitHeader + `<body><body><v>5</v></body></body>` + admitFooter + `</incaReport>`, "v"},
 		// The footer's flags must be text.
 		{`<incaReport>` + admitHeader + `<body></body><footer><completed>true</completed><errorMessage><b></b></errorMessage></footer></incaReport>`, "v"},
-		// A prefixed body does not end where "</body>" is searched for.
+		// A prefixed body is a body, and ends at its own end tag.
 		{`<incaReport xmlns:x="u">` + admitHeader + `<body><a><v>4</v></a></body><x:body></x:body>` + admitFooter + `</incaReport>`, "v,a"},
-		// With no "</body>" ahead, a settled prefixed body ends at its
-		// own end tag (the corpus's prefixed-body holds none at all).
 		{`<incaReport xmlns:x="u">` + admitHeader + `<x:body><a><body></body><v>1</v></a></x:body>` + admitFooter + `</incaReport>`, "v,a"},
 		// Not canonical: the extraction reads the written payload.
 		{`<incaReport>` + admitHeader + `<body><a><v>7</v><!-- </body> --></a></body>` + admitFooter + `</incaReport>`, "v,a"},
@@ -185,18 +183,15 @@ func FuzzAdmit(f *testing.F) {
 
 // parsedExtraction is report.Parse, Find and Float over doc, a payload,
 // in the shape an extraction returns. ok is false where that oracle does
-// not apply: Parse refuses doc, the root's header, body and footer
-// children are not each there at most once and in that order, or the
-// last literal "</body>" is not the end tag of the first root's body
-// section — the footer jump lands after it as if it were.
+// not apply: Parse refuses doc, or the root's header, body and footer
+// children are not each there at most once and in that order.
 func parsedExtraction(doc []byte, paths []report.Path) (ex report.Extraction, ok bool) {
 	rep, err := report.Parse(doc)
 	if err != nil {
 		return ex, false
 	}
 	dec := xml.NewDecoder(bytes.NewReader(doc))
-	bodyEnd := 0 // the first root's body section ends here
-	for depth, last, roots := 0, 0, 0; ; {
+	for depth, last := 0, 0; ; {
 		tok, err := dec.Token()
 		if err == io.EOF {
 			break
@@ -206,9 +201,7 @@ func parsedExtraction(doc []byte, paths []report.Path) (ex report.Extraction, ok
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			if depth++; depth == 1 {
-				roots++
-			} else if depth == 2 {
+			if depth++; depth == 2 {
 				rank := map[string]int{"header": 1, "body": 2, "footer": 3}[t.Name.Local]
 				if rank != 0 && rank <= last {
 					return ex, false
@@ -216,14 +209,8 @@ func parsedExtraction(doc []byte, paths []report.Path) (ex report.Extraction, ok
 				last = max(last, rank)
 			}
 		case xml.EndElement:
-			if depth == 2 && roots == 1 && t.Name.Local == "body" {
-				bodyEnd = int(dec.InputOffset())
-			}
 			depth--
 		}
-	}
-	if end := bytes.LastIndex(doc, []byte("</body>")); end >= 0 && end+len("</body>") != bodyEnd {
-		return ex, false
 	}
 	ex = report.Extraction{GMT: rep.Header.GMT, Values: make([]float64, len(paths)), Found: make([]bool, len(paths))}
 	for i, p := range paths {

@@ -28,6 +28,7 @@ package depot
 
 import (
 	"bytes"
+	"encoding/xml"
 	"fmt"
 
 	"inca/internal/branch"
@@ -43,12 +44,15 @@ type Cache interface {
 	// from Count() deltas — which misreports under concurrent stores.
 	Update(id branch.ID, reportXML []byte) (added bool, err error)
 	// Query returns the serialized subtree rooted at the node id names
-	// (the whole cache for the root identifier) and whether it exists.
+	// (the whole cache for the root identifier) and whether it exists. The
+	// whole cache is Dump's document: shared and read-only.
 	Query(id branch.ID) ([]byte, bool, error)
-	// Reports returns every stored report under the given prefix. Each
-	// Stored.XML is a new slice the caller owns.
+	// Reports returns every stored report under the given prefix. The
+	// slices of each Stored are shared with the cache and read-only: a
+	// later Update replaces a stored report, it never edits one.
 	Reports(prefix branch.ID) ([]Stored, error)
-	// Dump returns the entire cache document.
+	// Dump returns the entire cache document, shared and read-only: a
+	// later Update makes a new document, it never edits this one.
 	Dump() []byte
 	// Size returns the cache document size in bytes.
 	Size() int
@@ -61,10 +65,28 @@ type Cache interface {
 	Generation() uint64
 }
 
-// Stored is one cached report and its full branch identifier.
+// Stored is one cached report and its full branch identifier. Its slices
+// are shared with the cache that returned it: read-only.
 type Stored struct {
 	ID  branch.ID
 	XML []byte
+	// Attr is ID as an XML attribute value: ID.String() through
+	// xml.EscapeText, what /reports writes as <stored branch="...">.
+	Attr []byte
+}
+
+// NewStored is the Stored for a report at id, its attribute value
+// rendered: how a cache that keeps no rendered identifier answers Reports.
+func NewStored(id branch.ID, reportXML []byte) Stored {
+	return Stored{ID: id, XML: reportXML, Attr: escapeID(id)}
+}
+
+// escapeID renders id as an XML attribute value, as xml.EscapeText writes
+// it.
+func escapeID(id branch.ID) []byte {
+	var buf bytes.Buffer
+	xml.EscapeText(&buf, []byte(id.String()))
+	return buf.Bytes()
 }
 
 // LoadDump rebuilds a cache from what Query(at) answered, e.g. a /cache

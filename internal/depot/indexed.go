@@ -27,9 +27,15 @@ import (
 //     generation. No document splice.
 //   - Query(exact id): O(subtree) — serialize just that node; O(report)
 //     for a leaf.
-//   - Reports(prefix): O(results) — walk only the prefix subtree.
+//   - Reports(prefix): O(results) — walk only the prefix subtree and hand
+//     out each node's payload and rendered identifier as they are.
 //   - Dump() / root Query(): O(document) the first time after a write,
-//     O(document copy) on every repeat while the cache is unchanged.
+//     O(1) on every repeat while the cache is unchanged.
+//
+// What a read returns is shared and read-only: insert gives a node a new
+// payload rather than editing the old one, and materializeLocked builds a
+// new document rather than rewriting the old one, so a slice a reader
+// holds keeps its bytes whatever the writers do next.
 //
 // The materialized document is byte-identical to what the paper's stream
 // cache (internal/experiments/ablation) produces for the same insert
@@ -56,10 +62,13 @@ type IndexedCache struct {
 // idxNode is one branch element in the trie.
 type idxNode struct {
 	pair     branch.Pair
+	id       branch.ID  // the node's full identifier
+	attr     []byte     // id as an attribute value (Stored.Attr)
 	open     []byte     // canonical "<branch name=.. value=..>" bytes
-	payload  []byte     // canonical entry payload (nil = no entry here)
+	payload  []byte     // canonical entry payload (nil = no entry here); never edited
 	children []*idxNode // sorted by (name, value)
 	subtree  int        // serialized size of this node's subtree in bytes
+	entries  int        // payloads in this node's subtree
 }
 
 const (
@@ -139,7 +148,8 @@ func (n *idxNode) child(p branch.Pair, create bool) (*idxNode, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	c := &idxNode{pair: p, open: open, subtree: len(open) + branchCloseLen}
+	id := n.id.Child(p.Name, p.Value)
+	c := &idxNode{pair: p, id: id, attr: escapeID(id), open: open, subtree: len(open) + branchCloseLen}
 	n.children = append(n.children, nil)
 	copy(n.children[lo+1:], n.children[lo:])
 	n.children[lo] = c
@@ -191,6 +201,7 @@ func (c *IndexedCache) insert(id branch.ID, payload []byte) (bool, error) {
 		var key [128]byte
 		c.byKey[string(appendPathKey(key[:0], id))] = n
 	}
+	// A new slice, never an edit of the old one: readers may hold it.
 	n.payload = append([]byte(nil), payload...)
 	// Propagate size growth leaf→root: each node's subtree grows by the
 	// entry delta plus the shells of nodes created strictly below it (a
@@ -198,6 +209,9 @@ func (c *IndexedCache) insert(id branch.ID, payload []byte) (bool, error) {
 	// parent's increment).
 	for i := len(touched) - 1; i >= 0; i-- {
 		touched[i].subtree += inc
+		if added {
+			touched[i].entries++
+		}
 		if created[i] {
 			inc += len(touched[i].open) + branchCloseLen
 		}
@@ -221,8 +235,8 @@ func (n *idxNode) writeTo(buf *bytes.Buffer) {
 	buf.WriteString("</branch>")
 }
 
-// materializeLocked rebuilds the canonical document; callers hold c.mu for
-// writing.
+// materializeLocked rebuilds the canonical document in a new buffer (a
+// reader may hold the old one); callers hold c.mu for writing.
 func (c *IndexedCache) materializeLocked() {
 	var buf bytes.Buffer
 	buf.Grow(c.size)
@@ -240,22 +254,21 @@ func (c *IndexedCache) materializeLocked() {
 	c.docGen = c.gen
 }
 
-// Dump implements Cache: the lazily materialized canonical document.
-// While the cache is unchanged, repeat dumps only pay the copy.
+// Dump implements Cache: the lazily materialized canonical document
+// itself. While the cache is unchanged, repeat dumps cost nothing.
 func (c *IndexedCache) Dump() []byte {
 	c.mu.RLock()
-	if c.docGen == c.gen {
-		out := append([]byte(nil), c.doc...)
-		c.mu.RUnlock()
-		return out
-	}
+	doc, fresh := c.doc, c.docGen == c.gen
 	c.mu.RUnlock()
+	if fresh {
+		return doc
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.docGen != c.gen {
 		c.materializeLocked()
 	}
-	return append([]byte(nil), c.doc...)
+	return c.doc
 }
 
 // Query implements Cache. Exact and prefix identifiers serialize only the
@@ -297,7 +310,10 @@ func (c *IndexedCache) lookupLocked(id branch.ID) (*idxNode, bool) {
 }
 
 // Reports implements Cache: O(results) — only the prefix subtree is
-// walked, in canonical document order (node entry before children).
+// walked, in canonical document order (node entry before children), and
+// each report is handed out as the node holds it: its payload, identifier
+// and rendered attribute, no copy and no escaping. The read lock covers
+// the walk alone.
 func (c *IndexedCache) Reports(prefix branch.ID) ([]Stored, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -309,18 +325,21 @@ func (c *IndexedCache) Reports(prefix branch.ID) ([]Stored, error) {
 		}
 		start = n
 	}
-	var out []Stored
-	var walk func(n *idxNode, id branch.ID)
-	walk = func(n *idxNode, id branch.ID) {
-		if n.payload != nil {
-			out = append(out, Stored{ID: id, XML: append([]byte(nil), n.payload...)})
-		}
-		for _, ch := range n.children {
-			walk(ch, id.Child(ch.pair.Name, ch.pair.Value))
-		}
+	if start.entries == 0 {
+		return nil, nil
 	}
-	walk(start, prefix)
-	return out, nil
+	return start.appendStored(make([]Stored, 0, start.entries)), nil
+}
+
+// appendStored appends the reports of n's subtree in document order.
+func (n *idxNode) appendStored(out []Stored) []Stored {
+	if n.payload != nil {
+		out = append(out, Stored{ID: n.id, XML: n.payload, Attr: n.attr})
+	}
+	for _, ch := range n.children {
+		out = ch.appendStored(out)
+	}
+	return out
 }
 
 // Size implements Cache: the exact canonical-document length, maintained

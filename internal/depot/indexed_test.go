@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"inca/internal/branch"
@@ -201,17 +202,49 @@ func TestIndexedCacheReportsOrder(t *testing.T) {
 	}
 }
 
-// TestIndexedCacheDumpReturnsCopies asserts callers cannot corrupt the
-// memoized document through the returned slice.
-func TestIndexedCacheDumpReturnsCopies(t *testing.T) {
+// TestIndexedCacheReadsKeepTheirBytes holds the read-only contract
+// (depot.Cache): what Reports, Dump and a root Query return is shared with
+// the cache, and keeps its bytes after a later Update of the same branch
+// and after the document is materialized again. An exact Query builds its
+// answer, so writing into it leaves the index alone.
+func TestIndexedCacheReadsKeepTheirBytes(t *testing.T) {
 	c := depot.NewIndexedCache()
 	depot.MustUpdate(t, c, "a=1", depot.ReportXMLFor("rep", "x"))
-	d1 := c.Dump()
-	d1[0] = '!'
-	d2 := c.Dump()
-	if d2[0] != '<' {
-		t.Fatal("Dump shares memory with the memoized document")
+	depot.MustUpdate(t, c, "b=1,a=1", depot.ReportXMLFor("rep", "y"))
+	dump := c.Dump()
+	root, ok, err := c.Query(branch.ID{})
+	if err != nil || !ok || &root[0] != &dump[0] {
+		t.Fatalf("root Query is not the materialized document: %v %v", ok, err)
 	}
+	stored, err := c.Reports(branch.ID{})
+	if err != nil || len(stored) != 2 {
+		t.Fatalf("Reports: %d, %v", len(stored), err)
+	}
+	wantDump := bytes.Clone(dump)
+	var want [][]byte
+	for _, st := range stored {
+		want = append(want, bytes.Clone(st.XML), bytes.Clone(st.Attr))
+	}
+
+	depot.MustUpdate(t, c, "a=1", depot.ReportXMLFor("rep", "z"))
+	if again := c.Dump(); bytes.Equal(again, wantDump) {
+		t.Fatal("the update did not reach the document")
+	}
+	depot.MustUpdate(t, c, "b=1,a=1", depot.ReportXMLFor("rep", "w"))
+	c.Dump()
+
+	if !bytes.Equal(dump, wantDump) {
+		t.Fatalf("an earlier Dump changed: %q, was %q", dump, wantDump)
+	}
+	for i, st := range stored {
+		if !bytes.Equal(st.XML, want[2*i]) || !bytes.Equal(st.Attr, want[2*i+1]) {
+			t.Fatalf("an earlier Reports entry changed: %q %q, was %q %q", st.XML, st.Attr, want[2*i], want[2*i+1])
+		}
+	}
+	if string(stored[1].Attr) != "b=1,a=1" {
+		t.Fatalf("attribute %q", stored[1].Attr)
+	}
+
 	sub, ok, err := c.Query(branch.MustParse("a=1"))
 	if err != nil || !ok {
 		t.Fatal("Query failed")
@@ -219,6 +252,65 @@ func TestIndexedCacheDumpReturnsCopies(t *testing.T) {
 	sub[0] = '!'
 	if sub2, _, _ := c.Query(branch.MustParse("a=1")); sub2[0] != '<' {
 		t.Fatal("Query shares memory with the index")
+	}
+}
+
+// TestIndexedCacheSharedReadsRace runs readers that keep what Reports and
+// Dump hand them beside writers that replace the same entries; under the
+// race detector any write into a slice a reader holds is reported, and
+// without it the held bytes must still equal the reader's copy.
+func TestIndexedCacheSharedReadsRace(t *testing.T) {
+	c := depot.NewIndexedCache()
+	ids := []string{"r=1,s=a", "r=2,s=a", "r=1,s=b"}
+	for _, id := range ids {
+		depot.MustUpdate(t, c, id, depot.ReportXMLFor("rep", "0"))
+	}
+	const writes = 300
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < writes; i++ {
+				id := branch.MustParse(ids[(i+w)%len(ids)])
+				if _, err := c.Update(id, depot.ReportXMLFor("rep", fmt.Sprint(w, i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	errs := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			type held struct{ got, copied []byte }
+			var keep []held
+			for i := 0; i < writes/10; i++ {
+				d := c.Dump()
+				keep = append(keep, held{d, bytes.Clone(d)})
+				stored, err := c.Reports(branch.MustParse("s=a"))
+				if err != nil {
+					errs <- err
+					return
+				}
+				for _, st := range stored {
+					keep = append(keep, held{st.XML, bytes.Clone(st.XML)}, held{st.Attr, bytes.Clone(st.Attr)})
+				}
+			}
+			for _, h := range keep {
+				if !bytes.Equal(h.got, h.copied) {
+					errs <- fmt.Errorf("held bytes changed: %q, was %q", h.got, h.copied)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 

@@ -372,7 +372,7 @@ func tokenWalk(data []byte, prefix branch.ID) ([]depot.Stored, error) {
 					return nil, err
 				}
 				if id.HasSuffix(prefix) {
-					out = append(out, depot.Stored{ID: id, XML: buf.Bytes()})
+					out = append(out, depot.NewStored(id, buf.Bytes()))
 				}
 			default:
 				if err := dec.Skip(); err != nil {

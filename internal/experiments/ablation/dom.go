@@ -152,7 +152,7 @@ func (c *DOMCache) Reports(prefix branch.ID) ([]depot.Stored, error) {
 	var walk func(n *domNode, id branch.ID)
 	walk = func(n *domNode, id branch.ID) {
 		if n.entry != nil && id.HasSuffix(prefix) {
-			out = append(out, depot.Stored{ID: id, XML: append([]byte(nil), n.entry...)})
+			out = append(out, depot.NewStored(id, append([]byte(nil), n.entry...)))
 		}
 		for _, ch := range n.children {
 			walk(ch, id.Child(ch.pair.Name, ch.pair.Value))

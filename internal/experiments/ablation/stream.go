@@ -94,7 +94,7 @@ func (c *StreamCache) Reports(prefix branch.ID) ([]depot.Stored, error) {
 	var out []depot.Stored
 	err := depot.WalkDump(c.data, branch.ID{}, func(id branch.ID, payload []byte) error {
 		if id.HasSuffix(prefix) {
-			out = append(out, depot.Stored{ID: id, XML: append([]byte(nil), payload...)})
+			out = append(out, depot.NewStored(id, append([]byte(nil), payload...)))
 		}
 		return nil
 	})

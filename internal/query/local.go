@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -117,11 +118,21 @@ func (b *local) cache(id branch.ID, inm string) (document, error) {
 	return bytesDoc("text/xml", tag, sub), nil
 }
 
-// reports is the report list as a streamed document: branch identifiers
-// are escaped into one reused buffer (no per-identifier string allocation)
-// and the pieces are written straight to the response — the exact length
-// is known up front from the piece lengths, so no second full-response
-// buffer is built.
+// maxPooledBody is the largest buffer reportsPool keeps. A report list
+// over it (the whole cache's, on a large depot) is put together in a
+// buffer of its own that the collector takes back, so the pool never pins
+// one.
+const maxPooledBody = 1 << 20
+
+// reportsPool holds the buffers report lists are put together in.
+var reportsPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// reports is the report list, put together in one pooled buffer and so
+// written with one Write (not through net/http's 4 KB buffer a piece at a
+// time): each report's attribute and payload are the bytes the cache holds
+// (Stored.Attr and Stored.XML, shared, nothing escaped or copied per
+// read), and the exact length is summed up front so the buffer is sized
+// once. The buffer goes back to the pool once the answer is written.
 func (b *local) reports(id branch.ID, inm string) (document, error) {
 	tag := etagFor(b.d.CacheGeneration())
 	if b.unchanged(inm, tag) {
@@ -141,26 +152,33 @@ func (b *local) reports(id branch.ID, inm string) (document, error) {
 		closeAttr = `">`
 		closeTag  = `</stored>`
 	)
-	var esc bytes.Buffer
-	offs := make([]int, len(stored)+1)
 	total := len("<reports></reports>")
-	for i, st := range stored {
-		xml.EscapeText(&esc, []byte(st.ID.String()))
-		offs[i+1] = esc.Len()
-		total += len(openTag) + (offs[i+1] - offs[i]) + len(closeAttr) + len(st.XML) + len(closeTag)
+	for _, st := range stored {
+		total += len(openTag) + len(st.Attr) + len(closeAttr) + len(st.XML) + len(closeTag)
 	}
-	return document{contentType: "text/xml", tag: tag, len: total, write: func(w io.Writer) {
-		escaped := esc.Bytes()
-		io.WriteString(w, "<reports>")
-		for i, st := range stored {
-			io.WriteString(w, openTag)
-			w.Write(escaped[offs[i]:offs[i+1]])
-			io.WriteString(w, closeAttr)
-			w.Write(st.XML)
-			io.WriteString(w, closeTag)
-		}
-		io.WriteString(w, "</reports>")
-	}}, nil
+	var bp *[]byte
+	var body []byte
+	if total <= maxPooledBody {
+		bp = reportsPool.Get().(*[]byte)
+		body = slices.Grow((*bp)[:0], total)
+	} else {
+		body = make([]byte, 0, total)
+	}
+	body = append(body, "<reports>"...)
+	for _, st := range stored {
+		body = append(body, openTag...)
+		body = append(body, st.Attr...)
+		body = append(body, closeAttr...)
+		body = append(body, st.XML...)
+		body = append(body, closeTag...)
+	}
+	body = append(body, "</reports>"...)
+	d := bytesDoc("text/xml", tag, body)
+	if bp != nil {
+		*bp = body[:0]
+		d.release = func() { reportsPool.Put(bp) }
+	}
+	return d, nil
 }
 
 // availability memoizes renders per (canonical query string, archive

@@ -53,7 +53,7 @@ func FuzzChangeEvent(f *testing.F) {
 
 // benchReports are stored reports of the paper's smallest and largest
 // sizes (851 B, 45 527 B).
-func benchReports(b *testing.B) [][]byte {
+func benchReports(b testing.TB) [][]byte {
 	build := func(pad int) []byte {
 		r := report.New("bench.probe", "1.0", "bench.example.org", time.Date(2004, 7, 7, 0, 0, 0, 0, time.UTC))
 		r.Body = report.Branch("bench", "probe",

@@ -27,26 +27,27 @@ import (
 // extraction's: the report can be stored, not archived. ex's slices are
 // e's own, valid until its next scan.
 func (e *Extractor) Admit(data []byte, paths []Path) (payload []byte, canonical bool, ex Extraction, exErr, err error) {
-	if payload, canonical = xmlscan.CanonicalVisit(data, e.admitter(data, paths)); !canonical {
+	if payload, canonical = xmlscan.CanonicalVisit(data, e.admitter(paths)); !canonical {
 		if payload, err = xmlscan.AppendCanonical(nil, data); err != nil {
 			return nil, false, Extraction{}, nil, err
 		}
-		xmlscan.VisitWritten(payload, e.admitter(payload, paths))
+		xmlscan.VisitWritten(payload, e.admitter(paths))
 	}
 	a := &e.a
 	if a.mode != admitted {
-		// Only the scan after a footer jump can run off the end: what
-		// follows the last </body> held no footer.
+		// The root's end tag settles every scan of a well-formed
+		// document; this only keeps a scan that ran off the end from
+		// passing for a settled one.
 		a.fail(truncated(io.EOF))
 	}
 	return payload, canonical, a.ex, a.err, nil
 }
 
-// admitter readies e's admitter for a scan of data.
-func (e *Extractor) admitter(data []byte, paths []Path) *admitter {
+// admitter readies e's admitter for a scan.
+func (e *Extractor) admitter(paths []Path) *admitter {
 	ex, needFooter := e.reset(paths)
 	a := &e.a
-	*a = admitter{x: &e.x, data: data, paths: paths, ex: ex, needFooter: needFooter, section: inRoot, frames: a.frames[:0], bodyTags: -1}
+	*a = admitter{x: &e.x, paths: paths, ex: ex, needFooter: needFooter, frames: a.frames[:0]}
 	return a
 }
 
@@ -56,8 +57,6 @@ type admitMode uint8
 const (
 	inProlog  admitMode = iota // before the root element
 	inRoot                     // the root's children: the sections
-	inTail                     // after the footer jump, nothing open
-	toJump                     // walking to the end of the last </body>
 	inHeader                   // the header's children
 	inFooter                   // the footer's children
 	inText                     // an element read whole into x.id
@@ -87,28 +86,21 @@ type admitFrame struct {
 // admitter is the extraction's walk, as an xmlscan.Visitor.
 type admitter struct {
 	x          *extractor
-	data       []byte
 	paths      []Path
 	ex         Extraction
 	err        error
 	needFooter bool
 
-	mode    admitMode
-	section admitMode // inRoot, or inTail once the footer jump is taken
-	textTo  admitMode // where an element read whole returns
-	skipTo  admitMode // where a skipped subtree returns
-	use     textUse
-	skip    int // elements of the skipped subtree still open
+	mode   admitMode
+	textTo admitMode // where an element read whole returns
+	skipTo admitMode // where a skipped subtree returns
+	use    textUse
+	skip   int // elements of the skipped subtree still open
 
 	sawHeader, sawFooter, sawRoot bool
 	completed                     bool   // the open footer's flag so far
 	id                            []byte // the innermost element's <ID>, before it is decided
 	frames                        []admitFrame
-
-	// The footer jump resumes after the last literal "</body>"; in a
-	// canonical document each is an unprefixed end tag, so counting them
-	// finds it. bodyTags is their number in data, -1 until counted.
-	bodyEnds, bodyTags int
 }
 
 // Visit implements xmlscan.Visitor.
@@ -117,9 +109,6 @@ func (a *admitter) Visit(t xmlscan.Token) bool {
 	case xmlscan.StartElement:
 		a.start(t.Name)
 	case xmlscan.EndElement:
-		if string(t.Name) == "body" && !t.Prefixed {
-			a.bodyEnds++
-		}
 		a.end(t.Name)
 	case xmlscan.CharData:
 		switch a.mode {
@@ -140,7 +129,7 @@ func (a *admitter) start(name []byte) {
 			return
 		}
 		a.mode = inRoot
-	case inRoot, inTail:
+	case inRoot:
 		switch string(name) {
 		case "header":
 			a.mode = inHeader
@@ -149,7 +138,7 @@ func (a *admitter) start(name []byte) {
 		case "footer":
 			a.mode, a.completed = inFooter, false
 		default:
-			a.skipFrom(a.mode)
+			a.skipFrom(inRoot)
 		}
 	case inHeader:
 		if string(name) == "gmt" {
@@ -205,21 +194,14 @@ func (a *admitter) end(name []byte) {
 		} else {
 			a.finish()
 		}
-	case inTail:
-		// Read on after the jump, nothing is open to close.
-		a.fail(truncated(fmt.Errorf("xmlscan: </%s> closes nothing", name)))
-	case toJump:
-		if a.bodyEnds == a.bodyTags {
-			a.mode = inTail
-		}
 	case inHeader:
-		a.sawHeader, a.mode = true, a.section
+		a.sawHeader, a.mode = true, inRoot
 	case inFooter:
 		a.ex.Completed, a.sawFooter = a.completed, true
 		if a.sawHeader {
 			a.finish()
 		} else {
-			a.mode = a.section
+			a.mode = inRoot
 		}
 	case inText:
 		a.mode = a.textTo
@@ -252,15 +234,13 @@ func (a *admitter) end(name []byte) {
 		a.x.text = a.x.text[:f.mark]
 		a.frames = a.frames[:depth]
 		// As element and body do on the way back up: a settled body
-		// root ends the body, and so does a settled state mid-tree where
-		// the scan can stop or jump; with no "</body>" ahead to jump to,
-		// the walk goes on to the body root's end.
+		// root ends the body, and so does a settled state mid-tree.
 		if depth == 0 {
 			a.mode = inBody
 			if allResolved(a.x.states) {
 				a.bodyDone(true)
 			}
-		} else if settled(a.x.states) && (!a.needFooter || a.jumpAhead()) {
+		} else if settled(a.x.states) {
 			a.bodyDone(true)
 		}
 	}
@@ -282,26 +262,14 @@ func (a *admitter) bodyDone(early bool) {
 	case !a.needFooter:
 		a.finish()
 	case !early:
-		a.mode = a.section
-	case !a.jumpAhead():
-		// No "</body>" ahead (the body is prefixed, or the last one is
-		// behind): skip to the body's own end tag. Mid-tree this is not
-		// reached, so the body is all that is open.
-		a.skipFrom(a.section)
+		a.mode = inRoot
 	default:
-		// Jump past the last "</body>" and read on there with nothing
-		// open.
-		a.section, a.mode = inTail, toJump
+		// Skip to the body's own end tag, past the elements still open
+		// in it (none, when its root has closed), and read the sections
+		// after it.
+		a.mode, a.skipTo, a.skip = inSkip, inRoot, len(a.frames)+1
+		a.frames = a.frames[:0]
 	}
-}
-
-// jumpAhead reports whether a literal "</body>" lies ahead of the scan,
-// for the footer jump to land after.
-func (a *admitter) jumpAhead() bool {
-	if a.bodyTags < 0 {
-		a.bodyTags = bytes.Count(a.data, bodyCloseTag)
-	}
-	return a.bodyEnds < a.bodyTags
 }
 
 func (a *admitter) push(tag []byte) {

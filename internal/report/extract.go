@@ -104,8 +104,6 @@ var (
 	errMultiRoot     = errors.New("report: body has multiple roots")
 )
 
-var bodyCloseTag = []byte("</body>")
-
 // extractor is one extraction's working state: the path states and the
 // scratch the element walk decodes text into.
 type extractor struct {

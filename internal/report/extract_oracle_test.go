@@ -16,9 +16,11 @@ import (
 // from, each marked below: an element's second <ID> child used to
 // overwrite the first, where parseNode (and so Parse + Find, the oracle
 // above this one) keeps the first and takes the second for an ordinary
-// child; and the footer jump used to land on the last "</body>" even when
-// the scan had passed it, jumping back (for ever, when a prefixed body
-// followed it): a target behind the scan is now no target.
+// child; and a body whose values settled while the footer is still needed
+// used to be left by a jump past the last literal "</body>" in the
+// document, which need not be the body's own end tag (one nested in a
+// later section, or in a second root, is not): the walk now reads that
+// body to its own end tag and goes on from there.
 
 // oraclePathState tracks one path's progress through the body scan. Matching
 // reproduces Node.Find exactly, including its refusal to backtrack: each
@@ -44,19 +46,12 @@ func (s *oraclePathState) resolved() bool { return s.dead || s.found }
 // is settled.
 var errOracleScanDone = errors.New("report: extraction complete")
 
-var (
-	oracleBodyCloseTag = []byte("</body>")
-	oracleCDATAOpen    = []byte("<![CDATA[")
-	oracleCommentOpen  = []byte("<!--")
-)
-
 // extractValuesTokenising scans a serialized report for the given compiled paths.
 // Header and footer handling mirrors Parse: a document without a header
 // is rejected; the footer is required (and read) only when a success path
 // is requested — otherwise the scan ends as soon as the body is resolved.
-// When the footer is needed, a scan whose values all settled early jumps
-// to the body's end tag by byte search instead of tokenizing the rest of
-// the body, so the success flag costs O(footer), not O(report).
+// When the footer is needed, a scan whose values all settled early skips
+// the rest of the body to its end tag.
 func extractValuesTokenising(data []byte, paths []Path) (Extraction, error) {
 	ex := Extraction{
 		Values: make([]float64, len(paths)),
@@ -72,23 +67,11 @@ func extractValuesTokenising(data []byte, paths []Path) (Extraction, error) {
 		states = append(states, &oraclePathState{comps: p.comps})
 	}
 
-	// In a document free of CDATA sections and comments — every report this
-	// package writes, and anything a conforming producer emits — a "<" in
-	// character data must be escaped, so the last literal "</body>" can only
-	// be the body's end tag. That lets the scan, once every value is
-	// settled, jump straight to the footer instead of tokenizing the rest
-	// of the body. footerJump < 0 disables the jump (and with it the
-	// mid-tree abort when the footer is still needed).
-	footerJump := -1
-	if needFooter && !bytes.Contains(data, oracleCDATAOpen) && !bytes.Contains(data, oracleCommentOpen) {
-		footerJump = bytes.LastIndex(data, oracleBodyCloseTag)
-	}
 	dec := xml.NewDecoder(bytes.NewReader(data))
-	base := 0 // where in data dec started
-	// A target the scan has passed is no target (the change marked
-	// above): the walk then neither aborts mid-tree nor jumps.
-	jumpAhead := func() bool { return footerJump >= base+int(dec.InputOffset()) }
-	abortEarly := func() bool { return !needFooter || jumpAhead() }
+	// The walk leaves the body mid-tree only when no footer is needed; a
+	// body left at its top level is skipped to its own end tag (the change
+	// marked above).
+	abortEarly := func() bool { return !needFooter }
 	start, err := nextStart(dec)
 	if err != nil {
 		return ex, fmt.Errorf("report: no root element: %w", err)
@@ -147,15 +130,10 @@ func extractValuesTokenising(data []byte, paths []Path) (Extraction, error) {
 					return ex, err
 				}
 				if err == errOracleScanDone {
-					// Settled mid-body but the footer is still needed.
-					if jumpAhead() {
-						// Jump past the body's end tag and resume
-						// tokenizing at the footer.
-						base = footerJump + len(oracleBodyCloseTag)
-						dec = xml.NewDecoder(bytes.NewReader(data[base:]))
-					} else if err := dec.Skip(); err != nil {
-						// errOracleScanDone without a jump target only arises at
-						// the body's top level, so Skip unwinds to </body>.
+					// Settled, but the footer is still needed.
+					// errOracleScanDone with the footer needed only arises
+					// at the body's top level, so Skip unwinds to </body>.
+					if err := dec.Skip(); err != nil {
 						return ex, fmt.Errorf("report: truncated document: %w", err)
 					}
 				}

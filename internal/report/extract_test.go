@@ -230,8 +230,8 @@ func paddedSuccessReport(t *testing.T, completed bool) []byte {
 
 func TestExtractFooterJump(t *testing.T) {
 	// Success path + leaf paths that settle at the top of the body: the
-	// scan must jump over the trailing detail subtree straight to the
-	// footer and still agree with the DOM on every value.
+	// scan must skip the trailing detail subtree to the body's end tag,
+	// read the footer there and still agree with the DOM on every value.
 	for _, completed := range []bool{true, false} {
 		data := paddedSuccessReport(t, completed)
 		checkAgainstDOM(t, data, []string{
@@ -245,8 +245,9 @@ func TestExtractFooterJump(t *testing.T) {
 
 func TestExtractFooterJumpDisabledByComment(t *testing.T) {
 	// A comment holding a literal "</body>" is not canonical: the
-	// extraction reads the written payload, which drops the comment, so
-	// the decoy cannot misplace the footer jump.
+	// extraction reads the written payload, which drops the comment; and
+	// a settled body is read to its own end tag, so no "</body>" in the
+	// document could misplace the footer anyway.
 	data := paddedSuccessReport(t, true)
 	idx := bytes.Index(data, []byte("<detail>"))
 	if idx < 0 {
@@ -264,11 +265,28 @@ func TestExtractFooterJumpDisabledByComment(t *testing.T) {
 }
 
 func TestExtractPrefixedBody(t *testing.T) {
-	// A prefixed body's end tag is no literal "</body>". With none ahead
-	// — here only an unprefixed <body> inside it that the scan has passed
-	// — a scan settled in the body skips to the body's own end tag and
+	// A prefixed body is read like any other: a scan settled in it skips
+	// to the body's own end tag, past the unprefixed <body> inside it, and
 	// reads the footer there.
 	doc := strings.Replace(fuzzReportHead, "<incaReport>", `<incaReport xmlns:x="u">`, 1) +
 		"<x:body><a><body></body><v>1</v></a></x:body>" + fuzzReportFoot
 	checkAgainstDOM(t, []byte(doc), []string{"v,a", ""})
+}
+
+func TestExtractSettledBodyEndsAtItsEndTag(t *testing.T) {
+	// A literal "</body>" after the point where the values settle that
+	// does not close the body being read — in a later section, in a
+	// second root, inside a prefixed body — is no place to resume: the
+	// scan reads the body to its own end tag and reads the footer after
+	// it, as Parse + Find does.
+	for _, doc := range []string{
+		fuzzReportHead + `<body><a><v>1</v></a></body><x><y><body></body></y></x>` + fuzzReportFoot,
+		fuzzReportHead + `<body><a><v>1</v></a></body>` + fuzzReportFoot + `<r><x><body></body></x></r>`,
+		strings.Replace(fuzzReportHead, "<incaReport>", `<incaReport xmlns:x="u">`, 1) +
+			`<x:body><a><v>1</v><body></body></a></x:body>` + fuzzReportFoot,
+	} {
+		checkAgainstDOM(t, []byte(doc), []string{"v,a", ""})
+		checkAgainstDOM(t, []byte(doc), []string{"v,a"})
+		checkAgainstDOM(t, []byte(doc), []string{""})
+	}
 }

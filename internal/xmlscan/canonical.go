@@ -73,9 +73,8 @@ const (
 // Token is one start tag, end tag or run of character data of a canonical
 // document, as CanonicalVisit hands it to a Visitor.
 type Token struct {
-	Kind     TokenKind
-	Prefixed bool   // StartElement, EndElement: the name has a namespace prefix
-	Name     []byte // StartElement, EndElement: the local name
+	Kind TokenKind
+	Name []byte // StartElement, EndElement: the local name
 
 	raw []byte // CharData as written
 }
@@ -134,7 +133,7 @@ func (o openName) token(kind TokenKind) Token {
 	if o.colon <= 0 || o.colon == len(o.name)-1 {
 		return Token{Kind: kind, Name: o.name}
 	}
-	return Token{Kind: kind, Prefixed: true, Name: o.name[o.colon+1:]}
+	return Token{Kind: kind, Name: o.name[o.colon+1:]}
 }
 
 // canonicalVisit is CanonicalVisit; with written set it also takes names
