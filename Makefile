@@ -51,7 +51,7 @@ flags:
 test:
 	$(GO) test -race ./...
 
-# Fault-injection suite (DESIGN.md §5d): chaos-proxy tests proving zero
+# Fault-injection suite (DESIGN.md §5b): chaos-proxy tests proving zero
 # report loss across resets, stalled acks, and controller restarts, plus
 # the custody tests of the spool and the wire sink (an agent restart, an
 # agent kill, a shed while a chunk is in flight), of the journal under the
@@ -62,33 +62,33 @@ test:
 chaos:
 	$(GO) test -race -run 'TestChaos|TestSpool|TestWireSink|TestJournal|TestEnqueue|TestCloseHarvest' -count=1 ./internal/wire/ ./internal/agent/ ./internal/journal/
 
-# Telemetry gate (DESIGN.md §5e): drive the full pipeline with one shared
+# Telemetry gate (DESIGN.md §5i): drive the full pipeline with one shared
 # registry and lint the /metrics exposition for every stage's instruments;
 # TestMetricsSmokeRouter does the same for the federation router's registry.
 metrics-smoke:
 	$(GO) test -race -run TestMetricsSmoke -count=1 .
 
-# Federation gate (DESIGN.md §5f): a real -federate router in front of two
+# Federation gate (DESIGN.md §5c): a real -federate router in front of two
 # real shard processes over TCP; one shard is killed mid-stream and the
 # test proves every accepted report survives the re-route.
 federation-smoke:
 	INCA_FEDERATION_SMOKE=1 $(GO) test -race -run TestFederationSmoke -count=1 .
 
-# Replication gate (DESIGN.md §5i): a -federate router with a -replicate
-# follower behind one shard; the primary is SIGKILLed and the follower
+# Replication gate (DESIGN.md §5c): a -federate router with a follower
+# behind one shard; the primary is SIGKILLed and the follower
 # promoted via /federation/leave — the federated /reports must come back
 # byte-identical with a zero-loss custody ledger.
 replication-smoke:
 	INCA_REPLICATION_SMOKE=1 $(GO) test -race -run TestReplicationSmoke -count=1 .
 
-# Storage gate (DESIGN.md §5g): a real -storage disk server SIGKILLed
+# Storage gate (DESIGN.md §5f): a real -storage disk server SIGKILLed
 # twice (after a clean drain and mid-stream) with its WAL tail torn,
 # restarted, and checkpointed — no acknowledged report or archive may be
 # lost, and the torn tail must be truncated.
 storage-smoke:
 	INCA_STORAGE_SMOKE=1 $(GO) test -race -run TestStorageSmoke -count=1 .
 
-# Feed gate (DESIGN.md §5h): a real inca-server and real inca-consumer
+# Feed gate (DESIGN.md §5g): a real inca-server and real inca-consumer
 # -subscribe processes over TCP; the subscriber is killed mid-stream and
 # a successor resumes from its cursor — every generation must be observed
 # exactly once (changes or one catch-up snapshot, no gaps, no replays)
@@ -115,7 +115,7 @@ bench-smoke:
 bench-archive:
 	$(GO) test -run=NONE -bench=BenchmarkArchiveParallel -benchtime=1s .
 
-# Merge tier (DESIGN.md §5f): the whole-cache and whole-report-list merges
+# Merge tier (DESIGN.md §5h): the whole-cache and whole-report-list merges
 # at the benchmark of record's working set (1024 x 851 B over two shards) —
 # the byte-level plan, the plan concatenated, and the encoding/xml oracle;
 # the skip kernel under the plan over that working set's whole document;
@@ -126,7 +126,7 @@ bench-merge:
 	$(GO) test -run=NONE -bench='BenchmarkSkipSubtree' -benchmem ./internal/xmlscan/
 	$(GO) test -run=NONE -bench='BenchmarkClientCache' -benchmem ./internal/query/
 
-# Ingest tier (DESIGN.md §5b, §5c): the cache insert of a report already in
+# Ingest tier (DESIGN.md §5d, §5e): the cache insert of a report already in
 # canonical form against one the insert must write out, the store path's one
 # pass (admission with the extraction) on canonical reports and on one it
 # must write out, and the archive's value extraction against the tokenising
@@ -136,12 +136,13 @@ bench-ingest:
 	$(GO) test -run=NONE -bench='BenchmarkUpdateCanonical|BenchmarkUpdateFallback|BenchmarkAdmit' -benchmem ./internal/depot/
 	$(GO) test -run=NONE -bench='BenchmarkExtractValues' -benchmem ./internal/report/
 
-# Read tier (DESIGN.md §5b): the single depot's read path at the benchmark
+# Read tier (DESIGN.md §5h): the single depot's read path at the benchmark
 # of record's working set (32 x 32 x 851 B), through the handler into a
 # ResponseWriter that drops the body — one site's /reports (the subtree
 # read: the cache's own payloads and rendered identifiers, put together in
 # one pooled buffer for one Write), the whole /cache (the materialized
-# document itself) and the whole /cache revalidated (304); B/op and
+# document itself), one site's /cache (a body built on every read) and the
+# whole /cache revalidated (304); B/op and
 # allocs/op are the figures to watch.
 bench-read:
 	$(GO) test -run=NONE -bench='BenchmarkReadHandler' -benchmem ./internal/query/
@@ -163,8 +164,10 @@ bench-read:
 # the per-read writer they replaced; the controller's in-process store
 # against the envelope round trip it skips;
 # the agreement reader, whose accepted input survives Marshal and Parse;
-# and the journal's open scan, which keeps only a prefix of whole,
-# CRC-valid frames that re-appending its records reproduces.
+# the journal's open scan, which keeps only a prefix of whole,
+# CRC-valid frames that re-appending its records reproduces; and the
+# archival policy parser, whose accepted input survives marshalling and
+# parsing again.
 # The seed corpora (f.Add plus testdata/fuzz) run under plain `go test`; `go
 # test -fuzz` takes one target per invocation.
 fuzz:
@@ -188,22 +191,23 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzSubmitDirect$$' -fuzztime=10s ./internal/controller/
 	$(GO) test -run=NONE -fuzz='^FuzzParseAgreement$$' -fuzztime=10s ./internal/agreement/
 	$(GO) test -run=NONE -fuzz='^FuzzJournalScan$$' -fuzztime=10s ./internal/journal/
+	$(GO) test -run=NONE -fuzz='^FuzzPolicyRecord$$' -fuzztime=10s ./internal/depot/
 
-# Storage tier (DESIGN.md §5g): memory vs disk engine across report
+# Storage tier (DESIGN.md §5f): memory vs disk engine across report
 # ingest, archive updates at 10k/100k series (with the heap staying flat
 # on disk), and restart recovery (WAL replay vs checkpoint vs snapshot);
 # machine-readable result written to BENCH_storage.json.
 bench-storage:
 	$(GO) run ./cmd/inca-bench -experiment storage -json .
 
-# Consumer tier (DESIGN.md §5h): N conditional pollers vs N /feed
+# Consumer tier (DESIGN.md §5g): N conditional pollers vs N /feed
 # subscribers at 1..1024 consumers over real TCP — query-tier request
 # rate and store-to-observe propagation percentiles, written to
 # BENCH_feed.json.
 bench-feed:
 	$(GO) run ./cmd/inca-bench -experiment feed -json .
 
-# Replication tier (DESIGN.md §5i): ingest overhead of the follower tee
+# Replication tier (DESIGN.md §5c): ingest overhead of the follower tee
 # against the unreplicated router, and failover drain latency
 # (promote + re-enqueue + redeliver); written to BENCH_replication.json.
 bench-replication:

@@ -35,6 +35,7 @@ import (
 	"inca/internal/depot"
 	"inca/internal/query"
 	"inca/internal/rrd"
+	"inca/internal/simtime"
 )
 
 func main() {
@@ -203,18 +204,22 @@ func subscribeFeed(c *query.Client, branchID, cursor string, fail func(error)) {
 		h.Write(state.Dump())
 		return fmt.Sprintf("%016x", h.Sum64())
 	}
-	backoff := time.Second
+	// Both a failed subscribe and a closed feed wait on the jittered
+	// ladder the router's feed watchers use; a subscribe resets it.
+	retries := 0
+	backoff := func() time.Duration {
+		retries++
+		return simtime.Backoff(time.Second, 30*time.Second, retries)
+	}
 	for {
 		fs, err := c.FeedSubscribe(branchID, cursor, "")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "subscribe: %v (retrying in %s)\n", err, backoff)
-			time.Sleep(jitter(backoff))
-			if backoff *= 2; backoff > 30*time.Second {
-				backoff = 30 * time.Second
-			}
+			wait := backoff()
+			fmt.Fprintf(os.Stderr, "subscribe: %v (retrying in %s)\n", err, wait.Round(time.Millisecond))
+			time.Sleep(wait)
 			continue
 		}
-		backoff = time.Second
+		retries = 0
 		for {
 			ev, err := fs.Next()
 			if err != nil {
@@ -262,6 +267,6 @@ func subscribeFeed(c *query.Client, branchID, cursor string, fail func(error)) {
 			}
 		}
 		fs.Close()
-		time.Sleep(jitter(backoff))
+		time.Sleep(backoff())
 	}
 }

@@ -50,8 +50,7 @@ func main() {
 
 		agreeSpec = flag.String("agreement", "", "serve a live agreement status stream on /feed?stream=status and /summary: 'teragrid' or a path to an agreement XML file")
 
-		federate  = flag.String("federate", "", "run as a federation router over this comma-separated shard list (wireAddr/httpAddr[=followerWire/followerHTTP] per shard) instead of hosting a depot")
-		replicate = flag.String("replicate", "", "comma-separated follower list paired positionally with -federate shards (wireAddr/httpAddr, '-' = no follower): the router tees each shard's wire stream to its follower, and /federation/leave promotes the follower when the primary dies")
+		federate = flag.String("federate", "", "run as a federation router over this comma-separated shard list (wireAddr/httpAddr[=followerWire/followerHTTP] per shard) instead of hosting a depot: the router tees each shard's wire stream to its follower, and /federation/leave promotes the follower when the primary dies")
 	)
 	flag.Parse()
 
@@ -60,12 +59,8 @@ func main() {
 	reg := metrics.NewRegistry()
 
 	if *federate != "" {
-		runFederated(*federate, *replicate, *tcpAddr, *httpAddr, *idleTimeout, *pprofOn, reg)
+		runFederated(*federate, *tcpAddr, *httpAddr, *idleTimeout, *pprofOn, reg)
 		return
-	}
-	if *replicate != "" {
-		fmt.Fprintln(os.Stderr, "-replicate requires -federate")
-		os.Exit(2)
 	}
 	if *storage == "disk" && *snapshot != "" {
 		fmt.Fprintln(os.Stderr, "-snapshot requires -storage memory (a disk depot restores from -data)")
@@ -186,7 +181,7 @@ func main() {
 	}
 
 	// Periodic checkpoints bound both WAL replay time after a crash and the
-	// page-cache durability window (DESIGN.md §5g).
+	// page-cache durability window (DESIGN.md §5f).
 	checkpointEvery := *checkpoint
 	if !d.DiskBacked() {
 		checkpointEvery = 0
@@ -295,15 +290,11 @@ const responseWindow = 4096
 // runFederated runs the binary as a federation router: the same wire
 // listener agents already point at, but every accepted message forwards
 // to the shard owning its branch (and tees to the shard's follower when
-// one is configured — DESIGN.md §5i), and the HTTP side is the
-// scatter-gather query tier instead of a local depot (DESIGN.md §5f).
-func runFederated(topology, replicate, tcpAddr, httpAddr string, idleTimeout time.Duration, pprofOn bool, reg *metrics.Registry) {
+// one is configured — DESIGN.md §5c), and the HTTP side is the
+// scatter-gather query tier instead of a local depot (DESIGN.md §5h).
+func runFederated(topology, tcpAddr, httpAddr string, idleTimeout time.Duration, pprofOn bool, reg *metrics.Registry) {
 	shards, err := federation.ParseShards(topology)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := federation.ApplyReplicas(shards, replicate); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

@@ -44,6 +44,7 @@ func TestUnknownFlagValuesExit2(t *testing.T) {
 		{[]string{"-archive-workers", "8"}, "flag provided but not defined: -archive-workers"},
 		{[]string{"-archive-queue", "1"}, "flag provided but not defined: -archive-queue"},
 		{[]string{"-archive-drop"}, "flag provided but not defined: -archive-drop"},
+		{[]string{"-replicate", "-,f:1/f:2"}, "flag provided but not defined: -replicate"},
 		{[]string{"-replicate-reads=false"}, "flag provided but not defined: -replicate-reads"},
 		{[]string{"-feed=false"}, "flag provided but not defined: -feed"},
 		{[]string{"-reverify", "1m"}, "flag provided but not defined: -reverify"},

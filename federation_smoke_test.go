@@ -1,6 +1,6 @@
 package inca_test
 
-// Multi-process federation smoke test (DESIGN.md §5f): a real -federate
+// Multi-process federation smoke test (DESIGN.md §5c): a real -federate
 // router in front of two real shard processes over real TCP. One shard is
 // killed mid-stream, the topology drops it via /federation/leave, and the
 // test asserts every report the router accepted is queryable through the
@@ -12,113 +12,75 @@ package inca_test
 // (part of `make check`) rather than on every plain `go test ./...`.
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"regexp"
 	"testing"
 	"time"
 
 	"inca/internal/branch"
+	"inca/internal/experiments"
 	"inca/internal/federation"
 	"inca/internal/loadgen"
 	"inca/internal/wire"
 )
 
-// smokeProc is one spawned inca-server with a line-scanned stdout.
-type smokeProc struct {
-	cmd   *exec.Cmd
-	lines chan string
+// smokeReportLen is the size of the report the smokes stream.
+const smokeReportLen = 851
+
+// buildSmokeBinary compiles cmd/<name> for one test.
+func buildSmokeBinary(t *testing.T, name string) string {
+	t.Helper()
+	bin, err := experiments.BuildBinary(t.TempDir(), name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bin
 }
 
-func startSmokeProc(t *testing.T, bin string, args ...string) *smokeProc {
+// spawn starts bin and stops it when the test ends.
+func spawn(t *testing.T, bin string, args ...string) *experiments.Proc {
 	t.Helper()
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
+	p, err := experiments.Start(bin, args...)
 	if err != nil {
-		t.Fatalf("stdout pipe: %v", err)
+		t.Fatal(err)
 	}
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("start %s %v: %v", bin, args, err)
-	}
-	p := &smokeProc{cmd: cmd, lines: make(chan string, 64)}
-	go func() {
-		sc := bufio.NewScanner(out)
-		for sc.Scan() {
-			select {
-			case p.lines <- sc.Text():
-			default: // never block the child on a full buffer
-			}
-		}
-		close(p.lines)
-	}()
-	t.Cleanup(func() {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-	})
+	t.Cleanup(p.Stop)
 	return p
 }
 
-// expectLine scans the process stdout until a line matches re, returning
-// the first capture group.
-func (p *smokeProc) expectLine(t *testing.T, re *regexp.Regexp) string {
+// banner returns the first capture of p's next stdout line matching re.
+func banner(t *testing.T, p *experiments.Proc, re *regexp.Regexp) string {
 	t.Helper()
-	deadline := time.After(15 * time.Second)
-	for {
-		select {
-		case line, ok := <-p.lines:
-			if !ok {
-				t.Fatalf("process exited before printing %s", re)
-			}
-			if m := re.FindStringSubmatch(line); m != nil {
-				return m[1]
-			}
-		case <-deadline:
-			t.Fatalf("timed out waiting for %s", re)
-		}
+	v, err := p.Expect(re, 15*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return v
 }
-
-var (
-	wireAddrRE     = regexp.MustCompile(`controller listening on ([^ ]+) `)
-	httpAddrRE     = regexp.MustCompile(`querying interface on http://([^ ]+) `)
-	routerWireRE   = regexp.MustCompile(`federation router listening on ([^ ]+) `)
-	routerHTTPRE   = regexp.MustCompile(`federated querying interface on http://([^ ]+) `)
-	smokeReportLen = 851
-)
 
 func TestFederationSmoke(t *testing.T) {
 	if os.Getenv("INCA_FEDERATION_SMOKE") == "" {
 		t.Skip("set INCA_FEDERATION_SMOKE=1 (make federation-smoke) to run the multi-process smoke test")
 	}
-	bin := filepath.Join(t.TempDir(), "inca-server")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/inca-server")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("build inca-server: %v", err)
-	}
+	bin := buildSmokeBinary(t, "inca-server")
 
 	// Two shard depots, each a full inca-server on ephemeral ports.
-	shardA := startSmokeProc(t, bin, "-tcp", "127.0.0.1:0", "-http", "127.0.0.1:0")
-	wireA := shardA.expectLine(t, wireAddrRE)
-	httpA := shardA.expectLine(t, httpAddrRE)
-	shardB := startSmokeProc(t, bin, "-tcp", "127.0.0.1:0", "-http", "127.0.0.1:0")
-	wireB := shardB.expectLine(t, wireAddrRE)
-	httpB := shardB.expectLine(t, httpAddrRE)
+	shardA := spawn(t, bin, "-tcp", "127.0.0.1:0", "-http", "127.0.0.1:0")
+	wireA := banner(t, shardA, experiments.WireAddrRE)
+	httpA := banner(t, shardA, experiments.HTTPAddrRE)
+	shardB := spawn(t, bin, "-tcp", "127.0.0.1:0", "-http", "127.0.0.1:0")
+	wireB := banner(t, shardB, experiments.WireAddrRE)
+	httpB := banner(t, shardB, experiments.HTTPAddrRE)
 
 	// The federation router in front of them, a third process.
-	router := startSmokeProc(t, bin,
+	router := spawn(t, bin,
 		"-federate", fmt.Sprintf("%s/%s,%s/%s", wireA, httpA, wireB, httpB),
 		"-tcp", "127.0.0.1:0", "-http", "127.0.0.1:0")
-	routerWire := router.expectLine(t, routerWireRE)
-	routerHTTP := router.expectLine(t, routerHTTPRE)
+	routerWire := banner(t, router, experiments.RouterWireRE)
+	routerHTTP := banner(t, router, experiments.RouterHTTPRE)
 
 	// Mirror the router's placement locally to know which shard owns what.
 	ring := federation.NewRing([]string{wireA, wireB}, federation.RingOptions{})
@@ -156,10 +118,10 @@ func TestFederationSmoke(t *testing.T) {
 	// still owns those ranges, so the messages pile up in B's batch client
 	// — written but never acknowledged, or queued behind the dead
 	// connection.
-	if err := shardB.cmd.Process.Kill(); err != nil {
+	if err := shardB.Cmd.Process.Kill(); err != nil {
 		t.Fatalf("kill shard B: %v", err)
 	}
-	shardB.cmd.Wait()
+	shardB.Cmd.Wait()
 	send(ownedB)
 	if err := client.Drain(); err != nil {
 		t.Fatalf("drain phase 2: %v", err)

@@ -1,6 +1,6 @@
 package inca_test
 
-// Multi-process feed smoke test (DESIGN.md §5h): a real inca-server with
+// Multi-process feed smoke test (DESIGN.md §5g): a real inca-server with
 // its change feed enabled, and real inca-consumer -subscribe processes
 // over real TCP. Consumer A catches up from an empty snapshot, observes
 // ten stored generations as pushed change events, and is killed at its
@@ -23,19 +23,19 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"regexp"
 	"testing"
 	"time"
 
 	"inca/internal/branch"
 	"inca/internal/depot"
+	"inca/internal/experiments"
 	"inca/internal/loadgen"
 	"inca/internal/wire"
 )
 
 // feedProc is a spawned consumer whose stdout lines ARE the assertions:
-// unlike smokeProc's lossy capture, sends block so no line is dropped.
+// unlike experiments.Proc's lossy capture, sends block so no line is dropped.
 type feedProc struct {
 	cmd   *exec.Cmd
 	lines chan string
@@ -124,20 +124,12 @@ func TestFeedSmoke(t *testing.T) {
 	if os.Getenv("INCA_FEED_SMOKE") == "" {
 		t.Skip("set INCA_FEED_SMOKE=1 (make feed-smoke) to run the multi-process smoke test")
 	}
-	dir := t.TempDir()
-	serverBin := filepath.Join(dir, "inca-server")
-	consumerBin := filepath.Join(dir, "inca-consumer")
-	for bin, pkg := range map[string]string{serverBin: "./cmd/inca-server", consumerBin: "./cmd/inca-consumer"} {
-		build := exec.Command("go", "build", "-o", bin, pkg)
-		build.Stderr = os.Stderr
-		if err := build.Run(); err != nil {
-			t.Fatalf("build %s: %v", pkg, err)
-		}
-	}
+	serverBin := buildSmokeBinary(t, "inca-server")
+	consumerBin := buildSmokeBinary(t, "inca-consumer")
 
-	server := startSmokeProc(t, serverBin, "-tcp", "127.0.0.1:0", "-http", "127.0.0.1:0")
-	wireAddr := server.expectLine(t, wireAddrRE)
-	httpAddr := server.expectLine(t, httpAddrRE)
+	server := spawn(t, serverBin, "-tcp", "127.0.0.1:0", "-http", "127.0.0.1:0")
+	wireAddr := banner(t, server, experiments.WireAddrRE)
+	httpAddr := banner(t, server, experiments.HTTPAddrRE)
 
 	client := wire.NewBatchClient(wireAddr, wire.BatchOptions{FlushInterval: 10 * time.Millisecond})
 	defer client.Close()

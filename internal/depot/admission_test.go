@@ -77,7 +77,7 @@ func roundTripPayload(reportXML []byte) ([]byte, error) {
 // is stored as the bytes the writer would have written, and the writer
 // would not have refused it. What it rejects only costs time. The
 // committed corpus has one input per exclusion of the accepted set
-// (DESIGN.md §5b).
+// (DESIGN.md §5d).
 func FuzzCanonical(f *testing.F) {
 	f.Add(depot.PaddedReport(f, 851))
 	f.Add([]byte(` <r a="1 &amp; 2&#xA;"><v>x &lt; y&#x9;&#xD;` + "\n" + `é</v></r>`))

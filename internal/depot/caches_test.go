@@ -280,7 +280,7 @@ func TestDOMCacheMemoryFootprint(t *testing.T) {
 
 // TestXMLDeclarationAccepted: a reporter that opens with an XML declaration
 // (anything not built on Go's marshaller) is stored as if it had not. No
-// processing instruction is stored (DESIGN.md §5b): a payload holds
+// processing instruction is stored (DESIGN.md §5d): a payload holds
 // elements, attributes and text only.
 func TestXMLDeclarationAccepted(t *testing.T) {
 	caches := allCaches()

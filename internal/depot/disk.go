@@ -143,15 +143,3 @@ func (d *Depot) writeCheckpoint(firstSeq uint64) error {
 		return bw.Flush()
 	})
 }
-
-func marshalPolicyEntry(p Policy) xmlPolicyEntry {
-	e := xmlPolicyEntry{
-		Name: p.Name, Prefix: p.Prefix.String(), Path: p.Path,
-		Step: p.Archive.Step.String(), Granularity: p.Archive.Granularity,
-		History: p.Archive.History.String(), ManualOnly: p.ManualOnly,
-	}
-	if p.Archive.Heartbeat > 0 {
-		e.Heartbeat = p.Archive.Heartbeat.String()
-	}
-	return e
-}

@@ -4,10 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/xml"
 	"fmt"
 	"io"
-	"time"
 
 	"inca/internal/branch"
 	"inca/internal/rrd"
@@ -21,26 +19,10 @@ import (
 // Image layout: magic, then length-framed sections
 //
 //	CACH  cache document (canonical XML)
-//	POLS  policies (XML)
+//	POLS  policies (a <policies> list of policy records, policy.go)
 //	ARCH  one section per archive: key string + rrd image
 
 const snapshotMagic = "INCADEPOT1"
-
-type xmlPolicies struct {
-	XMLName  xml.Name         `xml:"policies"`
-	Policies []xmlPolicyEntry `xml:"policy"`
-}
-
-type xmlPolicyEntry struct {
-	Name        string `xml:"name,attr"`
-	Prefix      string `xml:"prefix,attr"`
-	Path        string `xml:"path,attr"`
-	Step        string `xml:"step,attr"`
-	Granularity int    `xml:"granularity,attr"`
-	History     string `xml:"history,attr"`
-	Heartbeat   string `xml:"heartbeat,attr,omitempty"`
-	ManualOnly  bool   `xml:"manualOnly,attr"`
-}
 
 // writeSection frames one section: a 4-byte tag, the length, the data.
 func writeSection(w *bufio.Writer, tag string, data []byte) error {
@@ -86,11 +68,7 @@ func (d *Depot) writeImageHead(bw *bufio.Writer) error {
 	if err := writeSection(bw, "CACH", d.cache.Dump()); err != nil {
 		return err
 	}
-	var pols xmlPolicies
-	for _, p := range d.policies.Load().all {
-		pols.Policies = append(pols.Policies, marshalPolicyEntry(p))
-	}
-	polsXML, err := xml.Marshal(pols)
+	polsXML, err := marshalPolicies(d.policies.Load().all)
 	if err != nil {
 		return err
 	}
@@ -170,15 +148,11 @@ func (d *Depot) restoreImage(r io.Reader) (firstSeq uint64, err error) {
 				return 0, err
 			}
 		case "POLS":
-			var pols xmlPolicies
-			if err := xml.Unmarshal(data, &pols); err != nil {
-				return 0, fmt.Errorf("depot: snapshot policies: %w", err)
+			pols, err := parsePolicies(data)
+			if err != nil {
+				return 0, err
 			}
-			for _, xp := range pols.Policies {
-				p, err := snapshotPolicy(xp)
-				if err != nil {
-					return 0, err
-				}
+			for _, p := range pols {
 				if err := d.AddPolicy(p); err != nil {
 					return 0, err
 				}
@@ -207,31 +181,4 @@ func (d *Depot) restoreImage(r io.Reader) (firstSeq uint64, err error) {
 			// Unknown sections are skipped for forward compatibility.
 		}
 	}
-}
-
-func snapshotPolicy(xp xmlPolicyEntry) (Policy, error) {
-	prefix, err := branch.Parse(xp.Prefix)
-	if err != nil {
-		return Policy{}, fmt.Errorf("depot: snapshot policy %s: %w", xp.Name, err)
-	}
-	step, err := time.ParseDuration(xp.Step)
-	if err != nil {
-		return Policy{}, fmt.Errorf("depot: snapshot policy %s step: %w", xp.Name, err)
-	}
-	history, err := time.ParseDuration(xp.History)
-	if err != nil {
-		return Policy{}, fmt.Errorf("depot: snapshot policy %s history: %w", xp.Name, err)
-	}
-	var hb time.Duration
-	if xp.Heartbeat != "" {
-		if hb, err = time.ParseDuration(xp.Heartbeat); err != nil {
-			return Policy{}, fmt.Errorf("depot: snapshot policy %s heartbeat: %w", xp.Name, err)
-		}
-	}
-	return Policy{
-		Name: xp.Name, Prefix: prefix, Path: xp.Path, ManualOnly: xp.ManualOnly,
-		Archive: rrd.ArchivalPolicy{
-			Step: step, Granularity: xp.Granularity, History: history, Heartbeat: hb,
-		},
-	}, nil
 }

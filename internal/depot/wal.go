@@ -2,7 +2,6 @@ package depot
 
 import (
 	"encoding/binary"
-	"encoding/xml"
 	"fmt"
 	"math"
 	"time"
@@ -20,7 +19,7 @@ import (
 // first byte is its kind.
 const (
 	walReport = 1 // u16 branch len | branch | report bytes
-	walPolicy = 2 // policy XML (snapshot schema)
+	walPolicy = 2 // MarshalPolicy's XML
 	walManual = 3 // u16 branch len | branch | u16 name len | name | i64 nanos | f64 value
 )
 
@@ -47,7 +46,7 @@ func encodeManualRecord(id branch.ID, policy string, at time.Time, value float64
 }
 
 func encodePolicyRecord(p Policy) ([]byte, error) {
-	body, err := xml.Marshal(marshalPolicyEntry(p))
+	body, err := MarshalPolicy(p)
 	return append([]byte{walPolicy}, body...), err
 }
 
@@ -66,11 +65,7 @@ func (d *Depot) applyWALRecord(rec []byte) error {
 		}
 		d.storeApply(id, p[n:])
 	case walPolicy:
-		var xp xmlPolicyEntry
-		if err := xml.Unmarshal(p, &xp); err != nil {
-			return fmt.Errorf("depot: wal policy record: %w", err)
-		}
-		pol, err := snapshotPolicy(xp)
+		pol, err := ParsePolicy(p)
 		if err != nil {
 			return err
 		}

@@ -16,7 +16,7 @@ import (
 )
 
 // FeedOptions configures the push-vs-pull consumer scaling experiment
-// (DESIGN.md §5h).
+// (DESIGN.md §5g).
 type FeedOptions struct {
 	// Consumers are the population sizes to sweep (default 1, 16, 256,
 	// 1024 — the DiPerF-style scaling axis).

@@ -72,7 +72,7 @@ func Load(opt LoadOptions) (Result, error) {
 		return Result{}, err
 	}
 	defer os.RemoveAll(dir)
-	bin, err := buildServerBinary(dir)
+	bin, err := BuildBinary(dir, "inca-server")
 	if err != nil {
 		return Result{}, err
 	}
@@ -136,14 +136,14 @@ func warmupNote(w time.Duration) string {
 // against it.
 func runLoadMode(mode, bin string, opt LoadOptions) (*loadgen.Curve, error) {
 	const announce = 20 * time.Second
-	var procs []*serverProc
+	var procs []*Proc
 	defer func() {
 		for _, p := range procs {
-			p.stop()
+			p.Stop()
 		}
 	}()
-	start := func(args ...string) (*serverProc, error) {
-		p, err := startServer(bin, args...)
+	start := func(args ...string) (*Proc, error) {
+		p, err := Start(bin, args...)
 		if err == nil {
 			procs = append(procs, p)
 		}
@@ -157,10 +157,10 @@ func runLoadMode(mode, bin string, opt LoadOptions) (*loadgen.Curve, error) {
 		if err != nil {
 			return nil, err
 		}
-		if wireAddr, err = p.expect(wireAddrRE, announce); err != nil {
+		if wireAddr, err = p.Expect(WireAddrRE, announce); err != nil {
 			return nil, err
 		}
-		if httpAddr, err = p.expect(httpAddrRE, announce); err != nil {
+		if httpAddr, err = p.Expect(HTTPAddrRE, announce); err != nil {
 			return nil, err
 		}
 	case "federated":
@@ -170,11 +170,11 @@ func runLoadMode(mode, bin string, opt LoadOptions) (*loadgen.Curve, error) {
 			if err != nil {
 				return nil, err
 			}
-			w, err := p.expect(wireAddrRE, announce)
+			w, err := p.Expect(WireAddrRE, announce)
 			if err != nil {
 				return nil, err
 			}
-			h, err := p.expect(httpAddrRE, announce)
+			h, err := p.Expect(HTTPAddrRE, announce)
 			if err != nil {
 				return nil, err
 			}
@@ -184,10 +184,10 @@ func runLoadMode(mode, bin string, opt LoadOptions) (*loadgen.Curve, error) {
 		if err != nil {
 			return nil, err
 		}
-		if wireAddr, err = p.expect(routerWireRE, announce); err != nil {
+		if wireAddr, err = p.Expect(RouterWireRE, announce); err != nil {
 			return nil, err
 		}
-		if httpAddr, err = p.expect(routerHTTPRE, announce); err != nil {
+		if httpAddr, err = p.Expect(RouterHTTPRE, announce); err != nil {
 			return nil, err
 		}
 	default:

@@ -11,7 +11,7 @@ import (
 	"inca/internal/wire"
 )
 
-// The replication experiment (DESIGN.md §5i): the federation router's
+// The replication experiment (DESIGN.md §5c): the federation router's
 // follower tee against the unreplicated router, and the cost of a
 // failover. The router, its per-shard batch clients, and the shard
 // endpoints are all production pieces over real TCP — only the shard
@@ -183,7 +183,7 @@ func replicationFailoverCell(rounds, queued int) ([]float64, error) {
 	return durations, nil
 }
 
-// Replication runs the §5i experiment: the follower tee's ingest
+// Replication runs the replication experiment: the follower tee's ingest
 // overhead against the unreplicated router, and the promote-and-drain
 // failover latency.
 func Replication(opt ReplicationOptions) Result {

@@ -12,23 +12,24 @@ import (
 	"time"
 )
 
-// Process-spawning helpers for experiments that measure a real
-// inca-server over real TCP (the capacity harness) instead of an
-// in-process cell: build the binary once, start instances on ephemeral
-// ports, and scan their stdout for the announced addresses — the same
-// protocol the multi-process smoke tests speak.
+// Process-spawning helpers for what drives a real inca-server over real
+// TCP instead of an in-process cell — the capacity harness and the
+// multi-process smoke tests: build a binary once, start instances on
+// ephemeral ports, and scan their stdout for the addresses they announce.
 
+// The banners inca-server prints once it listens; each captures the
+// address.
 var (
-	wireAddrRE   = regexp.MustCompile(`controller listening on ([^ ]+) `)
-	httpAddrRE   = regexp.MustCompile(`querying interface on http://([^ ]+) `)
-	routerWireRE = regexp.MustCompile(`federation router listening on ([^ ]+) `)
-	routerHTTPRE = regexp.MustCompile(`federated querying interface on http://([^ ]+) `)
+	WireAddrRE   = regexp.MustCompile(`controller listening on ([^ ]+) `)
+	HTTPAddrRE   = regexp.MustCompile(`querying interface on http://([^ ]+) `)
+	RouterWireRE = regexp.MustCompile(`federation router listening on ([^ ]+) `)
+	RouterHTTPRE = regexp.MustCompile(`federated querying interface on http://([^ ]+) `)
 )
 
-// buildServerBinary compiles cmd/inca-server into dir and returns the
-// binary path. It locates the module root through `go env GOMOD` so the
-// caller's working directory does not matter.
-func buildServerBinary(dir string) (string, error) {
+// BuildBinary compiles cmd/<name> (inca-server, inca-consumer, ...) into
+// dir and returns the binary path. It locates the module root through
+// `go env GOMOD` so the caller's working directory does not matter.
+func BuildBinary(dir, name string) (string, error) {
 	out, err := exec.Command("go", "env", "GOMOD").Output()
 	if err != nil {
 		return "", fmt.Errorf("experiments: locate module: %w", err)
@@ -37,24 +38,26 @@ func buildServerBinary(dir string) (string, error) {
 	if gomod == "" || gomod == os.DevNull {
 		return "", fmt.Errorf("experiments: not inside the inca module")
 	}
-	bin := filepath.Join(dir, "inca-server")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/inca-server")
+	bin := filepath.Join(dir, name)
+	build := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
 	build.Dir = filepath.Dir(gomod)
 	var stderr bytes.Buffer
 	build.Stderr = &stderr
 	if err := build.Run(); err != nil {
-		return "", fmt.Errorf("experiments: build inca-server: %v: %s", err, stderr.Bytes())
+		return "", fmt.Errorf("experiments: build %s: %v: %s", name, err, stderr.Bytes())
 	}
 	return bin, nil
 }
 
-// serverProc is one spawned inca-server with a line-scanned stdout.
-type serverProc struct {
-	cmd   *exec.Cmd
+// Proc is one spawned process with a line-scanned stdout. Lines nobody
+// reads past the buffer are dropped, so the child never blocks on them.
+type Proc struct {
+	Cmd   *exec.Cmd
 	lines chan string
 }
 
-func startServer(bin string, args ...string) (*serverProc, error) {
+// Start starts bin with args.
+func Start(bin string, args ...string) (*Proc, error) {
 	cmd := exec.Command(bin, args...)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.StdoutPipe()
@@ -64,7 +67,7 @@ func startServer(bin string, args ...string) (*serverProc, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("experiments: start %s %v: %w", bin, args, err)
 	}
-	p := &serverProc{cmd: cmd, lines: make(chan string, 64)}
+	p := &Proc{Cmd: cmd, lines: make(chan string, 64)}
 	go func() {
 		sc := bufio.NewScanner(out)
 		for sc.Scan() {
@@ -78,15 +81,15 @@ func startServer(bin string, args ...string) (*serverProc, error) {
 	return p, nil
 }
 
-// expect scans stdout until a line matches re, returning the first
+// Expect scans stdout until a line matches re, returning the first
 // capture group.
-func (p *serverProc) expect(re *regexp.Regexp, timeout time.Duration) (string, error) {
+func (p *Proc) Expect(re *regexp.Regexp, timeout time.Duration) (string, error) {
 	deadline := time.After(timeout)
 	for {
 		select {
 		case line, ok := <-p.lines:
 			if !ok {
-				return "", fmt.Errorf("experiments: server exited before printing %s", re)
+				return "", fmt.Errorf("experiments: %s exited before printing %s", p.Cmd.Path, re)
 			}
 			if m := re.FindStringSubmatch(line); m != nil {
 				return m[1], nil
@@ -97,10 +100,10 @@ func (p *serverProc) expect(re *regexp.Regexp, timeout time.Duration) (string, e
 	}
 }
 
-// stop kills the process and reaps it.
-func (p *serverProc) stop() {
-	if p.cmd.Process != nil {
-		p.cmd.Process.Kill()
-		p.cmd.Wait()
+// Stop kills the process and reaps it.
+func (p *Proc) Stop() {
+	if p.Cmd.Process != nil {
+		p.Cmd.Process.Kill()
+		p.Cmd.Wait()
 	}
 }

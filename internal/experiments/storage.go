@@ -13,7 +13,7 @@ import (
 	"inca/internal/rrd"
 )
 
-// The storage-engine comparison (DESIGN.md §5g): the in-memory depot vs
+// The storage-engine comparison (DESIGN.md §5f): the in-memory depot vs
 // the disk engine (paged archive files behind a bounded handle LRU, plus
 // a write-ahead log) across three phases — report ingest through the
 // archive path, raw archive updates as the series population grows
@@ -291,7 +291,7 @@ func Storage(opt StorageOptions) Result {
 			"archive cells use a manual-only policy (no report parse) so the measured work is the engine itself; create pays file initialization + LRU eviction fsyncs, update is the steady state",
 			"the heap column is live-heap growth over the pre-population baseline (full GC before each reading) — the disk engine keeps rings on disk and no per-series index in memory, so it stays flat as series grow 10x while the memory depot grows linearly",
 			"recover-wal replays every logged update through the idempotent apply path; recover-checkpoint starts from the folded image and replays nothing; recover-snapshot is the memory depot's full-image read",
-			"disk cells fsync on checkpoint and handle eviction, not per append: a process crash loses nothing acknowledged (page cache survives), a machine crash can lose up to one checkpoint interval — DESIGN.md §5g",
+			"disk cells fsync on checkpoint and handle eviction, not per append: a process crash loses nothing acknowledged (page cache survives), a machine crash can lose up to one checkpoint interval — DESIGN.md §5f",
 		)
 	})
 }

@@ -17,7 +17,7 @@ import (
 // Shard names one depot slice: the primary process's wire and HTTP
 // addresses, plus (optionally) a follower process the router tees the
 // same wire stream to — the per-shard replica that survives the primary
-// (DESIGN.md §5i).
+// (DESIGN.md §5c).
 type Shard struct {
 	// ID is the shard's ring identity. It is empty until a promotion:
 	// ring placement must survive a primary's death, so when the follower
@@ -88,34 +88,6 @@ func ParseShard(s string) (Shard, error) {
 		sh.ReplicaWire, sh.ReplicaHTTP = rw, rh
 	}
 	return sh, nil
-}
-
-// ApplyReplicas assigns followers to shards positionally from a
-// comma-separated "-replicate" list ("-" or an empty entry leaves that
-// shard without a follower). The list length must match the shard count.
-func ApplyReplicas(shards []Shard, list string) error {
-	if strings.TrimSpace(list) == "" {
-		return nil
-	}
-	parts := strings.Split(list, ",")
-	if len(parts) != len(shards) {
-		return fmt.Errorf("federation: -replicate lists %d followers for %d shards", len(parts), len(shards))
-	}
-	for i, part := range parts {
-		part = strings.TrimSpace(part)
-		if part == "" || part == "-" {
-			continue
-		}
-		if shards[i].HasReplica() {
-			return fmt.Errorf("federation: shard %s already has a follower", shards[i].Name())
-		}
-		rw, rh, _ := strings.Cut(part, "/")
-		if rw == "" {
-			return fmt.Errorf("federation: follower spec %q has no wire address", part)
-		}
-		shards[i].ReplicaWire, shards[i].ReplicaHTTP = rw, rh
-	}
-	return nil
 }
 
 // ParseShards parses a comma-separated -federate topology list.
@@ -362,7 +334,7 @@ func (r *Router) Join(s Shard) error {
 // AttachReplica wires a follower to an existing shard at runtime: the
 // router starts teeing the shard's wire stream to it immediately. The
 // follower's history before this moment is empty — run the catch-up copy
-// (the §5f migration path: fetch the primary's /reports, re-store on the
+// (the §5h migration path: fetch the primary's /reports, re-store on the
 // follower) to close that gap. The follower serves no reads, so the
 // signature, and every validator minted under it, stays as it was.
 func (r *Router) AttachReplica(name, replicaWire, replicaHTTP string) error {

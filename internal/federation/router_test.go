@@ -386,8 +386,7 @@ func TestReplicationTee(t *testing.T) {
 	}
 }
 
-// TestParseShardReplicaSyntax covers the follower spec grammar and the
-// positional -replicate pairing.
+// TestParseShardReplicaSyntax covers the follower spec grammar.
 func TestParseShardReplicaSyntax(t *testing.T) {
 	s, err := ParseShard("w:1/h:1=fw:2/fh:2")
 	if err != nil {
@@ -401,22 +400,6 @@ func TestParseShardReplicaSyntax(t *testing.T) {
 		t.Fatal("empty follower accepted")
 	}
 
-	shards := []Shard{{Wire: "a"}, {Wire: "b"}, {Wire: "c"}}
-	if err := ApplyReplicas(shards, "-,fb/fbh,"); err != nil {
-		t.Fatal(err)
-	}
-	if shards[0].HasReplica() || shards[2].HasReplica() {
-		t.Fatalf("'-'/empty entries attached followers: %+v", shards)
-	}
-	if shards[1].ReplicaWire != "fb" || shards[1].ReplicaHTTP != "fbh" {
-		t.Fatalf("positional follower not applied: %+v", shards[1])
-	}
-	if err := ApplyReplicas(shards, "x,y"); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if err := ApplyReplicas(shards, "z1,z2,z3"); err == nil {
-		t.Fatal("double follower attach accepted")
-	}
 }
 
 // TestRerouteBackoffRetryExhaustion pins the re-route retry loop to the

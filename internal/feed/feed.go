@@ -1,4 +1,4 @@
-// Package feed is the depot change feed's fan-out hub (DESIGN.md §5h):
+// Package feed is the depot change feed's fan-out hub (DESIGN.md §5g):
 // branch-keyed pub/sub with bounded per-subscriber queues, latest-wins
 // coalescing, and backpressure that demotes slow subscribers to a
 // snapshot-then-resubscribe cycle instead of buffering unboundedly.

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
 	"inca/internal/branch"
@@ -129,25 +128,7 @@ func (c *Client) StoreEnvelope(data []byte) (depot.Receipt, error) {
 
 // UploadPolicy uploads an archival policy.
 func (c *Client) UploadPolicy(p depot.Policy) error {
-	xp := xmlPolicy{
-		Name:        p.Name,
-		Prefix:      p.Prefix.String(),
-		Path:        p.Path,
-		Step:        p.Archive.Step.String(),
-		Granularity: p.Archive.Granularity,
-		History:     p.Archive.History.String(),
-	}
-	if p.Archive.Heartbeat > 0 {
-		xp.Heartbeat = p.Archive.Heartbeat.String()
-	}
-	if len(p.Archive.CFs) > 0 {
-		names := make([]string, len(p.Archive.CFs))
-		for i, cf := range p.Archive.CFs {
-			names[i] = cf.String()
-		}
-		xp.CFs = strings.Join(names, ",")
-	}
-	data, err := xml.Marshal(xp)
+	data, err := depot.MarshalPolicy(p)
 	if err != nil {
 		return err
 	}

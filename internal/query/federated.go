@@ -24,7 +24,7 @@ import (
 // Federated is the scatter-gather query tier over a federation of depot
 // shards: the Server's handler set, over a backend that answers by fanning
 // requests across the shards behind a federation.Router and merging the
-// responses back into the single-depot shape (DESIGN.md §5f).
+// responses back into the single-depot shape (DESIGN.md §5h).
 //
 // Conditional requests work end-to-end: each response's ETag composes
 // the ring signature with every shard's own validator, a client's
@@ -754,7 +754,7 @@ func (f *Federated) handlePromote(w http.ResponseWriter, r *http.Request) {
 // handleReplicate attaches a follower to a running shard:
 // POST /federation/replicate?shard=name&follower=wire[/http][&catchup=1].
 // The router starts teeing the shard's wire stream to the follower at
-// once; with catchup=1 the §5f migration path then closes the history
+// once; with catchup=1 the §5h migration path then closes the history
 // gap — the primary's stored reports are fetched and re-stored through
 // the follower — so a late-joining follower (or a fresh follower after a
 // promotion consumed the old one) converges on the primary's full state.

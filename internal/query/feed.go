@@ -16,7 +16,7 @@ import (
 	"inca/internal/metrics"
 )
 
-// FeedOptions configure the server's change feed (DESIGN.md §5h).
+// FeedOptions configure the server's change feed (DESIGN.md §5g).
 type FeedOptions struct {
 	// Metrics registers the hub instruments (subscribers, published/
 	// coalesced/dropped counters, fan-out latency).

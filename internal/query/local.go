@@ -254,27 +254,8 @@ func (b *local) store(envelope []byte) (document, error) {
 	return bytesDoc("text/xml", "", receipt), err
 }
 
-// xmlPolicy is the wire form of a depot.Policy.
-type xmlPolicy struct {
-	XMLName     xml.Name `xml:"archivalPolicy"`
-	Name        string   `xml:"name,attr"`
-	Prefix      string   `xml:"prefix,attr"`
-	Path        string   `xml:"path,attr"`
-	Step        string   `xml:"step,attr"`
-	Granularity int      `xml:"granularity,attr"`
-	History     string   `xml:"history,attr"`
-	Heartbeat   string   `xml:"heartbeat,attr"`
-	// CFs is a comma-separated consolidation function list (default
-	// AVERAGE).
-	CFs string `xml:"cfs,attr"`
-}
-
 func (b *local) policy(policyXML []byte) (document, error) {
-	var xp xmlPolicy
-	if err := xml.Unmarshal(policyXML, &xp); err != nil {
-		return document{}, httpError{http.StatusBadRequest, err.Error()}
-	}
-	p, err := policyFromXML(xp)
+	p, err := depot.ParsePolicy(policyXML)
 	if err != nil {
 		return document{}, httpError{http.StatusBadRequest, err.Error()}
 	}
@@ -282,49 +263,6 @@ func (b *local) policy(policyXML []byte) (document, error) {
 		return document{}, httpError{http.StatusConflict, err.Error()}
 	}
 	return document{}, nil
-}
-
-func policyFromXML(xp xmlPolicy) (depot.Policy, error) {
-	prefix, err := branch.Parse(xp.Prefix)
-	if err != nil {
-		return depot.Policy{}, fmt.Errorf("bad prefix: %w", err)
-	}
-	step, err := time.ParseDuration(xp.Step)
-	if err != nil {
-		return depot.Policy{}, fmt.Errorf("bad step: %w", err)
-	}
-	history, err := time.ParseDuration(xp.History)
-	if err != nil {
-		return depot.Policy{}, fmt.Errorf("bad history: %w", err)
-	}
-	var hb time.Duration
-	if xp.Heartbeat != "" {
-		if hb, err = time.ParseDuration(xp.Heartbeat); err != nil {
-			return depot.Policy{}, fmt.Errorf("bad heartbeat: %w", err)
-		}
-	}
-	var cfs []rrd.CF
-	if xp.CFs != "" {
-		for _, s := range strings.Split(xp.CFs, ",") {
-			cf, err := parseCF(strings.TrimSpace(s))
-			if err != nil {
-				return depot.Policy{}, err
-			}
-			cfs = append(cfs, cf)
-		}
-	}
-	return depot.Policy{
-		Name:   xp.Name,
-		Prefix: prefix,
-		Path:   xp.Path,
-		Archive: rrd.ArchivalPolicy{
-			Step:        step,
-			Granularity: xp.Granularity,
-			History:     history,
-			Heartbeat:   hb,
-			CFs:         cfs,
-		},
-	}, nil
 }
 
 func (b *local) feed(status bool) (*feed.Hub, func(branch.ID) ([]byte, error), error) {
@@ -340,21 +278,6 @@ func (b *local) feed(status bool) (*feed.Hub, func(branch.ID) ([]byte, error), e
 	return f.status.hub, func(branch.ID) ([]byte, error) { return f.status.snapshot() }, nil
 }
 
-func parseCF(s string) (rrd.CF, error) {
-	switch strings.ToUpper(s) {
-	case "", "AVERAGE":
-		return rrd.Average, nil
-	case "MIN":
-		return rrd.Min, nil
-	case "MAX":
-		return rrd.Max, nil
-	case "LAST":
-		return rrd.Last, nil
-	default:
-		return 0, fmt.Errorf("unknown consolidation function %q", s)
-	}
-}
-
 func archiveParams(r *http.Request) (branch.ID, string, rrd.CF, time.Time, time.Time, error) {
 	q := r.URL.Query()
 	id, err := branch.Parse(q.Get("branch"))
@@ -365,7 +288,7 @@ func archiveParams(r *http.Request) (branch.ID, string, rrd.CF, time.Time, time.
 	if policy == "" {
 		return branch.ID{}, "", 0, time.Time{}, time.Time{}, fmt.Errorf("policy parameter required")
 	}
-	cf, err := parseCF(q.Get("cf"))
+	cf, err := rrd.ParseCF(q.Get("cf"))
 	if err != nil {
 		return branch.ID{}, "", 0, time.Time{}, time.Time{}, err
 	}

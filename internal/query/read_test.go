@@ -220,7 +220,8 @@ func TestReportsAllocationBudget(t *testing.T) {
 // BenchmarkReadHandler is the single depot's read path at the benchmark
 // of record's working set, through the handler into a ResponseWriter that
 // drops the body: one site's /reports (the subtree read), the whole
-// /cache, and the whole /cache revalidated (304).
+// /cache, one site's /cache (an exact subtree, whose body is built afresh
+// on every read), and the whole /cache revalidated (304).
 func BenchmarkReadHandler(b *testing.B) {
 	d, sites := benchDepot(b)
 	h := NewServer(d).Handler()
@@ -228,6 +229,7 @@ func BenchmarkReadHandler(b *testing.B) {
 	for _, c := range []struct{ name, target, inm string }{
 		{"reports_site", "/reports?" + url.Values{"branch": {sites[3]}}.Encode(), ""},
 		{"cache_root", "/cache", ""},
+		{"cache_exact", "/cache?" + url.Values{"branch": {sites[3]}}.Encode(), ""},
 		{"cache_304", "/cache", tag},
 	} {
 		b.Run(c.name, func(b *testing.B) {

@@ -18,7 +18,7 @@ import (
 // raceDetector is set by race_test.go in a -race build.
 var raceDetector bool
 
-// The change feed's relay handles each event as bytes (DESIGN.md §5h "The
+// The change feed's relay handles each event as bytes (DESIGN.md §5g "The
 // relay"): a shard renders the change with renderChange and frames it with
 // appendSSE, the router reads it with FeedStream.Next, routes it with
 // scanChange and frames the same bytes again. These tests hold each hop to

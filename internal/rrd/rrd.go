@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -42,6 +43,23 @@ func (c CF) String() string {
 		return "LAST"
 	default:
 		return fmt.Sprintf("CF(%d)", int(c))
+	}
+}
+
+// ParseCF reads a consolidation function's name in any case; the empty
+// name is AVERAGE.
+func ParseCF(s string) (CF, error) {
+	switch strings.ToUpper(s) {
+	case "", "AVERAGE":
+		return Average, nil
+	case "MIN":
+		return Min, nil
+	case "MAX":
+		return Max, nil
+	case "LAST":
+		return Last, nil
+	default:
+		return 0, fmt.Errorf("unknown consolidation function %q", s)
 	}
 }
 

@@ -42,7 +42,7 @@ const MaxFrame = 16 << 20
 // batch of the benchmark of record (32 reports of about 900 bytes) fits in
 // it whole, so a batch crosses the socket in one read or one write, where
 // a 4 KiB buffer takes eight (a syscall costs about 7.5 µs on a 2-CPU
-// host, DESIGN.md §5f).
+// host, DESIGN.md §5c).
 const BatchBuffer = 64 << 10
 
 // Message is one report submission.

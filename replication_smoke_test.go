@@ -1,7 +1,8 @@
 package inca_test
 
-// Multi-process replication smoke test (DESIGN.md §5i): a -federate
-// router with a -replicate follower behind one shard, all real processes
+// Multi-process replication smoke test (DESIGN.md §5c): a -federate
+// router with a follower behind one shard (wire/http=followerWire/
+// followerHTTP in the shard list), all real processes
 // over real TCP. The test streams reports through the router, captures
 // the federated /reports body, checks that the follower's own /reports
 // holds exactly the shard's slice, SIGKILLs the replicated shard's primary,
@@ -19,13 +20,12 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"regexp"
 	"testing"
 	"time"
 
 	"inca/internal/branch"
+	"inca/internal/experiments"
 	"inca/internal/federation"
 	"inca/internal/loadgen"
 	"inca/internal/wire"
@@ -40,33 +40,27 @@ func TestReplicationSmoke(t *testing.T) {
 	if os.Getenv("INCA_REPLICATION_SMOKE") == "" {
 		t.Skip("set INCA_REPLICATION_SMOKE=1 (make replication-smoke) to run the multi-process smoke test")
 	}
-	bin := filepath.Join(t.TempDir(), "inca-server")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/inca-server")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("build inca-server: %v", err)
-	}
+	bin := buildSmokeBinary(t, "inca-server")
 
 	// Two primaries plus a follower for shard B — the shard we will kill.
-	shardA := startSmokeProc(t, bin, "-tcp", "127.0.0.1:0", "-http", "127.0.0.1:0")
-	wireA := shardA.expectLine(t, wireAddrRE)
-	httpA := shardA.expectLine(t, httpAddrRE)
-	shardB := startSmokeProc(t, bin, "-tcp", "127.0.0.1:0", "-http", "127.0.0.1:0")
-	wireB := shardB.expectLine(t, wireAddrRE)
-	httpB := shardB.expectLine(t, httpAddrRE)
-	follower := startSmokeProc(t, bin, "-tcp", "127.0.0.1:0", "-http", "127.0.0.1:0")
-	wireF := follower.expectLine(t, wireAddrRE)
-	httpF := follower.expectLine(t, httpAddrRE)
+	shardA := spawn(t, bin, "-tcp", "127.0.0.1:0", "-http", "127.0.0.1:0")
+	wireA := banner(t, shardA, experiments.WireAddrRE)
+	httpA := banner(t, shardA, experiments.HTTPAddrRE)
+	shardB := spawn(t, bin, "-tcp", "127.0.0.1:0", "-http", "127.0.0.1:0")
+	wireB := banner(t, shardB, experiments.WireAddrRE)
+	httpB := banner(t, shardB, experiments.HTTPAddrRE)
+	follower := spawn(t, bin, "-tcp", "127.0.0.1:0", "-http", "127.0.0.1:0")
+	wireF := banner(t, follower, experiments.WireAddrRE)
+	httpF := banner(t, follower, experiments.HTTPAddrRE)
 
-	router := startSmokeProc(t, bin,
-		"-federate", fmt.Sprintf("%s/%s,%s/%s", wireA, httpA, wireB, httpB),
-		"-replicate", fmt.Sprintf("-,%s/%s", wireF, httpF),
+	router := spawn(t, bin,
+		"-federate", fmt.Sprintf("%s/%s,%s/%s=%s/%s", wireA, httpA, wireB, httpB, wireF, httpF),
 		"-tcp", "127.0.0.1:0", "-http", "127.0.0.1:0")
-	routerWire := router.expectLine(t, routerWireRE)
-	if n := router.expectLine(t, replicationRE); n != "1" {
+	routerWire := banner(t, router, experiments.RouterWireRE)
+	if n := banner(t, router, replicationRE); n != "1" {
 		t.Fatalf("router reports %s replicated shards, want 1", n)
 	}
-	routerHTTP := router.expectLine(t, routerHTTPRE)
+	routerHTTP := banner(t, router, experiments.RouterHTTPRE)
 
 	// Mirror the router's placement to know shard B's slice.
 	ring := federation.NewRing([]string{wireA, wireB}, federation.RingOptions{})
@@ -138,10 +132,10 @@ func TestReplicationSmoke(t *testing.T) {
 
 	// SIGKILL shard B's primary — no drain, no goodbye — then keep
 	// streaming its slice so messages pile up toward the dead process.
-	if err := shardB.cmd.Process.Kill(); err != nil {
+	if err := shardB.Cmd.Process.Kill(); err != nil {
 		t.Fatalf("kill shard B: %v", err)
 	}
-	shardB.cmd.Wait()
+	shardB.Cmd.Wait()
 	for _, id := range ownedB {
 		client.Enqueue(&wire.Message{Branch: id.String(), Hostname: "smoke", Report: data})
 	}

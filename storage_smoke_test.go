@@ -1,6 +1,6 @@
 package inca_test
 
-// Multi-process storage smoke test (DESIGN.md §5g): a real -storage disk
+// Multi-process storage smoke test (DESIGN.md §5f): a real -storage disk
 // inca-server is killed with SIGKILL mid-stream — once after a clean drain
 // (every report acknowledged) and once with writes still in flight — and
 // restarted over the same data directory. The test asserts that no
@@ -19,7 +19,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -29,6 +28,7 @@ import (
 	"testing"
 	"time"
 
+	"inca/internal/experiments"
 	"inca/internal/loadgen"
 	"inca/internal/wire"
 )
@@ -43,12 +43,7 @@ func TestStorageSmoke(t *testing.T) {
 	if os.Getenv("INCA_STORAGE_SMOKE") == "" {
 		t.Skip("set INCA_STORAGE_SMOKE=1 (make storage-smoke) to run the multi-process smoke test")
 	}
-	bin := filepath.Join(t.TempDir(), "inca-server")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/inca-server")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("build inca-server: %v", err)
-	}
+	bin := buildSmokeBinary(t, "inca-server")
 	dataDir := filepath.Join(t.TempDir(), "depot")
 	serverArgs := []string{
 		"-storage", "disk", "-data", dataDir, "-checkpoint", "0",
@@ -56,10 +51,10 @@ func TestStorageSmoke(t *testing.T) {
 	}
 
 	// --- Generation 1: drain (ack) a batch, then SIGKILL. -------------
-	srv := startSmokeProc(t, bin, serverArgs...)
-	srv.expectLine(t, diskDepotRE)
-	wireAddr := srv.expectLine(t, wireAddrRE)
-	httpAddr := srv.expectLine(t, httpAddrRE)
+	srv := spawn(t, bin, serverArgs...)
+	banner(t, srv, diskDepotRE)
+	wireAddr := banner(t, srv, experiments.WireAddrRE)
+	httpAddr := banner(t, srv, experiments.HTTPAddrRE)
 
 	// An archival policy matching the synthetic reports, so ingest also
 	// exercises the paged RRD write path, not just the WAL.
@@ -89,20 +84,20 @@ func TestStorageSmoke(t *testing.T) {
 	client.Close()
 	// Every one of those stores was acknowledged over the wire. Kill the
 	// process with no chance to flush or checkpoint.
-	if err := srv.cmd.Process.Kill(); err != nil {
+	if err := srv.Cmd.Process.Kill(); err != nil {
 		t.Fatalf("kill: %v", err)
 	}
-	srv.cmd.Wait()
+	srv.Cmd.Wait()
 
 	// Simulate a torn final append: garbage on the live WAL segment tail.
 	seg := newestWALSegment(t, dataDir)
 	tornSize := appendGarbage(t, seg, 137)
 
 	// --- Generation 2: recover, verify nothing acked was lost. --------
-	srv = startSmokeProc(t, bin, serverArgs...)
-	archives := srv.expectLine(t, diskDepotRE)
-	wireAddr = srv.expectLine(t, wireAddrRE)
-	httpAddr = srv.expectLine(t, httpAddrRE)
+	srv = spawn(t, bin, serverArgs...)
+	archives := banner(t, srv, diskDepotRE)
+	wireAddr = banner(t, srv, experiments.WireAddrRE)
+	httpAddr = banner(t, srv, experiments.HTTPAddrRE)
 	if got := storedReportCount(t, httpAddr); got != acked {
 		t.Fatalf("after SIGKILL + torn tail: recovered %d of %d acked reports", got, acked)
 	}
@@ -127,17 +122,17 @@ func TestStorageSmoke(t *testing.T) {
 		})
 	}
 	time.Sleep(30 * time.Millisecond) // let some batches land mid-write
-	if err := srv.cmd.Process.Kill(); err != nil {
+	if err := srv.Cmd.Process.Kill(); err != nil {
 		t.Fatalf("kill mid-stream: %v", err)
 	}
-	srv.cmd.Wait()
+	srv.Cmd.Wait()
 	client.Close()
 
 	// --- Generation 3: recover again, then shut down gracefully. ------
-	srv = startSmokeProc(t, bin, serverArgs...)
-	srv.expectLine(t, diskDepotRE)
-	srv.expectLine(t, wireAddrRE)
-	httpAddr = srv.expectLine(t, httpAddrRE)
+	srv = spawn(t, bin, serverArgs...)
+	banner(t, srv, diskDepotRE)
+	banner(t, srv, experiments.WireAddrRE)
+	httpAddr = banner(t, srv, experiments.HTTPAddrRE)
 	got := storedReportCount(t, httpAddr)
 	if got < acked {
 		t.Fatalf("after mid-stream SIGKILL: %d reports, want at least the %d previously acked", got, acked)
@@ -145,17 +140,17 @@ func TestStorageSmoke(t *testing.T) {
 	t.Logf("mid-stream kill: %d of up to %d extra reports survived", got-acked, 200)
 	document := fetchCacheDocument(t, httpAddr)
 
-	if err := srv.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := srv.Cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
 	}
-	srv.expectLine(t, checkpointRE)
-	srv.cmd.Wait()
+	banner(t, srv, checkpointRE)
+	srv.Cmd.Wait()
 
 	// --- Generation 4: start from the checkpoint alone. ---------------
-	srv = startSmokeProc(t, bin, serverArgs...)
-	srv.expectLine(t, diskDepotRE)
-	srv.expectLine(t, wireAddrRE)
-	httpAddr = srv.expectLine(t, httpAddrRE)
+	srv = spawn(t, bin, serverArgs...)
+	banner(t, srv, diskDepotRE)
+	banner(t, srv, experiments.WireAddrRE)
+	httpAddr = banner(t, srv, experiments.HTTPAddrRE)
 	if again := storedReportCount(t, httpAddr); again != got {
 		t.Fatalf("checkpoint restart: %d reports, want %d", again, got)
 	}
