@@ -27,14 +27,15 @@ vet:
 build:
 	$(GO) build ./...
 
-# Import fence: the binaries a deployment runs must not link
-# internal/experiments/ablation, which holds all five of the paper's caches
-# (stream, DOM, split, file, generic SAX) — only inca-bench, the experiments
-# and the tests may.
+# Import fence: the binaries a deployment runs must not link the paper's
+# instruments — internal/experiments and every package under it (the
+# ablation caches, the Figure 7 usage model), internal/loadgen and
+# internal/stats. Only inca-bench, the experiments and the tests may.
 fence:
 	@deps="$$($(GO) list -deps ./cmd/inca-server ./cmd/inca-agent ./cmd/inca-consumer ./cmd/inca-reporter)" || exit 1; \
-	if echo "$$deps" | grep -qx 'inca/internal/experiments/ablation'; then \
-		echo "a deployed binary imports inca/internal/experiments/ablation"; exit 1; \
+	bad="$$(echo "$$deps" | grep -xE 'inca/internal/(experiments(/.*)?|loadgen|stats)')"; \
+	if [ -n "$$bad" ]; then \
+		echo "a deployed binary imports" $$bad; exit 1; \
 	fi
 
 # Flag fence: README.md, DESIGN.md, EXPERIMENTS.md and the verify skill may

@@ -138,6 +138,7 @@ func BenchmarkFig7AgentHour(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		usage := experiments.RecordUsage(&spec)
 		a, err := agent.New(spec, clock, agent.SinkFunc(func(branch.ID, string, []byte) error { return nil }), agent.Simulated)
 		if err != nil {
 			b.Fatal(err)
@@ -151,7 +152,7 @@ func BenchmarkFig7AgentHour(b *testing.B) {
 			}
 			clock.AdvanceTo(next)
 			a.Scheduler().RunPending()
-			a.UsageAt(clock.Now())
+			usage.At(clock.Now())
 		}
 	}
 }

@@ -124,7 +124,7 @@ func main() {
 	if *allow != "" {
 		allowlist = strings.Split(*allow, ",")
 	}
-	ctl := controller.New(d, controller.Options{Allowlist: allowlist, Metrics: reg, MaxResponses: responseWindow})
+	ctl := controller.New(d, controller.Options{Allowlist: allowlist, Metrics: reg})
 
 	srv, err := wire.ServeOptions(*tcpAddr, ctl.Handle, wire.ServerOptions{IdleTimeout: *idleTimeout, Metrics: reg})
 	if err != nil {
@@ -280,12 +280,6 @@ func hasPolicy(d *depot.Depot, name string) bool {
 	}
 	return false
 }
-
-// responseWindow is how many per-report responses the controller keeps.
-// Nothing in the server reads the log (only the experiments do, and they
-// build their own unbounded controllers); without a bound it grew by one
-// entry per report for the life of the process.
-const responseWindow = 4096
 
 // runFederated runs the binary as a federation router: the same wire
 // listener agents already point at, but every accepted message forwards

@@ -62,7 +62,7 @@ func main() {
 
 	// Standard Inca plumbing under the certification account.
 	d := depot.New(nil)
-	ctl := controller.New(d, controller.Options{Allowlist: hosts, Now: clock.Now})
+	ctl := controller.New(d, controller.Options{Allowlist: hosts})
 	var agents []*agent.Agent
 	for _, host := range hosts {
 		spec, err := core.DemoSpec(grid, host, rand.New(rand.NewSource(1)))

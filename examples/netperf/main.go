@@ -60,7 +60,6 @@ func main() {
 	ctl := controller.New(query.NewClient(httpSrv.URL), controller.Options{
 		Allowlist: []string{srcHost},
 		Mode:      envelope.Attachment,
-		Now:       clock.Now,
 	})
 	tcpSrv, err := wire.Serve("127.0.0.1:0", ctl.Handle)
 	if err != nil {

@@ -36,7 +36,6 @@ func main() {
 	d := depot.New(nil)
 	ctl := controller.New(d, controller.Options{
 		Allowlist: []string{"login.sitea.example.org", "login.siteb.example.org"},
-		Now:       clock.Now,
 	})
 
 	// 3. One distributed controller per resource, forwarding to the server.

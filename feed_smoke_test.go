@@ -16,13 +16,11 @@ package inca_test
 // rather than on every plain `go test ./...`.
 
 import (
-	"bufio"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"regexp"
 	"testing"
 	"time"
@@ -34,62 +32,16 @@ import (
 	"inca/internal/wire"
 )
 
-// feedProc is a spawned consumer whose stdout lines ARE the assertions:
-// unlike experiments.Proc's lossy capture, sends block so no line is dropped.
-type feedProc struct {
-	cmd   *exec.Cmd
-	lines chan string
-}
-
-func startFeedConsumer(t *testing.T, bin string, args ...string) *feedProc {
+// nextLine returns the submatches of the consumer's next stdout line
+// matching re; its stdout lines ARE the assertions, and experiments.Proc
+// drops none.
+func nextLine(t *testing.T, p *experiments.Proc, re *regexp.Regexp) []string {
 	t.Helper()
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
+	m, err := p.Next(re, 15*time.Second)
 	if err != nil {
-		t.Fatalf("stdout pipe: %v", err)
+		t.Fatal(err)
 	}
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("start %s %v: %v", bin, args, err)
-	}
-	p := &feedProc{cmd: cmd, lines: make(chan string, 256)}
-	go func() {
-		sc := bufio.NewScanner(out)
-		for sc.Scan() {
-			p.lines <- sc.Text()
-		}
-		close(p.lines)
-	}()
-	t.Cleanup(func() {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-			cmd.Wait()
-			for range p.lines { // unblock the scanner goroutine
-			}
-		}
-	})
-	return p
-}
-
-// next returns the consumer's next stdout line matching re (capture
-// groups), failing the test on exit or timeout.
-func (p *feedProc) next(t *testing.T, re *regexp.Regexp) []string {
-	t.Helper()
-	deadline := time.After(15 * time.Second)
-	for {
-		select {
-		case line, ok := <-p.lines:
-			if !ok {
-				t.Fatalf("consumer exited before printing %s", re)
-			}
-			if m := re.FindStringSubmatch(line); m != nil {
-				return m
-			}
-			t.Logf("consumer (skipped): %s", line)
-		case <-deadline:
-			t.Fatalf("timed out waiting for %s", re)
-		}
-	}
+	return m
 }
 
 var (
@@ -147,8 +99,8 @@ func TestFeedSmoke(t *testing.T) {
 
 	// Consumer A subscribes to the empty depot: its catch-up snapshot has
 	// nothing in it.
-	consumerA := startFeedConsumer(t, consumerBin, "-server", "http://"+httpAddr, "-subscribe")
-	snapA := consumerA.next(t, feedSnapshotRE)
+	consumerA := spawn(t, consumerBin, "-server", "http://"+httpAddr, "-subscribe")
+	snapA := nextLine(t, consumerA, feedSnapshotRE)
 	if snapA[2] != "0" {
 		t.Fatalf("consumer A first snapshot has %s entries, want 0", snapA[2])
 	}
@@ -160,7 +112,7 @@ func TestFeedSmoke(t *testing.T) {
 	cursors := make(map[string]int)
 	var lastCursor, lastHashA string
 	for i := 0; i < 10; i++ {
-		m := consumerA.next(t, feedChangeRE)
+		m := nextLine(t, consumerA, feedChangeRE)
 		cursors[m[1]]++
 		seenA[m[2]]++
 		lastCursor, lastHashA = m[1], m[3]
@@ -178,10 +130,10 @@ func TestFeedSmoke(t *testing.T) {
 	}
 
 	// Kill A at its last cursor; ten more generations land unobserved.
-	if err := consumerA.cmd.Process.Kill(); err != nil {
+	if err := consumerA.Cmd.Process.Kill(); err != nil {
 		t.Fatalf("kill consumer A: %v", err)
 	}
-	consumerA.cmd.Wait()
+	consumerA.Cmd.Wait()
 	storeRange(10, 20)
 
 	// Consumer B resumes from A's cursor. The cursor is ten generations
@@ -192,8 +144,8 @@ func TestFeedSmoke(t *testing.T) {
 	if wantCount20 != 20 {
 		t.Fatalf("server cache has %d entries before resume, want 20", wantCount20)
 	}
-	consumerB := startFeedConsumer(t, consumerBin, "-server", "http://"+httpAddr, "-subscribe", "-cursor", lastCursor)
-	snapB := consumerB.next(t, feedSnapshotRE)
+	consumerB := spawn(t, consumerBin, "-server", "http://"+httpAddr, "-subscribe", "-cursor", lastCursor)
+	snapB := nextLine(t, consumerB, feedSnapshotRE)
 	if snapB[2] != "20" {
 		t.Fatalf("consumer B catch-up snapshot has %s entries, want 20", snapB[2])
 	}
@@ -210,7 +162,7 @@ func TestFeedSmoke(t *testing.T) {
 	seenB := make(map[string]int)
 	var lastHashB string
 	for i := 0; i < 5; i++ {
-		m := consumerB.next(t, feedChangeRE)
+		m := nextLine(t, consumerB, feedChangeRE)
 		if cursors[m[1]] != 0 {
 			t.Fatalf("consumer B replayed cursor %s that A already observed", m[1])
 		}

@@ -71,7 +71,6 @@ func TestFullTopologyOverSockets(t *testing.T) {
 			Allowlist: hosts,
 			Keys:      keys,
 			Mode:      envelope.Attachment,
-			Now:       clock.Now,
 		})
 		tcpSrv, err := wire.Serve("127.0.0.1:0", ctl.Handle)
 		if err != nil {

@@ -9,7 +9,6 @@ package agent
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"inca/internal/branch"
@@ -99,14 +98,6 @@ type DeliveryStatser interface {
 	DeliveryStats() DeliveryStats
 }
 
-// execInterval records one execution for the resource-usage model behind
-// the Figure 7 reproduction.
-type execInterval struct {
-	start, end time.Time
-	cpuFrac    float64
-	memMB      float64
-}
-
 // Agent is one distributed controller instance.
 type Agent struct {
 	spec  Spec
@@ -124,16 +115,6 @@ type Agent struct {
 	bytesSent  *metrics.Counter
 	execH      *metrics.Histogram
 	submitH    *metrics.Histogram
-
-	mu        sync.Mutex
-	intervals []execInterval
-
-	// Usage model constants (see Section 5.1: the main daemon held ~18 MB
-	// and each forked reporter process roughly as much again).
-	BaseMemMB float64
-	ForkMemMB float64
-	// BaseCPUFrac is the daemon's own bookkeeping load per CPU.
-	BaseCPUFrac float64
 }
 
 // New builds an agent from a specification. Reporters are registered with
@@ -154,21 +135,18 @@ func NewMetrics(spec Spec, clock simtime.Clock, sink Sink, mode Mode, reg *metri
 		return nil, fmt.Errorf("agent: nil sink")
 	}
 	a := &Agent{
-		spec:        spec,
-		clock:       clock,
-		sink:        sink,
-		mode:        mode,
-		sched:       schedule.NewSchedulerMetrics(clock, reg),
-		runs:        reg.Counter("inca_agent_runs_total", "Reporter executions."),
-		failures:    reg.Counter("inca_agent_failures_total", "Reporter runs whose report footer said completed=false."),
-		killed:      reg.Counter("inca_agent_killed_total", "Reporter executions terminated for exceeding their run-time limit."),
-		submitErrs:  reg.Counter("inca_agent_submit_errors_total", "Reports the sink refused or could not deliver."),
-		bytesSent:   reg.Counter("inca_agent_bytes_sent_total", "Report bytes handed to the sink."),
-		execH:       reg.Histogram("inca_agent_execute_seconds", "Reporter execution latency (run through report marshal).", nil),
-		submitH:     reg.Histogram("inca_agent_submit_seconds", "Sink submit latency per report.", nil),
-		BaseMemMB:   18,
-		ForkMemMB:   17,
-		BaseCPUFrac: 0.0002,
+		spec:       spec,
+		clock:      clock,
+		sink:       sink,
+		mode:       mode,
+		sched:      schedule.NewSchedulerMetrics(clock, reg),
+		runs:       reg.Counter("inca_agent_runs_total", "Reporter executions."),
+		failures:   reg.Counter("inca_agent_failures_total", "Reporter runs whose report footer said completed=false."),
+		killed:     reg.Counter("inca_agent_killed_total", "Reporter executions terminated for exceeding their run-time limit."),
+		submitErrs: reg.Counter("inca_agent_submit_errors_total", "Reports the sink refused or could not deliver."),
+		bytesSent:  reg.Counter("inca_agent_bytes_sent_total", "Report bytes handed to the sink."),
+		execH:      reg.Histogram("inca_agent_execute_seconds", "Reporter execution latency (run through report marshal).", nil),
+		submitH:    reg.Histogram("inca_agent_submit_seconds", "Sink submit latency per report.", nil),
 	}
 	if ds, ok := sink.(DeliveryStatser); ok {
 		reg.GaugeFunc("inca_agent_spool_depth", "Reports queued in the delivery spool.", func() float64 {
@@ -226,23 +204,18 @@ func (a *Agent) execute(s *Series, now time.Time) error {
 	}
 	var rep *report.Report
 	killed := false
-	duration := time.Duration(0)
-	if timed, ok := s.Reporter.(reporter.Timed); ok {
-		duration = timed.RunDuration(ctx)
-	}
 	switch a.mode {
 	case Simulated:
-		if s.Limit > 0 && duration > s.Limit {
-			killed = true
-			duration = s.Limit
-		} else {
+		// A simulated run lasts as long as its reporter says it does.
+		var duration time.Duration
+		if timed, ok := s.Reporter.(reporter.Timed); ok {
+			duration = timed.RunDuration(ctx)
+		}
+		if killed = s.Limit > 0 && duration > s.Limit; !killed {
 			rep = a.runProtected(s, ctx)
 		}
 	case Live:
 		rep, killed = a.runWithDeadline(s, ctx)
-		if killed {
-			duration = s.Limit
-		}
 	}
 	if killed {
 		// "The daemon also monitors all forked processes and terminates
@@ -254,7 +227,6 @@ func (a *Agent) execute(s *Series, now time.Time) error {
 	if rep == nil {
 		rep = reporter.New(s.Reporter, ctx).Fail("reporter produced no output")
 	}
-	a.recordInterval(s, now, duration)
 
 	data, err := report.Marshal(rep)
 	if err != nil {
@@ -309,81 +281,6 @@ func (a *Agent) runWithDeadline(s *Series, ctx *reporter.Context) (*report.Repor
 	case <-a.clock.After(s.Limit):
 		return nil, true
 	}
-}
-
-// recordInterval logs an execution for the usage model.
-func (a *Agent) recordInterval(s *Series, start time.Time, duration time.Duration) {
-	cpuFrac := cpuFractionFor(s.Reporter)
-	a.mu.Lock()
-	a.intervals = append(a.intervals, execInterval{
-		start:   start,
-		end:     start.Add(duration),
-		cpuFrac: cpuFrac,
-		memMB:   a.ForkMemMB,
-	})
-	a.mu.Unlock()
-}
-
-// cpuFractionFor estimates the daemon's own CPU share while a given
-// reporter's forked process is alive. The paper's `top` measurements track
-// the distributed controller process, not the forks: the daemon only
-// bookkeeps (monitors run time, collects output), so per-fork overhead is
-// small — larger for chatty probes whose output it must drain.
-func cpuFractionFor(r reporter.Reporter) float64 {
-	name := r.Name()
-	switch {
-	case contains(name, ".benchmark."):
-		return 0.015
-	case contains(name, ".unit."):
-		return 0.008
-	case contains(name, ".network."):
-		return 0.002 // probing tools pace packets; the daemon idles
-	default:
-		return 0.005
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
-// UsageAt reports the modeled CPU utilization (% of one CPU) and resident
-// memory (MB) of the distributed controller at instant t — what the
-// paper's week of `top` sampling measured (Figure 7).
-func (a *Agent) UsageAt(t time.Time) (cpuPct, memMB float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	memMB = a.BaseMemMB
-	cpu := a.BaseCPUFrac
-	for _, iv := range a.intervals {
-		if !t.Before(iv.start) && t.Before(iv.end) {
-			memMB += iv.memMB
-			cpu += iv.cpuFrac
-		}
-	}
-	if cpu > 1 {
-		cpu = 1
-	}
-	return cpu * 100, memMB
-}
-
-// TrimIntervalsBefore discards execution history older than t, bounding
-// memory during long simulations.
-func (a *Agent) TrimIntervalsBefore(t time.Time) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	kept := a.intervals[:0]
-	for _, iv := range a.intervals {
-		if iv.end.After(t) {
-			kept = append(kept, iv)
-		}
-	}
-	a.intervals = kept
 }
 
 // Stats returns a snapshot of agent counters — a view over the same

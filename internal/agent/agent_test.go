@@ -264,55 +264,6 @@ func TestDependencySkipAcrossSeries(t *testing.T) {
 	}
 }
 
-func TestUsageModelIdleVsBusy(t *testing.T) {
-	a, sim, _ := newSimAgent(t, Series{
-		Reporter: okReporter("probe.busy", 10*time.Minute),
-		Branch:   branch.MustParse("probe=busy"),
-		Cron:     schedule.MustParseCron("0 * * * *"),
-	})
-	drive(a, sim, t0.Add(2*time.Hour))
-	// During the run (first 10 minutes of each hour) one fork is resident.
-	cpu, mem := a.UsageAt(t0.Add(time.Hour + 5*time.Minute))
-	if mem != a.BaseMemMB+a.ForkMemMB {
-		t.Fatalf("busy mem = %g", mem)
-	}
-	if cpu <= a.BaseCPUFrac*100 {
-		t.Fatalf("busy cpu = %g", cpu)
-	}
-	// Idle: only the daemon.
-	cpuIdle, memIdle := a.UsageAt(t0.Add(time.Hour + 30*time.Minute))
-	if memIdle != a.BaseMemMB {
-		t.Fatalf("idle mem = %g", memIdle)
-	}
-	if cpuIdle >= cpu {
-		t.Fatalf("idle cpu %g >= busy cpu %g", cpuIdle, cpu)
-	}
-}
-
-func TestTrimIntervals(t *testing.T) {
-	a, sim, _ := newSimAgent(t, Series{
-		Reporter: okReporter("probe.x", time.Minute),
-		Branch:   branch.MustParse("probe=x"),
-		Cron:     schedule.MustParseCron("0 * * * *"),
-	})
-	drive(a, sim, t0.Add(10*time.Hour))
-	a.mu.Lock()
-	before := len(a.intervals)
-	a.mu.Unlock()
-	if before != 10 {
-		t.Fatalf("intervals = %d", before)
-	}
-	// Fires happened at hours 1..10; the runs starting at 9:00 and 10:00
-	// end after the cutoff and survive.
-	a.TrimIntervalsBefore(t0.Add(9 * time.Hour))
-	a.mu.Lock()
-	after := len(a.intervals)
-	a.mu.Unlock()
-	if after != 2 {
-		t.Fatalf("after trim = %d, want 2", after)
-	}
-}
-
 func TestRandomizedOffsetsSpreadLoad(t *testing.T) {
 	// Build an agent with 50 hourly series using schedule.Every, as the
 	// deployed specification files did, and verify fires spread across the

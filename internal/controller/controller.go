@@ -1,18 +1,18 @@
 // Package controller implements Inca's centralized controller (paper
 // Section 3.2.1): it accepts reports from distributed controllers over TCP,
 // verifies the sending host against a hostname allowlist, and hands each
-// report to the depot, recording how long the depot takes to accept it —
-// the "response time" analyzed in Section 5.2. The paper's controller wraps
-// every report in an XML envelope addressed by its branch identifier
-// because its depot sat behind a web-service call; this one does so only
-// where the depot is not in its own process (or is made to look that way,
-// as the paper's response-time reproductions do with Enveloped).
+// report to the depot, timing how long the depot takes to accept it — the
+// "response time" analyzed in Section 5.2, which Submit returns. The
+// paper's controller wraps every report in an XML envelope addressed by its
+// branch identifier because its depot sat behind a web-service call; this
+// one does so only where the depot is not in its own process (or is made to
+// look that way, as the paper's response-time reproductions do with
+// Enveloped).
 package controller
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"inca/internal/branch"
@@ -43,10 +43,9 @@ func Enveloped(d DepotClient) DepotClient { return enveloped{d} }
 
 type enveloped struct{ DepotClient }
 
-// Response is one recorded depot interaction, the unit of Table 4 and
-// Figure 9.
+// Response is one depot interaction as Submit returns it, the unit of
+// Table 4 and Figures 8 and 9.
 type Response struct {
-	At         time.Time
 	Branch     branch.ID
 	ReportSize int
 	CacheSize  int
@@ -68,20 +67,11 @@ type Options struct {
 	// character outside XML's range: Body stores it with U+FFFD in its
 	// place, Attachment hands the depot the raw bytes.
 	Mode envelope.Mode
-	// Clock stamps response log entries; nil uses real time only for
-	// stamps (durations are always wall-clock measurements).
-	Now func() time.Time
 	// Keys holds per-host shared secrets for report authentication (the
 	// paper's future-work security item). A host with a key registered
 	// must sign its wire messages; hosts without keys fall back to the
 	// allowlist-only check.
 	Keys map[string][]byte
-	// MaxResponses bounds the in-memory response log. Once that many
-	// responses have been recorded the oldest entries are overwritten in
-	// ring-buffer fashion, so a long-running controller no longer grows
-	// without bound. 0 keeps the unbounded log the experiments use.
-	// Counters' accepted total keeps counting evicted entries.
-	MaxResponses int
 	// Metrics, when set, registers the controller's counters and
 	// handle-latency histogram there; Counters reads the same instruments.
 	Metrics *metrics.Registry
@@ -98,10 +88,6 @@ type Controller struct {
 	rejectedC *metrics.Counter
 	errsC     *metrics.Counter
 	handleH   *metrics.Histogram
-
-	mu        sync.Mutex
-	responses []Response // ring buffer when opt.MaxResponses > 0
-	head      int        // oldest entry once the ring has wrapped
 }
 
 // New creates a controller forwarding to d.
@@ -122,9 +108,6 @@ func New(d DepotClient, opt Options) *Controller {
 			c.allow[h] = true
 		}
 	}
-	if c.opt.Now == nil {
-		c.opt.Now = time.Now
-	}
 	return c
 }
 
@@ -142,7 +125,7 @@ func (c *Controller) Allowed(host string) bool {
 // otherwise, and for every other depot, the report travels in an envelope,
 // so the depot stores the same bytes and answers with the same receipt
 // (bar its Unpack time) and the same error either way. It returns the
-// recorded response.
+// depot's response; the controller keeps none of them, only counts.
 func (c *Controller) Submit(id branch.ID, hostname string, reportXML []byte) (Response, error) {
 	handleStart := time.Now()
 	defer c.handleH.ObserveSince(handleStart)
@@ -170,25 +153,15 @@ func (c *Controller) Submit(id branch.ID, hostname string, reportXML []byte) (Re
 		c.errsC.Inc()
 		return Response{}, fmt.Errorf("controller: depot: %w", err)
 	}
-	resp := Response{
-		At:         c.opt.Now(),
+	c.acceptedC.Inc()
+	return Response{
 		Branch:     id,
 		ReportSize: len(reportXML),
 		CacheSize:  rec.CacheSize,
 		Elapsed:    elapsed,
 		Unpack:     rec.Unpack,
 		Insert:     rec.Insert,
-	}
-	c.acceptedC.Inc()
-	c.mu.Lock()
-	if max := c.opt.MaxResponses; max > 0 && len(c.responses) >= max {
-		c.responses[c.head] = resp
-		c.head = (c.head + 1) % max
-	} else {
-		c.responses = append(c.responses, resp)
-	}
-	c.mu.Unlock()
-	return resp, nil
+	}, nil
 }
 
 // Handle adapts the controller to the wire protocol server, enforcing
@@ -201,8 +174,8 @@ func (c *Controller) Handle(m *wire.Message, remote string) *wire.Ack {
 		}
 	}
 	// A received message's strings alias its whole frame (wire.Message),
-	// and the identifier outlives the message in the response log and the
-	// cache index, so it is parsed from a copy that pins no report.
+	// and the identifier outlives the message in the cache index, so it is
+	// parsed from a copy that pins no report.
 	id, err := branch.Parse(strings.Clone(m.Branch))
 	if err != nil {
 		c.rejectedC.Inc()
@@ -220,30 +193,8 @@ func (c *Controller) SubmitReport(id branch.ID, hostname string, reportXML []byt
 	return err
 }
 
-// Responses returns a copy of the response log in arrival order. With
-// MaxResponses set this is the most recent window; older entries have
-// been evicted.
-func (c *Controller) Responses() []Response {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Response, 0, len(c.responses))
-	out = append(out, c.responses[c.head:]...)
-	out = append(out, c.responses[:c.head]...)
-	return out
-}
-
-// ResetResponses clears the response log (between experiment phases).
-func (c *Controller) ResetResponses() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.responses = nil
-	c.head = 0
-}
-
 // Counters returns the totals since the controller was built: accepted,
 // rejected (allowlist, signature or malformed branch), depot errors.
-// Accepted includes responses a bounded log has since evicted, and
-// ResetResponses does not clear it.
 func (c *Controller) Counters() (accepted, rejected, errs int) {
 	return int(c.acceptedC.Value()), int(c.rejectedC.Value()), int(c.errsC.Value())
 }

@@ -168,30 +168,8 @@ func TestEndToEndOverTCP(t *testing.T) {
 	if d.Cache().Count() != 10 {
 		t.Fatalf("cache count = %d", d.Cache().Count())
 	}
-	if len(c.Responses()) != 10 {
-		t.Fatalf("responses = %d", len(c.Responses()))
-	}
-}
-
-func TestResponseLogAndReset(t *testing.T) {
-	fixed := t0.Add(time.Hour)
-	c, _ := newTestController(Options{Now: func() time.Time { return fixed }})
-	id := branch.MustParse("probe=x")
-	if _, err := c.Submit(id, "h", sampleReportXML(t)); err != nil {
-		t.Fatal(err)
-	}
-	rs := c.Responses()
-	if len(rs) != 1 || !rs[0].At.Equal(fixed) {
-		t.Fatalf("responses = %+v", rs)
-	}
-	// Returned slice is a copy.
-	rs[0].ReportSize = -1
-	if c.Responses()[0].ReportSize == -1 {
-		t.Fatal("Responses aliases internal log")
-	}
-	c.ResetResponses()
-	if len(c.Responses()) != 0 {
-		t.Fatal("reset did not clear")
+	if accepted, _, _ := c.Counters(); accepted != 10 {
+		t.Fatalf("accepted = %d", accepted)
 	}
 }
 
@@ -245,90 +223,24 @@ func TestHandleAuthenticatedHosts(t *testing.T) {
 	}
 }
 
-func TestMaxResponsesRingBuffer(t *testing.T) {
-	c, _ := newTestController(Options{MaxResponses: 3})
-	reportXML := sampleReportXML(t)
-	for i := 0; i < 7; i++ {
-		id := branch.MustParse(fmt.Sprintf("probe=p%d", i))
-		if _, err := c.Submit(id, "h", reportXML); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := c.Responses()
-	if len(got) != 3 {
-		t.Fatalf("log holds %d responses, want 3", len(got))
-	}
-	// The window is the most recent three, in arrival order.
-	for i, want := range []string{"probe=p4", "probe=p5", "probe=p6"} {
-		if got[i].Branch.String() != want {
-			t.Fatalf("responses[%d] = %s, want %s", i, got[i].Branch, want)
-		}
-	}
-	// Evicted entries still count as accepted.
-	accepted, rejected, errs := c.Counters()
-	if accepted != 7 || rejected != 0 || errs != 0 {
-		t.Fatalf("counters = %d/%d/%d, want 7/0/0", accepted, rejected, errs)
-	}
-}
-
-// A production server runs with a bounded log for days: both accepted
-// totals — Counters() and the registry's — must keep counting however many
-// times the window has wrapped.
+// A production server runs for days and keeps no response log: both
+// accepted totals — Counters() and the registry's — keep counting past the
+// 4 096 reports its bounded log used to hold.
 func TestAcceptedCountsPastResponseWindow(t *testing.T) {
 	reg := metrics.NewRegistry()
-	c, _ := newTestController(Options{MaxResponses: 4, Metrics: reg})
+	c, _ := newTestController(Options{Metrics: reg})
 	reportXML := sampleReportXML(t)
-	const n = 4*3 + 1 // three full wraps and one into the fourth
+	const n = 4096 + 1
 	for i := 0; i < n; i++ {
 		if _, err := c.Submit(branch.MustParse(fmt.Sprintf("probe=p%d", i)), "h", reportXML); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if accepted, _, _ := c.Counters(); accepted != n {
-		t.Fatalf("Counters() accepted = %d after %d submits past a window of 4", accepted, n)
+	if accepted, rejected, errs := c.Counters(); accepted != n || rejected != 0 || errs != 0 {
+		t.Fatalf("counters = %d/%d/%d, want %d/0/0", accepted, rejected, errs, n)
 	}
 	if got := reg.Counter("inca_controller_accepted_total", "").Value(); got != n {
 		t.Fatalf("inca_controller_accepted_total = %d, want %d", got, n)
-	}
-	log := c.Responses()
-	if len(log) != 4 || log[0].Branch.String() != fmt.Sprintf("probe=p%d", n-4) || log[3].Branch.String() != fmt.Sprintf("probe=p%d", n-1) {
-		t.Fatalf("log = %d entries, %v … %v", len(log), log[0].Branch, log[len(log)-1].Branch)
-	}
-}
-
-func TestMaxResponsesZeroIsUnbounded(t *testing.T) {
-	c, _ := newTestController(Options{})
-	reportXML := sampleReportXML(t)
-	for i := 0; i < 5; i++ {
-		id := branch.MustParse(fmt.Sprintf("probe=p%d", i))
-		if _, err := c.Submit(id, "h", reportXML); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.Responses(); len(got) != 5 {
-		t.Fatalf("log holds %d responses, want 5", len(got))
-	}
-	accepted, _, _ := c.Counters()
-	if accepted != 5 {
-		t.Fatalf("accepted = %d, want 5", accepted)
-	}
-}
-
-func TestMaxResponsesResetRestartsWindow(t *testing.T) {
-	c, _ := newTestController(Options{MaxResponses: 2})
-	reportXML := sampleReportXML(t)
-	for i := 0; i < 5; i++ {
-		c.Submit(branch.MustParse(fmt.Sprintf("probe=a%d", i)), "h", reportXML)
-	}
-	c.ResetResponses()
-	if len(c.Responses()) != 0 {
-		t.Fatal("responses survived reset")
-	}
-	// The ring must restart cleanly, not resume from a stale head.
-	c.Submit(branch.MustParse("probe=b0"), "h", reportXML)
-	got := c.Responses()
-	if len(got) != 1 || got[0].Branch.String() != "probe=b0" {
-		t.Fatalf("responses after reset = %+v", got)
 	}
 }
 
@@ -354,7 +266,7 @@ func TestHandleAllocationBudget(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	c := New(d, Options{Mode: envelope.Body, MaxResponses: 16})
+	c := New(d, Options{Mode: envelope.Body})
 	// One report a minute, marshalled ahead so only Handle is counted:
 	// AllocsPerRun calls its function runs+1 times.
 	const runs = 200

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -61,6 +62,9 @@ type Deployment struct {
 	// evaluator is the agreement evaluator retained across verification
 	// cycles, so a cycle re-parses only the cached entries that changed.
 	evaluator *agreement.Incremental
+	// responses is the controller's answer to every report it accepted
+	// from the agents, in arrival order (see Responses).
+	responses []controller.Response
 }
 
 // VOName is the branch component every deployment report files under.
@@ -109,7 +113,6 @@ func NewTeraGridDeployment(opt Options) (*Deployment, error) {
 	ctl := controller.New(controller.Enveloped(dep), controller.Options{
 		Allowlist: allow,
 		Mode:      opt.Mode,
-		Now:       clock.Now,
 	})
 
 	d := &Deployment{
@@ -120,7 +123,13 @@ func NewTeraGridDeployment(opt Options) (*Deployment, error) {
 		Controller: ctl,
 		Agreement:  agreement.TeraGrid(),
 	}
-	sink := agent.SinkFunc(ctl.SubmitReport)
+	sink := agent.SinkFunc(func(id branch.ID, host string, reportXML []byte) error {
+		resp, err := ctl.Submit(id, host, reportXML)
+		if err == nil {
+			d.responses = append(d.responses, resp)
+		}
+		return err
+	})
 	for _, h := range gridsim.TeraGridHosts {
 		res, ok := grid.Resource(h.Host)
 		if !ok {
@@ -253,6 +262,14 @@ func (d *Deployment) AgentFor(host string) (*agent.Agent, bool) {
 		}
 	}
 	return nil, false
+}
+
+// Responses returns the controller's response to every report it accepted
+// from the deployment's agents, in arrival order: the depot response-time
+// log of Table 4 and Figure 8, kept by the deployment that replays them
+// rather than by the controller.
+func (d *Deployment) Responses() []controller.Response {
+	return slices.Clone(d.responses)
 }
 
 // TotalSeries sums the configured reporters per hour across the VO

@@ -118,7 +118,7 @@ func TestOneHourOfOperation(t *testing.T) {
 func TestDeploymentUnpacksEnvelopes(t *testing.T) {
 	d := newQuietDeployment(t)
 	d.RunUntil(start.Add(10*time.Minute), 0, nil)
-	responses := d.Controller.Responses()
+	responses := d.Responses()
 	if len(responses) == 0 {
 		t.Fatal("no reports in ten minutes")
 	}
@@ -243,13 +243,20 @@ func TestRunUntilIdempotentAtTarget(t *testing.T) {
 	}
 }
 
-func TestResponsesRecordVirtualTime(t *testing.T) {
+// The deployment, not the controller, keeps the response log Table 4 and
+// Figure 8 read: one entry per report the controller accepted over the
+// replay, and no more.
+func TestResponsesOnePerAcceptedReport(t *testing.T) {
 	d := newQuietDeployment(t)
 	d.RunUntil(start.Add(30*time.Minute), 0, nil)
-	for _, r := range d.Controller.Responses() {
-		if r.At.Before(start) || r.At.After(start.Add(30*time.Minute)) {
-			t.Fatalf("response stamped %v outside the virtual window", r.At)
-		}
+	accepted, _, _ := d.Controller.Counters()
+	if accepted == 0 || len(d.Responses()) != accepted {
+		t.Fatalf("%d responses for %d accepted reports", len(d.Responses()), accepted)
+	}
+	d.RunUntil(start.Add(time.Hour), 0, nil)
+	accepted, _, _ = d.Controller.Counters()
+	if accepted != 1060 || len(d.Responses()) != accepted {
+		t.Fatalf("%d responses for %d accepted reports over one hour", len(d.Responses()), accepted)
 	}
 }
 

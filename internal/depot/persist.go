@@ -68,7 +68,7 @@ func (d *Depot) writeImageHead(bw *bufio.Writer) error {
 	if err := writeSection(bw, "CACH", d.cache.Dump()); err != nil {
 		return err
 	}
-	polsXML, err := marshalPolicies(d.policies.Load().all)
+	polsXML, err := MarshalPolicies(d.policies.Load().all)
 	if err != nil {
 		return err
 	}
@@ -148,7 +148,7 @@ func (d *Depot) restoreImage(r io.Reader) (firstSeq uint64, err error) {
 				return 0, err
 			}
 		case "POLS":
-			pols, err := parsePolicies(data)
+			pols, err := ParsePolicies(data)
 			if err != nil {
 				return 0, err
 			}

@@ -13,12 +13,12 @@ import (
 
 // A policy has one wire form: an element whose attributes carry every
 // Policy field. A POST /policy body, Client.UploadPolicy, each child of a
-// snapshot's or checkpoint's POLS section and the WAL's policy record all
-// go through MarshalPolicy and ParsePolicy. The parser takes any element
-// name, so every form earlier releases wrote or accepted still reads: the
-// <policy> children of POLS, the WAL record whose element encoding/xml
-// named after the Go type that wrote it, and a client's <archivalPolicy>
-// with empty heartbeat and cfs.
+// snapshot's or checkpoint's POLS section or of a GET /policy answer, and
+// the WAL's policy record all go through MarshalPolicy and ParsePolicy.
+// The parser takes any element name, so every form earlier releases wrote
+// or accepted still reads: the <policy> children of POLS, the WAL record
+// whose element encoding/xml named after the Go type that wrote it, and a
+// client's <archivalPolicy> with empty heartbeat and cfs.
 type policyAttrs struct {
 	Name        string `xml:"name,attr"`
 	Prefix      string `xml:"prefix,attr"`
@@ -59,7 +59,9 @@ func ParsePolicy(data []byte) (Policy, error) {
 	return a.policy()
 }
 
-func marshalPolicies(ps []Policy) ([]byte, error) {
+// MarshalPolicies writes a policy set as a <policies> list of policy
+// records: a snapshot's or checkpoint's POLS section, and GET /policy.
+func MarshalPolicies(ps []Policy) ([]byte, error) {
 	var s policySection
 	for _, p := range ps {
 		s.Policies = append(s.Policies, attrsOf(p))
@@ -67,7 +69,8 @@ func marshalPolicies(ps []Policy) ([]byte, error) {
 	return xml.Marshal(s)
 }
 
-func parsePolicies(data []byte) ([]Policy, error) {
+// ParsePolicies reads a <policies> list.
+func ParsePolicies(data []byte) ([]Policy, error) {
 	var s policySection
 	if err := xml.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("depot: policies: %w", err)

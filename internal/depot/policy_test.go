@@ -31,7 +31,7 @@ func TestPolicyLegacyForms(t *testing.T) {
 		Name: "avail", Prefix: branch.MustParse("vo=tg"), ManualOnly: true,
 		Archive: rrd.ArchivalPolicy{Step: 10 * time.Minute, Granularity: 1, History: 24 * time.Hour},
 	}
-	pols, err := parsePolicies([]byte(legacyPOLS))
+	pols, err := ParsePolicies([]byte(legacyPOLS))
 	if err != nil || !reflect.DeepEqual(pols, []Policy{avail, bw}) {
 		t.Fatalf("POLS section: %+v, %v", pols, err)
 	}
@@ -64,12 +64,12 @@ func FuzzPolicyRecord(f *testing.F) {
 				t.Fatalf("round trip through %s:\n got %+v, %v\nwant %+v", b, q, err, p)
 			}
 		}
-		if ps, err := parsePolicies(data); err == nil {
-			b, err := marshalPolicies(ps)
+		if ps, err := ParsePolicies(data); err == nil {
+			b, err := MarshalPolicies(ps)
 			if err != nil {
 				t.Fatalf("marshal %+v: %v", ps, err)
 			}
-			qs, err := parsePolicies(b)
+			qs, err := ParsePolicies(b)
 			if err != nil || !reflect.DeepEqual(ps, qs) {
 				t.Fatalf("section round trip through %s:\n got %+v, %v\nwant %+v", b, qs, err, ps)
 			}

@@ -11,6 +11,7 @@ import (
 	"inca/internal/branch"
 	"inca/internal/core"
 	"inca/internal/gridsim"
+	"inca/internal/reporter"
 	"inca/internal/simtime"
 	"inca/internal/stats"
 )
@@ -45,6 +46,7 @@ func Fig7(opt Fig7Options) Result {
 			r.Text = "error: " + err.Error()
 			return
 		}
+		usage := RecordUsage(&spec)
 		// The paper measured only the controller process; reports are
 		// discarded rather than forwarded.
 		sink := agent.SinkFunc(func(branch.ID, string, []byte) error { return nil })
@@ -69,14 +71,14 @@ func Fig7(opt Fig7Options) Result {
 			a.Scheduler().RunPending()
 			now := clock.Now()
 			if !now.Before(nextSample) {
-				c, m := a.UsageAt(now)
+				c, m := usage.At(now)
 				// Report per-CPU utilization as the paper does.
 				cpu = append(cpu, c/float64(res.Hardware.CPUs))
 				mem = append(mem, m)
 				nextSample = nextSample.Add(sampleGap[gapIdx])
 				gapIdx = 1 - gapIdx
 				// Keep the interval log bounded.
-				a.TrimIntervalsBefore(now.Add(-time.Hour))
+				usage.TrimBefore(now.Add(-time.Hour))
 			}
 		}
 
@@ -109,4 +111,113 @@ func Fig7(opt Fig7Options) Result {
 			"the paper's one-off 1 GB fork-storm spike was a Schedule::Cron bug and is not modeled",
 		)
 	})
+}
+
+// The usage model behind Figure 7 (Section 5.1): the paper's `top` loop
+// watched the distributed controller's own process, which held about
+// 18 MB, with each forked reporter roughly as much again.
+const (
+	daemonMemMB = 18
+	forkMemMB   = 17
+	// daemonCPUFrac is the daemon's own bookkeeping load per CPU.
+	daemonCPUFrac = 0.0002
+)
+
+// UsageLog is Figure 7's instrument: the execution interval of every
+// simulated reporter run, from which it models the distributed
+// controller's CPU and memory at any instant. The agent keeps no such
+// log; RecordUsage puts it in the reporters the experiment hands it.
+type UsageLog struct {
+	intervals []execInterval
+}
+
+// execInterval is one reporter run as the usage model sees it.
+type execInterval struct {
+	start, end time.Time
+	cpuFrac    float64
+}
+
+// RecordUsage wraps every timed reporter in spec so each simulated run is
+// logged in the returned UsageLog. A simulated agent asks a timed reporter
+// for its run duration once per run, with ctx.Now at the fire time; a run
+// past its series' limit is logged as killed at the limit, as the agent
+// kills it. Untimed reporters run instantly and occupy nothing.
+func RecordUsage(spec *agent.Spec) *UsageLog {
+	u := &UsageLog{}
+	for i := range spec.Series {
+		s := &spec.Series[i]
+		if timed, ok := s.Reporter.(reporter.Timed); ok {
+			s.Reporter = &usageReporter{Reporter: s.Reporter, timed: timed,
+				limit: s.Limit, cpuFrac: cpuFractionFor(s.Reporter.Name()), log: u}
+		}
+	}
+	return u
+}
+
+// usageReporter is one series' reporter with its runs logged.
+type usageReporter struct {
+	reporter.Reporter
+	timed   reporter.Timed
+	limit   time.Duration
+	cpuFrac float64
+	log     *UsageLog
+}
+
+// RunDuration implements reporter.Timed, logging the run it times.
+func (r *usageReporter) RunDuration(ctx *reporter.Context) time.Duration {
+	d := r.timed.RunDuration(ctx)
+	held := d
+	if r.limit > 0 && held > r.limit {
+		held = r.limit
+	}
+	r.log.intervals = append(r.log.intervals, execInterval{start: ctx.Now, end: ctx.Now.Add(held), cpuFrac: r.cpuFrac})
+	return d
+}
+
+// cpuFractionFor estimates the daemon's own CPU share while a given
+// reporter's forked process is alive. The paper's `top` measurements track
+// the distributed controller process, not the forks: the daemon only
+// bookkeeps (monitors run time, collects output), so per-fork overhead is
+// small — larger for chatty probes whose output it must drain.
+func cpuFractionFor(name string) float64 {
+	switch {
+	case strings.Contains(name, ".benchmark."):
+		return 0.015
+	case strings.Contains(name, ".unit."):
+		return 0.008
+	case strings.Contains(name, ".network."):
+		return 0.002 // probing tools pace packets; the daemon idles
+	default:
+		return 0.005
+	}
+}
+
+// At reports the modeled CPU utilization (% of one CPU) and resident
+// memory (MB) of the distributed controller at instant t — what the
+// paper's week of `top` sampling measured.
+func (u *UsageLog) At(t time.Time) (cpuPct, memMB float64) {
+	memMB = daemonMemMB
+	cpu := daemonCPUFrac
+	for _, iv := range u.intervals {
+		if !t.Before(iv.start) && t.Before(iv.end) {
+			memMB += forkMemMB
+			cpu += iv.cpuFrac
+		}
+	}
+	if cpu > 1 {
+		cpu = 1
+	}
+	return cpu * 100, memMB
+}
+
+// TrimBefore discards the runs that ended by t, bounding the log during
+// long simulations.
+func (u *UsageLog) TrimBefore(t time.Time) {
+	kept := u.intervals[:0]
+	for _, iv := range u.intervals {
+		if iv.end.After(t) {
+			kept = append(kept, iv)
+		}
+	}
+	u.intervals = kept
 }

@@ -50,14 +50,12 @@ func fig9Cell(mode envelope.Mode, cache depot.Cache, cacheTarget, reportSize, up
 			return
 		}
 	}
-	ctl.ResetResponses()
+	var totalMs, insertMs, unpackMs []float64
 	for i := 0; i < updates; i++ {
-		if _, err = ctl.Submit(slotID(i), "loadgen", data); err != nil {
+		var resp controller.Response
+		if resp, err = ctl.Submit(slotID(i), "loadgen", data); err != nil {
 			return
 		}
-	}
-	var totalMs, insertMs, unpackMs []float64
-	for _, resp := range ctl.Responses() {
 		totalMs = append(totalMs, resp.Elapsed.Seconds()*1000)
 		insertMs = append(insertMs, resp.Insert.Seconds()*1000)
 		unpackMs = append(unpackMs, resp.Unpack.Seconds()*1000)

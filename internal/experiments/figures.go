@@ -285,7 +285,7 @@ func Fig8(opt Fig8Options) Result {
 		}
 		start := d.Clock.Now()
 		d.RunUntil(start.Add(time.Duration(opt.Hours)*time.Hour), 0, nil)
-		fig8Body(r, d.Controller.Responses())
+		fig8Body(r, d.Responses())
 	})
 }
 

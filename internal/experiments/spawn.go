@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -49,11 +50,17 @@ func BuildBinary(dir, name string) (string, error) {
 	return bin, nil
 }
 
-// Proc is one spawned process with a line-scanned stdout. Lines nobody
-// reads past the buffer are dropped, so the child never blocks on them.
+// Proc is one spawned process with a line-scanned stdout. Every line is
+// kept until a Next or Expect reads past it: the lines wait in an
+// unbounded queue, so the child never blocks on its pipe and no line is
+// lost.
 type Proc struct {
-	Cmd   *exec.Cmd
-	lines chan string
+	Cmd *exec.Cmd
+
+	mu      sync.Mutex
+	queue   []string      // lines not read yet
+	closed  bool          // stdout has ended
+	arrived chan struct{} // signalled after each line and at the end
 }
 
 // Start starts bin with args.
@@ -67,37 +74,63 @@ func Start(bin string, args ...string) (*Proc, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("experiments: start %s %v: %w", bin, args, err)
 	}
-	p := &Proc{Cmd: cmd, lines: make(chan string, 64)}
+	p := &Proc{Cmd: cmd, arrived: make(chan struct{}, 1)}
 	go func() {
 		sc := bufio.NewScanner(out)
-		for sc.Scan() {
+		for more := true; more; {
+			more = sc.Scan()
+			p.mu.Lock()
+			if more {
+				p.queue = append(p.queue, sc.Text())
+			} else {
+				p.closed = true
+			}
+			p.mu.Unlock()
 			select {
-			case p.lines <- sc.Text():
-			default: // never block the child on a full buffer
+			case p.arrived <- struct{}{}:
+			default: // a wakeup is already pending
 			}
 		}
-		close(p.lines)
 	}()
 	return p, nil
 }
 
-// Expect scans stdout until a line matches re, returning the first
-// capture group.
-func (p *Proc) Expect(re *regexp.Regexp, timeout time.Duration) (string, error) {
-	deadline := time.After(timeout)
+// Next reads stdout up to the next line matching re and returns its
+// submatches as regexp's FindStringSubmatch does: the whole match, then
+// every capture group. The lines before it are consumed.
+func (p *Proc) Next(re *regexp.Regexp, timeout time.Duration) ([]string, error) {
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
-		select {
-		case line, ok := <-p.lines:
-			if !ok {
-				return "", fmt.Errorf("experiments: %s exited before printing %s", p.Cmd.Path, re)
-			}
+		p.mu.Lock()
+		for len(p.queue) > 0 {
+			line := p.queue[0]
+			p.queue = p.queue[1:]
 			if m := re.FindStringSubmatch(line); m != nil {
-				return m[1], nil
+				p.mu.Unlock()
+				return m, nil
 			}
-		case <-deadline:
-			return "", fmt.Errorf("experiments: timed out waiting for %s", re)
+		}
+		closed := p.closed
+		p.mu.Unlock()
+		if closed {
+			return nil, fmt.Errorf("experiments: %s exited before printing %s", p.Cmd.Path, re)
+		}
+		select {
+		case <-p.arrived:
+		case <-deadline.C:
+			return nil, fmt.Errorf("experiments: timed out waiting for %s", re)
 		}
 	}
+}
+
+// Expect is Next's first capture group.
+func (p *Proc) Expect(re *regexp.Regexp, timeout time.Duration) (string, error) {
+	m, err := p.Next(re, timeout)
+	if err != nil {
+		return "", err
+	}
+	return m[1], nil
 }
 
 // Stop kills the process and reaps it.

@@ -203,7 +203,7 @@ func Table4(opt Table4Options) Result {
 	return r
 }
 
-// Table4WithResponses additionally returns the controller response log so
+// Table4WithResponses additionally returns the deployment's response log so
 // Figure 8 can be computed from the same replay instead of a second one
 // (see Fig8FromResponses).
 func Table4WithResponses(opt Table4Options) (Result, []controller.Response) {
@@ -220,7 +220,7 @@ func Table4WithResponses(opt Table4Options) (Result, []controller.Response) {
 		}
 		start := d.Clock.Now()
 		d.RunUntil(start.Add(time.Duration(opt.Hours)*time.Hour), 0, nil)
-		responses = d.Controller.Responses()
+		responses = d.Responses()
 
 		// Buckets from Table 4 (KB).
 		edges := []int{0, 4, 10, 20, 30, 40, 50}

@@ -16,6 +16,7 @@ import (
 	"inca/internal/agreement"
 	"inca/internal/branch"
 	"inca/internal/consumer"
+	"inca/internal/depot"
 	"inca/internal/envelope"
 	"inca/internal/federation"
 	"inca/internal/metrics"
@@ -543,6 +544,31 @@ func (f *Federated) availability(q *availQuery, inm string) (document, error) {
 
 // --- writes ---
 
+// write posts body to path on shard s's primary and, when s has a
+// follower, on the follower too, as the router tees the wire stream: a
+// follower promoted in its primary's place must hold what the primary was
+// given over HTTP as well, stored reports and archival policies alike. The
+// answer is the primary's. A follower that cannot take the write (it is
+// unreachable, has no querying interface, or refuses what its primary
+// took) counts in the shard-error counter and never fails the answer.
+func (f *Federated) write(s federation.Shard, path string, body []byte) shardResp {
+	resp := f.post(s, s.BaseURL(), path, body)
+	if !s.HasReplica() {
+		return resp
+	}
+	base := s.ReplicaBaseURL()
+	if base == "" {
+		f.shardErrors.Inc()
+		return resp
+	}
+	tee := f.post(s, base, path, body) // a transport failure counts in do
+	if tee.err == nil && tee.status != http.StatusOK && resp.err == nil && resp.status == http.StatusOK {
+		f.shardErrors.Inc()
+	}
+	tee.release()
+	return resp
+}
+
 // store routes an envelope to the shard owning its address — the HTTP
 // counterpart of the router's wire path.
 func (f *Federated) store(env []byte) (document, error) {
@@ -554,21 +580,22 @@ func (f *Federated) store(env []byte) (document, error) {
 	if !ok || shard.BaseURL() == "" {
 		return document{}, badGateway("no shard owns %s", id)
 	}
-	resp := f.post(shard, shard.BaseURL(), "/store", env)
+	resp := f.write(shard, "/store", env)
 	if resp.err != nil {
 		return document{}, badGateway("shard %s: %v", shard.Name(), resp.err)
 	}
 	return resp.relay(), nil
 }
 
-// policy broadcasts an archival policy to every shard — any shard may own
-// branches the policy matches. The first refusal is the answer.
+// policy broadcasts an archival policy to every shard and its follower —
+// any shard may own branches the policy matches. The first refusal is the
+// answer.
 func (f *Federated) policy(policyXML []byte) (document, error) {
 	for _, s := range f.router.Shards() {
 		if s.BaseURL() == "" {
 			return document{}, badGateway("shard %s has no querying interface", s.Name())
 		}
-		resp := f.post(s, s.BaseURL(), "/policy", policyXML)
+		resp := f.write(s, "/policy", policyXML)
 		if resp.err != nil {
 			return document{}, badGateway("shard %s: %v", s.Name(), resp.err)
 		}
@@ -578,6 +605,80 @@ func (f *Federated) policy(policyXML []byte) (document, error) {
 		resp.release()
 	}
 	return document{}, nil
+}
+
+// policies is the union of the shards' policy sets.
+func (f *Federated) policies() (document, error) {
+	set, err := f.policySet(f.router.Shards())
+	if err != nil {
+		return document{}, err
+	}
+	data, err := depot.MarshalPolicies(set)
+	return bytesDoc("text/xml", "", data), err
+}
+
+// policySet is every policy the primaries of shards hold, each name once:
+// the first shard's record of a name wins.
+func (f *Federated) policySet(shards []federation.Shard) ([]depot.Policy, error) {
+	resps := f.scatter(shards, "/policy", nil, nil)
+	defer releaseAll(resps)
+	docs, err := gather(resps, 0)
+	if err != nil {
+		return nil, err
+	}
+	var set []depot.Policy
+	seen := make(map[string]bool)
+	for _, doc := range docs {
+		ps, err := depot.ParsePolicies(doc.Body)
+		if err != nil {
+			return nil, badGateway("shard %s: %v", doc.Shard, err)
+		}
+		for _, p := range ps {
+			if !seen[p.Name] {
+				seen[p.Name] = true
+				set = append(set, p)
+			}
+		}
+	}
+	return set, nil
+}
+
+// copyPolicies gives dst (and its follower) every policy the primaries of
+// from hold whose name it does not hold yet. A depot archives a report
+// only under the policies it holds when the report arrives, so a join or
+// an attach copies them before any report; when from holds none, dst is
+// not asked.
+func (f *Federated) copyPolicies(from []federation.Shard, dst federation.Shard) error {
+	set, err := f.policySet(from)
+	if err != nil || len(set) == 0 {
+		return err
+	}
+	held, err := f.policySet([]federation.Shard{dst})
+	if err != nil {
+		return err
+	}
+	names := make(map[string]bool, len(held))
+	for _, p := range held {
+		names[p.Name] = true
+	}
+	for _, p := range set {
+		if names[p.Name] {
+			continue
+		}
+		body, err := depot.MarshalPolicy(p)
+		if err != nil {
+			return err
+		}
+		put := f.write(dst, "/policy", body)
+		put.release()
+		if put.err != nil {
+			return badGateway("policy %s on %s: %v", p.Name, dst.Name(), put.err)
+		}
+		if put.status != http.StatusOK {
+			return badGateway("policy %s on %s: status %d", p.Name, dst.Name(), put.status)
+		}
+	}
+	return nil
 }
 
 // --- aggregates and administration ---
@@ -634,27 +735,32 @@ func (f *Federated) handleShards(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJoin adds a shard: POST /federation/join?shard=wire/http[&migrate=1].
-// With migrate=1 the ranges the new member claims are copied over before
-// the ring flips, so reads stay complete throughout; copies the old
-// owners keep are masked by the merge's owner-wins rule. The copy is a
-// best-effort snapshot — reports ingested for a moved range mid-copy
-// reach the new owner on the reporter's next cycle (the cache keeps
-// latest-per-branch, so convergence is automatic).
+// First the new shard (and its follower, when the spec names one) takes
+// every archival policy the federation holds that it lacks, so it archives
+// the branches it comes to own from their first report; a join that cannot
+// copy them fails before the ring moves. With migrate=1 the ranges the new
+// member claims are copied over before the ring flips, so reads stay
+// complete throughout; copies the old owners keep are masked by the
+// merge's owner-wins rule. The copy is a best-effort snapshot — reports
+// ingested for a moved range mid-copy reach the new owner on the
+// reporter's next cycle (the cache keeps latest-per-branch, so
+// convergence is automatic).
 func (f *Federated) handleJoin(w http.ResponseWriter, r *http.Request) {
 	s, err := federation.ParseShard(r.URL.Query().Get("shard"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	if err := f.copyPolicies(f.router.Shards(), s); err != nil {
+		fail(w, err)
+		return
+	}
 	migrated := 0
 	if r.URL.Query().Get("migrate") == "1" {
 		target := f.router.Ring().With(s.Name())
 		for _, src := range f.router.Shards() {
-			n, err := f.copyReports(src, func(id branch.ID) (string, string) {
-				if target.Owner(id) != s.Name() {
-					return "", ""
-				}
-				return s.Name(), s.BaseURL()
+			n, err := f.copyReports(src, func(id branch.ID) (federation.Shard, bool) {
+				return s, target.Owner(id) == s.Name()
 			})
 			if err != nil {
 				fail(w, err)
@@ -706,10 +812,9 @@ func (f *Federated) handleLeave(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		target := f.router.Ring().Without(name)
-		n, err := f.copyReports(leaving, func(id branch.ID) (string, string) {
-			owner := target.Owner(id)
-			s, _ := f.router.Shard(owner)
-			return owner, s.BaseURL()
+		n, err := f.copyReports(leaving, func(id branch.ID) (federation.Shard, bool) {
+			s, _ := f.router.Shard(target.Owner(id))
+			return s, true
 		})
 		if err != nil {
 			fail(w, err)
@@ -753,11 +858,14 @@ func (f *Federated) handlePromote(w http.ResponseWriter, r *http.Request) {
 
 // handleReplicate attaches a follower to a running shard:
 // POST /federation/replicate?shard=name&follower=wire[/http][&catchup=1].
-// The router starts teeing the shard's wire stream to the follower at
-// once; with catchup=1 the §5h migration path then closes the history
-// gap — the primary's stored reports are fetched and re-stored through
-// the follower — so a late-joining follower (or a fresh follower after a
-// promotion consumed the old one) converges on the primary's full state.
+// A follower with a querying interface first takes the archival policies
+// its primary holds and it lacks (failing the attach when it cannot), so
+// it archives from the first report the tee sends it. The router starts
+// teeing the shard's wire stream to the follower at once; with catchup=1
+// the §5h migration path then closes the history gap — the primary's
+// stored reports are fetched and re-stored through the follower — so a
+// late-joining follower (or a fresh follower after a promotion consumed
+// the old one) converges on the primary's full state.
 // Reports tee'd live while the copy runs are simply stored twice; the
 // cache keeps latest-per-branch, so convergence is automatic. Reads stay
 // on the primary, so neither the attach nor a failed catch-up touches a
@@ -774,6 +882,14 @@ func (f *Federated) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "follower parameter required (wire[/http])", http.StatusBadRequest)
 		return
 	}
+	// The follower as a depot of its own: writes to it reach it alone.
+	follower := federation.Shard{Wire: fw, HTTP: fh}
+	if s, ok := f.router.Shard(name); ok && follower.BaseURL() != "" {
+		if err := f.copyPolicies([]federation.Shard{s}, follower); err != nil {
+			http.Error(w, "follower policies: "+err.Error(), http.StatusBadGateway)
+			return
+		}
+	}
 	if err := f.router.AttachReplica(name, fw, fh); err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
@@ -786,10 +902,10 @@ func (f *Federated) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var err error
-		if s.ReplicaBaseURL() == "" {
+		if follower.BaseURL() == "" {
 			err = fmt.Errorf("follower of %s has no querying interface for catch-up", name)
 		} else {
-			copied, err = f.copyReports(s, func(branch.ID) (string, string) { return "follower", s.ReplicaBaseURL() })
+			copied, err = f.copyReports(s, func(branch.ID) (federation.Shard, bool) { return follower, true })
 		}
 		if err != nil {
 			http.Error(w, fmt.Sprintf("follower attached but catch-up failed after %d reports: %v", copied, err), http.StatusBadGateway)
@@ -799,12 +915,12 @@ func (f *Federated) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "replicating %s to %s (caught up %d reports)\n", name, fw, copied)
 }
 
-// copyReports re-stores the reports src holds on the depots to names: for
-// each report a label for the destination and its base URL, an empty label
-// leaving the report where it is. It is how a join or a graceful leave
-// moves ranges to their new owners and how a follower catches up on its
-// primary's history.
-func (f *Federated) copyReports(src federation.Shard, to func(branch.ID) (label, base string)) (int, error) {
+// copyReports re-stores each report src holds on the shard to names for
+// it, through write, so that shard's follower gets it too; a report to
+// names no shard for stays where it is. It is how a join or a graceful
+// leave moves ranges to their new owners and how a follower catches up on
+// its primary's history.
+func (f *Federated) copyReports(src federation.Shard, to func(branch.ID) (federation.Shard, bool)) (int, error) {
 	resp := f.fetchShard(src, "/reports", url.Values{"branch": {""}}, "")
 	if resp.err != nil {
 		return 0, badGateway("fetch %s reports: %v", src.Name(), resp.err)
@@ -819,24 +935,24 @@ func (f *Federated) copyReports(src federation.Shard, to func(branch.ID) (label,
 	}
 	copied := 0
 	for _, st := range stored {
-		label, base := to(st.ID)
-		if label == "" {
+		dst, ok := to(st.ID)
+		if !ok {
 			continue
 		}
-		if base == "" {
-			return copied, badGateway("no reachable destination %s for %s", label, st.ID)
+		if dst.BaseURL() == "" {
+			return copied, badGateway("no reachable destination %s for %s", dst.Name(), st.ID)
 		}
 		env, err := envelope.Encode(envelope.Body, st.ID, st.XML)
 		if err != nil {
 			return copied, badGateway("encode %s: %v", st.ID, err)
 		}
-		put := f.post(src, base, "/store", env)
+		put := f.write(dst, "/store", env)
 		put.release()
 		if put.err != nil {
-			return copied, badGateway("store %s on %s: %v", st.ID, label, put.err)
+			return copied, badGateway("store %s on %s: %v", st.ID, dst.Name(), put.err)
 		}
 		if put.status != http.StatusOK {
-			return copied, badGateway("store %s on %s: status %d", st.ID, label, put.status)
+			return copied, badGateway("store %s on %s: status %d", st.ID, dst.Name(), put.status)
 		}
 		copied++
 	}

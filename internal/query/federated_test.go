@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -20,30 +21,50 @@ import (
 	"inca/internal/depot"
 	"inca/internal/envelope"
 	"inca/internal/federation"
+	"inca/internal/metrics"
+	"inca/internal/rrd"
 )
 
 // testFederation is an in-process federation: n real depots behind real
 // HTTP servers, a router whose ring names them, and the scatter-gather
 // tier in front — everything but the wire protocol.
 type testFederation struct {
-	fed    *httptest.Server
-	router *federation.Router
-	depots map[string]*depot.Depot // by ring name
-	single *depot.Depot            // reference: one depot holding everything
-	sts    *httptest.Server        // reference single-depot server
+	fed       *httptest.Server
+	router    *federation.Router
+	depots    map[string]*depot.Depot // by ring name
+	followers map[string]*depot.Depot // by the ring name of their primary
+	single    *depot.Depot            // reference: one depot holding everything
+	sts       *httptest.Server        // reference single-depot server
 }
 
 func newTestFederation(t *testing.T, n int) *testFederation {
+	return newTestFederationFollowers(t, n, 0)
+}
+
+// newTestFederationFollowers is newTestFederation with a follower behind
+// each of the first followers shards, named in the router's topology from
+// the start as `-federate wire/http=followerWire/followerHTTP` names one.
+func newTestFederationFollowers(t *testing.T, n, followers int) *testFederation {
 	t.Helper()
 	shards := make([]federation.Shard, n)
 	depots := make(map[string]*depot.Depot, n)
-	for i := 0; i < n; i++ {
+	replicas := make(map[string]*depot.Depot, followers)
+	serve := func() (*depot.Depot, string) {
 		d := depot.New(nil)
 		ts := httptest.NewServer(NewServer(d).Handler())
 		t.Cleanup(ts.Close)
+		return d, ts.URL
+	}
+	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("shard%d", i)
-		shards[i] = federation.Shard{Wire: name, HTTP: ts.URL}
+		d, u := serve()
+		shards[i] = federation.Shard{Wire: name, HTTP: u}
 		depots[name] = d
+		if i < followers {
+			fd, fu := serve()
+			shards[i].ReplicaWire, shards[i].ReplicaHTTP = fmt.Sprintf("follower%d", i), fu
+			replicas[name] = fd
+		}
 	}
 	router, err := federation.NewRouter(shards, federation.RouterOptions{})
 	if err != nil {
@@ -55,7 +76,7 @@ func newTestFederation(t *testing.T, n int) *testFederation {
 	single := depot.New(nil)
 	sts := httptest.NewServer(NewServer(single).Handler())
 	t.Cleanup(sts.Close)
-	return &testFederation{fed: fed, router: router, depots: depots, single: single, sts: sts}
+	return &testFederation{fed: fed, router: router, depots: depots, followers: replicas, single: single, sts: sts}
 }
 
 // store routes the envelope the way production ingest would — to the ring
@@ -549,5 +570,134 @@ func TestFederatedMembershipCopiesReports(t *testing.T) {
 	}
 	if got, want := follower.Cache().Dump(), tf.depots["shard1"].Cache().Dump(); !bytes.Equal(got, want) {
 		t.Fatalf("follower's document after catch-up differs from its primary's:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestFederatedPoliciesReachEveryDepot: an archival policy uploaded through
+// the router, and a report stored through its POST /store, reach every
+// depot that may own a branch or take one over — each primary and its
+// follower, a shard that joins later and a follower attached later — so a
+// promoted follower archives a branch first stored after the promotion.
+func TestFederatedPoliciesReachEveryDepot(t *testing.T) {
+	tf := newTestFederationFollowers(t, 2, 1)
+	c := NewClient(tf.fed.URL)
+	bw := depot.Policy{
+		Name: "bw", Prefix: branch.MustParse("vo=tg"),
+		Path:    "value,statistic=lowerBound,metric=bandwidth",
+		Archive: rrd.ArchivalPolicy{Step: time.Hour, History: 24 * time.Hour},
+	}
+	if err := c.UploadPolicy(bw); err != nil {
+		t.Fatal(err)
+	}
+	holds := func(where string, d *depot.Depot) {
+		t.Helper()
+		if ps := d.Policies(); len(ps) != 1 || !reflect.DeepEqual(ps[0], bw) {
+			t.Fatalf("%s holds policies %+v, want %s alone", where, ps, bw.Name)
+		}
+	}
+	for name, d := range tf.depots {
+		holds(name, d)
+	}
+	holds("shard0's follower", tf.followers["shard0"])
+	status, _, body := get(t, tf.fed.URL, "/policy", "")
+	if listed, err := depot.ParsePolicies(body); status != http.StatusOK || err != nil || len(listed) != 1 || listed[0].Name != bw.Name {
+		t.Fatalf("router GET /policy: %d %v %s", status, err, body)
+	}
+
+	// owned returns a branch no store has used that the ring gives shard.
+	used := 0
+	owned := func(shard string) string {
+		for {
+			id := fmt.Sprintf("tool=pathload,site=s%02d,vo=tg", used)
+			used++
+			if tf.router.Ring().Owner(branch.MustParse(id)) == shard {
+				return id
+			}
+		}
+	}
+	stored := owned("shard0")
+	if _, err := c.StoreEnvelope(sampleEnvelope(t, stored, t0, 990)); err != nil {
+		t.Fatal(err)
+	}
+	if got := tf.followers["shard0"].Cache().Count(); got != 1 {
+		t.Fatalf("shard0's follower holds %d reports after a store through the router, want 1", got)
+	}
+
+	admin := func(path string) {
+		t.Helper()
+		resp, err := http.Post(tf.fed.URL+path, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %s: %s", path, resp.Status, body)
+		}
+	}
+	serve := func() (*depot.Depot, string) {
+		d := depot.New(nil)
+		ts := httptest.NewServer(NewServer(d).Handler())
+		t.Cleanup(ts.Close)
+		return d, ts.URL
+	}
+	joined, joinedURL := serve()
+	admin("/federation/join?shard=" + url.QueryEscape("shard9/"+joinedURL))
+	holds("a joined shard", joined)
+	caughtUp, caughtUpURL := serve()
+	admin("/federation/replicate?catchup=1&shard=shard1&follower=" + url.QueryEscape("follower1/"+caughtUpURL))
+	holds("a caught-up follower", caughtUp)
+
+	// After a promotion the slice archives a branch it has never seen.
+	admin("/federation/promote?shard=shard0")
+	fresh := owned("shard0")
+	for i := 1; i <= 3; i++ {
+		if _, err := c.StoreEnvelope(sampleEnvelope(t, fresh, t0.Add(time.Duration(i)*time.Hour), float64(100*i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	points, err := c.Archive(fresh, bw.Name, rrd.Average, t0, t0.Add(4*time.Hour))
+	if err != nil {
+		t.Fatalf("/archive after promotion: %v", err)
+	}
+	known := 0
+	for _, p := range points {
+		if !math.IsNaN(p.Value) {
+			known++
+		}
+	}
+	if known == 0 {
+		t.Fatalf("/archive after promotion: no known value in %+v", points)
+	}
+}
+
+// TestFederatedFollowerFailureKeepsPrimaryAnswer: a follower that cannot
+// take an HTTP write fails neither the store nor the policy upload; each
+// failure counts once in the tier's shard-error counter.
+func TestFederatedFollowerFailureKeepsPrimaryAnswer(t *testing.T) {
+	d := depot.New(nil)
+	ts := httptest.NewServer(NewServer(d).Handler())
+	t.Cleanup(ts.Close)
+	down := httptest.NewServer(http.NotFoundHandler())
+	down.Close()
+	router, err := federation.NewRouter([]federation.Shard{{Wire: "shard0", HTTP: ts.URL, ReplicaWire: "follower0", ReplicaHTTP: down.URL}}, federation.RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	fed := httptest.NewServer(NewFederated(router, FederatedOptions{Metrics: reg}).Handler())
+	t.Cleanup(fed.Close)
+	c := NewClient(fed.URL)
+	if err := c.UploadPolicy(depot.Policy{Name: "p", Prefix: branch.MustParse("vo=tg"), Path: "value", Archive: rrd.ArchivalPolicy{Step: time.Hour, History: time.Hour}}); err != nil {
+		t.Fatalf("policy upload with the follower down: %v", err)
+	}
+	if _, err := c.StoreEnvelope(sampleEnvelope(t, "tool=pathload,site=s00,vo=tg", t0, 1)); err != nil {
+		t.Fatalf("store with the follower down: %v", err)
+	}
+	if len(d.Policies()) != 1 || d.Cache().Count() != 1 {
+		t.Fatalf("primary holds %d policies and %d reports, want 1 and 1", len(d.Policies()), d.Cache().Count())
+	}
+	if got := reg.Counter("inca_federated_shard_errors_total", "").Value(); got != 2 {
+		t.Fatalf("inca_federated_shard_errors_total = %d, want 2", got)
 	}
 }

@@ -108,7 +108,7 @@ func TestReadEndpointsRejectWrites(t *testing.T) {
 	t.Cleanup(ts.Close)
 	tf := newTestFederation(t, 2)
 	reads := []string{"/cache", "/reports", "/archive", "/graph", "/stats", "/availability", "/readyz", "/feed"}
-	writes := []string{"/store", "/policy"}
+	writes := []string{"/store"}
 	for _, c := range []struct {
 		tier, base, method string
 		paths              []string
@@ -116,6 +116,8 @@ func TestReadEndpointsRejectWrites(t *testing.T) {
 	}{
 		{"depot", ts.URL, http.MethodGet, writes, "POST"},
 		{"depot", ts.URL, http.MethodDelete, []string{"/spec"}, "GET, POST"},
+		{"depot", ts.URL, http.MethodDelete, []string{"/policy"}, "POST, GET, HEAD"},
+		{"router", tf.fed.URL, http.MethodDelete, []string{"/policy"}, "POST, GET, HEAD"},
 		{"depot", ts.URL, http.MethodPost, reads, "GET, HEAD"},
 		{"router", tf.fed.URL, http.MethodPost, append(reads[:len(reads):len(reads)], "/shards"), "GET, HEAD"},
 		{"router", tf.fed.URL, http.MethodGet, append(writes[:len(writes):len(writes)],

@@ -265,6 +265,11 @@ func (b *local) policy(policyXML []byte) (document, error) {
 	return document{}, nil
 }
 
+func (b *local) policies() (document, error) {
+	data, err := depot.MarshalPolicies(b.d.Policies())
+	return bytesDoc("text/xml", "", data), err
+}
+
 func (b *local) feed(status bool) (*feed.Hub, func(branch.ID) ([]byte, error), error) {
 	f := b.srv.Feed
 	switch {

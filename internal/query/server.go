@@ -68,6 +68,9 @@ type backend interface {
 	// return that depot's answer.
 	store(envelope []byte) (document, error)
 	policy(policyXML []byte) (document, error)
+	// policies is the <policies> list of the archival policies held (on a
+	// router, every policy any shard holds).
+	policies() (document, error)
 	// feed is the hub /feed subscribes to (the agreement status hub when
 	// status is set) and the snapshot a subscriber catches up from.
 	feed(status bool) (*feed.Hub, func(prefix branch.ID) ([]byte, error), error)
@@ -114,6 +117,7 @@ func timed(reg *metrics.Registry, name string, h http.HandlerFunc) http.HandlerF
 //
 //	POST /store       — envelope in the body; returns an XML receipt
 //	POST /policy      — archival policy XML
+//	GET  /policy      — the archival policies held, a <policies> list
 //	GET  /cache       — ?branch= subtree (whole cache when omitted); ETag/304
 //	GET  /reports     — ?branch= all reports under the prefix; ETag/304
 //	GET  /archive     — ?branch=&policy=&cf=&start=&end= CSV series
@@ -131,7 +135,7 @@ func timed(reg *metrics.Registry, name string, h http.HandlerFunc) http.HandlerF
 func (s *Server) Handler() http.Handler {
 	routes := append([]route{
 		{"/store", "store", postOnly(s.handleStore)},
-		{"/policy", "policy", postOnly(s.handlePolicy)},
+		{"/policy", "policy", only("POST, GET, HEAD", s.handlePolicy)},
 		{"/cache", "cache", readOnly(s.handleCache)},
 		{"/reports", "reports", readOnly(s.handleReports)},
 		{"/availability", "availability", readOnly(s.handleAvailability)},
@@ -270,6 +274,11 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		d, err := s.b.policies()
+		answer(w, r, d, err)
+		return
+	}
 	post(w, r, 1<<20, s.b.policy)
 }
 

@@ -57,9 +57,9 @@ type Reporter interface {
 }
 
 // Timed is implemented by reporters that know how long a run occupies the
-// resource. The distributed controller uses it both to model system impact
-// in simulation and to enforce expected-run-time limits; reporters without
-// it are treated as instantaneous.
+// resource. A simulated distributed controller asks it once per run, at the
+// fire time, to enforce expected-run-time limits; reporters without it are
+// treated as instantaneous.
 type Timed interface {
 	// RunDuration returns the execution time of a run at ctx.Now.
 	RunDuration(ctx *Context) time.Duration

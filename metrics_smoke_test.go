@@ -39,7 +39,7 @@ func TestMetricsSmoke(t *testing.T) {
 	if err := d.AddPolicy(consumer.AvailabilityPolicy()); err != nil {
 		t.Fatal(err)
 	}
-	ctl := controller.New(d, controller.Options{Now: clock.Now, Metrics: reg})
+	ctl := controller.New(d, controller.Options{Metrics: reg})
 	tcpSrv, err := wire.ServeOptions("127.0.0.1:0", ctl.Handle, wire.ServerOptions{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
