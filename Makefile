@@ -159,8 +159,8 @@ bench-read:
 # readers against their own writers (what is accepted re-serializes to the
 # bytes it was read from), the router's in-place routing of a received frame
 # against decoding, parsing and re-encoding it, and the change feed's relay: the change renderer
-# against json.Marshal, the routing scanner against json.Unmarshal, and the
-# SSE reader against the line reader it replaced and its own writer; the
+# against json.Marshal, and the SSE reader against the line reader it
+# replaced and its own writer; the
 # single depot's /reports and /cache bodies, headers and statuses against
 # the per-read writer they replaced; the controller's in-process store
 # against the envelope round trip it skips;
@@ -186,7 +186,6 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzReadMessage$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run=NONE -fuzz='^FuzzReadBatch$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run=NONE -fuzz='^FuzzChangeEvent$$' -fuzztime=10s ./internal/query/
-	$(GO) test -run=NONE -fuzz='^FuzzUpstreamEvent$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run=NONE -fuzz='^FuzzFeedStream$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run=NONE -fuzz='^FuzzReadBodies$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run=NONE -fuzz='^FuzzSubmitDirect$$' -fuzztime=10s ./internal/controller/

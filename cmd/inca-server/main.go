@@ -317,18 +317,16 @@ func runFederated(topology, tcpAddr, httpAddr string, idleTimeout time.Duration,
 		fmt.Printf("replication: %d of %d shards have followers (tee mode)\n", followers, len(shards))
 	}
 
+	// Each /feed subscriber gets its own fan-in over the shards' feeds
+	// (DESIGN.md §5g); a shard without /feed turns the tier's /feed into a
+	// 503 until it is upgraded.
 	fed := query.NewFederated(router, query.FederatedOptions{Metrics: reg, Pprof: pprofOn})
-	// The tier subscribes to every shard's /feed and re-serves the merged
-	// stream with composed cursors; shards without /feed turn the tier's
-	// /feed into a 503 until they are upgraded.
-	ffeed := fed.AttachFeed(reg)
 	serve(httpAddr, "federated querying interface on http://%s (/cache /reports /archive /availability /feed /shards /metrics)\n", fed.Handler(), func() {
 		st := router.Stats()
 		fmt.Printf("router: %d routed, %d rerouted, %d unroutable, %d refused, %d reroute-dropped, %d promotions across %d shards\n",
 			st.Routed, st.Rerouted, st.Unroutable, st.Refused, st.RerouteDropped, st.Promotions, len(st.Shards))
 	}, 0, nil)
 
-	ffeed.Close()
 	fed.Close()
 	// Stop accepting before the drain so the barrier is final.
 	srv.Close()

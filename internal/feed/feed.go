@@ -76,8 +76,7 @@ type Event struct {
 	// event — a publisher nobody listens to never pays for the payload.
 	Render func(Event) []byte
 	// Cursor is the event's position in the stream. Publish assigns it
-	// when some subscriber wants the event; PublishExternal requires the
-	// caller to (federated composition).
+	// when some subscriber wants the event.
 	Cursor string
 
 	seq uint64
@@ -191,38 +190,13 @@ func (h *Hub) Publish(e Event) {
 	}
 	h.last, h.stale = stamp, true
 	e.seq = stamp
-	h.offerLocked(e, false)
-}
-
-// PublishExternal publishes an event whose cursor is owned by the caller
-// (the federated tier composes per-shard cursors). Ordering within the
-// hub still follows publish order. The hub takes ownership of e.Data: it is
-// shared with subscribers as it is, so the caller must not touch it again.
-func (h *Hub) PublishExternal(e Event) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	h.last++
-	e.seq = h.last
-	h.lastCursor, h.stale = e.Cursor, false
-	h.offerLocked(e, true)
-}
-
-// SetCursor records a new current cursor without an event (federated
-// snapshot resync: subscribers are force-resynced separately).
-func (h *Hub) SetCursor(c string) {
-	h.mu.Lock()
-	h.lastCursor, h.stale = c, false
-	h.mu.Unlock()
+	h.offerLocked(e)
 }
 
 // offerLocked queues e for every subscriber that wants it. The payload,
 // the cursor, the coalescing key and the publish time are settled once, at
-// the first such subscriber, and shared by the rest; external says e came
-// from PublishExternal: its Data is the hub's to share and its Cursor set.
-func (h *Hub) offerLocked(e Event, external bool) {
+// the first such subscriber, and shared by the rest.
+func (h *Hub) offerLocked(e Event) {
 	h.published.Inc()
 	key := "" // set with the payload, at the first subscriber that wants e
 	for s := range h.subs {
@@ -233,12 +207,10 @@ func (h *Hub) offerLocked(e Event, external bool) {
 			e.at = time.Now()
 			if e.Render != nil {
 				e.Data, e.Render = e.Render(e), nil
-			} else if !external && e.Data != nil {
+			} else if e.Data != nil {
 				e.Data = append([]byte(nil), e.Data...)
 			}
-			if !external {
-				e.Cursor = h.cursorLocked() // e is the newest event
-			}
+			e.Cursor = h.cursorLocked() // e is the newest event
 			key = coalesceKey(e)
 		}
 		s.offer(e, key, h)
@@ -293,17 +265,6 @@ func (h *Hub) SubscriberCount() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.subs)
-}
-
-// ForceResync demotes every subscriber to snapshot-then-resubscribe
-// (federated membership change: composed cursors are no longer
-// comparable).
-func (h *Hub) ForceResync() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for s := range h.subs {
-		s.forceResync(h)
-	}
 }
 
 // Close detaches every subscriber and refuses further publishes.
@@ -383,18 +344,6 @@ func (s *Subscriber) offer(e Event, key string, h *Hub) {
 	}
 	s.queue = append(s.queue, e)
 	s.index[key] = len(s.queue) - 1
-	s.mu.Unlock()
-	s.notify()
-}
-
-func (s *Subscriber) forceResync(h *Hub) {
-	s.mu.Lock()
-	if !s.closed && !s.overflowed {
-		h.resyncs.Inc()
-		s.queue = nil
-		clear(s.index)
-		s.overflowed = true
-	}
 	s.mu.Unlock()
 	s.notify()
 }

@@ -167,21 +167,6 @@ func TestCursorsStrictlyIncreaseAndFloorOnSource(t *testing.T) {
 	}
 }
 
-func TestForceResyncDemotesAll(t *testing.T) {
-	h := NewHub(Options{})
-	a, _, _ := h.Subscribe(branch.ID{}, "")
-	b, _, _ := h.Subscribe(mustParse(t, "site=sdsc"), "")
-	defer a.Close()
-	defer b.Close()
-	h.ForceResync()
-	if _, resync := a.Drain(); !resync {
-		t.Fatalf("subscriber a not demoted")
-	}
-	if _, resync := b.Drain(); !resync {
-		t.Fatalf("subscriber b not demoted")
-	}
-}
-
 func TestPublishCopiesData(t *testing.T) {
 	h := NewHub(Options{})
 	sub, _, _ := h.Subscribe(branch.ID{}, "")

@@ -3,6 +3,7 @@ package query
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"encoding/xml"
@@ -201,8 +202,7 @@ func (c *Client) ReportsConditional(branchID, etag string) (body []byte, newETag
 }
 
 // ErrFeedUnsupported reports that the server has no /feed endpoint, or
-// cannot serve it yet. The federated tier's shard watchers detect a
-// feed-less shard with it.
+// cannot serve it yet. The router detects a feed-less shard with it.
 var ErrFeedUnsupported = fmt.Errorf("query: server does not support /feed")
 
 // FeedEvent is one parsed server-sent event from /feed.
@@ -248,6 +248,12 @@ type FeedStream struct {
 // "resume" (its cursor is current). Returns ErrFeedUnsupported when the
 // server lacks the endpoint.
 func (c *Client) FeedSubscribe(branchID, cursor, stream string) (*FeedStream, error) {
+	return c.feedSubscribe(context.Background(), branchID, cursor, stream)
+}
+
+// feedSubscribe is FeedSubscribe under ctx: ending ctx abandons the
+// request or, once it is open, ends the stream.
+func (c *Client) feedSubscribe(ctx context.Context, branchID, cursor, stream string) (*FeedStream, error) {
 	params := url.Values{"branch": {branchID}}
 	if cursor != "" {
 		params.Set("cursor", cursor)
@@ -255,7 +261,7 @@ func (c *Client) FeedSubscribe(branchID, cursor, stream string) (*FeedStream, er
 	if stream != "" {
 		params.Set("stream", stream)
 	}
-	req, err := http.NewRequest(http.MethodGet, c.Base+"/feed?"+params.Encode(), nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/feed?"+params.Encode(), nil)
 	if err != nil {
 		return nil, err
 	}

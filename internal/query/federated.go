@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"encoding/xml"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"inca/internal/agreement"
@@ -20,6 +22,7 @@ import (
 	"inca/internal/envelope"
 	"inca/internal/federation"
 	"inca/internal/metrics"
+	"inca/internal/wire"
 )
 
 // Federated is the scatter-gather query tier over a federation of depot
@@ -38,7 +41,12 @@ type Federated struct {
 	srv    *Server // the handler set, with this tier as its backend
 	router *federation.Router
 	httpc  *http.Client
-	ff     *FederatedFeed // composed change feed; set by AttachFeed
+	// feedHTTP carries the /feed subscriptions. httpc's per-request timeout
+	// would sever a healthy stream, and its read buffer is sized for a
+	// batch: a burst of changes crosses the socket in one read.
+	feedHTTP *http.Client
+	// moved is closed and replaced at each membership change or promotion.
+	moved atomic.Pointer[chan struct{}]
 
 	fanouts     *metrics.Counter // requests scattered to every shard
 	forwards    *metrics.Counter // requests proxied to the owning shard
@@ -48,6 +56,10 @@ type Federated struct {
 	shardErrors *metrics.Counter // shard requests that failed in transport
 	mergeTime   *metrics.Histogram
 	mergeBytes  *metrics.Counter
+
+	feedSubscribers *metrics.Gauge   // attached /feed subscribers
+	feedRelayed     *metrics.Counter // changes relayed to them
+	feedResyncs     *metrics.Counter // snapshots sent after a stream's first
 }
 
 // FederatedOptions configures NewFederated.
@@ -75,10 +87,13 @@ func NewFederated(router *federation.Router, opt FederatedOptions) *Federated {
 	transport := http.DefaultTransport.(*http.Transport).Clone()
 	transport.MaxIdleConns = 0 // bounded per host, and the ring bounds the hosts
 	transport.MaxIdleConnsPerHost = scatterIdleConns
+	feedTransport := http.DefaultTransport.(*http.Transport).Clone()
+	feedTransport.ReadBufferSize = wire.BatchBuffer
 	reg := opt.Metrics
 	f := &Federated{
 		router:      router,
 		httpc:       &http.Client{Timeout: shardTimeout, Transport: transport},
+		feedHTTP:    &http.Client{Transport: feedTransport},
 		fanouts:     reg.Counter("inca_federated_fanouts_total", "Requests scattered to every shard."),
 		forwards:    reg.Counter("inca_federated_forwards_total", "Requests proxied to the single owning shard."),
 		conditional: reg.Counter("inca_federated_conditional_total", "Requests carrying a composed validator."),
@@ -87,13 +102,22 @@ func NewFederated(router *federation.Router, opt FederatedOptions) *Federated {
 		shardErrors: reg.Counter("inca_federated_shard_errors_total", "Per-shard requests failed in transport."),
 		mergeTime:   reg.Histogram("inca_federated_merge_seconds", "Time to plan one cross-shard /cache or /reports merge.", nil),
 		mergeBytes:  reg.Counter("inca_federated_merge_bytes_total", "Bytes of merged /cache and /reports documents planned."),
+
+		feedSubscribers: reg.Gauge("inca_feed_subscribers", "Currently attached feed subscribers.", "feed", "federated"),
+		feedRelayed:     reg.Counter("inca_feed_events_published_total", "Events published into the feed hub.", "feed", "federated"),
+		feedResyncs:     reg.Counter("inca_feed_resyncs_total", "Subscribers demoted to snapshot-then-resubscribe.", "feed", "federated"),
 	}
 	f.srv = &Server{b: f, reg: reg, Pprof: opt.Pprof}
+	moved := make(chan struct{})
+	f.moved.Store(&moved)
 	return f
 }
 
 // Close drops the idle connections the tier keeps to its shards.
-func (f *Federated) Close() { f.httpc.CloseIdleConnections() }
+func (f *Federated) Close() {
+	f.httpc.CloseIdleConnections()
+	f.feedHTTP.CloseIdleConnections()
+}
 
 // Handler returns the federated HTTP mux: the Server's handler set plus
 // the router's own endpoints (see routes).
@@ -229,7 +253,7 @@ func releaseAll(resps []shardResp) {
 
 // fetchShard asks the shard's primary: every read goes there, never to a
 // follower.
-func (f *Federated) fetchShard(s federation.Shard, path string, params url.Values, inm string) shardResp {
+func (f *Federated) fetchShard(ctx context.Context, s federation.Shard, path string, params url.Values, inm string) shardResp {
 	base := s.BaseURL()
 	if base == "" {
 		return shardResp{shard: s, err: fmt.Errorf("shard %s has no querying interface", s.Name())}
@@ -238,7 +262,7 @@ func (f *Federated) fetchShard(s federation.Shard, path string, params url.Value
 	if len(params) > 0 {
 		u += "?" + params.Encode()
 	}
-	req, err := http.NewRequest(http.MethodGet, u, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return shardResp{shard: s, err: err}
 	}
@@ -309,9 +333,9 @@ func gather(resps []shardResp, absent int) ([]federation.ShardDoc, error) {
 	return docs, nil
 }
 
-// scatter fans one request to shards in parallel; perTags (when non-nil)
-// supplies each shard's If-None-Match.
-func (f *Federated) scatter(shards []federation.Shard, path string, params url.Values, perTags []string) []shardResp {
+// scatter fans one request to shards in parallel under ctx; perTags (when
+// non-nil) supplies each shard's If-None-Match.
+func (f *Federated) scatter(ctx context.Context, shards []federation.Shard, path string, params url.Values, perTags []string) []shardResp {
 	resps := make([]shardResp, len(shards))
 	var wg sync.WaitGroup
 	for i, s := range shards {
@@ -322,7 +346,7 @@ func (f *Federated) scatter(shards []federation.Shard, path string, params url.V
 		wg.Add(1)
 		go func(i int, s federation.Shard, inm string) {
 			defer wg.Done()
-			resps[i] = f.fetchShard(s, path, params, inm)
+			resps[i] = f.fetchShard(ctx, s, path, params, inm)
 		}(i, s, inm)
 	}
 	wg.Wait()
@@ -346,7 +370,7 @@ func (f *Federated) scatterConditional(inm, path string, params url.Values) (res
 		f.conditional.Inc()
 	}
 	f.fanouts.Inc()
-	resps = f.scatter(shards, path, params, perTags)
+	resps = f.scatter(context.TODO(), shards, path, params, perTags)
 	if perTags != nil {
 		all, sawTag := true, false
 		for i := range resps {
@@ -379,7 +403,7 @@ func (f *Federated) scatterConditional(inm, path string, params url.Values) (res
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i] = f.fetchShard(resps[i].shard, path, params, "")
+			resps[i] = f.fetchShard(context.TODO(), resps[i].shard, path, params, "")
 		}(i)
 	}
 	wg.Wait()
@@ -410,7 +434,7 @@ func (f *Federated) forwardOwner(id branch.ID, path string, params url.Values, i
 		f.conditional.Inc()
 		shardTag = perTags[0]
 	}
-	resp := f.fetchShard(shard, path, params, shardTag)
+	resp := f.fetchShard(context.TODO(), shard, path, params, shardTag)
 	if resp.err != nil {
 		return document{}, badGateway("shard %s: %v", shard.Name(), resp.err)
 	}
@@ -620,7 +644,7 @@ func (f *Federated) policies() (document, error) {
 // policySet is every policy the primaries of shards hold, each name once:
 // the first shard's record of a name wins.
 func (f *Federated) policySet(shards []federation.Shard) ([]depot.Policy, error) {
-	resps := f.scatter(shards, "/policy", nil, nil)
+	resps := f.scatter(context.TODO(), shards, "/policy", nil, nil)
 	defer releaseAll(resps)
 	docs, err := gather(resps, 0)
 	if err != nil {
@@ -685,7 +709,7 @@ func (f *Federated) copyPolicies(from []federation.Shard, dst federation.Shard) 
 
 func (f *Federated) stats() (xmlStats, error) {
 	var total xmlStats
-	resps := f.scatter(f.router.Shards(), "/stats", nil, nil)
+	resps := f.scatter(context.TODO(), f.router.Shards(), "/stats", nil, nil)
 	defer releaseAll(resps)
 	docs, err := gather(resps, 0)
 	if err != nil {
@@ -773,15 +797,16 @@ func (f *Federated) handleJoin(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	f.rewireFeed()
+	f.topologyMoved()
 	fmt.Fprintf(w, "joined %s (migrated %d reports)\n", s.Name(), migrated)
 }
 
 // handleLeave removes a shard: POST /federation/leave?shard=wire[&migrate=1][&promote=0].
 // When the shard has a follower attached the leave is a failover
 // instead: the follower is promoted in place (the ring does not move, no
-// data redistributes — the slice's history lives on in the follower's
-// depot) and every message queued toward the dead primary redelivers to
+// data redistributes — the follower's depot holds the reports and policies
+// the tee and any catch-up gave it, but no archive history from before the
+// attach) and every message queued toward the dead primary redelivers to
 // the promoted process. Pass promote=0 to force a real departure.
 // Otherwise: with migrate=1 the departure is graceful — the router
 // drains its queue to the shard (the drain barrier), the shard's reports
@@ -827,20 +852,20 @@ func (f *Federated) handleLeave(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	f.rewireFeed()
+	f.topologyMoved()
 	fmt.Fprintf(w, "left %s (migrated %d reports, re-routed %d queued messages, lost %d)\n", name, migrated, moved, lost)
 }
 
-// promote fails a shard over to its follower and rewires the composed
-// feed (the promoted process serves a fresh cursor space under the new
-// replica epoch).
+// promote fails a shard over to its follower. The promoted process serves
+// a cursor space of its own under the new replica epoch, so feed
+// subscribers start over as after a membership change.
 func (f *Federated) promote(w http.ResponseWriter, name string) {
 	s, moved, err := f.router.Promote(name)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	f.rewireFeed()
+	f.topologyMoved()
 	fmt.Fprintf(w, "promoted follower %s for shard %s (re-enqueued %d queued messages)\n", s.Wire, name, moved)
 }
 
@@ -862,14 +887,15 @@ func (f *Federated) handlePromote(w http.ResponseWriter, r *http.Request) {
 // its primary holds and it lacks (failing the attach when it cannot), so
 // it archives from the first report the tee sends it. The router starts
 // teeing the shard's wire stream to the follower at once; with catchup=1
-// the §5h migration path then closes the history gap — the primary's
-// stored reports are fetched and re-stored through the follower — so a
-// late-joining follower (or a fresh follower after a promotion consumed
-// the old one) converges on the primary's full state.
+// the §5h migration path then copies the primary's stored reports — each
+// branch's latest, re-stored through the follower — so a late-joining
+// follower (or a fresh follower after a promotion consumed the old one)
+// holds the primary's reports and policies. Archive history from before
+// the attach does not move.
 // Reports tee'd live while the copy runs are simply stored twice; the
 // cache keeps latest-per-branch, so convergence is automatic. Reads stay
 // on the primary, so neither the attach nor a failed catch-up touches a
-// validator or the composed feed.
+// validator or a feed subscription.
 func (f *Federated) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("shard")
@@ -921,7 +947,7 @@ func (f *Federated) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // leave moves ranges to their new owners and how a follower catches up on
 // its primary's history.
 func (f *Federated) copyReports(src federation.Shard, to func(branch.ID) (federation.Shard, bool)) (int, error) {
-	resp := f.fetchShard(src, "/reports", url.Values{"branch": {""}}, "")
+	resp := f.fetchShard(context.TODO(), src, "/reports", url.Values{"branch": {""}}, "")
 	if resp.err != nil {
 		return 0, badGateway("fetch %s reports: %v", src.Name(), resp.err)
 	}
@@ -957,14 +983,6 @@ func (f *Federated) copyReports(src federation.Shard, to func(branch.ID) (federa
 		copied++
 	}
 	return copied, nil
-}
-
-// rewireFeed points the composed feed, when one is attached, at the
-// topology an administrative change just made.
-func (f *Federated) rewireFeed() {
-	if f.ff != nil {
-		f.ff.rewire()
-	}
 }
 
 // --- availability page JSON codec ---

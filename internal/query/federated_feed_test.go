@@ -3,111 +3,131 @@ package query
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"inca/internal/branch"
 	"inca/internal/depot"
 	"inca/internal/federation"
+	"inca/internal/metrics"
 )
 
 // feedFederation is an in-process federation whose shard servers all
-// stream /feed, with the composed feed attached to the tier.
+// stream /feed.
 type feedFederation struct {
 	fed    *httptest.Server
 	tier   *Federated
 	router *federation.Router
 	depots map[string]*depot.Depot
+	shards map[string]*feedShard
 	single *depot.Depot
 	sts    *httptest.Server
 }
 
+// feedShard is one depot server with a live /feed, its instruments on reg.
+type feedShard struct {
+	ts  *httptest.Server
+	d   *depot.Depot
+	reg *metrics.Registry
+
+	mu   sync.Mutex
+	feed *Feed
+	h    http.Handler
+}
+
+func (s *feedShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	h := s.h
+	s.mu.Unlock()
+	h.ServeHTTP(w, r)
+}
+
+// serve puts feed in front of the depot.
+func (s *feedShard) serve(feed *Feed) {
+	srv := NewServer(s.d)
+	srv.Feed = feed
+	s.feed, s.h = feed, srv.Handler()
+}
+
+// restartFeed gives the depot a new feed, as a restart of the shard's
+// process would: a new epoch, and every stream of the old feed dropped.
+// The instruments on reg stay with the first feed.
+func (s *feedShard) restartFeed() {
+	s.mu.Lock()
+	s.feed.Close()
+	s.serve(NewFeed(s.d, FeedOptions{}))
+	s.mu.Unlock()
+	s.ts.CloseClientConnections()
+}
+
 // newFeedShard builds one depot server with a live /feed.
-func newFeedShard(t *testing.T) (*httptest.Server, *depot.Depot) {
+func newFeedShard(t *testing.T) *feedShard {
 	t.Helper()
-	ts, d, start := unstartedFeedShard(t)
+	s, start := unstartedFeedShard(t)
 	start()
-	return ts, d
+	return s
 }
 
 // unstartedFeedShard is newFeedShard with the server not yet serving: its
-// listener is bound, so a watcher's subscription waits in the accept
-// queue until start is called.
-func unstartedFeedShard(t *testing.T) (ts *httptest.Server, d *depot.Depot, start func()) {
+// listener is bound, so a request waits in the accept queue until start is
+// called.
+func unstartedFeedShard(t *testing.T) (s *feedShard, start func()) {
 	t.Helper()
-	d = depot.New(nil)
-	sf := NewFeed(d, FeedOptions{})
-	srv := NewServer(d)
-	srv.Feed = sf
-	ts = httptest.NewUnstartedServer(srv.Handler())
+	s = &feedShard{d: depot.New(nil), reg: metrics.NewRegistry()}
+	s.serve(NewFeed(s.d, FeedOptions{Metrics: s.reg}))
+	s.ts = httptest.NewUnstartedServer(s)
 	started := false
 	t.Cleanup(func() {
-		// The tier's watcher holds a streaming connection open; a plain
-		// Close would wait on it forever when this shard tears down
-		// before the tier does (a shard joined mid-test). The listener
-		// goes first: the watcher redials as soon as its stream drops, and
-		// a connection accepted after CloseClientConnections is one more
-		// stream for Close to wait on.
-		ts.Listener.Close()
+		// A router subscriber's fan-in holds a streaming connection open;
+		// a plain Close would wait on it forever when this shard tears
+		// down before the tier does (a shard joined mid-test). The
+		// listener goes first: the fan-in redials as soon as its stream
+		// drops, and a connection accepted after CloseClientConnections
+		// is one more stream for Close to wait on.
+		s.ts.Listener.Close()
 		if started {
-			ts.CloseClientConnections()
-			ts.Close()
+			s.ts.CloseClientConnections()
+			s.ts.Close()
 		}
-		sf.Close()
+		s.mu.Lock()
+		s.feed.Close()
+		s.mu.Unlock()
 	})
-	return ts, d, func() { started = true; ts.Start() }
+	return s, func() { started = true; s.ts.Start() }
 }
 
 func newFeedFederation(t *testing.T, n int) *feedFederation {
 	t.Helper()
 	shards := make([]federation.Shard, n)
-	depots := make(map[string]*depot.Depot, n)
+	tf := &feedFederation{depots: make(map[string]*depot.Depot, n), shards: make(map[string]*feedShard, n)}
 	for i := 0; i < n; i++ {
-		ts, d := newFeedShard(t)
+		s := newFeedShard(t)
 		name := fmt.Sprintf("shard%d", i)
-		shards[i] = federation.Shard{Wire: name, HTTP: ts.URL}
-		depots[name] = d
+		shards[i] = federation.Shard{Wire: name, HTTP: s.ts.URL}
+		tf.depots[name], tf.shards[name] = s.d, s
 	}
 	router, err := federation.NewRouter(shards, federation.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tier := NewFederated(router, FederatedOptions{})
-	ff := tier.AttachFeed(nil)
-	fed := httptest.NewServer(tier.Handler())
+	tf.router = router
+	tf.tier = NewFederated(router, FederatedOptions{})
+	tf.fed = httptest.NewServer(tf.tier.Handler())
 	t.Cleanup(func() {
-		fed.Close()
-		ff.Close()
+		tf.fed.CloseClientConnections()
+		tf.fed.Close()
+		tf.tier.Close()
 	})
-	awaitWatchers(t, ff)
 
-	single := depot.New(nil)
-	sts := httptest.NewServer(NewServer(single).Handler())
-	t.Cleanup(sts.Close)
-	return &feedFederation{fed: fed, tier: tier, router: router, depots: depots, single: single, sts: sts}
-}
-
-// awaitWatchers returns once every shard watcher has the shard's first
-// snapshot. A store made earlier reaches the tier's subscribers inside the
-// merged snapshot that watcher's arrival forces, not as a change event,
-// and the tests that count change events must not race that.
-func awaitWatchers(t *testing.T, ff *FederatedFeed) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if ff.ready() == nil {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("shard watchers not live within 10s")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	tf.single = depot.New(nil)
+	tf.sts = httptest.NewServer(NewServer(tf.single).Handler())
+	t.Cleanup(tf.sts.Close)
+	return tf
 }
 
 func (tf *feedFederation) store(t *testing.T, env []byte) {
@@ -125,42 +145,11 @@ func (tf *feedFederation) store(t *testing.T, env []byte) {
 	}
 }
 
-// TestFederatedFeedByteIdentity is the acceptance check for the composed
-// feed: a subscriber that catches up through the merged stream —
-// snapshot plus change events applied in order — holds a state
-// byte-identical to polling /cache, on both the federated tier and the
-// reference single depot.
-func TestFederatedFeedByteIdentity(t *testing.T) {
-	tf := newFeedFederation(t, 3)
-	c := NewClient(tf.fed.URL)
-
-	fs, err := c.FeedSubscribe("", "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	snap := nextEvent(t, fs, 10*time.Second)
-	if snap.Type != "snapshot" {
-		t.Fatalf("first event = %+v, want snapshot", snap)
-	}
-	if !strings.HasPrefix(snap.Cursor, "f"+tf.router.Ring().Signature()+"-") {
-		t.Fatalf("cursor %q not composed under ring signature %q", snap.Cursor, tf.router.Ring().Signature())
-	}
-
-	// Materialize the consumer's state from the stream.
-	state := depot.NewIndexedCache()
-	if len(snap.Data) > 0 {
-		if state, err = depot.LoadDump(snap.Data, branch.ID{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const n = 12
-	for s := 0; s < 4; s++ {
-		for p := 0; p < 3; p++ {
-			id := fmt.Sprintf("probe=p%02d,site=s%02d,vo=tg", p, s)
-			tf.store(t, sampleEnvelope(t, id, t0.Add(time.Duration(s*3+p)*time.Second), float64(100+p)))
-		}
-	}
+// materialize applies a subscriber's events onto state — a snapshot
+// replaces it wholesale, a change is stored — until changes to n distinct
+// branches have arrived, and returns the state and the last change.
+func materialize(t *testing.T, fs *FeedStream, prefix branch.ID, state *depot.IndexedCache, n int) (*depot.IndexedCache, FeedEvent) {
+	t.Helper()
 	seen := make(map[string]bool)
 	var last FeedEvent
 	for len(seen) < n {
@@ -168,7 +157,8 @@ func TestFederatedFeedByteIdentity(t *testing.T) {
 		if ev.Type == "snapshot" {
 			// A shard demotion mid-test replaces the state wholesale;
 			// keep going from the fresh image.
-			if state, err = depot.LoadDump(ev.Data, branch.ID{}); err != nil {
+			var err error
+			if state, err = depot.LoadDump(ev.Data, prefix); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -190,6 +180,56 @@ func TestFederatedFeedByteIdentity(t *testing.T) {
 		seen[fc.Branch] = true
 		last = ev
 	}
+	return state, last
+}
+
+// TestFederatedFeedByteIdentity is the acceptance check for the composed
+// feed: a subscriber that catches up through the merged stream —
+// snapshot plus change events applied in order — holds a state
+// byte-identical to polling /cache, on both the federated tier and the
+// reference single depot. A second subscriber, on one site's subtree and
+// attached at the same time, holds that subtree's polled state.
+func TestFederatedFeedByteIdentity(t *testing.T) {
+	tf := newFeedFederation(t, 3)
+	c := NewClient(tf.fed.URL)
+
+	fs, err := c.FeedSubscribe("", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	snap := nextEvent(t, fs, 10*time.Second)
+	if snap.Type != "snapshot" {
+		t.Fatalf("first event = %+v, want snapshot", snap)
+	}
+	if !strings.HasPrefix(snap.Cursor, "f"+tf.router.Ring().Signature()+"-") {
+		t.Fatalf("cursor %q not composed under ring signature %q", snap.Cursor, tf.router.Ring().Signature())
+	}
+	site := branch.MustParse("site=s01,vo=tg")
+	siteFS, err := c.FeedSubscribe(site.String(), "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer siteFS.Close()
+	if ev := nextEvent(t, siteFS, 10*time.Second); ev.Type != "snapshot" || len(ev.Data) != 0 {
+		t.Fatalf("site subscriber's first event = %+v, want an empty snapshot", ev)
+	}
+
+	// Materialize the consumer's state from the stream.
+	state := depot.NewIndexedCache()
+	if len(snap.Data) > 0 {
+		if state, err = depot.LoadDump(snap.Data, branch.ID{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 12
+	for s := 0; s < 4; s++ {
+		for p := 0; p < 3; p++ {
+			id := fmt.Sprintf("probe=p%02d,site=s%02d,vo=tg", p, s)
+			tf.store(t, sampleEnvelope(t, id, t0.Add(time.Duration(s*3+p)*time.Second), float64(100+p)))
+		}
+	}
+	state, last := materialize(t, fs, branch.ID{}, state, n)
 
 	materialized := string(state.Dump())
 	_, _, fedPolled := get(t, tf.fed.URL, "/cache?branch=", "")
@@ -199,6 +239,20 @@ func TestFederatedFeedByteIdentity(t *testing.T) {
 	}
 	if materialized != string(singlePolled) {
 		t.Fatalf("feed-materialized state differs from the single depot\nfeed: %.300s\nsingle: %.300s", materialized, singlePolled)
+	}
+
+	siteState, _ := materialize(t, siteFS, site, depot.NewIndexedCache(), 3)
+	siteMaterialized, _, err := siteState.Query(site)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, fedSite := get(t, tf.fed.URL, "/cache?branch="+url.QueryEscape(site.String()), "")
+	_, _, singleSite := get(t, tf.sts.URL, "/cache?branch="+url.QueryEscape(site.String()), "")
+	if string(siteMaterialized) != string(fedSite) {
+		t.Fatalf("site subscriber's state differs from polled federated /cache\nfeed: %.300s\npoll: %.300s", siteMaterialized, fedSite)
+	}
+	if string(siteMaterialized) != string(singleSite) {
+		t.Fatalf("site subscriber's state differs from the single depot\nfeed: %.300s\nsingle: %.300s", siteMaterialized, singleSite)
 	}
 
 	// The last composed cursor is current: reconnecting with it resumes
@@ -246,8 +300,8 @@ func TestFederatedFeedMembershipResync(t *testing.T) {
 	}
 	oldSig := tf.router.Ring().Signature()
 
-	joining, _ := newFeedShard(t)
-	resp, err := http.Post(tf.fed.URL+"/federation/join?shard="+url.QueryEscape("shard9/"+joining.URL), "", nil)
+	joining := newFeedShard(t)
+	resp, err := http.Post(tf.fed.URL+"/federation/join?shard="+url.QueryEscape("shard9/"+joining.ts.URL), "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,58 +323,56 @@ func TestFederatedFeedMembershipResync(t *testing.T) {
 	}
 }
 
-// TestFederatedFeedResyncsOnUndecodableChange: a change the router cannot
-// decode still moves the shard's cursor, so the tier's subscribers have
-// missed it and must take a merged snapshot before the next good change.
-func TestFederatedFeedResyncsOnUndecodableChange(t *testing.T) {
-	release := make(chan struct{})
-	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/feed" {
-			http.NotFound(w, r) // an empty shard: no /cache to merge
-			return
-		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		io.WriteString(w, "event: snapshot\nid: fs-g0\ndata:\n\n")
-		w.(http.Flusher).Flush()
-		select {
-		case <-release:
-		case <-r.Context().Done():
-			return
-		}
-		io.WriteString(w, "event: change\nid: fs-g1\ndata: {\"branch\":\"probe=p1,vo=x\",\"kind\":\n\n")
-		io.WriteString(w, "event: change\nid: fs-g2\ndata: {\"branch\":\"probe=p2,vo=x\",\"kind\":\"report\",\"report\":\"\\u003cr/\\u003e\"}\n\n")
-		w.(http.Flusher).Flush()
-		<-r.Context().Done()
-	}))
-	t.Cleanup(func() {
-		shard.Listener.Close()
-		shard.CloseClientConnections()
-		shard.Close()
-	})
-	router, err := federation.NewRouter([]federation.Shard{{Wire: "shard0", HTTP: shard.URL}}, federation.RouterOptions{})
-	if err != nil {
-		t.Fatal(err)
+// TestFederatedFeedShardRestart: a shard whose feed restarts under a
+// router subscriber (a new epoch, its streams dropped) cannot resume the
+// subscriber's part of the cursor, so the subscriber takes a merged
+// snapshot in-stream, under the same signature, and goes on streaming.
+func TestFederatedFeedShardRestart(t *testing.T) {
+	tf := newFeedFederation(t, 2)
+	for s := 0; s < 4; s++ {
+		tf.store(t, sampleEnvelope(t, fmt.Sprintf("probe=p00,site=s%02d,vo=tg", s), t0, 1))
 	}
-	tier := NewFederated(router, FederatedOptions{})
-	ff := tier.AttachFeed(nil)
-	fed := httptest.NewServer(tier.Handler())
-	t.Cleanup(func() {
-		fed.Close()
-		ff.Close()
-	})
-	awaitWatchers(t, ff)
-
-	fs, err := NewClient(fed.URL).FeedSubscribe("", "", "")
+	fs, err := NewClient(tf.fed.URL).FeedSubscribe("", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	if ev := nextEvent(t, fs, 10*time.Second); ev.Type != "snapshot" {
-		t.Fatalf("first event = %+v, want snapshot", ev)
+	first := nextEvent(t, fs, 10*time.Second)
+	if first.Type != "snapshot" {
+		t.Fatalf("first event = %+v, want snapshot", first)
 	}
-	close(release)
-	if ev := nextEvent(t, fs, 10*time.Second); ev.Type != "snapshot" {
-		t.Fatalf("after an undecodable change the subscriber got %s %q %q, want a snapshot", ev.Type, ev.Cursor, ev.Data)
+
+	tf.shards["shard0"].restartFeed()
+	re := nextEvent(t, fs, 10*time.Second)
+	if re.Type != "snapshot" {
+		t.Fatalf("after the shard's feed restarted the subscriber got %+v, want a snapshot", re)
+	}
+	sig := tf.router.Signature()
+	if !strings.HasPrefix(re.Cursor, "f"+sig+"-") || re.Cursor == first.Cursor {
+		t.Fatalf("in-stream snapshot cursor %q, want a new one under signature %q (first %q)", re.Cursor, sig, first.Cursor)
+	}
+	_, _, polled := get(t, tf.fed.URL, "/cache?branch=", "")
+	if string(re.Data) != string(polled) {
+		t.Fatalf("in-stream snapshot differs from polled /cache\nfeed: %.300s\npoll: %.300s", re.Data, polled)
+	}
+
+	// The stream stays open: a store on the restarted shard arrives.
+	for s := 0; ; s++ {
+		id := branch.MustParse(fmt.Sprintf("probe=p01,site=s%02d,vo=tg", s))
+		if tf.router.Ring().Owner(id) != "shard0" {
+			continue
+		}
+		tf.store(t, sampleEnvelope(t, id.String(), t0, 2))
+		for {
+			ev := nextEvent(t, fs, 10*time.Second)
+			if ev.Type == "snapshot" {
+				continue // the redial raced the dropped connections
+			}
+			if fc, err := ev.Change(); ev.Type != "change" || err != nil || fc.Branch != id.String() {
+				t.Fatalf("after the restart the subscriber got %+v, want the change to %s", ev, id)
+			}
+			return
+		}
 	}
 }
 
@@ -332,21 +384,20 @@ func TestFederatedFeedShardWithoutFeed(t *testing.T) {
 	dPlain := depot.New(nil)
 	plain := httptest.NewServer(NewServer(dPlain).Handler())
 	t.Cleanup(plain.Close)
-	withFeed, _ := newFeedShard(t)
+	withFeed := newFeedShard(t)
 
 	router, err := federation.NewRouter([]federation.Shard{
-		{Wire: "shard0", HTTP: withFeed.URL},
+		{Wire: "shard0", HTTP: withFeed.ts.URL},
 		{Wire: "shard1", HTTP: plain.URL},
 	}, federation.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tier := NewFederated(router, FederatedOptions{})
-	ff := tier.AttachFeed(nil)
 	fed := httptest.NewServer(tier.Handler())
 	t.Cleanup(func() {
 		fed.Close()
-		ff.Close()
+		tier.Close()
 	})
 
 	c := NewClient(fed.URL)

@@ -311,9 +311,22 @@ func sseEventName(k feed.Kind) string {
 	return "change"
 }
 
-// serveSSE is the transport under /feed: subscribe, catch up with a
-// snapshot when the presented cursor is not current, then stream coalesced
-// events as server-sent events.
+// ssePing is how often an idle stream sends a keepalive comment.
+const ssePing = 15 * time.Second
+
+// startSSE sends the event-stream headers; false for a HEAD request, which
+// gets no body.
+func startSSE(w http.ResponseWriter, r *http.Request) bool {
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-store")
+	w.Header().Set("X-Accel-Buffering", "no")
+	w.WriteHeader(http.StatusOK)
+	return r.Method != http.MethodHead
+}
+
+// serveSSE is the transport under a depot's /feed: subscribe, catch up
+// with a snapshot when the presented cursor is not current, then stream
+// coalesced events as server-sent events.
 func serveSSE(w http.ResponseWriter, r *http.Request, prefix branch.ID, hub *feed.Hub, snap func() ([]byte, error), cursor string) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -322,11 +335,7 @@ func serveSSE(w http.ResponseWriter, r *http.Request, prefix branch.ID, hub *fee
 	}
 	sub, needSnapshot, current := hub.Subscribe(prefix, cursor)
 	defer sub.Close()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	if r.Method == http.MethodHead {
+	if !startSSE(w, r) {
 		return
 	}
 	if needSnapshot {
@@ -343,7 +352,7 @@ func serveSSE(w http.ResponseWriter, r *http.Request, prefix branch.ID, hub *fee
 	}
 	flusher.Flush()
 
-	ping := time.NewTicker(15 * time.Second)
+	ping := time.NewTicker(ssePing)
 	defer ping.Stop()
 	var frames []byte // one drained batch, framed, for one Write
 	for {

@@ -313,3 +313,53 @@ func TestIdleFeedCostsNothing(t *testing.T) {
 		t.Fatalf("a store allocates %v times with an idle feed attached, %v without", fed, bare)
 	}
 }
+
+// TestIdleRouterCostsShardsNothing: the router subscribes to a shard's
+// feed only on behalf of a subscriber of its own, so while it has none no
+// shard keeps a subscription for it (and renders no change for it); one
+// subscriber costs each shard one subscription, for as long as it stays.
+func TestIdleRouterCostsShardsNothing(t *testing.T) {
+	tf := newFeedFederation(t, 2)
+	subscribers := func(s *feedShard) string {
+		var text strings.Builder
+		if err := s.reg.WriteText(&text); err != nil {
+			t.Fatal(err)
+		}
+		const family = `inca_feed_subscribers{feed="depot"} `
+		for _, line := range strings.Split(text.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, family); ok {
+				return v
+			}
+		}
+		t.Fatalf("no %s sample in the shard's exposition", family)
+		return ""
+	}
+	awaitSubscribers := func(want string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for name, s := range tf.shards {
+			for got := subscribers(s); got != want; got = subscribers(s) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s has %s feed subscribers, want %s", name, got, want)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+	}
+	for name, s := range tf.shards {
+		if got := subscribers(s); got != "0" {
+			t.Fatalf("with no router subscriber %s has %s feed subscribers, want 0", name, got)
+		}
+	}
+
+	fs, err := NewClient(tf.fed.URL).FeedSubscribe("site=s01,vo=tg", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := nextEvent(t, fs, 10*time.Second); ev.Type != "snapshot" {
+		t.Fatalf("first event = %+v, want snapshot", ev)
+	}
+	awaitSubscribers("1")
+	fs.Close()
+	awaitSubscribers("0")
+}

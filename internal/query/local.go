@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"context"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -16,7 +17,6 @@ import (
 	"inca/internal/branch"
 	"inca/internal/consumer"
 	"inca/internal/depot"
-	"inca/internal/feed"
 	"inca/internal/metrics"
 	"inca/internal/rrd"
 )
@@ -69,7 +69,7 @@ func newLocal(srv *Server, d *depot.Depot, reg *metrics.Registry) *local {
 // its HTTP listener only after OpenDisk has replayed the WAL (or the
 // snapshot is restored) and the feed is attached, so a depot mid-replay
 // is never reachable in that startup order.
-func (b *local) ready() error { return nil }
+func (b *local) ready(context.Context) error { return nil }
 
 func (b *local) routes() []route {
 	routes := []route{
@@ -270,17 +270,19 @@ func (b *local) policies() (document, error) {
 	return bytesDoc("text/xml", "", data), err
 }
 
-func (b *local) feed(status bool) (*feed.Hub, func(branch.ID) ([]byte, error), error) {
+func (b *local) feed(w http.ResponseWriter, r *http.Request, prefix branch.ID, cursor string, status bool) error {
 	f := b.srv.Feed
 	switch {
 	case f == nil:
-		return nil, nil, httpError{http.StatusNotFound, "feed disabled"}
+		return httpError{http.StatusNotFound, "feed disabled"}
 	case !status:
-		return f.hub, f.snapshot, nil
+		serveSSE(w, r, prefix, f.hub, func() ([]byte, error) { return f.snapshot(prefix) }, cursor)
 	case f.status == nil:
-		return nil, nil, httpError{http.StatusNotFound, "status stream disabled"}
+		return httpError{http.StatusNotFound, "status stream disabled"}
+	default:
+		serveSSE(w, r, prefix, f.status.hub, f.status.snapshot, cursor)
 	}
-	return f.status.hub, func(branch.ID) ([]byte, error) { return f.status.snapshot() }, nil
+	return nil
 }
 
 func archiveParams(r *http.Request) (branch.ID, string, rrd.CF, time.Time, time.Time, error) {

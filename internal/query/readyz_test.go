@@ -83,9 +83,9 @@ func TestReadyz(t *testing.T) {
 		var servers []*httptest.Server
 		var starts []func()
 		for i := 0; i < 2; i++ {
-			ts, _, start := unstartedFeedShard(t)
-			shards = append(shards, federation.Shard{Wire: fmt.Sprintf("shard%d", i), HTTP: ts.Listener.Addr().String()})
-			servers = append(servers, ts)
+			s, start := unstartedFeedShard(t)
+			shards = append(shards, federation.Shard{Wire: fmt.Sprintf("shard%d", i), HTTP: s.ts.Listener.Addr().String()})
+			servers = append(servers, s.ts)
 			starts = append(starts, start)
 		}
 		router, err := federation.NewRouter(shards, federation.RouterOptions{})
@@ -95,13 +95,8 @@ func TestReadyz(t *testing.T) {
 		tier := NewFederated(router, FederatedOptions{})
 		fed := httptest.NewServer(tier.Handler())
 		t.Cleanup(fed.Close)
-		if status, body := readyz(t, fed.URL); status != http.StatusServiceUnavailable || !strings.Contains(body, "feed not attached") {
-			t.Fatalf("router without a feed: %d %q", status, body)
-		}
-		ff := tier.AttachFeed(nil)
-		t.Cleanup(ff.Close)
 
-		// Both shards are down: 503, naming one of them.
+		// Both shards are bound but silent: 503, naming one of them.
 		if status, body := readyz(t, fed.URL); status != http.StatusServiceUnavailable || !strings.Contains(body, "shard") {
 			t.Fatalf("router before its shards serve: %d %q", status, body)
 		}
@@ -110,7 +105,7 @@ func TestReadyz(t *testing.T) {
 		}
 		awaitReadyz(t, fed.URL, http.StatusOK, "ready")
 
-		// One shard goes away: its watcher's stream ends, and /readyz names it.
+		// One shard goes away, and /readyz names it.
 		dead := servers[0]
 		dead.Listener.Close()
 		dead.CloseClientConnections()
@@ -123,8 +118,8 @@ func TestReadyz(t *testing.T) {
 		if status, body := readyz(t, tf.fed.URL); status != http.StatusOK {
 			t.Fatalf("federation before join: %d %q", status, body)
 		}
-		joining, _, start := unstartedFeedShard(t)
-		resp, err := http.Post(tf.fed.URL+"/federation/join?shard="+url.QueryEscape("shard9/"+joining.Listener.Addr().String()), "", nil)
+		joining, start := unstartedFeedShard(t)
+		resp, err := http.Post(tf.fed.URL+"/federation/join?shard="+url.QueryEscape("shard9/"+joining.ts.Listener.Addr().String()), "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,8 +127,8 @@ func TestReadyz(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("join: %s", resp.Status)
 		}
-		// The rewired watchers of the old shards come back; the joined
-		// shard's cannot while it does not serve.
+		// The old shards answer; the joined one cannot while it does not
+		// serve.
 		awaitReadyz(t, tf.fed.URL, http.StatusServiceUnavailable, "shard9")
 		start()
 		awaitReadyz(t, tf.fed.URL, http.StatusOK, "ready")
@@ -165,7 +160,7 @@ func TestReadyz(t *testing.T) {
 		if resp.StatusCode != http.StatusBadGateway {
 			t.Fatalf("catch-up to a refusing follower: %s %s, want 502", resp.Status, body)
 		}
-		// The attach changed nothing a reader or a feed watcher sees.
+		// The attach changed nothing a reader sees.
 		awaitReadyz(t, tf.fed.URL, http.StatusOK, "ready")
 	})
 }

@@ -10,8 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"inca/internal/branch"
-	"inca/internal/feed"
 	"inca/internal/report"
 )
 
@@ -20,8 +18,8 @@ var raceDetector bool
 
 // The change feed's relay handles each event as bytes (DESIGN.md §5g "The
 // relay"): a shard renders the change with renderChange and frames it with
-// appendSSE, the router reads it with FeedStream.Next, routes it with
-// scanChange and frames the same bytes again. These tests hold each hop to
+// appendSSE, and the router reads it with FeedStream.Next and frames the
+// same bytes again under its composed cursor. These tests hold each hop to
 // the encoding/json or line-reader behaviour it replaced, and the whole
 // relay to one copy of the payload.
 
@@ -84,99 +82,6 @@ func BenchmarkRenderChange(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkUpstreamEvent is the router's per-change cost in the relay:
-// routing the change a shard rendered for a stored report.
-func BenchmarkUpstreamEvent(b *testing.B) {
-	for _, data := range benchReports(b) {
-		ev := FeedEvent{Type: "change", Data: renderChange("probe=p1,site=s,vo=x", "report", true, data)}
-		b.Run(fmt.Sprint(len(data)), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := upstreamEvent(ev); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// FuzzUpstreamEvent: whatever scanChange accepts, json.Unmarshal accepts
-// too and reads the same three fields from; and it accepts every change a
-// shard can send, which is json.Marshal of a changeEvent.
-func FuzzUpstreamEvent(f *testing.F) {
-	for _, seed := range []string{
-		`{"branch":"probe=p1,site=s,vo=x","kind":"report","report":"\u003cr\u003e1\u003c/r\u003e"}`,
-		`{"branch":"vo=tg","kind":"policy","policy":"avail"}`,
-		`{"branch":"resource=a,site=sdsc","kind":"manual","policy":"p|q"}`,
-		` { "kind" : "report" ,	"branch":"a=1" }` + "\r\n",
-		`{}`,
-		`{"BRANCH":"a=1","Kind":"report","branch":"b=2"}`,
-		`{"\u0062ranch":"a=\u0031","kind":"re\u0070ort"}`,
-		`{"\u212aind":"policy","ſ":"x","İnd":"y","policy":"\ud83d\ude00\u2028"}`,
-		"{\"\xe2\x84\xaaind\":\"policy\",\"branch\":\"a=\xff\"}",
-		`{"branch":"a=1","kind":"report"}x`,
-		`{"branch":"a=1","kind":"report",}`,
-		`{"branch":"a=1","x":1}`,
-		`{"branch":null}`,
-		`{"branch":"a\x=1"}`,
-		`{"branch":"a\u12G4"}`,
-		"{\"branch\":\"a\x01\"}",
-		`{"branch":"a=1"`,
-		`["branch"]`,
-		``,
-	} {
-		f.Add([]byte(seed), "probe=p1,site=s,vo=x", "report", "<v>\u2028</v>")
-	}
-	f.Fuzz(func(t *testing.T, data []byte, branchID, kind, value string) {
-		if fc, err := scanChange(data); err == nil {
-			want, err := unmarshalRouting(data)
-			if err != nil {
-				t.Fatalf("scanChange accepted %q, json.Unmarshal refuses it: %v", data, err)
-			}
-			if got := fc.strings(); got != want {
-				t.Fatalf("scanChange read %q from %q, json.Unmarshal %q", got, data, want)
-			}
-		}
-		for _, ce := range []changeEvent{
-			{Branch: branchID, Kind: kind, Report: value},
-			{Branch: branchID, Kind: kind, Policy: value},
-		} {
-			data, err := json.Marshal(ce)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fc, err := scanChange(data)
-			if err != nil {
-				t.Fatalf("scanChange refuses json.Marshal output %q: %v", data, err)
-			}
-			want, err := unmarshalRouting(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := fc.strings(); got != want {
-				t.Fatalf("scanChange read %q from %q, json.Unmarshal %q", got, data, want)
-			}
-		}
-	})
-}
-
-// unmarshalRouting is what json.Unmarshal reads of the three routing
-// fields: branch, kind, policy.
-func unmarshalRouting(data []byte) ([3]string, error) {
-	var fc struct {
-		Branch string `json:"branch"`
-		Kind   string `json:"kind"`
-		Policy string `json:"policy"`
-	}
-	err := json.Unmarshal(data, &fc)
-	return [3]string{fc.Branch, fc.Kind, fc.Policy}, err
-}
-
-func (fc changeRouting) strings() [3]string {
-	return [3]string{string(fc.branch), string(fc.kind), string(fc.policy)}
 }
 
 // oracleNext is FeedStream.Next as it was before the relay read in place
@@ -264,50 +169,42 @@ func FuzzFeedStream(f *testing.F) {
 }
 
 // TestRelayCopiesPayloadOnce is the relay's copy budget: one change through
-// every router hop — Next, upstreamEvent, PublishExternal, Drain and the
+// every router hop — FeedStream.Next and the fan-in's drain to the written
 // frame — allocates at most twice its payload (the one copy Next makes,
-// plus the cursor, the identifier and the queue entry), and the frame the
-// router writes is the one the shard sent, byte for byte.
+// plus the shard's and the composed cursor), and the frame the router
+// writes is the one the shard sent, byte for byte, under the composed
+// cursor.
 func TestRelayCopiesPayloadOnce(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
 	const n, warm = 1000, 10
+	const sig = "1a2b"
 	report := []byte(strings.Repeat("<value>1.00</value>", 50)) // ~2 KB once escaped
-	var stream []byte
+	var stream, want []byte
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("probe=p%04d,site=s%02d,vo=tg", i, i%32)
-		stream = appendSSE(stream, "change", fmt.Sprintf("f1-g%d", i+1), renderChange(id, "report", true, report))
+		change := renderChange(id, "report", true, report)
+		stream = appendSSE(stream, "change", fmt.Sprintf("fe-g%d", i+1), change)
+		want = appendSSE(want, "change", fmt.Sprintf("f%s-fe-g%d", sig, i+1), change)
 	}
 	payload := len(renderChange("probe=p0000,site=s00,vo=tg", "report", true, report))
 
-	hub := feed.NewHub(feed.Options{})
-	defer hub.Close()
-	sub, _, _ := hub.Subscribe(branch.ID{}, "")
-	defer sub.Close()
+	fi := &fanIn{sig: sig, cursors: make([]string, 1)}
 	fs := &FeedStream{br: bufio.NewReader(bytes.NewReader(stream))}
-	sent := stream
-	var frames []byte
+	var written bytes.Buffer
 	relay := func() {
 		ev, err := fs.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe, err := upstreamEvent(ev)
-		if err != nil {
-			t.Fatal(err)
+		written.Reset()
+		fi.drain(&written, shardEvent{0, ev})
+		frame := written.Bytes()
+		if !bytes.HasPrefix(want, frame) || len(frame) == 0 {
+			t.Fatalf("relayed frame %.120q is not the one sent, %.120q", frame, want)
 		}
-		fe.Cursor = ev.Cursor
-		hub.PublishExternal(fe)
-		events, _ := sub.Drain()
-		frames = frames[:0]
-		for _, e := range events {
-			frames = appendSSE(frames, sseEventName(e.Kind), e.Cursor, e.Data)
-		}
-		if !bytes.HasPrefix(sent, frames) || len(frames) == 0 {
-			t.Fatalf("relayed frame %.120q is not the one sent, %.120q", frames, sent)
-		}
-		sent = sent[len(frames):]
+		want = want[len(frame):]
 	}
 	for i := 0; i < warm; i++ {
 		relay()

@@ -16,6 +16,7 @@
 package query
 
 import (
+	"context"
 	"encoding/xml"
 	"errors"
 	"io"
@@ -30,7 +31,6 @@ import (
 	"inca/internal/branch"
 	"inca/internal/consumer"
 	"inca/internal/depot"
-	"inca/internal/feed"
 	"inca/internal/metrics"
 )
 
@@ -71,11 +71,12 @@ type backend interface {
 	// policies is the <policies> list of the archival policies held (on a
 	// router, every policy any shard holds).
 	policies() (document, error)
-	// feed is the hub /feed subscribes to (the agreement status hub when
-	// status is set) and the snapshot a subscriber catches up from.
-	feed(status bool) (*feed.Hub, func(prefix branch.ID) ([]byte, error), error)
+	// feed serves /feed to a subscriber on the subtree at prefix that
+	// presents cursor: the change stream, or the agreement status stream
+	// when status is set. An error is returned before anything is written.
+	feed(w http.ResponseWriter, r *http.Request, prefix branch.ID, cursor string, status bool) error
 	// ready is nil when the tier can serve, else the reason it cannot.
-	ready() error
+	ready(ctx context.Context) error
 	// routes are the endpoints only this tier has.
 	routes() []route
 }
@@ -390,7 +391,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // reason when it cannot. Liveness needs no route of its own: any answer
 // from any route is one.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if err := s.b.ready(); err != nil {
+	if err := s.b.ready(r.Context()); err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
@@ -414,10 +415,7 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown stream "+q.Get("stream"), http.StatusBadRequest)
 		return
 	}
-	hub, snap, err := s.b.feed(status)
-	if err != nil {
+	if err := s.b.feed(w, r, prefix, q.Get("cursor"), status); err != nil {
 		fail(w, err)
-		return
 	}
-	serveSSE(w, r, prefix, hub, func() ([]byte, error) { return snap(prefix) }, q.Get("cursor"))
 }

@@ -168,8 +168,8 @@ func TestMetricsSmoke(t *testing.T) {
 // TestMetricsSmokeRouter is the same gate for the federated tier's own
 // registry: a router over two in-process shards answers one scatter-merge
 // read per endpoint, and its /metrics must lint and carry the per-endpoint
-// latency histogram, the merge instruments and every read, routing and
-// custody counter the router keeps.
+// latency histogram, the merge instruments, the feed telemetry and every
+// read, routing and custody counter the router keeps.
 func TestMetricsSmokeRouter(t *testing.T) {
 	reg := metrics.NewRegistry()
 	shards := make([]federation.Shard, 2)
@@ -255,6 +255,10 @@ func TestMetricsSmokeRouter(t *testing.T) {
 		"inca_federated_conditional_total",
 		"inca_federated_not_modified_total",
 		"inca_federated_shard_errors_total",
+		// the feed's fan-ins
+		"inca_feed_subscribers",
+		"inca_feed_events_published_total",
+		"inca_feed_resyncs_total",
 		// routing and custody
 		"inca_federation_routed_total",
 		"inca_federation_rerouted_total",
