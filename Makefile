@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check loc fmt vet build fence flags test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-archive bench-merge bench-ingest bench-read bench-storage bench-feed bench-replication bench-load fuzz
+.PHONY: check loc fmt vet build fence flags test chaos metrics-smoke federation-smoke replication-smoke storage-smoke feed-smoke load-smoke bench-smoke bench-archive bench-merge bench-ingest bench-read bench-storage bench-feed bench-replication bench-load fuzz paper
 
 # The full gate: formatting, static checks, build, the import and flag
 # fences, race-enabled tests, the fault-injection suite, the telemetry
@@ -118,8 +118,11 @@ bench-archive:
 
 # Merge tier (DESIGN.md §5h): the whole-cache and whole-report-list merges
 # at the benchmark of record's working set (1024 x 851 B over two shards) —
-# the byte-level plan, the plan concatenated, and the encoding/xml oracle;
-# the skip kernel under the plan over that working set's whole document;
+# the byte-level plan by scan, the same plan with each shard document read
+# by its child index (BenchmarkMergeCache/index: what a router's /cache
+# merge costs when the shards send their index), the plan concatenated,
+# and the encoding/xml oracle; the skip kernel under the scan over that
+# working set's whole document;
 # and a consumer client's read of that document over HTTP (B/op: its
 # allocation per read).
 bench-merge:
@@ -192,6 +195,13 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzParseAgreement$$' -fuzztime=10s ./internal/agreement/
 	$(GO) test -run=NONE -fuzz='^FuzzJournalScan$$' -fuzztime=10s ./internal/journal/
 	$(GO) test -run=NONE -fuzz='^FuzzPolicyRecord$$' -fuzztime=10s ./internal/depot/
+
+# The paper's tables and figures (EXPERIMENTS.md) at full length: the
+# week the paper observed, 168 virtual hours and 7 virtual days, written to
+# experiments_output.txt (about 8 minutes; Table 4's replay is most of
+# it). The test-sized runs are pinned under internal/experiments/testdata.
+paper:
+	$(GO) run ./cmd/inca-bench -experiment all -hours 168 -days 7 > experiments_output.txt
 
 # Storage tier (DESIGN.md §5f): memory vs disk engine across report
 # ingest, archive updates at 10k/100k series (with the heap staying flat

@@ -51,8 +51,9 @@ type IndexedCache struct {
 	size  int // exact length of the canonical document
 	gen   uint64
 
-	doc    []byte // lazily materialized canonical document
-	docGen uint64 // generation doc was built at
+	doc    []byte  // lazily materialized canonical document
+	docGen uint64  // generation doc was built at
+	ends   [][]int // doc's branch ends by depth (see writeTo), from the same render
 
 	// fallbacks counts reports Update had to write out; nil until newDepot
 	// hands over its counter, before anything is stored.
@@ -221,8 +222,11 @@ func (c *IndexedCache) insert(id branch.ID, payload []byte) (bool, error) {
 	return added, nil
 }
 
-// writeTo appends the canonical serialization of n's subtree.
-func (n *idxNode) writeTo(buf *bytes.Buffer) {
+// writeTo appends the canonical serialization of n's subtree. When ends
+// is not nil it also records, in (*ends)[depth], the offset in buf just
+// past the </branch> of every element it writes, by the element's depth
+// below the document's root element; n sits at depth.
+func (n *idxNode) writeTo(buf *bytes.Buffer, depth int, ends *[][]int) {
 	buf.Write(n.open)
 	if n.payload != nil {
 		buf.WriteString("<entry>")
@@ -230,16 +234,27 @@ func (n *idxNode) writeTo(buf *bytes.Buffer) {
 		buf.WriteString("</entry>")
 	}
 	for _, ch := range n.children {
-		ch.writeTo(buf)
+		ch.writeTo(buf, depth+1, ends)
 	}
 	buf.WriteString("</branch>")
+	if ends != nil {
+		for len(*ends) <= depth {
+			*ends = append(*ends, nil)
+		}
+		(*ends)[depth] = append((*ends)[depth], buf.Len())
+	}
 }
 
-// materializeLocked rebuilds the canonical document in a new buffer (a
-// reader may hold the old one); callers hold c.mu for writing.
+// materializeLocked rebuilds the canonical document, and its branch ends,
+// in new buffers (a reader may hold the old ones); callers hold c.mu for
+// writing. Each depth's ends start at the size the last render needed.
 func (c *IndexedCache) materializeLocked() {
 	var buf bytes.Buffer
 	buf.Grow(c.size)
+	ends := make([][]int, len(c.ends))
+	for d := range ends {
+		ends[d] = make([]int, 0, len(c.ends[d]))
+	}
 	buf.WriteString("<cache>")
 	if c.root.payload != nil {
 		buf.WriteString("<entry>")
@@ -247,47 +262,77 @@ func (c *IndexedCache) materializeLocked() {
 		buf.WriteString("</entry>")
 	}
 	for _, ch := range c.root.children {
-		ch.writeTo(&buf)
+		ch.writeTo(&buf, 1, &ends)
 	}
 	buf.WriteString("</cache>")
-	c.doc = buf.Bytes()
+	c.doc, c.ends = buf.Bytes(), ends
 	c.docGen = c.gen
 }
 
 // Dump implements Cache: the lazily materialized canonical document
 // itself. While the cache is unchanged, repeat dumps cost nothing.
 func (c *IndexedCache) Dump() []byte {
+	doc, _ := c.dump()
+	return doc
+}
+
+// dump is the materialized document and its branch ends.
+func (c *IndexedCache) dump() ([]byte, [][]int) {
 	c.mu.RLock()
-	doc, fresh := c.doc, c.docGen == c.gen
+	doc, ends, fresh := c.doc, c.ends, c.docGen == c.gen
 	c.mu.RUnlock()
 	if fresh {
-		return doc
+		return doc, ends
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.docGen != c.gen {
 		c.materializeLocked()
 	}
-	return c.doc
+	return c.doc, c.ends
 }
 
 // Query implements Cache. Exact and prefix identifiers serialize only the
 // named subtree — O(report) for a leaf; the root identifier returns the
 // materialized document.
 func (c *IndexedCache) Query(id branch.ID) ([]byte, bool, error) {
+	body, _, ok, err := c.query(id, false)
+	return body, ok, err
+}
+
+// QueryIndex is Query with the child index a router merges by (DESIGN.md
+// §5h): the offset just past the </branch> of every element depth levels
+// below the answer's root element, in document order, taken from the
+// render that produced the body.
+func (c *IndexedCache) QueryIndex(id branch.ID, depth int) (body []byte, ends []int, ok bool, err error) {
+	body, all, ok, err := c.query(id, true)
+	if depth >= 0 && depth < len(all) {
+		ends = all[depth]
+	}
+	return body, ends, ok, err
+}
+
+// query is Query, and with ends the body's branch ends by depth.
+func (c *IndexedCache) query(id branch.ID, ends bool) ([]byte, [][]int, bool, error) {
 	if id.IsRoot() {
-		return c.Dump(), true, nil
+		doc, all := c.dump()
+		return doc, all, true, nil
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	n, ok := c.lookupLocked(id)
 	if !ok {
-		return nil, false, nil
+		return nil, nil, false, nil
 	}
 	var buf bytes.Buffer
 	buf.Grow(n.subtree)
-	n.writeTo(&buf)
-	return buf.Bytes(), true, nil
+	var all [][]int
+	if ends {
+		n.writeTo(&buf, 0, &all)
+	} else {
+		n.writeTo(&buf, 0, nil)
+	}
+	return buf.Bytes(), all, true, nil
 }
 
 // lookupLocked resolves an identifier; callers hold c.mu.

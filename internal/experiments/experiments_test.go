@@ -27,6 +27,7 @@ func TestTable1Shape(t *testing.T) {
 	if !found {
 		t.Fatalf("missing >1000-line tail:\n%s", r.Text)
 	}
+	golden(t, "table1", r)
 }
 
 func TestTable2ExactCounts(t *testing.T) {
@@ -36,6 +37,7 @@ func TestTable2ExactCounts(t *testing.T) {
 			t.Fatalf("table2 missing %q:\n%s", want, r.Text)
 		}
 	}
+	golden(t, "table2", r)
 }
 
 func TestTable3ListsMachines(t *testing.T) {
@@ -45,6 +47,7 @@ func TestTable3ListsMachines(t *testing.T) {
 			t.Fatalf("table3 missing %q:\n%s", want, r.Text)
 		}
 	}
+	golden(t, "table3", r)
 }
 
 func TestTable4OneHour(t *testing.T) {
@@ -61,6 +64,7 @@ func TestTable4OneHour(t *testing.T) {
 	if !strings.Contains(r.Text, "steady-state cache size") {
 		t.Fatal("missing cache size line")
 	}
+	golden(t, "table4", r)
 }
 
 func TestFig4SummaryPage(t *testing.T) {
@@ -84,6 +88,7 @@ func TestFig4SummaryPage(t *testing.T) {
 	if !foundNote {
 		t.Fatalf("HTML not written: %v", r.Notes)
 	}
+	golden(t, "fig4", r)
 }
 
 func TestFig6BandwidthSeries(t *testing.T) {
@@ -94,6 +99,7 @@ func TestFig6BandwidthSeries(t *testing.T) {
 	if !strings.Contains(r.Text, "measurements: 48") {
 		t.Fatalf("fig6 measurement count:\n%s", r.Text)
 	}
+	golden(t, "fig6", r)
 }
 
 func TestFig7UsageHistograms(t *testing.T) {
@@ -107,6 +113,7 @@ func TestFig7UsageHistograms(t *testing.T) {
 			t.Fatalf("fig7 missing %q:\n%s", want, r.Text)
 		}
 	}
+	golden(t, "fig7", r)
 }
 
 func TestFig8Histogram(t *testing.T) {
@@ -117,6 +124,7 @@ func TestFig8Histogram(t *testing.T) {
 	if !strings.Contains(r.Text, "% of reports were smaller than 10 KB") {
 		t.Fatalf("fig8:\n%s", r.Text)
 	}
+	golden(t, "fig8", r)
 }
 
 func TestFig9SmallGrid(t *testing.T) {
@@ -170,4 +178,5 @@ func TestFig5OneDay(t *testing.T) {
 			t.Fatalf("fig5 missing %q:\n%s", want, r.Text)
 		}
 	}
+	golden(t, "fig5", r)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"inca/internal/branch"
@@ -38,12 +39,101 @@ import (
 // start with an element, a child that is not <entry> or <branch>
 // (<stored> under <reports>), a second <entry>, text between children,
 // and anything unterminated or closed by the wrong tag.
+//
+// Most of a whole-cache document lies in the subtrees at the affinity
+// depth, which the split steps over whole. A shard that sends its child
+// index with the document (IndexHeader) saves the router that scan: the
+// split takes each such subtree's end from the index instead. The index
+// is checked as it is read, and a document whose index is missing or
+// fails a check is split again by scan, so an index can make a merge
+// cheaper but never make it differ from the scan's.
 
 // ShardDoc is one shard's response body, tagged with the ring member that
 // produced it.
 type ShardDoc struct {
 	Shard string
 	Body  []byte
+	// Index is the IndexHeader value the shard sent with a /cache body; ""
+	// when it sent none, and the body is split by scan.
+	Index string
+}
+
+// The child index. A shard renders a /cache document in one pass, so it
+// knows where every <branch> element ends without reading the body again.
+// A request carrying DepthHeader asks for the end offsets of the <branch>
+// elements that many levels below the document's root; the answer carries
+// them, in document order, as IndexHeader: "depth:end1,end2,...". A shard
+// with more than MaxIndexEntries of them sends none.
+const (
+	DepthHeader     = "X-Inca-Index-Depth"
+	IndexHeader     = "X-Inca-Child-Index"
+	MaxIndexEntries = 1 << 14
+)
+
+// IndexDepth is the depth below the root of id's document whose <branch>
+// elements PlanCache steps over whole: the ring's affinity depth, or the
+// root's children for a subtree at or below it.
+func IndexDepth(id branch.ID, r *Ring) int {
+	return max(r.depth-id.Depth(), 1)
+}
+
+// AppendIndex appends the IndexHeader value of ends, the end offsets of
+// the <branch> elements at depth.
+func AppendIndex(dst []byte, depth int, ends []int) []byte {
+	dst = strconv.AppendInt(dst, int64(depth), 10)
+	dst = append(dst, ':')
+	for i, e := range ends {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(e), 10)
+	}
+	return dst
+}
+
+// childIndex reads an IndexHeader value as the split consumes it.
+type childIndex struct {
+	rest string // the entries not taken yet
+	last int    // the entry taken last
+}
+
+var (
+	errIndex    = errors.New("federation: child index does not match the document")
+	branchClose = []byte("</branch>")
+)
+
+// openIndex starts reading value, which must be an index for depth.
+func openIndex(value string, depth int) (*childIndex, bool) {
+	d, rest, ok := strings.Cut(value, ":")
+	if !ok || d != strconv.Itoa(depth) {
+		return nil, false
+	}
+	return &childIndex{rest: rest}, true
+}
+
+// skip is SkipSubtree for the <branch> element t opens, answered by the
+// next entry: the offset just past the element's close tag. An entry that
+// is missing or malformed, out of the body, not past the entry before it
+// and t's open tag, or not the end of a </branch> is errIndex.
+func (x *childIndex) skip(body []byte, t xmlscan.Tag) (int, error) {
+	end, i := 0, 0
+	for ; i < len(x.rest) && x.rest[i] != ','; i++ {
+		c := x.rest[i]
+		if c < '0' || c > '9' || end > len(body) {
+			return 0, errIndex
+		}
+		end = end*10 + int(c-'0')
+	}
+	if i == 0 || i+1 == len(x.rest) { // no digits, or a trailing comma
+		return 0, errIndex
+	}
+	x.rest = x.rest[min(i+1, len(x.rest)):]
+	if t.Kind != xmlscan.Open || end <= x.last || end > len(body) || end-len(branchClose) < t.End ||
+		!bytes.Equal(body[end-len(branchClose):end], branchClose) {
+		return 0, errIndex
+	}
+	x.last = end
+	return end, nil
 }
 
 // Plan is a merged document as the ordered sub-slices of the shard bodies
@@ -54,6 +144,9 @@ type ShardDoc struct {
 type Plan struct {
 	Parts [][]byte
 	Len   int // total length of Parts
+	// Scans is how many shard documents were split without a usable child
+	// index.
+	Scans int
 }
 
 // whole is the plan that passes one body through untouched.
@@ -157,8 +250,11 @@ func cdataText(body []byte, t xmlscan.Tag) []byte {
 // the offset just past the element. Children are cut out verbatim, so
 // reassembly preserves the shard's exact rendering. levels is how many
 // generations of branch children sit above the affinity depth: those are
-// split in turn during the same pass instead of being skipped over.
-func splitNode(body []byte, doc int, root xmlscan.Tag, levels int) (*node, int, error) {
+// split in turn during the same pass instead of being skipped over. The
+// branch children it does skip are skipped by idx when there is one, and
+// then any error, a child's included, is the caller's cue to split again
+// by scan.
+func splitNode(body []byte, doc int, root xmlscan.Tag, levels int, idx *childIndex) (*node, int, error) {
 	n := &node{doc: doc, open: span{root.Start, root.End}, close: span{root.End, root.End}}
 	if root.Kind == xmlscan.Empty {
 		return n, root.End, nil
@@ -201,10 +297,17 @@ func splitNode(body []byte, doc int, root xmlscan.Tag, levels int) (*node, int, 
 				k := kid{doc: doc}
 				k.name, _ = xmlscan.AttrValue(t.Attrs, "name")
 				k.value, _ = xmlscan.AttrValue(t.Attrs, "value")
-				if levels > 0 {
-					k.sub, pos, k.err = splitNode(body, doc, t, levels-1)
+				switch {
+				case levels > 0:
+					if k.sub, pos, k.err = splitNode(body, doc, t, levels-1, idx); k.err != nil && idx != nil {
+						return nil, 0, k.err
+					}
+				case idx != nil:
+					if pos, err = idx.skip(body, t); err != nil {
+						return nil, 0, err
+					}
 				}
-				if k.sub == nil {
+				if k.sub == nil && idx == nil {
 					if pos, err = xmlscan.SkipSubtree(body, t); err != nil {
 						return nil, 0, fmt.Errorf("federation: bad shard document: %w", err)
 					}
@@ -220,21 +323,29 @@ func splitNode(body []byte, doc int, root xmlscan.Tag, levels int) (*node, int, 
 
 // splitDoc splits a whole shard document: its root must be the first
 // byte, and whatever follows the root's close tag stays attached to it.
-func splitDoc(docs []ShardDoc, doc, levels int) (*node, error) {
+// The split reads the document's child index for the depth below levels;
+// indexed is false when it had none, or the index failed a check or was
+// not used up, and the document was split by scan.
+func splitDoc(docs []ShardDoc, doc, levels int) (n *node, indexed bool, err error) {
 	body := docs[doc].Body
 	root, ok, err := xmlscan.Next(body, 0)
 	if err != nil {
-		return nil, fmt.Errorf("federation: bad shard document: %w", err)
+		return nil, false, fmt.Errorf("federation: bad shard document: %w", err)
 	}
 	if !ok || root.Start != 0 || (root.Kind != xmlscan.Open && root.Kind != xmlscan.Empty) {
-		return nil, fmt.Errorf("federation: shard document does not start with an element")
+		return nil, false, fmt.Errorf("federation: shard document does not start with an element")
 	}
-	n, _, err := splitNode(body, doc, root, levels)
-	if err != nil {
-		return nil, err
+	if idx, ok := openIndex(docs[doc].Index, max(levels, 0)+1); ok {
+		if n, _, err := splitNode(body, doc, root, levels, idx); err == nil && idx.rest == "" {
+			n.close.end = len(body)
+			return n, true, nil
+		}
+	}
+	if n, _, err = splitNode(body, doc, root, levels, nil); err != nil {
+		return nil, false, err
 	}
 	n.close.end = len(body)
-	return n, nil
+	return n, false, nil
 }
 
 // preferOwner picks, among candidate documents (indexes into docs), the
@@ -255,7 +366,9 @@ func preferOwner(docs []ShardDoc, candidates []int, path []branch.Pair, r *Ring)
 // PlanCache merges per-shard /cache responses for the branch id into the
 // single-depot answer. docs carries only the shards that had data (404s
 // are simply absent); id is the queried branch, whose path seeds the
-// ownership decisions for duplicate subtrees.
+// ownership decisions for duplicate subtrees. A document's child index for
+// IndexDepth(id, r) spares the scan of the subtrees at that depth; Scans
+// counts the documents split without one.
 func PlanCache(docs []ShardDoc, id branch.ID, r *Ring) (Plan, error) {
 	if len(docs) == 0 {
 		return Plan{}, fmt.Errorf("federation: nothing to merge")
@@ -265,10 +378,14 @@ func PlanCache(docs []ShardDoc, id branch.ID, r *Ring) (Plan, error) {
 	}
 	path := id.Path()
 	nodes := make([]*node, len(docs))
+	scans := 0
 	for i := range docs {
-		n, err := splitDoc(docs, i, r.depth-1-len(path))
+		n, indexed, err := splitDoc(docs, i, r.depth-1-len(path))
 		if err != nil {
 			return Plan{}, err
+		}
+		if !indexed {
+			scans++
 		}
 		nodes[i] = n
 	}
@@ -276,6 +393,7 @@ func PlanCache(docs []ShardDoc, id branch.ID, r *Ring) (Plan, error) {
 	if err := b.mergeNode(nodes, path, r); err != nil {
 		return Plan{}, err
 	}
+	b.plan.Scans = scans
 	return b.plan, nil
 }
 

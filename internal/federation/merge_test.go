@@ -11,6 +11,7 @@ import (
 	"inca/internal/branch"
 	"inca/internal/depot"
 	"inca/internal/report"
+	"inca/internal/xmlscan"
 )
 
 // reportsDoc renders a cache's reports the way the querying interface's
@@ -171,6 +172,206 @@ func TestMergeMatchesOracleAndSingleDepot(t *testing.T) {
 				}
 				checkParseReports(t, got)
 			})
+		}
+	}
+}
+
+// indexedDocs is docs for a /cache read, each body with the child index
+// its shard renders with it, as a router that asks for one gathers them.
+func (fx *fixture) indexedDocs(id branch.ID) []ShardDoc {
+	depth := IndexDepth(id, fx.ring)
+	var out []ShardDoc
+	for _, name := range fx.ring.Members() {
+		body, ends, ok, err := fx.shards[name].(*depot.IndexedCache).QueryIndex(id, depth)
+		if err != nil {
+			panic(err)
+		}
+		if ok {
+			out = append(out, ShardDoc{Shard: name, Body: body, Index: string(AppendIndex(nil, depth, ends))})
+		}
+	}
+	return out
+}
+
+// scanIndex is the honest child index of body: the ends SkipSubtree finds
+// for the <branch> elements depth levels below the root, the containers
+// above them walked as splitNode walks them. It stops at the first thing
+// it cannot walk, so for a malformed document it may be short.
+func scanIndex(body []byte, depth int) string {
+	var ends []int
+	var walk func(root xmlscan.Tag, level int) (int, bool)
+	walk = func(root xmlscan.Tag, level int) (int, bool) {
+		if root.Kind == xmlscan.Empty {
+			return root.End, true
+		}
+		for pos := root.End; ; {
+			t, ok, err := xmlscan.Next(body, pos)
+			if err != nil || !ok {
+				return 0, false
+			}
+			pos = t.End
+			if t.Kind == xmlscan.Close {
+				return pos, true
+			}
+			if t.Kind != xmlscan.Open && t.Kind != xmlscan.Empty {
+				continue
+			}
+			isBranch := string(xmlscan.LocalName(t.Name)) == "branch"
+			if isBranch && level+1 < depth {
+				pos, ok = walk(t, level+1)
+			} else {
+				pos, err = xmlscan.SkipSubtree(body, t)
+				ok = err == nil
+			}
+			if !ok {
+				return 0, false
+			}
+			if isBranch && level+1 == depth {
+				ends = append(ends, pos)
+			}
+		}
+	}
+	if root, ok, err := xmlscan.Next(body, 0); err == nil && ok && (root.Kind == xmlscan.Open || root.Kind == xmlscan.Empty) {
+		walk(root, 0)
+	}
+	return string(AppendIndex(nil, depth, ends))
+}
+
+// A shard records its child index while it renders the body, so the index
+// it sends is the one a scan of that body finds, at every depth.
+func TestShardIndexMatchesScan(t *testing.T) {
+	fx := newFixture(2, 2)
+	fx.populate(12)
+	nonEmpty := 0
+	for _, c := range append([]depot.Cache{fx.single}, fx.shards[fx.ring.Members()[0]]) {
+		for _, id := range []branch.ID{{}, branch.ID{}.Child("vo", "tg"), branch.ID{}.Child("vo", "tg").Child("site", "s00")} {
+			for depth := 0; depth <= 5; depth++ {
+				body, ends, ok, err := c.(*depot.IndexedCache).QueryIndex(id, depth)
+				want, _, _ := c.Query(id)
+				if err != nil || !ok || !bytes.Equal(body, want) {
+					t.Fatalf("QueryIndex(%s, %d): ok %v, err %v, body differs from Query's: %v", id, depth, ok, err, !bytes.Equal(body, want))
+				}
+				if got, scan := string(AppendIndex(nil, depth, ends)), scanIndex(body, depth); depth > 0 && got != scan {
+					t.Fatalf("QueryIndex(%s, %d) = %s, a scan finds %s", id, depth, got, scan)
+				}
+				if len(ends) > 0 {
+					nonEmpty++
+				}
+			}
+		}
+	}
+	if nonEmpty == 0 {
+		t.Fatal("no depth had any <branch> element")
+	}
+}
+
+// With every shard's own index the plan is the single depot's document,
+// and no document is scanned; without one, every document is.
+func TestPlanCacheReadsShardIndex(t *testing.T) {
+	for _, members := range []int{2, 4} {
+		for _, depth := range []int{1, 2, 3} {
+			fx := newFixture(members, depth)
+			fx.populate(12)
+			for _, id := range []branch.ID{{}, branch.ID{}.Child("vo", "tg"), branch.ID{}.Child("vo", `a&b"<'>`)} {
+				truth, _, _ := fx.single.Query(id)
+				for _, indexed := range []bool{true, false} {
+					docs := fx.docs(id, false)
+					if indexed {
+						docs = fx.indexedDocs(id)
+					}
+					plan, err := PlanCache(docs, id, fx.ring)
+					if err != nil || !bytes.Equal(plan.Bytes(), truth) {
+						t.Fatalf("shards%d-depth%d %s indexed %v: err %v, plan differs from the single depot", members, depth, id, indexed, err)
+					}
+					scans := 0
+					if !indexed && len(docs) > 1 {
+						scans = len(docs)
+					}
+					if plan.Scans != scans {
+						t.Fatalf("shards%d-depth%d %s indexed %v: %d documents scanned, want %d", members, depth, id, indexed, plan.Scans, scans)
+					}
+				}
+			}
+		}
+	}
+}
+
+// An index that does not fit its document is refused, whatever is wrong
+// with it, and the document is split by scan to the same answer.
+func TestPlanCacheRefusesBadIndex(t *testing.T) {
+	fx := newFixture(2, 2)
+	fx.populate(12)
+	truth := fx.single.Dump()
+	docs := fx.indexedDocs(branch.ID{})
+	if len(docs) != 2 {
+		t.Fatal("ring put every site on one shard")
+	}
+	// The lies go into a document holding a site with an entry of its own:
+	// an end just past that </entry> is inside the site and in order, and
+	// only the </branch> check refuses it.
+	doc, site, afterEntry := -1, -1, 0
+	for d := 0; d < len(docs) && doc < 0; d++ {
+		body, k := docs[d].Body, -1
+		for pos := 0; ; {
+			i := bytes.Index(body[pos:], []byte(`<branch name="site"`))
+			if i < 0 {
+				break
+			}
+			k++
+			pos += i + bytes.IndexByte(body[pos+i:], '>') + 1
+			if bytes.HasPrefix(body[pos:], []byte("<entry>")) {
+				doc, site, afterEntry = d, k, pos+bytes.Index(body[pos:], []byte("</entry>"))+len("</entry>")
+				break
+			}
+		}
+	}
+	if doc < 0 {
+		t.Fatal("no shard holds a site with an entry")
+	}
+	good := docs[doc].Index
+	head, list, _ := strings.Cut(good, ":")
+	entries := strings.Split(list, ",")
+	if len(entries) < 2 {
+		t.Fatalf("index %q too short to corrupt", good)
+	}
+	last := len(entries) - 1
+	with := func(i int, v string) string {
+		e := append([]string(nil), entries...)
+		e[i] = v
+		return head + ":" + strings.Join(e, ",")
+	}
+	bump := func(v string, by int) string {
+		var n int
+		fmt.Sscan(v, &n)
+		return fmt.Sprint(n + by)
+	}
+	for name, index := range map[string]string{
+		"none":                "",
+		"another depth":       "3:" + list,
+		"no depth":            list,
+		"one entry short":     head + ":" + strings.Join(entries[:last], ","),
+		"one entry over":      good + "," + bump(entries[last], 10),
+		"past the end":        with(last, fmt.Sprint(len(docs[doc].Body)+9)),
+		"past an </entry>":    with(site, fmt.Sprint(afterEntry)),
+		"before the open tag": with(0, "5"),
+		"inside a tag":        with(0, bump(entries[0], -1)),
+		"at an earlier close": with(1, entries[0]),
+		"swapped":             with(0, entries[1]),
+		"empty entry":         with(0, ""),
+		"trailing comma":      good + ",",
+		"not a number":        with(0, "x"),
+		"negative":            with(0, "-1"),
+		"huge":                with(0, "99999999999999999999999999"),
+		"empty list":          head + ":",
+	} {
+		bad := append([]ShardDoc(nil), docs...)
+		bad[doc].Index = index
+		plan, err := PlanCache(bad, branch.ID{}, fx.ring)
+		if err != nil || !bytes.Equal(plan.Bytes(), truth) {
+			t.Fatalf("%s (%q): err %v, plan differs from the single depot", name, index, err)
+		}
+		if plan.Scans != 1 {
+			t.Fatalf("%s (%q): %d documents scanned, want 1", name, index, plan.Scans)
 		}
 	}
 }
@@ -377,15 +578,28 @@ var fuzzSeeds = [][2]string{
 	{goodReports, `<reports><stored branch="site=b,vo=tg">` + awkwardReport + `</stored><stored branch="site=a,vo=tg"><r>dup</r></stored></reports>`},
 }
 
+// sameAnswer reports whether two merges gave the same bytes or failed with
+// the same error.
+func sameAnswer(a []byte, aErr error, b []byte, bErr error) bool {
+	if (aErr == nil) != (bErr == nil) {
+		return false
+	}
+	return aErr == nil && bytes.Equal(a, b) || aErr != nil && aErr.Error() == bErr.Error()
+}
+
 // FuzzMergeCache holds the merge to its contract on arbitrary bytes:
 // whatever the encoding/xml oracle accepts merges to identical bytes, and
-// nothing panics.
+// nothing panics. The honest child index of each document — the ends a
+// scan finds — changes no answer; an arbitrary index on the first document
+// panics nowhere, and one the split refuses gives the answer of no index.
 func FuzzMergeCache(f *testing.F) {
 	for _, s := range fuzzSeeds {
-		f.Add([]byte(s[0]), []byte(s[1]), uint8(2), false)
-		f.Add([]byte(s[1]), []byte(s[0]), uint8(1), true)
+		f.Add([]byte(s[0]), []byte(s[1]), uint8(2), false, "")
+		f.Add([]byte(s[1]), []byte(s[0]), uint8(1), true, "")
+		f.Add([]byte(s[0]), []byte(s[1]), uint8(1), false, scanIndex([]byte(s[0]), 2))
+		f.Add([]byte(s[0]), []byte(s[1]), uint8(1), false, "2:50,97")
 	}
-	f.Fuzz(func(t *testing.T, a, b []byte, depth uint8, subtree bool) {
+	f.Fuzz(func(t *testing.T, a, b []byte, depth uint8, subtree bool, index string) {
 		ring := NewRing([]string{"s0:1", "s1:1"}, RingOptions{Depth: int(depth%4) + 1})
 		id := branch.ID{}
 		if subtree {
@@ -393,6 +607,18 @@ func FuzzMergeCache(f *testing.F) {
 		}
 		docs := []ShardDoc{{Shard: "s0:1", Body: a}, {Shard: "s1:1", Body: b}}
 		got, err := MergeCache(docs, id, ring)
+
+		d := IndexDepth(id, ring)
+		honest := []ShardDoc{{Shard: "s0:1", Body: a, Index: scanIndex(a, d)}, {Shard: "s1:1", Body: b, Index: scanIndex(b, d)}}
+		if h, hErr := MergeCache(honest, id, ring); !sameAnswer(h, hErr, got, err) {
+			t.Fatalf("%q + %q with their own indexes %q, %q:\n   got %q (%v)\nno index %q (%v)", a, b, honest[0].Index, honest[1].Index, h, hErr, got, err)
+		}
+		fuzzed := []ShardDoc{{Shard: "s0:1", Body: a, Index: index}, {Shard: "s1:1", Body: b}}
+		l, lErr := MergeCache(fuzzed, id, ring)
+		if _, indexed, _ := splitDoc(fuzzed, 0, ring.depth-1-id.Depth()); !indexed && !sameAnswer(l, lErr, got, err) {
+			t.Fatalf("%q + %q with the refused index %q:\n   got %q (%v)\nno index %q (%v)", a, b, index, l, lErr, got, err)
+		}
+
 		want, oracleErr := oracleMergeCache(docs, id, ring)
 		if oracleErr != nil {
 			return
@@ -485,11 +711,32 @@ var benchSink int
 
 func BenchmarkMergeCache(b *testing.B) {
 	docs, ring, n := benchDocs(b, false)
+	indexed := make([]ShardDoc, len(docs))
+	for i, d := range docs {
+		d.Index = scanIndex(d.Body, IndexDepth(branch.ID{}, ring))
+		indexed[i] = d
+	}
 	b.Run("plan", func(b *testing.B) {
 		b.SetBytes(int64(n))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			p, err := PlanCache(docs, branch.ID{}, ring)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink += p.Len
+		}
+	})
+	// The plan again, each shard document read by its child index.
+	b.Run("index", func(b *testing.B) {
+		want, _ := MergeCache(docs, branch.ID{}, ring)
+		if p, err := PlanCache(indexed, branch.ID{}, ring); err != nil || p.Scans != 0 || !bytes.Equal(p.Bytes(), want) {
+			b.Fatalf("indexed plan: err %v, %d documents scanned, same bytes %v", err, p.Scans, bytes.Equal(p.Bytes(), want))
+		}
+		b.SetBytes(int64(n))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p, err := PlanCache(indexed, branch.ID{}, ring)
 			if err != nil {
 				b.Fatal(err)
 			}

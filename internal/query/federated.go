@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,6 +54,7 @@ type Federated struct {
 	conditional *metrics.Counter // requests carrying a decomposable validator
 	notModified *metrics.Counter // answered 304 (all shards unchanged)
 	merges      *metrics.Counter // responses rebuilt by a document merge
+	mergeScans  *metrics.Counter // merges that split a shard document by scan
 	shardErrors *metrics.Counter // shard requests that failed in transport
 	mergeTime   *metrics.Histogram
 	mergeBytes  *metrics.Counter
@@ -99,6 +101,7 @@ func NewFederated(router *federation.Router, opt FederatedOptions) *Federated {
 		conditional: reg.Counter("inca_federated_conditional_total", "Requests carrying a composed validator."),
 		notModified: reg.Counter("inca_federated_not_modified_total", "Requests answered 304 — every shard unchanged."),
 		merges:      reg.Counter("inca_federated_merges_total", "Responses rebuilt by a cross-shard document merge."),
+		mergeScans:  reg.Counter("inca_federated_merge_scans_total", "Merges in which a shard document came without a usable child index."),
 		shardErrors: reg.Counter("inca_federated_shard_errors_total", "Per-shard requests failed in transport."),
 		mergeTime:   reg.Histogram("inca_federated_merge_seconds", "Time to plan one cross-shard /cache or /reports merge.", nil),
 		mergeBytes:  reg.Counter("inca_federated_merge_bytes_total", "Bytes of merged /cache and /reports documents planned."),
@@ -252,8 +255,8 @@ func releaseAll(resps []shardResp) {
 }
 
 // fetchShard asks the shard's primary: every read goes there, never to a
-// follower.
-func (f *Federated) fetchShard(ctx context.Context, s federation.Shard, path string, params url.Values, inm string) shardResp {
+// follower. depth, when positive, asks /cache for its child index there.
+func (f *Federated) fetchShard(ctx context.Context, s federation.Shard, path string, params url.Values, inm string, depth int) shardResp {
 	base := s.BaseURL()
 	if base == "" {
 		return shardResp{shard: s, err: fmt.Errorf("shard %s has no querying interface", s.Name())}
@@ -268,6 +271,9 @@ func (f *Federated) fetchShard(ctx context.Context, s federation.Shard, path str
 	}
 	if inm != "" {
 		req.Header.Set("If-None-Match", inm)
+	}
+	if depth > 0 {
+		req.Header.Set(federation.DepthHeader, strconv.Itoa(depth))
 	}
 	return f.do(s, req)
 }
@@ -324,7 +330,7 @@ func gather(resps []shardResp, absent int) ([]federation.ShardDoc, error) {
 		case resp.err != nil:
 			return nil, badGateway("shard %s: %v", resp.shard.Name(), resp.err)
 		case resp.status == http.StatusOK:
-			docs = append(docs, federation.ShardDoc{Shard: resp.shard.Name(), Body: resp.body})
+			docs = append(docs, federation.ShardDoc{Shard: resp.shard.Name(), Body: resp.body, Index: resp.header.Get(federation.IndexHeader)})
 		case resp.status == absent:
 		default:
 			return nil, badGateway("shard %s: status %d: %s", resp.shard.Name(), resp.status, bytes.TrimSpace(resp.body))
@@ -334,8 +340,8 @@ func gather(resps []shardResp, absent int) ([]federation.ShardDoc, error) {
 }
 
 // scatter fans one request to shards in parallel under ctx; perTags (when
-// non-nil) supplies each shard's If-None-Match.
-func (f *Federated) scatter(ctx context.Context, shards []federation.Shard, path string, params url.Values, perTags []string) []shardResp {
+// non-nil) supplies each shard's If-None-Match, and depth is fetchShard's.
+func (f *Federated) scatter(ctx context.Context, shards []federation.Shard, path string, params url.Values, perTags []string, depth int) []shardResp {
 	resps := make([]shardResp, len(shards))
 	var wg sync.WaitGroup
 	for i, s := range shards {
@@ -346,7 +352,7 @@ func (f *Federated) scatter(ctx context.Context, shards []federation.Shard, path
 		wg.Add(1)
 		go func(i int, s federation.Shard, inm string) {
 			defer wg.Done()
-			resps[i] = f.fetchShard(ctx, s, path, params, inm)
+			resps[i] = f.fetchShard(ctx, s, path, params, inm, depth)
 		}(i, s, inm)
 	}
 	wg.Wait()
@@ -361,8 +367,8 @@ func (f *Federated) scatter(ctx context.Context, shards []federation.Shard, path
 // the validators actually served. The caller owns the returned responses —
 // gather tells it whether a shard failed — and releases their bodies once
 // it has written its answer; when none are returned they have been
-// released here.
-func (f *Federated) scatterConditional(inm, path string, params url.Values) (resps []shardResp, composed string, unchanged bool) {
+// released here. Every request asks for the child index at depth.
+func (f *Federated) scatterConditional(ctx context.Context, inm, path string, params url.Values, depth int) (resps []shardResp, composed string, unchanged bool) {
 	shards := f.router.Shards()
 	sig := f.router.Signature()
 	perTags := decomposeTag(inm, sig, len(shards))
@@ -370,7 +376,7 @@ func (f *Federated) scatterConditional(inm, path string, params url.Values) (res
 		f.conditional.Inc()
 	}
 	f.fanouts.Inc()
-	resps = f.scatter(context.TODO(), shards, path, params, perTags)
+	resps = f.scatter(ctx, shards, path, params, perTags, depth)
 	if perTags != nil {
 		all, sawTag := true, false
 		for i := range resps {
@@ -403,7 +409,7 @@ func (f *Federated) scatterConditional(inm, path string, params url.Values) (res
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i] = f.fetchShard(context.TODO(), resps[i].shard, path, params, "")
+			resps[i] = f.fetchShard(ctx, resps[i].shard, path, params, "", depth)
 		}(i)
 	}
 	wg.Wait()
@@ -421,7 +427,7 @@ func (f *Federated) scatterConditional(inm, path string, params url.Values) (res
 // forwardOwner proxies the request to the shard owning id, re-wrapping
 // the shard's validator in a composed tag so a topology change can never
 // revalidate a stale answer.
-func (f *Federated) forwardOwner(id branch.ID, path string, params url.Values, inm string) (document, error) {
+func (f *Federated) forwardOwner(ctx context.Context, id branch.ID, path string, params url.Values, inm string) (document, error) {
 	shard, ok := f.router.Owner(id)
 	if !ok {
 		return document{}, badGateway("no shard owns %s", id)
@@ -434,7 +440,7 @@ func (f *Federated) forwardOwner(id branch.ID, path string, params url.Values, i
 		f.conditional.Inc()
 		shardTag = perTags[0]
 	}
-	resp := f.fetchShard(context.TODO(), shard, path, params, shardTag)
+	resp := f.fetchShard(ctx, shard, path, params, shardTag, 0)
 	if resp.err != nil {
 		return document{}, badGateway("shard %s: %v", shard.Name(), resp.err)
 	}
@@ -455,27 +461,45 @@ func (f *Federated) forwardOwner(id branch.ID, path string, params url.Values, i
 // lives wholly on the shard owning its branch).
 func (f *Federated) handleForwarded(w http.ResponseWriter, r *http.Request) {
 	subtree(w, r, func(id branch.ID, inm string) (document, error) {
-		return f.forwardOwner(id, r.URL.Path, r.URL.Query(), inm)
+		return f.forwardOwner(context.TODO(), id, r.URL.Path, r.URL.Query(), inm)
 	})
 }
 
 // --- scatter-gather reads ---
 
-// read answers /cache or /reports at id: from its owner at or below the
+// scatterRead is how read gathers one endpoint from the shards.
+type scatterRead struct {
+	path   string
+	absent int  // status of a shard that holds nothing under the branch (see gather)
+	index  bool // the shards send their child index, and plan reads it
+	plan   func(docs []federation.ShardDoc, id branch.ID, r *federation.Ring) (federation.Plan, error)
+}
+
+var (
+	cacheRead   = scatterRead{"/cache", http.StatusNotFound, true, federation.PlanCache}
+	reportsRead = scatterRead{"/reports", 0, false, func(docs []federation.ShardDoc, _ branch.ID, r *federation.Ring) (federation.Plan, error) {
+		return federation.PlanReports(docs, r)
+	}}
+)
+
+// read answers sr's endpoint at id: from its owner at or below the
 // affinity depth, where the subtree has one (no fan-out, no merge), else
-// by planning the merge of what every shard holds under it. absent is the
-// status of a shard that holds nothing there (see gather).
-func (f *Federated) read(path string, id branch.ID, inm string, absent int, plan func([]federation.ShardDoc, *federation.Ring) (federation.Plan, error)) (document, error) {
+// by planning the merge of what every shard holds under it.
+func (f *Federated) read(ctx context.Context, sr scatterRead, id branch.ID, inm string) (document, error) {
 	params := url.Values{"branch": {id.String()}}
 	ring := f.router.Ring()
 	if !id.IsRoot() && id.Depth() >= ring.Depth() {
-		return f.forwardOwner(id, path, params, inm)
+		return f.forwardOwner(ctx, id, sr.path, params, inm)
 	}
-	resps, tag, unchanged := f.scatterConditional(inm, path, params)
+	depth := 0
+	if sr.index {
+		depth = federation.IndexDepth(id, ring)
+	}
+	resps, tag, unchanged := f.scatterConditional(ctx, inm, sr.path, params, depth)
 	if unchanged {
 		return document{tag: tag, notModified: true}, nil
 	}
-	docs, err := gather(resps, absent)
+	docs, err := gather(resps, sr.absent)
 	if err == nil && len(docs) == 0 {
 		err = httpError{http.StatusNotFound, "no data at branch " + id.String()}
 	}
@@ -487,9 +511,12 @@ func (f *Federated) read(path string, id branch.ID, inm string, absent int, plan
 	// the shard bodies, which go back to the pool once it is written.
 	f.merges.Inc()
 	start := time.Now()
-	merged, err := plan(docs, ring)
+	merged, err := sr.plan(docs, id, ring)
 	f.mergeTime.ObserveSince(start)
 	f.mergeBytes.Add(uint64(merged.Len))
+	if merged.Scans > 0 {
+		f.mergeScans.Inc()
+	}
 	if err != nil {
 		releaseAll(resps)
 		return document{}, badGateway("%v", err)
@@ -503,14 +530,13 @@ func (f *Federated) read(path string, id branch.ID, inm string, absent int, plan
 	}, nil
 }
 
-func (f *Federated) cache(id branch.ID, inm string) (document, error) {
-	return f.read("/cache", id, inm, http.StatusNotFound, func(docs []federation.ShardDoc, ring *federation.Ring) (federation.Plan, error) {
-		return federation.PlanCache(docs, id, ring)
-	})
+// cache serves /cache; the router sends no child index of its own.
+func (f *Federated) cache(id branch.ID, inm string, _ int) (document, error) {
+	return f.read(context.TODO(), cacheRead, id, inm)
 }
 
 func (f *Federated) reports(id branch.ID, inm string) (document, error) {
-	return f.read("/reports", id, inm, 0, federation.PlanReports)
+	return f.read(context.TODO(), reportsRead, id, inm)
 }
 
 // availability scatters the overview as structured rows (format=json
@@ -524,7 +550,7 @@ func (f *Federated) availability(q *availQuery, inm string) (document, error) {
 		params[k] = v
 	}
 	params.Set("format", "json")
-	resps, tag, unchanged := f.scatterConditional(inm, "/availability", params)
+	resps, tag, unchanged := f.scatterConditional(context.TODO(), inm, "/availability", params, 0)
 	if unchanged {
 		return document{tag: tag, notModified: true}, nil
 	}
@@ -644,7 +670,7 @@ func (f *Federated) policies() (document, error) {
 // policySet is every policy the primaries of shards hold, each name once:
 // the first shard's record of a name wins.
 func (f *Federated) policySet(shards []federation.Shard) ([]depot.Policy, error) {
-	resps := f.scatter(context.TODO(), shards, "/policy", nil, nil)
+	resps := f.scatter(context.TODO(), shards, "/policy", nil, nil, 0)
 	defer releaseAll(resps)
 	docs, err := gather(resps, 0)
 	if err != nil {
@@ -709,7 +735,7 @@ func (f *Federated) copyPolicies(from []federation.Shard, dst federation.Shard) 
 
 func (f *Federated) stats() (xmlStats, error) {
 	var total xmlStats
-	resps := f.scatter(context.TODO(), f.router.Shards(), "/stats", nil, nil)
+	resps := f.scatter(context.TODO(), f.router.Shards(), "/stats", nil, nil, 0)
 	defer releaseAll(resps)
 	docs, err := gather(resps, 0)
 	if err != nil {
@@ -947,7 +973,7 @@ func (f *Federated) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // leave moves ranges to their new owners and how a follower catches up on
 // its primary's history.
 func (f *Federated) copyReports(src federation.Shard, to func(branch.ID) (federation.Shard, bool)) (int, error) {
-	resp := f.fetchShard(context.TODO(), src, "/reports", url.Values{"branch": {""}}, "")
+	resp := f.fetchShard(context.TODO(), src, "/reports", url.Values{"branch": {""}}, "", 0)
 	if resp.err != nil {
 		return 0, badGateway("fetch %s reports: %v", src.Name(), resp.err)
 	}

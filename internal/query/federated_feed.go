@@ -1,12 +1,12 @@
 package query
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -286,19 +286,35 @@ func (f *Federated) topologyMoved() {
 	close(*f.moved.Swap(&ch))
 }
 
-// mergedSnapshot is the catch-up body for a router feed subscriber: the
-// same scatter-and-merge /cache performs, at the moment of the call — at
-// least as fresh as the cursors its shards have sent.
+// mergedSnapshot is the catch-up body for a router feed subscriber: what
+// GET /cache at prefix answers at the moment of the call — at least as
+// fresh as the cursors its shards have sent — and empty where no shard
+// holds data.
 func (f *Federated) mergedSnapshot(ctx context.Context, prefix branch.ID) ([]byte, error) {
-	shards := f.router.Shards()
-	ring := f.router.Ring()
-	resps := f.scatter(ctx, shards, "/cache", url.Values{"branch": {prefix.String()}}, nil)
-	docs, err := gather(resps, http.StatusNotFound)
-	if err != nil || len(docs) == 0 {
+	d, err := f.read(ctx, cacheRead, prefix, "")
+	var he httpError
+	if errors.As(err, &he) && he.status == http.StatusNotFound {
+		return nil, nil
+	}
+	if err != nil {
 		return nil, err
 	}
-	f.merges.Inc()
-	return federation.MergeCache(docs, prefix, ring)
+	if d.release != nil {
+		defer d.release()
+	}
+	switch d.status {
+	case 0, http.StatusOK:
+	case http.StatusNotFound:
+		return nil, nil
+	default:
+		return nil, badGateway("snapshot of %s: status %d", prefix, d.status)
+	}
+	// Written out before the release: every part of the answer, a
+	// one-part plan's or a relayed body's alike, aliases a pooled shard body.
+	var buf bytes.Buffer
+	buf.Grow(d.len)
+	d.write(&buf)
+	return buf.Bytes(), nil
 }
 
 // readyProbe bounds the router's wait for a shard's /readyz: a shard that
@@ -310,7 +326,7 @@ const readyProbe = time.Second
 func (f *Federated) ready(ctx context.Context) error {
 	ctx, cancel := context.WithTimeout(ctx, readyProbe)
 	defer cancel()
-	resps := f.scatter(ctx, f.router.Shards(), "/readyz", nil, nil)
+	resps := f.scatter(ctx, f.router.Shards(), "/readyz", nil, nil, 0)
 	defer releaseAll(resps)
 	_, err := gather(resps, 0)
 	return err

@@ -17,6 +17,7 @@ import (
 	"inca/internal/branch"
 	"inca/internal/consumer"
 	"inca/internal/depot"
+	"inca/internal/federation"
 	"inca/internal/metrics"
 	"inca/internal/rrd"
 )
@@ -101,12 +102,25 @@ func (b *local) unchanged(inm, tag string) bool {
 	return false
 }
 
-func (b *local) cache(id branch.ID, inm string) (document, error) {
+// cache answers /cache at id. A router that asks for the child index at
+// depth (federation.DepthHeader) gets it with the body, from the render
+// that produced the body; a cache too wide for one header sends none.
+func (b *local) cache(id branch.ID, inm string, depth int) (document, error) {
 	tag := etagFor(b.d.CacheGeneration())
 	if b.unchanged(inm, tag) {
 		return document{tag: tag, notModified: true}, nil
 	}
-	sub, ok, err := b.d.Cache().Query(id)
+	var sub []byte
+	var ends []int
+	var ok bool
+	var err error
+	ic, _ := b.d.Cache().(*depot.IndexedCache)
+	indexed := ic != nil && depth > 0
+	if indexed {
+		sub, ends, ok, err = ic.QueryIndex(id, depth)
+	} else {
+		sub, ok, err = b.d.Cache().Query(id)
+	}
 	if err != nil {
 		return document{}, err
 	}
@@ -115,7 +129,11 @@ func (b *local) cache(id branch.ID, inm string) (document, error) {
 		return document{}, httpError{http.StatusNotFound, "no data at branch " + id.String()}
 	}
 	b.queryHits.Inc()
-	return bytesDoc("text/xml", tag, sub), nil
+	d := bytesDoc("text/xml", tag, sub)
+	if indexed && len(ends) <= federation.MaxIndexEntries {
+		d.index = string(federation.AppendIndex(make([]byte, 0, 8*len(ends)+8), depth, ends))
+	}
+	return d, nil
 }
 
 // maxPooledBody is the largest buffer reportsPool keeps. A report list

@@ -20,11 +20,11 @@ import (
 // cache handed out its own bytes, kept as the byte oracle for
 // FuzzReadBodies: /reports escapes every identifier on every read and
 // writes the body to the ResponseWriter piece by piece, and /cache serves
-// a copy of what the cache answered. Every other endpoint is the local
-// backend's.
+// a copy of what the cache answered, and never a child index. Every other
+// endpoint is the local backend's.
 type perReadWriter struct{ *local }
 
-func (b perReadWriter) cache(id branch.ID, inm string) (document, error) {
+func (b perReadWriter) cache(id branch.ID, inm string, _ int) (document, error) {
 	tag := etagFor(b.d.CacheGeneration())
 	if b.unchanged(inm, tag) {
 		return document{tag: tag, notModified: true}, nil

@@ -31,6 +31,7 @@ import (
 	"inca/internal/branch"
 	"inca/internal/consumer"
 	"inca/internal/depot"
+	"inca/internal/federation"
 	"inca/internal/metrics"
 )
 
@@ -57,8 +58,9 @@ type backend interface {
 	// cache and reports are the /cache and /reports documents for the
 	// subtree at id. inm is the client's If-None-Match: a validator that
 	// still holds comes back as a notModified document, before any
-	// document work.
-	cache(id branch.ID, inm string) (document, error)
+	// document work. depth, when positive, asks cache for the body's child
+	// index (federation.DepthHeader); a backend may send none.
+	cache(id branch.ID, inm string, depth int) (document, error)
 	reports(id branch.ID, inm string) (document, error)
 	// availability is the page q asks for, rendered by q.
 	availability(q *availQuery, inm string) (document, error)
@@ -202,6 +204,7 @@ type document struct {
 	len         int
 	write       func(io.Writer) // writes the len body bytes
 	release     func()          // returns pooled bytes the body aliases; may be nil
+	index       string          // the body's child index (federation.IndexHeader); "" sends none
 }
 
 // bytesDoc is a document whose body is one slice.
@@ -240,6 +243,9 @@ func answer(w http.ResponseWriter, r *http.Request, d document, err error) {
 	}
 	if d.contentType != "" {
 		h.Set("Content-Type", d.contentType)
+	}
+	if d.index != "" {
+		h.Set(federation.IndexHeader, d.index)
 	}
 	h.Set("Content-Length", strconv.Itoa(d.len))
 	if d.status != 0 {
@@ -295,7 +301,13 @@ func subtree(w http.ResponseWriter, r *http.Request, read func(branch.ID, string
 }
 
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
-	subtree(w, r, s.b.cache)
+	depth := 0
+	if v := r.Header.Get(federation.DepthHeader); v != "" {
+		depth, _ = strconv.Atoi(v) // a malformed depth asks for no index
+	}
+	subtree(w, r, func(id branch.ID, inm string) (document, error) {
+		return s.b.cache(id, inm, depth)
+	})
 }
 
 func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {

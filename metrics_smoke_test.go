@@ -251,6 +251,7 @@ func TestMetricsSmokeRouter(t *testing.T) {
 		"inca_federated_merges_total",
 		"inca_federated_merge_seconds",
 		"inca_federated_merge_bytes_total",
+		"inca_federated_merge_scans_total",
 		"inca_federated_forwards_total",
 		"inca_federated_conditional_total",
 		"inca_federated_not_modified_total",
