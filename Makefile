@@ -169,9 +169,10 @@ bench-read:
 # against the envelope round trip it skips;
 # the agreement reader, whose accepted input survives Marshal and Parse;
 # the journal's open scan, which keeps only a prefix of whole,
-# CRC-valid frames that re-appending its records reproduces; and the
+# CRC-valid frames that re-appending its records reproduces; the
 # archival policy parser, whose accepted input survives marshalling and
-# parsing again.
+# parsing again; and POST /slice, where a refused slice changes nothing
+# and an accepted one, read back, gives a fresh depot the same answers.
 # The seed corpora (f.Add plus testdata/fuzz) run under plain `go test`; `go
 # test -fuzz` takes one target per invocation.
 fuzz:
@@ -191,6 +192,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzChangeEvent$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run=NONE -fuzz='^FuzzFeedStream$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run=NONE -fuzz='^FuzzReadBodies$$' -fuzztime=10s ./internal/query/
+	$(GO) test -run=NONE -fuzz='^FuzzApplySlice$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run=NONE -fuzz='^FuzzSubmitDirect$$' -fuzztime=10s ./internal/controller/
 	$(GO) test -run=NONE -fuzz='^FuzzParseAgreement$$' -fuzztime=10s ./internal/agreement/
 	$(GO) test -run=NONE -fuzz='^FuzzJournalScan$$' -fuzztime=10s ./internal/journal/

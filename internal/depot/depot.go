@@ -1,8 +1,10 @@
 package depot
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -193,14 +195,47 @@ func (d *Depot) publish(c Change) {
 	}
 }
 
+// ErrPolicyName refuses a policy name holding '|'. An archive's key is
+// branch|policy and a branch value may hold '|', so the policy name is
+// what keeps two series from sharing one key.
+var ErrPolicyName = errors.New("depot: a policy name may not contain '|'")
+
+// errDuplicatePolicy refuses a second policy of one name.
+var errDuplicatePolicy = errors.New("depot: duplicate policy")
+
 // AddPolicy uploads an archival policy. Policies apply to reports stored
-// after the upload.
+// after the upload. A name holding '|' is refused with ErrPolicyName.
 func (d *Depot) AddPolicy(p Policy) error {
+	if err := checkName(p.Name); err != nil {
+		return err
+	}
+	return d.addPolicy(p)
+}
+
+// checkName refuses a policy name holding '|' (ErrPolicyName).
+func checkName(name string) error {
+	if strings.Contains(name, "|") {
+		return fmt.Errorf("%w: %q", ErrPolicyName, name)
+	}
+	return nil
+}
+
+// checkPolicy refuses a policy no depot can archive under.
+func checkPolicy(p Policy) error {
 	if p.Name == "" {
 		return fmt.Errorf("depot: policy with empty name")
 	}
 	if p.Archive.Step <= 0 || p.Archive.History <= 0 {
 		return fmt.Errorf("depot: policy %s has invalid archive configuration", p.Name)
+	}
+	return nil
+}
+
+// addPolicy is AddPolicy without the name check: an image an older depot
+// wrote may hold a policy whose name has '|', and it must still restore.
+func (d *Depot) addPolicy(p Policy) error {
+	if err := checkPolicy(p); err != nil {
+		return err
 	}
 	if d.wal != nil {
 		d.storeBarrier.RLock()
@@ -223,7 +258,7 @@ func (d *Depot) addPolicyApply(p Policy) error {
 	cur := d.policies.Load()
 	for _, existing := range cur.all {
 		if existing.Name == p.Name {
-			return fmt.Errorf("depot: duplicate policy %s", p.Name)
+			return fmt.Errorf("%w %s", errDuplicatePolicy, p.Name)
 		}
 	}
 	next := make([]Policy, len(cur.all), len(cur.all)+1)

@@ -21,12 +21,14 @@ import (
 //	CACH  cache document (canonical XML)
 //	POLS  policies (a <policies> list of policy records, policy.go)
 //	ARCH  one section per archive: key string + rrd image
+//
+// A slice (slice.go) is framed the same way, without the magic.
 
 const snapshotMagic = "INCADEPOT1"
 
 // writeSection frames one section: a 4-byte tag, the length, the data.
-func writeSection(w *bufio.Writer, tag string, data []byte) error {
-	if _, err := w.WriteString(tag); err != nil {
+func writeSection(w io.Writer, tag string, data []byte) error {
+	if _, err := io.WriteString(w, tag); err != nil {
 		return err
 	}
 	if _, err := w.Write(binary.BigEndian.AppendUint64(nil, uint64(len(data)))); err != nil {
@@ -68,11 +70,57 @@ func (d *Depot) writeImageHead(bw *bufio.Writer) error {
 	if err := writeSection(bw, "CACH", d.cache.Dump()); err != nil {
 		return err
 	}
+	return d.writePolicies(bw)
+}
+
+// writePolicies writes the POLS section of an image or a slice.
+func (d *Depot) writePolicies(w io.Writer) error {
 	polsXML, err := MarshalPolicies(d.policies.Load().all)
 	if err != nil {
 		return err
 	}
-	return writeSection(bw, "POLS", polsXML)
+	return writeSection(w, "POLS", polsXML)
+}
+
+// writeArchives writes one ARCH section per archive, the loop a snapshot
+// and a slice share. Archives go out in key order, one pinned at a time,
+// and both backends serialize the same image for the same update history —
+// a disk depot's snapshot is byte-identical to its memory twin's.
+func (d *Depot) writeArchives(w io.Writer) error {
+	var buf bytes.Buffer
+	for _, key := range d.archives.keys() {
+		db, release, ok := d.archives.lookup(key)
+		if !ok {
+			continue
+		}
+		buf.Reset()
+		buf.WriteString(key)
+		buf.WriteByte(0)
+		_, err := db.WriteTo(&buf)
+		release()
+		if err != nil {
+			return err
+		}
+		if err := writeSection(w, "ARCH", buf.Bytes()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// parseArchive reads an ARCH section (or an install record): the key, a
+// NUL, an rrd image.
+func parseArchive(data []byte) (string, *rrd.DB, error) {
+	sep := bytes.IndexByte(data, 0)
+	if sep < 0 {
+		return "", nil, fmt.Errorf("depot: archive without key")
+	}
+	key := string(data[:sep])
+	db, err := rrd.ReadDB(bytes.NewReader(data[sep+1:]))
+	if err != nil {
+		return "", nil, fmt.Errorf("depot: archive %s: %w", key, err)
+	}
+	return key, db, nil
 }
 
 // WriteSnapshot serializes the depot state. The image reflects every store
@@ -82,25 +130,8 @@ func (d *Depot) WriteSnapshot(w io.Writer) error {
 	if err := d.writeImageHead(bw); err != nil {
 		return err
 	}
-	// Archives go out in key order, one pinned at a time, and both backends
-	// serialize the same image for the same update history — a disk depot's
-	// snapshot is byte-identical to its memory twin's.
-	for _, key := range d.archives.keys() {
-		db, release, ok := d.archives.lookup(key)
-		if !ok {
-			continue
-		}
-		var buf bytes.Buffer
-		buf.WriteString(key)
-		buf.WriteByte(0)
-		_, err := db.WriteTo(&buf)
-		release()
-		if err != nil {
-			return err
-		}
-		if err := writeSection(bw, "ARCH", buf.Bytes()); err != nil {
-			return err
-		}
+	if err := d.writeArchives(bw); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -153,7 +184,7 @@ func (d *Depot) restoreImage(r io.Reader) (firstSeq uint64, err error) {
 				return 0, err
 			}
 			for _, p := range pols {
-				if err := d.AddPolicy(p); err != nil {
+				if err := d.addPolicy(p); err != nil {
 					return 0, err
 				}
 			}
@@ -162,16 +193,13 @@ func (d *Depot) restoreImage(r io.Reader) (firstSeq uint64, err error) {
 			if !ok {
 				continue
 			}
-			sep := bytes.IndexByte(data, 0)
-			if sep < 0 {
-				return 0, fmt.Errorf("depot: snapshot archive without key")
-			}
-			key := string(data[:sep])
-			db, err := rrd.ReadDB(bytes.NewReader(data[sep+1:]))
+			key, db, err := parseArchive(data)
 			if err != nil {
-				return 0, fmt.Errorf("depot: snapshot archive %s: %w", key, err)
+				return 0, fmt.Errorf("depot: snapshot: %w", err)
 			}
-			mem.insert(key, db)
+			if _, err := mem.install(key, db); err != nil {
+				return 0, err
+			}
 		case "WSEQ":
 			if len(data) != 8 {
 				return 0, fmt.Errorf("depot: checkpoint WSEQ of %d bytes", len(data))

@@ -49,6 +49,10 @@ type archiveDB interface {
 type archiveStore interface {
 	lookup(key string) (archiveDB, func(), bool)
 	ensure(key string, cp *compiledPolicy, start time.Time) (archiveDB, func(), error)
+	// install puts src at key whole when the store holds no archive
+	// there, else under rrd.DB.Install's rule; it reports whether src went
+	// in.
+	install(key string, src *rrd.DB) (bool, error)
 	keys() []string // sorted
 	count() int
 	// sync makes the archives durable (disk: flush state, fsync).
@@ -113,12 +117,18 @@ func (s *memoryStore) ensure(key string, cp *compiledPolicy, start time.Time) (a
 	return db, releaseNothing, nil
 }
 
-// insert places a restored archive (snapshot load path).
-func (s *memoryStore) insert(key string, db *rrd.DB) {
+func (s *memoryStore) install(key string, src *rrd.DB) (bool, error) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	sh.dbs[key] = db
+	db, ok := sh.dbs[key]
+	if !ok {
+		sh.dbs[key] = src
+	}
 	sh.mu.Unlock()
+	if !ok {
+		return true, nil
+	}
+	return db.Install(src)
 }
 
 func (s *memoryStore) keys() []string {
@@ -224,13 +234,6 @@ func (s *diskStore) path(key string) string {
 	return filepath.Join(s.dir, url.QueryEscape(key)+".rrd")
 }
 
-// pin bumps an entry to the front and takes a reference. Callers hold s.mu.
-func (s *diskStore) pin(e *diskEntry) (archiveDB, func()) {
-	e.refs++
-	s.lru.MoveToFront(e.elem)
-	return e.db, func() { s.release(e) }
-}
-
 func (s *diskStore) release(e *diskEntry) {
 	s.mu.Lock()
 	e.refs--
@@ -260,54 +263,75 @@ func (s *diskStore) evictLocked() {
 
 func (s *diskStore) lookup(key string) (archiveDB, func(), bool) {
 	s.mu.Lock()
-	if e, ok := s.open[key]; ok {
-		db, rel := s.pin(e)
-		s.mu.Unlock()
-		return db, rel, true
-	}
-	db, rel, err := s.admitLocked(key, nil, time.Time{})
+	e, err := s.pinLocked(key, nil)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, releaseNothing, false
 	}
-	return db, rel, true
+	return e.db, func() { s.release(e) }, true
 }
 
 func (s *diskStore) ensure(key string, cp *compiledPolicy, start time.Time) (archiveDB, func(), error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.open[key]; ok {
-		db, rel := s.pin(e)
-		return db, rel, nil
+	e, err := s.pinLocked(key, func(path string) (*rrdfile.DB, error) {
+		return rrdfile.CreateFromPolicy(path, start.Add(-cp.Archive.Step), cp.Name, cp.Archive)
+	})
+	s.mu.Unlock()
+	if err != nil {
+		return nil, releaseNothing, err
 	}
-	return s.admitLocked(key, cp, start)
+	return e.db, func() { s.release(e) }, nil
 }
 
-// admitLocked opens (or, given a policy, creates) the archive file for key
-// and installs it in the LRU. Called with s.mu held; the open/create I/O
-// runs with the lock held, which is acceptable because a warm LRU makes
-// admission rare.
-func (s *diskStore) admitLocked(key string, cp *compiledPolicy, start time.Time) (archiveDB, func(), error) {
+// install creates a file of src's geometry when key has none; the empty
+// archive then takes src whole.
+func (s *diskStore) install(key string, src *rrd.DB) (bool, error) {
+	s.mu.Lock()
+	e, err := s.pinLocked(key, func(path string) (*rrdfile.DB, error) {
+		st := src.State()
+		rras := make([]rrd.RRA, len(st.RRAs))
+		for i, r := range st.RRAs {
+			rras[i] = r.Def
+		}
+		return rrdfile.Create(path, st.Created, st.Step, st.DS, rras)
+	})
+	s.mu.Unlock()
+	if err != nil {
+		return false, err
+	}
+	defer s.release(e)
+	return e.db.Install(src)
+}
+
+// pinLocked returns key's entry pinned, opening its file when the handle
+// is not open and, given create, making the file when there is none.
+// Called with s.mu held; the open/create I/O runs with the lock held, which
+// is acceptable because a warm LRU makes admission rare.
+func (s *diskStore) pinLocked(key string, create func(path string) (*rrdfile.DB, error)) (*diskEntry, error) {
+	if e, ok := s.open[key]; ok {
+		e.refs++
+		s.lru.MoveToFront(e.elem)
+		return e, nil
+	}
 	db, err := rrdfile.Open(s.path(key))
 	if errors.Is(err, fs.ErrNotExist) {
-		if cp == nil {
-			return nil, releaseNothing, fmt.Errorf("depot: no archive for %s", key)
+		if create == nil {
+			return nil, fmt.Errorf("depot: no archive for %s", key)
 		}
-		db, err = rrdfile.CreateFromPolicy(s.path(key), start.Add(-cp.Archive.Step), cp.Name, cp.Archive)
+		db, err = create(s.path(key))
 		if err == nil {
 			s.series++
 		}
 	}
 	if err != nil {
-		return nil, releaseNothing, err
+		return nil, err
 	}
-	e := &diskEntry{key: key, db: db}
+	e := &diskEntry{key: key, db: db, refs: 1}
 	e.elem = s.lru.PushFront(e)
 	s.open[key] = e
-	// Pin before sweeping so the new entry cannot evict itself.
-	dbi, rel := s.pin(e)
+	// Pinned before the sweep, so the new entry cannot evict itself.
 	s.evictLocked()
-	return dbi, rel, nil
+	return e, nil
 }
 
 // keys scans the archive directory — a cold path (snapshots, the series

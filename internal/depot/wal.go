@@ -12,15 +12,17 @@ import (
 // The depot write-ahead log's records. The log itself is an
 // internal/journal (framed, CRC-checked segments, torn tail truncated on
 // open) under data/wal; every mutation that must survive a crash — a
-// stored report, an uploaded policy, a manual archive update — is appended
-// as one record before it is applied, and recovery replays them through
-// the normal store path, which is idempotent (the cache replaces
-// same-branch documents; archives drop non-newer samples). A record's
-// first byte is its kind.
+// stored report, an uploaded policy, a manual archive update, an archive a
+// slice installs — is appended as one record before it is applied, and
+// recovery replays them through the normal store path, which is idempotent
+// (the cache replaces same-branch documents; archives drop non-newer
+// samples, and an install replays under the rule it was applied by). A
+// record's first byte is its kind.
 const (
-	walReport = 1 // u16 branch len | branch | report bytes
-	walPolicy = 2 // MarshalPolicy's XML
-	walManual = 3 // u16 branch len | branch | u16 name len | name | i64 nanos | f64 value
+	walReport  = 1 // u16 branch len | branch | report bytes
+	walPolicy  = 2 // MarshalPolicy's XML
+	walManual  = 3 // u16 branch len | branch | u16 name len | name | i64 nanos | f64 value
+	walInstall = 4 // an ARCH section's body: key | NUL | rrd image
 )
 
 // newRecord starts a record of kind whose body opens with id's
@@ -83,6 +85,12 @@ func (d *Depot) applyWALRecord(rec []byte) error {
 		at := time.Unix(0, int64(binary.BigEndian.Uint64(p[len(p)-16:]))).UTC()
 		value := math.Float64frombits(binary.BigEndian.Uint64(p[len(p)-8:]))
 		d.archiveUpdateApply(id, name, at, value)
+	case walInstall:
+		key, db, err := parseArchive(p)
+		if err != nil {
+			return err
+		}
+		d.installApply(key, db)
 	default:
 		// Unknown kinds are skipped for forward compatibility (the CRC
 		// already vouched for the bytes).

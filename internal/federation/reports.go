@@ -7,9 +7,8 @@ import (
 	"inca/internal/branch"
 )
 
-// StoredReport is one report recovered from a /reports response — the
-// unit the rebalance migration re-envelopes and re-stores on a branch's
-// new owner.
+// StoredReport is one report recovered from a /reports response: how a
+// client reads a /reports answer back by branch.
 type StoredReport struct {
 	ID  branch.ID
 	XML []byte

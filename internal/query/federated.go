@@ -693,41 +693,72 @@ func (f *Federated) policySet(shards []federation.Shard) ([]depot.Policy, error)
 	return set, nil
 }
 
-// copyPolicies gives dst (and its follower) every policy the primaries of
-// from hold whose name it does not hold yet. A depot archives a report
-// only under the policies it holds when the report arrives, so a join or
-// an attach copies them before any report; when from holds none, dst is
-// not asked.
-func (f *Federated) copyPolicies(from []federation.Shard, dst federation.Shard) error {
-	set, err := f.policySet(from)
+// transfer moves state from the depots srcs, the one routine of a join, a
+// graceful leave and a follower's catch-up. Each source's slice (GET
+// /slice) is fetched once and split by to, which names a branch's
+// destination (false: the branch stays); each destination is posted its
+// part — the source's policies, then its branches' archives and reports —
+// through postSlice.
+func (f *Federated) transfer(srcs []federation.Shard, to func(branch.ID) (federation.Shard, bool)) (depot.SliceResult, error) {
+	var moved depot.SliceResult
+	for _, src := range srcs {
+		resp := f.fetchShard(context.TODO(), src, "/slice", nil, "", 0)
+		docs, err := gather([]shardResp{resp}, 0)
+		dsts := make(map[string]federation.Shard)
+		var parts map[string][]byte
+		if err == nil {
+			parts, err = depot.SplitSlice(docs[0].Body, func(id branch.ID) string {
+				if dst, ok := to(id); ok {
+					dsts[dst.Name()] = dst
+					return dst.Name()
+				}
+				return ""
+			})
+		}
+		resp.release()
+		if err != nil {
+			return moved, badGateway("%s slice: %v", src.Name(), err)
+		}
+		for name, part := range parts {
+			if err := f.postSlice(dsts[name], part, &moved); err != nil {
+				return moved, err
+			}
+		}
+	}
+	return moved, nil
+}
+
+// sendPolicies posts dst a slice of every policy srcs hold, when they hold
+// any: what a joining shard takes before it owns a branch, and a follower
+// before its tee starts.
+func (f *Federated) sendPolicies(srcs []federation.Shard, dst federation.Shard) error {
+	set, err := f.policySet(srcs)
 	if err != nil || len(set) == 0 {
 		return err
 	}
-	held, err := f.policySet([]federation.Shard{dst})
+	body, err := depot.PolicySlice(set)
 	if err != nil {
 		return err
 	}
-	names := make(map[string]bool, len(held))
-	for _, p := range held {
-		names[p.Name] = true
+	return f.postSlice(dst, body, new(depot.SliceResult))
+}
+
+// postSlice posts a slice to dst, and to its follower, through write, and
+// adds what dst did with it to moved.
+func (f *Federated) postSlice(dst federation.Shard, body []byte, moved *depot.SliceResult) error {
+	resp := f.write(dst, "/slice", body)
+	defer resp.release()
+	if resp.err == nil && resp.status != http.StatusOK {
+		resp.err = fmt.Errorf("status %d: %s", resp.status, bytes.TrimSpace(resp.body))
 	}
-	for _, p := range set {
-		if names[p.Name] {
-			continue
-		}
-		body, err := depot.MarshalPolicy(p)
-		if err != nil {
-			return err
-		}
-		put := f.write(dst, "/policy", body)
-		put.release()
-		if put.err != nil {
-			return badGateway("policy %s on %s: %v", p.Name, dst.Name(), put.err)
-		}
-		if put.status != http.StatusOK {
-			return badGateway("policy %s on %s: status %d", p.Name, dst.Name(), put.status)
-		}
+	var got depot.SliceResult
+	if resp.err == nil {
+		resp.err = xml.Unmarshal(resp.body, &got)
 	}
+	if resp.err != nil {
+		return badGateway("slice to %s: %v", dst.Name(), resp.err)
+	}
+	moved.Add(got)
 	return nil
 }
 
@@ -785,38 +816,32 @@ func (f *Federated) handleShards(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJoin adds a shard: POST /federation/join?shard=wire/http[&migrate=1].
-// First the new shard (and its follower, when the spec names one) takes
-// every archival policy the federation holds that it lacks, so it archives
-// the branches it comes to own from their first report; a join that cannot
-// copy them fails before the ring moves. With migrate=1 the ranges the new
-// member claims are copied over before the ring flips, so reads stay
-// complete throughout; copies the old owners keep are masked by the
-// merge's owner-wins rule. The copy is a best-effort snapshot — reports
-// ingested for a moved range mid-copy reach the new owner on the
-// reporter's next cycle (the cache keeps latest-per-branch, so
-// convergence is automatic).
+// The new shard (and its follower, when the spec names one) is first sent
+// every archival policy the federation holds, so it archives the branches
+// it comes to own from their first report; with migrate=1 it then takes
+// the part of every shard's slice it claims. Both happen before the ring
+// flips (a join that fails either does not move it), so reads stay
+// complete; copies the old owners keep are masked by the merge's
+// owner-wins rule.
 func (f *Federated) handleJoin(w http.ResponseWriter, r *http.Request) {
 	s, err := federation.ParseShard(r.URL.Query().Get("shard"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := f.copyPolicies(f.router.Shards(), s); err != nil {
+	if err := f.sendPolicies(f.router.Shards(), s); err != nil {
 		fail(w, err)
 		return
 	}
-	migrated := 0
+	var moved depot.SliceResult
 	if r.URL.Query().Get("migrate") == "1" {
 		target := f.router.Ring().With(s.Name())
-		for _, src := range f.router.Shards() {
-			n, err := f.copyReports(src, func(id branch.ID) (federation.Shard, bool) {
-				return s, target.Owner(id) == s.Name()
-			})
-			if err != nil {
-				fail(w, err)
-				return
-			}
-			migrated += n
+		moved, err = f.transfer(f.router.Shards(), func(id branch.ID) (federation.Shard, bool) {
+			return s, target.Owner(id) == s.Name()
+		})
+		if err != nil {
+			fail(w, err)
+			return
 		}
 	}
 	if err := f.router.Join(s); err != nil {
@@ -824,23 +849,20 @@ func (f *Federated) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	f.topologyMoved()
-	fmt.Fprintf(w, "joined %s (migrated %d reports)\n", s.Name(), migrated)
+	fmt.Fprintf(w, "joined %s (migrated %s)\n", s.Name(), moved)
 }
 
 // handleLeave removes a shard: POST /federation/leave?shard=wire[&migrate=1][&promote=0].
-// When the shard has a follower attached the leave is a failover
-// instead: the follower is promoted in place (the ring does not move, no
-// data redistributes — the follower's depot holds the reports and policies
-// the tee and any catch-up gave it, but no archive history from before the
-// attach) and every message queued toward the dead primary redelivers to
-// the promoted process. Pass promote=0 to force a real departure.
-// Otherwise: with migrate=1 the departure is graceful — the router
-// drains its queue to the shard (the drain barrier), the shard's reports
-// are copied to their new owners, and only then does the ring flip.
-// Without migrate (the shard is dead) the router harvests every
-// undelivered message and re-routes it — no accepted report is lost
-// either way, though data only the dead shard stored is gone until
-// reporters re-send. Any re-route loss is reported, never silent.
+// An unknown shard is 404. A shard with a follower fails over instead:
+// the follower, holding what the tee and any catch-up gave it, is promoted
+// in place (the ring does not move) and the dead primary's queue
+// redelivers to it; promote=0 forces a real departure. With migrate=1 the
+// departure is graceful: the router drains its queue to the shard, sends
+// the shard's slice to the new owners of its branches, and only then
+// flips the ring. Without migrate (the shard is dead) every undelivered
+// message is harvested and re-routed, so no accepted report is lost,
+// though data only the dead shard stored is gone until reporters re-send.
+// Any re-route loss is reported, never silent.
 func (f *Federated) handleLeave(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("shard")
 	if name == "" {
@@ -848,38 +870,37 @@ func (f *Federated) handleLeave(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	leaving, known := f.router.Shard(name)
-	if known && leaving.HasReplica() && r.URL.Query().Get("promote") != "0" {
+	if !known {
+		http.Error(w, "unknown shard "+name, http.StatusNotFound)
+		return
+	}
+	if leaving.HasReplica() && r.URL.Query().Get("promote") != "0" {
 		f.promote(w, name)
 		return
 	}
-	migrated := 0
+	var moved depot.SliceResult
 	if r.URL.Query().Get("migrate") == "1" {
 		if err := f.router.DrainShard(name); err != nil {
 			http.Error(w, "drain "+name+": "+err.Error(), http.StatusBadGateway)
 			return
 		}
-		if !known {
-			http.Error(w, "unknown shard "+name, http.StatusNotFound)
-			return
-		}
 		target := f.router.Ring().Without(name)
-		n, err := f.copyReports(leaving, func(id branch.ID) (federation.Shard, bool) {
-			s, _ := f.router.Shard(target.Owner(id))
-			return s, true
+		var err error
+		moved, err = f.transfer([]federation.Shard{leaving}, func(id branch.ID) (federation.Shard, bool) {
+			return f.router.Shard(target.Owner(id))
 		})
 		if err != nil {
 			fail(w, err)
 			return
 		}
-		migrated = n
 	}
-	moved, lost, err := f.router.Leave(name)
+	requeued, lost, err := f.router.Leave(name)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
 	f.topologyMoved()
-	fmt.Fprintf(w, "left %s (migrated %d reports, re-routed %d queued messages, lost %d)\n", name, migrated, moved, lost)
+	fmt.Fprintf(w, "left %s (migrated %s, re-routed %d queued messages, lost %d)\n", name, moved, requeued, lost)
 }
 
 // promote fails a shard over to its follower. The promoted process serves
@@ -909,19 +930,14 @@ func (f *Federated) handlePromote(w http.ResponseWriter, r *http.Request) {
 
 // handleReplicate attaches a follower to a running shard:
 // POST /federation/replicate?shard=name&follower=wire[/http][&catchup=1].
-// A follower with a querying interface first takes the archival policies
-// its primary holds and it lacks (failing the attach when it cannot), so
-// it archives from the first report the tee sends it. The router starts
-// teeing the shard's wire stream to the follower at once; with catchup=1
-// the §5h migration path then copies the primary's stored reports — each
-// branch's latest, re-stored through the follower — so a late-joining
-// follower (or a fresh follower after a promotion consumed the old one)
-// holds the primary's reports and policies. Archive history from before
-// the attach does not move.
-// Reports tee'd live while the copy runs are simply stored twice; the
-// cache keeps latest-per-branch, so convergence is automatic. Reads stay
-// on the primary, so neither the attach nor a failed catch-up touches a
-// validator or a feed subscription.
+// A follower with a querying interface is first sent its primary's
+// archival policies (the attach fails when it cannot take them), so it
+// archives from the first report the tee sends it. With catchup=1 the
+// primary's slice follows the tee's start, so a late follower holds the
+// primary's history, archives included; an archive the tee has taken past
+// the primary's image stays the follower's own and counts as kept
+// (DESIGN.md §5e). Reads stay on the primary, so neither the attach nor a
+// failed catch-up touches a validator or a feed subscription.
 func (f *Federated) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("shard")
@@ -936,8 +952,9 @@ func (f *Federated) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	// The follower as a depot of its own: writes to it reach it alone.
 	follower := federation.Shard{Wire: fw, HTTP: fh}
-	if s, ok := f.router.Shard(name); ok && follower.BaseURL() != "" {
-		if err := f.copyPolicies([]federation.Shard{s}, follower); err != nil {
+	s, ok := f.router.Shard(name)
+	if ok && follower.BaseURL() != "" {
+		if err := f.sendPolicies([]federation.Shard{s}, follower); err != nil {
 			http.Error(w, "follower policies: "+err.Error(), http.StatusBadGateway)
 			return
 		}
@@ -946,69 +963,20 @@ func (f *Federated) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	copied := 0
+	var moved depot.SliceResult
 	if q.Get("catchup") == "1" {
-		s, ok := f.router.Shard(name)
-		if !ok {
-			http.Error(w, "unknown shard "+name, http.StatusNotFound)
-			return
-		}
 		var err error
 		if follower.BaseURL() == "" {
 			err = fmt.Errorf("follower of %s has no querying interface for catch-up", name)
 		} else {
-			copied, err = f.copyReports(s, func(branch.ID) (federation.Shard, bool) { return follower, true })
+			moved, err = f.transfer([]federation.Shard{s}, func(branch.ID) (federation.Shard, bool) { return follower, true })
 		}
 		if err != nil {
-			http.Error(w, fmt.Sprintf("follower attached but catch-up failed after %d reports: %v", copied, err), http.StatusBadGateway)
+			http.Error(w, fmt.Sprintf("follower attached but catch-up failed after %s: %v", moved, err), http.StatusBadGateway)
 			return
 		}
 	}
-	fmt.Fprintf(w, "replicating %s to %s (caught up %d reports)\n", name, fw, copied)
-}
-
-// copyReports re-stores each report src holds on the shard to names for
-// it, through write, so that shard's follower gets it too; a report to
-// names no shard for stays where it is. It is how a join or a graceful
-// leave moves ranges to their new owners and how a follower catches up on
-// its primary's history.
-func (f *Federated) copyReports(src federation.Shard, to func(branch.ID) (federation.Shard, bool)) (int, error) {
-	resp := f.fetchShard(context.TODO(), src, "/reports", url.Values{"branch": {""}}, "", 0)
-	if resp.err != nil {
-		return 0, badGateway("fetch %s reports: %v", src.Name(), resp.err)
-	}
-	defer resp.release()
-	if resp.status != http.StatusOK {
-		return 0, badGateway("fetch %s reports: status %d", src.Name(), resp.status)
-	}
-	stored, err := federation.ParseReports(resp.body)
-	if err != nil {
-		return 0, badGateway("parse %s reports: %v", src.Name(), err)
-	}
-	copied := 0
-	for _, st := range stored {
-		dst, ok := to(st.ID)
-		if !ok {
-			continue
-		}
-		if dst.BaseURL() == "" {
-			return copied, badGateway("no reachable destination %s for %s", dst.Name(), st.ID)
-		}
-		env, err := envelope.Encode(envelope.Body, st.ID, st.XML)
-		if err != nil {
-			return copied, badGateway("encode %s: %v", st.ID, err)
-		}
-		put := f.write(dst, "/store", env)
-		put.release()
-		if put.err != nil {
-			return copied, badGateway("store %s on %s: %v", st.ID, dst.Name(), put.err)
-		}
-		if put.status != http.StatusOK {
-			return copied, badGateway("store %s on %s: status %d", st.ID, dst.Name(), put.status)
-		}
-		copied++
-	}
-	return copied, nil
+	fmt.Fprintf(w, "replicating %s to %s (caught up %s)\n", name, fw, moved)
 }
 
 // --- availability page JSON codec ---

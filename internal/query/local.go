@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -77,6 +78,7 @@ func (b *local) routes() []route {
 		{"/archive", "archive", readOnly(b.handleArchive)},
 		{"/graph", "graph", readOnly(b.handleGraph)},
 		{"/spec", "spec", b.handleSpec},
+		{"/slice", "slice", only("GET, HEAD, POST", b.handleSlice)},
 	}
 	if b.srv.Feed != nil && b.srv.Feed.status != nil {
 		routes = append(routes, route{"/summary", "summary", readOnly(b.handleSummary)})
@@ -277,10 +279,35 @@ func (b *local) policy(policyXML []byte) (document, error) {
 	if err != nil {
 		return document{}, httpError{http.StatusBadRequest, err.Error()}
 	}
-	if err := b.d.AddPolicy(p); err != nil {
+	if err := b.d.AddPolicy(p); errors.Is(err, depot.ErrPolicyName) {
+		return document{}, httpError{http.StatusBadRequest, err.Error()}
+	} else if err != nil {
 		return document{}, httpError{http.StatusConflict, err.Error()}
 	}
 	return document{}, nil
+}
+
+// handleSlice serves the depot's slice (GET) and applies one (POST; 400,
+// before anything changes, for a slice that does not read whole): the
+// state a router moves for a join, a leave and a catch-up (DESIGN.md §5c).
+// A slice is a depot's whole state, so the body's bound only stops a
+// runaway.
+func (b *local) handleSlice(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		var buf bytes.Buffer
+		err := b.d.WriteSlice(&buf)
+		answer(w, r, bytesDoc("application/octet-stream", "", buf.Bytes()), err)
+		return
+	}
+	post(w, r, 1<<30, func(body []byte) (document, error) {
+		s, err := depot.ReadSlice(body)
+		if err != nil {
+			return document{}, httpError{http.StatusBadRequest, err.Error()}
+		}
+		res, err := b.d.ApplySlice(s)
+		out, _ := xml.Marshal(res) // ints only: cannot fail
+		return bytesDoc("text/xml", "", out), err
+	})
 }
 
 func (b *local) policies() (document, error) {

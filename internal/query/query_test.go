@@ -29,7 +29,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *depot.Depot) {
 	return ts, d
 }
 
-func sampleEnvelope(t *testing.T, id string, at time.Time, value float64) []byte {
+func sampleEnvelope(t testing.TB, id string, at time.Time, value float64) []byte {
 	t.Helper()
 	r := report.New("grid.network.pathload", "1.0", "h", at)
 	r.Body = report.Branch("metric", "bandwidth",

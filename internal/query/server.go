@@ -133,8 +133,10 @@ func timed(reg *metrics.Registry, name string, h http.HandlerFunc) http.HandlerF
 //	                    registry only)
 //
 // Either tier mounts /debug/pprof/* when its Pprof is set. A depot adds
-// /spec and /summary (feeds evaluating an agreement only); a router adds
-// /shards and POST /federation/{join,leave,promote,replicate}.
+// /spec, /summary (feeds evaluating an agreement only) and /slice (GET its
+// policies, archives and reports; POST to apply another depot's: the
+// transfer behind a join, a leave and a catch-up); a router adds /shards
+// and POST /federation/{join,leave,promote,replicate}.
 func (s *Server) Handler() http.Handler {
 	routes := append([]route{
 		{"/store", "store", postOnly(s.handleStore)},

@@ -287,6 +287,18 @@ func (d *DB) Update(t time.Time, values ...float64) error {
 	return d.writeStateLocked()
 }
 
+// Install is rrd.DB.Install over the file: src's rows are written in
+// place, then its state lands in the alternate slot.
+func (d *DB) Install(src *rrd.DB) (bool, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	ok, err := d.db.Install(src)
+	if !ok || err != nil {
+		return ok, err
+	}
+	return true, d.writeStateLocked()
+}
+
 // WriteTo serializes the archive as the standard in-memory image
 // (rrd.ReadDB reads it back) — byte-identical to what the same update
 // sequence against an in-memory DB would produce, which is what keeps

@@ -173,6 +173,50 @@ func TestReopenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInstallMatchesMemory installs one image into a paged archive and an
+// in-memory twin, each holding an older history of its own: the two serve
+// the same image before and after a reopen.
+func TestInstallMatchesMemory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bw.rrd")
+	mem, err := rrd.NewFromPolicy(testStart, "bw", testPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := CreateFromPolicy(path, testStart, "bw", testPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, 3, mem, disk)
+	src, err := rrd.NewFromPolicy(testStart.Add(-time.Hour), "bw", testPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, 200, src)
+	for _, db := range []interface{ Install(*rrd.DB) (bool, error) }{mem, disk} {
+		img, err := rrd.ReadDB(bytes.NewReader(image(t, src)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := db.Install(img); !ok || err != nil {
+			t.Fatalf("install: %v %v", ok, err)
+		}
+	}
+	mi, di := mustImage(t, mem, disk)
+	if !bytes.Equal(mi, di) {
+		t.Fatal("installed images differ between the engines")
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if disk, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	if !bytes.Equal(image(t, disk), mi) {
+		t.Fatal("installed image changed across a reopen")
+	}
+}
+
 // TestTornStateFallsBack corrupts the most recent state slot, as a crash
 // mid-pwrite would, and expects Open to recover from the older slot.
 func TestTornStateFallsBack(t *testing.T) {

@@ -8,8 +8,9 @@ package inca_test
 // holds exactly the shard's slice, SIGKILLs the replicated shard's primary,
 // promotes the follower via /federation/leave, and asserts the federated
 // /reports body comes back byte-identical — zero stored-report loss
-// across the failover — with a clean custody ledger on the router's
-// /metrics.
+// across the failover — that the promoted follower serves the /archive the
+// primary served before the kill, and that the router's /metrics show a
+// clean custody ledger.
 //
 // Gated behind INCA_REPLICATION_SMOKE=1 and run by `make
 // replication-smoke` (part of `make check`).
@@ -19,15 +20,19 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"regexp"
 	"testing"
 	"time"
 
 	"inca/internal/branch"
+	"inca/internal/depot"
 	"inca/internal/experiments"
 	"inca/internal/federation"
 	"inca/internal/loadgen"
+	"inca/internal/query"
+	"inca/internal/rrd"
 	"inca/internal/wire"
 )
 
@@ -61,6 +66,18 @@ func TestReplicationSmoke(t *testing.T) {
 		t.Fatalf("router reports %s replicated shards, want 1", n)
 	}
 	routerHTTP := banner(t, router, experiments.RouterHTTPRE)
+
+	// An archival policy uploaded through the router before the stream:
+	// the router sends it to every primary and to shard B's follower, so
+	// both archive the slice from its first report.
+	policy := depot.Policy{
+		Name: "premade", Prefix: branch.MustParse("vo=tg"),
+		Path:    "value,statistic=sample,synthetic=premade",
+		Archive: rrd.ArchivalPolicy{Step: time.Hour, History: 24 * time.Hour},
+	}
+	if err := query.NewClient("http://" + routerHTTP).UploadPolicy(policy); err != nil {
+		t.Fatalf("policy upload through the router: %v", err)
+	}
 
 	// Mirror the router's placement to know shard B's slice.
 	ring := federation.NewRing([]string{wireA, wireB}, federation.RingOptions{})
@@ -130,6 +147,17 @@ func TestReplicationSmoke(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
+	// The archive the primary serves for one of its branches before the
+	// kill: the promoted follower must serve the same bytes.
+	archiveQuery := "/archive?" + url.Values{
+		"branch": {ownedB[0].String()}, "policy": {policy.Name}, "cf": {"AVERAGE"},
+		"start": {"2004-07-06T00:00:00Z"}, "end": {"2004-07-08T00:00:00Z"},
+	}.Encode()
+	preKillArchive, err := fetchOK("http://" + httpB + archiveQuery)
+	if err != nil || !bytes.Contains(preKillArchive, []byte(",1\n")) {
+		t.Fatalf("pre-kill: primary's /archive: %v\n%s", err, preKillArchive)
+	}
+
 	// SIGKILL shard B's primary — no drain, no goodbye — then keep
 	// streaming its slice so messages pile up toward the dead process.
 	if err := shardB.Cmd.Process.Kill(); err != nil {
@@ -180,6 +208,13 @@ func TestReplicationSmoke(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
+	// The archive came across the failover too: the promoted follower
+	// archived the slice from the tee, and the re-sent reports carry
+	// timestamps it already holds.
+	if got, err := fetchOK("http://" + httpF + archiveQuery); err != nil || !bytes.Equal(got, preKillArchive) {
+		t.Fatalf("promoted follower's /archive (err=%v):\n%s\nwant the primary's pre-kill answer:\n%s", err, got, preKillArchive)
+	}
+
 	// The custody ledger must reconcile with zero silent drops. Each
 	// family is summed over every shard client the router has built, the
 	// promoted-away primary's included.
@@ -205,18 +240,27 @@ func TestReplicationSmoke(t *testing.T) {
 	}
 }
 
-func fetchReports(url string) ([]byte, int, error) {
+// fetchOK is the body of a GET that must answer 200.
+func fetchOK(url string) ([]byte, error) {
 	resp, err := http.Get(url)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, 0, fmt.Errorf("GET %s: %d", url, resp.StatusCode)
+		return nil, fmt.Errorf("GET %s: %d", url, resp.StatusCode)
+	}
+	return body, nil
+}
+
+func fetchReports(url string) ([]byte, int, error) {
+	body, err := fetchOK(url)
+	if err != nil {
+		return nil, 0, err
 	}
 	stored, err := federation.ParseReports(body)
 	if err != nil {
