@@ -5,9 +5,11 @@
 // "response time" analyzed in Section 5.2, which Submit returns. The
 // paper's controller wraps every report in an XML envelope addressed by its
 // branch identifier because its depot sat behind a web-service call; this
-// one does so only where the depot is not in its own process (or is made to
-// look that way, as the paper's response-time reproductions do with
-// Enveloped).
+// one sends an envelope only to a depot that takes nothing else: one in
+// another process, or one made to look that way, as the paper's
+// response-time reproductions do with Enveloped. A depot in its own process
+// is handed the report as it came, and its Store decides whether to take
+// it and in what form.
 package controller
 
 import (
@@ -62,10 +64,9 @@ type Options struct {
 	// always configured a list.
 	Allowlist []string
 	// Mode selects the envelope encoding (Body reproduces the deployed
-	// system; Attachment is the paper's planned improvement). Over a depot
-	// in this process it decides only the fate of a report holding a
-	// character outside XML's range: Body stores it with U+FFFD in its
-	// place, Attachment hands the depot the raw bytes.
+	// system; Attachment is the paper's planned improvement) for a depot
+	// that takes nothing but envelopes. A depot in this process is sent no
+	// envelope, so there it changes nothing.
 	Mode envelope.Mode
 	// Keys holds per-host shared secrets for report authentication (the
 	// paper's future-work security item). A host with a key registered
@@ -120,12 +121,11 @@ func (c *Controller) Allowed(host string) bool {
 }
 
 // Submit accepts one report: allowlist check, then the depot store. A depot
-// in this process takes the report as it is whenever the envelope round
-// trip would hand it the same identifier and bytes (envelope.Verbatim);
-// otherwise, and for every other depot, the report travels in an envelope,
-// so the depot stores the same bytes and answers with the same receipt
-// (bar its Unpack time) and the same error either way. It returns the
-// depot's response; the controller keeps none of them, only counts.
+// in this process takes the report as it is, through its own Store, which
+// decides whether the report is taken and in what form; every other depot
+// is sent an envelope. Submit makes no check of the report's content. It
+// returns the depot's response; the controller keeps none of them, only
+// counts.
 func (c *Controller) Submit(id branch.ID, hostname string, reportXML []byte) (Response, error) {
 	handleStart := time.Now()
 	defer c.handleH.ObserveSince(handleStart)
@@ -133,19 +133,17 @@ func (c *Controller) Submit(id branch.ID, hostname string, reportXML []byte) (Re
 		c.rejectedC.Inc()
 		return Response{}, fmt.Errorf("controller: host %q not in allowlist", hostname)
 	}
-	direct := c.local != nil && envelope.Verbatim(c.opt.Mode, id, reportXML)
-	var env []byte
+	var rec depot.Receipt
 	var err error
-	if !direct {
+	start := time.Now()
+	if c.local != nil {
+		rec, err = c.local.Store(id, reportXML)
+	} else {
+		var env []byte
 		if env, err = envelope.Encode(c.opt.Mode, id, reportXML); err != nil {
 			return Response{}, err
 		}
-	}
-	var rec depot.Receipt
-	start := time.Now()
-	if direct {
-		rec, err = c.local.Store(id, reportXML)
-	} else {
+		start = time.Now() // the wait on the depot starts past the encode
 		rec, err = c.depot.StoreEnvelope(env)
 	}
 	elapsed := time.Since(start)

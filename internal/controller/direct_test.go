@@ -16,11 +16,24 @@ import (
 )
 
 // recorder is a depot client that keeps the receipt of its last store and
-// counts how each store arrived.
+// the report of the depot's last change-feed publication, and counts how
+// each store arrived.
 type recorder struct {
 	d                *depot.Depot
 	last             depot.Receipt
+	change           []byte
 	direct, envelope int
+}
+
+// newRecorder is a recorder over d that watches d's change feed.
+func newRecorder(d *depot.Depot) *recorder {
+	r := &recorder{d: d}
+	d.SetPublisher(func(c depot.Change) {
+		if c.Kind == depot.ChangeReport {
+			r.change = append(r.change[:0], c.Report...)
+		}
+	})
+	return r
 }
 
 func (r *recorder) Store(id branch.ID, reportXML []byte) (depot.Receipt, error) {
@@ -68,7 +81,10 @@ func reportAt(at time.Time, ok string) []byte {
 // modes, a controller over one depot and a controller over a second depot
 // seen through Enveloped — the envelope path, the oracle — must end in the
 // same state after each message: the same ack, the same cache dump, the
-// same archived series and the same receipt bar its Unpack time. A report
+// same archived series, the same receipt bar its Unpack time, the same
+// report bytes published to the change feed and the same Stats().Bytes —
+// the two places where a report as sent and a report as stored could
+// differ. A report
 // at the same branch goes first, so a refused report must also leave the
 // entry it would have replaced alone, and an accepted one adds to the
 // archive the first report began, however far apart their dates are.
@@ -81,11 +97,18 @@ func FuzzSubmitDirect(f *testing.F) {
 	f.Add("probe=x,resource=login1,vo=tg", bytes.Replace(canonical, []byte("<ok>1</ok>"), []byte("<ok>1\uFFFE</ok>"), 1))
 	f.Add("probe=x\x01,resource=login1,vo=tg", canonical)
 	f.Add("probe=x,resource=login1,vo=tg", reportAt(t0.AddDate(200, 0, 0), "1"))
+	// encoding/xml takes a control byte in a comment or a processing
+	// instruction, which the canonical form drops: the report is stored,
+	// and what is logged, published and counted holds U+FFFD.
+	f.Add("probe=x,resource=login1,vo=tg", bytes.Replace(canonical, []byte("<ok>1</ok>"), []byte("<ok>1</ok><!--a\x01b-->"), 1))
+	f.Add("probe=x,resource=login1,vo=tg", bytes.Replace(canonical, []byte("<ok>1</ok>"), []byte("<ok>1</ok><?pi a\x01b?>"), 1))
+	f.Add("probe=x,resource=login1,vo=tg", bytes.Replace(canonical, []byte("<ok>1</ok>"), []byte("<ok>1\xe2\x82</ok>"), 1))
+	f.Add("probe=x\xff,resource=login1,vo=tg", canonical)
 	first := reportAt(t0.Add(time.Minute), "0")
 	f.Fuzz(func(t *testing.T, branchText string, reportXML []byte) {
 		for _, mode := range []envelope.Mode{envelope.Body, envelope.Attachment} {
-			direct := &recorder{d: policyDepot(t, nil)}
-			oracle := &recorder{d: policyDepot(t, nil)}
+			direct := newRecorder(policyDepot(t, nil))
+			oracle := newRecorder(policyDepot(t, nil))
 			cd := New(direct, Options{Mode: mode})
 			co := New(Enveloped(oracle), Options{Mode: mode})
 			for step, data := range [][]byte{first, reportXML} {
@@ -94,6 +117,7 @@ func FuzzSubmitDirect(f *testing.F) {
 					return &wire.Message{Branch: branchText, Hostname: "login1", Report: append([]byte(nil), data...)}
 				}
 				direct.last, oracle.last = depot.Receipt{}, depot.Receipt{}
+				direct.change, oracle.change = nil, nil
 				ad, ao := cd.Handle(msg(), "r"), co.Handle(msg(), "r")
 				if *ad != *ao {
 					t.Fatalf("%s: ack %+v, envelope path %+v", where, *ad, *ao)
@@ -104,6 +128,12 @@ func FuzzSubmitDirect(f *testing.F) {
 				}
 				if dd, do := direct.d.Cache().Dump(), oracle.d.Cache().Dump(); !bytes.Equal(dd, do) {
 					t.Fatalf("%s: cache\n%q\nenvelope path\n%q", where, dd, do)
+				}
+				if !bytes.Equal(direct.change, oracle.change) {
+					t.Fatalf("%s: feed change %q, envelope path %q", where, direct.change, oracle.change)
+				}
+				if bd, bo := direct.d.Stats().Bytes, oracle.d.Stats().Bytes; bd != bo {
+					t.Fatalf("%s: %d bytes stored, envelope path %d", where, bd, bo)
 				}
 				id, err := branch.Parse(branchText)
 				if err != nil {
@@ -133,9 +163,9 @@ func fetched(d *depot.Depot, id branch.ID, policy string) string {
 }
 
 // TestSubmitStoresInProcessWithoutEnvelope: a depot in the controller's
-// process takes a report the envelope would hand back unchanged as it is —
-// nothing is unpacked — while a report the body escaping would change goes
-// through the envelope and is stored as the envelope path stores it.
+// process takes every report through its own Store — nothing is unpacked —
+// and a report the body escaping would change is stored as the envelope
+// path stores it.
 func TestSubmitStoresInProcessWithoutEnvelope(t *testing.T) {
 	reg := metrics.NewRegistry()
 	rec := &recorder{d: policyDepot(t, reg)}
@@ -152,14 +182,14 @@ func TestSubmitStoresInProcessWithoutEnvelope(t *testing.T) {
 	if n := unpacks.Count(); n != 0 {
 		t.Fatalf("%d envelopes unpacked for a report stored in process", n)
 	}
-	// A control byte: the body escaping writes U+FFFD in its place, so the
-	// report takes the envelope and is stored with the replacement.
+	// A control byte: the body escaping writes U+FFFD in its place, and so
+	// does the depot's Store, without an envelope.
 	raw := []byte("<r><v>1\x01</v></r>")
 	if _, err := c.Submit(id, "login1", raw); err != nil {
 		t.Fatal(err)
 	}
-	if rec.envelope != 1 || unpacks.Count() != 1 {
-		t.Fatalf("report with a control byte: %d enveloped stores, %d unpacks; want 1, 1", rec.envelope, unpacks.Count())
+	if rec.direct != 2 || rec.envelope != 0 || unpacks.Count() != 0 {
+		t.Fatalf("report with a control byte: %d direct, %d enveloped stores, %d unpacks; want 2, 0, 0", rec.direct, rec.envelope, unpacks.Count())
 	}
 	stored, _, _ := rec.d.Cache().Query(id)
 	if !bytes.Contains(stored, []byte("1\uFFFD")) {

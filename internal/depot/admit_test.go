@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"inca/internal/metrics"
 	"inca/internal/report"
 	"inca/internal/xmlscan"
 )
@@ -91,8 +90,8 @@ const (
 // canonical scan with the extraction driven from it, or the written
 // payload and the extraction over it — to what it must agree with. For any
 // bytes and one to three policy paths: the payload and whether the report
-// is refused are EntryPayload's, a report is counted as a fallback exactly
-// when xmlscan.Canonical refuses it, and wherever report.Parse takes the
+// is refused are EntryPayload's, a report is reported canonical exactly
+// when xmlscan.Canonical takes it, and wherever report.Parse takes the
 // payload for a report with its sections in order, the extraction is
 // Parse + Find's: no error, the same GMT, Completed (when a success path
 // is asked for) and every value. (FuzzExtractValues holds the same
@@ -150,15 +149,14 @@ func FuzzAdmit(f *testing.F) {
 			success = success || p.Success()
 		}
 		sc := &archiveScratch{paths: paths}
-		fallbacks := (*metrics.Registry)(nil).Counter("fallbacks", "")
-		payload, ex, exErr, err := sc.admit(data, fallbacks)
+		payload, canonical, ex, exErr, err := sc.admit(data)
 
 		wantPayload, wantErr := EntryPayload(data, nil)
 		if (err != nil) != (wantErr != nil) || !bytes.Equal(payload, wantPayload) {
 			t.Fatalf("%q: admitted %q, %v; EntryPayload %q, %v", data, payload, err, wantPayload, wantErr)
 		}
-		if _, canonical := xmlscan.Canonical(data); canonical != (fallbacks.Value() == 0) {
-			t.Fatalf("%q: canonical %v, %d fallbacks", data, canonical, fallbacks.Value())
+		if _, want := xmlscan.Canonical(data); canonical != want {
+			t.Fatalf("%q: admitted as canonical %v, xmlscan.Canonical %v", data, canonical, want)
 		}
 		if wantErr != nil {
 			return
@@ -239,7 +237,7 @@ func BenchmarkAdmit(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, ex, exErr, err := sc.admit(data, nil); err != nil || exErr != nil || ex.Values[0] != 42 {
+				if _, _, ex, exErr, err := sc.admit(data); err != nil || exErr != nil || ex.Values[0] != 42 {
 					b.Fatal(err, exErr)
 				}
 			}

@@ -1,13 +1,14 @@
 package depot
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"time"
 
 	"inca/internal/branch"
-	"inca/internal/metrics"
 	"inca/internal/report"
+	"inca/internal/xmlscan"
 )
 
 // The archive path. The paper's depot does both jobs on every report —
@@ -23,7 +24,7 @@ import (
 //   - The streaming extractor reads only the paths the matched policies
 //     name, once per distinct path.
 //
-// Depot.storeApply (depot.go) runs match → insert and extract →
+// Depot.store (depot.go) runs match → admit and extract → insert →
 // consolidate inline, so a sample is readable when Store returns.
 
 // compiledPolicy pairs a Policy with its pre-compiled extraction path.
@@ -152,15 +153,21 @@ func (sc *archiveScratch) collect(ex report.Extraction) {
 	sc.gmt = ex.GMT
 }
 
-// admit settles a report's cache payload, as EntryPayload does, and
-// extracts sc.paths from it in the same scan (report.Extractor.Admit); a
-// report that is not canonical is counted in fallbacks. err is the
-// admission's: the report cannot be cached. exErr is the extraction's: it
-// cannot be archived.
-func (sc *archiveScratch) admit(reportXML []byte, fallbacks *metrics.Counter) (payload []byte, ex report.Extraction, exErr, err error) {
-	payload, canonical, ex, exErr, err := sc.ext.Admit(reportXML, sc.paths)
-	if !canonical && fallbacks != nil {
-		fallbacks.Inc()
+// admit is the admission of a report, with the extraction of sc's paths
+// in the same scan (report.Extractor.Admit); a nil sc extracts nothing, as
+// EntryPayload does. canonical says the report was already in canonical
+// form, and payload aliases it. err is the admission's: the report cannot
+// be cached. exErr is the extraction's: it cannot be archived.
+func (sc *archiveScratch) admit(reportXML []byte) (payload []byte, canonical bool, ex report.Extraction, exErr, err error) {
+	if sc == nil {
+		if payload, canonical = xmlscan.Canonical(reportXML); !canonical {
+			payload, err = xmlscan.AppendCanonical(nil, reportXML)
+		}
+	} else {
+		payload, canonical, ex, exErr, err = sc.ext.Admit(reportXML, sc.paths)
 	}
-	return payload, ex, exErr, admissionError(err)
+	if err != nil {
+		err = fmt.Errorf("depot: report is not well-formed XML: %w", err)
+	}
+	return payload, canonical, ex, exErr, err
 }

@@ -192,21 +192,10 @@ func WalkDump(data []byte, at branch.ID, fn func(id branch.ID, payload []byte) e
 // in fallbacks (nil counts nothing). Storing a payload again stores the
 // same bytes.
 func EntryPayload(reportXML []byte, fallbacks *metrics.Counter) ([]byte, error) {
-	if payload, ok := xmlscan.Canonical(reportXML); ok {
-		return payload, nil
-	}
-	if fallbacks != nil {
+	var none *archiveScratch // no paths to extract
+	payload, canonical, _, _, err := none.admit(reportXML)
+	if !canonical && fallbacks != nil {
 		fallbacks.Inc()
 	}
-	payload, err := xmlscan.AppendCanonical(nil, reportXML)
-	return payload, admissionError(err)
-}
-
-// admissionError is the error that refuses a report AppendCanonical
-// refused.
-func admissionError(err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("depot: report is not well-formed XML: %w", err)
+	return payload, err
 }

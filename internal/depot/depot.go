@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"inca/internal/journal"
 	"inca/internal/metrics"
 	"inca/internal/rrd"
+	"inca/internal/xmlscan"
 )
 
 // Policy is an uploadable archival policy (paper Section 3.2.2): which
@@ -41,9 +43,10 @@ type Policy struct {
 
 // Receipt describes the processing of one stored envelope: the paper's
 // response-time decomposition into envelope unpacking and cache processing
-// (Figure 9's two curves). Insert covers policy matching, the cache insert
+// (Figure 9's two curves). Insert covers policy matching, the admission
 // and the extraction the matched policies need, which share one scan of
-// the report; Archive is the consolidation into their archives.
+// the report, the WAL append of a disk depot and the cache insert; Archive
+// is the consolidation into their archives.
 type Receipt struct {
 	Branch     branch.ID
 	ReportSize int
@@ -77,10 +80,10 @@ const (
 )
 
 // Change describes one committed mutation, published to the change feed
-// after the commit succeeds. Report carries the report body for
-// ChangeReport (valid only for the duration of the publisher call — the
-// controller stores reports straight from the wire layer's buffers) and
-// the policy name for ChangePolicy/ChangeManual.
+// after the commit succeeds. Report carries the report as Store kept it
+// for ChangeReport (valid only for the duration of the publisher call —
+// the controller stores reports straight from the wire layer's buffers)
+// and the policy name for ChangePolicy/ChangeManual.
 type Change struct {
 	Branch branch.ID
 	Kind   ChangeKind
@@ -124,7 +127,7 @@ type Depot struct {
 	fallback *metrics.Counter
 
 	unpackH  *metrics.Histogram // envelope decode
-	insertH  *metrics.Histogram // match, cache update and extraction
+	insertH  *metrics.Histogram // match, admission and extraction, WAL append, cache update
 	archiveH *metrics.Histogram // consolidation
 }
 
@@ -153,9 +156,6 @@ func newDepot(cache Cache, opts Options, store archiveStore) *Depot {
 	d.applied = reg.Counter("inca_depot_archive_applied_total", "Samples consolidated into archives.")
 	d.matched = reg.Counter("inca_depot_archive_matched_total", "Stores that matched at least one archival policy.")
 	d.fallback = reg.Counter("inca_depot_insert_fallback_total", "Reports the depot had to write in canonical form because they did not arrive in it.")
-	if ic, ok := cache.(*IndexedCache); ok {
-		ic.fallbacks = d.fallback // before anything is stored: not safe alongside Update
-	}
 	d.unpackH = reg.Histogram("inca_depot_unpack_seconds", "Envelope decode latency.", nil)
 	d.insertH = reg.Histogram("inca_depot_insert_seconds", "Cache insert latency.", nil)
 	d.archiveH = reg.Histogram("inca_depot_archive_seconds", "Archive phase latency on the store path.", nil)
@@ -204,7 +204,8 @@ var ErrPolicyName = errors.New("depot: a policy name may not contain '|'")
 var errDuplicatePolicy = errors.New("depot: duplicate policy")
 
 // AddPolicy uploads an archival policy. Policies apply to reports stored
-// after the upload. A name holding '|' is refused with ErrPolicyName.
+// after the upload. A name holding '|' is refused with ErrPolicyName, a
+// policy with no name or an unbounded geometry with ErrInvalidPolicy.
 func (d *Depot) AddPolicy(p Policy) error {
 	if err := checkName(p.Name); err != nil {
 		return err
@@ -220,13 +221,18 @@ func checkName(name string) error {
 	return nil
 }
 
-// checkPolicy refuses a policy no depot can archive under.
+// ErrInvalidPolicy refuses a policy no depot can archive under: one with
+// no name, or with a geometry rrd.PolicyLayout refuses.
+var ErrInvalidPolicy = errors.New("depot: invalid policy")
+
+// checkPolicy refuses a policy no depot can archive under
+// (ErrInvalidPolicy).
 func checkPolicy(p Policy) error {
 	if p.Name == "" {
-		return fmt.Errorf("depot: policy with empty name")
+		return fmt.Errorf("%w: empty name", ErrInvalidPolicy)
 	}
-	if p.Archive.Step <= 0 || p.Archive.History <= 0 {
-		return fmt.Errorf("depot: policy %s has invalid archive configuration", p.Name)
+	if _, _, _, err := rrd.PolicyLayout(p.Name, p.Archive); err != nil {
+		return fmt.Errorf("%w %s: %w", ErrInvalidPolicy, p.Name, err)
 	}
 	return nil
 }
@@ -292,12 +298,37 @@ func (d *Depot) StoreEnvelope(data []byte) (Receipt, error) {
 	return rec, nil
 }
 
-// Store ingests an already-unwrapped report: a controller in the same
-// process stores through it, so the unpack phase is zero. It keeps no
-// reference to reportXML once it returns, so the caller may reuse the
-// buffer.
+// Store ingests an already-unwrapped report. It is the one place that
+// decides whether a report is taken and in what form — StoreEnvelope, a
+// controller in the same process and a slice all store through it — and
+// it admits, logs, then applies (store). A report that is not well-formed
+// XML is refused before the log, the cache or any count sees it. The
+// unpack phase is zero. It keeps no reference to reportXML once it
+// returns, so the caller may reuse the buffer.
 func (d *Depot) Store(id branch.ID, reportXML []byte) (Receipt, error) {
-	if d.wal != nil {
+	return d.store(id, reportXML, d.wal != nil)
+}
+
+// store is the store path, which WAL replay takes with log unset: policy
+// match, the admission with the extraction the matched policies need, the
+// append to the write-ahead log, the cache insert, then consolidation into
+// their archives.
+func (d *Depot) store(id branch.ID, reportXML []byte, log bool) (Receipt, error) {
+	t1 := time.Now()
+	id = xmlID(id)
+	var buf [8]*compiledPolicy
+	matching := d.policies.Load().match(buf[:0], id)
+	var sc *archiveScratch
+	if len(matching) > 0 {
+		sc = archiveScratchPool.Get().(*archiveScratch)
+		defer archiveScratchPool.Put(sc)
+		sc.plan(matching)
+	}
+	reportXML, payload, extracted, err := d.admit(reportXML, sc)
+	if err != nil {
+		return Receipt{}, err
+	}
+	if log {
 		// Log first, then apply: a crash after the append replays the
 		// report; a crash before it never acknowledged the store. The
 		// shared barrier keeps the append and its application on the same
@@ -308,25 +339,17 @@ func (d *Depot) Store(id branch.ID, reportXML []byte) (Receipt, error) {
 			return Receipt{}, err
 		}
 	}
-	return d.storeApply(id, reportXML)
-}
-
-// storeApply is the store path past the write-ahead log (the WAL replay
-// entry point): policy match, then the cache insert with the extraction
-// the matched policies need, then consolidation into their archives.
-func (d *Depot) storeApply(id branch.ID, reportXML []byte) (Receipt, error) {
-	t1 := time.Now()
-	var buf [8]*compiledPolicy
-	matching := d.policies.Load().match(buf[:0], id)
-	var sc *archiveScratch
-	if len(matching) > 0 {
-		sc = archiveScratchPool.Get().(*archiveScratch)
-		defer archiveScratchPool.Put(sc)
-	}
 	// Added comes straight from the cache update: deriving it from
 	// Count() before/after misreports under concurrent stores (two adds
-	// racing would both see the count rise by two).
-	added, extracted, err := d.insert(id, reportXML, matching, sc)
+	// racing would both see the count rise by two). The IndexedCache takes
+	// the admitted payload as it is; any other cache admits it again,
+	// which a payload passes unchanged.
+	var added bool
+	if ic, ok := d.cache.(*IndexedCache); ok {
+		added, err = ic.insert(id, payload)
+	} else {
+		added, err = d.cache.Update(id, payload)
+	}
 	if err != nil {
 		return Receipt{}, err
 	}
@@ -353,32 +376,56 @@ func (d *Depot) storeApply(id branch.ID, reportXML []byte) (Receipt, error) {
 	}, nil
 }
 
-// insert stores the report in the cache and, when policies match, leaves
-// in sc what they archive; extracted is false when the report is not one
-// (cacheable, not archivable — skipped silently). The admission and the
-// extraction are one scan (archiveScratch.admit); the IndexedCache takes
-// the admitted payload as it is, and any other cache admits it again,
-// which a payload passes unchanged.
-func (d *Depot) insert(id branch.ID, reportXML []byte, matching []*compiledPolicy, sc *archiveScratch) (added, extracted bool, err error) {
-	if len(matching) == 0 {
-		added, err = d.cache.Update(id, reportXML)
-		return added, false, err
+// admit settles what the depot keeps of a report: the report and its
+// cache payload and, with sc, the values of sc's paths read in the same
+// scan (extracted: sc holds them; false when the report is cacheable but
+// not archivable). When the canonical check fails and the report holds a
+// character XML excludes, what is kept is a copy with U+FFFD in each one's
+// place (xmlscan.ReplaceIllegal), the report an envelope's body would have
+// carried; the log, the feed, the receipt and the stats see that copy,
+// which is admitted in a second scan. A canonical report holds no such
+// character, so it is scanned once. A report taken that was not canonical
+// is counted in fallback. err refuses the report.
+func (d *Depot) admit(reportXML []byte, sc *archiveScratch) (kept, payload []byte, extracted bool, err error) {
+	payload, canonical, ex, exErr, err := sc.admit(reportXML)
+	if !canonical {
+		if replaced, ok := xmlscan.ReplaceIllegal(reportXML); ok {
+			reportXML = replaced
+			payload, _, ex, exErr, err = sc.admit(reportXML)
+		}
 	}
-	sc.plan(matching)
-	payload, ex, exErr, err := sc.admit(reportXML, d.fallback)
 	if err != nil {
-		return false, false, err
+		return nil, nil, false, err
 	}
-	if ic, ok := d.cache.(*IndexedCache); ok {
-		added, err = ic.insert(id, payload)
-	} else {
-		added, err = d.cache.Update(id, payload)
+	if !canonical {
+		d.fallback.Inc()
 	}
-	if err != nil || exErr != nil {
-		return added, false, err
+	if sc == nil || exErr != nil {
+		return reportXML, payload, false, nil
 	}
 	sc.collect(ex)
-	return added, true, nil
+	return reportXML, payload, true, nil
+}
+
+// xmlID is id with every component through xmlscan.ReplaceIllegal: the
+// identifier an envelope's address would have carried. One with nothing
+// to replace, every one a reporter names, is id itself.
+func xmlID(id branch.ID) branch.ID {
+	var pairs []branch.Pair // id's pairs, copied at the first replacement
+	for i, p := range id.Pairs {
+		name, n := xmlscan.ReplaceIllegal(p.Name)
+		value, v := xmlscan.ReplaceIllegal(p.Value)
+		if n || v {
+			if pairs == nil {
+				pairs = slices.Clone(id.Pairs)
+			}
+			pairs[i] = branch.Pair{Name: name, Value: value}
+		}
+	}
+	if pairs == nil {
+		return id
+	}
+	return branch.ID{Pairs: pairs}
 }
 
 // consolidate applies the values sc holds for the matching policies to

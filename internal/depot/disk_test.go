@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"inca/internal/branch"
+	"inca/internal/metrics"
 	"inca/internal/rrd"
 )
 
@@ -524,4 +525,66 @@ func TestCheckpointKeepsNamespacedReports(t *testing.T) {
 		}
 	}
 	d.Close()
+}
+
+// TestDiskRefusesBeforeLogging: a report that is not well-formed XML is
+// refused before the write-ahead log, whatever the cache: the WAL's bytes
+// and Stats().Received stay as they were, and a reopened depot replays
+// only the report that was taken (nothing is admitted again, so nothing
+// counts as a fallback).
+func TestDiskRefusesBeforeLogging(t *testing.T) {
+	for name, cache := range map[string]func() Cache{
+		"indexed": func() Cache { return nil },
+		"null":    func() Cache { return NullCache{} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			d := diskDepot(t, dir, DiskOptions{Cache: cache()})
+			id := branch.MustParse("probe=p,site=s,vo=tg")
+			if _, err := d.Store(id, []byte("<r><v>1</v></r>")); err != nil {
+				t.Fatal(err)
+			}
+			before := walBytes(t, dir)
+			malformed := append([]byte("<r><v>"), bytes.Repeat([]byte("x"), 100<<10)...)
+			for i := 0; i < 10; i++ {
+				if _, err := d.Store(id, malformed); err == nil {
+					t.Fatal("a report with unclosed elements was stored")
+				}
+			}
+			if after := walBytes(t, dir); !bytes.Equal(after, before) {
+				t.Fatalf("refused reports changed the WAL: %d bytes, was %d", len(after), len(before))
+			}
+			if got := d.Stats().Received; got != 1 {
+				t.Fatalf("received %d, want 1", got)
+			}
+			d.Close()
+
+			reg := metrics.NewRegistry()
+			d = diskDepot(t, dir, DiskOptions{Cache: cache(), Options: Options{Metrics: reg}})
+			defer d.Close()
+			fallbacks := reg.Counter("inca_depot_insert_fallback_total", "").Value()
+			if got := d.Stats().Received; got != 1 || fallbacks != 0 {
+				t.Fatalf("reopen replayed %d reports, %d admitted as fallbacks; want 1, 0", got, fallbacks)
+			}
+		})
+	}
+}
+
+// walBytes is the content of every WAL segment under dir, in order.
+func walBytes(t *testing.T, dir string) []byte {
+	t.Helper()
+	walDir := filepath.Join(dir, "wal")
+	seqs, err := walSegments(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []byte
+	for _, seq := range seqs {
+		b, err := os.ReadFile(filepath.Join(walDir, walSegmentName(seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, b...)
+	}
+	return all
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"inca/internal/branch"
-	"inca/internal/metrics"
 )
 
 // IndexedCache is the read-path answer to Section 5.2's scaling wall. The
@@ -54,10 +53,6 @@ type IndexedCache struct {
 	doc    []byte  // lazily materialized canonical document
 	docGen uint64  // generation doc was built at
 	ends   [][]int // doc's branch ends by depth (see writeTo), from the same render
-
-	// fallbacks counts reports Update had to write out; nil until newDepot
-	// hands over its counter, before anything is stored.
-	fallbacks *metrics.Counter
 }
 
 // idxNode is one branch element in the trie.
@@ -162,7 +157,7 @@ func (n *idxNode) child(p branch.Pair, create bool) (*idxNode, bool, error) {
 // index; for a report already canonical that is one scan, and the copy
 // onto the trie in insert is the only other time its bytes are touched.
 func (c *IndexedCache) Update(id branch.ID, reportXML []byte) (bool, error) {
-	payload, err := EntryPayload(reportXML, c.fallbacks)
+	payload, err := EntryPayload(reportXML, nil)
 	if err != nil {
 		return false, err
 	}
@@ -171,7 +166,7 @@ func (c *IndexedCache) Update(id branch.ID, reportXML []byte) (bool, error) {
 
 // insert hangs an admitted payload — what EntryPayload returns for the
 // report — at id. The depot's store path admits reports itself, in the
-// same scan as its archive extraction.
+// same scan as its archive extraction, and counts what it writes out.
 func (c *IndexedCache) insert(id branch.ID, payload []byte) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -5,7 +5,8 @@ import "inca/internal/branch"
 // NullCache accepts and discards every report: Update succeeds without
 // storing anything and queries answer "not found". It backs archive-only
 // depots, and the benchmarks that time the archival phase of Store apart
-// from the cache insert.
+// from the cache insert. A depot admits each report before its cache sees
+// it, so one over a NullCache refuses a malformed report as any depot does.
 type NullCache struct{}
 
 // Update discards the report. It reports added=false so Depot counters

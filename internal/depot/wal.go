@@ -65,7 +65,7 @@ func (d *Depot) applyWALRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		d.storeApply(id, p[n:])
+		d.store(id, p[n:], false)
 	case walPolicy:
 		pol, err := ParsePolicy(p)
 		if err != nil {

@@ -2,9 +2,7 @@ package envelope
 
 import (
 	"bytes"
-	"encoding/binary"
 	"strconv"
-	"strings"
 	"sync"
 	"unicode/utf8"
 
@@ -92,73 +90,6 @@ func appendEscaped(dst, s []byte) []byte {
 		last = i
 	}
 	return append(dst, s[last:]...)
-}
-
-// Verbatim reports whether Decode(Encode(mode, id, report)) hands back id
-// and report exactly, so a depot in the same process can take them as they
-// are. That fails where the escaper replaces a character with U+FFFD (a
-// control byte, invalid UTF-8, U+FFFE, U+FFFF), where an address component
-// would not parse back as itself (empty, padded with white space, or
-// holding ',' or '='), and for an unknown mode, which Encode refuses. An
-// attachment carries the report raw, so there only the address is checked.
-func Verbatim(mode Mode, id branch.ID, report []byte) bool {
-	if mode != Body && mode != Attachment {
-		return false
-	}
-	for _, p := range id.Pairs {
-		if !componentVerbatim(p.Name) || !componentVerbatim(p.Value) {
-			return false
-		}
-	}
-	return mode == Attachment || textVerbatim(report)
-}
-
-// componentVerbatim holds one name or value of an address to Verbatim's
-// rule, ASCII byte by byte.
-func componentVerbatim(s string) bool {
-	if s == "" || strings.TrimSpace(s) != s {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		switch b := s[i]; {
-		case b == ',' || b == '=' || escClass[b] == escReplace:
-			return false
-		case b >= utf8.RuneSelf:
-			return strings.IndexAny(s, ",=") < 0 && textVerbatim([]byte(s))
-		}
-	}
-	return true
-}
-
-// textVerbatim reports whether appendEscaped writes every character of s
-// as itself or as a reference appendUnescaped reverses.
-func textVerbatim(s []byte) bool {
-	// Eight bytes at a time while all of them are printable ASCII
-	// (0x20–0x7F), which the escaper never replaces: subtracting 0x20 from
-	// every byte sets some byte's top bit exactly when a byte is below
-	// 0x20, and a byte at or above 0x80 has its own top bit set.
-	i := 0
-	for ; i+8 <= len(s); i += 8 {
-		w := binary.LittleEndian.Uint64(s[i:])
-		if (w-0x2020202020202020|w)&0x8080808080808080 != 0 {
-			break
-		}
-	}
-	for i < len(s) {
-		switch escClass[s[i]] {
-		case escReplace:
-			return false
-		case escMulti:
-			width, replace := multiByte(s[i:])
-			if replace {
-				return false
-			}
-			i += width
-		default:
-			i++
-		}
-	}
-	return true
 }
 
 // xmlCharOK mirrors encoding/xml's isInCharacterRange: the XML 1.0

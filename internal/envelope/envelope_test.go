@@ -3,7 +3,6 @@ package envelope
 import (
 	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -213,70 +212,5 @@ func TestAddressRootID(t *testing.T) {
 	id, err := Address(data)
 	if err != nil || !id.IsRoot() {
 		t.Fatalf("root address: %v %v", id, err)
-	}
-}
-
-// TestVerbatimIsTheRoundTrip: Verbatim says yes exactly where Decode(Encode)
-// hands back the identifier and the report unchanged — for the escaper's
-// replacements and for addresses that would not parse back as themselves,
-// which a parsed identifier never is but a hand-built one can be.
-func TestVerbatimIsTheRoundTrip(t *testing.T) {
-	id := func(pairs ...string) branch.ID {
-		var out branch.ID
-		for i := 0; i+1 < len(pairs); i += 2 {
-			out.Pairs = append(out.Pairs, branch.Pair{Name: pairs[i], Value: pairs[i+1]})
-		}
-		return out
-	}
-	plain := id("probe", "x", "vo", "tg")
-	for _, tc := range []struct {
-		name   string
-		id     branch.ID
-		report string
-	}{
-		{"plain", plain, "<r><v>1</v></r>"},
-		{"root", branch.ID{}, "<r/>"},
-		{"references", plain, "<r a=\"&amp;'\">\t\r\n&lt;</r>"},
-		{"non-ASCII", id("probe", "xé"), "<r>世</r>"},
-		{"control byte", plain, "<r>\x01</r>"},
-		{"invalid UTF-8", plain, "<r>\xff</r>"},
-		{"U+FFFE", plain, "<r>\uFFFE</r>"},
-		{"U+FFFF", plain, "<r>\uFFFF</r>"},
-		{"control byte in a value", id("probe", "x\x01"), "<r/>"},
-		{"U+FFFE in a name", id("pro\uFFFEbe", "x"), "<r/>"},
-		{"comma in a value", id("probe", "x,y"), "<r/>"},
-		{"equals in a name", id("pro=be", "x"), "<r/>"},
-		{"empty value", id("probe", ""), "<r/>"},
-		{"padded name", id(" probe", "x"), "<r/>"},
-		{"non-breaking space", id("probe", "x\u00A0"), "<r/>"},
-		{"inner space", id("probe", "x y"), "<r/>"},
-	} {
-		for _, mode := range []Mode{Body, Attachment} {
-			data, err := Encode(mode, tc.id, []byte(tc.report))
-			if err != nil {
-				t.Fatal(err)
-			}
-			env, err := Decode(data)
-			same := err == nil && env.Branch.Equal(tc.id) && bytes.Equal(env.Report, []byte(tc.report))
-			if got := Verbatim(mode, tc.id, []byte(tc.report)); got != same {
-				t.Errorf("%s, %s: Verbatim = %v, round trip unchanged = %v", tc.name, mode, got, same)
-			}
-		}
-	}
-	// Each character at each offset of a report longer than two words,
-	// so the word-at-a-time scan meets it at every lane.
-	for _, c := range []string{"\x01", "\x1f", "\x7f", "\x85", "\xff", "é", "\uFFFE", "\t"} {
-		for at := 0; at <= 24; at++ {
-			report := []byte(strings.Repeat("<", at) + c + strings.Repeat(">", 24-at))
-			data, _ := Encode(Body, plain, report)
-			env, err := Decode(data)
-			same := err == nil && bytes.Equal(env.Report, report)
-			if got := Verbatim(Body, plain, report); got != same {
-				t.Errorf("%q at %d: Verbatim = %v, round trip unchanged = %v", c, at, got, same)
-			}
-		}
-	}
-	if Verbatim(Mode(7), plain, []byte("<r/>")) {
-		t.Error("Verbatim holds for a mode Encode refuses")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -37,10 +38,49 @@ func normalize(s string) string {
 	return htmlPath.ReplaceAllString(s, "HTML rendering written to <path>")
 }
 
-// golden holds r, normalized, to testdata/name.golden.
+// bands hold the paper's own figures, where a test-sized run shows them,
+// as bounds the result must keep. They live here and not in testdata, so
+// -update cannot move them: a change that takes the reproduction away from
+// the paper fails even once its golden file is rewritten.
+var bands = map[string]func(t *testing.T, text string){
+	// Figure 4: "over 900" pieces of data verified on the status page.
+	"fig4": func(t *testing.T, text string) {
+		m := regexp.MustCompile(`(?m)^(\d+) pieces of data compared and verified`).FindStringSubmatch(text)
+		if m == nil {
+			t.Error("fig4 counts no pieces of data verified")
+		} else if n, _ := strconv.Atoi(m[1]); n <= 900 {
+			t.Errorf("fig4 verifies %d pieces of data, the paper over 900", n)
+		}
+	},
+	// Table 4: 97 % of the paper's updates are 0-4 KB; here at least 90 %.
+	"table4": func(t *testing.T, text string) {
+		m := regexp.MustCompile(`(?m)^number of updates +([\d ]+)$`).FindStringSubmatch(text)
+		if m == nil {
+			t.Error("table4 has no row of update counts")
+			return
+		}
+		small, total := 0, 0
+		for i, f := range strings.Fields(m[1]) {
+			n, _ := strconv.Atoi(f)
+			if i == 0 {
+				small = n
+			}
+			total += n
+		}
+		if total == 0 || small*10 < total*9 {
+			t.Errorf("table4: %d of %d updates in the 0-4 KB bucket, the paper 97 %%, the band 90 %%", small, total)
+		}
+	},
+}
+
+// golden holds r, normalized, to testdata/name.golden, and to its band
+// when it has one.
 func golden(t *testing.T, name string, r Result) {
 	t.Helper()
 	got := normalize(r.String())
+	if band := bands[name]; band != nil {
+		band(t, got)
+	}
 	path := filepath.Join("testdata", name+".golden")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

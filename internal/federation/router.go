@@ -333,10 +333,12 @@ func (r *Router) Join(s Shard) error {
 
 // AttachReplica wires a follower to an existing shard at runtime: the
 // router starts teeing the shard's wire stream to it immediately. The
-// follower's history before this moment is empty — run the catch-up copy
-// (the §5h migration path: fetch the primary's /reports, re-store on the
-// follower) to close that gap. The follower serves no reads, so the
-// signature, and every validator minted under it, stays as it was.
+// follower's history before this moment is empty — run the catch-up (the
+// primary's slice, DESIGN.md §5c) to close that gap. Attaching the
+// follower the shard already has changes nothing and succeeds, so a
+// catch-up can run again; another follower is refused. The follower
+// serves no reads, so the signature, and every validator minted under it,
+// stays as it was.
 func (r *Router) AttachReplica(name, replicaWire, replicaHTTP string) error {
 	if replicaWire == "" {
 		return fmt.Errorf("federation: follower needs a wire address")
@@ -348,6 +350,9 @@ func (r *Router) AttachReplica(name, replicaWire, replicaHTTP string) error {
 		return fmt.Errorf("federation: unknown shard %s", name)
 	}
 	if s.HasReplica() {
+		if s.ReplicaWire == replicaWire && s.ReplicaHTTP == replicaHTTP {
+			return nil // attached already: a catch-up may run again
+		}
 		return fmt.Errorf("federation: shard %s already has follower %s", name, s.ReplicaWire)
 	}
 	s.ReplicaWire, s.ReplicaHTTP = replicaWire, replicaHTTP

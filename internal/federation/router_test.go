@@ -349,6 +349,34 @@ func TestAttachKeepsSignature(t *testing.T) {
 	}
 }
 
+// TestAttachSameFollowerAgain: attaching the follower a shard already has
+// succeeds and changes nothing — the tee still delivers each message once
+// — while another follower is refused.
+func TestAttachSameFollowerAgain(t *testing.T) {
+	primary, follower, other := newSinkServer(t), newSinkServer(t), newSinkServer(t)
+	r, err := NewRouter([]Shard{{Wire: primary.addr()}}, RouterOptions{Batch: testBatch()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i := 0; i < 2; i++ {
+		if err := r.AttachReplica(primary.addr(), follower.addr(), "h"); err != nil {
+			t.Fatalf("attach %d: %v", i+1, err)
+		}
+	}
+	if err := r.AttachReplica(primary.addr(), other.addr(), "h"); err == nil {
+		t.Fatal("a second follower was attached")
+	}
+	const n = 10
+	handleAll(t, r, branchesOwnedBy(t, r.Ring(), primary.addr(), n))
+	if err := r.Drain(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if got, gotOther := follower.unique(), other.unique(); got != n || gotOther != 0 {
+		t.Fatalf("follower took %d, the refused one %d; want %d, 0", got, gotOther, n)
+	}
+}
+
 // TestReplicationTee proves steady-state replication: with both primary
 // and follower live, every accepted message reaches both.
 func TestReplicationTee(t *testing.T) {

@@ -936,8 +936,10 @@ func (f *Federated) handlePromote(w http.ResponseWriter, r *http.Request) {
 // primary's slice follows the tee's start, so a late follower holds the
 // primary's history, archives included; an archive the tee has taken past
 // the primary's image stays the follower's own and counts as kept
-// (DESIGN.md §5e). Reads stay on the primary, so neither the attach nor a
-// failed catch-up touches a validator or a feed subscription.
+// (DESIGN.md §5e); the same request again runs the catch-up again, which
+// installs a newer image. Only another follower is refused (409). Reads
+// stay on the primary, so neither the attach nor a failed catch-up
+// touches a validator or a feed subscription.
 func (f *Federated) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("shard")

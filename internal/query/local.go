@@ -279,7 +279,7 @@ func (b *local) policy(policyXML []byte) (document, error) {
 	if err != nil {
 		return document{}, httpError{http.StatusBadRequest, err.Error()}
 	}
-	if err := b.d.AddPolicy(p); errors.Is(err, depot.ErrPolicyName) {
+	if err := b.d.AddPolicy(p); errors.Is(err, depot.ErrPolicyName) || errors.Is(err, depot.ErrInvalidPolicy) {
 		return document{}, httpError{http.StatusBadRequest, err.Error()}
 	} else if err != nil {
 		return document{}, httpError{http.StatusConflict, err.Error()}

@@ -222,7 +222,8 @@ var keptRE = regexp.MustCompile(` (\d+) kept\)`)
 
 // TestCatchUpSampleOnce: a sample the router takes while a catch-up runs
 // appears exactly once in the follower's archive, whichever of the image
-// and the tee carries it, and is never lost.
+// and the tee carries it, and is never lost. An archive the follower kept
+// is healed by running the catch-up again.
 func TestCatchUpSampleOnce(t *testing.T) {
 	const id = "tool=pathload,site=s00,vo=tg"
 	sample := func(h int) []byte { return sampleEnvelope(t, id, t0.Add(time.Duration(h)*time.Hour), float64(h)) }
@@ -237,6 +238,9 @@ func TestCatchUpSampleOnce(t *testing.T) {
 		kept     string
 		release  func(primary *depot.Depot)
 		etagMove bool
+		// again, when set, is what a second catch-up, run with no hook,
+		// answers kept.
+		again string
 	}{{
 		// The primary's image lacks the sample, and the tee brings it to
 		// the follower after the install.
@@ -257,6 +261,14 @@ func TestCatchUpSampleOnce(t *testing.T) {
 		// reaches the follower before the install, so the follower's
 		// archive is ahead of the image and stays.
 		name: "tee before the install", held: 6, kept: "1",
+		hooks: func(_, _ *depot.Depot, fed string) (func(), func(), func()) {
+			return nil, func() { NewClient(fed).StoreEnvelope(sample(7)) }, nil
+		},
+	}, {
+		// As above with a follower that holds no history: the archive it
+		// keeps has the tee's sample alone, and only a second catch-up,
+		// whose image holds the sample too, installs the primary's.
+		name: "tee before the install, then again", held: 0, kept: "1", again: "0",
 		hooks: func(_, _ *depot.Depot, fed string) (func(), func(), func()) {
 			return nil, func() { NewClient(fed).StoreEnvelope(sample(7)) }, nil
 		},
@@ -310,10 +322,17 @@ func TestCatchUpSampleOnce(t *testing.T) {
 			_, etag, _ := get(t, fts.URL, query, "")
 
 			primaryGet, primaryAfter, followerAfter = tc.hooks(primary, follower, fed.URL)
-			answer := postAdmin(t, fed.URL, "/federation/replicate?catchup=1&shard=shard0&follower="+url.QueryEscape("follower0/"+fts.URL))
+			replicate := "/federation/replicate?catchup=1&shard=shard0&follower=" + url.QueryEscape("follower0/"+fts.URL)
+			answer := postAdmin(t, fed.URL, replicate)
 			primaryGet, primaryAfter, followerAfter = nil, nil, nil
 			if m := keptRE.FindStringSubmatch(answer); m == nil || m[1] != tc.kept {
 				t.Fatalf("catch-up answered %q, want %s kept", answer, tc.kept)
+			}
+			if tc.again != "" {
+				answer := postAdmin(t, fed.URL, replicate)
+				if m := keptRE.FindStringSubmatch(answer); m == nil || m[1] != tc.again {
+					t.Fatalf("second catch-up answered %q, want %s kept", answer, tc.again)
+				}
 			}
 			if tc.release != nil {
 				tc.release(primary)
@@ -397,6 +416,40 @@ func TestSliceRoutes(t *testing.T) {
 			t.Fatalf("POST %s/policy of %q: %d, want 400", base, bad.Name, resp.StatusCode)
 		}
 	}
+}
+
+// TestPolicyGeometryBounded: a policy whose history needs more rows than
+// an archive image may hold, or whose row overflows, is refused with 400 on
+// either tier before anything is allocated, and a report under its prefix
+// is then stored as under no policy.
+func TestPolicyGeometryBounded(t *testing.T) {
+	tf := newTestFederation(t, 2)
+	tooFine, overflow := bwPolicy, bwPolicy
+	tooFine.Archive = rrd.ArchivalPolicy{Step: time.Nanosecond, History: time.Hour}
+	overflow.Archive = rrd.ArchivalPolicy{Step: time.Hour, Granularity: 1 << 40, History: time.Hour}
+	for _, p := range []depot.Policy{tooFine, overflow} {
+		body, err := depot.MarshalPolicy(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, base := range []string{tf.fed.URL, tf.router.Shards()[0].BaseURL()} {
+			resp, err := http.Post(base+"/policy", "text/xml", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("POST %s/policy of %+v: %d %s, want 400", base, p.Archive, resp.StatusCode, msg)
+			}
+		}
+	}
+	for name, d := range tf.depots {
+		if ps := d.Policies(); len(ps) != 0 {
+			t.Fatalf("%s holds %d policies after the refusals", name, len(ps))
+		}
+	}
+	tf.store(t, sampleEnvelope(t, "tool=pathload,site=s00,vo=tg", t0.Add(time.Hour), 1))
 }
 
 // TestLeaveUnknownShard: leaving a shard the ring does not hold is 404,

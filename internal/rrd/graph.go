@@ -183,10 +183,16 @@ type ArchivalPolicy struct {
 	CFs []CF
 }
 
+// MaxRows bounds an archive's rows: ReadDB refuses an image with more, so
+// PolicyLayout refuses a policy that would need more.
+const MaxRows = 1 << 24
+
 // PolicyLayout expands an archival policy into the concrete database
 // layout NewFromPolicy builds — exported so alternative storage engines
 // (the paged on-disk format in rrd/file) create archives with exactly the
-// geometry the in-memory path would.
+// geometry the in-memory path would. A policy whose row (Step ×
+// Granularity) overflows a Duration, or whose History needs more than
+// MaxRows rows, is refused.
 func PolicyLayout(dsName string, p ArchivalPolicy) (time.Duration, []DS, []RRA, error) {
 	if p.Step <= 0 {
 		return 0, nil, nil, fmt.Errorf("rrd: policy step must be positive")
@@ -205,11 +211,14 @@ func PolicyLayout(dsName string, p ArchivalPolicy) (time.Duration, []DS, []RRA, 
 	if len(cfs) == 0 {
 		cfs = []CF{Average}
 	}
-	rowDur := p.Step * time.Duration(p.Granularity)
-	rows := int(p.History / rowDur)
-	if rows < 1 {
-		rows = 1
+	if p.Step > math.MaxInt64/time.Duration(p.Granularity) {
+		return 0, nil, nil, fmt.Errorf("rrd: policy step %v × granularity %d overflows", p.Step, p.Granularity)
 	}
+	rowDur := p.Step * time.Duration(p.Granularity)
+	if p.History/rowDur > MaxRows {
+		return 0, nil, nil, fmt.Errorf("rrd: policy history %v of %v rows is over %d rows", p.History, rowDur, MaxRows)
+	}
+	rows := max(int(p.History/rowDur), 1)
 	var rras []RRA
 	for _, cf := range cfs {
 		rras = append(rras, RRA{CF: cf, XFF: 0.5, Steps: p.Granularity, Rows: rows})

@@ -242,7 +242,7 @@ func ReadDB(r io.Reader) (*DB, error) {
 		if b.err != nil {
 			break
 		}
-		if st.def.Rows <= 0 || st.def.Rows > 1<<24 || st.def.Steps <= 0 {
+		if st.def.Rows <= 0 || st.def.Rows > MaxRows || st.def.Steps <= 0 {
 			return nil, fmt.Errorf("rrd: implausible archive geometry %d×%d", st.def.Steps, st.def.Rows)
 		}
 		if st.newest < -1 || st.newest >= st.def.Rows || st.filled < 0 || st.filled > st.def.Rows {

@@ -510,6 +510,26 @@ func TestNewFromPolicyValidation(t *testing.T) {
 	}
 }
 
+// TestPolicyLayoutBounded: a policy needing more than MaxRows rows, or
+// whose row overflows a Duration, is refused, and one at MaxRows rows is
+// laid out; none of them allocates a row.
+func TestPolicyLayoutBounded(t *testing.T) {
+	for _, p := range []ArchivalPolicy{
+		{Step: time.Nanosecond, History: time.Hour},
+		{Step: time.Nanosecond, History: (MaxRows + 1) * time.Nanosecond},
+		{Step: time.Hour, Granularity: 1 << 40, History: time.Hour},
+		{Step: math.MaxInt64, Granularity: 2, History: time.Hour},
+	} {
+		if _, _, _, err := PolicyLayout("v", p); err == nil {
+			t.Errorf("PolicyLayout(%+v) accepted", p)
+		}
+	}
+	_, _, rras, err := PolicyLayout("v", ArchivalPolicy{Step: time.Nanosecond, History: MaxRows * time.Nanosecond})
+	if err != nil || rras[0].Rows != MaxRows {
+		t.Fatalf("a policy of MaxRows rows: %v, %v", rras, err)
+	}
+}
+
 func TestCFAndDSTypeStrings(t *testing.T) {
 	if Average.String() != "AVERAGE" || Min.String() != "MIN" || Max.String() != "MAX" || Last.String() != "LAST" {
 		t.Fatal("CF names wrong")

@@ -446,3 +446,35 @@ func appendEscaped(dst, s []byte, attr bool) []byte {
 	}
 	return append(dst, s[last:]...)
 }
+
+// ReplaceIllegal returns s with every character XML excludes written as
+// U+FFFD, as xml.EscapeText writes it: a C0 control other than tab, LF and
+// CR, each byte that is not part of valid UTF-8, U+FFFE and U+FFFF, one
+// U+FFFD per byte or rune (strings.ToValidUTF8 would fold a run into one).
+// When s holds none it is returned as it is and replaced is false.
+func ReplaceIllegal[T ~string | ~[]byte](s T) (out T, replaced bool) {
+	var dst []byte
+	last := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b >= 0x20 && b < utf8.RuneSelf || b == '\t' || b == '\n' || b == '\r' {
+			i++
+			continue
+		}
+		width := 1
+		if b >= utf8.RuneSelf {
+			var r rune
+			if r, width = utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))])); width > 1 && r != 0xFFFE && r != 0xFFFF {
+				i += width
+				continue
+			}
+		}
+		dst = append(append(dst, s[last:i]...), "\uFFFD"...)
+		i += width
+		last = i
+	}
+	if dst == nil {
+		return s, false
+	}
+	return T(append(dst, s[last:]...)), true
+}

@@ -1,6 +1,8 @@
 package xmlscan
 
 import (
+	"bytes"
+	"encoding/xml"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -154,6 +156,44 @@ func TestAppendCanonical(t *testing.T) {
 	} {
 		if got, err := AppendCanonical([]byte("keep"), []byte(tc.doc)); err == nil || err.Error() != tc.err || string(got) != "keep" {
 			t.Errorf("AppendCanonical(%q) = %q, %v; want the error %q", tc.doc, got, err, tc.err)
+		}
+	}
+}
+
+// TestReplaceIllegal: one U+FFFD per excluded byte or rune, for bytes and
+// for strings, and nothing else changed; on any of the inputs the result
+// holds no character xml.EscapeText would replace.
+func TestReplaceIllegal(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"<r>plain \t\n\r é \uFFFD</r>", ""},
+		{"", ""},
+		{"a\x01b", "a\uFFFDb"},
+		{"\x00\x1f", "\uFFFD\uFFFD"},
+		{"\xe2\x82", "\uFFFD\uFFFD"},
+		{"\xe2\x82<", "\uFFFD\uFFFD<"},
+		{"x\xff", "x\uFFFD"},
+		{"\uFFFE\uFFFF", "\uFFFD\uFFFD"},
+		{"\xed\xa0\x80", "\uFFFD\uFFFD\uFFFD"}, // a surrogate: three bytes of invalid UTF-8
+		{"<!--a\x01b-->", "<!--a\uFFFDb-->"},
+	} {
+		want, wantReplaced := tc.want, tc.want != ""
+		if !wantReplaced {
+			want = tc.in
+		}
+		if got, replaced := ReplaceIllegal([]byte(tc.in)); string(got) != want || replaced != wantReplaced {
+			t.Errorf("ReplaceIllegal(%q) = %q, %v; want %q, %v", tc.in, got, replaced, want, wantReplaced)
+		}
+		if got, replaced := ReplaceIllegal(tc.in); got != want || replaced != wantReplaced {
+			t.Errorf("ReplaceIllegal(string %q) = %q, %v; want %q, %v", tc.in, got, replaced, want, wantReplaced)
+		}
+		var escaped, again bytes.Buffer
+		xml.EscapeText(&escaped, []byte(tc.in))
+		xml.EscapeText(&again, []byte(want))
+		if escaped.String() != again.String() {
+			t.Errorf("%q: xml.EscapeText writes %q, and %q of the result", tc.in, escaped.String(), again.String())
+		}
+		if _, replaced := ReplaceIllegal(want); replaced {
+			t.Errorf("%q: the result %q still holds an excluded character", tc.in, want)
 		}
 	}
 }
